@@ -110,6 +110,17 @@ cargo run --example distributed_serve
 echo "==> cargo run --example tcp_serve"
 cargo run --example tcp_serve
 
+# The serve-plane benchmark (benchmark/, its own workspace and target
+# dir) is the ruler perf PRs are judged by: keep it building against the
+# crates' public surface, its arithmetic tested, and all four workloads
+# delivering correct streams. --smoke is 1/20 of the steps with the
+# stream oracle on; its numbers are never compared.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark/run.sh --smoke"
+bash benchmark/run.sh --smoke | grep 'attempted='
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 

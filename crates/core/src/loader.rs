@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use msd_data::{Sample, SampleMeta, SourceId, SourceSpec};
+use msd_data::{Sample, SampleMeta, SourceId, SourceSpec, TransformPipeline, TransformScratch};
 use msd_sim::SimRng;
 use msd_storage::{ColumnarReader, MemStore, StorageError};
 use serde::{Deserialize, Serialize};
@@ -101,8 +101,14 @@ pub struct LoaderHealth {
 enum Ingest {
     /// Synthesize samples directly from the source spec.
     Synthetic,
-    /// Read real `MSDCOL01` rows from an object store.
-    Stored { store: Arc<MemStore>, path: String },
+    /// Read real `MSDCOL01` rows from an object store. The reader is
+    /// opened on the first read and then kept: consecutive ordinals reuse
+    /// its parsed footer and its resident decoded row group.
+    Stored {
+        store: Arc<MemStore>,
+        path: String,
+        reader: Option<ColumnarReader<Arc<MemStore>>>,
+    },
 }
 
 /// The Source Loader component.
@@ -125,10 +131,14 @@ pub struct SourceLoader {
     /// (the real sleeps `fetch_latency_ns` induces), in ns.
     pub fetch_stall_ns_total: u64,
     samples_produced: u64,
-    /// Transformation-reordering split (Sec 6.2): when set, only the first
-    /// `idx` pipeline transforms run loader-side; the rest are deferred to
-    /// the Data Constructor.
-    transform_split: Option<usize>,
+    /// The transforms that run loader-side, built once rather than per
+    /// sample: all of `spec.pipeline()`, or — under a transformation-
+    /// reordering split (Sec 6.2) — only its first `idx` transforms.
+    pipeline: TransformPipeline,
+    /// The rest of a split pipeline, deferred to the Data Constructor.
+    deferred: Option<TransformPipeline>,
+    /// Working buffers of the transform chain, reused for every sample.
+    scratch: TransformScratch,
 }
 
 impl SourceLoader {
@@ -136,6 +146,9 @@ impl SourceLoader {
     pub fn synthetic(spec: SourceSpec, config: LoaderConfig, seed: u64) -> Self {
         let rng = SimRng::seed(seed ^ (u64::from(config.loader_id) << 32));
         SourceLoader {
+            pipeline: spec.pipeline(),
+            deferred: None,
+            scratch: TransformScratch::default(),
             spec,
             config,
             ingest: Ingest::Synthetic,
@@ -146,7 +159,6 @@ impl SourceLoader {
             io_ns_total: 0,
             fetch_stall_ns_total: 0,
             samples_produced: 0,
-            transform_split: None,
         }
     }
 
@@ -156,15 +168,15 @@ impl SourceLoader {
     /// default (whole pipeline loader-side). Affects samples produced by
     /// *future* refills only.
     pub fn set_transform_split(&mut self, idx: Option<usize>) {
-        self.transform_split = idx;
+        let (head, tail) = self.spec.pipeline().split_at(idx.unwrap_or(usize::MAX));
+        self.pipeline = head;
+        self.deferred = (!tail.is_empty()).then_some(tail);
     }
 
     /// The transforms this loader defers to the constructor, if any
     /// (empty-tail splits return `None`).
-    pub fn deferred_pipeline(&self) -> Option<msd_data::TransformPipeline> {
-        let idx = self.transform_split?;
-        let (_, tail) = self.spec.pipeline().split_at(idx);
-        (!tail.is_empty()).then_some(tail)
+    pub fn deferred_pipeline(&self) -> Option<&TransformPipeline> {
+        self.deferred.as_ref()
     }
 
     /// Creates a loader reading materialized rows from an object store.
@@ -179,6 +191,7 @@ impl SourceLoader {
         loader.ingest = Ingest::Stored {
             store,
             path: path.into(),
+            reader: None,
         };
         loader
     }
@@ -264,11 +277,12 @@ impl SourceLoader {
     fn produce_one(&mut self) -> Result<Option<(Sample, u64)>, StorageError> {
         let ordinal = self.cursor * u64::from(self.config.shards) + u64::from(self.config.shard);
         let decode_start = std::time::Instant::now();
-        let mut sample = match &self.ingest {
+        let sample_id = self.make_id(self.cursor);
+        let mut sample = match &mut self.ingest {
             Ingest::Synthetic => {
                 let meta = self.spec.sample_meta(&mut self.rng, ordinal);
                 let meta = SampleMeta {
-                    sample_id: self.make_id(self.cursor),
+                    sample_id,
                     raw_bytes: meta.raw_bytes.min(8192),
                     ..meta
                 };
@@ -283,13 +297,32 @@ impl SourceLoader {
                     payload: lease.freeze(),
                 }
             }
-            Ingest::Stored { store, path } => {
-                match self.read_stored_row(store, path, ordinal)? {
-                    Some((s, io_ns)) => {
-                        self.io_ns_total += io_ns;
-                        s
-                    }
-                    None => return Ok(None), // Source exhausted.
+            Ingest::Stored {
+                store,
+                path,
+                reader,
+            } => {
+                // Open once; the footer parse is charged with the open.
+                let io_before = reader.as_ref().map_or(0, ColumnarReader::io_ns);
+                let reader = match reader {
+                    Some(reader) => reader,
+                    None => reader.insert(ColumnarReader::open(store.clone(), path)?),
+                };
+                let row = read_stored_row(reader, ordinal)?;
+                self.io_ns_total += reader.io_ns() - io_before;
+                let Some((text_tokens, image_patches, payload)) = row else {
+                    return Ok(None); // Source exhausted.
+                };
+                Sample {
+                    meta: SampleMeta {
+                        sample_id,
+                        source: self.spec.id,
+                        modality: self.spec.modality,
+                        text_tokens,
+                        image_patches,
+                        raw_bytes: payload.len() as u64,
+                    },
+                    payload,
                 }
             }
         };
@@ -297,12 +330,8 @@ impl SourceLoader {
         // Sample-level transformations happen inside the loader —
         // all of them by default, or just the pre-split head when
         // transformation reordering defers the rest (Sec 6.2).
-        let pipeline = match self.transform_split {
-            None => self.spec.pipeline(),
-            Some(idx) => self.spec.pipeline().split_at(idx).0,
-        };
-        let cost = pipeline.cost_ns(&sample.meta);
-        pipeline.apply(&mut sample);
+        let cost = self.pipeline.cost_ns(&sample.meta);
+        self.pipeline.apply_with(&mut sample, &mut self.scratch);
         // Worker parallelism amortizes transform latency (Sec 5.1's
         // "Worker Parallel" scheme).
         let spent_ns = cost / u64::from(self.config.workers.max(1));
@@ -348,55 +377,6 @@ impl SourceLoader {
             }
         }
         dropped
-    }
-
-    /// Reads one stored row; returns the sample plus the I/O time spent.
-    /// The payload is a zero-copy [`bytes::Bytes`] slice of the decoded
-    /// row-group buffer — the storage → loader hop moves no bytes.
-    fn read_stored_row(
-        &self,
-        store: &MemStore,
-        path: &str,
-        ordinal: u64,
-    ) -> Result<Option<(Sample, u64)>, StorageError> {
-        let mut reader = ColumnarReader::open(store, path)?;
-        if ordinal >= reader.total_rows() {
-            return Ok(None);
-        }
-        // Locate the row group containing `ordinal`.
-        let mut remaining = ordinal;
-        let mut group = 0usize;
-        for (g, rg) in reader.footer().row_groups.iter().enumerate() {
-            if remaining < rg.rows {
-                group = g;
-                break;
-            }
-            remaining -= rg.rows;
-        }
-        let schema = reader.schema().clone();
-        let rows = reader.read_group(group)?;
-        let row = &rows[remaining as usize];
-        let text_tokens = row[schema.index_of("text_tokens").expect("sample schema")]
-            .as_i64()
-            .unwrap_or(0) as u32;
-        let image_patches = row[schema.index_of("img_patches").expect("sample schema")]
-            .as_i64()
-            .unwrap_or(0) as u32;
-        let payload = row[schema.index_of("image").expect("sample schema")]
-            .as_shared_bytes()
-            .unwrap_or_default();
-        let sample = Sample {
-            meta: SampleMeta {
-                sample_id: self.make_id(self.cursor),
-                source: self.spec.id,
-                modality: self.spec.modality,
-                text_tokens,
-                image_patches,
-                raw_bytes: payload.len() as u64,
-            },
-            payload,
-        };
-        Ok(Some((sample, reader.io_ns())))
     }
 
     /// Buffer-metadata summary for the Planner.
@@ -451,11 +431,38 @@ impl SourceLoader {
     /// replay — idempotence matters for failover).
     pub fn pop(&mut self, ids: &[u64]) -> Vec<Sample> {
         let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            if let Some(pos) = self.buffer.iter().position(|s| s.meta.sample_id == *id) {
-                out.push(self.buffer.remove(pos).expect("position valid"));
+        // A plan usually names the front of the buffer in buffer order:
+        // that run pops straight off.
+        let mut rest = ids;
+        while let [id, tail @ ..] = rest {
+            if self.buffer.front().map(|s| s.meta.sample_id) != Some(*id) {
+                break;
             }
+            out.extend(self.buffer.pop_front());
+            rest = tail;
         }
+        if rest.is_empty() {
+            return out;
+        }
+        // Anything else (out of order, unknown, repeated) takes one pass
+        // over the buffer against an index of the remaining directive:
+        // each id's first position in it, searchable by id.
+        let mut wanted: Vec<(u64, usize)> = rest.iter().copied().zip(0..).collect();
+        wanted.sort_unstable();
+        wanted.dedup_by_key(|(id, _)| *id);
+        // A named sample leaves as a refcount-sharing clone whose original
+        // `retain` then drops; the survivors keep their order.
+        let mut slots: Vec<Option<Sample>> = rest.iter().map(|_| None).collect();
+        self.buffer.retain(|sample| {
+            match wanted.binary_search_by_key(&sample.meta.sample_id, |(id, _)| *id) {
+                Ok(hit) if slots[wanted[hit].1].is_none() => {
+                    slots[wanted[hit].1] = Some(sample.clone());
+                    false
+                }
+                _ => true,
+            }
+        });
+        out.extend(slots.into_iter().flatten());
         out
     }
 
@@ -492,6 +499,42 @@ impl SourceLoader {
         self.rng = SimRng::from_state(checkpoint.rng_state);
         self.buffer.clear();
     }
+}
+
+/// Reads the row at file ordinal `ordinal` through the loader's open
+/// reader: `(text_tokens, image_patches, payload)`, or `None` past the
+/// last row. The payload is a zero-copy [`bytes::Bytes`] slice of the
+/// decoded row-group buffer — the storage → loader hop moves no bytes —
+/// and a row of the group that is already resident costs no I/O.
+fn read_stored_row(
+    reader: &mut ColumnarReader<Arc<MemStore>>,
+    ordinal: u64,
+) -> Result<Option<(u32, u32, bytes::Bytes)>, StorageError> {
+    if ordinal >= reader.total_rows() {
+        return Ok(None);
+    }
+    // Locate the row group containing `ordinal`.
+    let mut remaining = ordinal;
+    let mut group = 0usize;
+    for (g, rg) in reader.footer().row_groups.iter().enumerate() {
+        if remaining < rg.rows {
+            group = g;
+            break;
+        }
+        remaining -= rg.rows;
+    }
+    let column = |name| reader.schema().index_of(name).expect("sample schema");
+    let (text, patches, image) = (
+        column("text_tokens"),
+        column("img_patches"),
+        column("image"),
+    );
+    let row = &reader.read_group(group)?[remaining as usize];
+    Ok(Some((
+        row[text].as_i64().unwrap_or(0) as u32,
+        row[patches].as_i64().unwrap_or(0) as u32,
+        row[image].as_shared_bytes().unwrap_or_default(),
+    )))
 }
 
 #[cfg(test)]
@@ -560,6 +603,60 @@ mod tests {
         assert_eq!(l.buffered(), 5);
         // Idempotent on re-pop.
         assert!(l.pop(&ids).is_empty());
+
+        // Directive order out — here the reverse of buffer order — with
+        // unknown, already-popped and repeated ids skipped, and the
+        // survivors left in their original order.
+        let left: Vec<u64> = l.summary().samples.iter().map(|m| m.sample_id).collect();
+        let directive = [
+            left[4],
+            u64::MAX,
+            left[2],
+            ids[0],
+            left[4],
+            left[0],
+            left[2],
+        ];
+        let popped: Vec<u64> = l.pop(&directive).iter().map(|s| s.meta.sample_id).collect();
+        assert_eq!(popped, [left[4], left[2], left[0]]);
+        let rest: Vec<u64> = l.summary().samples.iter().map(|m| m.sample_id).collect();
+        assert_eq!(rest, [left[1], left[3]]);
+        assert!(l.pop(&directive).is_empty());
+        assert!(l.pop(&[]).is_empty());
+        assert_eq!(l.buffered(), 2);
+
+        // A front run in buffer order followed by a scrambled remainder.
+        l.refill(8).unwrap();
+        let b: Vec<u64> = l.summary().samples.iter().map(|m| m.sample_id).collect();
+        let popped: Vec<u64> = l
+            .pop(&[b[0], b[1], b[5], b[3], b[1]])
+            .iter()
+            .map(|s| s.meta.sample_id)
+            .collect();
+        assert_eq!(popped, [b[0], b[1], b[5], b[3]]);
+        let rest: Vec<u64> = l.summary().samples.iter().map(|m| m.sample_id).collect();
+        assert_eq!(rest, [b[2], b[4], b[6], b[7]]);
+    }
+
+    #[test]
+    fn scratch_stops_growing_and_payloads_are_exact_sized() {
+        // coyo's source 0 is an image source: decode → crop → flip →
+        // tokenize, i.e. two 12x intermediates per sample.
+        let mut l = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), 42);
+        l.refill(64).unwrap();
+        let high_water = l.scratch.capacity();
+        // Raw payloads are capped at 8 KB, so the decode output — the
+        // largest intermediate — at 96 KB; a grown Vec at most doubles.
+        assert!((1..=2 * 12 * 8192).contains(&high_water), "{high_water}");
+        for _ in 0..8 {
+            for sample in l.drain() {
+                let len = sample.payload.len();
+                let backing = sample.payload.try_reclaim().expect("sole view");
+                assert_eq!((backing.len(), backing.capacity()), (len, len));
+            }
+            l.refill(64).unwrap();
+            assert_eq!(l.scratch.capacity(), high_water);
+        }
     }
 
     #[test]
@@ -727,5 +824,32 @@ mod tests {
         let mut l2 = l;
         l2.refill(1000).unwrap();
         assert_eq!(l2.buffered() as u64 + 20, 50);
+    }
+
+    #[test]
+    fn stored_rows_of_one_group_share_one_open_and_one_read() {
+        let store = Arc::new(MemStore::new());
+        let mut rng = SimRng::seed(5);
+        let spec = spec();
+        let manifest = materialize_source(store.as_ref(), "data", &spec, 50, &mut rng).unwrap();
+        // What one open plus one read of the first row group costs.
+        let mut reference = ColumnarReader::open(store.as_ref(), &manifest.path).unwrap();
+        let group_rows = reference.read_group(0).unwrap().len();
+        assert!(
+            group_rows >= 8,
+            "fixture: first group holds {group_rows} rows"
+        );
+        let one_open_one_read = reference.io_ns();
+
+        let mut l = SourceLoader::stored(spec, LoaderConfig::solo(0), store, manifest.path, 1);
+        l.set_transform_split(Some(0)); // Keep the stored bytes as they are.
+        l.refill(group_rows).unwrap();
+        assert_eq!(l.io_ns_total, one_open_one_read);
+        // Every payload is still a slice of the one decoded block.
+        let rows = l.drain();
+        assert_eq!(rows.len(), group_rows);
+        for row in &rows {
+            assert!(bytes::Bytes::ptr_eq(&rows[0].payload, &row.payload));
+        }
     }
 }

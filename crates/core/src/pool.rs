@@ -25,6 +25,12 @@
 //! - **hit** — a plain recycled vec was waiting on the class free list;
 //! - **miss** — nothing available; a fresh vec is allocated.
 //!
+//! What the pool holds idle follows demand, not its peak: every
+//! `TRIM_INTERVAL` leases of a class, the free-listed vecs that no lease
+//! in that interval needed go back to the allocator. A burst — the serve
+//! driver running `queue_depth` steps ahead of a stalled client, say —
+//! would otherwise pin its peak in multi-megabyte frame buffers forever.
+//!
 //! Buffers larger than the biggest size class fall through to plain
 //! allocation (counted as misses) and are never pooled, so exhaustion
 //! or odd sizes degrade to exactly the pre-pool behavior — no blocking,
@@ -62,12 +68,27 @@ impl Default for PoolConfig {
     }
 }
 
+/// Leases of one size class between two trims of its free list.
+const TRIM_INTERVAL: u32 = 256;
+
 /// One power-of-two size class: recycled vecs ready to hand out, plus
 /// frozen handles parked until their consumers drop.
 #[derive(Debug, Default)]
 struct SizeClass {
-    free: Mutex<Vec<Vec<u8>>>,
+    free: Mutex<FreeList>,
     parked: Mutex<Vec<Bytes>>,
+}
+
+/// A class's recycled vecs, with the demand bookkeeping behind trimming.
+#[derive(Debug, Default)]
+struct FreeList {
+    vecs: Vec<Vec<u8>>,
+    /// Leases of this class since the last trim.
+    leases: u32,
+    /// Fewest vecs on hand at any of those leases (each of which took
+    /// one): all but one of them sat unused through the whole interval.
+    /// Starts at 0, so the first interval — warm-up — never trims.
+    low_water: usize,
 }
 
 /// Traffic counters for one pool (all monotone; snapshot via
@@ -233,26 +254,31 @@ impl BufferPool {
             }
         }
 
-        let mut vec = reclaimed.pop();
-        if vec.is_some() {
-            self.counters.steals.inc();
-        }
-        if !reclaimed.is_empty() {
-            // Surplus reclaims top up the free list for future hits.
+        let stolen = !reclaimed.is_empty();
+        let vec = {
+            // Reclaims serve this lease and top up the free list for
+            // future hits.
             let mut free = class.free.lock().expect("pool free lock");
-            while free.len() < self.config.max_free_per_class {
-                match reclaimed.pop() {
-                    Some(v) => free.push(v),
-                    None => break,
-                }
+            free.vecs.append(&mut reclaimed);
+            free.low_water = free.low_water.min(free.vecs.len());
+            free.leases += 1;
+            // Shed vecs leave through `reclaimed`, to be freed once the
+            // lock is released.
+            if free.leases == TRIM_INTERVAL {
+                free.leases = 0;
+                let on_hand = std::mem::replace(&mut free.low_water, usize::MAX);
+                reclaimed.extend(free.vecs.drain(..on_hand.saturating_sub(1)));
             }
-            if !reclaimed.is_empty() {
-                self.counters.resizes.add(reclaimed.len() as u64);
-            }
-        }
-        if vec.is_none() {
-            vec = class.free.lock().expect("pool free lock").pop();
-            if vec.is_some() {
+            let vec = free.vecs.pop();
+            let cap = self.config.max_free_per_class.min(free.vecs.len());
+            reclaimed.extend(free.vecs.drain(cap..));
+            vec
+        };
+        self.counters.resizes.add(reclaimed.len() as u64);
+        if vec.is_some() {
+            if stolen {
+                self.counters.steals.inc();
+            } else {
                 self.counters.hits.inc();
             }
         }
@@ -298,8 +324,8 @@ impl BufferPool {
             return;
         };
         let mut free = self.classes[idx].free.lock().expect("pool free lock");
-        if free.len() < self.config.max_free_per_class {
-            free.push(vec);
+        if free.vecs.len() < self.config.max_free_per_class {
+            free.vecs.push(vec);
         } else {
             self.counters.resizes.inc();
         }
@@ -348,7 +374,7 @@ impl BufferPool {
         self.classes
             .iter()
             .map(|c| {
-                c.free.lock().expect("pool free lock").len()
+                c.free.lock().expect("pool free lock").vecs.len()
                     + c.parked.lock().expect("pool parked lock").len()
             })
             .sum()
@@ -465,6 +491,28 @@ mod tests {
         let c = p.counters();
         assert_eq!(c.steals, 1);
         assert!(third.is_empty() && third.capacity() >= 2048);
+    }
+
+    #[test]
+    fn idle_surplus_of_a_burst_is_trimmed_to_demand() {
+        let p = pool();
+        // A burst: eight buffers of one class in flight at once.
+        let burst: Vec<PooledBuf> = (0..8).map(|_| p.lease(4096)).collect();
+        drop(burst);
+        assert_eq!(p.idle_buffers(), 8);
+        // Steady demand of two at a time. The interval the burst fell in
+        // never trims; the first full interval after it does.
+        for _ in 0..TRIM_INTERVAL {
+            let (_a, _b) = (p.lease(4096), p.lease(4096));
+        }
+        assert_eq!(p.idle_buffers(), 2, "what demand needs, not its peak");
+        let before = p.counters();
+        for _ in 0..4 * TRIM_INTERVAL {
+            let (_a, _b) = (p.lease(4096), p.lease(4096));
+        }
+        let after = p.counters().since(&before);
+        assert_eq!((after.misses, after.resizes), (0, 0), "stable once sized");
+        assert_eq!(p.idle_buffers(), 2);
     }
 
     #[test]

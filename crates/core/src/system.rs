@@ -125,6 +125,8 @@ pub struct MegaScaleData {
     /// Mixture-driven scaler (present when the feature is on).
     pub autoscaler: Option<AutoScaler>,
     transform_reorder: bool,
+    /// Working buffers for the constructor-side deferred transform tails.
+    tail_scratch: msd_data::TransformScratch,
 }
 
 impl MegaScaleData {
@@ -172,6 +174,7 @@ impl MegaScaleData {
             constructors,
             autoscaler,
             transform_reorder: false,
+            tail_scratch: msd_data::TransformScratch::default(),
         }
     }
 
@@ -205,6 +208,7 @@ impl MegaScaleData {
             constructors,
             autoscaler: None,
             transform_reorder: false,
+            tail_scratch: msd_data::TransformScratch::default(),
         }
     }
 
@@ -293,15 +297,15 @@ impl MegaScaleData {
         let mut ship_bytes = 0u64;
         let mut tails: HashMap<msd_data::SourceId, msd_data::TransformPipeline> = HashMap::new();
         for l in &mut self.loaders {
-            let id = l.primary().id();
-            if let Some(ids) = plan.directives.get(&id) {
-                for s in l.primary().pop(ids) {
+            let loader = l.primary();
+            if let Some(ids) = plan.directives.get(&loader.id()) {
+                for s in loader.pop(ids) {
                     ship_bytes += s.payload.len() as u64;
                     popped.insert(s.meta.sample_id, s);
                 }
             }
-            if let Some(tail) = l.primary().deferred_pipeline() {
-                tails.entry(l.primary().source()).or_insert(tail);
+            if let Some(tail) = loader.deferred_pipeline() {
+                tails.entry(loader.source()).or_insert_with(|| tail.clone());
             }
             l.after_plan(plan.step);
         }
@@ -318,7 +322,7 @@ impl MegaScaleData {
                         if let Some(s) = popped.get_mut(id) {
                             if let Some(tail) = tails.get(&s.meta.source) {
                                 per_bucket_tail[b] += tail.cost_ns(&s.meta);
-                                tail.apply(s);
+                                tail.apply_with(s, &mut self.tail_scratch);
                             }
                         }
                     }

@@ -30,7 +30,7 @@ pub mod transform;
 pub use catalog::{coyo700m_like, navit_like, Catalog, SourceSpec};
 pub use dist::LengthDist;
 pub use sample::{zeroed_payload, Modality, Sample, SampleMeta, SourceId};
-pub use transform::{Transform, TransformPipeline};
+pub use transform::{Transform, TransformPipeline, TransformScratch};
 
 // Re-exported so downstream crates sample with the same deterministic RNG.
 pub use msd_sim::SimRng;

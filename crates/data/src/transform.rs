@@ -5,8 +5,36 @@
 //! decoding and 300× more than text tokenization"*. The `cost_ns` model
 //! below encodes exactly that ratio (text = 1×, image = 75×, audio = 300×
 //! per output token), plus fixed per-sample overheads. Costs are virtual
-//! time; `apply` additionally performs real byte-level work so the actor
-//! pipeline moves genuine data.
+//! time; applying a pipeline additionally performs real byte-level work so
+//! the actor pipeline moves genuine data.
+//!
+//! # The working-buffer chain
+//!
+//! A pipeline runs as one chain over a reusable [`TransformScratch`], not
+//! as one allocation per transform. The payload a sample arrives with is
+//! an immutable shared [`bytes::Bytes`] view (a pooled lease or a slice of
+//! a storage block), so:
+//!
+//! - `Crop` only changes a length. Before any byte-mutating transform has
+//!   run it narrows the shared view (zero-copy); afterwards it truncates
+//!   the working buffer.
+//! - The first byte-mutating transform reads the view and writes its
+//!   output into the scratch's working buffer.
+//! - Later length-preserving and shrinking transforms (`Flip`,
+//!   `TextTokenize`, `VideoKeyframe`) run in place on the working buffer;
+//!   inflating ones (`ImageDecode`, `AudioResample`) write into the
+//!   scratch's second buffer and the two swap.
+//! - The *last* byte-mutating transform writes into a fresh `Vec` sized
+//!   exactly from its known output length, which becomes the payload.
+//!
+//! So exactly one payload-sized allocation leaves the chain per sample,
+//! intermediates never touch the allocator once the scratch has grown to
+//! its high-water mark, a chain with a single byte-mutating transform
+//! (text) never touches the scratch, and a chain with none (`Crop`-only,
+//! or everything deferred) stays pure view narrowing. Whoever drives a
+//! pipeline for many samples owns the scratch and passes it to
+//! [`TransformPipeline::apply_with`]; [`TransformPipeline::apply`] is the
+//! same chain over a throwaway scratch.
 
 use crate::sample::{Modality, Sample, SampleMeta};
 
@@ -69,10 +97,11 @@ impl Transform {
         }
     }
 
-    /// Applies the transform copy-on-write: resize-only transforms
-    /// (`Crop`) narrow the shared [`bytes::Bytes`] view in place
-    /// (zero-copy); byte-mutating transforms materialize a fresh buffer.
-    /// Metadata (patch budget, byte size) is updated either way.
+    /// Applies this one transform: a chain of length one (see the module
+    /// docs). `Crop` narrows the shared [`bytes::Bytes`] view in place
+    /// (zero-copy); a byte-mutating transform writes one fresh, exactly
+    /// sized buffer. Metadata (patch budget, byte size) is updated either
+    /// way.
     ///
     /// Note the zero-copy tradeoff: a narrowed view pins its whole
     /// backing allocation until every sharing view drops, while byte
@@ -81,73 +110,187 @@ impl Transform {
     /// and buffers leave the retained serve window within `queue_depth`
     /// steps, so the overhang is transient and bounded.
     pub fn apply(&self, sample: &mut Sample) {
+        run_chain(
+            std::slice::from_ref(self),
+            sample,
+            &mut TransformScratch::default(),
+        );
+    }
+
+    /// Whether the transform rewrites payload bytes (everything but the
+    /// resize-only `Crop`).
+    fn mutates_bytes(&self) -> bool {
+        !matches!(self, Transform::Crop { .. })
+    }
+
+    /// Whether the output can outgrow the input, so the transform cannot
+    /// run in place on the working buffer.
+    fn inflates(&self) -> bool {
+        matches!(self, Transform::ImageDecode | Transform::AudioResample)
+    }
+
+    /// Exact output length of a byte-mutating transform over `len` bytes.
+    fn output_len(&self, len: usize) -> usize {
+        match self {
+            Transform::TextTokenize => len.div_ceil(2),
+            // Whole RGB-ish triples up to the inflation target, which is
+            // capped to keep the in-process footprint bounded.
+            Transform::ImageDecode if len == 0 => 0,
+            Transform::ImageDecode => {
+                let target = (len as f64 * self.inflation()) as usize;
+                target.min(1 << 20).div_ceil(3) * 3
+            }
+            Transform::Flip => len,
+            Transform::VideoKeyframe => len.div_ceil(20),
+            Transform::AudioResample => len.saturating_sub(1) * 2,
+            Transform::Crop { .. } => unreachable!("Crop only changes a length"),
+        }
+    }
+
+    /// Runs a byte-mutating transform from `src` into `dst`, replacing
+    /// `dst`'s contents with exactly [`Transform::output_len`] bytes.
+    fn write_into(&self, src: &[u8], dst: &mut Vec<u8>) {
+        let out_len = self.output_len(src.len());
+        dst.clear();
+        dst.reserve(out_len);
         match self {
             Transform::TextTokenize => {
-                // "Tokenize": fold pairs of bytes into one (dense ids).
-                let folded: Vec<u8> = sample
-                    .payload
-                    .chunks(2)
-                    .map(|c| c.iter().fold(0u8, |a, b| a.wrapping_add(*b)))
-                    .collect();
-                sample.payload = folded.into();
+                // "Tokenize": fold pairs of bytes into one (dense ids); an
+                // odd trailing byte folds to itself.
+                let pairs = src.chunks_exact(2);
+                let tail = pairs.remainder();
+                dst.extend(pairs.map(|c| c[0].wrapping_add(c[1])));
+                dst.extend_from_slice(tail);
             }
             Transform::ImageDecode => {
                 // "Decode": expand each byte into an RGB-ish triple block,
-                // capped to keep the in-process footprint bounded.
-                let target = (sample.payload.len() as f64 * self.inflation()) as usize;
-                let target = target.min(1 << 20);
-                let src = std::mem::take(&mut sample.payload);
-                let mut out = Vec::with_capacity(target);
-                let mut i = 0usize;
-                while out.len() < target && !src.is_empty() {
-                    let b = src[i % src.len()];
-                    out.push(b);
-                    out.push(b.wrapping_mul(3));
-                    out.push(b.wrapping_add(7));
-                    i += 1;
+                // cycling over the source until the target is reached. The
+                // output is periodic, so expand one period and replicate.
+                let period = (src.len() * 3).min(out_len);
+                dst.resize(period, 0);
+                for (rgb, &b) in dst.chunks_exact_mut(3).zip(src) {
+                    rgb[0] = b;
+                    rgb[1] = b.wrapping_mul(3);
+                    rgb[2] = b.wrapping_add(7);
                 }
-                sample.payload = out.into();
-            }
-            Transform::Crop { max_patches } => {
-                if sample.meta.image_patches > *max_patches {
-                    let keep =
-                        f64::from(*max_patches) / f64::from(sample.meta.image_patches.max(1));
-                    let new_len = (sample.payload.len() as f64 * keep) as usize;
-                    // Resize-only: narrow the view, keep the allocation.
-                    // Clamp to the current length — an empty payload stays
-                    // empty (the Vec::truncate this replaced was a no-op).
-                    let new_len = new_len.max(1).min(sample.payload.len());
-                    sample.payload = sample.payload.slice(..new_len);
-                    sample.meta.image_patches = *max_patches;
+                while dst.len() < out_len {
+                    dst.extend_from_within(..period.min(out_len - dst.len()));
                 }
             }
             Transform::Flip => {
-                let mut reversed = sample.payload.to_vec();
-                reversed.reverse();
-                sample.payload = reversed.into();
+                dst.extend_from_slice(src);
+                dst.reverse();
+            }
+            // Keep the first byte of every 20-byte block ("keyframe").
+            Transform::VideoKeyframe => dst.extend(src.iter().step_by(20)),
+            // "Resample": duplicate with interpolation-ish mixing.
+            Transform::AudioResample => {
+                dst.extend(
+                    src.windows(2)
+                        .flat_map(|w| [w[0], w[0].wrapping_add(w[1]) / 2]),
+                );
+            }
+            Transform::Crop { .. } => unreachable!("Crop only changes a length"),
+        }
+        debug_assert_eq!(dst.len(), out_len);
+    }
+
+    /// Runs a non-inflating byte-mutating transform in place on the
+    /// working buffer; same bytes as [`Transform::write_into`] (the write
+    /// index never passes the read index).
+    fn apply_in_place(&self, buf: &mut Vec<u8>) {
+        let n = buf.len();
+        match self {
+            Transform::Flip => buf.reverse(),
+            Transform::TextTokenize => {
+                for i in 0..n / 2 {
+                    buf[i] = buf[2 * i].wrapping_add(buf[2 * i + 1]);
+                }
+                if n % 2 == 1 {
+                    buf[n / 2] = buf[n - 1];
+                }
             }
             Transform::VideoKeyframe => {
-                // Keep every 20th byte-block ("keyframe").
-                let kept: Vec<u8> = sample
-                    .payload
-                    .chunks(20)
-                    .filter_map(|c| c.first().copied())
-                    .collect();
-                sample.payload = kept.into();
-            }
-            Transform::AudioResample => {
-                // "Resample": duplicate with interpolation-ish mixing.
-                let src = std::mem::take(&mut sample.payload);
-                let mut out = Vec::with_capacity(src.len() * 2);
-                for w in src.windows(2) {
-                    out.push(w[0]);
-                    out.push(w[0].wrapping_add(w[1]) / 2);
+                for i in 0..n.div_ceil(20) {
+                    buf[i] = buf[20 * i];
                 }
-                sample.payload = out.into();
             }
+            _ => unreachable!("only non-inflating byte transforms run in place"),
         }
-        sample.meta.raw_bytes = sample.payload.len() as u64;
+        buf.truncate(self.output_len(n));
     }
+}
+
+/// The reusable working buffers of the transform chain (see the module
+/// docs): intermediates live here instead of in per-transform allocations.
+/// Both buffers grow to the largest intermediate their owner's samples
+/// need and are reused for every later sample.
+#[derive(Debug, Default)]
+pub struct TransformScratch {
+    /// Holds the current intermediate while a chain runs.
+    work: Vec<u8>,
+    /// Output side of an inflating mid-chain transform; swapped with `work`.
+    spare: Vec<u8>,
+}
+
+impl TransformScratch {
+    /// Heap bytes the scratch pair currently holds (its high-water mark).
+    pub fn capacity(&self) -> usize {
+        self.work.capacity() + self.spare.capacity()
+    }
+}
+
+/// `Crop` on a `len`-byte payload: updates the patch budget and returns
+/// the new length, or `None` when the sample is already within budget.
+fn crop(meta: &mut SampleMeta, max_patches: u32, len: usize) -> Option<usize> {
+    if meta.image_patches <= max_patches {
+        return None;
+    }
+    let keep = f64::from(max_patches) / f64::from(meta.image_patches.max(1));
+    meta.image_patches = max_patches;
+    // Clamp to the current length — an empty payload stays empty.
+    Some(((len as f64 * keep) as usize).max(1).min(len))
+}
+
+/// The working-buffer chain (see the module docs).
+fn run_chain(transforms: &[Transform], sample: &mut Sample, scratch: &mut TransformScratch) {
+    if transforms.is_empty() {
+        return;
+    }
+    let TransformScratch { work, spare } = scratch;
+    let last_mutating = transforms.iter().rposition(Transform::mutates_bytes);
+    // Whether the current bytes are in `work` (else in the payload view).
+    let mut in_work = false;
+    for (i, t) in transforms.iter().enumerate() {
+        if let Transform::Crop { max_patches } = t {
+            let len = if in_work {
+                work.len()
+            } else {
+                sample.payload.len()
+            };
+            match crop(&mut sample.meta, *max_patches, len) {
+                Some(new_len) if in_work => work.truncate(new_len),
+                // Resize-only: narrow the view, keep the allocation.
+                Some(new_len) => sample.payload = sample.payload.slice(..new_len),
+                None => {}
+            }
+        } else if Some(i) == last_mutating {
+            let src: &[u8] = if in_work { work } else { &sample.payload };
+            let mut out = Vec::with_capacity(t.output_len(src.len()));
+            t.write_into(src, &mut out);
+            sample.payload = out.into();
+            in_work = false;
+        } else if !in_work {
+            t.write_into(&sample.payload, work);
+            in_work = true;
+        } else if t.inflates() {
+            t.write_into(work, spare);
+            std::mem::swap(work, spare);
+        } else {
+            t.apply_in_place(work);
+        }
+    }
+    sample.meta.raw_bytes = sample.payload.len() as u64;
 }
 
 /// An ordered pipeline of transforms with a per-source cost multiplier.
@@ -203,11 +346,17 @@ impl TransformPipeline {
         (base as f64 * self.cost_scale) as u64
     }
 
-    /// Applies all transforms in order.
+    /// Applies all transforms in order over a throwaway scratch. Callers
+    /// that transform many samples keep a [`TransformScratch`] and use
+    /// [`TransformPipeline::apply_with`].
     pub fn apply(&self, sample: &mut Sample) {
-        for t in &self.transforms {
-            t.apply(sample);
-        }
+        self.apply_with(sample, &mut TransformScratch::default());
+    }
+
+    /// Applies all transforms in order as one working-buffer chain (see
+    /// the module docs), keeping intermediates in the caller's `scratch`.
+    pub fn apply_with(&self, sample: &mut Sample, scratch: &mut TransformScratch) {
+        run_chain(&self.transforms, sample, scratch);
     }
 
     /// Splits the pipeline at `idx`: `(head, tail)`. Used by transformation
@@ -256,6 +405,9 @@ impl TransformPipeline {
         self.transforms.is_empty()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -453,5 +605,138 @@ mod tests {
         let mut s = Sample::synthesize(meta(Modality::Video, 100, 4000));
         TransformPipeline::for_modality(Modality::Video).apply(&mut s);
         assert!(!s.payload.is_empty());
+    }
+
+    const ALL: [Transform; 6] = [
+        Transform::TextTokenize,
+        Transform::ImageDecode,
+        Transform::Crop { max_patches: 40 },
+        Transform::Flip,
+        Transform::VideoKeyframe,
+        Transform::AudioResample,
+    ];
+
+    #[test]
+    fn chain_matches_reference_for_every_short_sequence() {
+        // Every chain of up to three transforms, over empty, 1-byte, odd
+        // and block-boundary payloads, on one scratch reused throughout.
+        let mut chains: Vec<Vec<Transform>> = vec![vec![]];
+        for a in &ALL {
+            chains.push(vec![a.clone()]);
+            for b in &ALL {
+                chains.push(vec![a.clone(), b.clone()]);
+                for c in &ALL {
+                    chains.push(vec![a.clone(), b.clone(), c.clone()]);
+                }
+            }
+        }
+        let mut scratch = TransformScratch::default();
+        for chain in chains {
+            let pipeline = TransformPipeline::new(chain, 1.0);
+            for raw_bytes in [0u64, 1, 2, 3, 19, 20, 21, 40, 41, 257] {
+                let mut m = meta(Modality::Image, 5, 100);
+                m.raw_bytes = raw_bytes;
+                let mut got = Sample::synthesize(m);
+                let mut want = got.clone();
+                pipeline.apply_with(&mut got, &mut scratch);
+                reference::apply_all(pipeline.transforms(), &mut want);
+                let case = format!("{:?} over {raw_bytes} B", pipeline.transforms());
+                assert_eq!(got.payload, want.payload, "{case}");
+                assert_eq!(got.meta, want.meta, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_cap_matches_reference() {
+        // Past 87,381 source bytes the 1 MiB cap cuts the last cycle short
+        // (and 2^20 is not a multiple of 3: the last triple overshoots).
+        let mut got = Sample {
+            meta: meta(Modality::Image, 0, 10),
+            payload: (0..100_000u32)
+                .map(|i| (i * 31) as u8)
+                .collect::<Vec<_>>()
+                .into(),
+        };
+        let mut want = got.clone();
+        Transform::ImageDecode.apply(&mut got);
+        reference::apply(&Transform::ImageDecode, &mut want);
+        assert_eq!(got.payload.len(), (1 << 20) + 2);
+        assert_eq!(got.payload, want.payload);
+        assert_eq!(got.meta, want.meta);
+    }
+
+    /// FNV-1a over the outputs (payload, byte size, patch budget) of a
+    /// modality's canonical pipeline on a fixed grid of metas.
+    fn modality_digest(modality: Modality) -> u64 {
+        fn fnv(h: &mut u64, bytes: &[u8]) {
+            for b in bytes {
+                *h ^= u64::from(*b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        let pipeline = TransformPipeline::for_modality(modality);
+        let mut scratch = TransformScratch::default();
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for (i, raw_bytes) in [0u64, 1, 2, 3, 19, 20, 21, 41, 1000, 4097, 8192, 65_536]
+            .into_iter()
+            .enumerate()
+        {
+            for image_patches in [0u32, 300, 100_000] {
+                let mut s = Sample::synthesize(SampleMeta {
+                    sample_id: 1 + i as u64,
+                    source: SourceId(2),
+                    modality,
+                    text_tokens: 17,
+                    image_patches,
+                    raw_bytes,
+                });
+                pipeline.apply_with(&mut s, &mut scratch);
+                fnv(&mut h, &s.payload);
+                fnv(&mut h, &s.meta.raw_bytes.to_le_bytes());
+                fnv(&mut h, &s.meta.image_patches.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn canonical_pipeline_outputs_match_golden_digests() {
+        // Recorded with the per-transform allocating bodies (commit
+        // 1eee5f7): the streams every benchmark workload and serve test
+        // delivers must not change with how the chain is executed.
+        for (modality, golden) in [
+            (Modality::Text, 0xf263_1f78_586f_680f_u64),
+            (Modality::Image, 0x9463_5bc5_3f02_2de1),
+            (Modality::Video, 0x77bc_b12f_213d_3098),
+            (Modality::Audio, 0x71d0_3503_7542_515b),
+        ] {
+            assert_eq!(modality_digest(modality), golden, "{modality:?}");
+        }
+    }
+
+    #[test]
+    fn one_exact_allocation_leaves_the_chain() {
+        // The image chain's two 12x intermediates stay in the scratch; the
+        // payload that comes out owns a buffer of exactly its length.
+        let pipeline = TransformPipeline::for_modality(Modality::Image);
+        let mut scratch = TransformScratch::default();
+        for raw_bytes in [8192u64, 100, 8192, 4097] {
+            let mut m = meta(Modality::Image, 10, 300);
+            m.raw_bytes = raw_bytes;
+            let mut s = Sample::synthesize(m);
+            pipeline.apply_with(&mut s, &mut scratch);
+            let len = s.payload.len();
+            assert_eq!(len as u64, raw_bytes * 12 / 2);
+            let backing = s.payload.try_reclaim().expect("sole view");
+            assert_eq!((backing.len(), backing.capacity()), (len, len));
+            // High-water mark of the decode output, never more.
+            assert_eq!(scratch.capacity(), 8192 * 12);
+        }
+        // A single byte-mutating transform never touches the scratch.
+        let mut scratch = TransformScratch::default();
+        let mut s = Sample::synthesize(meta(Modality::Text, 100, 0));
+        TransformPipeline::for_modality(Modality::Text).apply_with(&mut s, &mut scratch);
+        assert_eq!(scratch.capacity(), 0);
     }
 }

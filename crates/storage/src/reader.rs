@@ -1,5 +1,7 @@
 //! Columnar reader with access-state accounting.
 
+use std::ops::Deref;
+
 use bytes::Bytes;
 
 use crate::error::StorageError;
@@ -16,8 +18,14 @@ use crate::store::{LatencyModel, ObjectStore};
 /// resident buffer. [`ColumnarReader::access_state`] reports the memory this
 /// handle pins, and [`ColumnarReader::io_ns`] accumulates the virtual-time
 /// cost of the I/O performed so far.
-pub struct ColumnarReader<'s> {
-    store: &'s dyn ObjectStore,
+///
+/// `S` is the store handle the reader holds: a borrow (`&MemStore`,
+/// `&dyn ObjectStore`) for a scoped read, or an owning handle
+/// (`Arc<MemStore>`) so a long-lived owner such as a Source Loader can
+/// keep the reader — parsed footer and resident row group — open across
+/// calls.
+pub struct ColumnarReader<S: Deref<Target: ObjectStore>> {
+    store: S,
     path: String,
     footer: Footer,
     footer_bytes: u64,
@@ -26,15 +34,15 @@ pub struct ColumnarReader<'s> {
     current_group: Option<(usize, Vec<Row>, u64)>,
 }
 
-impl<'s> ColumnarReader<'s> {
+impl<S: Deref<Target: ObjectStore>> ColumnarReader<S> {
     /// Opens a file: fetches the object, validates magic, parses the footer.
-    pub fn open(store: &'s dyn ObjectStore, path: &str) -> Result<Self, StorageError> {
+    pub fn open(store: S, path: &str) -> Result<Self, StorageError> {
         Self::open_with_latency(store, path, LatencyModel::default())
     }
 
     /// Opens with an explicit latency model.
     pub fn open_with_latency(
-        store: &'s dyn ObjectStore,
+        store: S,
         path: &str,
         latency: LatencyModel,
     ) -> Result<Self, StorageError> {

@@ -7,8 +7,15 @@ use proptest::prelude::*;
 use megascale_data::core::autoscale::{
     place_actors, HybridDeployment, LoaderSetup, Placement, PodSpec,
 };
-use megascale_data::data::{Modality, Sample, SampleMeta, SourceId, Transform, TransformPipeline};
+use megascale_data::data::{
+    Modality, Sample, SampleMeta, SourceId, Transform, TransformPipeline, TransformScratch,
+};
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeviceMesh};
+
+/// The allocating per-transform bodies `msd_data` keeps under
+/// `#[cfg(test)]` as its byte-identity reference.
+#[path = "../crates/data/src/transform/reference.rs"]
+mod reference;
 
 fn arb_transform() -> impl Strategy<Value = Transform> {
     prop_oneof![
@@ -57,6 +64,29 @@ proptest! {
         p.apply(&mut full);
         prop_assert_eq!(composed.payload, full.payload);
         prop_assert_eq!(composed.meta, full.meta);
+    }
+
+    /// The working-buffer chain gives the same payload and meta as one
+    /// allocation per transform — for any transform sequence, with one
+    /// scratch reused across samples of different sizes, and with empty,
+    /// 1-byte and odd-length payloads in every case.
+    #[test]
+    fn chain_matches_allocating_reference(
+        transforms in proptest::collection::vec(arb_transform(), 0..6),
+        metas in proptest::collection::vec(arb_meta(), 1..8),
+        odd in 1u64..64,
+    ) {
+        let p = TransformPipeline::new(transforms, 1.0);
+        let mut scratch = TransformScratch::default();
+        let edges = [0, 1, 2 * odd + 1].map(|raw_bytes| SampleMeta { raw_bytes, ..metas[0] });
+        for meta in edges.into_iter().chain(metas) {
+            let mut got = Sample::synthesize(meta);
+            let mut want = got.clone();
+            p.apply_with(&mut got, &mut scratch);
+            reference::apply_all(p.transforms(), &mut want);
+            prop_assert_eq!(got.payload, want.payload);
+            prop_assert_eq!(got.meta, want.meta);
+        }
     }
 
     /// `min_transfer_index` is optimal: no other split point yields a
