@@ -38,6 +38,13 @@ cargo build --release
 echo "==> cargo build --benches --examples"
 cargo build --benches --examples
 
+# Cargo rewrites a stale lock file without a word. If the builds above
+# changed it — a removed package still listed, a new dependency not yet
+# recorded — the committed lock is wrong: fail instead of passing on the
+# rewritten one. (Compares against the index, so stage the lock first.)
+echo "==> git diff --exit-code -- Cargo.lock"
+git diff --exit-code -- Cargo.lock
+
 # Compile-only check for the perf gate: bench.sh must stay runnable (the
 # bench targets themselves were just built above). A full perf run is
 # `./bench.sh --check` — a real gate that fails on throughput or elastic

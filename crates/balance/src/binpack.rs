@@ -13,10 +13,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
-
 /// The balancing algorithm to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BalanceMethod {
     /// Greedy LPT binpacking.
     Greedy,

@@ -19,10 +19,8 @@
 //!
 //! plus a final vocabulary projection `2·L·h·V` for the backbone.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of a ViT-style encoder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EncoderShape {
     /// Transformer depth.
     pub layers: u32,
@@ -72,7 +70,7 @@ impl EncoderShape {
 pub const MAX_IMAGE_PATCHES: u64 = 16_384;
 
 /// Shape of a (possibly MoE) LLM backbone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackboneShape {
     /// Transformer depth.
     pub layers: u32,

@@ -1,7 +1,6 @@
 //! The common modeling vocabulary for dataloader architectures.
 
 use msd_mesh::{Axis, DeviceMesh};
-use serde::{Deserialize, Serialize};
 
 /// Shape of the training cluster.
 #[derive(Debug, Clone)]
@@ -42,7 +41,7 @@ impl ClusterShape {
 }
 
 /// Shape of the preprocessing workload.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WorkloadShape {
     /// Number of data sources in the mixture.
     pub sources: u32,
@@ -67,7 +66,7 @@ pub struct WorkloadShape {
 pub const WORKER_CTX_BYTES: u64 = 200 << 20;
 
 /// Architectural report of one system on one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemReport {
     /// System name.
     pub name: String,

@@ -19,12 +19,11 @@
 
 use msd_data::{Catalog, SourceId};
 use msd_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::loader::{LoaderConfig, WORKER_CTX_BYTES};
 
 /// Cluster-wide CPU/memory budget available to data preprocessing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterResources {
     /// CPU cores usable by loaders (after trainer reservation).
     pub total_cores: u64,
@@ -33,7 +32,7 @@ pub struct ClusterResources {
 }
 
 /// Knobs of the partitioning algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionOpts {
     /// Number of source clusters `G` (the paper identifies 4 as optimal).
     pub clusters: usize,
@@ -57,7 +56,7 @@ impl Default for PartitionOpts {
 }
 
 /// The derived loader setup for one source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoaderSetup {
     /// The source.
     pub source: SourceId,
@@ -196,7 +195,7 @@ pub fn expand_configs(
 }
 
 /// Capacity of one pod class (Sec 6.2 trick 1, hybrid deployment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PodSpec {
     /// CPU cores available to loader actors.
     pub cores: u64,
@@ -207,7 +206,7 @@ pub struct PodSpec {
 /// The hybrid sidecar/remote deployment shape: accelerator pods donate
 /// idle CPU/DRAM to sidecar containers; remote CPU pods are rented only
 /// when sidecars run out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HybridDeployment {
     /// Accelerator pods in the job (each hosts one sidecar).
     pub accelerator_pods: u32,
@@ -218,7 +217,7 @@ pub struct HybridDeployment {
 }
 
 /// Where one loader actor landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Inside accelerator pod `pod`'s sidecar container.
     Sidecar {
@@ -233,7 +232,7 @@ pub enum Placement {
 }
 
 /// One placed loader actor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActorPlacement {
     /// The actor's source.
     pub source: SourceId,
@@ -248,7 +247,7 @@ pub struct ActorPlacement {
 }
 
 /// The result of hybrid placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementPlan {
     /// Every actor with its assignment, in setup order.
     pub actors: Vec<ActorPlacement>,
@@ -367,7 +366,7 @@ pub fn place_actors(setups: &[LoaderSetup], deploy: &HybridDeployment) -> Placem
 }
 
 /// A scaling decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScaleAction {
     /// Add one actor to the source.
     ScaleUp(SourceId),

@@ -6,10 +6,9 @@
 //! kilobytes of metadata even when buffers hold gigabytes of tensors.
 
 use msd_data::{SampleMeta, SourceId};
-use serde::{Deserialize, Serialize};
 
 /// Metadata summary of one Source Loader's read buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferSummary {
     /// The loader's id (unique across the deployment).
     pub loader_id: u32,
@@ -41,7 +40,7 @@ impl BufferSummary {
 
 /// The Planner's gathered view across all loaders ("buffer infos" in the
 /// paper's `DGraph.from_buffer_infos`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BufferInfo {
     /// Per-loader summaries.
     pub summaries: Vec<BufferSummary>,

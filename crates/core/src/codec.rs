@@ -1,47 +1,44 @@
-//! Compact binary codec for hot-path GCS state.
+//! The `MSDB` codec: the one serialisation format of the workspace.
 //!
-//! Every plan step writes three kinds of durable state to the control
-//! store: the planner checkpoint, a plan-log entry (the step's pop
-//! directives), and per-loader checkpoints. These used to serialize
-//! through text JSON — kilobytes of quoted field names and decimal
-//! integers on the per-step critical path. This module gives each of
-//! them a length-prefixed little-endian binary encoding under a shared
-//! `MSDB` frame:
+//! Everything the runtime persists to the control store or puts on the
+//! serving plane's wire is a length-prefixed little-endian binary frame:
 //!
 //! ```text
-//! +---------+------------+---------+----------------------+
-//! | MSDB(4) | version(1) | kind(1) | kind-specific fields |
-//! +---------+------------+---------+----------------------+
+//! +---------+------------+---------+----------------------+----------+
+//! | MSDB(4) | version(1) | kind(1) | kind-specific fields | checksum |
+//! +---------+------------+---------+----------------------+----------+
 //! ```
 //!
-//! Decoders are *compatibility readers*: a blob that does not start with
-//! the `MSDB` magic is fed to the legacy JSON parser, so checkpoints
-//! written before this codec (or by tooling that still emits JSON)
-//! restore unchanged, and genuinely corrupt state still surfaces as an
-//! error for the restart paths' fault-log fallbacks.
+//! | kind | frame | |
+//! |---|---|---|
+//! | 1 | planner checkpoint ([`CoreCheckpoint`]) | GCS `planner` |
+//! | 2 | plan-log entry (a step's pop directives) | GCS `plan/{step}` |
+//! | 3 | loader checkpoint ([`LoaderCheckpoint`]) | GCS `loader/{id}` |
+//! | 4 | elastic-controller checkpoint ([`ControllerCheckpoint`]) | GCS `controller` |
+//! | 5–10, 12, 14 | wire control frames and the batch container (kind 7) | [`WireFrame`] |
+//! | 11 | batch payload ([`ConstructedBatch`]) | body of a `WireFrame::Batch` |
+//! | 13 | frontier checkpoint ([`FrontierCheckpoint`]) | GCS `frontier` |
+//! | 15 | Replay Mode plan store ([`PlanStore`]) | GCS `planner/replay` |
+//! | 16 | trainer topology ([`ClientPlaceTree`], as its mesh dims) | GCS `planner/tree` |
 //!
-//! Since frame version 2 every frame also carries a trailing 32-bit
-//! FNV-1a checksum over everything before it. The same `MSDB` frames now
-//! travel the distributed serving plane's wire (kinds 5–10, see
-//! [`crate::system::net::WireFrame`]), where bit rot is a live threat,
-//! not a theoretical one: any single-bit corruption anywhere in a frame
-//! is guaranteed to surface as a [`CodecError`], never as a silently
-//! mis-decoded value.
+//! There is no other reader: input that does not open as an `MSDB` frame
+//! of the expected kind and of exactly [`VERSION`] is a [`CodecError`],
+//! which the restart paths turn into a fault-log record and a fresh
+//! start. Decoders never panic and never recurse on input depth — every
+//! count read from a frame is bounded by the bytes that remain, and the
+//! one nested structure (a plan's sub-plans, kind 15) carries an explicit
+//! depth that errors past [`MAX_SUBPLAN_DEPTH`].
 //!
-//! Frame version 3 added the binary **batch payload** frame (kind 11):
-//! a [`ConstructedBatch`] serialized as fixed-width fields plus raw
-//! payload byte runs, replacing the shim-JSON encoding (decimal byte
-//! arrays, ~10× the bytes) that `WireFrame::Batch` payloads used to
-//! ride the wire in. Decoders accept versions 2 and 3, and
-//! [`decode_batch`] additionally falls back to the legacy JSON reader,
-//! so mixed-version peers interoperate during a rollout.
+//! Every frame ends in a 32-bit FNV-1a checksum over everything before
+//! it, so any single-bit corruption anywhere in a frame is guaranteed to
+//! surface as a [`CodecError`], never as a silently mis-decoded value.
 //!
 //! Two deviations keep multi-megabyte batches at memcpy speed:
 //!
 //! - The kind-11 frame seals with an 8-byte trailer computed by a
 //!   *word-wise* 64-bit FNV-1a (`fnv1a64`) — one multiply per 8 bytes
 //!   instead of per byte, with the same single-corruption guarantee.
-//! - The v3 `WireFrame::Batch` container (kind 7) is **head-sealed**:
+//! - The `WireFrame::Batch` container (kind 7) is **head-sealed**:
 //!   a fixed 26-byte head (client, step, payload length, then a
 //!   byte-wise checksum over the head alone) followed by the raw
 //!   payload bytes. The payload region is *excluded* from the head
@@ -57,20 +54,26 @@ use bytes::{BufMut, Bytes};
 
 use crate::constructor::{ClientDelivery, ConstructedBatch, Microbatch, PackedSequence, Segment};
 use crate::loader::LoaderCheckpoint;
+use crate::plan::{BinPlan, BucketPlan, LoadingPlan};
 use crate::planner::PlannerCheckpoint;
+use crate::replay::PlanStore;
 use crate::system::controller::{ControllerCheckpoint, SlotRecord};
 use crate::system::core::CoreCheckpoint;
 use crate::system::frontier::{FrontierCheckpoint, Holder};
 use crate::system::net::{BatchPayload, RejectReason, WireFrame};
-use msd_mesh::DeliveryKind;
+use msd_mesh::{Axis, ClientPlaceTree, DeliveryKind, DeviceMesh, DistributeAxis};
 
-/// Frame magic for all binary GCS blobs.
+/// Frame magic of every blob and wire frame.
 pub const MAGIC: [u8; 4] = *b"MSDB";
 /// Current frame version (2 added the trailing FNV-1a frame checksum;
-/// 3 added the binary batch payload frame, kind 11).
+/// 3 added the binary batch payload frame, kind 11, and the head-sealed
+/// batch container).
 pub const VERSION: u8 = 3;
-/// Oldest frame version decoders still accept.
-pub const MIN_VERSION: u8 = 2;
+/// Oldest frame version decoders still accept. No encoder in the tree
+/// writes anything but [`VERSION`]; the range exists for the next bump.
+pub const MIN_VERSION: u8 = VERSION;
+/// Bytes before a frame's kind-specific fields: magic, version, kind.
+const HEADER_LEN: usize = MAGIC.len() + 2;
 
 /// Frame kind: planner checkpoint ([`CoreCheckpoint`]).
 const KIND_PLANNER: u8 = 1;
@@ -102,10 +105,13 @@ const KIND_WIRE_REJECT: u8 = 12;
 const KIND_FRONTIER: u8 = 13;
 /// Wire kind: consumed-frontier announcement ([`WireFrame::Frontier`]).
 const KIND_WIRE_FRONTIER: u8 = 14;
+/// Frame kind: Replay Mode plan store ([`PlanStore`]).
+const KIND_PLAN_STORE: u8 = 15;
+/// Frame kind: trainer topology (the mesh dims of a [`ClientPlaceTree`]).
+const KIND_TOPOLOGY: u8 = 16;
 
-/// Why a blob failed to decode (through both the binary and the JSON
-/// fallback paths). Errors raised while walking a binary frame carry
-/// the frame length and the byte offset the decoder was at when it
+/// Why a blob failed to decode. Errors raised while walking a frame
+/// carry the frame length and the byte offset the decoder was at when it
 /// gave up, so a wire-corruption report can name the exact spot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError {
@@ -170,9 +176,9 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Whether `data` carries the binary frame magic.
+/// Whether `data` carries the frame magic (and a full header).
 pub fn is_binary(data: &[u8]) -> bool {
-    data.len() >= MAGIC.len() + 2 && data[..MAGIC.len()] == MAGIC
+    data.len() >= HEADER_LEN && data[..MAGIC.len()] == MAGIC
 }
 
 /// A bounds-checked little-endian reader (the `Buf` accessors panic on
@@ -231,7 +237,7 @@ impl<'a> Reader<'a> {
 }
 
 fn frame(kind: u8, capacity: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(MAGIC.len() + 2 + capacity + CHECKSUM_LEN);
+    let mut buf = Vec::with_capacity(HEADER_LEN + capacity + CHECKSUM_LEN);
     buf.put_slice(&MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(kind);
@@ -324,16 +330,48 @@ fn seal_batch(buf: &mut Vec<u8>) {
     buf.put_u64_le(sum);
 }
 
+/// The one header check every frame opener shares: `data` (at least
+/// [`HEADER_LEN`] bytes of a `frame_len`-byte frame) must start with the
+/// magic and carry an accepted version. Returns the kind byte and a
+/// reader positioned on the bytes after the header.
+fn open_header(data: &[u8], frame_len: usize) -> Result<(u8, Reader<'_>), CodecError> {
+    if data[..MAGIC.len()] != MAGIC {
+        return Err(CodecError::at("missing MSDB magic", 0, frame_len));
+    }
+    let version = data[MAGIC.len()];
+    if !(MIN_VERSION..=VERSION).contains(&version) {
+        return Err(CodecError::at(
+            format!("unsupported frame version {version}"),
+            MAGIC.len(),
+            frame_len,
+        ));
+    }
+    let r = Reader {
+        data: &data[HEADER_LEN..],
+        pos: HEADER_LEN,
+        frame_len,
+    };
+    Ok((data[MAGIC.len() + 1], r))
+}
+
 /// Strips and validates the header plus the wide trailing checksum of a
 /// kind-11 batch frame, returning a reader over the body only.
 fn open_batch_frame(data: &[u8]) -> Result<Reader<'_>, CodecError> {
-    if data.len() < MAGIC.len() + 2 + BATCH_CHECKSUM_LEN {
+    if data.len() < HEADER_LEN + BATCH_CHECKSUM_LEN {
         return Err(
             CodecError::new(format!("batch frame too short: {} bytes", data.len()))
                 .with_frame_len(data.len()),
         );
     }
     let (body, tail) = data.split_at(data.len() - BATCH_CHECKSUM_LEN);
+    let (kind, r) = open_header(body, data.len())?;
+    if kind != KIND_BATCH {
+        return Err(CodecError::at(
+            format!("frame kind mismatch: expected {KIND_BATCH}, got {kind}"),
+            MAGIC.len() + 1,
+            data.len(),
+        ));
+    }
     let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
     let computed = fnv1a64(body);
     if stored != computed {
@@ -341,31 +379,6 @@ fn open_batch_frame(data: &[u8]) -> Result<Reader<'_>, CodecError> {
             "frame checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
         ))
         .with_frame_len(data.len()));
-    }
-    let mut r = Reader {
-        data: body,
-        pos: 0,
-        frame_len: data.len(),
-    };
-    let magic = r.take(MAGIC.len())?;
-    if magic != MAGIC {
-        return Err(CodecError::at("missing MSDB magic", 0, data.len()));
-    }
-    let version = r.u8()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CodecError::at(
-            format!("unsupported frame version {version}"),
-            MAGIC.len(),
-            data.len(),
-        ));
-    }
-    let kind = r.u8()?;
-    if kind != KIND_BATCH {
-        return Err(CodecError::at(
-            format!("frame kind mismatch: expected {KIND_BATCH}, got {kind}"),
-            MAGIC.len() + 1,
-            data.len(),
-        ));
     }
     Ok(r)
 }
@@ -386,13 +399,14 @@ fn open_frame(data: &[u8], kind: u8) -> Result<Reader<'_>, CodecError> {
 /// Like [`open_frame`], but yields whichever kind the frame carries
 /// (the wire decoder dispatches on it).
 fn open_any_frame(data: &[u8]) -> Result<(u8, Reader<'_>), CodecError> {
-    if data.len() < MAGIC.len() + 2 + CHECKSUM_LEN {
+    if data.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(
             CodecError::new(format!("frame too short: {} bytes", data.len()))
                 .with_frame_len(data.len()),
         );
     }
     let (body, tail) = data.split_at(data.len() - CHECKSUM_LEN);
+    let opened = open_header(body, data.len())?;
     let stored = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
     let computed = fnv1a(body);
     if stored != computed {
@@ -401,25 +415,7 @@ fn open_any_frame(data: &[u8]) -> Result<(u8, Reader<'_>), CodecError> {
         ))
         .with_frame_len(data.len()));
     }
-    let mut r = Reader {
-        data: body,
-        pos: 0,
-        frame_len: data.len(),
-    };
-    let magic = r.take(MAGIC.len())?;
-    if magic != MAGIC {
-        return Err(CodecError::at("missing MSDB magic", 0, data.len()));
-    }
-    let version = r.u8()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CodecError::at(
-            format!("unsupported frame version {version}"),
-            MAGIC.len(),
-            data.len(),
-        ));
-    }
-    let kind = r.u8()?;
-    Ok((kind, r))
+    Ok(opened)
 }
 
 fn put_rng(buf: &mut Vec<u8>, state: &[u64; 4]) {
@@ -432,7 +428,7 @@ fn get_rng(r: &mut Reader<'_>) -> Result<[u64; 4], CodecError> {
     Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
-/// Encodes a planner checkpoint (54 bytes, vs ~10× as JSON).
+/// Encodes a planner checkpoint.
 pub fn encode_planner_checkpoint(cp: &CoreCheckpoint) -> Vec<u8> {
     let mut buf = frame(KIND_PLANNER, 6 * 8);
     buf.put_u64_le(cp.planner.step);
@@ -441,13 +437,8 @@ pub fn encode_planner_checkpoint(cp: &CoreCheckpoint) -> Vec<u8> {
     seal(buf)
 }
 
-/// Decodes a planner checkpoint, falling back to the legacy JSON reader
-/// for pre-codec blobs.
+/// Decodes a planner checkpoint.
 pub fn decode_planner_checkpoint(data: &[u8]) -> Result<CoreCheckpoint, CodecError> {
-    if !is_binary(data) {
-        return serde_json::from_slice::<CoreCheckpoint>(data)
-            .map_err(|e| CodecError::new(format!("not a binary frame and not legacy JSON: {e}")));
-    }
     let mut r = open_frame(data, KIND_PLANNER)?;
     let step = r.u64()?;
     let rng_state = get_rng(&mut r)?;
@@ -459,42 +450,57 @@ pub fn decode_planner_checkpoint(data: &[u8]) -> Result<CoreCheckpoint, CodecErr
     })
 }
 
-/// Encodes one plan-log entry: the step's pop directives
-/// (`loader id → sample ids`, ids in plan order).
-pub fn encode_plan_log(directives: &BTreeMap<u32, Vec<u64>>) -> Vec<u8> {
-    let ids: usize = directives.values().map(Vec::len).sum();
-    let mut buf = frame(KIND_PLAN_LOG, 4 + directives.len() * 8 + ids * 8);
+fn put_ids(buf: &mut Vec<u8>, ids: &[u64]) {
+    buf.put_u32_le(ids.len() as u32);
+    for id in ids {
+        buf.put_u64_le(*id);
+    }
+}
+
+/// Reads a counted run of sample ids with one bounds check (a hostile
+/// count fails it before anything is allocated).
+fn get_ids(r: &mut Reader<'_>) -> Result<Vec<u64>, CodecError> {
+    let count = r.u32()? as usize;
+    let raw = r.take(count.saturating_mul(8))?;
+    Ok(raw
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte id")))
+        .collect())
+}
+
+/// Pop directives (`loader id → sample ids`, ids in plan order): the
+/// body of a plan-log entry, and one field of a stored plan.
+fn put_directives(buf: &mut Vec<u8>, directives: &BTreeMap<u32, Vec<u64>>) {
     buf.put_u32_le(directives.len() as u32);
     for (loader, samples) in directives {
         buf.put_u32_le(*loader);
-        buf.put_u32_le(samples.len() as u32);
-        for id in samples {
-            buf.put_u64_le(*id);
-        }
+        put_ids(buf, samples);
     }
+}
+
+fn get_directives(r: &mut Reader<'_>) -> Result<BTreeMap<u32, Vec<u64>>, CodecError> {
+    let entries = r.u32()?;
+    let mut out = BTreeMap::new();
+    for _ in 0..entries {
+        out.insert(r.u32()?, get_ids(r)?);
+    }
+    Ok(out)
+}
+
+/// Encodes one plan-log entry: the step's pop directives.
+pub fn encode_plan_log(directives: &BTreeMap<u32, Vec<u64>>) -> Vec<u8> {
+    let ids: usize = directives.values().map(Vec::len).sum();
+    let mut buf = frame(KIND_PLAN_LOG, 4 + directives.len() * 8 + ids * 8);
+    put_directives(&mut buf, directives);
     seal(buf)
 }
 
-/// Decodes a plan-log entry, falling back to the legacy JSON reader.
+/// Decodes a plan-log entry.
 pub fn decode_plan_log(data: &[u8]) -> Result<BTreeMap<u32, Vec<u64>>, CodecError> {
-    if !is_binary(data) {
-        return serde_json::from_slice::<BTreeMap<u32, Vec<u64>>>(data)
-            .map_err(|e| CodecError::new(format!("not a binary frame and not legacy JSON: {e}")));
-    }
     let mut r = open_frame(data, KIND_PLAN_LOG)?;
-    let entries = r.u32()? as usize;
-    let mut out = BTreeMap::new();
-    for _ in 0..entries {
-        let loader = r.u32()?;
-        let count = r.u32()? as usize;
-        let mut samples = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            samples.push(r.u64()?);
-        }
-        out.insert(loader, samples);
-    }
+    let directives = get_directives(&mut r)?;
     r.finish()?;
-    Ok(out)
+    Ok(directives)
 }
 
 /// Encodes a loader checkpoint (58 bytes).
@@ -507,12 +513,8 @@ pub fn encode_loader_checkpoint(cp: &LoaderCheckpoint) -> Vec<u8> {
     seal(buf)
 }
 
-/// Decodes a loader checkpoint, falling back to the legacy JSON reader.
+/// Decodes a loader checkpoint.
 pub fn decode_loader_checkpoint(data: &[u8]) -> Result<LoaderCheckpoint, CodecError> {
-    if !is_binary(data) {
-        return serde_json::from_slice::<LoaderCheckpoint>(data)
-            .map_err(|e| CodecError::new(format!("not a binary frame and not legacy JSON: {e}")));
-    }
     let mut r = open_frame(data, KIND_LOADER)?;
     let loader_id = r.u32()?;
     let cursor = r.u64()?;
@@ -529,7 +531,7 @@ pub fn decode_loader_checkpoint(data: &[u8]) -> Result<LoaderCheckpoint, CodecEr
 
 /// Encodes an elastic-controller checkpoint: event sequence, id
 /// allocator, lifetime decision counters, and the live loader topology
-/// (16 bytes per slot, vs ~5× as JSON).
+/// (16 bytes per slot).
 pub fn encode_controller_checkpoint(cp: &ControllerCheckpoint) -> Vec<u8> {
     let mut buf = frame(KIND_CONTROLLER, 4 * 8 + 8 + cp.slots.len() * 16);
     buf.put_u64_le(cp.seq);
@@ -547,13 +549,8 @@ pub fn encode_controller_checkpoint(cp: &ControllerCheckpoint) -> Vec<u8> {
     seal(buf)
 }
 
-/// Decodes an elastic-controller checkpoint, falling back to the legacy
-/// JSON reader for pre-codec blobs.
+/// Decodes an elastic-controller checkpoint.
 pub fn decode_controller_checkpoint(data: &[u8]) -> Result<ControllerCheckpoint, CodecError> {
-    if !is_binary(data) {
-        return serde_json::from_slice::<ControllerCheckpoint>(data)
-            .map_err(|e| CodecError::new(format!("not a binary frame and not legacy JSON: {e}")));
-    }
     let mut r = open_frame(data, KIND_CONTROLLER)?;
     let seq = r.u64()?;
     let next_loader_id = r.u32()?;
@@ -607,8 +604,7 @@ pub fn encode_frontier_checkpoint(cp: &FrontierCheckpoint) -> Vec<u8> {
     seal(buf)
 }
 
-/// Decodes a frontier checkpoint. No JSON fallback: the frame postdates
-/// the binary codec, so a non-frame blob is corruption, not legacy.
+/// Decodes a frontier checkpoint.
 pub fn decode_frontier_checkpoint(data: &[u8]) -> Result<FrontierCheckpoint, CodecError> {
     let mut r = open_frame(data, KIND_FRONTIER)?;
     let frontier = r.u64()?;
@@ -641,10 +637,240 @@ pub fn decode_frontier_checkpoint(data: &[u8]) -> Result<FrontierCheckpoint, Cod
     })
 }
 
-/// Byte length of the head-sealed v3 `WireFrame::Batch` head: magic,
+// ---------------------------------------------------------------------
+// Replay Mode plan store (kind 15) and trainer topology (kind 16).
+
+/// Deepest sub-plan nesting a plan-store frame may carry. The planner
+/// nests one level (the VLM `"encoder"` sub-plan); the cap is what keeps
+/// [`decode_plan_store`] from recursing on input depth.
+pub const MAX_SUBPLAN_DEPTH: usize = 4;
+
+/// Most trainer ranks a topology frame may describe: decoding rebuilds
+/// the place tree, one node per rank, so the product of the dims is
+/// bounded before anything is allocated for it.
+pub const MAX_TOPOLOGY_RANKS: u32 = 1 << 20;
+
+fn axis_tag(axis: Axis) -> u8 {
+    match axis {
+        Axis::PP => 0,
+        Axis::DP => 1,
+        Axis::CP => 2,
+        Axis::TP => 3,
+    }
+}
+
+fn get_axis(r: &mut Reader<'_>) -> Result<Axis, CodecError> {
+    let at = r.pos;
+    match r.u8()? {
+        0 => Ok(Axis::PP),
+        1 => Ok(Axis::DP),
+        2 => Ok(Axis::CP),
+        3 => Ok(Axis::TP),
+        other => Err(CodecError::at(
+            format!("unknown mesh axis tag {other}"),
+            at,
+            r.frame_len,
+        )),
+    }
+}
+
+fn put_plan(buf: &mut Vec<u8>, plan: &LoadingPlan, depth: usize) {
+    assert!(
+        depth <= MAX_SUBPLAN_DEPTH,
+        "plan nests sub-plans deeper than {MAX_SUBPLAN_DEPTH}; no planner builds that"
+    );
+    buf.put_u64_le(plan.step);
+    buf.put_u8(match plan.axis {
+        DistributeAxis::DP => 0,
+        DistributeAxis::CP => 1,
+        DistributeAxis::World => 2,
+    });
+    buf.put_u32_le(plan.buckets.len() as u32);
+    for bucket in &plan.buckets {
+        buf.put_u32_le(bucket.bucket);
+        buf.put_u32_le(bucket.clients.len() as u32);
+        for rank in &bucket.clients {
+            buf.put_u32_le(*rank);
+        }
+        buf.put_u32_le(bucket.bins.len() as u32);
+        for bin in &bucket.bins {
+            buf.put_u32_le(bin.bin);
+            put_ids(buf, &bin.samples);
+            // Bit-exact: NaN payloads and the sign of zero survive.
+            buf.put_u64_le(bin.total_cost.to_bits());
+        }
+    }
+    put_ids(buf, &plan.excluded);
+    buf.put_u32_le(plan.broadcast_axes.len() as u32);
+    for axis in &plan.broadcast_axes {
+        buf.put_u8(axis_tag(*axis));
+    }
+    put_directives(buf, &plan.directives);
+    buf.put_u32_le(plan.subplans.len() as u32);
+    for (name, sub) in &plan.subplans {
+        buf.put_u32_le(name.len() as u32);
+        buf.put_slice(name.as_bytes());
+        put_plan(buf, sub, depth + 1);
+    }
+}
+
+/// Reads one plan at sub-plan nesting `depth`. The recursion is bounded
+/// by [`MAX_SUBPLAN_DEPTH`], not by the input.
+fn get_plan(r: &mut Reader<'_>, depth: usize) -> Result<LoadingPlan, CodecError> {
+    if depth > MAX_SUBPLAN_DEPTH {
+        return Err(CodecError::at(
+            format!("sub-plans nested deeper than {MAX_SUBPLAN_DEPTH}"),
+            r.pos,
+            r.frame_len,
+        ));
+    }
+    let step = r.u64()?;
+    let axis_at = r.pos;
+    let axis = match r.u8()? {
+        0 => DistributeAxis::DP,
+        1 => DistributeAxis::CP,
+        2 => DistributeAxis::World,
+        other => {
+            return Err(CodecError::at(
+                format!("unknown distribute axis tag {other}"),
+                axis_at,
+                r.frame_len,
+            ));
+        }
+    };
+    let bucket_count = r.u32()? as usize;
+    let mut buckets = Vec::with_capacity(bucket_count.min(1 << 12));
+    for _ in 0..bucket_count {
+        let bucket = r.u32()?;
+        let client_count = r.u32()? as usize;
+        let clients = r
+            .take(client_count.saturating_mul(4))?
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte rank")))
+            .collect();
+        let bin_count = r.u32()? as usize;
+        let mut bins = Vec::with_capacity(bin_count.min(1 << 12));
+        for _ in 0..bin_count {
+            bins.push(BinPlan {
+                bin: r.u32()?,
+                samples: get_ids(r)?,
+                total_cost: f64::from_bits(r.u64()?),
+            });
+        }
+        buckets.push(BucketPlan {
+            bucket,
+            clients,
+            bins,
+        });
+    }
+    let excluded = get_ids(r)?;
+    let axis_count = r.u32()? as usize;
+    let mut broadcast_axes = Vec::with_capacity(axis_count.min(Axis::CANONICAL.len()));
+    for _ in 0..axis_count {
+        broadcast_axes.push(get_axis(r)?);
+    }
+    let directives = get_directives(r)?;
+    let subplan_count = r.u32()? as usize;
+    let mut subplans = BTreeMap::new();
+    for _ in 0..subplan_count {
+        let name_len = r.u32()? as usize;
+        let name_at = r.pos;
+        let name = std::str::from_utf8(r.take(name_len)?)
+            .map_err(|e| CodecError::at(format!("sub-plan name: {e}"), name_at, r.frame_len))?
+            .to_string();
+        subplans.insert(name, get_plan(r, depth + 1)?);
+    }
+    Ok(LoadingPlan {
+        step,
+        axis,
+        buckets,
+        excluded,
+        broadcast_axes,
+        directives,
+        subplans,
+    })
+}
+
+/// Encodes a Replay Mode plan store: its plans in step order, bin costs
+/// bit-exact.
+///
+/// # Panics
+///
+/// If a plan nests sub-plans deeper than [`MAX_SUBPLAN_DEPTH`] — such a
+/// frame would not decode, and no planner builds one.
+pub fn encode_plan_store(store: &PlanStore) -> Vec<u8> {
+    let mut buf = frame(KIND_PLAN_STORE, 4);
+    buf.put_u32_le(store.len() as u32);
+    for plan in store.plans() {
+        put_plan(&mut buf, plan, 0);
+    }
+    seal(buf)
+}
+
+/// Decodes a Replay Mode plan store. Plans must arrive in strictly
+/// ascending step order, as [`encode_plan_store`] writes them.
+pub fn decode_plan_store(data: &[u8]) -> Result<PlanStore, CodecError> {
+    let mut r = open_frame(data, KIND_PLAN_STORE)?;
+    let count = r.u32()?;
+    let mut store = PlanStore::new();
+    for _ in 0..count {
+        let at = r.pos;
+        let plan = get_plan(&mut r, 0)?;
+        if store.last_step().is_some_and(|last| plan.step <= last) {
+            return Err(CodecError::at(
+                format!("plan for step {} is out of order", plan.step),
+                at,
+                data.len(),
+            ));
+        }
+        store.insert(plan);
+    }
+    r.finish()?;
+    Ok(store)
+}
+
+/// Encodes a trainer topology as the dims of its device mesh — the tree
+/// is a pure function of them ([`ClientPlaceTree::from_device_mesh`]).
+pub fn encode_topology(tree: &ClientPlaceTree) -> Vec<u8> {
+    let dims = tree.mesh().dims();
+    let mut buf = frame(KIND_TOPOLOGY, 4 + dims.len() * 5);
+    buf.put_u32_le(dims.len() as u32);
+    for (axis, size) in dims {
+        buf.put_u8(axis_tag(*axis));
+        buf.put_u32_le(*size);
+    }
+    seal(buf)
+}
+
+/// Decodes a trainer topology and rebuilds its place tree. Dims no mesh
+/// accepts (a zero size, a repeated axis) and meshes past
+/// [`MAX_TOPOLOGY_RANKS`] are errors.
+pub fn decode_topology(data: &[u8]) -> Result<ClientPlaceTree, CodecError> {
+    let mut r = open_frame(data, KIND_TOPOLOGY)?;
+    let count = r.u32()? as usize;
+    let mut dims = Vec::with_capacity(count.min(Axis::CANONICAL.len()));
+    for _ in 0..count {
+        dims.push((get_axis(&mut r)?, r.u32()?));
+    }
+    r.finish()?;
+    let ranks = dims
+        .iter()
+        .try_fold(1u32, |n, (_, size)| n.checked_mul(*size));
+    if ranks.is_none_or(|n| n > MAX_TOPOLOGY_RANKS) {
+        return Err(
+            CodecError::new(format!("mesh exceeds {MAX_TOPOLOGY_RANKS} ranks"))
+                .with_frame_len(data.len()),
+        );
+    }
+    let mesh = DeviceMesh::new(dims)
+        .map_err(|e| CodecError::new(format!("invalid mesh: {e}")).with_frame_len(data.len()))?;
+    Ok(ClientPlaceTree::from_device_mesh(&mesh))
+}
+
+/// Byte length of the head-sealed `WireFrame::Batch` head: magic,
 /// version, kind, client, step, payload length, head checksum. The
 /// payload bytes follow immediately after.
-const WIRE_BATCH_HEAD_LEN: usize = MAGIC.len() + 2 + 4 + 8 + 4 + CHECKSUM_LEN;
+const WIRE_BATCH_HEAD_LEN: usize = HEADER_LEN + 4 + 8 + 4 + CHECKSUM_LEN;
 
 /// Exact encoded length of a wire frame, from the same per-variant field
 /// walk as [`encode_wire_frame_parts`]. Lets encoders presize scratch
@@ -652,7 +878,7 @@ const WIRE_BATCH_HEAD_LEN: usize = MAGIC.len() + 2 + 4 + 8 + 4 + CHECKSUM_LEN;
 /// `Vec` by doubling. For a batch frame this memoizes the payload
 /// encoding, so calling it right before encoding costs nothing extra.
 pub fn encoded_wire_frame_len(frame_in: &WireFrame) -> usize {
-    let base = MAGIC.len() + 2 + CHECKSUM_LEN; // magic, version, kind, seal
+    let base = HEADER_LEN + CHECKSUM_LEN; // magic, version, kind, seal
     match frame_in {
         WireFrame::Hello { .. } => base + 4 + 4,
         WireFrame::Subscribe { .. } => base + 4 + 8 + 4,
@@ -761,18 +987,16 @@ pub fn encode_wire_frame_parts(frame_in: &WireFrame, head: &mut Vec<u8>) -> Opti
     payload_out
 }
 
-/// Decodes one wire frame from its contiguous byte form. Unlike the GCS
-/// checkpoint decoders there is no JSON fallback — wire frames never had
-/// a legacy encoding — so any non-frame byte string is an error. A
-/// decoded batch carries its payload as [`BatchPayload::Encoded`] bytes;
-/// parsing the batch itself is deferred to [`BatchPayload::batch`] so
-/// relays never pay for it.
+/// Decodes one wire frame from its contiguous byte form. A decoded batch
+/// carries its payload as [`BatchPayload::Encoded`] bytes; parsing the
+/// batch itself is deferred to [`BatchPayload::batch`] so relays never
+/// pay for it.
 ///
 /// Transports hold the receive buffer as [`Bytes`] and should prefer
 /// [`decode_wire_frame_shared`], which hands the batch payload out as a
 /// zero-copy view; this slice-based form copies it.
 pub fn decode_wire_frame(data: &[u8]) -> Result<WireFrame, CodecError> {
-    if is_head_sealed_batch(data) {
+    if is_wire_batch(data) {
         let (client, step, payload_len) = decode_wire_batch_head(data, data.len())?;
         let payload = Bytes::copy_from_slice(&data[WIRE_BATCH_HEAD_LEN..][..payload_len]);
         return Ok(WireFrame::Batch {
@@ -789,7 +1013,7 @@ pub fn decode_wire_frame(data: &[u8]) -> Result<WireFrame, CodecError> {
 /// [`BatchPayload::Encoded`] view keeps `data`'s allocation alive
 /// instead of copying megabytes.
 pub fn decode_wire_frame_shared(data: &Bytes) -> Result<WireFrame, CodecError> {
-    if is_head_sealed_batch(data) {
+    if is_wire_batch(data) {
         let (client, step, payload_len) = decode_wire_batch_head(data, data.len())?;
         let payload = data.slice(WIRE_BATCH_HEAD_LEN..WIRE_BATCH_HEAD_LEN + payload_len);
         return Ok(WireFrame::Batch {
@@ -805,15 +1029,16 @@ pub fn decode_wire_frame_shared(data: &Bytes) -> Result<WireFrame, CodecError> {
 /// [`encode_wire_frame_parts`]): a sealed head plus an optional payload
 /// buffer that was transferred separately. The payload is attached to
 /// the decoded frame as-is — zero-copy — after its length is checked
-/// against the head's declaration.
+/// against the head's declaration. With no payload part, `head` is the
+/// whole contiguous frame.
 pub fn decode_wire_frame_split(
     head: &[u8],
     payload: Option<Bytes>,
 ) -> Result<WireFrame, CodecError> {
     let Some(payload) = payload else {
-        return decode_sealed_wire_frame(head);
+        return decode_wire_frame(head);
     };
-    if !is_head_sealed_batch(head) || head.len() != WIRE_BATCH_HEAD_LEN {
+    if !is_wire_batch(head) || head.len() != WIRE_BATCH_HEAD_LEN {
         return Err(CodecError::new("payload attached to a non-batch head")
             .with_frame_len(head.len() + payload.len()));
     }
@@ -825,11 +1050,10 @@ pub fn decode_wire_frame_split(
     })
 }
 
-/// Whether `data` starts with a v3+ head-sealed batch-frame head (v2
-/// batch frames used the whole-frame seal and decode through the legacy
-/// branch of [`decode_sealed_wire_frame`]).
-fn is_head_sealed_batch(data: &[u8]) -> bool {
-    is_binary(data) && data[MAGIC.len() + 1] == KIND_WIRE_BATCH && data[MAGIC.len()] >= 3
+/// Whether `data` starts like a `WireFrame::Batch` container, the one
+/// head-sealed kind ([`decode_wire_batch_head`] validates the rest).
+fn is_wire_batch(data: &[u8]) -> bool {
+    is_binary(data) && data[MAGIC.len() + 1] == KIND_WIRE_BATCH
 }
 
 /// Validates a head-sealed batch head (checksum over the head bytes
@@ -847,8 +1071,8 @@ fn decode_wire_batch_head(data: &[u8], total_len: usize) -> Result<(u32, u64, us
             total_len,
         ));
     }
-    let head = &data[..WIRE_BATCH_HEAD_LEN];
-    let (sealed, tail) = head.split_at(WIRE_BATCH_HEAD_LEN - CHECKSUM_LEN);
+    let (sealed, tail) = data[..WIRE_BATCH_HEAD_LEN].split_at(WIRE_BATCH_HEAD_LEN - CHECKSUM_LEN);
+    let (_, mut r) = open_header(sealed, total_len)?;
     let stored = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
     let computed = fnv1a(sealed);
     if stored != computed {
@@ -857,19 +1081,6 @@ fn decode_wire_batch_head(data: &[u8], total_len: usize) -> Result<(u32, u64, us
         ))
         .with_frame_len(total_len));
     }
-    let version = sealed[MAGIC.len()];
-    if version > VERSION {
-        return Err(CodecError::at(
-            format!("unsupported frame version {version}"),
-            MAGIC.len(),
-            total_len,
-        ));
-    }
-    let mut r = Reader {
-        data: &sealed[MAGIC.len() + 2..],
-        pos: MAGIC.len() + 2,
-        frame_len: total_len,
-    };
     let client = r.u32()?;
     let step = r.u64()?;
     let payload_len = r.u32()? as usize;
@@ -886,8 +1097,8 @@ fn decode_wire_batch_head(data: &[u8], total_len: usize) -> Result<(u32, u64, us
     Ok((client, step, payload_len))
 }
 
-/// Decodes the whole-frame-sealed wire kinds: every control frame, plus
-/// v2 batch frames (whose payload rode inside the frame checksum).
+/// Decodes the whole-frame-sealed wire kinds: every control frame. The
+/// batch container (kind 7) is head-sealed and never decodes here.
 fn decode_sealed_wire_frame(data: &[u8]) -> Result<WireFrame, CodecError> {
     let (kind, mut r) = open_any_frame(data)?;
     let frame_out = match kind {
@@ -900,17 +1111,6 @@ fn decode_sealed_wire_frame(data: &[u8]) -> Result<WireFrame, CodecError> {
             from_step: r.u64()?,
             credits: r.u32()?,
         },
-        KIND_WIRE_BATCH => {
-            let client = r.u32()?;
-            let step = r.u64()?;
-            let len = r.u32()? as usize;
-            let payload = Bytes::copy_from_slice(r.take(len)?);
-            WireFrame::Batch {
-                client,
-                step,
-                payload: BatchPayload::Encoded(payload),
-            }
-        }
         KIND_WIRE_ACK => WireFrame::Ack {
             client: r.u32()?,
             step: r.u64()?,
@@ -963,7 +1163,7 @@ fn delivery_kind_tag(kind: DeliveryKind) -> u8 {
 /// multi-megabyte batch frame is a single allocation with zero
 /// reallocation — and zero per-sample or per-sequence allocations.
 pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
-    let mut n = MAGIC.len() + 2; // magic + version + kind
+    let mut n = HEADER_LEN; // magic + version + kind
     n += 4 + 4; // bucket + microbatch count
     for mb in &batch.microbatches {
         n += 4 + 4; // bin + sequence count
@@ -993,8 +1193,7 @@ pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
 /// a caller-owned scratch buffer (cleared first, capacity kept). Sample
 /// payloads are written as raw byte runs — each payload's [`Bytes`]
 /// view is copied once, directly into the scratch, with no per-sample
-/// allocation and no inflation (the shim-JSON encoding this replaces
-/// spent ~4 decimal characters per payload byte).
+/// allocation and no inflation.
 pub fn encode_batch_into(batch: &ConstructedBatch, buf: &mut Vec<u8>) {
     buf.clear();
     buf.reserve(encoded_batch_len(batch));
@@ -1058,10 +1257,8 @@ pub fn encode_batch(batch: &ConstructedBatch) -> Vec<u8> {
     buf
 }
 
-/// Decodes a batch payload, falling back to the legacy JSON reader for
-/// payloads encoded by pre-version-3 peers. Binary decode errors carry
-/// the frame length and the offending byte offset (see
-/// [`CodecError::offset`]).
+/// Decodes a batch payload. Errors carry the frame length and the
+/// offending byte offset (see [`CodecError::offset`]).
 ///
 /// Sample payloads are copied out of `data`; receivers that hold the
 /// frame as [`Bytes`] should prefer [`decode_batch_shared`], which
@@ -1082,12 +1279,6 @@ pub fn decode_batch_shared(data: &Bytes) -> Result<ConstructedBatch, CodecError>
 /// `share` is given (the same buffer `data` borrows from), payloads are
 /// sliced from it zero-copy; otherwise they are copied.
 fn decode_batch_impl(data: &[u8], share: Option<&Bytes>) -> Result<ConstructedBatch, CodecError> {
-    if !is_binary(data) {
-        return serde_json::from_slice::<ConstructedBatch>(data).map_err(|e| {
-            CodecError::new(format!("not a binary frame and not legacy JSON: {e}"))
-                .with_frame_len(data.len())
-        });
-    }
     let mut r = open_batch_frame(data)?;
     let bucket = r.u32()?;
     let mb_count = r.u32()? as usize;
@@ -1244,7 +1435,7 @@ mod tests {
     }
 
     #[test]
-    fn controller_checkpoint_roundtrips_and_falls_back() {
+    fn controller_checkpoint_roundtrips_and_rejects_corruption() {
         let cp = controller_cp();
         assert_eq!(
             decode_controller_checkpoint(&encode_controller_checkpoint(&cp)).unwrap(),
@@ -1259,9 +1450,6 @@ mod tests {
             decode_controller_checkpoint(&encode_controller_checkpoint(&empty)).unwrap(),
             empty
         );
-        // Legacy JSON blobs decode through the fallback reader.
-        let json = serde_json::to_vec(&cp).unwrap();
-        assert_eq!(decode_controller_checkpoint(&json).unwrap(), cp);
         // Corruption surfaces as an error, not a panic.
         let full = encode_controller_checkpoint(&cp);
         assert!(decode_controller_checkpoint(&full[..full.len() - 3]).is_err());
@@ -1287,44 +1475,8 @@ mod tests {
     }
 
     #[test]
-    fn binary_is_far_smaller_than_json() {
-        let bin = encode_planner_checkpoint(&core_cp());
-        let json = serde_json::to_vec(&core_cp()).unwrap();
-        assert!(
-            bin.len() < json.len(),
-            "binary {} vs JSON {}",
-            bin.len(),
-            json.len()
-        );
-        // The per-step dominant blob is the plan log (one id per popped
-        // sample); there the fixed 8-byte encoding wins big over decimal.
-        // Realistic ids carry the source/shard prefix in the high bits
-        // (see `SourceLoader::make_id`), so their decimal forms are long.
-        let big: BTreeMap<u32, Vec<u64>> =
-            BTreeMap::from([(0, (0..128u64).map(|i| u64::MAX - (i << 16)).collect())]);
-        let bin = encode_plan_log(&big);
-        let json = serde_json::to_vec(&big).unwrap();
-        assert!(
-            bin.len() * 2 < json.len(),
-            "binary {} vs JSON {}",
-            bin.len(),
-            json.len()
-        );
-    }
-
-    #[test]
-    fn legacy_json_blobs_still_decode() {
-        let json = serde_json::to_vec(&core_cp()).unwrap();
-        assert_eq!(decode_planner_checkpoint(&json).unwrap(), core_cp());
-        let json = serde_json::to_vec(&loader_cp()).unwrap();
-        assert_eq!(decode_loader_checkpoint(&json).unwrap(), loader_cp());
-        let json = serde_json::to_vec(&directives()).unwrap();
-        assert_eq!(decode_plan_log(&json).unwrap(), directives());
-    }
-
-    #[test]
-    fn corrupt_blobs_error_through_both_paths() {
-        // Neither magic nor JSON.
+    fn corrupt_blobs_error() {
+        // No magic.
         assert!(decode_loader_checkpoint(b"{not json").is_err());
         // Valid magic, truncated body.
         let full = encode_loader_checkpoint(&loader_cp());
@@ -1436,31 +1588,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_binary_is_far_smaller_than_json() {
-        // Realistic batches are payload-dominated; JSON renders each
-        // payload byte as a decimal literal (~4 bytes for token data).
-        let mut b = batch();
-        b.microbatches[0].payloads[0].1 = Bytes::from(vec![231u8; 16 << 10]);
-        b.microbatches[0].payload_bytes = 16 << 10;
-        let bin = encode_batch(&b);
-        let json = serde_json::to_vec(&b).unwrap();
-        assert!(
-            bin.len() * 3 < json.len(),
-            "binary {} vs JSON {}",
-            bin.len(),
-            json.len()
-        );
-    }
-
-    #[test]
-    fn batch_legacy_json_payloads_still_decode() {
-        let b = batch();
-        let json = serde_json::to_vec(&b).unwrap();
-        assert_eq!(decode_batch(&json).unwrap(), b);
-        assert!(decode_batch(b"{nope").is_err());
-    }
-
-    #[test]
     fn batch_decode_errors_carry_frame_length_and_offset() {
         let b = batch();
         let full = encode_batch(&b);
@@ -1518,25 +1645,171 @@ mod tests {
     }
 
     #[test]
-    fn version_2_frames_still_decode_and_future_versions_error() {
-        // A v3 loader checkpoint rewritten as v2 decodes identically:
-        // the kinds that existed at v2 kept their exact layout.
+    fn versions_below_and_above_current_error_with_a_valid_seal() {
         let cp = loader_cp();
-        let mut v2 = encode_loader_checkpoint(&cp);
-        assert_eq!(v2[4], VERSION);
-        v2[4] = 2;
-        let v2 = reseal(v2);
-        assert_eq!(decode_loader_checkpoint(&v2).unwrap(), cp);
-        // Below MIN_VERSION and above VERSION both error even with a
-        // valid checksum.
-        for bad_version in [MIN_VERSION - 1, VERSION + 1] {
+        for bad_version in [VERSION - 1, VERSION + 1] {
             let mut bad = encode_loader_checkpoint(&cp);
+            assert_eq!(bad[4], VERSION);
             bad[4] = bad_version;
             let bad = reseal(bad);
             assert!(
                 decode_loader_checkpoint(&bad).is_err(),
                 "version {bad_version} decoded"
             );
+        }
+        // The two openers with their own seals share the same check.
+        let mut payload = encode_batch(&batch());
+        payload[4] = VERSION - 1;
+        assert!(decode_batch(&reseal_batch(payload)).is_err());
+        let mut head = encode_wire_frame(&WireFrame::Batch {
+            client: 1,
+            step: 2,
+            payload: BatchPayload::Encoded(Bytes::new()),
+        });
+        head[4] = VERSION - 1;
+        assert!(decode_wire_frame(&reseal(head)).is_err());
+    }
+
+    #[test]
+    fn split_decode_of_a_bare_batch_head_checks_the_declared_length() {
+        // No in-tree sender produces (batch head, no payload part) —
+        // `encode_wire_frame_parts` always returns the payload — but the
+        // decoder is public: such a head is a contiguous frame, valid
+        // exactly when it declares an empty payload.
+        let mut head = Vec::new();
+        let empty = WireFrame::Batch {
+            client: 3,
+            step: 9,
+            payload: BatchPayload::Encoded(Bytes::new()),
+        };
+        assert_eq!(
+            encode_wire_frame_parts(&empty, &mut head),
+            Some(Bytes::new())
+        );
+        assert_eq!(decode_wire_frame_split(&head, None).unwrap(), empty);
+        let full = WireFrame::Batch {
+            client: 3,
+            step: 9,
+            payload: BatchPayload::Encoded(Bytes::from(vec![5u8; 64])),
+        };
+        let payload = encode_wire_frame_parts(&full, &mut head);
+        assert!(decode_wire_frame_split(&head, None).is_err());
+        assert_eq!(decode_wire_frame_split(&head, payload).unwrap(), full);
+    }
+
+    /// A plan exercising every field, with `depth` levels of sub-plans
+    /// beneath it.
+    fn plan(step: u64, depth: usize) -> LoadingPlan {
+        let subplans = match depth {
+            0 => BTreeMap::new(),
+            _ => BTreeMap::from([("encoder".to_string(), plan(step, depth - 1))]),
+        };
+        LoadingPlan {
+            step,
+            axis: DistributeAxis::CP,
+            buckets: vec![BucketPlan {
+                bucket: 1,
+                clients: vec![2, 3],
+                bins: vec![
+                    BinPlan {
+                        bin: 0,
+                        samples: vec![10, u64::MAX],
+                        total_cost: -0.0,
+                    },
+                    BinPlan {
+                        bin: 1,
+                        samples: vec![],
+                        total_cost: 5.5,
+                    },
+                ],
+            }],
+            excluded: vec![14],
+            broadcast_axes: vec![Axis::TP, Axis::CP],
+            directives: directives(),
+            subplans,
+        }
+    }
+
+    #[test]
+    fn plan_store_roundtrips_up_to_the_subplan_cap_and_errors_past_it() {
+        let mut store = PlanStore::new();
+        store.insert(plan(0, 0));
+        store.insert(plan(7, 1));
+        store.insert(plan(9, MAX_SUBPLAN_DEPTH));
+        let back = decode_plan_store(&encode_plan_store(&store)).unwrap();
+        assert_eq!(back, store);
+        let cost = back.get(0).unwrap().buckets[0].bins[0].total_cost;
+        assert_eq!(cost.to_bits(), (-0.0f64).to_bits(), "sign of zero lost");
+        assert_eq!(
+            decode_plan_store(&encode_plan_store(&PlanStore::new())).unwrap(),
+            PlanStore::new()
+        );
+
+        // Hand-built: `levels` empty plans, each the only sub-plan of the
+        // one before. The sub-plan map is a plan's last field, so nesting
+        // is a repeated prefix — a decoder recursing on it would need one
+        // stack frame per level.
+        let nested = |levels: usize| {
+            let mut buf = frame(KIND_PLAN_STORE, 0);
+            buf.put_u32_le(1);
+            for level in 0..levels {
+                buf.put_u64_le(0); // step
+                buf.put_u8(0); // axis
+                buf.put_u32_le(0); // buckets
+                buf.put_u32_le(0); // excluded
+                buf.put_u32_le(0); // broadcast axes
+                buf.put_u32_le(0); // directives
+                if level + 1 < levels {
+                    buf.put_u32_le(1); // one sub-plan, named "x"
+                    buf.put_u32_le(1);
+                    buf.put_u8(b'x');
+                } else {
+                    buf.put_u32_le(0);
+                }
+            }
+            seal(buf)
+        };
+        assert!(decode_plan_store(&nested(MAX_SUBPLAN_DEPTH + 1)).is_ok());
+        let err = decode_plan_store(&nested(MAX_SUBPLAN_DEPTH + 2)).unwrap_err();
+        assert!(err.detail().contains("nested deeper"), "{err}");
+        assert!(decode_plan_store(&nested(1 << 16)).is_err());
+    }
+
+    #[test]
+    fn plan_store_rejects_out_of_order_steps() {
+        let mut buf = frame(KIND_PLAN_STORE, 0);
+        buf.put_u32_le(2);
+        put_plan(&mut buf, &plan(3, 0), 0);
+        put_plan(&mut buf, &plan(3, 0), 0);
+        let err = decode_plan_store(&seal(buf)).unwrap_err();
+        assert!(err.detail().contains("out of order"), "{err}");
+    }
+
+    #[test]
+    fn topology_roundtrips_and_rejects_dims_no_mesh_accepts() {
+        let mesh = DeviceMesh::new(vec![(Axis::DP, 3), (Axis::PP, 2), (Axis::TP, 2)]).unwrap();
+        let tree = ClientPlaceTree::from_device_mesh(&mesh);
+        assert_eq!(decode_topology(&encode_topology(&tree)).unwrap(), tree);
+
+        let topology = |dims: &[(u8, u32)]| {
+            let mut buf = frame(KIND_TOPOLOGY, 0);
+            buf.put_u32_le(dims.len() as u32);
+            for (tag, size) in dims {
+                buf.put_u8(*tag);
+                buf.put_u32_le(*size);
+            }
+            seal(buf)
+        };
+        assert!(decode_topology(&topology(&[(1, 2), (3, 2)])).is_ok());
+        for (bad, why) in [
+            (topology(&[(1, 0)]), "size 0"),
+            (topology(&[(1, 2), (1, 2)]), "duplicate axis"),
+            (topology(&[(9, 2)]), "axis tag"),
+            (topology(&[(1, 1 << 31), (2, 1 << 31)]), "ranks"),
+            (topology(&[(1, MAX_TOPOLOGY_RANKS), (2, 2)]), "ranks"),
+        ] {
+            let err = decode_topology(&bad).unwrap_err();
+            assert!(err.detail().contains(why), "wanted {why:?}, got {err}");
         }
     }
 

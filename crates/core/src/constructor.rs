@@ -19,12 +19,11 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use msd_data::Sample;
 use msd_mesh::{cp_partition, delivery_kind, Axis, DeliveryKind, DeviceMesh, Rank};
-use serde::{Deserialize, Serialize};
 
 use crate::plan::BucketPlan;
 
 /// One packed segment (one original sample) inside a packed sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// Originating sample.
     pub sample_id: u64,
@@ -33,7 +32,7 @@ pub struct Segment {
 }
 
 /// A complete (packed) sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackedSequence {
     /// Segments in packing order.
     pub segments: Vec<Segment>,
@@ -59,7 +58,7 @@ impl PackedSequence {
 /// [`Bytes`] views: assembling a batch bumps refcounts on the loaders'
 /// buffers, and cloning a batch (or handing it to N serving clients)
 /// never duplicates payload data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Microbatch {
     /// Bin index within the bucket.
     pub bin: u32,
@@ -85,7 +84,7 @@ impl Microbatch {
 }
 
 /// What one trainer client receives for a bucket's batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientDelivery {
     /// Target rank.
     pub rank: Rank,
@@ -99,7 +98,7 @@ pub struct ClientDelivery {
 }
 
 /// A fully constructed batch for one bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConstructedBatch {
     /// Bucket index.
     pub bucket: u32,

@@ -110,7 +110,7 @@ pub struct LineageEdge {
 }
 
 /// Options for [`DGraph::balance`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BalanceOpts {
     /// Number of microbatches (bins) per bucket.
     pub microbatches: u32,

@@ -8,13 +8,12 @@
 //! (differential checkpointing).
 
 use msd_data::SourceSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::loader::{LoaderCheckpoint, LoaderConfig, SourceLoader};
 use crate::plan::LoadingPlan;
 
 /// How a failure was detected (both paper mechanisms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureSignal {
     /// The loader stopped answering RPCs within the timeout.
     RpcTimeout,
@@ -24,7 +23,7 @@ pub enum FailureSignal {
 }
 
 /// Outcome of a failover.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailoverReport {
     /// The failed loader.
     pub loader_id: u32,

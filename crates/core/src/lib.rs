@@ -13,9 +13,11 @@
 //!   tells each Source Loader what to pop and each Data Constructor what to
 //!   assemble for which clients.
 //! - [`loader`]: the Source Loader component and its actor wrapper.
-//! - [`codec`]: the compact binary codec for per-step GCS state (planner
-//!   checkpoint, plan-log entries, loader checkpoints), with a legacy
-//!   JSON fallback reader.
+//! - [`codec`]: the `MSDB` codec, the workspace's one serialisation
+//!   format — 16 frame kinds: the GCS blobs (planner, plan-log, loader,
+//!   controller and frontier checkpoints, the Replay Mode plan store, the
+//!   trainer topology), the serving plane's wire frames, and the batch
+//!   payload. There is no other reader: non-`MSDB` input is an error.
 //! - [`constructor`]: the Data Constructor — microbatch assembly (packing,
 //!   padding, position ids) and parallelism transformation.
 //! - [`planner`]: the Planner — plan synthesis with phase instrumentation.
@@ -61,7 +63,6 @@ pub mod fault;
 pub mod loader;
 pub mod metrics;
 pub mod optimizer;
-pub mod overlap;
 pub mod plan;
 pub mod planner;
 pub mod pool;

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use msd_data::{Sample, SampleMeta, SourceId, SourceSpec, TransformPipeline, TransformScratch};
 use msd_sim::SimRng;
 use msd_storage::{ColumnarReader, MemStore, StorageError};
-use serde::{Deserialize, Serialize};
 
 use crate::buffer::BufferSummary;
 
@@ -22,7 +21,7 @@ use crate::buffer::BufferSummary;
 pub const WORKER_CTX_BYTES: u64 = 200 << 20;
 
 /// Static configuration of one Source Loader actor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoaderConfig {
     /// Unique loader id.
     pub loader_id: u32,
@@ -66,7 +65,7 @@ impl LoaderConfig {
 }
 
 /// Serializable checkpoint of loader progress.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoaderCheckpoint {
     /// Loader id.
     pub loader_id: u32,
@@ -81,7 +80,7 @@ pub struct LoaderCheckpoint {
 /// Point-in-time health snapshot of one Source Loader — the control
 /// plane's per-loader input (buffer occupancy, fetch stall time) for
 /// autoscaling and rebalancing decisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoaderHealth {
     /// The loader's id.
     pub loader_id: u32,

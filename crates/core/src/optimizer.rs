@@ -18,9 +18,8 @@
 //! | distribute∘balance fusion | `distribute(a); balance(inter_bucket=true)` | `distribute_lazy(a); balance(…)` |
 //! | lineage elision | production mode | skip lineage recording |
 //!
-//! Costs are expressed as serializable [`CostExpr`]s rather than closures so
-//! the optimizer can reason about (and deduplicate) them, and so programs
-//! can be checkpointed alongside Replay Mode plan stores.
+//! Costs are expressed as [`CostExpr`] values rather than closures so the
+//! optimizer can reason about (and deduplicate) them.
 
 use std::collections::HashMap;
 
@@ -28,12 +27,11 @@ use msd_balance::{BackboneShape, BalanceMethod, EncoderShape};
 use msd_data::SampleMeta;
 use msd_mesh::{Axis, DistributeAxis};
 use msd_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dgraph::{BalanceOpts, DGraph, DGraphError};
 
-/// A serializable per-sample cost function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A per-sample cost function, as comparable data.
+#[derive(Debug, Clone, PartialEq)]
 pub enum CostExpr {
     /// Total (text + image) tokens.
     Tokens,
@@ -82,7 +80,7 @@ impl CostExpr {
 }
 
 /// One primitive operation of a declarative orchestration program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StrategyOp {
     /// `mix(weights, take)` — probabilistic source selection.
     Mix {
@@ -172,7 +170,7 @@ impl StrategyOp {
 }
 
 /// Which rewrites fired, and how often.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptimizeReport {
     /// Dead `cost` ops removed.
     pub dead_costs: u32,
@@ -200,7 +198,7 @@ impl OptimizeReport {
 }
 
 /// Optimizer configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptimizeOpts {
     /// Production mode: additionally elide lineage recording. Lineage is
     /// the one observable the optimizer is allowed to change — plans are
@@ -210,7 +208,7 @@ pub struct OptimizeOpts {
 
 /// A declarative orchestration program: ordered primitives over a
 /// [`DGraph`], executable directly or after [`StrategyProgram::optimize`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyProgram {
     /// The primitive sequence.
     pub ops: Vec<StrategyOp>,
@@ -738,14 +736,6 @@ mod tests {
         assert_eq!(report.fused_distributes, 1);
         let (p1, p2) = run_both(&adjacent, OptimizeOpts::default());
         assert_eq!(p1, p2);
-    }
-
-    #[test]
-    fn program_round_trips_through_json() {
-        let program = redundant_program();
-        let json = serde_json::to_string(&program).unwrap();
-        let back: StrategyProgram = serde_json::from_str(&json).unwrap();
-        assert_eq!(program, back);
     }
 
     #[test]

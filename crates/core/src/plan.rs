@@ -9,10 +9,9 @@
 use std::collections::BTreeMap;
 
 use msd_mesh::{Axis, DistributeAxis, Rank};
-use serde::{Deserialize, Serialize};
 
 /// One microbatch within a bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinPlan {
     /// Microbatch index within the bucket.
     pub bin: u32,
@@ -23,7 +22,7 @@ pub struct BinPlan {
 }
 
 /// One consumer bucket (a DP group, a DP×CP consumer, or a single rank).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BucketPlan {
     /// Bucket index.
     pub bucket: u32,
@@ -46,7 +45,7 @@ impl BucketPlan {
 }
 
 /// A complete loading plan for one training step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadingPlan {
     /// Training step this plan serves.
     pub step: u64,

@@ -13,7 +13,6 @@ use msd_balance::{BackboneShape, BalanceMethod, EncoderShape};
 use msd_data::SourceId;
 use msd_mesh::{Axis, ClientPlaceTree, DistributeAxis};
 use msd_sim::{NetModel, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::buffer::BufferInfo;
 use crate::dgraph::{BalanceOpts, DGraph, DGraphError, MetaView};
@@ -22,7 +21,7 @@ use crate::schedule::MixSchedule;
 
 /// The orchestration strategy (the three scenarios of Sec 7.3 — custom
 /// strategies use the [`DGraph`] API directly).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Strategy {
     /// No cost-aware scheduling: round-robin buckets, sequential bins.
     Vanilla,
@@ -57,7 +56,7 @@ impl Strategy {
 }
 
 /// Static planner configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Distribution axis for the backbone graph.
     pub axis: DistributeAxis,
@@ -74,7 +73,7 @@ pub struct PlannerConfig {
 }
 
 /// Per-phase timing of one plan generation (Fig 15).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Virtual time to gather buffer metadata from loaders.
     pub gather_ns: u64,
@@ -98,7 +97,7 @@ impl PhaseBreakdown {
 /// Serializable snapshot of the Planner's restart-critical state. The
 /// plan history is deliberately excluded: it is a replay *log*, not
 /// state the planner needs to keep planning deterministically.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannerCheckpoint {
     /// Step counter at snapshot time.
     pub step: u64,

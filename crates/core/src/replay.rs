@@ -7,8 +7,8 @@
 //! reducing the online Planner's job to plan validation, broadcast, and
 //! high-level health monitoring.
 //!
-//! - [`PlanStore`]: a step-indexed store of [`LoadingPlan`]s with JSON
-//!   (de)serialization for checkpointing, plus an offline recorder.
+//! - [`PlanStore`]: a step-indexed store of [`LoadingPlan`]s, checkpointed
+//!   as an `MSDB` frame ([`crate::codec`] kind 15), plus an offline recorder.
 //! - [`ReplayPlanner`]: serves plans from the store when they validate
 //!   against live buffers, falling back to live planning when they do not
 //!   (topology drift, divergent loader state, store gaps).
@@ -18,15 +18,14 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::buffer::BufferInfo;
+use crate::codec::{self, CodecError};
 use crate::dgraph::DGraphError;
 use crate::plan::LoadingPlan;
 use crate::planner::{PhaseBreakdown, Planner};
 
 /// A step-indexed store of pre-computed loading plans.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanStore {
     plans: BTreeMap<u64, LoadingPlan>,
 }
@@ -86,19 +85,24 @@ impl PlanStore {
         self.plans.keys().next_back().copied()
     }
 
-    /// Serializes the store to JSON (the checkpoint artifact).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("PlanStore is serializable")
+    /// The stored plans, in step order.
+    pub fn plans(&self) -> impl Iterator<Item = &LoadingPlan> {
+        self.plans.values()
     }
 
-    /// Restores a store from its JSON checkpoint.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Serializes the store as an `MSDB` frame (the checkpoint artifact).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        codec::encode_plan_store(self)
+    }
+
+    /// Restores a store from its checkpoint frame.
+    pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
+        codec::decode_plan_store(data)
     }
 }
 
 /// Why a stored plan could not be replayed for a step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
     /// No plan stored for this step.
     Missing,
@@ -119,7 +123,7 @@ pub enum FallbackReason {
 }
 
 /// How a step was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayOutcome {
     /// Served from the store; online planning skipped.
     Replayed,
@@ -365,10 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_plans() {
+    fn bytes_round_trip_preserves_plans() {
         let store = recorded_store(3);
-        let json = store.to_json();
-        let restored = PlanStore::from_json(&json).unwrap();
+        let restored = PlanStore::from_bytes(&store.to_bytes()).unwrap();
         assert_eq!(store, restored);
     }
 

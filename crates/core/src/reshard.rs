@@ -6,10 +6,9 @@
 //! in Data Constructors to match the new device topology (Sec 6.1).
 
 use msd_mesh::{ClientPlaceTree, DistributeAxis};
-use serde::{Deserialize, Serialize};
 
 /// One movement of a resident sample between buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Move {
     /// The sample being moved.
     pub sample_id: u64,
@@ -20,7 +19,7 @@ pub struct Move {
 }
 
 /// Result of a reshard computation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReshardPlan {
     /// New bucket count.
     pub new_buckets: u32,

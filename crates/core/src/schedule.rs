@@ -6,10 +6,8 @@
 //! (easy→hard interpolation), and loss-adaptive mixing that reweights
 //! sources by observed training signal.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-step source-weight schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MixSchedule {
     /// Fixed weights for the whole run.
     Static(Vec<f64>),

@@ -39,7 +39,6 @@ use msd_actor::actor::ReplyTo;
 use msd_actor::{Actor, ActorRef, ActorSystem, Ctx, Gcs};
 use msd_balance::BalanceMethod;
 use msd_data::{Sample, SourceId, SourceSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::autoscale::{AutoScaler, LoaderSetup, ScaleAction};
 use crate::loader::{LoaderConfig, LoaderHealth, WORKER_CTX_BYTES};
@@ -139,7 +138,7 @@ pub struct ControllerStatus {
 
 /// One loader slot in a [`ControllerCheckpoint`] (everything needed to
 /// respawn the loader against a source template).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotRecord {
     /// `SourceId.0` of the source the loader serves.
     pub source: u32,
@@ -154,7 +153,7 @@ pub struct SlotRecord {
 /// Durable controller state: written to the GCS (as an `MSDB` frame)
 /// after every executed scaling event, read back by a restarted
 /// controller and by [`restore_topology`] at deployment construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControllerCheckpoint {
     /// Monotonic event sequence number (also the GCS version).
     pub seq: u64,

@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 
 use msd_data::Sample;
-use serde::{Deserialize, Serialize};
 
 use crate::buffer::BufferInfo;
 use crate::constructor::{ConstructedBatch, DataConstructor};
@@ -34,7 +33,7 @@ pub struct PlanOutcome {
 }
 
 /// Serializable restart snapshot of a [`PipelineCore`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreCheckpoint {
     /// Planner state (step counter + RNG).
     pub planner: PlannerCheckpoint,

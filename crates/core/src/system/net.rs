@@ -582,8 +582,8 @@ pub struct SimNetStats {
 
 impl SimNetStats {
     /// Wire bytes spent per delivered sample payload — the encoding-
-    /// efficiency headline (shim-JSON paid ~10× the payload bytes here;
-    /// the binary batch frame pays ~1×).
+    /// efficiency headline (the binary batch frame pays ~1× the payload
+    /// bytes).
     pub fn wire_bytes_per_sample(&self) -> f64 {
         if self.batch_samples == 0 {
             return 0.0;

@@ -362,16 +362,16 @@ impl PlannerActor {
             }
         }
         if let Some(cp) = gcs.get_state(REPLAY_STORE_KEY) {
-            let parsed = std::str::from_utf8(&cp.data)
-                .ok()
-                .and_then(|s| crate::replay::PlanStore::from_json(s).ok());
-            match parsed {
-                Some(store) => core.set_replay_store(store),
-                None => gcs.log_fault("planner", "corrupt replay store in GCS; ignored"),
+            match crate::codec::decode_plan_store(&cp.data) {
+                Ok(store) => core.set_replay_store(store),
+                Err(e) => gcs.log_fault(
+                    "planner",
+                    format!("corrupt replay store in GCS: {e}; ignored"),
+                ),
             }
         }
         if let Some(cp) = gcs.get_state(PLANNER_TREE_KEY) {
-            match serde_json::from_slice::<ClientPlaceTree>(&cp.data) {
+            match crate::codec::decode_topology(&cp.data) {
                 Ok(tree) => core.planner().set_tree(tree),
                 Err(e) => gcs.log_fault(
                     "planner",
@@ -395,9 +395,7 @@ impl Actor for PlannerActor {
                     // Log this plan's pop directives for loader directive
                     // replay, then checkpoint the planner itself — both
                     // *before* the plan is released, so anything a client
-                    // may have observed is covered by durable state. Both
-                    // blobs use the compact binary codec (this runs once
-                    // per plan step; JSON remains readable on restore).
+                    // may have observed is covered by durable state.
                     let directives = crate::codec::encode_plan_log(&outcome.plan.directives);
                     self.gcs
                         .put_state(&plan_log_key(step), step + 1, directives);
@@ -413,18 +411,23 @@ impl Actor for PlannerActor {
                 reply.send(result);
             }
             PlannerMsg::SetReplay(store) => {
-                let json = store.to_json();
                 let version = self.gcs.state_version(REPLAY_STORE_KEY) + 1;
-                self.gcs
-                    .put_state(REPLAY_STORE_KEY, version, json.into_bytes());
+                self.gcs.put_state(
+                    REPLAY_STORE_KEY,
+                    version,
+                    crate::codec::encode_plan_store(&store),
+                );
                 self.core.set_replay_store(store);
             }
             PlannerMsg::SetTree(tree) => {
                 // Persist first: a restarted planner must keep planning
                 // for the resharded topology, not the spawn-time template.
-                let json = serde_json::to_vec(&tree).expect("topology serializes");
                 let version = self.gcs.state_version(PLANNER_TREE_KEY) + 1;
-                self.gcs.put_state(PLANNER_TREE_KEY, version, json);
+                self.gcs.put_state(
+                    PLANNER_TREE_KEY,
+                    version,
+                    crate::codec::encode_topology(&tree),
+                );
                 self.core.planner().set_tree(tree);
             }
             PlannerMsg::Telemetry(reply) => {
@@ -2365,11 +2368,18 @@ mod tests {
         let mut replayer = pipeline();
         replayer.set_replay_store(store);
         for expect in &recorded {
-            let (plan, phases, batches) = replayer.step(32).unwrap();
+            let (plan, phases, batches) = step_until_ok(&mut replayer, 32, 50);
             assert_eq!(&plan, expect);
             assert_eq!(phases.gather_ns, 0, "replay skips gather accounting");
             assert_eq!(phases.compute_ns, 0);
             assert!(!batches.is_empty());
+            if plan.step == 0 {
+                // Kill the planner mid-replay: its restart has only the
+                // GCS to go on, so the remaining steps replay only if it
+                // adopted the persisted store.
+                replayer.planner_actor().inject_crash("injected");
+                std::thread::sleep(Duration::from_millis(50));
+            }
         }
         assert_eq!(replayer.replayed_steps(), 3);
         // Past the store: live planning resumes seamlessly.
@@ -2482,25 +2492,29 @@ mod tests {
 
     #[test]
     fn corrupt_loader_checkpoint_falls_back_and_logs() {
-        let mut p = pipeline();
-        p.step(32).unwrap();
-        // Sabotage loader 0's checkpoint, then crash it: the restart must
-        // fall back to a fresh loader and log the corruption instead of
-        // dying permanently.
-        let key = "loader/0";
-        let v = p.gcs.state_version(key);
-        p.gcs.put_state(key, v + 1, b"{not json".to_vec());
-        p.loaders()[0].inject_crash("injected");
-        std::thread::sleep(Duration::from_millis(50));
-        let (plan, _, _) = step_until_ok(&mut p, 32, 50);
-        assert_eq!(plan.all_samples().len(), 16);
-        assert!(p.loaders()[0].is_alive());
-        let faults = p.gcs.fault_log("loader/0");
-        assert!(
-            faults.iter().any(|f| f.detail.contains("corrupt")),
-            "corruption not surfaced: {faults:?}"
-        );
-        p.shutdown();
+        // Neither blob carries the magic; the second is long and nested
+        // enough to overflow the stack of a reader that recursed on it.
+        for blob in [b"{not json".to_vec(), vec![b'['; 64 << 10]] {
+            let mut p = pipeline();
+            p.step(32).unwrap();
+            // Sabotage loader 0's checkpoint, then crash it: the restart
+            // must fall back to a fresh loader and log the corruption
+            // instead of dying permanently.
+            let key = "loader/0";
+            let v = p.gcs.state_version(key);
+            p.gcs.put_state(key, v + 1, blob);
+            p.loaders()[0].inject_crash("injected");
+            std::thread::sleep(Duration::from_millis(50));
+            let (plan, _, _) = step_until_ok(&mut p, 32, 50);
+            assert_eq!(plan.all_samples().len(), 16);
+            assert!(p.loaders()[0].is_alive());
+            let faults = p.gcs.fault_log("loader/0");
+            assert!(
+                faults.iter().any(|f| f.detail.contains("corrupt")),
+                "corruption not surfaced: {faults:?}"
+            );
+            p.shutdown();
+        }
     }
 
     #[test]

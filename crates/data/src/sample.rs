@@ -7,12 +7,9 @@
 //! the loaders. That split is what makes centralized planning cheap.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a data source (one logical dataset file/collection).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SourceId(pub u32);
 
 impl std::fmt::Display for SourceId {
@@ -22,7 +19,7 @@ impl std::fmt::Display for SourceId {
 }
 
 /// The modality of a source's payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Modality {
     /// Plain text (tokenized).
     Text,
@@ -55,7 +52,7 @@ impl Modality {
 }
 
 /// Lightweight, planner-visible descriptor of one sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleMeta {
     /// Globally unique sample id.
     pub sample_id: u64,

@@ -1,12 +1,10 @@
 //! The device mesh: axes, ranks, coordinates, and communication groups.
 
-use serde::{Deserialize, Serialize};
-
 /// A global GPU rank (0-based linear index).
 pub type Rank = u32;
 
 /// A parallelism axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// Pipeline parallelism (model stages).
     PP,
@@ -81,7 +79,7 @@ impl std::error::Error for MeshError {}
 /// assert_eq!(mesh.world_size(), 576);
 /// assert_eq!(mesh.size(Axis::CP), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceMesh {
     dims: Vec<(Axis, u32)>,
 }

@@ -4,12 +4,10 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::mesh::{Axis, DeviceMesh, Rank};
 
 /// What a given rank receives for a microbatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryKind {
     /// Full payload (tokens/pixels) — e.g. PP stage 0, TP rank 0.
     Payload,
@@ -20,7 +18,7 @@ pub enum DeliveryKind {
 }
 
 /// How CP splits a sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpStyle {
     /// Contiguous equal chunks.
     Contiguous,

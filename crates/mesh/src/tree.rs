@@ -7,12 +7,10 @@
 //! level — e.g. with `DP=2, CP=2, TP=2`, `distribute(CP)` yields 4 buckets
 //! (DP×CP consumer groups), each consumed by the TP-subtree beneath it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mesh::{Axis, DeviceMesh, Rank};
 
 /// The axis argument of the `distribute` primitive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistributeAxis {
     /// Partition across data-parallel groups (minibatches per DP rank).
     DP,
@@ -34,7 +32,7 @@ impl DistributeAxis {
 }
 
 /// A node in the place tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeNode {
     /// Axis this node's children subdivide (None for leaves).
     pub axis: Option<Axis>,
@@ -78,7 +76,7 @@ impl TreeNode {
 /// assert_eq!(tree.bucket_count(DistributeAxis::CP, None), 4);
 /// assert_eq!(tree.bucket_count(DistributeAxis::World, None), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientPlaceTree {
     mesh: DeviceMesh,
     root: TreeNode,
@@ -284,7 +282,7 @@ impl ClientPlaceTree {
 
 /// The synchronization/replication trade-off of a broadcast-axis choice
 /// (Sec 6.2, selective broadcasting).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BroadcastTradeoff {
     /// The chosen broadcast axes (innermost first).
     pub axes: Vec<Axis>,

@@ -1,9 +1,7 @@
 //! Accelerator specifications.
 
-use serde::{Deserialize, Serialize};
-
 /// Throughput/memory spec of one accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Peak dense FP16/BF16 throughput, FLOP/s.
     pub peak_flops: f64,

@@ -18,7 +18,6 @@
 //! *maximum* replica time (the straggler effect of Fig 3).
 
 use msd_mesh::{Axis, DeviceMesh};
-use serde::{Deserialize, Serialize};
 
 use crate::gpu::GpuSpec;
 use crate::models::{backbone_params, ModelPreset};
@@ -36,7 +35,7 @@ pub struct RankLoads {
 }
 
 /// The modeled iteration breakdown, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterationBreakdown {
     /// Encoder phase (max over ranks).
     pub encoder_s: f64,

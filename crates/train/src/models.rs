@@ -9,10 +9,9 @@
 //! | Mixtral-8×7B | 32      | 32     | 4096   | MoE, top-k = 2   |
 
 use msd_balance::{BackboneShape, EncoderShape};
-use serde::{Deserialize, Serialize};
 
 /// A named model configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelPreset {
     /// Display name as used in the paper's figures.
     pub name: String,

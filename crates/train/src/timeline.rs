@@ -5,12 +5,10 @@
 //! encoder forward, All-to-All, backbone forward/backward with pipeline
 //! bubbles.
 
-use serde::{Deserialize, Serialize};
-
 use crate::iteration::IterationBreakdown;
 
 /// One labeled span on the iteration timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Phase label.
     pub label: String,
@@ -28,7 +26,7 @@ impl Span {
 }
 
 /// A complete iteration timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
     /// Variant label (e.g. `"Baseline"`).
     pub name: String,

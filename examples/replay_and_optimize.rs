@@ -10,8 +10,9 @@
 //!    its dead primitives.
 //! 2. Materialize sources with pre-computed costs and plan straight from
 //!    storage metadata (Ahead-of-Fetch), fetching only what the plan names.
-//! 3. Record the whole schedule offline, checkpoint it as JSON, and serve
-//!    training steps in Replay Mode with near-zero online planner work.
+//! 3. Record the whole schedule offline, checkpoint it as an MSDB frame,
+//!    and serve training steps in Replay Mode with near-zero online
+//!    planner work.
 
 use std::sync::Arc;
 
@@ -177,16 +178,16 @@ fn main() {
             .collect();
         megascale_data::core::buffer::BufferInfo::new(summaries)
     };
-    let store_json = PlanStore::record(mk_planner(13), steps, buffers)
+    let checkpoint = PlanStore::record(mk_planner(13), steps, buffers)
         .expect("offline record")
-        .to_json();
+        .to_bytes();
     println!("\nreplay mode:");
     println!(
-        "  offline schedule checkpoint: {} steps, {} KiB of JSON",
+        "  offline schedule checkpoint: {} steps, {} KiB (one MSDB frame)",
         steps,
-        store_json.len() / 1024
+        checkpoint.len() / 1024
     );
-    let plans = PlanStore::from_json(&store_json).expect("restore");
+    let plans = PlanStore::from_bytes(&checkpoint).expect("restore");
     let mut rp = ReplayPlanner::new(plans, mk_planner(13));
     let mut online_ns = 0u64;
     for step in 0..steps {

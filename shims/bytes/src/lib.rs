@@ -189,27 +189,6 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-// Serde support (the real crate gates this behind the `serde` feature;
-// the shim provides it unconditionally — both crates are local). Encoded
-// as a plain byte sequence, matching how `Vec<u8>` serializes, so types
-// that migrate a field from `Vec<u8>` to `Bytes` keep their wire shape.
-impl serde::Serialize for Bytes {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Seq(
-            self.as_slice()
-                .iter()
-                .map(|b| serde::Content::I64(i64::from(*b)))
-                .collect(),
-        )
-    }
-}
-
-impl serde::Deserialize for Bytes {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
-        Vec::<u8>::from_content(content).map(Bytes::from)
-    }
-}
-
 /// A growable byte buffer; freeze it into [`Bytes`] when done writing.
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct BytesMut {
@@ -527,16 +506,5 @@ mod tests {
         m.reserve(256);
         assert!(m.capacity() >= 256);
         assert!(m.into_vec().capacity() >= 256);
-    }
-
-    #[test]
-    fn serde_roundtrip_matches_vec_encoding() {
-        use serde::{Deserialize, Serialize};
-        let b = Bytes::from(vec![1u8, 2, 250]);
-        let v = vec![1u8, 2, 250];
-        assert_eq!(b.to_content(), v.to_content());
-        let back = Bytes::from_content(&b.to_content()).unwrap();
-        assert_eq!(back, b);
-        assert!(Bytes::from_content(&serde::Content::Bool(true)).is_err());
     }
 }

@@ -119,8 +119,7 @@ fn lossy_sim_transport_stays_correct() {
         stats.offered
     );
     assert!(stats.delivered_bytes > 0);
-    // The binary batch codec is on the wire: batch frames pay ~payload
-    // bytes, not the old ~10× JSON rendering.
+    // The binary batch codec is on the wire.
     assert!(
         stats.batch_samples > 0,
         "no batch samples crossed the sim wire"

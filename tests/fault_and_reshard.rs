@@ -255,12 +255,14 @@ fn small_threaded_pipeline(seed: u64) -> ThreadedPipeline {
     ThreadedPipeline::new(sources, planner, constructors, seed)
 }
 
-/// The per-step GCS hot path (planner checkpoint, plan-log entries,
-/// loader checkpoints) writes the compact binary codec, and each blob
-/// round-trips through the typed decoder.
+/// Everything the runtime puts in the GCS — the per-step hot path
+/// (planner checkpoint, plan-log entries, loader checkpoints) and the
+/// planner's replay store and topology — is an `MSDB` frame, and each
+/// blob round-trips through the typed decoder.
 #[test]
 fn gcs_hot_path_state_is_binary_and_roundtrips() {
     use megascale_data::core::codec;
+    use megascale_data::core::replay::PlanStore;
 
     let mut p = small_threaded_pipeline(21);
     let (plan, _, _) = p.step(32).unwrap();
@@ -268,7 +270,7 @@ fn gcs_hot_path_state_is_binary_and_roundtrips() {
     let planner_cp = p.gcs.get_state("planner").expect("planner checkpoint");
     assert!(
         codec::is_binary(&planner_cp.data),
-        "planner checkpoint still serializes as JSON"
+        "planner checkpoint is not binary"
     );
     let decoded = codec::decode_planner_checkpoint(&planner_cp.data).unwrap();
     assert_eq!(decoded.planner.step, plan.step + 1);
@@ -289,44 +291,18 @@ fn gcs_hot_path_state_is_binary_and_roundtrips() {
     let decoded = codec::decode_loader_checkpoint(&loader_cp.data).unwrap();
     assert_eq!(decoded.loader_id, 0);
     assert_eq!(decoded.version, plan.step);
-    p.shutdown();
-}
 
-/// A JSON-era (pre-codec) loader checkpoint still restores through the
-/// fallback reader: the restarted loader resumes it without logging a
-/// corruption fault.
-#[test]
-fn legacy_json_checkpoint_restores_through_the_fallback_reader() {
-    use megascale_data::core::codec;
-
-    let mut p = small_threaded_pipeline(22);
-    p.step(32).unwrap();
-
-    // Rewrite loader 0's binary checkpoint as the legacy JSON encoding —
-    // exactly what a pre-codec deployment would have left in the GCS.
-    let cp = wait_for_state(&p, "loader/0");
-    let parsed = codec::decode_loader_checkpoint(&cp.data).unwrap();
-    let legacy = serde_json::to_vec(&parsed).expect("legacy JSON encodes");
-    assert!(p.gcs.put_state("loader/0", cp.version + 1, legacy));
-
-    p.loaders()[0].inject_crash("legacy restore test");
-    std::thread::sleep(Duration::from_millis(50));
-    let mut recovered = false;
-    for _ in 0..100 {
-        match p.step(32) {
-            Ok((plan, _, _)) => {
-                assert_eq!(plan.all_samples().len(), 16);
-                recovered = true;
-                break;
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    assert!(recovered, "loader never recovered from the JSON checkpoint");
-    let faults = p.gcs.fault_log("loader/0");
-    assert!(
-        !faults.iter().any(|f| f.detail.contains("corrupt")),
-        "fallback reader flagged valid legacy JSON as corrupt: {faults:?}"
-    );
+    // So do the planner's two installed-state blobs.
+    let mut store = PlanStore::new();
+    store.insert(plan);
+    p.set_replay_store(store.clone());
+    let tree = ClientPlaceTree::from_device_mesh(&DeviceMesh::pp_dp_cp_tp(1, 1, 1, 2).unwrap());
+    p.set_tree(tree.clone());
+    let replay = wait_for_state(&p, "planner/replay");
+    assert!(codec::is_binary(&replay.data), "replay store is not binary");
+    assert_eq!(codec::decode_plan_store(&replay.data).unwrap(), store);
+    let topology = wait_for_state(&p, "planner/tree");
+    assert!(codec::is_binary(&topology.data), "topology is not binary");
+    assert_eq!(codec::decode_topology(&topology.data).unwrap(), tree);
     p.shutdown();
 }

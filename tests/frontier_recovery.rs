@@ -180,12 +180,23 @@ fn replay_gap_at_or_above_the_frontier_is_a_surfaced_fault() {
     assert!(p.gcs.remove_state("plan/5"), "plan/5 should be retained");
     corrupt_loader_checkpoint(&p);
     p.loaders()[0].inject_crash("forced replay across a punched hole");
-    std::thread::sleep(Duration::from_millis(500));
 
-    let log = p.gcs.fault_log("");
-    assert!(
+    // The restart runs on the supervisor's thread, after the injected
+    // panic has printed: wait for its verdict, not for a fixed time.
+    let surfaced = |log: &[megascale_data::actor::gcs::FaultRecord]| {
         log.iter()
-            .any(|r| r.detail.contains("plan log replay gap") && r.detail.contains("step 5")),
+            .any(|r| r.detail.contains("plan log replay gap") && r.detail.contains("step 5"))
+    };
+    let mut log = p.gcs.fault_log("");
+    for _ in 0..400 {
+        if surfaced(&log) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        log = p.gcs.fault_log("");
+    }
+    assert!(
+        surfaced(&log),
         "a hole above the retirement floor must surface in the fault log: {log:?}"
     );
 

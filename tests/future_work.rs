@@ -180,7 +180,7 @@ fn replay_drives_identically_seeded_loader_fleet() {
     }
 
     // Checkpoint round trip, as a deployment would.
-    let store = PlanStore::from_json(&store.to_json()).expect("restore");
+    let store = PlanStore::from_bytes(&store.to_bytes()).expect("restore");
 
     // Online: fleet B (same seeds) served by the replay planner.
     let mut rp = ReplayPlanner::new(store, planner_for(&specs, &mesh, per_step, 31));

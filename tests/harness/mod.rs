@@ -1,4 +1,6 @@
-//! Shared harness for the distributed-serving integration suites.
+//! Shared harness for the distributed-serving integration suites (and,
+//! at the bottom, the plan generators the codec and future-work property
+//! suites share).
 //!
 //! `tests/distributed_serve.rs` and `tests/tcp_transport.rs` exercise
 //! the same contract — serving trainer clients over the MSDB wire
@@ -16,7 +18,9 @@ use std::time::Duration;
 use megascale_data::balance::BalanceMethod;
 use megascale_data::core::constructor::{ConstructedBatch, DataConstructor};
 use megascale_data::core::loader::LoaderConfig;
+use megascale_data::core::plan::{BinPlan, BucketPlan, LoadingPlan};
 use megascale_data::core::planner::{Planner, PlannerConfig, Strategy};
+use megascale_data::core::replay::PlanStore;
 use megascale_data::core::schedule::MixSchedule;
 use megascale_data::core::system::net::Transport;
 use megascale_data::core::system::runtime::{ServeOptions, ThreadedPipeline};
@@ -25,6 +29,8 @@ use megascale_data::data::catalog::coyo700m_like;
 use megascale_data::data::SourceSpec;
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeviceMesh, DistributeAxis};
 use megascale_data::sim::SimRng;
+// `Strategy` is the planner's enum in this file; the proptest trait is `Arb`.
+use proptest::prelude::{any, prop_oneof, Just, Strategy as Arb};
 
 /// Per-sample modeled fetch latency: keeps steps slow enough that the
 /// serving plane's pipelining actually overlaps with loader work.
@@ -211,4 +217,106 @@ pub fn sample_ids(batch: &ConstructedBatch) -> Vec<u64> {
         .flat_map(|s| &s.segments)
         .map(|seg| seg.sample_id)
         .collect()
+}
+
+/// Bin costs as bit patterns: NaNs of every payload, both zeros, the
+/// infinities — `f64` values a decimal rendering would not keep apart.
+fn arb_cost() -> impl Arb<Value = f64> {
+    prop_oneof![
+        0.0f64..1e9,
+        any::<u64>().prop_map(f64::from_bits),
+        Just(f64::NAN),
+        Just(-0.0f64),
+    ]
+}
+
+fn arb_ids(max: usize) -> impl Arb<Value = Vec<u64>> {
+    proptest::collection::vec(any::<u64>(), 0..max)
+}
+
+/// A random plan with no sub-plans: every field populated.
+fn arb_flat_plan() -> impl Arb<Value = LoadingPlan> {
+    let axis = prop_oneof![
+        Just(DistributeAxis::DP),
+        Just(DistributeAxis::CP),
+        Just(DistributeAxis::World),
+    ];
+    let broadcast_axis = (0usize..4).prop_map(|i| Axis::CANONICAL[i]);
+    let buckets = proptest::collection::vec(
+        (
+            proptest::collection::vec(any::<u32>(), 0..3),
+            proptest::collection::vec((arb_ids(8), arb_cost()), 0..4),
+        ),
+        0..5,
+    );
+    (
+        0u64..100,
+        axis,
+        buckets,
+        arb_ids(4),
+        proptest::collection::vec(broadcast_axis, 0..3),
+        proptest::collection::vec((0u32..64, arb_ids(8)), 0..4),
+    )
+        .prop_map(
+            |(step, axis, buckets, excluded, broadcast_axes, directives)| LoadingPlan {
+                step,
+                axis,
+                buckets: buckets
+                    .into_iter()
+                    .enumerate()
+                    .map(|(b, (clients, bins))| BucketPlan {
+                        bucket: b as u32,
+                        clients,
+                        bins: bins
+                            .into_iter()
+                            .enumerate()
+                            .map(|(k, (samples, total_cost))| BinPlan {
+                                bin: k as u32,
+                                samples,
+                                total_cost,
+                            })
+                            .collect(),
+                    })
+                    .collect(),
+                excluded,
+                broadcast_axes,
+                directives: directives.into_iter().collect(),
+                subplans: Default::default(),
+            },
+        )
+}
+
+/// Random plans for store round-trip testing, with the one level of
+/// sub-plan nesting the planner produces (`"encoder"`) on about half.
+pub fn arb_plan() -> impl Arb<Value = LoadingPlan> {
+    (arb_flat_plan(), proptest::option::of(arb_flat_plan())).prop_map(|(mut plan, sub)| {
+        plan.subplans
+            .extend(sub.map(|sub| ("encoder".to_string(), sub)));
+        plan
+    })
+}
+
+/// Whether two stores hold the same plans down to the bits of every bin
+/// cost. `PlanStore: PartialEq` cannot say: it compares costs as `f64`,
+/// under which a NaN that survived intact still differs from itself.
+pub fn stores_bit_identical(a: &PlanStore, b: &PlanStore) -> bool {
+    fn cost_bits(plan: &LoadingPlan, out: &mut Vec<u64>) {
+        out.extend(
+            plan.buckets
+                .iter()
+                .flat_map(|b| b.bins.iter().map(|bin| bin.total_cost.to_bits())),
+        );
+        for sub in plan.subplans.values() {
+            cost_bits(sub, out);
+        }
+    }
+    a.len() == b.len()
+        && a.plans().zip(b.plans()).all(|(x, y)| {
+            let (mut xb, mut yb) = (Vec::new(), Vec::new());
+            cost_bits(x, &mut xb);
+            cost_bits(y, &mut yb);
+            // `Debug` renders every NaN as "NaN", so the strings compare
+            // everything but the cost bits, which `xb == yb` covers.
+            xb == yb && format!("{x:?}") == format!("{y:?}")
+        })
 }

@@ -1,10 +1,10 @@
 //! Property fuzz for the full MSDB codec.
 //!
-//! Every frame kind — the GCS checkpoint kinds (1–4 and the kind-13
-//! frontier checkpoint), the distributed-serving wire kinds (5–10, the
-//! kind-12 `Reject`, and the kind-14 `Frontier` announcement), and the
-//! binary batch payload frame (kind 11) — must satisfy three
-//! properties under adversarial bytes:
+//! Every frame kind — the GCS blob kinds (1–4, the kind-13 frontier
+//! checkpoint, the kind-15 plan store and the kind-16 topology), the
+//! distributed-serving wire kinds (5–10, the kind-12 `Reject`, and the
+//! kind-14 `Frontier` announcement), and the binary batch payload frame
+//! (kind 11) — must satisfy three properties under adversarial bytes:
 //!
 //! 1. **Round-trip**: `decode(encode(x)) == x`.
 //! 2. **Truncation**: every strict prefix of a valid frame decodes to
@@ -13,34 +13,41 @@
 //!    caught before any decoded data is consumed. This is a
 //!    *guarantee*, not a likelihood: the FNV-1a checksums are injective
 //!    per byte position, so one flipped byte can never collide. The
-//!    one subtlety is the v3 wire `Batch` frame: its head checksum
+//!    one subtlety is the wire `Batch` frame: its head checksum
 //!    deliberately excludes the payload region (scatter-gather send
 //!    never re-hashes a multi-megabyte payload per client), so a
 //!    payload flip decodes `Ok` at the wire layer and is caught by the
 //!    payload's own kind-11 wide seal when the batch is opened —
 //!    `flip_caught` encodes exactly that two-layer contract.
 //!
-//! Arbitrary garbage additionally must never panic any decoder.
+//! Arbitrary garbage — anything that is not an `MSDB` frame — additionally
+//! must error through every decoder, without a panic and without
+//! recursing on its length.
+
+mod harness;
 
 use proptest::prelude::*;
 
+use harness::{arb_plan, stores_bit_identical};
 use megascale_data::core::codec::{
-    decode_batch, decode_controller_checkpoint, decode_frontier_checkpoint,
-    decode_loader_checkpoint, decode_plan_log, decode_planner_checkpoint, decode_wire_frame,
-    encode_batch, encode_controller_checkpoint, encode_frontier_checkpoint,
-    encode_loader_checkpoint, encode_plan_log, encode_planner_checkpoint, encode_wire_frame,
-    is_binary,
+    decode_batch, decode_batch_shared, decode_controller_checkpoint, decode_frontier_checkpoint,
+    decode_loader_checkpoint, decode_plan_log, decode_plan_store, decode_planner_checkpoint,
+    decode_topology, decode_wire_frame, decode_wire_frame_shared, encode_batch,
+    encode_controller_checkpoint, encode_frontier_checkpoint, encode_loader_checkpoint,
+    encode_plan_log, encode_plan_store, encode_planner_checkpoint, encode_topology,
+    encode_wire_frame, is_binary,
 };
 use megascale_data::core::constructor::{
     ClientDelivery, ConstructedBatch, Microbatch, PackedSequence, Segment,
 };
 use megascale_data::core::loader::LoaderCheckpoint;
 use megascale_data::core::planner::PlannerCheckpoint;
+use megascale_data::core::replay::PlanStore;
 use megascale_data::core::system::controller::{ControllerCheckpoint, SlotRecord};
 use megascale_data::core::system::core::CoreCheckpoint;
 use megascale_data::core::system::frontier::{FrontierCheckpoint, Holder};
 use megascale_data::core::system::net::{BatchPayload, RejectReason, WireFrame};
-use megascale_data::mesh::DeliveryKind;
+use megascale_data::mesh::{Axis, ClientPlaceTree, DeliveryKind, DeviceMesh};
 
 use std::collections::BTreeMap;
 
@@ -259,6 +266,31 @@ fn constructed_batch() -> impl Strategy<Value = ConstructedBatch> {
         })
 }
 
+fn plan_store() -> impl Strategy<Value = PlanStore> {
+    proptest::collection::vec(arb_plan(), 0..4).prop_map(|plans| {
+        let mut store = PlanStore::new();
+        for plan in plans {
+            store.insert(plan);
+        }
+        store
+    })
+}
+
+/// Place trees over every axis subset and order (the first size drawn
+/// for an axis wins), the empty one-rank mesh included.
+fn topology() -> impl Strategy<Value = ClientPlaceTree> {
+    proptest::collection::vec((0usize..4, 1u32..5), 0..6).prop_map(|draws| {
+        let mut dims: Vec<(Axis, u32)> = Vec::new();
+        for (axis, size) in draws {
+            let axis = Axis::CANONICAL[axis];
+            if dims.iter().all(|(seen, _)| *seen != axis) {
+                dims.push((axis, size));
+            }
+        }
+        ClientPlaceTree::from_device_mesh(&DeviceMesh::new(dims).unwrap())
+    })
+}
+
 /// Any valid frame of any kind, as its encoded bytes.
 fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -269,39 +301,52 @@ fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
         frontier_cp().prop_map(|cp| encode_frontier_checkpoint(&cp)),
         wire_frame().prop_map(|f| encode_wire_frame(&f)),
         constructed_batch().prop_map(|b| encode_batch(&b)),
+        plan_store().prop_map(|s| encode_plan_store(&s)),
+        topology().prop_map(|t| encode_topology(&t)),
     ]
 }
 
-/// Runs every decoder over `data`; returns whether each errored. The
-/// call itself must never panic — that is half the property.
+/// Index of `decode_wire_frame` in [`decoder_verdicts`].
+const WIRE: usize = 5;
+
+/// Whether each decoder rejected `data`, one entry per frame family in a
+/// fixed order. The calls themselves must never panic — that is half of
+/// every property here.
+fn decoder_verdicts(data: &[u8]) -> [bool; 9] {
+    [
+        decode_planner_checkpoint(data).is_err(),
+        decode_plan_log(data).is_err(),
+        decode_loader_checkpoint(data).is_err(),
+        decode_controller_checkpoint(data).is_err(),
+        decode_frontier_checkpoint(data).is_err(),
+        decode_wire_frame(data).is_err(),
+        decode_batch(data).is_err(),
+        decode_plan_store(data).is_err(),
+        decode_topology(data).is_err(),
+    ]
+}
+
+/// Whether every decoder — the zero-copy batch reader included — errored
+/// on `data`.
 fn all_decoders_err(data: &[u8]) -> bool {
-    decode_planner_checkpoint(data).is_err()
-        && decode_plan_log(data).is_err()
-        && decode_loader_checkpoint(data).is_err()
-        && decode_controller_checkpoint(data).is_err()
-        && decode_frontier_checkpoint(data).is_err()
-        && decode_wire_frame(data).is_err()
-        && decode_batch(data).is_err()
+    decoder_verdicts(data).iter().all(|rejected| *rejected)
+        && decode_batch_shared(&bytes::Bytes::copy_from_slice(data)).is_err()
 }
 
 /// Whether a corrupted frame is caught before any decoded data is
 /// consumed. Every decoder must err outright, except `decode_wire_frame`
-/// on a v3 batch frame whose *payload region* was hit: the head seal
+/// on a batch frame whose *payload region* was hit: the head seal
 /// excludes the payload by design, so the wire layer decodes `Ok` and
 /// the corruption must instead trip the payload's own kind-11 seal in
 /// `BatchPayload::batch()`.
 fn flip_caught(data: &[u8]) -> bool {
-    decode_planner_checkpoint(data).is_err()
-        && decode_plan_log(data).is_err()
-        && decode_loader_checkpoint(data).is_err()
-        && decode_controller_checkpoint(data).is_err()
-        && decode_frontier_checkpoint(data).is_err()
-        && decode_batch(data).is_err()
-        && match decode_wire_frame(data) {
-            Err(_) => true,
-            Ok(WireFrame::Batch { payload, .. }) => payload.batch().is_err(),
-            Ok(_) => false,
-        }
+    let mut verdicts = decoder_verdicts(data);
+    verdicts[WIRE] = match decode_wire_frame(data) {
+        Err(_) => true,
+        Ok(WireFrame::Batch { payload, .. }) => payload.batch().is_err(),
+        Ok(_) => false,
+    };
+    verdicts.iter().all(|caught| *caught)
 }
 
 proptest! {
@@ -343,6 +388,24 @@ proptest! {
         prop_assert_eq!(decode_wire_frame(&encoded).unwrap(), frame);
     }
 
+    /// Stores round-trip bit-exactly (NaN payloads and the sign of zero
+    /// among the bin costs) and encode canonically.
+    #[test]
+    fn plan_store_roundtrips(store in plan_store()) {
+        let encoded = encode_plan_store(&store);
+        prop_assert!(is_binary(&encoded));
+        let decoded = decode_plan_store(&encoded).unwrap();
+        prop_assert!(stores_bit_identical(&store, &decoded));
+        prop_assert_eq!(encode_plan_store(&decoded), encoded);
+    }
+
+    #[test]
+    fn topology_roundtrips(tree in topology()) {
+        let encoded = encode_topology(&tree);
+        prop_assert!(is_binary(&encoded));
+        prop_assert_eq!(decode_topology(&encoded).unwrap(), tree);
+    }
+
     /// Every strict prefix of every frame kind errors through every
     /// decoder (exhaustive over cut points — frames are small).
     #[test]
@@ -360,7 +423,7 @@ proptest! {
     /// Any single-bit flip is caught before decoded data is consumed —
     /// the checksum guarantee (sampled bit positions; the checksum
     /// argument covers all of them uniformly). See [`flip_caught`] for
-    /// the v3 wire-batch payload subtlety.
+    /// the wire-batch payload subtlety.
     #[test]
     fn single_bit_flips_always_error(frame in arb_frame(), picks in proptest::collection::vec(any::<u32>(), 8)) {
         for pick in picks {
@@ -424,63 +487,56 @@ proptest! {
         }
     }
 
-    /// Arbitrary garbage never panics a decoder; random bytes carrying
-    /// the MSDB magic are additionally rejected outright (a random
-    /// 32-bit tail matching the FNV-1a of the body has probability
-    /// 2⁻³² per case — with the deterministic generator, observing the
-    /// suite pass once proves no such case is in its sampling).
+    /// Anything that is not a sealed `MSDB` frame errors through every
+    /// decoder (for random bytes to pass, a random 32-bit tail would
+    /// have to match the FNV-1a of a body that starts with the magic).
+    /// The second generator is the shape a recursive-descent text parser
+    /// dies on: one opening or prefix byte repeated up to 64 KiB.
     #[test]
-    fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
-        let _ = decode_planner_checkpoint(&bytes);
-        let _ = decode_plan_log(&bytes);
-        let _ = decode_loader_checkpoint(&bytes);
-        let _ = decode_controller_checkpoint(&bytes);
-        let _ = decode_wire_frame(&bytes);
-        let _ = decode_batch(&bytes);
-        if is_binary(&bytes) {
-            prop_assert!(all_decoders_err(&bytes), "random framed bytes decoded");
-        }
+    fn garbage_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        byte in 0usize..5,
+        run in 0usize..(64 << 10) + 1,
+    ) {
+        prop_assert!(all_decoders_err(&bytes), "random bytes decoded");
+        prop_assert!(all_decoders_err(&vec![b"[{\"-0"[byte]; run]));
+        prop_assert!(all_decoders_err(&[]));
     }
 
-    /// A valid frame of one kind errors through every *other* kind's
-    /// decoder (kind confusion is caught even with a valid checksum).
+    /// A valid frame of one kind decodes through its own decoder and
+    /// errors through every *other* kind's (kind confusion is caught
+    /// even with a valid checksum).
     #[test]
     fn kind_confusion_always_errors(
-        cp in loader_cp(),
+        cps in (planner_cp(), plan_log(), loader_cp(), controller_cp(), frontier_cp()),
         frame in wire_frame(),
         batch in constructed_batch(),
-        fcp in frontier_cp(),
+        store in plan_store(),
+        tree in topology(),
     ) {
-        let loader = encode_loader_checkpoint(&cp);
-        prop_assert!(decode_planner_checkpoint(&loader).is_err());
-        prop_assert!(decode_plan_log(&loader).is_err());
-        prop_assert!(decode_controller_checkpoint(&loader).is_err());
-        prop_assert!(decode_frontier_checkpoint(&loader).is_err());
-        prop_assert!(decode_wire_frame(&loader).is_err());
-        prop_assert!(decode_batch(&loader).is_err());
-        let wire = encode_wire_frame(&frame);
-        prop_assert!(decode_loader_checkpoint(&wire).is_err());
-        prop_assert!(decode_planner_checkpoint(&wire).is_err());
-        prop_assert!(decode_plan_log(&wire).is_err());
-        prop_assert!(decode_controller_checkpoint(&wire).is_err());
-        prop_assert!(decode_frontier_checkpoint(&wire).is_err());
-        prop_assert!(decode_batch(&wire).is_err());
-        // The batch frame errors through the other kinds' decoders.
-        let bin = encode_batch(&batch);
-        prop_assert!(decode_loader_checkpoint(&bin).is_err());
-        prop_assert!(decode_planner_checkpoint(&bin).is_err());
-        prop_assert!(decode_plan_log(&bin).is_err());
-        prop_assert!(decode_controller_checkpoint(&bin).is_err());
-        prop_assert!(decode_frontier_checkpoint(&bin).is_err());
-        prop_assert!(decode_wire_frame(&bin).is_err());
-        // And the frontier checkpoint through everyone else's.
-        let frontier = encode_frontier_checkpoint(&fcp);
-        prop_assert!(decode_loader_checkpoint(&frontier).is_err());
-        prop_assert!(decode_planner_checkpoint(&frontier).is_err());
-        prop_assert!(decode_plan_log(&frontier).is_err());
-        prop_assert!(decode_controller_checkpoint(&frontier).is_err());
-        prop_assert!(decode_wire_frame(&frontier).is_err());
-        prop_assert!(decode_batch(&frontier).is_err());
+        // In `decoder_verdicts` order.
+        let frames = [
+            encode_planner_checkpoint(&cps.0),
+            encode_plan_log(&cps.1),
+            encode_loader_checkpoint(&cps.2),
+            encode_controller_checkpoint(&cps.3),
+            encode_frontier_checkpoint(&cps.4),
+            encode_wire_frame(&frame),
+            encode_batch(&batch),
+            encode_plan_store(&store),
+            encode_topology(&tree),
+        ];
+        for (own, encoded) in frames.iter().enumerate() {
+            for (decoder, rejected) in decoder_verdicts(encoded).into_iter().enumerate() {
+                prop_assert_eq!(
+                    rejected,
+                    decoder != own,
+                    "frame {} through decoder {}",
+                    own,
+                    decoder
+                );
+            }
+        }
     }
 
     /// The binary batch frame round-trips over arbitrary batches —
@@ -490,15 +546,6 @@ proptest! {
         let encoded = encode_batch(&batch);
         prop_assert!(is_binary(&encoded));
         prop_assert_eq!(decode_batch(&encoded).unwrap(), batch);
-    }
-
-    /// Legacy fallback: a JSON-encoded `ConstructedBatch` payload (the
-    /// pre-binary wire format) still decodes through `decode_batch`.
-    #[test]
-    fn batch_legacy_json_fallback_roundtrips(batch in constructed_batch()) {
-        let json = serde_json::to_vec(&batch).unwrap();
-        prop_assert!(!is_binary(&json));
-        prop_assert_eq!(decode_batch(&json).unwrap(), batch);
     }
 }
 
@@ -530,5 +577,23 @@ fn multi_mb_batch_payloads_roundtrip() {
     // the exhaustive sweep runs on small frames in `truncation_always_errors`).
     for cut in [0, 1, 5, encoded.len() / 2, encoded.len() - 1] {
         assert!(decode_batch(&encoded[..cut]).is_err());
+    }
+}
+
+/// The wire layer does not look inside a batch payload (its seal is the
+/// payload's own), so a well-formed frame can carry any bytes there —
+/// here 64 KiB of `[`, enough to overflow the stack of anything that
+/// recurses on it. It must decode as a frame and then fail as a batch,
+/// not take the receiving process down.
+#[test]
+fn wire_batch_with_a_non_frame_payload_errors_when_opened() {
+    let frame = encode_wire_frame(&WireFrame::Batch {
+        client: 1,
+        step: 2,
+        payload: BatchPayload::Encoded(vec![b'['; 1 << 16].into()),
+    });
+    match decode_wire_frame_shared(&frame.into()).unwrap() {
+        WireFrame::Batch { payload, .. } => assert!(payload.batch().is_err()),
+        other => panic!("decoded as {other:?}"),
     }
 }

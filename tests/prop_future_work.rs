@@ -3,14 +3,16 @@
 //! Mode determinism under random workloads, Ahead-of-Fetch index
 //! invariants, and column-projection consistency.
 
+mod harness;
+
 use proptest::prelude::*;
 
+use harness::{arb_plan, stores_bit_identical};
 use megascale_data::balance::BalanceMethod;
 use megascale_data::core::aheadfetch::MetaIndex;
 use megascale_data::core::buffer::{BufferInfo, BufferSummary};
 use megascale_data::core::dgraph::{BalanceOpts, DGraph, MetaView};
 use megascale_data::core::optimizer::{CostExpr, OptimizeOpts, StrategyOp, StrategyProgram};
-use megascale_data::core::plan::{BinPlan, BucketPlan, LoadingPlan};
 use megascale_data::core::planner::{Planner, PlannerConfig, Strategy as PlannerStrategy};
 use megascale_data::core::replay::{PlanStore, ReplayOutcome, ReplayPlanner};
 use megascale_data::core::schedule::MixSchedule;
@@ -167,67 +169,20 @@ proptest! {
         prop_assert_eq!(prod_lineage, 0);
         let _ = raw_lineage;
     }
-
-    /// Serialization: programs survive a JSON round trip exactly.
-    #[test]
-    fn programs_round_trip_json(p in program()) {
-        let json = serde_json::to_string(&p).unwrap();
-        let back: StrategyProgram = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(p, back);
-    }
-}
-
-/// Random plans for store round-trip testing.
-fn arb_plan() -> impl Strategy<Value = LoadingPlan> {
-    (
-        0u64..100,
-        proptest::collection::vec(
-            proptest::collection::vec(
-                (proptest::collection::vec(0u64..10_000, 0..8), 0.0f64..1e9),
-                1..4,
-            ),
-            1..5,
-        ),
-    )
-        .prop_map(|(step, buckets)| LoadingPlan {
-            step,
-            axis: DistributeAxis::DP,
-            buckets: buckets
-                .into_iter()
-                .enumerate()
-                .map(|(b, bins)| BucketPlan {
-                    bucket: b as u32,
-                    clients: vec![b as u32],
-                    bins: bins
-                        .into_iter()
-                        .enumerate()
-                        .map(|(k, (samples, cost))| BinPlan {
-                            bin: k as u32,
-                            samples,
-                            total_cost: cost,
-                        })
-                        .collect(),
-                })
-                .collect(),
-            excluded: vec![],
-            broadcast_axes: vec![Axis::TP],
-            directives: Default::default(),
-            subplans: Default::default(),
-        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// PlanStore JSON checkpoints are lossless for arbitrary plans.
+    /// PlanStore checkpoints are lossless for arbitrary plans.
     #[test]
     fn plan_store_round_trips(plans in proptest::collection::vec(arb_plan(), 1..8)) {
         let mut store = PlanStore::new();
         for p in &plans {
             store.insert(p.clone());
         }
-        let restored = PlanStore::from_json(&store.to_json()).unwrap();
-        prop_assert_eq!(&store, &restored);
+        let restored = PlanStore::from_bytes(&store.to_bytes()).unwrap();
+        prop_assert!(stores_bit_identical(&store, &restored));
         for p in &plans {
             // Last write wins per step; the restored entry must be a plan
             // we inserted for that step.
