@@ -128,6 +128,14 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 echo "==> benchmark/run.sh --smoke"
 bash benchmark/run.sh --smoke | grep 'attempted='
 
+# The oracle's self-test: a run that corrupts its own stream must fail,
+# or `correct=true` above proves nothing.
+echo "==> benchmark/run.sh --smoke --workload text_loopback --corrupt (must fail)"
+if bash benchmark/run.sh --smoke --workload text_loopback --corrupt >/dev/null; then
+  echo "oracle self-test: a corrupted stream passed the oracle" >&2
+  exit 1
+fi
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 

@@ -25,9 +25,18 @@
 //! of the expected kind and of exactly [`VERSION`] is a [`CodecError`],
 //! which the restart paths turn into a fault-log record and a fresh
 //! start. Decoders never panic and never recurse on input depth — every
-//! count read from a frame is bounded by the bytes that remain, and the
-//! one nested structure (a plan's sub-plans, kind 15) carries an explicit
-//! depth that errors past [`MAX_SUBPLAN_DEPTH`].
+//! count read from a frame is bounded by the bytes that remain (a
+//! decoder reserves room for at most as many records as those bytes
+//! could hold), and the one nested structure (a plan's sub-plans, kind
+//! 15) carries an explicit depth that errors past [`MAX_SUBPLAN_DEPTH`].
+//!
+//! The batch frame (kind 11) carries each packed sequence as its segment
+//! table, never its position ids: those are a function of the segment
+//! lengths and the padding ([`PackedSequence::position_ids`]). All the
+//! frame's segments travel as one table up front, and decoding reads
+//! them into one shared table that every decoded sequence views. The
+//! decoder checks what that derivation relies on — a sequence's tokens
+//! are the sum of its segments', and `tokens + padding` fits in a `u64`.
 //!
 //! Every frame ends in a 32-bit FNV-1a checksum over everything before
 //! it, so any single-bit corruption anywhere in a frame is guaranteed to
@@ -49,10 +58,13 @@
 //!   ([`decode_wire_frame_shared`]).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes};
 
-use crate::constructor::{ClientDelivery, ConstructedBatch, Microbatch, PackedSequence, Segment};
+use crate::constructor::{
+    ClientDelivery, ConstructedBatch, Microbatch, PackedSequence, Segment, Segments,
+};
 use crate::loader::LoaderCheckpoint;
 use crate::plan::{BinPlan, BucketPlan, LoadingPlan};
 use crate::planner::PlannerCheckpoint;
@@ -67,8 +79,8 @@ use msd_mesh::{Axis, ClientPlaceTree, DeliveryKind, DeviceMesh, DistributeAxis};
 pub const MAGIC: [u8; 4] = *b"MSDB";
 /// Current frame version (2 added the trailing FNV-1a frame checksum;
 /// 3 added the binary batch payload frame, kind 11, and the head-sealed
-/// batch container).
-pub const VERSION: u8 = 3;
+/// batch container; 4 dropped kind 11's position-id run).
+pub const VERSION: u8 = 4;
 /// Oldest frame version decoders still accept. No encoder in the tree
 /// writes anything but [`VERSION`]; the range exists for the next bump.
 pub const MIN_VERSION: u8 = VERSION;
@@ -221,6 +233,13 @@ impl<'a> Reader<'a> {
 
     fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// Room to reserve for `count` records of at least `min_len` bytes:
+    /// no more than the remaining bytes could hold, so a hostile count
+    /// cannot reserve memory its frame does not carry.
+    fn capacity(&self, count: usize, min_len: usize) -> usize {
+        count.min(self.data.len() / min_len)
     }
 
     fn finish(&self) -> Result<(), CodecError> {
@@ -558,7 +577,7 @@ pub fn decode_controller_checkpoint(data: &[u8]) -> Result<ControllerCheckpoint,
     let scale_downs = r.u64()?;
     let rebalances = r.u64()?;
     let count = r.u32()? as usize;
-    let mut slots = Vec::with_capacity(count.min(1 << 16));
+    let mut slots = Vec::with_capacity(r.capacity(count, 16));
     for _ in 0..count {
         slots.push(SlotRecord {
             source: r.u32()?,
@@ -612,7 +631,7 @@ pub fn decode_frontier_checkpoint(data: &[u8]) -> Result<FrontierCheckpoint, Cod
     let plan_base = r.u64()?;
     let pruned_below = r.u64()?;
     let count = r.u32()? as usize;
-    let mut holders = Vec::with_capacity(count.min(1 << 16));
+    let mut holders = Vec::with_capacity(r.capacity(count, 13));
     for _ in 0..count {
         let tag = r.u8()?;
         let id = r.u32()?;
@@ -739,7 +758,8 @@ fn get_plan(r: &mut Reader<'_>, depth: usize) -> Result<LoadingPlan, CodecError>
         }
     };
     let bucket_count = r.u32()? as usize;
-    let mut buckets = Vec::with_capacity(bucket_count.min(1 << 12));
+    // Bucket: id, client count, bin count.
+    let mut buckets = Vec::with_capacity(r.capacity(bucket_count, 12));
     for _ in 0..bucket_count {
         let bucket = r.u32()?;
         let client_count = r.u32()? as usize;
@@ -749,7 +769,8 @@ fn get_plan(r: &mut Reader<'_>, depth: usize) -> Result<LoadingPlan, CodecError>
             .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte rank")))
             .collect();
         let bin_count = r.u32()? as usize;
-        let mut bins = Vec::with_capacity(bin_count.min(1 << 12));
+        // Bin: id, sample count, cost.
+        let mut bins = Vec::with_capacity(r.capacity(bin_count, 16));
         for _ in 0..bin_count {
             bins.push(BinPlan {
                 bin: r.u32()?,
@@ -1158,19 +1179,27 @@ fn delivery_kind_tag(kind: DeliveryKind) -> u8 {
     }
 }
 
+/// One segment-table row: sample id, tokens.
+const SEGMENT_RECORD_LEN: usize = 8 + 8;
+/// One sequence record: tokens, padding, segment count.
+const SEQUENCE_RECORD_LEN: usize = 8 + 8 + 4;
+
+/// Every packed sequence of `batch`, in frame order.
+fn batch_sequences(batch: &ConstructedBatch) -> impl Iterator<Item = &PackedSequence> {
+    batch.microbatches.iter().flat_map(|mb| &mb.sequences)
+}
+
 /// Exact encoded size of a batch frame (header + body + checksum).
 /// Encoders pre-size their buffer with this, so building even a
 /// multi-megabyte batch frame is a single allocation with zero
 /// reallocation — and zero per-sample or per-sequence allocations.
 pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
     let mut n = HEADER_LEN; // magic + version + kind
-    n += 4 + 4; // bucket + microbatch count
+    n += 4 + 4 + 4; // bucket + segment count + microbatch count
     for mb in &batch.microbatches {
         n += 4 + 4; // bin + sequence count
         for seq in &mb.sequences {
-            n += 8 + 8; // tokens + padding
-            n += 4 + seq.segments.len() * 16; // segment count + (id, tokens)
-            n += 4 + seq.position_ids.len() * 4; // position-id count + ids
+            n += SEQUENCE_RECORD_LEN + seq.segments.len() * SEGMENT_RECORD_LEN;
         }
         n += 4; // payload count
         for (_, payload) in &mb.payloads {
@@ -1190,7 +1219,9 @@ pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
 }
 
 /// Encodes a constructed batch as a binary `MSDB` frame (kind 11) into
-/// a caller-owned scratch buffer (cleared first, capacity kept). Sample
+/// a caller-owned scratch buffer (cleared first, capacity kept). The
+/// frame opens with one table of every sequence's segments, in sequence
+/// order; each sequence record then names only its segment count. Sample
 /// payloads are written as raw byte runs — each payload's [`Bytes`]
 /// view is copied once, directly into the scratch, with no per-sample
 /// allocation and no inflation.
@@ -1201,6 +1232,12 @@ pub fn encode_batch_into(batch: &ConstructedBatch, buf: &mut Vec<u8>) {
     buf.put_u8(VERSION);
     buf.put_u8(KIND_BATCH);
     buf.put_u32_le(batch.bucket);
+    let segments: usize = batch_sequences(batch).map(|s| s.segments.len()).sum();
+    buf.put_u32_le(segments as u32);
+    for seg in batch_sequences(batch).flat_map(|s| &s.segments) {
+        buf.put_u64_le(seg.sample_id);
+        buf.put_u64_le(seg.tokens);
+    }
     buf.put_u32_le(batch.microbatches.len() as u32);
     for mb in &batch.microbatches {
         buf.put_u32_le(mb.bin);
@@ -1209,20 +1246,6 @@ pub fn encode_batch_into(batch: &ConstructedBatch, buf: &mut Vec<u8>) {
             buf.put_u64_le(seq.tokens);
             buf.put_u64_le(seq.padding);
             buf.put_u32_le(seq.segments.len() as u32);
-            for seg in &seq.segments {
-                buf.put_u64_le(seg.sample_id);
-                buf.put_u64_le(seg.tokens);
-            }
-            buf.put_u32_le(seq.position_ids.len() as u32);
-            // Bulk-write the ids through resize + chunked copy: the
-            // per-element `put_u32_le` loop re-checks capacity every
-            // iteration and defeats vectorization, which shows up at
-            // ~half a megabyte of position ids per bench-sized batch.
-            let start = buf.len();
-            buf.resize(start + seq.position_ids.len() * 4, 0);
-            for (out, pid) in buf[start..].chunks_exact_mut(4).zip(&seq.position_ids) {
-                out.copy_from_slice(&pid.to_le_bytes());
-            }
         }
         buf.put_u32_le(mb.payloads.len() as u32);
         for (sample_id, payload) in &mb.payloads {
@@ -1275,46 +1298,95 @@ pub fn decode_batch_shared(data: &Bytes) -> Result<ConstructedBatch, CodecError>
     decode_batch_impl(data, Some(data))
 }
 
+/// Reads the frame's segment table into one shared allocation: a row
+/// count, then one bounds check over all the rows (a hostile count fails
+/// it before anything is allocated).
+fn get_segment_table(r: &mut Reader<'_>) -> Result<Arc<[Segment]>, CodecError> {
+    let count = r.u32()? as usize;
+    let raw = r.take(count.saturating_mul(SEGMENT_RECORD_LEN))?;
+    Ok(raw
+        .chunks_exact(SEGMENT_RECORD_LEN)
+        .map(|row| {
+            let (id, tokens) = row.split_at(8);
+            Segment {
+                sample_id: u64::from_le_bytes(id.try_into().expect("8-byte id")),
+                tokens: u64::from_le_bytes(tokens.try_into().expect("8-byte count")),
+            }
+        })
+        .collect())
+}
+
+/// Reads one sequence record, whose segments are the next rows of
+/// `table` from `*next_row` on, and checks what its position ids are
+/// derived from: the rows exist, their tokens sum to the sequence's, and
+/// `tokens + padding` does not overflow.
+fn get_sequence(
+    r: &mut Reader<'_>,
+    table: &Arc<[Segment]>,
+    next_row: &mut usize,
+) -> Result<PackedSequence, CodecError> {
+    let at = r.pos;
+    let tokens = r.u64()?;
+    let padding = r.u64()?;
+    let count = r.u32()? as usize;
+    let rows = *next_row..*next_row + count;
+    let Some(segments) = table.get(rows.clone()) else {
+        return Err(CodecError::at(
+            format!(
+                "sequence claims {count} segment rows, {} remain",
+                table.len() - *next_row
+            ),
+            at + 16,
+            r.frame_len,
+        ));
+    };
+    let held = segments
+        .iter()
+        .try_fold(0u64, |sum, seg| sum.checked_add(seg.tokens));
+    if held != Some(tokens) {
+        let held = held.map_or_else(|| "more than u64::MAX".to_string(), |n| n.to_string());
+        return Err(CodecError::at(
+            format!("sequence declares {tokens} tokens, its segments hold {held}"),
+            at,
+            r.frame_len,
+        ));
+    }
+    if tokens.checked_add(padding).is_none() {
+        return Err(CodecError::at(
+            format!("{tokens} tokens + {padding} padding overflows a u64"),
+            at + 8,
+            r.frame_len,
+        ));
+    }
+    *next_row = rows.end;
+    Ok(PackedSequence {
+        segments: Segments::new(Arc::clone(table), rows.start as u32..rows.end as u32),
+        tokens,
+        padding,
+    })
+}
+
 /// Shared walk of [`decode_batch`]/[`decode_batch_shared`]: when
 /// `share` is given (the same buffer `data` borrows from), payloads are
 /// sliced from it zero-copy; otherwise they are copied.
 fn decode_batch_impl(data: &[u8], share: Option<&Bytes>) -> Result<ConstructedBatch, CodecError> {
     let mut r = open_batch_frame(data)?;
     let bucket = r.u32()?;
+    let table = get_segment_table(&mut r)?;
+    let mut next_row = 0;
     let mb_count = r.u32()? as usize;
-    let mut microbatches = Vec::with_capacity(mb_count.min(1 << 12));
+    // Microbatch: bin, sequence count, payload count, payload bytes.
+    let mut microbatches = Vec::with_capacity(r.capacity(mb_count, 4 + 4 + 4 + 8));
     for _ in 0..mb_count {
         let bin = r.u32()?;
         let seq_count = r.u32()? as usize;
-        let mut sequences = Vec::with_capacity(seq_count.min(1 << 16));
+        let mut sequences = Vec::with_capacity(r.capacity(seq_count, SEQUENCE_RECORD_LEN));
         for _ in 0..seq_count {
-            let tokens = r.u64()?;
-            let padding = r.u64()?;
-            let seg_count = r.u32()? as usize;
-            let mut segments = Vec::with_capacity(seg_count.min(1 << 16));
-            for _ in 0..seg_count {
-                segments.push(Segment {
-                    sample_id: r.u64()?,
-                    tokens: r.u64()?,
-                });
-            }
-            let pid_count = r.u32()? as usize;
-            // Bulk-read the position-id run: one bounds check (hostile
-            // counts fail it) and a vectorizable copy.
-            let raw = r.take(pid_count.saturating_mul(4))?;
-            let position_ids: Vec<u32> = raw
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte id")))
-                .collect();
-            sequences.push(PackedSequence {
-                segments,
-                tokens,
-                padding,
-                position_ids,
-            });
+            sequences.push(get_sequence(&mut r, &table, &mut next_row)?);
         }
         let payload_count = r.u32()? as usize;
-        let mut payloads = Vec::with_capacity(payload_count.min(1 << 16));
+        // Payload: sample id, length.
+        let mut payloads = Vec::with_capacity(r.capacity(payload_count, 8 + 4));
         for _ in 0..payload_count {
             let sample_id = r.u64()?;
             let len = r.u32()? as usize;
@@ -1334,8 +1406,20 @@ fn decode_batch_impl(data: &[u8], share: Option<&Bytes>) -> Result<ConstructedBa
             payload_bytes,
         });
     }
+    if next_row != table.len() {
+        return Err(CodecError::at(
+            format!(
+                "{} of {} segment rows belong to no sequence",
+                table.len() - next_row,
+                table.len()
+            ),
+            r.pos,
+            data.len(),
+        ));
+    }
     let delivery_count = r.u32()? as usize;
-    let mut deliveries = Vec::with_capacity(delivery_count.min(1 << 16));
+    // Delivery: rank, kind tag, bytes, microbatch count.
+    let mut deliveries = Vec::with_capacity(r.capacity(delivery_count, 4 + 1 + 8 + 4));
     for _ in 0..delivery_count {
         let rank = r.u32()?;
         let tag_pos = r.pos;
@@ -1353,10 +1437,10 @@ fn decode_batch_impl(data: &[u8], share: Option<&Bytes>) -> Result<ConstructedBa
         };
         let bytes = r.u64()?;
         let mb_count = r.u32()? as usize;
-        let mut cp_slices = Vec::with_capacity(mb_count.min(1 << 12));
+        let mut cp_slices = Vec::with_capacity(r.capacity(mb_count, 4));
         for _ in 0..mb_count {
             let slice_count = r.u32()? as usize;
-            let mut slices = Vec::with_capacity(slice_count.min(1 << 16));
+            let mut slices = Vec::with_capacity(r.capacity(slice_count, 16));
             for _ in 0..slice_count {
                 slices.push((r.u64()?, r.u64()?));
             }
@@ -1496,7 +1580,7 @@ mod tests {
     }
 
     /// A batch exercising every field: multiple microbatches, packed
-    /// sequences with segments/position ids, payload byte runs
+    /// sequences with segments (and one without), payload byte runs
     /// (including an empty one), and CP-sliced deliveries.
     fn batch() -> ConstructedBatch {
         ConstructedBatch {
@@ -1515,16 +1599,24 @@ mod tests {
                                     sample_id: u64::MAX,
                                     tokens: 3,
                                 },
-                            ],
+                            ]
+                            .into(),
                             tokens: 8,
                             padding: 2,
-                            position_ids: vec![0, 1, 2, 3, 4, 0, 1, 2, 0, 0],
                         },
                         PackedSequence {
-                            segments: vec![],
+                            segments: vec![].into(),
                             tokens: 0,
                             padding: 0,
-                            position_ids: vec![],
+                        },
+                        PackedSequence {
+                            segments: vec![Segment {
+                                sample_id: 12,
+                                tokens: 4,
+                            }]
+                            .into(),
+                            tokens: 4,
+                            padding: 0,
                         },
                     ],
                     payloads: vec![
@@ -1568,7 +1660,16 @@ mod tests {
         let b = batch();
         let encoded = encode_batch(&b);
         assert_eq!(encoded.len(), encoded_batch_len(&b));
-        assert_eq!(decode_batch(&encoded).unwrap(), b);
+        let decoded = decode_batch(&encoded).unwrap();
+        assert_eq!(decoded, b);
+        // Every decoded sequence views the frame's one segment table, and
+        // its position ids come back derived from it.
+        let first = &decoded.microbatches[0].sequences[0];
+        for seq in &decoded.microbatches[0].sequences {
+            assert!(seq.segments.shares_table(&first.segments));
+        }
+        let ids: Vec<u32> = first.position_ids().collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4, 0, 1, 2, 0, 0]);
         // The scratch-buffer path produces identical bytes and reuses
         // capacity across calls.
         let mut scratch = Vec::new();
@@ -1617,6 +1718,86 @@ mod tests {
         // Kind confusion is positioned context too.
         let err = decode_batch(&encode_loader_checkpoint(&loader_cp())).unwrap_err();
         assert!(err.frame_len().is_some());
+    }
+
+    /// A hand-built kind-11 frame: the segment table `rows`, then one
+    /// microbatch holding one `(tokens, padding, row count)` sequence, no
+    /// payloads and no deliveries. Returns the frame and the offset of the
+    /// sequence record.
+    fn one_sequence_frame(rows: &[(u64, u64)], seq: (u64, u64, u32)) -> (Vec<u8>, usize) {
+        let mut buf = frame(KIND_BATCH, 0);
+        buf.put_u32_le(0); // bucket
+        buf.put_u32_le(rows.len() as u32);
+        for (sample_id, tokens) in rows {
+            buf.put_u64_le(*sample_id);
+            buf.put_u64_le(*tokens);
+        }
+        buf.put_u32_le(1); // microbatches
+        buf.put_u32_le(0); // bin
+        buf.put_u32_le(1); // sequences
+        let at = buf.len();
+        buf.put_u64_le(seq.0);
+        buf.put_u64_le(seq.1);
+        buf.put_u32_le(seq.2);
+        buf.put_u32_le(0); // payloads
+        buf.put_u64_le(0); // payload bytes
+        buf.put_u32_le(0); // deliveries
+        seal_batch(&mut buf);
+        (buf, at)
+    }
+
+    #[test]
+    fn batch_decode_checks_what_position_ids_derive_from() {
+        let (frame, _) = one_sequence_frame(&[(1, 3), (2, 4)], (7, u64::MAX - 7, 2));
+        let decoded = decode_batch(&frame).unwrap();
+        assert_eq!(decoded.microbatches[0].sequences[0].padded_len(), u64::MAX);
+        // (rows, sequence, error detail, offending field within the record)
+        let bad: [(&[(u64, u64)], _, _, _); 4] = [
+            (&[(1, 3), (2, 4)], (8, 0, 2), "its segments hold 7", 0),
+            (&[(1, u64::MAX), (2, 1)], (0, 0, 2), "more than u64::MAX", 0),
+            (&[(1, 3)], (3, u64::MAX - 2, 1), "overflows", 8),
+            (&[(1, 3)], (3, 0, 2), "claims 2 segment rows, 1 remain", 16),
+        ];
+        for (rows, seq, why, field) in bad {
+            let (frame, at) = one_sequence_frame(rows, seq);
+            let err = decode_batch(&frame).unwrap_err();
+            assert!(err.detail().contains(why), "wanted {why:?}, got {err}");
+            assert_eq!(err.offset(), Some(at + field), "{err}");
+        }
+        // A row no sequence claims is malformed too; the error names the
+        // end of the microbatches.
+        let (frame, at) = one_sequence_frame(&[(1, 3), (2, 4)], (3, 0, 1));
+        let err = decode_batch(&frame).unwrap_err();
+        assert!(err.detail().contains("1 of 2 segment rows"), "{err}");
+        assert_eq!(err.offset(), Some(at + SEQUENCE_RECORD_LEN + 4 + 8));
+    }
+
+    #[test]
+    fn hostile_counts_reserve_no_more_than_the_frame_carries() {
+        // 40 sealed bytes declaring 65,535 sequences: decoders used to
+        // reserve room for all of them (≈ 5 MiB) before running out.
+        let mut buf = frame(KIND_BATCH, 0);
+        buf.put_u32_le(0); // bucket
+        buf.put_u32_le(0); // segment rows
+        buf.put_u32_le(1); // microbatches
+        buf.put_u32_le(0); // bin
+        buf.put_u32_le(u16::MAX.into()); // sequences
+        let at = buf.len();
+        buf.put_slice(&[0; 6]);
+        seal_batch(&mut buf);
+        assert_eq!(buf.len(), 40);
+        let err = decode_batch(&buf).unwrap_err();
+        assert!(err.detail().contains("truncated"), "{err}");
+        // The 6 bytes left after that count hold no sequence record, so
+        // the decoder reserves room for none.
+        let r = Reader {
+            data: &buf[at..buf.len() - BATCH_CHECKSUM_LEN],
+            pos: at,
+            frame_len: buf.len(),
+        };
+        assert_eq!(r.capacity(u16::MAX.into(), SEQUENCE_RECORD_LEN), 0);
+        assert_eq!(r.capacity(u16::MAX.into(), 2), 3);
+        assert_eq!(r.capacity(1, 2), 1);
     }
 
     #[test]

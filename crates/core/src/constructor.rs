@@ -3,18 +3,28 @@
 //! The constructor is the data sink for a consumer bucket (e.g. one DP
 //! group). It aggregates samples from Source Loaders, performs the
 //! microbatch transformations of Fig 1 — packing fragmented subsequences
-//! into complete sequences with segment masks, padding, position-id
-//! (RoPE) generation — and applies the parallelism transformation so each
-//! trainer client receives exactly its slice:
+//! into complete sequences with segment masks and padding — and applies
+//! the parallelism transformation so each trainer client receives exactly
+//! its slice:
 //!
 //! - CP ranks get sequence shards (contiguous or zig-zag);
 //! - PP stages beyond 0 get metadata only;
 //! - TP/CP ranks covered by `broadcast_at` are elided entirely.
 //!
+//! A packed sequence *is* its segment table: the position ids (RoPE
+//! input) are a pure function of the segment lengths and the padding, so
+//! they are derived where they are consumed
+//! ([`PackedSequence::position_ids`], [`PackedSequence::fill_position_ids`])
+//! and never held or shipped. The segments of a microbatch live in one
+//! shared table, each sequence a [`Segments`] window onto it.
+//!
 //! Because *one* constructor serves the whole bucket, CP/PP rank loaders
 //! are never replicated — the parallelism-redundancy fix of Fig 6.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use msd_data::Sample;
@@ -23,7 +33,7 @@ use msd_mesh::{cp_partition, delivery_kind, Axis, DeliveryKind, DeviceMesh, Rank
 use crate::plan::BucketPlan;
 
 /// One packed segment (one original sample) inside a packed sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Segment {
     /// Originating sample.
     pub sample_id: u64,
@@ -31,24 +41,114 @@ pub struct Segment {
     pub tokens: u64,
 }
 
+/// A packed sequence's segments: a window onto a segment table shared by
+/// every sequence of a microbatch (or of a decoded batch). Reads as a
+/// `[Segment]`; cloning bumps a refcount; `Debug` and equality go by the
+/// segments themselves, whatever table they sit in.
+#[derive(Clone)]
+pub struct Segments {
+    table: Arc<[Segment]>,
+    range: Range<u32>,
+}
+
+impl Segments {
+    /// The window `range` of `table`; callers keep it in bounds.
+    pub(crate) fn new(table: Arc<[Segment]>, range: Range<u32>) -> Self {
+        debug_assert!(range.start <= range.end && range.end as usize <= table.len());
+        Segments { table, range }
+    }
+
+    /// Whether `self` and `other` view the same table.
+    #[cfg(test)]
+    pub(crate) fn shares_table(&self, other: &Segments) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
+    }
+}
+
+impl Deref for Segments {
+    type Target = [Segment];
+
+    fn deref(&self) -> &[Segment] {
+        &self.table[self.range.start as usize..self.range.end as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a Segments {
+    type Item = &'a Segment;
+    type IntoIter = std::slice::Iter<'a, Segment>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<Segment>> for Segments {
+    fn from(segments: Vec<Segment>) -> Self {
+        let range = 0..segments.len() as u32;
+        Segments::new(segments.into(), range)
+    }
+}
+
+impl fmt::Debug for Segments {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Segments {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
 /// A complete (packed) sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedSequence {
     /// Segments in packing order.
-    pub segments: Vec<Segment>,
+    pub segments: Segments,
     /// Real tokens (sum of segments).
     pub tokens: u64,
     /// Dummy tokens appended to reach the padded length.
     pub padding: u64,
-    /// Position ids (RoPE input): restart at 0 for every segment, then
-    /// zeros for padding.
-    pub position_ids: Vec<u32>,
 }
 
 impl PackedSequence {
     /// Padded length (`tokens + padding`).
     pub fn padded_len(&self) -> u64 {
         self.tokens + self.padding
+    }
+
+    /// Position ids (RoPE input), derived from the segment lengths:
+    /// `0..tokens` for every segment, restarting at each boundary, then
+    /// `padding` zeros — [`padded_len`](Self::padded_len) ids in all.
+    pub fn position_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.segments
+            .iter()
+            .flat_map(|seg| 0..seg.tokens as u32)
+            .chain(std::iter::repeat_n(0, self.padding as usize))
+    }
+
+    /// Writes [`position_ids`](Self::position_ids) into `out`, for a
+    /// trainer that wants the tensor.
+    ///
+    /// # Panics
+    ///
+    /// If `out` is not [`padded_len`](Self::padded_len) ids long.
+    pub fn fill_position_ids(&self, out: &mut [u32]) {
+        assert_eq!(
+            out.len() as u64,
+            self.padded_len(),
+            "position-id buffer must hold padded_len() ids"
+        );
+        let mut rest = out;
+        for seg in &self.segments {
+            let (run, tail) = rest.split_at_mut(seg.tokens as usize);
+            for (slot, id) in run.iter_mut().zip(0..) {
+                *slot = id;
+            }
+            rest = tail;
+        }
+        rest.fill(0);
     }
 }
 
@@ -130,45 +230,68 @@ impl DataConstructor {
 
     /// First-fit packing of samples (in plan order) into sequences of at
     /// most `max_seq_len` tokens. Oversized samples are truncated to fit.
+    /// The sequences share one segment table, laid out sequence by
+    /// sequence.
     pub fn pack(&self, samples: &[(u64, u64)]) -> Vec<PackedSequence> {
-        let mut sequences: Vec<Vec<Segment>> = Vec::new();
-        let mut loads: Vec<u64> = Vec::new();
-        for (sample_id, tokens) in samples {
-            let tokens = (*tokens).clamp(1, self.max_seq_len);
-            // First fit over existing open sequences.
-            match loads.iter().position(|l| l + tokens <= self.max_seq_len) {
+        let clamp = |tokens: u64| tokens.clamp(1, self.max_seq_len);
+        // First fit over the open sequences: each sequence's load, and
+        // each sample's sequence.
+        let mut loads: Vec<u64> = Vec::with_capacity(samples.len());
+        let mut slot: Vec<u32> = Vec::with_capacity(samples.len());
+        for (_, tokens) in samples {
+            let tokens = clamp(*tokens);
+            let seq = match loads.iter().position(|l| l + tokens <= self.max_seq_len) {
                 Some(i) => {
-                    sequences[i].push(Segment {
-                        sample_id: *sample_id,
-                        tokens,
-                    });
                     loads[i] += tokens;
+                    i
                 }
                 None => {
-                    sequences.push(vec![Segment {
-                        sample_id: *sample_id,
-                        tokens,
-                    }]);
                     loads.push(tokens);
+                    loads.len() - 1
                 }
-            }
+            };
+            slot.push(seq as u32);
         }
-        sequences
-            .into_iter()
-            .zip(loads)
-            .map(|(segments, tokens)| {
+        // One counting pass: `cursor[s]` starts at sequence `s`'s first
+        // table row and ends one past its last, and each sample's
+        // sequence index becomes its row.
+        let mut cursor = vec![0u32; loads.len()];
+        for &seq in &slot {
+            cursor[seq as usize] += 1;
+        }
+        let mut next = 0;
+        for c in &mut cursor {
+            let count = *c;
+            *c = next;
+            next += count;
+        }
+        for row in &mut slot {
+            let c = &mut cursor[*row as usize];
+            *row = *c;
+            *c += 1;
+        }
+        let mut table: Arc<[Segment]> = samples.iter().map(|_| Segment::default()).collect();
+        // Proof: the table was collected on the line above; nothing else
+        // holds it yet.
+        let rows = Arc::get_mut(&mut table).expect("fresh table is unshared");
+        for ((sample_id, tokens), row) in samples.iter().zip(&slot) {
+            rows[*row as usize] = Segment {
+                sample_id: *sample_id,
+                tokens: clamp(*tokens),
+            };
+        }
+        let mut start = 0;
+        loads
+            .iter()
+            .zip(&cursor)
+            .map(|(&tokens, &end)| {
                 let padded = tokens.div_ceil(self.pad_multiple) * self.pad_multiple;
-                let padding = padded - tokens;
-                let mut position_ids = Vec::with_capacity(padded as usize);
-                for seg in &segments {
-                    position_ids.extend(0..seg.tokens as u32);
-                }
-                position_ids.extend(std::iter::repeat_n(0u32, padding as usize));
+                let segments = Segments::new(Arc::clone(&table), start..end);
+                start = end;
                 PackedSequence {
                     segments,
                     tokens,
-                    padding,
-                    position_ids,
+                    padding: padded - tokens,
                 }
             })
             .collect()
@@ -263,15 +386,22 @@ impl DataConstructor {
         }
     }
 
-    /// Resident memory of a constructed batch held for delivery.
+    /// Resident memory of a constructed batch held for delivery: its
+    /// payloads plus its segment tables (16 B per segment).
     pub fn batch_memory_bytes(batch: &ConstructedBatch) -> u64 {
         batch
             .microbatches
             .iter()
-            .map(|m| m.payload_bytes + m.padded_tokens() * 4)
+            .map(|m| {
+                let segments: usize = m.sequences.iter().map(|s| s.segments.len()).sum();
+                m.payload_bytes + size_of::<Segment>() as u64 * segments as u64
+            })
             .sum()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -314,15 +444,51 @@ mod tests {
         assert_eq!(packed[0].tokens, 100);
     }
 
+    /// What `pack` did before the shared table: one `Vec<Segment>` per
+    /// sequence, filled by first fit in plan order.
+    fn first_fit(max_len: u64, samples: &[(u64, u64)]) -> Vec<Vec<Segment>> {
+        let mut sequences: Vec<Vec<Segment>> = Vec::new();
+        for (sample_id, tokens) in samples {
+            let tokens = (*tokens).clamp(1, max_len);
+            let load = |s: &Vec<Segment>| s.iter().map(|seg| seg.tokens).sum::<u64>();
+            let segment = Segment {
+                sample_id: *sample_id,
+                tokens,
+            };
+            match sequences.iter().position(|s| load(s) + tokens <= max_len) {
+                Some(i) => sequences[i].push(segment),
+                None => sequences.push(vec![segment]),
+            }
+        }
+        sequences
+    }
+
+    #[test]
+    fn pack_keeps_first_fit_and_shares_one_table() {
+        let c = constructor(1, 1, 1, 100);
+        let samples: Vec<(u64, u64)> = (0..40u64).map(|i| (i, (i * 37) % 130)).collect();
+        let packed = c.pack(&samples);
+        let want = first_fit(100, &samples);
+        assert_eq!(packed.len(), want.len());
+        for (seq, want) in packed.iter().zip(&want) {
+            assert_eq!(*seq.segments, want[..]);
+            assert_eq!(seq.tokens, want.iter().map(|s| s.tokens).sum::<u64>());
+            assert!(seq.segments.shares_table(&packed[0].segments));
+        }
+        assert!(c.pack(&[]).is_empty());
+    }
+
     #[test]
     fn position_ids_restart_per_segment() {
         let c = constructor(1, 1, 1, 16);
         let packed = c.pack(&[(1, 3), (2, 4)]);
         assert_eq!(packed.len(), 1);
-        assert_eq!(
-            packed[0].position_ids,
-            vec![0, 1, 2, 0, 1, 2, 3] // Segment restarts at 0.
-        );
+        let want = vec![0, 1, 2, 0, 1, 2, 3]; // Segment restarts at 0.
+        assert_eq!(packed[0].position_ids().collect::<Vec<_>>(), want);
+        let mut filled = vec![u32::MAX; 7];
+        packed[0].fill_position_ids(&mut filled);
+        assert_eq!(filled, want);
+        assert_eq!(reference::position_ids(&packed[0].segments, 0), want);
     }
 
     #[test]
@@ -332,9 +498,21 @@ mod tests {
         let packed = c.pack(&[(1, 20)]);
         assert_eq!(packed[0].tokens, 20);
         assert_eq!(packed[0].padding, 12);
-        assert_eq!(packed[0].position_ids.len(), 32);
+        let ids: Vec<u32> = packed[0].position_ids().collect();
+        assert_eq!(ids.len(), 32);
         // Trailing pad positions are zero.
-        assert!(packed[0].position_ids[20..].iter().all(|p| *p == 0));
+        assert!(ids[20..].iter().all(|p| *p == 0));
+        let mut filled = vec![u32::MAX; 32];
+        packed[0].fill_position_ids(&mut filled);
+        assert_eq!(filled, ids);
+        assert_eq!(reference::position_ids(&packed[0].segments, 12), ids);
+    }
+
+    #[test]
+    #[should_panic(expected = "padded_len")]
+    fn fill_position_ids_rejects_a_short_buffer() {
+        let packed = constructor(1, 1, 1, 16).pack(&[(1, 3)]);
+        packed[0].fill_position_ids(&mut [0; 2]);
     }
 
     #[test]
@@ -455,5 +633,8 @@ mod tests {
             DataConstructor::batch_memory_bytes(&large)
                 > DataConstructor::batch_memory_bytes(&small)
         );
+        // A 20-byte payload plus one 16-byte segment row; position ids
+        // are derived, so they cost nothing.
+        assert_eq!(DataConstructor::batch_memory_bytes(&small), 20 + 16);
     }
 }

@@ -18,8 +18,9 @@
 //!   controller and frontier checkpoints, the Replay Mode plan store, the
 //!   trainer topology), the serving plane's wire frames, and the batch
 //!   payload. There is no other reader: non-`MSDB` input is an error.
-//! - [`constructor`]: the Data Constructor — microbatch assembly (packing,
-//!   padding, position ids) and parallelism transformation.
+//! - [`constructor`]: the Data Constructor — microbatch assembly (packing
+//!   into a shared segment table, padding, position ids derived from it)
+//!   and parallelism transformation.
 //! - [`planner`]: the Planner — plan synthesis with phase instrumentation.
 //! - [`autoscale`]: offline multi-level source auto-partitioning and online
 //!   mixture-driven scaling.

@@ -26,6 +26,12 @@
 
 mod harness;
 
+/// The materialised position ids a sequence used to carry on the wire;
+/// compiled into `msd_core`'s unit tests as the reference for the
+/// derived ones.
+#[path = "../crates/core/src/constructor/reference.rs"]
+mod reference;
+
 use proptest::prelude::*;
 
 use harness::{arb_plan, stores_bit_identical};
@@ -189,22 +195,20 @@ fn delivery_kind() -> impl Strategy<Value = DeliveryKind> {
     ]
 }
 
+/// Sequences the decoder accepts: tokens are the segments' sum. Lengths
+/// stay small so [`reference::position_ids`] can materialise them.
 fn packed_sequence() -> impl Strategy<Value = PackedSequence> {
     (
         proptest::collection::vec(
-            (any::<u64>(), any::<u64>())
-                .prop_map(|(sample_id, tokens)| Segment { sample_id, tokens }),
+            (any::<u64>(), 0u64..48).prop_map(|(sample_id, tokens)| Segment { sample_id, tokens }),
             0..4,
         ),
-        any::<u64>(),
-        any::<u64>(),
-        proptest::collection::vec(any::<u32>(), 0..8),
+        0u64..48,
     )
-        .prop_map(|(segments, tokens, padding, position_ids)| PackedSequence {
-            segments,
-            tokens,
+        .prop_map(|(segments, padding)| PackedSequence {
+            tokens: segments.iter().map(|s| s.tokens).sum(),
+            segments: segments.into(),
             padding,
-            position_ids,
         })
 }
 
@@ -546,6 +550,31 @@ proptest! {
         let encoded = encode_batch(&batch);
         prop_assert!(is_binary(&encoded));
         prop_assert_eq!(decode_batch(&encoded).unwrap(), batch);
+    }
+
+    /// The position ids a client derives from a decoded sequence — as an
+    /// iterator or written into a tensor — are exactly the ids the v3
+    /// frame materialised and shipped.
+    #[test]
+    fn derived_position_ids_match_the_materialised_reference(seq in packed_sequence()) {
+        let batch = ConstructedBatch {
+            bucket: 0,
+            microbatches: vec![Microbatch {
+                bin: 0,
+                sequences: vec![seq.clone()],
+                payloads: vec![],
+                payload_bytes: 0,
+            }],
+            deliveries: vec![],
+        };
+        let decoded = decode_batch(&encode_batch(&batch)).unwrap();
+        let want = reference::position_ids(&seq.segments, seq.padding);
+        for seq in [&seq, &decoded.microbatches[0].sequences[0]] {
+            prop_assert_eq!(seq.position_ids().collect::<Vec<_>>(), want.clone());
+            let mut filled = vec![u32::MAX; seq.padded_len() as usize];
+            seq.fill_position_ids(&mut filled);
+            prop_assert_eq!(&filled, &want);
+        }
     }
 }
 
