@@ -18,8 +18,8 @@
 //! nanoseconds, so the instrumentation can stay on permanently — the
 //! MegaScale "always-on diagnostics" stance. [`snapshot`] folds the
 //! registry (and the global pool's counters) into a [`MetricsSnapshot`],
-//! which rides along on `RuntimeStats` and is emitted into
-//! `BENCH_runtime.json` by the `runtime_throughput` bench. Deltas
+//! which rides along on `RuntimeStats`; `benchmark/`'s traced session
+//! reads it (with the pool counters) for its per-layer metrics. Deltas
 //! between two snapshots isolate one workload's traffic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,8 +212,9 @@ pub enum Stage {
     /// Transport send-path work (frame encode + socket/link hand-off).
     Send = 4,
     /// One data-server pump tick: lease-wheel sweep plus draining the
-    /// activity ring. The fan-out bench gates its p99 — a tick must
-    /// stay cheap no matter how many idle sessions are connected.
+    /// activity ring. `benchmark/` reports it as `server.pump_p50_us` /
+    /// `server.pump_p99_us` — a tick must stay cheap no matter how many
+    /// idle sessions are connected.
     Pump = 5,
 }
 

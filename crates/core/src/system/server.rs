@@ -1011,8 +1011,8 @@ impl Actor for DataServer {
             ServerMsg::Pump => {
                 // A tick costs O(due lease buckets + active clients):
                 // parked sessions are invisible to it, which is what
-                // keeps per-idle-client cost flat (the `many_clients`
-                // bench gates the pump p99 and the 256→4k cost slope).
+                // keeps per-idle-client cost flat (`tests/many_clients.rs`
+                // pins idle sessions off the ring and out of the sweep).
                 let tick_start = Instant::now();
                 self.sweep_leases();
                 let rounds = self.ring.len();

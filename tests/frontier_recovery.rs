@@ -10,6 +10,9 @@
 //! - while any live consumer's capability sits at step `c`, every
 //!   plan-log entry at or above the retirement floor stays in the GCS,
 //!   no matter how far the serve head runs ahead;
+//! - conversely, under a consumer paced a fixed lag behind, the live
+//!   plan log is bounded by that lag plus the serve window — never by
+//!   run length — and nothing below the persisted floor survives;
 //! - a loader restarting from a corrupted (hence version-zero)
 //!   checkpoint replays the *complete* log, and the resumed session is
 //!   byte-identical to an undisturbed reference run;
@@ -18,11 +21,13 @@
 
 mod harness;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use megascale_data::core::codec::decode_frontier_checkpoint;
 use megascale_data::core::constructor::ConstructedBatch;
-use megascale_data::core::system::runtime::{ServeOptions, ThreadedPipeline};
+use megascale_data::core::system::runtime::{LoaderMsg, ServeOptions, ThreadedPipeline};
 
 type Stream = Vec<(u64, Arc<ConstructedBatch>)>;
 
@@ -76,6 +81,25 @@ fn corrupt_loader_checkpoint(p: &ThreadedPipeline) {
     assert!(p.gcs.put_state(key, v + 1, b"{not a checkpoint".to_vec()));
 }
 
+/// Polls `done` until it holds. A restart runs on the supervisor's
+/// thread, after the injected panic has printed, so tests wait for its
+/// evidence rather than for a fixed time.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Whether any fault record's detail contains every one of `needles`.
+fn fault_logged(p: &ThreadedPipeline, needles: &[&str]) -> bool {
+    p.gcs
+        .fault_log("")
+        .iter()
+        .any(|r| needles.iter().all(|n| r.detail.contains(n)))
+}
+
 /// The tentpole regression: a client lagging more than 64 steps (the
 /// seed's whole prune window) keeps the full plan log retained, and a
 /// loader restart that must replay from scratch recovers gap-free —
@@ -121,7 +145,20 @@ fn laggard_past_the_old_window_plus_loader_restart_replays_gap_free() {
     // whole log — and can, because every entry is still there.
     corrupt_loader_checkpoint(&p);
     p.loaders()[0].inject_crash("frontier recovery test");
-    std::thread::sleep(Duration::from_millis(500));
+
+    // Positive evidence the replay ran before checking it logged no gap:
+    // the restart reports the corrupt checkpoint before it replays, and
+    // an ask answered by the restarted actor means its constructor —
+    // replay included — has returned.
+    wait_for("loader 0's corrupt-checkpoint fallback", || {
+        fault_logged(&p, &["corrupt GCS checkpoint", "falling back"])
+    });
+    let loader = p.loaders()[0].clone();
+    wait_for("an answer from the restarted loader 0", || {
+        loader
+            .ask(LoaderMsg::Health, Duration::from_millis(200))
+            .is_ok()
+    });
 
     // A complete replay is not a fault.
     let gaps: Vec<String> = p
@@ -181,28 +218,90 @@ fn replay_gap_at_or_above_the_frontier_is_a_surfaced_fault() {
     corrupt_loader_checkpoint(&p);
     p.loaders()[0].inject_crash("forced replay across a punched hole");
 
-    // The restart runs on the supervisor's thread, after the injected
-    // panic has printed: wait for its verdict, not for a fixed time.
-    let surfaced = |log: &[megascale_data::actor::gcs::FaultRecord]| {
-        log.iter()
-            .any(|r| r.detail.contains("plan log replay gap") && r.detail.contains("step 5"))
-    };
-    let mut log = p.gcs.fault_log("");
-    for _ in 0..400 {
-        if surfaced(&log) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        log = p.gcs.fault_log("");
-    }
-    assert!(
-        surfaced(&log),
-        "a hole above the retirement floor must surface in the fault log: {log:?}"
-    );
+    wait_for("the hole above the retirement floor to surface", || {
+        fault_logged(&p, &["plan log replay gap", "step 5"])
+    });
 
     // The session still winds down cleanly: the laggard is dropped
     // unconsumed (its capability is released on drop).
     drop(laggard);
     assert_eq!(session.join(), STEPS);
     p.shutdown();
+}
+
+/// The upper bound the parked-laggard test cannot state: with the
+/// laggard *paced* a fixed `LAG` steps behind the leader for a run ten
+/// times that long, retirement keeps up with it. After every laggard
+/// step the live plan log holds at most `LAG + queue_depth + 8` entries
+/// (lag, serve window, slack for the loaders' asynchronous checkpoints)
+/// and no entry below the persisted `pruned_below` survives.
+#[test]
+fn paced_laggard_bounds_plan_log_retention_by_lag_not_run_length() {
+    const LAG: u64 = 8;
+    /// Must exceed `LAG`: the driver runs at most `queue_depth` steps
+    /// past the laggard, and the laggard refuses to come closer than
+    /// `LAG` to the leader, so a smaller window deadlocks the two paces.
+    const WINDOW: u64 = 24;
+    const BUDGET: u64 = LAG + WINDOW + 8;
+    const _: () = assert!(STEPS >= 10 * LAG && STEPS > BUDGET);
+
+    let mut p = harness::pipeline(47);
+    let mut session = p.serve(ServeOptions {
+        queue_depth: WINDOW,
+        ..harness::opts(2, STEPS)
+    });
+    let mut clients = session.take_clients();
+    let mut laggard = clients.pop().expect("laggard client");
+    let mut leader = clients.pop().expect("leader client");
+
+    let leader_at = Arc::new(AtomicU64::new(0));
+    let leader_thread = {
+        let leader_at = Arc::clone(&leader_at);
+        std::thread::spawn(move || {
+            while leader.next().is_some() {
+                leader_at.fetch_add(1, Ordering::Release);
+            }
+        })
+    };
+
+    let plan_logged = |step: u64| p.gcs.get_state(&format!("plan/{step}")).is_some();
+    let (mut consumed, mut retained_max, mut pruned_below) = (0u64, 0u64, 0u64);
+    loop {
+        // Pull step `consumed` only once the leader is `LAG` past it (or
+        // has finished the run).
+        while leader_at.load(Ordering::Acquire) < (consumed + LAG).min(STEPS) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if laggard.next().is_none() {
+            break;
+        }
+        consumed += 1;
+
+        // Proof first, entries second: the driver prunes before it
+        // persists a floor, so everything below a floor read here is gone.
+        pruned_below = p
+            .gcs
+            .get_state("frontier")
+            .map(|cp| decode_frontier_checkpoint(&cp.data).expect("frontier checkpoint"))
+            .map_or(0, |cp| cp.pruned_below);
+        if let Some(stale) = (0..pruned_below).find(|s| plan_logged(*s)) {
+            panic!("plan/{stale} survived retirement below pruned_below = {pruned_below}");
+        }
+        let retained = (0..STEPS).filter(|s| plan_logged(*s)).count() as u64;
+        retained_max = retained_max.max(retained);
+    }
+    leader_thread.join().expect("leader thread");
+    assert_eq!(consumed, STEPS, "laggard missed steps");
+    assert_eq!(session.join(), STEPS, "driver fell short");
+    p.shutdown();
+
+    assert!(
+        retained_max <= BUDGET,
+        "live plan log reached {retained_max} entries under a {LAG}-step lag \
+         over a {STEPS}-step run; retirement bounds it to {BUDGET}"
+    );
+    assert!(
+        pruned_below >= STEPS - BUDGET,
+        "retirement stalled at pruned_below = {pruned_below} of {STEPS} steps"
+    );
 }

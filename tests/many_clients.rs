@@ -7,7 +7,8 @@
 //! idle-attached):
 //!
 //! - active streams stay gap-free and byte-identical to local serving;
-//! - idle clients retain zero retransmit bytes for the whole run;
+//! - idle clients retain zero retransmit bytes for the whole run and
+//!   leave the pump's activity ring once attached;
 //! - the reader-plane thread count is fixed by core count and does not
 //!   move when 192 extra sessions attach (counted from
 //!   `/proc/self/task`, not just the plane's own accounting);
@@ -133,6 +134,23 @@ fn massive_fanout_idle_sessions_cost_nothing() {
         "attaching {} idle sessions changed the reader thread count",
         TOTAL - ACTIVE
     );
+
+    // And zero pump work: each attach frame put its session on the
+    // activity ring once, and with no active client dialed yet the ring
+    // must drain to empty — a finished session left on it would cost
+    // every later pump tick a visit.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let active = handle.status().expect("server status").active;
+        if active == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{active} idle sessions still on the pump's activity ring"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     let handles: Vec<_> = (0..ACTIVE)
         .map(|c| {
