@@ -57,6 +57,11 @@ cargo test --test elastic_runtime -q
 echo "==> cargo test --test distributed_serve -q"
 cargo test --test distributed_serve -q
 
+# Actor kills mid-serve; its constructor kills are the gate on
+# `started()` rehydration from the driver's retained window.
+echo "==> cargo test --test runtime_concurrency -q"
+cargo test --test runtime_concurrency -q
+
 # The cross-transport conformance + TCP adversarial suite: real
 # sockets, frame reassembly at every split point, kill-and-reconnect.
 echo "==> cargo test --test tcp_transport -q"

@@ -597,9 +597,10 @@ pub fn decode_controller_checkpoint(data: &[u8]) -> Result<ControllerCheckpoint,
     })
 }
 
-/// Holder tag of the frontier checkpoint frame.
+/// Holder tag of the frontier checkpoint frame. Clients are the only
+/// holders; tag 1 once named a constructor holder and is no longer
+/// accepted.
 const HOLDER_CLIENT: u8 = 0;
-const HOLDER_CONSTRUCTOR: u8 = 1;
 
 /// Encodes a serve-plane frontier checkpoint: the folded frontier, the
 /// driver's served/pruning cursors, and every live capability holder
@@ -611,13 +612,9 @@ pub fn encode_frontier_checkpoint(cp: &FrontierCheckpoint) -> Vec<u8> {
     buf.put_u64_le(cp.plan_base);
     buf.put_u64_le(cp.pruned_below);
     buf.put_u32_le(cp.holders.len() as u32);
-    for (holder, cursor) in &cp.holders {
-        let (tag, id) = match holder {
-            Holder::Client(id) => (HOLDER_CLIENT, *id),
-            Holder::Constructor(idx) => (HOLDER_CONSTRUCTOR, *idx),
-        };
-        buf.put_u8(tag);
-        buf.put_u32_le(id);
+    for (Holder::Client(id), cursor) in &cp.holders {
+        buf.put_u8(HOLDER_CLIENT);
+        buf.put_u32_le(*id);
         buf.put_u64_le(*cursor);
     }
     seal(buf)
@@ -638,7 +635,6 @@ pub fn decode_frontier_checkpoint(data: &[u8]) -> Result<FrontierCheckpoint, Cod
         let cursor = r.u64()?;
         let holder = match tag {
             HOLDER_CLIENT => Holder::Client(id),
-            HOLDER_CONSTRUCTOR => Holder::Constructor(id),
             other => {
                 return Err(CodecError::new(format!("unknown holder tag {other}"))
                     .with_frame_len(data.len()));
@@ -1823,6 +1819,23 @@ mod tests {
         frame.truncate(frame.len().saturating_sub(BATCH_CHECKSUM_LEN));
         seal_batch(&mut frame);
         frame
+    }
+
+    #[test]
+    fn frontier_checkpoint_with_holder_tag_1_errors() {
+        let cp = FrontierCheckpoint {
+            frontier: 3,
+            served: 5,
+            plan_base: 0,
+            pruned_below: 0,
+            holders: vec![(Holder::Client(1), 4)],
+        };
+        let mut bad = encode_frontier_checkpoint(&cp);
+        let tag = HEADER_LEN + 4 * 8 + 4;
+        assert_eq!(bad[tag], HOLDER_CLIENT);
+        bad[tag] = 1;
+        let err = decode_frontier_checkpoint(&reseal(bad)).unwrap_err();
+        assert!(err.to_string().contains("unknown holder tag 1"), "{err}");
     }
 
     #[test]

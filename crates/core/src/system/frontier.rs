@@ -1,50 +1,50 @@
 //! Step-frontier progress tracking for the serve plane.
 //!
-//! Every consumer of the serve stream — a local [`ServeClient`], a remote
-//! session tracked by the [`DataServer`], a constructor's delivered cursor —
-//! holds a *capability* at the lowest step it may still need. The
-//! [`FrontierHub`] folds those cursors into a single global frontier: the
-//! minimum over all live holders. The fold follows timely dataflow's
-//! progress-tracking contract ("timestamp t can never appear here again"):
+//! Every consumer of the serve stream — a local [`ServeClient`] or a
+//! remote session tracked by the [`DataServer`] — holds a *capability* at
+//! the lowest step it may still need. The [`FrontierHub`] is the serve
+//! plane's only record of consumer progress: the driver reads it for
+//! backpressure and for the end-of-session drain, and folds its cursors
+//! into a single global frontier, the minimum over all live holders. The
+//! fold follows timely dataflow's progress-tracking contract ("timestamp
+//! t can never appear here again"):
 //!
 //! * the frontier is **monotone non-decreasing** — once a step retires it
 //!   stays retired, so pruning a plan-log prefix or a retransmit buffer
 //!   below the frontier is provably safe, not a window-size guess;
 //! * a holder's cursor only moves forward (`advance` takes the max);
-//! * releasing a capability (client `Close`, lease eviction, constructor
-//!   shutdown) removes the holder from the fold — a departed consumer can
-//!   neither hold back nor falsely advance global retirement;
+//! * releasing a capability (client `Close`, drop, or lease eviction)
+//!   removes the holder from the fold — a departed consumer can neither
+//!   hold back nor falsely advance global retirement;
 //! * re-acquiring below the frontier is *clamped up*: the granted cursor is
 //!   `max(requested, frontier)`, because steps below the frontier have
 //!   already been retired and can never be replayed from retained state.
 //!
 //! Retirement policy everywhere downstream is then a single rule:
 //! `step < frontier ⇒ retire eagerly; step ≥ frontier ⇒ must retain`.
+//! Constructor ready queues, the driver's retained broadcast window, the
+//! GCS plan log and the servers' retransmit buffers all follow it.
 //!
 //! [`ServeClient`]: crate::system::runtime::ServeClient
 //! [`DataServer`]: crate::system::server::DataServer
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// A capability holder in the frontier fold.
+/// A capability holder in the frontier fold. Consumers are the only
+/// holders: constructors keep no cursors of their own and retire their
+/// ready queues by the announced frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Holder {
     /// A serve-stream consumer (local `ServeClient` or remote session),
     /// keyed by client id. Its cursor is the next step it will consume.
     Client(u32),
-    /// A constructor's delivery floor (min over its per-client cursors),
-    /// keyed by constructor index. Keeps ready-queue batches retained until
-    /// the constructor itself has moved past them.
-    Constructor(u32),
 }
 
 impl std::fmt::Display for Holder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Holder::Client(id) => write!(f, "client/{id}"),
-            Holder::Constructor(idx) => write!(f, "constructor/{idx}"),
-        }
+        let Holder::Client(id) = self;
+        write!(f, "client/{id}")
     }
 }
 
@@ -129,13 +129,26 @@ impl FrontierHub {
         FrontierHub::default()
     }
 
+    /// The fold's state. The `expect` cannot fire: a mutex is poisoned
+    /// only by a panic while it is held, and no hub method can panic
+    /// while holding this one. Every critical section is map and
+    /// multiset bookkeeping on integers — no indexing, no unwrap, no call
+    /// into caller code — and its only arithmetic is counters bounded by
+    /// the number of holders or of calls, plus a multiset decrement that
+    /// runs only on a count of at least 1 (zero counts are removed).
+    fn state(&self) -> MutexGuard<'_, HubState> {
+        self.state
+            .lock()
+            .expect("frontier hub lock: no hub method panics while holding it")
+    }
+
     /// Acquires (or re-acquires) a capability at `at`. Returns the granted
     /// cursor: `max(at, frontier)` — steps below the frontier are already
     /// retired and cannot be held. Re-acquiring an existing holder rebinds
     /// its cursor (still clamped to both the frontier and its own previous
     /// cursor, so a holder can never rewind the fold).
     pub fn acquire(&self, holder: Holder, at: u64) -> u64 {
-        let mut s = self.state.lock().expect("frontier hub lock");
+        let mut s = self.state();
         let mut granted = at.max(s.frontier);
         if at < s.frontier {
             s.clamped_acquires += 1;
@@ -154,7 +167,7 @@ impl FrontierHub {
     /// cursor). Reports from a holder that no longer exists are dropped —
     /// a released capability is gone and cannot influence the fold.
     pub fn advance(&self, holder: Holder, to: u64) {
-        let mut s = self.state.lock().expect("frontier hub lock");
+        let mut s = self.state();
         let Some(&prev) = s.holders.get(&holder) else {
             return;
         };
@@ -171,7 +184,7 @@ impl FrontierHub {
     /// frontier ratchets to the min of the *remaining* holders; releasing
     /// the last holder leaves it unchanged (nothing new is proven).
     pub fn release(&self, holder: Holder) {
-        let mut s = self.state.lock().expect("frontier hub lock");
+        let mut s = self.state();
         let Some(prev) = s.holders.remove(&holder) else {
             return;
         };
@@ -182,64 +195,39 @@ impl FrontierHub {
 
     /// The current global frontier: every step below it is retired.
     pub fn frontier(&self) -> u64 {
-        self.state.lock().expect("frontier hub lock").frontier
+        self.state().frontier
     }
 
-    /// The lowest cursor over live *client* holders, if any. The serve
-    /// driver's drain condition: `None` means no client still consuming.
+    /// The lowest cursor over live client holders, if any — the first
+    /// key of the cursor multiset. The serve driver's backpressure and
+    /// drain read it: `None` means no client still consuming.
     pub fn min_client_cursor(&self) -> Option<u64> {
-        let s = self.state.lock().expect("frontier hub lock");
-        s.holders
-            .iter()
-            .filter(|(h, _)| matches!(h, Holder::Client(_)))
-            .map(|(_, &c)| c)
-            .min()
-    }
-
-    /// Number of live client holders.
-    pub fn live_clients(&self) -> usize {
-        let s = self.state.lock().expect("frontier hub lock");
-        s.holders
-            .keys()
-            .filter(|h| matches!(h, Holder::Client(_)))
-            .count()
+        self.state().counts.keys().next().copied()
     }
 
     /// Whether `holder` currently holds a capability.
     pub fn holds(&self, holder: Holder) -> bool {
-        self.state
-            .lock()
-            .expect("frontier hub lock")
-            .holders
-            .contains_key(&holder)
+        self.state().holders.contains_key(&holder)
     }
 
     /// A holder's current cursor, if live.
     pub fn cursor(&self, holder: Holder) -> Option<u64> {
-        self.state
-            .lock()
-            .expect("frontier hub lock")
-            .holders
-            .get(&holder)
-            .copied()
+        self.state().holders.get(&holder).copied()
     }
 
     /// Acquires clamped up because they asked below the frontier.
     pub fn clamped_acquires(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("frontier hub lock")
-            .clamped_acquires
+        self.state().clamped_acquires
     }
 
     /// Capabilities released so far.
     pub fn releases(&self) -> u64 {
-        self.state.lock().expect("frontier hub lock").releases
+        self.state().releases
     }
 
     /// Snapshot of the fold for checkpointing.
     pub fn snapshot(&self) -> FrontierSnapshot {
-        let s = self.state.lock().expect("frontier hub lock");
+        let s = self.state();
         let mut holders: Vec<(Holder, u64)> = s.holders.iter().map(|(h, c)| (*h, *c)).collect();
         holders.sort();
         FrontierSnapshot {
@@ -328,17 +316,20 @@ mod tests {
     }
 
     #[test]
-    fn constructor_holders_do_not_count_as_clients() {
+    fn min_client_cursor_is_the_lowest_live_cursor() {
         let hub = FrontierHub::new();
-        hub.acquire(Holder::Constructor(0), 0);
-        assert_eq!(hub.live_clients(), 0);
         assert_eq!(hub.min_client_cursor(), None);
         hub.acquire(Holder::Client(7), 4);
-        assert_eq!(hub.live_clients(), 1);
+        hub.acquire(Holder::Client(2), 9);
         assert_eq!(hub.min_client_cursor(), Some(4));
-        // But constructors do participate in the retirement fold.
-        hub.advance(Holder::Client(7), 100);
-        assert_eq!(hub.frontier(), 0);
+        hub.advance(Holder::Client(7), 12);
+        assert_eq!(hub.min_client_cursor(), Some(9));
+        hub.release(Holder::Client(2));
+        assert_eq!(hub.min_client_cursor(), Some(12));
+        // An empty fold reports no consumer, though the frontier stays.
+        hub.release(Holder::Client(7));
+        assert_eq!(hub.min_client_cursor(), None);
+        assert_eq!(hub.frontier(), 12);
     }
 
     #[test]
@@ -346,7 +337,7 @@ mod tests {
         let hub = FrontierHub::new();
         // Lowest holder first: a sole holder at 5 would ratchet the
         // frontier to 5 and clamp every later acquire up to it.
-        hub.acquire(Holder::Constructor(0), 2);
+        hub.acquire(Holder::Client(0), 2);
         hub.acquire(Holder::Client(3), 5);
         hub.acquire(Holder::Client(1), 8);
         let snap = hub.snapshot();
@@ -354,9 +345,9 @@ mod tests {
         assert_eq!(
             snap.holders,
             vec![
+                (Holder::Client(0), 2),
                 (Holder::Client(1), 8),
                 (Holder::Client(3), 5),
-                (Holder::Constructor(0), 2),
             ]
         );
     }

@@ -36,7 +36,7 @@ use msd_actor::actor::ReplyTo;
 use msd_actor::{Actor, ActorRef, ActorSystem, Ctx, Gcs, PendingReply, RestartPolicy};
 use msd_data::{Sample, SourceId, SourceSpec};
 use msd_mesh::{Axis, ClientPlaceTree, DistributeAxis};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::buffer::{BufferInfo, BufferSummary};
 use crate::constructor::{ConstructedBatch, DataConstructor};
@@ -73,11 +73,9 @@ fn plan_log_key(step: u64) -> String {
 
 /// One bucket's broadcast payload: (constructor index, bucket plan,
 /// the samples the bucket consumes). Samples are `Arc`-shared between the
-/// in-flight message and the driver's re-broadcast window, so a broadcast
-/// is a refcount bump, not a payload copy.
+/// in-flight message and the driver's retained window, so a broadcast is
+/// a refcount bump, not a payload copy.
 type BroadcastItem = (usize, BucketPlan, Arc<HashMap<u64, Sample>>);
-/// Serve-step window retained for post-restart re-broadcast.
-type BroadcastWindow = VecDeque<(u64, Vec<BroadcastItem>)>;
 
 /// Messages understood by a loader actor.
 pub enum LoaderMsg {
@@ -443,43 +441,6 @@ impl Actor for PlannerActor {
     }
 }
 
-/// Watermark report from a constructor actor (the ack/backpressure
-/// signal the serve driver polls).
-#[derive(Debug, Clone, Default)]
-pub struct ConstructorWatermark {
-    /// Serve steps currently queued for pulling clients (bounded by the
-    /// backpressure depth). The driver diffs this against its retained
-    /// window to re-broadcast exactly the steps a restarted incarnation
-    /// lost — a max-step watermark would miss mid-window losses.
-    pub ready: Vec<u64>,
-    /// Lowest serve step a rostered client still needs (`None` until a
-    /// roster is installed).
-    pub needed: Option<u64>,
-    /// Per-client cursors (the driver caches these so a re-sent roster
-    /// after a restart restores real positions instead of resetting
-    /// everyone to step 0).
-    pub cursors: Vec<(u32, u64)>,
-}
-
-/// Delta watermark for the serve driver's per-step poll
-/// ([`ConstructorMsg::Pulse`]). Where [`ConstructorWatermark`] carries
-/// *every* client cursor — O(clients) to build and merge, paid by
-/// `stats()` and the controller at their leisurely cadence — a pulse
-/// carries only the cursors that moved since the previous pulse, so
-/// the driver's high-frequency ack/backpressure loop costs O(active)
-/// per poll no matter how many clients are rostered.
-#[derive(Debug, Clone, Default)]
-pub struct ConstructorPulse {
-    /// Serve steps currently queued for pulling clients (bounded by
-    /// the backpressure depth; same as the full watermark's).
-    pub ready: Vec<u64>,
-    /// Lowest serve step a rostered client still needs — maintained as
-    /// a count-multiset over cursor values, so reading it is O(1).
-    pub needed: Option<u64>,
-    /// Cursors that moved since the last pulse (drained on read).
-    pub cursors: Vec<(u32, u64)>,
-}
-
 /// Messages understood by a constructor actor.
 pub enum ConstructorMsg {
     /// A broadcast plan slice: construct this bucket's batch.
@@ -490,8 +451,6 @@ pub enum ConstructorMsg {
         bucket_plan: BucketPlan,
         /// Popped samples the bucket consumes (shared, not copied).
         samples: Arc<HashMap<u64, Sample>>,
-        /// Trainer-side broadcast axes (fetch elision).
-        broadcast_axes: Vec<Axis>,
         /// When present, reply with the batch directly instead of queueing
         /// it for pulling clients (the synchronous [`ThreadedPipeline::step`]
         /// path).
@@ -501,7 +460,7 @@ pub enum ConstructorMsg {
     /// is parked until that step is constructed. The client carries its
     /// own cursor, so a restarted constructor cannot double-serve it.
     /// The reply shares the queued batch ([`SharedBatch`]): N pulling
-    /// clients and every re-broadcast replay read the *same* constructed
+    /// clients and every rebuilt replay read the *same* constructed
     /// buffers — and, on serializing transports, the same memoized wire
     /// encoding — a pull is a refcount bump, never a payload copy.
     Pull {
@@ -512,33 +471,18 @@ pub enum ConstructorMsg {
         /// Reply channel.
         reply: ReplyTo<(u64, SharedBatch)>,
     },
-    /// Install the clients this constructor serves, each with the lowest
-    /// serve step it could still need (0 at session start; the driver's
-    /// cached cursor when re-rostering a restarted constructor).
-    Roster(Vec<(u32, u64)>),
-    /// A client finished its stream (advances the prune floor).
-    Complete {
-        /// The finished client.
-        client: u32,
-        /// One past the last step it consumed.
-        next_step: u64,
-    },
-    /// Report ack/backpressure watermarks.
-    Watermark(ReplyTo<ConstructorWatermark>),
-    /// Report the delta watermark (moved cursors only) — the serve
-    /// driver's per-step poll; see [`ConstructorPulse`].
-    Pulse(ReplyTo<ConstructorPulse>),
+    /// Report the serve steps currently queued for pulling clients.
+    ReadySteps(ReplyTo<Vec<u64>>),
     /// The serve driver's folded global frontier: every step below `at`
     /// is proven consumed by all live capability holders, so queued
-    /// batches below it retire eagerly — even when this constructor's
-    /// own cursor floor lags (e.g. a `Complete` still in flight).
+    /// batches below it retire.
     Frontier {
         /// The global step frontier (exclusive retirement bound).
         at: u64,
     },
-    /// Start a fresh serve session: drop queued batches, cursors, parked
-    /// pulls, and the roster left over from a previous session (serve
-    /// step numbering restarts at 0 each session).
+    /// Start a fresh serve session: drop queued batches and parked pulls
+    /// left over from a previous session (serve step numbering restarts
+    /// at 0 each session).
     Reset {
         /// When true (serializing transports), each constructed batch is
         /// wire-encoded eagerly on the construct thread — overlapping the
@@ -551,96 +495,133 @@ pub enum ConstructorMsg {
 /// The shared-batch reply a [`ConstructorMsg::Pull`] resolves to.
 type PullReply = ReplyTo<(u64, SharedBatch)>;
 
+/// The serve driver's retained broadcast window: every step at or above
+/// the announced frontier, kept so a restarted constructor can rebuild
+/// its ready queue. Only the driver writes it; the constructor factories
+/// share it read-only.
+#[derive(Default)]
+pub(crate) struct RetainedWindow {
+    /// The session's [`ConstructorMsg::Reset`] flag, so a restarted
+    /// incarnation encodes like its peers.
+    pre_encode: bool,
+    /// Broadcast steps, oldest first.
+    steps: VecDeque<(u64, Vec<BroadcastItem>)>,
+}
+
+/// [`RetainedWindow`] as the driver and constructor factories share it.
+type SharedWindow = Arc<Mutex<RetainedWindow>>;
+
 /// A Data Constructor hosted in a supervised actor, serving one bucket's
-/// batches to its rostered trainer clients.
+/// batches to pulling trainer clients.
 ///
-/// Recovery story: the actor keeps no durable state. Clients carry their
-/// own cursors in `Pull`, and the serve driver re-broadcasts any window
-/// step a restarted constructor is missing (detected via `Watermark`), so
-/// a crash mid-serve costs latency, never correctness.
+/// The actor tracks no consumer progress: clients carry their own cursors
+/// in `Pull`, the [`FrontierHub`] holds every client's capability, and
+/// the ready queue is retired by the frontier the driver announces
+/// (`step < frontier`). Recovery keeps no durable state either: a
+/// restarted incarnation rebuilds its ready queue from the driver's
+/// retained window in [`Actor::started`], the way loaders restore
+/// themselves from the GCS, so a crash mid-serve costs latency, never
+/// correctness.
 pub struct ConstructorActor {
     inner: DataConstructor,
+    /// This constructor's index in the fleet (its share of each
+    /// retained broadcast).
+    index: usize,
+    /// Trainer-side broadcast axes (fetch elision).
+    broadcast_axes: Vec<Axis>,
+    window: SharedWindow,
     /// Constructed batches queued for pulling clients, each wrapped with
     /// its memoized wire form. Every client of a step is handed the same
     /// wrapper — fan-out is refcounting, and on serializing transports
     /// bucket-mates share one encoding.
     ready: BTreeMap<u64, SharedBatch>,
-    cursors: HashMap<u32, u64>,
-    /// Count-multiset over `cursors` values: cursor step → how many
-    /// clients sit at it. Keeps the prune floor (`min` over thousands
-    /// of cursors) an O(1) read instead of an O(clients) scan on every
-    /// pull, completion, and watermark.
-    floor_counts: BTreeMap<u64, u32>,
-    /// Clients whose cursor moved since the last [`ConstructorMsg::Pulse`]
-    /// (the delta the serve driver polls).
-    dirty: std::collections::HashSet<u32>,
     waiting: HashMap<u32, (u64, PullReply)>,
-    roster_known: bool,
     /// Eagerly wire-encode each batch at construct time (set per session
     /// by [`ConstructorMsg::Reset`] when the transport serializes).
     pre_encode: bool,
-    /// The serve driver's folded global frontier (monotone within a
-    /// session). Ready-queue retirement follows the frontier rule:
-    /// `step < frontier ⇒ retire eagerly; step ≥ frontier ⇒ retain
-    /// until this bucket's own cursor floor passes it`.
+    /// The serve driver's last announced frontier (monotone within a
+    /// session): ready steps below it are retired and never rebuilt.
     frontier: u64,
 }
 
 impl ConstructorActor {
-    /// Wraps a constructor component.
-    pub fn new(inner: DataConstructor) -> Self {
+    /// Wraps a constructor component as fleet member `index`, rebuilding
+    /// from `window` on every (re)start.
+    pub(crate) fn new(
+        inner: DataConstructor,
+        index: usize,
+        broadcast_axes: Vec<Axis>,
+        window: SharedWindow,
+    ) -> Self {
         ConstructorActor {
             inner,
+            index,
+            broadcast_axes,
+            window,
             ready: BTreeMap::new(),
-            cursors: HashMap::new(),
-            floor_counts: BTreeMap::new(),
-            dirty: std::collections::HashSet::new(),
             waiting: HashMap::new(),
-            roster_known: false,
             pre_encode: false,
             frontier: 0,
         }
     }
 
-    /// Moves one client's cursor, keeping the floor multiset and the
-    /// pulse delta in step. Handles rewinds (a re-`Subscribe` below the
-    /// old position) as well as advances.
-    fn set_cursor(&mut self, client: u32, cursor: u64) {
-        let prev = self.cursors.insert(client, cursor);
-        if prev == Some(cursor) {
-            return;
+    /// Constructs `step` into the ready queue unless it is already there
+    /// or retired (a repeated broadcast is idempotent). Returns the
+    /// queued batch when it was built.
+    fn build(
+        &mut self,
+        step: u64,
+        bucket_plan: &BucketPlan,
+        samples: &HashMap<u64, Sample>,
+    ) -> Option<SharedBatch> {
+        if self.ready.contains_key(&step) || step < self.frontier {
+            return None;
         }
-        if let Some(prev) = prev {
-            if let Some(count) = self.floor_counts.get_mut(&prev) {
-                *count -= 1;
-                if *count == 0 {
-                    self.floor_counts.remove(&prev);
-                }
-            }
+        let construct_start = std::time::Instant::now();
+        let shared = SharedBatch::new(Arc::new(self.inner.construct(
+            bucket_plan,
+            samples,
+            &self.broadcast_axes,
+        )));
+        crate::metrics::record_stage(crate::metrics::Stage::Construct, construct_start.elapsed());
+        if self.pre_encode {
+            // Serialize here, on the construct thread, so the serve
+            // loop sends memoized bytes instead of encoding inline.
+            shared.warm();
         }
-        *self.floor_counts.entry(cursor).or_insert(0) += 1;
-        self.dirty.insert(client);
-    }
-
-    fn needed(&self) -> Option<u64> {
-        self.floor_counts.keys().next().copied()
-    }
-
-    fn prune(&mut self) {
-        // Retire below the bucket's own cursor floor *or* the global
-        // frontier, whichever proves more: the frontier can run ahead of
-        // the floor when a departed client's `Complete` is still in
-        // flight, and the floor can run ahead of the frontier for steps
-        // only this bucket's clients have consumed.
-        let floor = self.needed().unwrap_or(0).max(self.frontier);
-        if floor > 0 {
-            self.ready.retain(|step, _| *step >= floor);
-        }
+        self.ready.insert(step, shared.clone());
+        Some(shared)
     }
 }
 
 impl Actor for ConstructorActor {
     type Msg = ConstructorMsg;
+
+    /// Rebuilds this bucket's share of every retained step: after a
+    /// crash the ready queue is exactly what clients may still pull.
+    /// Only the snapshot is taken under the window lock, so the driver's
+    /// broadcasts never wait on a rebuild. A step the driver retains
+    /// after the snapshot was also sent to this mailbox, which survives
+    /// the restart, and reaches `build` as a queued `Construct`.
+    fn started(&mut self, _ctx: &mut Ctx) {
+        let snapshot: Vec<(u64, BroadcastItem)> = {
+            let window = self.window.lock();
+            self.pre_encode = window.pre_encode;
+            window
+                .steps
+                .iter()
+                .flat_map(|(step, items)| {
+                    items
+                        .iter()
+                        .filter(|(idx, _, _)| *idx == self.index)
+                        .map(|item| (*step, item.clone()))
+                })
+                .collect()
+        };
+        for (step, (_, bucket_plan, samples)) in &snapshot {
+            self.build(*step, bucket_plan, samples);
+        }
+    }
 
     fn handle(&mut self, msg: ConstructorMsg, _ctx: &mut Ctx) {
         match msg {
@@ -648,122 +629,56 @@ impl Actor for ConstructorActor {
                 step,
                 bucket_plan,
                 samples,
-                broadcast_axes,
                 reply,
             } => {
                 if let Some(reply) = reply {
                     // Synchronous step path: construct and return, no queue.
                     reply.send(
                         self.inner
-                            .construct(&bucket_plan, &samples, &broadcast_axes),
+                            .construct(&bucket_plan, &samples, &self.broadcast_axes),
                     );
                     return;
                 }
-                if self.roster_known && self.cursors.is_empty() {
-                    return; // Nobody will ever pull from this bucket.
+                let Some(shared) = self.build(step, &bucket_plan, &samples) else {
+                    return;
+                };
+                // Wake the clients parked on this step — the only step
+                // that just became ready — in one pass over the parked
+                // map, keeping the rest parked.
+                for (client, (want, reply)) in std::mem::take(&mut self.waiting) {
+                    if want == step {
+                        reply.send((want, shared.clone()));
+                    } else {
+                        self.waiting.insert(client, (want, reply));
+                    }
                 }
-                let duplicate = self.ready.contains_key(&step)
-                    || step < self.frontier
-                    || self.needed().is_some_and(|floor| step < floor);
-                if duplicate {
-                    return; // Idempotent re-broadcast.
-                }
-                let construct_start = std::time::Instant::now();
-                let shared = SharedBatch::new(Arc::new(self.inner.construct(
-                    &bucket_plan,
-                    &samples,
-                    &broadcast_axes,
-                )));
-                crate::metrics::record_stage(
-                    crate::metrics::Stage::Construct,
-                    construct_start.elapsed(),
-                );
-                if self.pre_encode {
-                    // Serialize here, on the construct thread, so the serve
-                    // loop sends memoized bytes instead of encoding inline.
-                    shared.warm();
-                }
-                self.ready.insert(step, shared);
-                // Wake clients parked on this step (each gets a shared
-                // handle to the one constructed batch).
-                let served: Vec<u32> = self
-                    .waiting
-                    .iter()
-                    .filter(|(_, (want, _))| self.ready.contains_key(want))
-                    .map(|(c, _)| *c)
-                    .collect();
-                for client in served {
-                    let (want, reply) = self.waiting.remove(&client).expect("just selected");
-                    let shared = self.ready[&want].clone();
-                    reply.send((want, shared));
-                }
-                self.prune();
             }
             ConstructorMsg::Pull {
                 client,
                 step,
                 reply,
-            } => {
-                self.set_cursor(client, step);
-                match self.ready.get(&step) {
-                    Some(shared) => {
-                        reply.send((step, shared.clone()));
-                    }
-                    None => {
-                        // Park; a retry from the same client replaces the
-                        // stale parked reply.
-                        self.waiting.insert(client, (step, reply));
-                    }
+            } => match self.ready.get(&step) {
+                Some(shared) => {
+                    reply.send((step, shared.clone()));
                 }
-                self.prune();
-            }
-            ConstructorMsg::Roster(clients) => {
-                for (c, cursor) in clients {
-                    // Client cursors are monotone, so max() never rewinds a
-                    // position a concurrent Pull already reported.
-                    let merged = self.cursors.get(&c).map_or(cursor, |at| cursor.max(*at));
-                    self.set_cursor(c, merged);
+                None => {
+                    // Park; a retry from the same client replaces the
+                    // stale parked reply.
+                    self.waiting.insert(client, (step, reply));
                 }
-                self.roster_known = true;
-            }
-            ConstructorMsg::Complete { client, next_step } => {
-                self.set_cursor(client, next_step);
-                self.prune();
-            }
-            ConstructorMsg::Watermark(reply) => {
-                reply.send(ConstructorWatermark {
-                    ready: self.ready.keys().copied().collect(),
-                    needed: self.needed(),
-                    cursors: self.cursors.iter().map(|(c, s)| (*c, *s)).collect(),
-                });
-            }
-            ConstructorMsg::Pulse(reply) => {
-                let moved: Vec<(u32, u64)> = {
-                    let cursors = &self.cursors;
-                    self.dirty
-                        .drain()
-                        .filter_map(|c| cursors.get(&c).map(|s| (c, *s)))
-                        .collect()
-                };
-                reply.send(ConstructorPulse {
-                    ready: self.ready.keys().copied().collect(),
-                    needed: self.needed(),
-                    cursors: moved,
-                });
+            },
+            ConstructorMsg::ReadySteps(reply) => {
+                reply.send(self.ready.keys().copied().collect());
             }
             ConstructorMsg::Frontier { at } => {
                 if at > self.frontier {
                     self.frontier = at;
-                    self.prune();
+                    self.ready.retain(|step, _| *step >= at);
                 }
             }
             ConstructorMsg::Reset { pre_encode } => {
                 self.ready.clear();
-                self.cursors.clear();
-                self.floor_counts.clear();
-                self.dirty.clear();
                 self.waiting.clear();
-                self.roster_known = false;
                 self.pre_encode = pre_encode;
                 self.frontier = 0; // Serve steps renumber each session.
             }
@@ -921,8 +836,6 @@ pub struct ConstructorStat {
     pub mailbox_depth: usize,
     /// Serve steps currently queued for pulling clients.
     pub ready_steps: Vec<u64>,
-    /// Per-client consumed counts: `(client id, next step it needs)`.
-    pub client_cursors: Vec<(u32, u64)>,
 }
 
 /// Point-in-time health of the whole threaded deployment — the elastic
@@ -987,8 +900,10 @@ struct Fleet {
     loaders: LoaderRegistry,
     planner: ActorRef<PlannerMsg>,
     constructors: Vec<ActorRef<ConstructorMsg>>,
+    /// The serve driver's retained broadcast window, shared with the
+    /// constructor factories (see [`RetainedWindow`]).
+    window: SharedWindow,
     controller: ActorRef<ControllerMsg>,
-    broadcast_axes: Vec<Axis>,
     rpc_timeout: Duration,
     /// Steps served from the replay store, shared with the pipeline
     /// handle so both `step` and `serve` paths account them.
@@ -1213,16 +1128,19 @@ impl ThreadedPipeline {
             move || PlannerActor::new(planner.clone(), planner_gcs.clone()),
         );
 
+        let window = SharedWindow::default();
         let constructor_refs: Vec<ActorRef<ConstructorMsg>> = constructors
             .into_iter()
             .enumerate()
             .map(|(i, c)| {
                 let name = format!("constructor/{i}");
                 gcs.register(&name, "bucket constructor");
+                let axes = broadcast_axes.clone();
+                let window = window.clone();
                 system.spawn_supervised(
                     &name,
                     RestartPolicy::Restart { max_restarts: 8 },
-                    move || ConstructorActor::new(c.clone()),
+                    move || ConstructorActor::new(c.clone(), i, axes.clone(), window.clone()),
                 )
             })
             .collect();
@@ -1257,8 +1175,8 @@ impl ThreadedPipeline {
                 loaders: registry,
                 planner: planner_ref,
                 constructors: constructor_refs,
+                window,
                 controller: controller_ref,
-                broadcast_axes,
                 rpc_timeout: Duration::from_secs(10),
                 replayed: Arc::new(AtomicU64::new(0)),
                 gcs: gcs.clone(),
@@ -1347,7 +1265,8 @@ impl ThreadedPipeline {
 
     /// Snapshots runtime health across the whole deployment: per-loader
     /// buffer occupancy / fetch stalls / mailbox depth, the planner's
-    /// backlog, and per-constructor queue + client-cursor state. This is
+    /// backlog, and per-constructor queue state (client progress lives in
+    /// the session's frontier, [`ServeSession::frontier`]). This is
     /// the elastic controller's raw input, exposed for operators and
     /// tests; unreachable actors (mid-restart) are skipped.
     pub fn stats(&self) -> RuntimeStats {
@@ -1365,13 +1284,12 @@ impl ThreadedPipeline {
             .iter()
             .enumerate()
             .filter_map(|(index, c)| {
-                c.ask(ConstructorMsg::Watermark, self.fleet.rpc_timeout)
+                c.ask(ConstructorMsg::ReadySteps, self.fleet.rpc_timeout)
                     .ok()
-                    .map(|w| ConstructorStat {
+                    .map(|ready_steps| ConstructorStat {
                         index,
                         mailbox_depth: c.mailbox_depth(),
-                        ready_steps: w.ready,
-                        client_cursors: w.cursors,
+                        ready_steps,
                     })
             })
             .collect();
@@ -1438,13 +1356,11 @@ impl ThreadedPipeline {
         let mut pending = Vec::new();
         for (idx, bucket_plan, samples) in self.fleet.partition(&plan, popped) {
             let bucket = bucket_plan.bucket;
-            let axes = self.fleet.broadcast_axes.clone();
             let ask = self.fleet.constructors[idx].ask_pipelined(move |reply| {
                 ConstructorMsg::Construct {
                     step: plan.step,
                     bucket_plan,
                     samples,
-                    broadcast_axes: axes,
                     reply: Some(reply),
                 }
             });
@@ -1475,9 +1391,8 @@ impl ThreadedPipeline {
         let clients: Vec<ServeClient> = roster
             .iter()
             .map(|(id, ctor_idx)| {
-                // Each local client holds a frontier capability from step
-                // 0 and self-reports progress as it pulls.
-                hub.acquire(Holder::Client(*id), 0);
+                // Each local client self-reports progress into its
+                // frontier capability as it pulls.
                 ServeClient {
                     id: *id,
                     constructor: self.fleet.constructors[*ctor_idx].clone(),
@@ -1552,8 +1467,8 @@ impl ThreadedPipeline {
         // Supervised: a crashed (or chaos-killed) server actor restarts
         // with fresh, empty session state. Clients quiet-timeout on
         // their orphaned sessions, redial under backoff, and resume
-        // from their cursors — the constructors (and their prune
-        // floors) live outside the server and survive the crash.
+        // from their cursors — the frontier hub and the constructors'
+        // ready queues live outside the server and survive the crash.
         let actor = self.system.spawn_supervised(
             &name,
             RestartPolicy::Restart { max_restarts: 4 },
@@ -1612,7 +1527,9 @@ impl ThreadedPipeline {
     }
 
     /// Spawns the serve driver over an explicit `(client, constructor)`
-    /// roster; shared by local and distributed serving. `stop` becomes
+    /// roster; shared by local and distributed serving. Every rostered
+    /// client holds a frontier capability from step 0 before the driver
+    /// starts, so backpressure binds from the first step. `stop` becomes
     /// the session's stop flag (distributed serving also hangs its pump
     /// thread's lifetime off it).
     fn spawn_driver(
@@ -1624,6 +1541,9 @@ impl ThreadedPipeline {
         pre_encode: bool,
         hub: Arc<FrontierHub>,
     ) -> ServeSession {
+        for (client, _) in &roster {
+            hub.acquire(Holder::Client(*client), 0);
+        }
         let fleet = self.fleet.clone();
         let driver_stop = stop.clone();
         let driver_opts = opts;
@@ -1795,7 +1715,9 @@ impl Drop for ServeSession {
 
 /// One trainer client of a serve session. Pulls are strictly ordered:
 /// the client asks for serve step 0, 1, 2, … and carries its own cursor,
-/// so constructor restarts can neither skip nor double-serve it.
+/// so constructor restarts can neither skip nor double-serve it. Its
+/// capability in the session's [`FrontierHub`] is the only record of its
+/// progress the rest of the pipeline reads.
 pub struct ServeClient {
     /// Client id (also its roster entry).
     pub id: u32,
@@ -1837,13 +1759,8 @@ impl ServeClient {
                     self.next_step = want + 1;
                     self.hub.advance(Holder::Client(self.id), self.next_step);
                     if self.next_step == self.steps {
-                        // Declare completion so the prune floor advances,
-                        // and release the frontier capability — this
-                        // client can never need a retained step again.
-                        self.constructor.tell(ConstructorMsg::Complete {
-                            client: self.id,
-                            next_step: self.steps,
-                        });
+                        // Release the frontier capability — this client
+                        // can never need a retained step again.
                         self.hub.release(Holder::Client(self.id));
                     }
                     return Some((step, shared.batch()));
@@ -1863,17 +1780,12 @@ impl ServeClient {
 impl Drop for ServeClient {
     fn drop(&mut self) {
         if self.next_step < self.steps {
-            // Abandoned mid-stream: declare the stream finished so the
-            // constructor's prune floor (and with it the serve driver's
-            // backpressure and drain) stop waiting for pulls that will
-            // never come. Queued batches for this client are pruned —
-            // a dropped client cannot leak its ready queue. The frontier
-            // capability is *released*, not advanced: a departed client
-            // must neither hold back nor falsely advance retirement.
-            self.constructor.tell(ConstructorMsg::Complete {
-                client: self.id,
-                next_step: self.steps,
-            });
+            // Abandoned mid-stream: release the frontier capability so
+            // the serve driver's backpressure and drain stop waiting for
+            // pulls that will never come, and retirement (ready queues
+            // included) moves on without this client. Released, not
+            // advanced: a departed client must neither hold back nor
+            // falsely advance retirement.
             self.hub.release(Holder::Client(self.id));
         }
     }
@@ -1889,7 +1801,9 @@ const STEP_RETRY_BUDGET: Duration = Duration::from_secs(60);
 /// fleet, riding out supervised restarts, then drain until every
 /// rostered client has consumed its stream. `roster` maps each client
 /// to its constructor — `i % C` for local sessions, the mesh placement
-/// for distributed ones.
+/// for distributed ones. The driver asks no constructor anything: client
+/// progress is read from `hub`, and a restarted constructor rebuilds its
+/// ready queue from the retained window on its own.
 fn run_serve_driver(
     fleet: Fleet,
     opts: ServeOptions,
@@ -1898,33 +1812,24 @@ fn run_serve_driver(
     pre_encode: bool,
     hub: Arc<FrontierHub>,
 ) -> u64 {
-    // The driver caches every client's cursor (refreshed from watermark
-    // polls) so a roster re-sent to a restarted constructor restores
-    // real positions.
-    let mut cursors: Vec<HashMap<u32, u64>> = vec![HashMap::new(); fleet.constructors.len()];
-    for (client, ctor_idx) in &roster {
-        cursors[*ctor_idx].insert(*client, 0);
+    // Only constructors with a rostered client are sent steps.
+    let mut rostered = vec![false; fleet.constructors.len()];
+    for (_, idx) in &roster {
+        rostered[*idx] = true;
     }
-    for (idx, ctor) in fleet.constructors.iter().enumerate() {
+    // Empty the window *before* the resets go out: a constructor that
+    // restarts after its `Reset` must rebuild from this session's steps,
+    // never from the previous session's.
+    {
+        let mut window = fleet.window.lock();
+        window.pre_encode = pre_encode;
+        window.steps.clear();
+    }
+    for ctor in &fleet.constructors {
         // A previous serve session may have left queued batches and
-        // cursors behind; serve-step numbering restarts at 0.
+        // parked pulls behind; serve-step numbering restarts at 0.
         ctor.tell(ConstructorMsg::Reset { pre_encode });
-        ctor.tell(ConstructorMsg::Roster(roster_of(&cursors[idx])));
     }
-    let rostered: Vec<usize> = (0..fleet.constructors.len())
-        .filter(|idx| !cursors[*idx].is_empty())
-        .collect();
-    // Each rostered constructor holds a frontier capability for its
-    // delivered floor (advanced from watermark pulses): the retained
-    // window must outlive not just the slowest client but also any
-    // in-flight `Complete` the constructor has not yet folded in.
-    for &idx in &rostered {
-        hub.acquire(Holder::Constructor(idx as u32), 0);
-    }
-
-    // Retained broadcast window for re-broadcast after constructor
-    // restarts; bounded by the backpressure depth.
-    let mut window: BroadcastWindow = VecDeque::new();
 
     // Plan-log retirement state: the planner's global step of this
     // session's serve step 0 (captured at the first plan) and the
@@ -2004,14 +1909,22 @@ fn run_serve_driver(
             fleet.refill(opts.refill_target);
         }
 
-        // (7) Broadcast this serve step to the constructors.
-        let items = fleet.partition(&plan, popped);
-        broadcast(&fleet, s, &items);
-        window.push_back((s, items));
+        // (7) Broadcast this serve step to the rostered constructors and
+        // retain it under the same lock: a constructor that consumes the
+        // broadcast and then crashes finds the step in the window when
+        // its restart rebuilds.
+        let mut items = fleet.partition(&plan, popped);
+        items.retain(|(idx, _, _)| rostered[*idx]);
+        {
+            let mut window = fleet.window.lock();
+            broadcast(&fleet, s, &items);
+            window.steps.push_back((s, items));
+        }
         served = s + 1;
 
         // (7a) Frontier retirement: fold the consumed-frontier reports,
-        // persist the proof to the GCS, and prune the plan log below it.
+        // persist the proof to the GCS, and prune the plan log and the
+        // retained window below it.
         retire_frontier(
             &fleet,
             &hub,
@@ -2028,81 +1941,45 @@ fn run_serve_driver(
             fleet.controller.tell(ControllerMsg::Tick);
         }
 
-        // (8) Ack + backpressure: wait until every rostered constructor
-        // has enqueued step `s` (re-broadcasting on restarts) and the
-        // slowest client is within `queue_depth` steps. Deadline-bounded
-        // so a dead constructor or vanished client cannot wedge the
-        // driver forever.
+        // (8) Backpressure: stall while the slowest client's consumed
+        // cursor is more than `queue_depth` steps behind. Deadline-bounded
+        // so a vanished client cannot wedge the driver forever.
         let mut stalls = 0u32;
-        loop {
+        while hub
+            .min_client_cursor()
+            .is_some_and(|c| s + 1 > c + opts.queue_depth)
+        {
             if stop.load(Ordering::SeqCst) || Instant::now() > step_deadline {
                 break 'steps;
-            }
-            let (all_acked, min_needed) =
-                poll_watermarks(&fleet, &rostered, &mut cursors, s, &window, &hub);
-            {
-                // Trim the retained window by the *frontier*, not the
-                // constructor floor: the frontier is the min over every
-                // live capability (clients and constructors), so a step
-                // below it can never be pulled or re-broadcast again —
-                // retirement is proven, and retained size is bounded by
-                // actual lag. `queue_depth` steps of slack stay below
-                // it: a client resuming after a server crash-restart
-                // (or a lease eviction) re-subscribes from its
-                // *consumed* step, up to one credit window below its
-                // server-side cursor — those steps must stay
-                // re-sendable or the slowest client wedges below the
-                // retained window.
-                let keep_from = hub.frontier().saturating_sub(opts.queue_depth);
-                while window.front().is_some_and(|(step, _)| *step < keep_from) {
-                    window.pop_front();
-                }
-            }
-            let backlogged = min_needed.is_some_and(|floor| s + 1 > floor + opts.queue_depth);
-            if all_acked && !backlogged {
-                break;
             }
             stalls += 1;
             std::thread::sleep(Duration::from_millis(if stalls > 50 { 10 } else { 2 }));
         }
     }
 
-    // Drain: keep the re-broadcast duty alive until every rostered client
-    // consumed its stream (or a generous deadline passes).
+    // Drain: wait until no client capability sits below `served`
+    // (completion and drop both *release*, so a departed client cannot
+    // wedge it) or a generous deadline passes. The window stays intact
+    // meanwhile, so a constructor restarting now still rebuilds.
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !stop.load(Ordering::SeqCst) && Instant::now() < deadline {
-        if rostered.is_empty() || served == 0 {
-            break;
-        }
-        let (_, min_needed) =
-            poll_watermarks(&fleet, &rostered, &mut cursors, served - 1, &window, &hub);
-        // Done when the constructor floors prove every stream consumed,
-        // or when the hub holds no live client capability below `served`
-        // (completion and drop both *release*; a released client must
-        // not wedge the drain).
-        if min_needed.is_some_and(|floor| floor >= served)
-            || hub.min_client_cursor().is_none_or(|c| c >= served)
-        {
-            break;
-        }
+    while !stop.load(Ordering::SeqCst)
+        && Instant::now() < deadline
+        && hub.min_client_cursor().is_some_and(|c| c < served)
+    {
         std::thread::sleep(Duration::from_millis(5));
     }
-    for &idx in &rostered {
-        hub.release(Holder::Constructor(idx as u32));
-    }
+    // The session is over: free the retained samples.
+    fleet.window.lock().steps.clear();
     served
-}
-
-/// A roster message payload from the driver's cached cursor map.
-fn roster_of(cursors: &HashMap<u32, u64>) -> Vec<(u32, u64)> {
-    cursors.iter().map(|(c, s)| (*c, *s)).collect()
 }
 
 /// Folds the hub's global frontier into durable retirement, once per
 /// served step:
 ///
-/// 1. announce a frontier advance to every constructor (eager
-///    ready-queue retirement below it),
+/// 1. on a frontier advance, trim the retained window below it and
+///    announce it to every constructor (ready-queue retirement below
+///    it): no client can ask for a step below its own capability, and a
+///    rebuild below the frontier is refused anyway,
 /// 2. compute the plan-log retirement floor — the min of what every
 ///    live consumer capability permits (`plan_base + frontier`) and
 ///    what every loader's durable checkpoint permits (its replay
@@ -2124,6 +2001,15 @@ fn retire_frontier(
     let snap = hub.snapshot();
     if snap.frontier > *last_frontier {
         *last_frontier = snap.frontier;
+        let mut window = fleet.window.lock();
+        while window
+            .steps
+            .front()
+            .is_some_and(|(step, _)| *step < snap.frontier)
+        {
+            window.steps.pop_front();
+        }
+        drop(window);
         for ctor in &fleet.constructors {
             ctor.tell(ConstructorMsg::Frontier { at: snap.frontier });
         }
@@ -2160,117 +2046,8 @@ fn broadcast(fleet: &Fleet, step: u64, items: &[BroadcastItem]) {
             step,
             bucket_plan: bucket_plan.clone(),
             samples: samples.clone(),
-            broadcast_axes: fleet.broadcast_axes.clone(),
             reply: None,
         });
-    }
-}
-
-/// Polls every rostered constructor's delta watermark
-/// ([`ConstructorMsg::Pulse`]). Returns whether all of them hold every
-/// window step their clients still need (through `step`), plus the
-/// fleet-wide minimum needed step. A constructor missing steps with an
-/// empty mailbox has restarted and lost its queue: its roster (at
-/// cached cursor positions) and the missing window slices are re-sent —
-/// both idempotent on the receiving side.
-///
-/// This poll runs every few milliseconds while the driver waits out
-/// backpressure, which is why it asks for the *pulse* (moved cursors
-/// only) rather than the full watermark: with thousands of mostly-idle
-/// clients rostered, the full report would cost O(clients) per poll on
-/// both sides. `stats()` and the elastic controller still take the
-/// full [`ConstructorWatermark`] at their much lower cadence.
-fn poll_watermarks(
-    fleet: &Fleet,
-    rostered: &[usize],
-    cursors: &mut [HashMap<u32, u64>],
-    step: u64,
-    window: &BroadcastWindow,
-    hub: &FrontierHub,
-) -> (bool, Option<u64>) {
-    let mut all_acked = true;
-    let mut min_needed: Option<u64> = None;
-    for &idx in rostered {
-        let ctor = &fleet.constructors[idx];
-        match ctor.ask(ConstructorMsg::Pulse, Duration::from_millis(200)) {
-            Ok(w) => {
-                // Refresh the driver's cursor cache from the delta. A
-                // freshly restarted constructor reports fewer clients
-                // than the cache knows — keep those cached entries — but
-                // a *reported* cursor is authoritative even when it moves
-                // backwards: a lease-evicted client's cursor parks at
-                // `steps`, and its late re-`Subscribe` rewinds it so the
-                // missing-step diff below re-sends what it still needs.
-                for (c, cur) in &w.cursors {
-                    if let Some(known) = cursors[idx].get_mut(c) {
-                        *known = *cur;
-                    }
-                }
-                if let Some(n) = w.needed {
-                    min_needed = Some(min_needed.map_or(n, |m| m.min(n)));
-                }
-                // A step is outstanding if some client may still pull it
-                // (>= the constructor's own floor) and the constructor
-                // does not hold it. Diffing the full window catches
-                // mid-window losses a high-watermark check would miss.
-                // The floor comes from the actor's O(1) multiset — a
-                // restarted constructor reports `None` (no cursors yet),
-                // floor 0, which makes its whole owned window "missing"
-                // and triggers the roster + resend below.
-                let floor = w.needed.unwrap_or(0);
-                // Report the constructor's delivered floor into the
-                // frontier fold (monotone: a restarted constructor's
-                // empty multiset — floor 0 — cannot rewind it).
-                hub.advance(Holder::Constructor(idx as u32), floor);
-                let held: std::collections::HashSet<u64> = w.ready.iter().copied().collect();
-                let missing: Vec<u64> = window
-                    .iter()
-                    .filter(|(ws, items)| {
-                        *ws >= floor
-                            && *ws <= step
-                            && !held.contains(ws)
-                            && items.iter().any(|(i, _, _)| *i == idx)
-                    })
-                    .map(|(ws, _)| *ws)
-                    .collect();
-                if !missing.is_empty() {
-                    all_acked = false;
-                    // An empty mailbox with steps still missing means the
-                    // broadcasts were consumed by a pre-restart incarnation
-                    // and lost with its queue (or already handed to every
-                    // client — covered by the floor bound above).
-                    if ctor.mailbox_depth() == 0 {
-                        ctor.tell(ConstructorMsg::Roster(roster_of(&cursors[idx])));
-                        resend(fleet, idx, &missing, window);
-                    }
-                }
-            }
-            Err(_) => {
-                all_acked = false; // Restart in progress; poll again.
-            }
-        }
-    }
-    (all_acked, min_needed)
-}
-
-/// Re-sends the named retained window steps to one constructor.
-fn resend(fleet: &Fleet, ctor_idx: usize, steps: &[u64], window: &BroadcastWindow) {
-    for (step, items) in window {
-        if !steps.contains(step) {
-            continue;
-        }
-        for (idx, bucket_plan, samples) in items {
-            if *idx != ctor_idx {
-                continue;
-            }
-            fleet.constructors[*idx].tell(ConstructorMsg::Construct {
-                step: *step,
-                bucket_plan: bucket_plan.clone(),
-                samples: samples.clone(),
-                broadcast_axes: fleet.broadcast_axes.clone(),
-                reply: None,
-            });
-        }
     }
 }
 

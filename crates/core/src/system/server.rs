@@ -18,14 +18,15 @@
 //!   | -- Frontier{consumed} -----> |   whole-progress claim; folds the
 //!   |                              |   step frontier even if Acks were lost
 //!   |            ...               |
-//!   | -- Close{client} ----------> |   cursor → end, prune floor advances
+//!   | -- Close{client} ----------> |   capability released
 //! ```
 //!
 //! The server pulls a step from the client's constructor only while the
-//! step is inside the granted window, so a slow (or vanished) trainer
-//! rank freezes its own constructor cursor and the serve driver's
-//! bounded-queue backpressure stalls the pipeline — queues never balloon
-//! on behalf of a rank that is not consuming.
+//! step is inside the granted window, and every `Ack`/`Frontier` folds
+//! the client's consumed cursor into the session's frontier hub, so a
+//! slow (or vanished) trainer rank freezes its own capability and the
+//! serve driver's bounded-queue backpressure stalls the pipeline —
+//! queues never balloon on behalf of a rank that is not consuming.
 //!
 //! ## Reconnect and resume
 //!
@@ -39,16 +40,17 @@
 //! ## Failure domains
 //!
 //! Resume alone degrades badly when a client dies *silently*: its
-//! retransmit buffer and constructor cursor would otherwise freeze the
-//! prune floor forever, stalling every healthy client through the serve
+//! retransmit buffer and frontier capability would otherwise freeze
+//! retirement forever, stalling every healthy client through the serve
 //! driver's bounded-queue backpressure. [`ServerConfig`] closes those
 //! gaps:
 //!
 //! - **Session leases** — any frame renews a client's lease; expiry
-//!   evicts the session (buffer freed, cursor released, GCS fault
+//!   evicts the session (buffer freed, capability released, GCS fault
 //!   logged, eviction metric bumped). A late-returning client still
-//!   resumes gap-free: its re-`Subscribe` rewinds its constructor
-//!   cursor and the serve driver re-broadcasts what was pruned.
+//!   resumes gap-free: its re-`Subscribe` re-acquires its capability at
+//!   its cursor, and its constructor still queues every step at or
+//!   above the frontier.
 //! - **Admission control** — dials beyond
 //!   [`ServerConfig::max_sessions`], or resumes whose retained
 //!   retransmit bytes exceed [`ServerConfig::retransmit_cap_bytes`],
@@ -112,7 +114,7 @@ pub struct ServerConfig {
     pub retransmit_cap_bytes: u64,
     /// Session lease: a subscribed, unfinished client whose last frame
     /// is older than this is evicted — its retransmit buffer is freed
-    /// and its constructor cursor released so the rest of the pipeline
+    /// and its frontier capability released so the rest of the pipeline
     /// keeps flowing. `None` disables leases.
     pub lease: Option<Duration>,
     /// Server-wide cap on retained retransmit bytes, summed over every
@@ -408,15 +410,16 @@ impl DataServer {
             sweep_visited: 0,
             shed_evictions: 0,
         };
-        // Every placed client pins a constructor cursor from step 0, so
-        // even one that never dials must be lease-reaped: arm them all.
-        // Each also acquires its frontier capability at step 0 — on a
-        // server restart the hub keeps the old cursor, so re-acquiring
-        // at 0 never rewinds the fold.
+        // Every placed client pins a capability from step 0 (the serve
+        // driver acquires the whole roster before it starts), so even one
+        // that never dials must be lease-reaped: arm them all. The server
+        // acquires nothing here: on a restart, a capability an earlier
+        // incarnation released (Close, idle attach, eviction) must stay
+        // released, and a live client's survives in the hub until its
+        // re-`Subscribe` re-acquires it at its cursor.
         let placed: Vec<u32> = server.clients.keys().copied().collect();
         for client in placed {
             server.arm_lease(client);
-            server.hub.acquire(Holder::Client(client), 0);
         }
         server
     }
@@ -488,11 +491,11 @@ impl DataServer {
         }
     }
 
-    /// Marks a client's stream finished, advances its constructor
-    /// cursor to the end so the prune floor and the serve driver's
-    /// drain stop waiting on it, and *releases* its frontier capability
-    /// — a finished client drops out of the global fold entirely rather
-    /// than pinning it at (or pushing it to) any particular step.
+    /// Marks a client's stream finished and *releases* its frontier
+    /// capability, so the serve driver's backpressure and drain stop
+    /// waiting on it — a finished client drops out of the global fold
+    /// entirely rather than pinning it at (or pushing it to) any
+    /// particular step.
     fn finish(&mut self, client: u32) {
         let Some(state) = self.clients.get_mut(&client) else {
             return;
@@ -505,23 +508,17 @@ impl DataServer {
         state.unacked.clear();
         self.retained_bytes = self.retained_bytes.saturating_sub(state.unacked_bytes);
         state.unacked_bytes = 0;
-        let steps = self.steps;
-        self.constructors[state.ctor].tell(ConstructorMsg::Complete {
-            client,
-            next_step: steps,
-        });
         self.hub.release(Holder::Client(client));
     }
 
     /// Evicts a client's session: frees its retransmit buffer, unbinds
-    /// the session, and releases its constructor cursor so the prune
-    /// floor (and with it every healthy client) stops waiting on a
-    /// client that went silent. Unlike [`DataServer::finish`] the
-    /// stream is *not* marked done — a late-returning client
-    /// re-`Subscribe`s from its cursor, which rewinds its constructor
-    /// cursor through the normal `Pull` path and resumes gap-free.
+    /// the session, and releases its frontier capability so retirement
+    /// (and with it every healthy client) stops waiting on a client that
+    /// went silent. Unlike [`DataServer::finish`] the stream is *not*
+    /// marked done — a late-returning client re-`Subscribe`s from its
+    /// cursor, re-acquiring its capability there, and re-pulls from a
+    /// ready queue that still holds every step at or above the frontier.
     fn evict(&mut self, client: u32, reason: &str) {
-        let steps = self.steps;
         let Some(state) = self.clients.get_mut(&client) else {
             return;
         };
@@ -541,7 +538,7 @@ impl DataServer {
         state.next_pull = state.base;
         state.reaped = true;
         state.evictions += 1;
-        let (rank, ctor) = (state.rank, state.ctor);
+        let rank = state.rank;
         self.evictions += 1;
         crate::metrics::record_session_evicted();
         let session = session.map_or_else(|| "none".to_string(), |s| s.to_string());
@@ -552,10 +549,6 @@ impl DataServer {
                  freed {freed} retransmit bytes"
             ),
         );
-        self.constructors[ctor].tell(ConstructorMsg::Complete {
-            client,
-            next_step: steps,
-        });
         // Release — never advance — the frontier capability: the evicted
         // client must not hold global retirement back at its stale
         // cursor, and it must not falsely advance retirement either (its
@@ -710,9 +703,9 @@ impl DataServer {
                 }
                 // A subscribe at (or past) the end of the stream is an
                 // idle attach: the client wants a bound session but no
-                // batches. Finish it immediately so its constructor
-                // cursor releases and the prune floor never waits on a
-                // parked spectator — the session itself stays bound.
+                // batches. Finish it immediately so its capability
+                // releases and retirement never waits on a parked
+                // spectator — the session itself stays bound.
                 if from_step >= self.steps {
                     self.finish(client);
                 }
@@ -898,7 +891,7 @@ impl DataServer {
     /// Lease sweep, run on every pump tick: evict unfinished clients
     /// that have gone silent past the lease. Subscribed or not: even a
     /// client that never dialed (or whose session died with a server
-    /// restart) pins its constructor cursor, so silence past the lease
+    /// restart) pins its frontier capability, so silence past the lease
     /// always reaps it — which is why every placed client is armed at
     /// construction.
     ///
@@ -1699,8 +1692,8 @@ impl Drop for RemoteClient {
     fn drop(&mut self) {
         if !self.closed {
             // Abandoned (or never fully torn down): tell the server so
-            // the constructor's prune floor and the serve driver stop
-            // waiting for a client that will never pull again.
+            // its capability releases and the serve driver stops waiting
+            // for a client that will never pull again.
             if let Some(conn) = self.conn.as_ref() {
                 let _ = conn.tx.send(WireFrame::Close { client: self.id });
             }
@@ -1758,8 +1751,17 @@ mod tests {
             "ctor",
             crate::system::runtime::ConstructorActor::new(
                 crate::constructor::DataConstructor::new(mesh, 64),
+                0,
+                Vec::new(),
+                Default::default(),
             ),
         );
+        // The serve driver acquires every rostered client at 0 before
+        // it starts; the server itself acquires nothing on construction.
+        let hub = Arc::new(FrontierHub::new());
+        for client in [0, 1] {
+            hub.acquire(Holder::Client(client), 0);
+        }
         let server = DataServer::new(
             vec![ctor],
             vec![(0, 0, 0), (1, 1, 0)],
@@ -1767,7 +1769,7 @@ mod tests {
             Duration::from_millis(100),
             config,
             Gcs::new(),
-            Arc::new(FrontierHub::new()),
+            hub,
         );
         (system, server)
     }
@@ -1831,8 +1833,8 @@ mod tests {
         server.sweep_leases();
 
         // Both placed clients went silent past the lease — the bound one
-        // and the one that never dialed each pin a constructor cursor,
-        // so both are reaped.
+        // and the one that never dialed each pin a capability, so both
+        // are reaped.
         assert_eq!(server.evictions, 2);
         let state = &server.clients[&0];
         assert!(!state.subscribed && state.session.is_none());
@@ -1970,7 +1972,7 @@ mod tests {
             lease: Some(Duration::from_millis(10)),
             ..ServerConfig::default()
         });
-        // Every placed client holds a capability from construction.
+        // Every placed client holds a capability from the roster acquire.
         assert!(server.hub.holds(Holder::Client(0)));
         assert!(server.hub.holds(Holder::Client(1)));
 

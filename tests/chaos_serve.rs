@@ -6,7 +6,7 @@
 //! *silently* mid-serve (no `Close`), the surviving clients' streams
 //! stay byte-identical to a fault-free local serve — in order, gap-free,
 //! duplicate-free — and the dead client's session is reaped within its
-//! lease: retransmit buffer freed, constructor cursor released, eviction
+//! lease: retransmit buffer freed, frontier capability released, eviction
 //! logged to the GCS fault log with id, rank, and reason.
 //!
 //! The same soak runs over Loopback, the simulated fabric, and real TCP
@@ -287,17 +287,19 @@ fn over_capacity_dials_are_rejected_then_admitted() {
 /// The lease-then-late-return path end to end: a client disconnects
 /// silently, is evicted on lease expiry, then *returns* — re-dialing
 /// with the same cursor — and resumes gap-free because eviction
-/// released (not finished) its stream and the re-`Subscribe` rewinds
-/// its constructor cursor, letting the driver re-send retained window
-/// steps.
+/// released (not finished) its stream: the re-`Subscribe` re-acquires
+/// its frontier capability at its cursor and re-pulls from its
+/// constructor's ready queue.
 ///
-/// Gap-free resume is only possible while the retained window still
-/// covers the returner's cursor, and the window floor tracks the
-/// slowest *live* client's server-side cursor (its consumed count plus
-/// the credit push-ahead). The choreography below keeps that true: the
-/// dead client pauses at the production frontier (pacer cursor 3 +
-/// queue depth 3 = step 6), so the slow pacer has three unhurried
-/// pulls of headroom before the floor would pass the resume point —
+/// Gap-free resume is only possible while the frontier has not passed
+/// the returner's cursor (ready queues retire below it), and once the
+/// returner is evicted the frontier follows the slowest *live* client's
+/// consumed cursor. The choreography below keeps that true: the dead
+/// client pauses at the production frontier — the driver broadcasts
+/// step `s` only while `s ≤ slowest consumed cursor + queue depth 3`,
+/// so it can take step 5 only once the pacer's cursor is at 2 or more —
+/// and the slow pacer then has at least three unhurried pulls of
+/// headroom before the frontier would pass the resume point at step 6,
 /// comfortably longer than lease expiry plus redial.
 #[test]
 fn evicted_client_resumes_gap_free_after_late_return() {
@@ -312,7 +314,7 @@ fn evicted_client_resumes_gap_free_after_late_return() {
         p.serve_distributed(o, Arc::new(LoopbackTransport), &harness::placements(2));
     let resumed = Arc::new(AtomicBool::new(false));
 
-    // Client 0 paces slowly so the driver's window still covers the
+    // Client 0 paces slowly so the frontier is still below the
     // returning client's cursor when it comes back — but each pull
     // (and its Ack) lands well inside the lease, so only the silent
     // client is ever evicted. Once the late-returner is back, the

@@ -14,13 +14,14 @@
 mod harness;
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use harness::{
     assert_byte_identical, assert_ordered_full, local_streams, opts, pipeline, placements,
     remote_streams, sample_ids, Stream,
 };
-use megascale_data::core::system::net::{LoopbackTransport, SimTransport};
+use megascale_data::core::system::net::{LoopbackTransport, SimTransport, WireFrame};
 use megascale_data::core::system::runtime::ServeOptions;
 use megascale_data::sim::NetModel;
 
@@ -168,20 +169,10 @@ fn dropped_client_mid_serve_leaves_others_gap_free_and_queues_bounded() {
         }
     }
 
-    // stats(): the dropped client's cursor was advanced to the end of
-    // the stream (no leak — its batches are prunable), and no
-    // constructor retains more ready batches than the backpressure
-    // window allows.
+    // stats(): no constructor retains more ready batches than the
+    // backpressure window allows — the dropped client released its
+    // capability, so the frontier retired its bucket's queue too.
     let stats = p.stats();
-    let cursors: Vec<(u32, u64)> = stats
-        .constructors
-        .iter()
-        .flat_map(|c| c.client_cursors.iter().copied())
-        .collect();
-    assert!(
-        cursors.contains(&(3, steps)),
-        "dropped client still pins the prune floor: {cursors:?}"
-    );
     for c in &stats.constructors {
         assert!(
             c.ready_steps.len() as u64 <= queue_depth + 2,
@@ -229,5 +220,94 @@ fn dropped_remote_client_releases_the_session() {
         quitter_stat.done,
         "server still waits on the dropped client"
     );
+    p.shutdown();
+}
+
+/// A server crash-restart must not bring back capabilities the crashed
+/// incarnation already released. Client 1 closes mid-stream and client
+/// 2 idle-attaches, both before the crash; with leases off, nothing but
+/// their releases keeps them out of the fold. Were the restarted server
+/// to re-acquire them, the slowest cursor would sit at the frontier for
+/// good and the driver would stall until its 60 s step budget ran out,
+/// ending the session short. Instead the survivor resumes and the driver
+/// finishes every step within seconds of the crash.
+#[test]
+fn server_restart_keeps_released_capabilities_released() {
+    const STEPS: u64 = 12;
+    const BEFORE_CRASH: usize = 2;
+    let reference = local_streams(66, 3, STEPS);
+
+    let mut p = pipeline(66);
+    let mut o = opts(3, STEPS);
+    o.server.lease = None;
+    let place = placements(3);
+    let (session, handle) = p.serve_distributed(o, Arc::new(LoopbackTransport), &place);
+
+    // Client 2 idle-attaches: a bound session that wants no batches.
+    let spectator = handle.dial_raw();
+    spectator
+        .tx
+        .send(WireFrame::Hello {
+            client: 2,
+            rank: place[2].rank,
+        })
+        .expect("idle hello");
+    spectator
+        .tx
+        .send(WireFrame::Subscribe {
+            client: 2,
+            from_step: STEPS,
+            credits: 0,
+        })
+        .expect("idle subscribe");
+
+    let mut survivor = handle.connect(0);
+    let mut stream = Stream::new();
+    for _ in 0..BEFORE_CRASH {
+        stream.push(survivor.next().expect("pre-crash pull"));
+    }
+    {
+        let mut quitter = handle.connect(1);
+        for _ in 0..BEFORE_CRASH {
+            assert!(quitter.next().is_some(), "quitter pull");
+        }
+        // Dropped here: Drop sends Close mid-stream.
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = handle.status().expect("server status");
+        let finished = status
+            .clients
+            .iter()
+            .filter(|c| c.client != 0 && c.done)
+            .count();
+        if finished == 2 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "close and idle attach never finished ({finished}/2)"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    handle.inject_server_crash("test: crash after two releases");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        while let Some(item) = survivor.next() {
+            stream.push(item);
+        }
+        let _ = tx.send(stream);
+    });
+    let stream = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("survivor stalled after the restart: released capabilities came back");
+    assert_eq!(session.join(), STEPS, "driver fell short after the restart");
+
+    let streams = vec![(0u32, stream)];
+    assert_ordered_full(&streams, STEPS);
+    assert_byte_identical(&reference[..1], &streams, "restart");
+    drop(spectator);
     p.shutdown();
 }

@@ -507,7 +507,7 @@ fn retiring_the_last_loader_of_a_source_is_refused() {
 }
 
 #[test]
-fn stats_snapshot_reports_loaders_and_client_cursors() {
+fn stats_snapshot_reports_loaders_and_client_progress() {
     let schedule = MixSchedule::uniform(5);
     let mut p = pipeline(schedule, 55, Gcs::new(), ControllerConfig::default());
     // Before any traffic: five idle loaders, no buffered samples.
@@ -529,11 +529,17 @@ fn stats_snapshot_reports_loaders_and_client_cursors() {
     let handles: Vec<_> = session
         .take_clients()
         .into_iter()
-        .map(|mut c| std::thread::spawn(move || while c.next().is_some() {}))
+        .map(|mut c| {
+            std::thread::spawn(move || {
+                while c.next().is_some() {}
+                (c.id, c.consumed())
+            })
+        })
         .collect();
-    for h in handles {
-        h.join().expect("client thread");
-    }
+    let mut consumed: Vec<(u32, u64)> = handles
+        .into_iter()
+        .map(|h| h.join().expect("client thread"))
+        .collect();
     assert_eq!(session.join(), steps);
 
     let stats = p.stats();
@@ -544,14 +550,9 @@ fn stats_snapshot_reports_loaders_and_client_cursors() {
         assert!(l.health.fetch_stall_ns > 0, "fetch stalls unaccounted");
     }
     // Every client's consumed count reached the end of its stream.
-    let mut cursors: Vec<(u32, u64)> = stats
-        .constructors
-        .iter()
-        .flat_map(|c| c.client_cursors.iter().copied())
-        .collect();
-    cursors.sort_unstable();
+    consumed.sort_unstable();
     assert_eq!(
-        cursors,
+        consumed,
         vec![(0, steps), (1, steps), (2, steps), (3, steps)],
         "per-client consumed counts wrong"
     );

@@ -128,14 +128,7 @@ fn frontier_cp() -> impl Strategy<Value = FrontierCheckpoint> {
         any::<u64>(),
         any::<u64>(),
         proptest::collection::vec(
-            (any::<bool>(), any::<u32>(), any::<u64>()).prop_map(|(ctor, id, cursor)| {
-                let holder = if ctor {
-                    Holder::Constructor(id)
-                } else {
-                    Holder::Client(id)
-                };
-                (holder, cursor)
-            }),
+            (any::<u32>(), any::<u64>()).prop_map(|(id, cursor)| (Holder::Client(id), cursor)),
             0..8,
         ),
     )

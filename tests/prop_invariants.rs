@@ -182,30 +182,27 @@ proptest! {
 
     /// The serve plane's global step frontier is monotone non-decreasing
     /// under arbitrary interleavings of progress reports (acks), client
-    /// reconnects (re-acquires), evictions and stream completions
-    /// (releases), and constructor restarts (re-acquires at stale
-    /// cursors) — and while any capability is live, the frontier never
-    /// exceeds the smallest live holder's cursor. These two facts are
-    /// what make "step < frontier" a *proof* of consumption that plan-log
-    /// retirement can act on.
+    /// reconnects and server restarts (re-acquires, possibly at stale
+    /// cursors), evictions and stream completions (releases) — and while
+    /// any capability is live, the frontier never exceeds the smallest
+    /// live holder's cursor. These two facts are what make
+    /// "step < frontier" a *proof* of consumption that plan-log
+    /// retirement can act on. The driver's backpressure read,
+    /// `min_client_cursor`, must agree with a scan of the live holders.
     #[test]
     fn frontier_fold_is_monotone_and_bounded_by_live_cursors(
         ops in proptest::collection::vec(
-            (0u8..3, any::<bool>(), 0u32..6, 0u64..512),
+            (0u8..3, 0u32..12, 0u64..512),
             1..250,
         ),
     ) {
         let hub = FrontierHub::new();
         let mut last = hub.frontier();
-        for (op, ctor, id, v) in ops {
-            let holder = if ctor {
-                Holder::Constructor(id)
-            } else {
-                Holder::Client(id)
-            };
+        for (op, id, v) in ops {
+            let holder = Holder::Client(id);
             match op {
                 0 => {
-                    // (Re)connect / constructor restart: the granted
+                    // (Re)connect / server restart: the granted
                     // cursor is clamped so it never sits below the
                     // frontier and never rewinds a live holder.
                     let granted = hub.acquire(holder, v);
@@ -220,7 +217,9 @@ proptest! {
             prop_assert!(now >= last, "frontier regressed: {} -> {}", last, now);
             last = now;
             let snap = hub.snapshot();
-            if let Some(min) = snap.holders.iter().map(|(_, c)| *c).min() {
+            let scanned = snap.holders.iter().map(|(_, c)| *c).min();
+            prop_assert_eq!(hub.min_client_cursor(), scanned, "multiset min disagrees with a scan");
+            if let Some(min) = scanned {
                 prop_assert!(
                     now <= min,
                     "frontier {} passed a live holder's cursor {}",

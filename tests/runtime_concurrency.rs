@@ -5,11 +5,19 @@
 //! [`ThreadedPipeline::serve`] with several clients pulling concurrently,
 //! kill a Source Loader / the Planner / a Data Constructor mid-serve, and
 //! assert every client still observes a *gap-free, duplicate-free,
-//! consistent* batch stream.
+//! consistent* batch stream. A restarted constructor rebuilds its ready
+//! queue from the serve driver's retained window in `Actor::started`;
+//! the last test pins that path on its own.
+
+mod harness;
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use megascale_data::actor::ActorRef;
+use megascale_data::core::system::net::LoopbackTransport;
+use megascale_data::core::system::runtime::ConstructorMsg;
 
 use megascale_data::balance::BalanceMethod;
 use megascale_data::core::constructor::{ConstructedBatch, DataConstructor};
@@ -204,4 +212,118 @@ fn constructor_crash_mid_serve_keeps_every_client_whole() {
     });
     assert_streams_sound(&streams, 4, 10);
     p.shutdown();
+}
+
+/// The ready steps a constructor holds, asked of the actor itself.
+fn ready_steps(ctor: &ActorRef<ConstructorMsg>) -> Vec<u64> {
+    ctor.ask(ConstructorMsg::ReadySteps, Duration::from_secs(5))
+        .expect("constructor answers")
+}
+
+/// Waits until `ctor` holds exactly `want` with nothing left in its
+/// mailbox — the driver is done sending it anything — then crashes it
+/// and checks that the restarted incarnation rebuilt the same queue in
+/// `started` with no message but the checking ask reaching it.
+fn crash_idle_constructor(ctor: &ActorRef<ConstructorMsg>, want: &[u64], deadline: Instant) {
+    while !(ready_steps(ctor) == want && ctor.mailbox_depth() == 0) {
+        assert!(
+            Instant::now() < deadline,
+            "constructor never settled at {want:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let processed = ctor.processed();
+    ctor.inject_crash("rehydration test kill");
+    // Queued behind the crash, so answered by the restarted incarnation.
+    assert_eq!(ready_steps(ctor), want, "restart did not rebuild the queue");
+    assert_eq!(
+        ctor.processed(),
+        processed + 1,
+        "something besides the checking ask reached the restarted constructor"
+    );
+}
+
+#[test]
+fn restarted_constructor_rebuilds_its_ready_queue_from_the_retained_window() {
+    const STEPS: u64 = 10;
+    const SEED: u64 = 15;
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let reference = harness::local_streams(SEED, 2, STEPS);
+
+    // (a) Local: client 1 parks at cursor 2, so with `queue_depth` 2 the
+    // driver stalls on backpressure after broadcasting step 4 and the
+    // frontier (2) has retired constructor 1's queue down to [2, 4].
+    // The constructor dies there; when client 1 resumes, its pulls are
+    // the first thing the restarted incarnation hears.
+    const PARK_AT: u64 = 2;
+    const QUEUE_DEPTH: u64 = 2;
+    let mut p = harness::pipeline(SEED);
+    let mut session = p.serve(ServeOptions {
+        queue_depth: QUEUE_DEPTH,
+        ..harness::opts(2, STEPS)
+    });
+    let mut clients = session.take_clients();
+    let mut parked = clients.pop().expect("client 1");
+    let mut runner = clients.pop().expect("client 0");
+    let runner = std::thread::spawn(move || {
+        let mut stream = harness::Stream::new();
+        while let Some(item) = runner.next() {
+            stream.push(item);
+        }
+        (runner.id, stream)
+    });
+    let mut stream = harness::Stream::new();
+    while (stream.len() as u64) < PARK_AT {
+        stream.push(parked.next().expect("pull before parking"));
+    }
+    let want: Vec<u64> = (PARK_AT..=PARK_AT + QUEUE_DEPTH).collect();
+    crash_idle_constructor(&p.constructor_actors()[1], &want, deadline);
+    while let Some(item) = parked.next() {
+        stream.push(item);
+    }
+    let streams = vec![runner.join().expect("client 0 thread"), (parked.id, stream)];
+    assert_eq!(session.join(), STEPS, "local driver fell short");
+    p.shutdown();
+    harness::assert_ordered_full(&streams, STEPS);
+    harness::assert_byte_identical(&reference, &streams, "local rehydration");
+
+    // (b) Loopback `serve_distributed`: client 0 streams everything while
+    // client 1 has not dialed yet, holding its capability (and the
+    // frontier) at 0. A `queue_depth` of the whole run lets the driver
+    // broadcast the last step and enter its drain; constructor 1 dies
+    // there, and client 1 then dials and pulls every step from the
+    // rebuilt queue.
+    let mut p = harness::pipeline(SEED);
+    let (session, handle) = p.serve_distributed(
+        ServeOptions {
+            queue_depth: STEPS,
+            ..harness::opts(2, STEPS)
+        },
+        Arc::new(LoopbackTransport),
+        &harness::placements(2),
+    );
+    let mut runner = handle.connect(0);
+    let runner = std::thread::spawn(move || {
+        let mut stream = harness::Stream::new();
+        while let Some(item) = runner.next() {
+            stream.push(item);
+        }
+        (runner.id, stream)
+    });
+    let want: Vec<u64> = (0..STEPS).collect();
+    crash_idle_constructor(&p.constructor_actors()[1], &want, deadline);
+    let mut late = handle.connect(1);
+    let mut stream = harness::Stream::new();
+    while let Some(item) = late.next() {
+        stream.push(item);
+    }
+    let streams = vec![runner.join().expect("client 0 thread"), (late.id, stream)];
+    assert_eq!(session.join(), STEPS, "distributed driver fell short");
+    p.shutdown();
+    harness::assert_ordered_full(&streams, STEPS);
+    harness::assert_byte_identical(&reference, &streams, "distributed rehydration");
+    assert!(
+        Instant::now() < deadline,
+        "rehydration runs overran their deadline"
+    );
 }
