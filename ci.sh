@@ -102,6 +102,11 @@ echo "==> property suites, alternate sampling (PROPTEST_CASES=96, MSD_PROPTEST_S
 PROPTEST_CASES=96 MSD_PROPTEST_SEED=ci-leg-2 cargo test -q \
   --test prop_codec --test prop_invariants --test prop_deploy_tricks --test prop_future_work
 
+# Concurrent local serving through a mid-serve loader-group crash; exits
+# non-zero unless every client pulls every step.
+echo "==> cargo run --example concurrent_serve"
+cargo run --example concurrent_serve
+
 # Smoke-run the elastic control plane end to end (scales up, retires,
 # asserts gap-free clients internally). Debug profile on purpose: it
 # reuses the artifacts `cargo build --benches --examples` made above,

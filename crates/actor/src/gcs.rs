@@ -82,12 +82,17 @@ impl Gcs {
     }
 
     /// Stores a checkpoint if its version is newer than the stored one.
-    /// Returns `true` if the store accepted it.
+    /// Returns `true` if the store accepted it. An existing entry is
+    /// replaced in place: only a key's first put allocates the key.
     pub fn put_state(&self, key: &str, version: u64, data: Vec<u8>) -> bool {
         let mut inner = self.inner.write();
-        match inner.state.get(key) {
+        match inner.state.get_mut(key) {
             Some(existing) if existing.version >= version => false,
-            _ => {
+            Some(existing) => {
+                *existing = Checkpoint { version, data };
+                true
+            }
+            None => {
                 inner
                     .state
                     .insert(key.to_string(), Checkpoint { version, data });
@@ -171,6 +176,28 @@ mod tests {
         assert_eq!(cp.data, vec![4]);
         assert_eq!(gcs.state_version("planner"), 6);
         assert_eq!(gcs.state_version("unknown"), 0);
+    }
+
+    #[test]
+    fn put_state_keeps_the_version_rule_per_key() {
+        let gcs = Gcs::new();
+        // New keys insert, whatever their version.
+        assert!(gcs.put_state("loader/0", 0, vec![0]));
+        assert!(gcs.put_state("loader/1", 7, vec![7]));
+        // Equal and older versions are refused and leave the entry alone.
+        assert!(!gcs.put_state("loader/0", 0, vec![9]));
+        assert!(!gcs.put_state("loader/1", 7, vec![9]));
+        assert!(!gcs.put_state("loader/1", 3, vec![9]));
+        // Newer versions replace the stored entry, version and bytes both.
+        assert!(gcs.put_state("loader/0", 1, vec![1]));
+        assert!(gcs.put_state("loader/1", 8, vec![8]));
+        let get = |key: &str| gcs.get_state(key).map(|cp| (cp.version, cp.data));
+        assert_eq!(get("loader/0"), Some((1, vec![1])));
+        assert_eq!(get("loader/1"), Some((8, vec![8])));
+        // A removed key is new again.
+        assert!(gcs.remove_state("loader/1"));
+        assert!(gcs.put_state("loader/1", 2, vec![2]));
+        assert_eq!(get("loader/1"), Some((2, vec![2])));
     }
 
     #[test]

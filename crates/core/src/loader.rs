@@ -430,6 +430,13 @@ impl SourceLoader {
     /// replay — idempotence matters for failover).
     pub fn pop(&mut self, ids: &[u64]) -> Vec<Sample> {
         let mut out = Vec::with_capacity(ids.len());
+        self.pop_into(ids, &mut out);
+        out
+    }
+
+    /// [`SourceLoader::pop`], appending to `out`: a host popping several
+    /// loaders for one reply collects them in one vector.
+    pub fn pop_into(&mut self, ids: &[u64], out: &mut Vec<Sample>) {
         // A plan usually names the front of the buffer in buffer order:
         // that run pops straight off.
         let mut rest = ids;
@@ -441,7 +448,7 @@ impl SourceLoader {
             rest = tail;
         }
         if rest.is_empty() {
-            return out;
+            return;
         }
         // Anything else (out of order, unknown, repeated) takes one pass
         // over the buffer against an index of the remaining directive:
@@ -462,7 +469,6 @@ impl SourceLoader {
             }
         });
         out.extend(slots.into_iter().flatten());
-        out
     }
 
     /// Resident memory: one per-source access state + buffered payloads +

@@ -7,22 +7,24 @@
 //!
 //! 1. pulls mixing-weight telemetry from the planner actor
 //!    ([`PlannerMsg::Telemetry`]) and per-loader health — buffer
-//!    occupancy, fetch stall time, mailbox depth — from every loader,
+//!    occupancy, fetch stall time — from every loader group,
 //! 2. feeds the weights through [`AutoScaler`] to decide
 //!    scale-up / scale-down, and loader occupancy through
 //!    [`msd_balance::balance`] to decide shard rebalancing,
 //! 3. executes the decisions live against the shared loader registry:
-//!    new loaders are spawned as supervised actors mid-serve; a retiring
-//!    loader runs the drain/hand-off protocol (flush its read buffer,
-//!    hand every unconsumed sample to surviving peers of the same source)
-//!    so client streams stay gap-free and duplicate-free,
+//!    a new loader is spawned mid-serve as a supervised group of one (the
+//!    paper's online split of a hot source); a retiring loader runs the
+//!    drain/hand-off protocol through its hosting group (flush its read
+//!    buffer, hand every unconsumed sample to surviving peers of the same
+//!    source) so client streams stay gap-free and duplicate-free, and a
+//!    group left hosting nothing is stopped,
 //! 4. records every executed decision as an `MSDB`-codec checkpoint in
 //!    the GCS, so a restarted controller — or a whole restarted
 //!    deployment ([`restore_topology`]) — resumes the exact topology.
 //!
 //! ## Why drain/hand-off is duplicate-free
 //!
-//! The retiring loader's actor processes messages sequentially: any pop
+//! The retiring loader's group processes messages sequentially: any pop
 //! directive it handles *before* the drain removes those samples from the
 //! buffer (they were delivered), and the drain collects only what is
 //! left. A pop arriving *after* the drain finds nothing — the plan's
@@ -33,6 +35,7 @@
 //! at most once, with no gap in any client's step stream.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use msd_actor::actor::ReplyTo;
@@ -41,9 +44,9 @@ use msd_balance::BalanceMethod;
 use msd_data::{Sample, SourceId, SourceSpec};
 
 use crate::autoscale::{AutoScaler, LoaderSetup, ScaleAction};
-use crate::loader::{LoaderConfig, LoaderHealth, WORKER_CTX_BYTES};
+use crate::loader::{LoaderCheckpoint, LoaderConfig, LoaderHealth, WORKER_CTX_BYTES};
 use crate::system::runtime::{
-    gather_fleet_health, spawn_loader, LoaderIdentity, LoaderMsg, LoaderRegistry, LoaderSlot,
+    gather_fleet_health, spawn_loaders, LoaderIdentity, LoaderMsg, LoaderRegistry, LoaderSlot,
     PlannerMsg,
 };
 
@@ -249,7 +252,7 @@ impl ControllerActor {
     /// Creates the controller, restoring counters and id allocators from
     /// the GCS checkpoint if one exists (so a supervised restart cannot
     /// reuse a loader id or rewind its event sequence).
-    pub fn new(
+    pub(crate) fn new(
         config: ControllerConfig,
         system: ActorSystem,
         gcs: Gcs,
@@ -267,7 +270,7 @@ impl ControllerActor {
         // Allocators start past everything the live registry uses…
         let mut next_loader_id = 0u32;
         let mut next_shard: BTreeMap<SourceId, u32> = BTreeMap::new();
-        for slot in registry.read().iter() {
+        for slot in &registry.read().loaders {
             next_loader_id = next_loader_id.max(slot.identity.loader_id + 1);
             let e = next_shard.entry(slot.identity.source_id).or_insert(0);
             *e = (*e).max(slot.config.shard + 1);
@@ -321,23 +324,42 @@ impl ControllerActor {
         controller
     }
 
-    fn snapshot(&self) -> Vec<LoaderSlot> {
-        self.registry.read().clone()
-    }
-
     fn slots_of(&self, source: SourceId) -> Vec<LoaderSlot> {
         self.registry
             .read()
+            .loaders
             .iter()
             .filter(|s| s.identity.source_id == source)
             .cloned()
             .collect()
     }
 
-    /// Gathers per-loader health (pipelined; mid-restart loaders are
-    /// skipped this interval) — the same snapshot `stats()` exposes.
-    fn gather_health(&self) -> Vec<(LoaderSlot, LoaderHealth)> {
-        gather_fleet_health(self.snapshot(), self.config.rpc_timeout)
+    /// Gathers per-loader health (one pipelined ask per group;
+    /// mid-restart groups' loaders are skipped this interval) — the same
+    /// snapshot `stats()` exposes.
+    fn gather_health(&self) -> Vec<LoaderHealth> {
+        let topology = self.registry.read().clone();
+        gather_fleet_health(&topology, self.config.rpc_timeout)
+            .into_iter()
+            .map(|(_, health)| health)
+            .collect()
+    }
+
+    /// Drains loader `loader_id` through `group`, its host; `None` when
+    /// the RPC fails or the group no longer hosts it (a restart already
+    /// lost its buffer).
+    fn drain(
+        &self,
+        group: &ActorRef<LoaderMsg>,
+        loader_id: u32,
+    ) -> Option<(Vec<Sample>, LoaderCheckpoint)> {
+        group
+            .ask(
+                |reply| LoaderMsg::Drain { loader_id, reply },
+                self.config.rpc_timeout,
+            )
+            .ok()
+            .flatten()
     }
 
     /// (Re)builds the scaler when the planner's source order changes or
@@ -429,7 +451,8 @@ impl ControllerActor {
         }
     }
 
-    /// Live scale-up: spawn one more supervised loader for `source`.
+    /// Live scale-up: spawn one more loader for `source`, as a
+    /// supervised group of one.
     /// `planner_step` stamps the pre-seeded checkpoint so the newcomer's
     /// restart path replays the plan log from now, not from step 0.
     fn scale_up(&mut self, source: SourceId, planner_step: u64) -> bool {
@@ -488,12 +511,11 @@ impl ControllerActor {
             planner_step.max(1),
             crate::codec::encode_loader_checkpoint(&cp),
         );
-        spawn_loader(
+        spawn_loaders(
             &self.system,
             &self.gcs,
             &self.registry,
-            spec,
-            config,
+            vec![(spec, config)],
             self.seed,
         );
         self.scale_ups += 1;
@@ -501,10 +523,12 @@ impl ControllerActor {
     }
 
     /// Live retirement: pick the most idle loader of `source`, remove it
-    /// from the registry (new plans stop addressing it), drain its
-    /// buffer, hand every unconsumed sample to surviving peers (balanced
-    /// by [`msd_balance::balance`]), then stop the actor.
-    fn scale_down(&mut self, source: SourceId, healths: &[(LoaderSlot, LoaderHealth)]) -> bool {
+    /// from the registry (new plans stop addressing it, and a restart of
+    /// its group no longer rebuilds it), drain its buffer through its
+    /// group, hand every unconsumed sample to surviving peers (balanced
+    /// by [`msd_balance::balance`]), then stop the group if it hosts
+    /// nothing else.
+    fn scale_down(&mut self, source: SourceId, healths: &[LoaderHealth]) -> bool {
         let slots = self.slots_of(source);
         // Hard floor of 1 regardless of configuration: retiring the last
         // loader has no surviving same-source peer for the hand-off, so
@@ -527,8 +551,8 @@ impl ControllerActor {
         let buffered = |slot: &LoaderSlot| {
             healths
                 .iter()
-                .find(|(s, _)| s.identity.loader_id == slot.identity.loader_id)
-                .map(|(_, h)| h.buffered)
+                .find(|h| h.loader_id == slot.identity.loader_id)
+                .map(|h| h.buffered)
                 .unwrap_or(usize::MAX)
         };
         let victim = slots
@@ -537,33 +561,50 @@ impl ControllerActor {
             .expect("slots non-empty")
             .clone();
         let victim_id = victim.identity.loader_id;
-        self.registry
-            .write()
-            .retain(|s| s.identity.loader_id != victim_id);
-        match victim.actor.ask(LoaderMsg::Drain, self.config.rpc_timeout) {
-            Ok((samples, cp)) => {
+        // One write retires the victim and, if it was its group's last
+        // loader, the group: every registered group hosts a loader.
+        let (host, emptied) = {
+            let mut guard = self.registry.write();
+            let topology = Arc::make_mut(&mut *guard);
+            let host = topology.group_of(&victim).cloned();
+            topology
+                .loaders
+                .retain(|s| s.identity.loader_id != victim_id);
+            let emptied = !topology.loaders.iter().any(|s| s.group == victim.group);
+            if emptied {
+                topology.groups.retain(|g| g.id != victim.group);
+            }
+            (host, emptied)
+        };
+        match host
+            .as_ref()
+            .and_then(|group| self.drain(&group.actor, victim_id))
+        {
+            Some((samples, cp)) => {
                 // Final resting checkpoint: the retired loader's cursor
                 // is preserved even though it will never respawn.
-                let key = format!("loader/{victim_id}");
                 self.gcs.put_state(
-                    &key,
+                    &victim.key,
                     cp.version,
                     crate::codec::encode_loader_checkpoint(&cp),
                 );
                 self.hand_off(source, samples);
             }
-            Err(_) => {
-                // The victim was mid-restart: its buffer is already lost,
-                // which is exactly the crash degradation the serve path
-                // tolerates. Retire it anyway.
+            None => {
+                // The victim's group was mid-restart: its buffer is
+                // already lost, which is exactly the crash degradation
+                // the serve path tolerates. Retire it anyway.
                 self.gcs.log_fault(
-                    format!("loader/{victim_id}"),
+                    &victim.key,
                     "drain RPC failed during retirement; buffered samples lost (crash-equivalent)",
                 );
             }
         }
-        victim.actor.stop();
-        self.gcs.deregister(&format!("loader/{victim_id}"));
+        if let Some(group) = host.filter(|_| emptied) {
+            group.actor.stop();
+            self.gcs.deregister(group.actor.name());
+        }
+        self.gcs.deregister(&victim.key);
         self.scale_downs += 1;
         true
     }
@@ -575,7 +616,12 @@ impl ControllerActor {
         if samples.is_empty() {
             return;
         }
-        let survivors = self.slots_of(source);
+        let topology = self.registry.read().clone();
+        let survivors: Vec<&LoaderSlot> = topology
+            .loaders
+            .iter()
+            .filter(|s| s.identity.source_id == source)
+            .collect();
         if survivors.is_empty() {
             self.gcs.log_fault(
                 CONTROLLER_STATE_KEY,
@@ -593,9 +639,15 @@ impl ControllerActor {
         let assignment = msd_balance::balance(&costs, survivors.len(), BalanceMethod::Greedy);
         let mut pool: Vec<Option<Sample>> = samples.into_iter().map(Some).collect();
         for (bin, survivor) in assignment.bins.iter().zip(&survivors) {
-            let batch: Vec<Sample> = bin.iter().filter_map(|i| pool[*i].take()).collect();
-            if !batch.is_empty() {
-                survivor.actor.tell(LoaderMsg::Adopt { samples: batch });
+            let samples: Vec<Sample> = bin.iter().filter_map(|i| pool[*i].take()).collect();
+            if samples.is_empty() {
+                continue;
+            }
+            if let Some(group) = topology.group_of(survivor) {
+                group.actor.tell(LoaderMsg::Adopt {
+                    loader_id: survivor.identity.loader_id,
+                    samples,
+                });
             }
         }
     }
@@ -604,32 +656,29 @@ impl ControllerActor {
     /// samples while a peer runs dry, drain the hoarder and re-spread its
     /// buffer across *all* loaders of the source (the hoarder included —
     /// it gets its balanced share back). At most one source per tick.
-    fn maybe_rebalance(&mut self, healths: &[(LoaderSlot, LoaderHealth)]) -> bool {
-        let mut by_source: BTreeMap<SourceId, Vec<&(LoaderSlot, LoaderHealth)>> = BTreeMap::new();
-        for entry in healths {
-            by_source
-                .entry(entry.0.identity.source_id)
-                .or_default()
-                .push(entry);
+    fn maybe_rebalance(&mut self, healths: &[LoaderHealth]) -> bool {
+        let mut by_source: BTreeMap<SourceId, Vec<&LoaderHealth>> = BTreeMap::new();
+        for health in healths {
+            by_source.entry(health.source).or_default().push(health);
         }
-        for (source, group) in by_source {
-            if group.len() < 2 {
+        for (source, peers) in by_source {
+            if peers.len() < 2 {
                 continue;
             }
-            let (heaviest, max) = group
+            let heaviest = peers
                 .iter()
-                .map(|(slot, h)| (slot, h.buffered))
-                .max_by_key(|(_, b)| *b)
-                .expect("group non-empty");
-            let min = group.iter().map(|(_, h)| h.buffered).min().unwrap_or(0);
+                .max_by_key(|h| h.buffered)
+                .expect("peers non-empty");
+            let max = heaviest.buffered;
+            let min = peers.iter().map(|h| h.buffered).min().unwrap_or(0);
             let skewed = max >= min.saturating_add(self.config.min_rebalance_delta)
                 && max as f64 >= (min.max(1) as f64) * self.config.rebalance_factor;
             if !skewed {
                 continue;
             }
-            let Ok((samples, _)) = heaviest
-                .actor
-                .ask(LoaderMsg::Drain, self.config.rpc_timeout)
+            let host = self.registry.read().host(heaviest.loader_id).cloned();
+            let Some((samples, _)) =
+                host.and_then(|group| self.drain(&group.actor, heaviest.loader_id))
             else {
                 continue; // Mid-restart; retry next interval.
             };
@@ -645,7 +694,9 @@ impl ControllerActor {
     fn record_event(&mut self) {
         self.seq += 1;
         let slots = self
-            .snapshot()
+            .registry
+            .read()
+            .loaders
             .iter()
             .map(|s| SlotRecord {
                 source: s.identity.source_id.0,
@@ -685,14 +736,8 @@ impl Actor for ControllerActor {
                 // The autoscaler was not consulted; pin its view of this
                 // source to the live registry either way, so manual
                 // surgery cannot make its shares drift from reality.
+                let live = self.slots_of(source).len().max(1) as u32;
                 if let Some(scaler) = self.scaler.as_mut() {
-                    let live = self
-                        .registry
-                        .read()
-                        .iter()
-                        .filter(|s| s.identity.source_id == source)
-                        .count()
-                        .max(1) as u32;
                     scaler.set_actors(source, live);
                 }
                 reply.send(executed);
@@ -705,9 +750,11 @@ impl Actor for ControllerActor {
                     rebalances: self.rebalances,
                     checkpointed_events: self.seq,
                     topology: self
-                        .snapshot()
-                        .into_iter()
-                        .map(|slot| slot.identity)
+                        .registry
+                        .read()
+                        .loaders
+                        .iter()
+                        .map(|slot| slot.identity.clone())
                         .collect(),
                 });
             }

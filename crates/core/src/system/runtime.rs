@@ -5,7 +5,10 @@
 //! supervised [`msd_actor`] actors — the shape the paper runs on Ray
 //! (Fig 7). Every stage is actor-hosted:
 //!
-//! - one [`LoaderActor`] per source partition,
+//! - at most four loader-group actors hosting every [`SourceLoader`]
+//!   (the paper's `G = 4` source clusters, Sec 5.1, filled by greedy
+//!   LPT on source transform cost), plus a group of one per live
+//!   scale-up,
 //! - one [`PlannerActor`] hosting the shared
 //!   [`PipelineCore`] (plan synthesis
 //!   plus Replay Mode adoption),
@@ -16,9 +19,10 @@
 //!   the loader fleet live through the shared registry.
 //!
 //! Failures surface as `ask` timeouts/dead errors; supervised restarts
-//! rebuild each actor from its latest GCS checkpoint. Restarted loaders
-//! additionally replay the GCS plan log (differential checkpointing) so a
-//! sample consumed before a crash is never delivered twice.
+//! rebuild each actor from its latest GCS checkpoint. A restarted loader
+//! group rebuilds every member from its own checkpoint and replays the
+//! GCS plan log (differential checkpointing) so a sample consumed before
+//! a crash is never delivered twice.
 //!
 //! [`ThreadedPipeline::step`] drives one synchronous step for a single
 //! caller; [`ThreadedPipeline::serve`] is the concurrent front door — a
@@ -33,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use msd_actor::actor::ReplyTo;
-use msd_actor::{Actor, ActorRef, ActorSystem, Ctx, Gcs, PendingReply, RestartPolicy};
+use msd_actor::{Actor, ActorRef, ActorSystem, Ctx, Gcs, RestartPolicy};
 use msd_data::{Sample, SourceId, SourceSpec};
 use msd_mesh::{Axis, ClientPlaceTree, DistributeAxis};
 use parking_lot::{Mutex, RwLock};
@@ -77,99 +81,167 @@ fn plan_log_key(step: u64) -> String {
 /// a refcount bump, not a payload copy.
 type BroadcastItem = (usize, BucketPlan, Arc<HashMap<u64, Sample>>);
 
-/// Messages understood by a loader actor.
+/// Messages understood by a loader group. The per-step operations
+/// (refill, summary, pop, checkpoint) and the health probe cover every
+/// hosted loader in one message; the control plane's hand-off addresses
+/// one loader by id.
 pub enum LoaderMsg {
-    /// Refill the buffer toward `target` samples.
+    /// Refill every hosted loader's buffer toward `target` samples.
     Refill {
-        /// Target buffered sample count.
+        /// Target buffered sample count, per loader.
         target: usize,
     },
-    /// Report the buffer summary.
-    Summary(ReplyTo<BufferSummary>),
-    /// Pop the given sample ids and reply with the samples.
+    /// Report every hosted loader's buffer summary, in registry order.
+    Summary(ReplyTo<Vec<BufferSummary>>),
+    /// Pop each named loader's sample ids and reply with all the samples.
     Pop {
-        /// Sample ids to pop.
-        ids: Vec<u64>,
+        /// `(loader id, sample ids)` per loader the plan draws from.
+        directives: Vec<(u32, Vec<u64>)>,
         /// Reply channel.
         reply: ReplyTo<Vec<Sample>>,
     },
-    /// Snapshot the loader state into the GCS at `version`.
+    /// Snapshot every hosted loader into the GCS at `version`, each under
+    /// its own `loader/{id}` key.
     Checkpoint {
         /// Snapshot version.
         version: u64,
     },
-    /// Report a control-plane health snapshot (buffer occupancy, fetch
-    /// stall time, lifetime production).
-    Health(ReplyTo<LoaderHealth>),
-    /// Retirement hand-off, step 1: flush the whole read buffer and reply
-    /// with the drained samples plus a final checkpoint. Processed
-    /// sequentially with pops, so a sample is either popped (delivered)
-    /// or drained (handed off) — never both.
-    Drain(ReplyTo<(Vec<Sample>, LoaderCheckpoint)>),
-    /// Retirement hand-off, step 2: a surviving loader of the same source
-    /// adopts a retiring peer's unconsumed samples, keeping them
+    /// Report every hosted loader's control-plane health snapshot (buffer
+    /// occupancy, fetch stall time, lifetime production), in registry
+    /// order.
+    Health(ReplyTo<Vec<LoaderHealth>>),
+    /// Hand-off, step 1: flush loader `loader_id`'s whole read buffer and
+    /// reply with the drained samples plus a final checkpoint, or `None`
+    /// when the group does not host it. Processed sequentially with pops,
+    /// so a sample is either popped (delivered) or drained (handed off) —
+    /// never both. A loader the registry no longer lists (retirement
+    /// deregisters before it drains) leaves the group here.
+    Drain {
+        /// The loader to drain.
+        loader_id: u32,
+        /// Reply channel.
+        reply: ReplyTo<Option<(Vec<Sample>, LoaderCheckpoint)>>,
+    },
+    /// Hand-off, step 2: loader `loader_id`, a surviving loader of the
+    /// drained one's source, adopts its unconsumed samples, keeping them
     /// plannable under its own id.
     Adopt {
+        /// The adopting loader.
+        loader_id: u32,
         /// The handed-off samples.
         samples: Vec<Sample>,
     },
 }
 
-/// A Source Loader hosted in an actor.
-pub struct LoaderActor {
-    inner: SourceLoader,
-    gcs: Gcs,
+/// One Source Loader hosted by a group.
+struct Hosted {
+    loader: SourceLoader,
+    /// The loader's GCS checkpoint key, `loader/{id}`, from its slot.
+    key: String,
 }
 
-impl LoaderActor {
-    /// Creates the actor, restoring from the GCS checkpoint if one exists
-    /// (this is how supervised restarts recover durable state). A corrupt
-    /// checkpoint is surfaced on the GCS fault log and the loader falls
-    /// back to a fresh synthetic stream instead of killing the restart
-    /// path. After a restore, post-checkpoint pop directives from the GCS
-    /// plan log are replayed so already-delivered samples never resurface.
-    pub fn new(spec: SourceSpec, config: LoaderConfig, seed: u64, gcs: Gcs) -> Self {
-        let key = format!("loader/{}", config.loader_id);
-        let loader_id = config.loader_id;
-        let inner = match gcs.get_state(&key) {
-            Some(cp) => match crate::codec::decode_loader_checkpoint(&cp.data) {
-                Ok(parsed) => {
-                    let mut loader = SourceLoader::restore(spec, config, &parsed);
-                    surface_replay_gap(
-                        replay_plan_log(&mut loader, &gcs, parsed.version, loader_id),
-                        &gcs,
-                    );
-                    loader
-                }
-                Err(e) => {
-                    gcs.log_fault(
-                        &key,
-                        format!(
-                            "corrupt GCS checkpoint (v{}): {e}; \
-                                 falling back to a fresh synthetic loader",
-                            cp.version
-                        ),
-                    );
-                    // The fresh loader restarts the same deterministic
-                    // stream from ordinal 0, so the plan log must be
-                    // replayed from the beginning to drop every sample
-                    // already delivered before the crash.
-                    let mut loader = SourceLoader::synthetic(spec, config, seed);
-                    surface_replay_gap(replay_plan_log(&mut loader, &gcs, 0, loader_id), &gcs);
-                    loader
-                }
-            },
-            None => {
-                // No checkpoint can also mean "crashed before the first
-                // checkpoint landed": the fresh loader restarts the same
-                // deterministic stream from ordinal 0, so any logged
-                // deliveries must still be replayed away.
-                let mut loader = SourceLoader::synthetic(spec, config, seed);
-                surface_replay_gap(replay_plan_log(&mut loader, &gcs, 0, loader_id), &gcs);
+/// Several Source Loaders hosted behind one supervised mailbox.
+///
+/// The registry is the group's membership record: every (re)start
+/// rebuilds exactly the loaders the registry assigns to this group, each
+/// restored from its own checkpoint and plan-log replay. Retirement
+/// removes a loader from the registry before draining it, so a later
+/// crash of its group cannot bring it back.
+pub(crate) struct LoaderGroupActor {
+    members: Vec<Hosted>,
+    gcs: Gcs,
+    registry: LoaderRegistry,
+}
+
+impl LoaderGroupActor {
+    /// Builds group `group` from the loaders the registry assigns to it.
+    fn new(group: u32, registry: &LoaderRegistry, gcs: Gcs, seed: u64) -> Self {
+        let topology = registry.read().clone();
+        let members = topology
+            .loaders
+            .iter()
+            .filter(|slot| slot.group == group)
+            .map(|slot| Hosted {
+                loader: restore_loader(slot, seed, &gcs),
+                key: slot.key.clone(),
+            })
+            .collect();
+        LoaderGroupActor {
+            members,
+            gcs,
+            registry: registry.clone(),
+        }
+    }
+
+    fn position(&self, loader_id: u32) -> Option<usize> {
+        self.members.iter().position(|m| m.loader.id() == loader_id)
+    }
+
+    fn drain(&mut self, loader_id: u32) -> Option<(Vec<Sample>, LoaderCheckpoint)> {
+        let pos = self.position(loader_id)?;
+        let member = &mut self.members[pos];
+        let cp = member
+            .loader
+            .checkpoint(self.gcs.state_version(&member.key) + 1);
+        let drained = member.loader.drain();
+        let registered = self
+            .registry
+            .read()
+            .loaders
+            .iter()
+            .any(|slot| slot.identity.loader_id == loader_id);
+        if !registered {
+            self.members.remove(pos);
+        }
+        Some((drained, cp))
+    }
+}
+
+/// Restores one hosted loader from its GCS checkpoint if one exists
+/// (this is how supervised restarts recover durable state). A corrupt
+/// checkpoint is surfaced on the GCS fault log and the loader falls back
+/// to a fresh synthetic stream instead of killing the restart path.
+/// After a restore, post-checkpoint pop directives from the GCS plan log
+/// are replayed so already-delivered samples never resurface.
+fn restore_loader(slot: &LoaderSlot, seed: u64, gcs: &Gcs) -> SourceLoader {
+    let (spec, config) = (slot.spec.clone(), slot.config.clone());
+    match gcs.get_state(&slot.key) {
+        Some(cp) => match crate::codec::decode_loader_checkpoint(&cp.data) {
+            Ok(parsed) => {
+                let mut loader = SourceLoader::restore(spec, config, &parsed);
+                surface_replay_gap(
+                    replay_plan_log(&mut loader, gcs, parsed.version, &slot.key),
+                    gcs,
+                );
                 loader
             }
-        };
-        LoaderActor { inner, gcs }
+            Err(e) => {
+                gcs.log_fault(
+                    &slot.key,
+                    format!(
+                        "corrupt GCS checkpoint (v{}): {e}; \
+                             falling back to a fresh synthetic loader",
+                        cp.version
+                    ),
+                );
+                // The fresh loader restarts the same deterministic
+                // stream from ordinal 0, so the plan log must be
+                // replayed from the beginning to drop every sample
+                // already delivered before the crash.
+                let mut loader = SourceLoader::synthetic(spec, config, seed);
+                surface_replay_gap(replay_plan_log(&mut loader, gcs, 0, &slot.key), gcs);
+                loader
+            }
+        },
+        None => {
+            // No checkpoint can also mean "crashed before the first
+            // checkpoint landed": the fresh loader restarts the same
+            // deterministic stream from ordinal 0, so any logged
+            // deliveries must still be replayed away.
+            let mut loader = SourceLoader::synthetic(spec, config, seed);
+            surface_replay_gap(replay_plan_log(&mut loader, gcs, 0, &slot.key), gcs);
+            loader
+        }
     }
 }
 
@@ -198,8 +270,9 @@ fn replay_plan_log(
     loader: &mut SourceLoader,
     gcs: &Gcs,
     from_version: u64,
-    loader_id: u32,
+    key: &str,
 ) -> Result<(), RuntimeError> {
+    let loader_id = loader.id();
     let Some(cp) = gcs.get_state(PLANNER_STATE_KEY) else {
         return Ok(());
     };
@@ -212,7 +285,7 @@ fn replay_plan_log(
         let Some(entry) = gcs.get_state(&plan_log_key(step)) else {
             if step >= floor {
                 gcs.log_fault(
-                    format!("loader/{loader_id}"),
+                    key,
                     format!(
                         "plan log replay gap: step {step} is missing but the frontier \
                          checkpoint only retires steps below {floor} \
@@ -242,7 +315,7 @@ fn replay_plan_log(
             }
             Err(e) => {
                 gcs.log_fault(
-                    format!("loader/{loader_id}"),
+                    key,
                     format!("corrupt plan log entry for step {step}: {e}; skipped"),
                 );
             }
@@ -262,40 +335,57 @@ fn surface_replay_gap(result: Result<(), RuntimeError>, gcs: &Gcs) {
     }
 }
 
-impl Actor for LoaderActor {
+impl Actor for LoaderGroupActor {
     type Msg = LoaderMsg;
 
     fn handle(&mut self, msg: LoaderMsg, _ctx: &mut Ctx) {
         match msg {
             LoaderMsg::Refill { target } => {
-                let _ = self.inner.refill(target);
+                for member in &mut self.members {
+                    let _ = member.loader.refill(target);
+                }
             }
             LoaderMsg::Summary(reply) => {
-                reply.send(self.inner.summary());
+                reply.send(self.members.iter().map(|m| m.loader.summary()).collect());
             }
-            LoaderMsg::Pop { ids, reply } => {
-                reply.send(self.inner.pop(&ids));
+            LoaderMsg::Pop { directives, reply } => {
+                let wanted = directives.iter().map(|(_, ids)| ids.len()).sum();
+                let mut samples = Vec::with_capacity(wanted);
+                for (loader_id, ids) in &directives {
+                    // A loader this group no longer hosts misses its pop,
+                    // as a crashed loader's does.
+                    if let Some(pos) = self.position(*loader_id) {
+                        self.members[pos].loader.pop_into(ids, &mut samples);
+                    }
+                }
+                reply.send(samples);
             }
             LoaderMsg::Checkpoint { version } => {
-                let cp = self.inner.checkpoint(version);
-                let key = format!("loader/{}", cp.loader_id);
-                self.gcs
-                    .put_state(&key, version, crate::codec::encode_loader_checkpoint(&cp));
+                for member in &self.members {
+                    let cp = member.loader.checkpoint(version);
+                    self.gcs.put_state(
+                        &member.key,
+                        version,
+                        crate::codec::encode_loader_checkpoint(&cp),
+                    );
+                }
             }
             LoaderMsg::Health(reply) => {
-                reply.send(self.inner.health());
+                reply.send(self.members.iter().map(|m| m.loader.health()).collect());
             }
-            LoaderMsg::Drain(reply) => {
-                let version = self
-                    .gcs
-                    .state_version(&format!("loader/{}", self.inner.id()))
-                    + 1;
-                let cp = self.inner.checkpoint(version);
-                reply.send((self.inner.drain(), cp));
+            LoaderMsg::Drain { loader_id, reply } => {
+                reply.send(self.drain(loader_id));
             }
-            LoaderMsg::Adopt { samples } => {
-                self.inner.adopt(samples);
-            }
+            LoaderMsg::Adopt { loader_id, samples } => match self.position(loader_id) {
+                Some(pos) => self.members[pos].loader.adopt(samples),
+                None => self.gcs.log_fault(
+                    format!("loader/{loader_id}"),
+                    format!(
+                        "hand-off to a loader its group no longer hosts: {} samples dropped",
+                        samples.len()
+                    ),
+                ),
+            },
         }
     }
 }
@@ -689,9 +779,11 @@ impl Actor for ConstructorActor {
 /// Errors from a threaded step.
 #[derive(Debug)]
 pub enum RuntimeError {
-    /// A loader failed its RPC (timeout or death) — the failure signal.
+    /// A loader's group failed its RPC (timeout or death) — the failure
+    /// signal. It names the group's first loader the RPC covered, in
+    /// registry order.
     LoaderFailure {
-        /// Index of the failing loader in spawn order.
+        /// Index of the failing loader in registry order.
         loader: usize,
         /// The loader's deployment-wide id.
         loader_id: u32,
@@ -753,7 +845,7 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Identity of one loader actor, for failure attribution.
+/// Identity of one loader, for failure attribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoaderIdentity {
     /// Deployment-wide loader id.
@@ -765,54 +857,207 @@ pub struct LoaderIdentity {
     pub source_id: SourceId,
 }
 
-/// One registered loader actor: its handle, identity, and spawn config.
+/// One registered loader: who it is, what its hosting group rebuilds it
+/// from, and where it checkpoints.
 #[derive(Clone)]
-pub struct LoaderSlot {
-    /// The loader's actor handle.
-    pub actor: ActorRef<LoaderMsg>,
+pub(crate) struct LoaderSlot {
     /// Failure-attribution identity.
-    pub identity: LoaderIdentity,
-    /// The configuration the actor was spawned with.
-    pub config: LoaderConfig,
+    pub(crate) identity: LoaderIdentity,
+    /// The source the loader serves.
+    pub(crate) spec: SourceSpec,
+    /// The configuration the loader was spawned with.
+    pub(crate) config: LoaderConfig,
+    /// Id of the loader group hosting it.
+    pub(crate) group: u32,
+    /// The loader's GCS checkpoint key, `loader/{id}`, built once.
+    pub(crate) key: String,
+}
+
+/// One running loader group.
+#[derive(Clone)]
+pub(crate) struct GroupSlot {
+    /// Group id (ids are never reused).
+    pub(crate) id: u32,
+    /// The group's actor handle.
+    pub(crate) actor: ActorRef<LoaderMsg>,
+}
+
+/// The live loader topology: every loader in registry order and the
+/// groups hosting them.
+#[derive(Clone, Default)]
+pub(crate) struct Topology {
+    /// Registered loaders, in registry order (the planner's view order).
+    pub(crate) loaders: Vec<LoaderSlot>,
+    /// Running groups, by ascending id; every one hosts at least one
+    /// registered loader.
+    pub(crate) groups: Vec<GroupSlot>,
+    /// The next group id to hand out.
+    next_group: u32,
+}
+
+impl Topology {
+    fn group_index(&self, group: u32) -> Option<usize> {
+        self.groups.binary_search_by_key(&group, |g| g.id).ok()
+    }
+
+    /// The group hosting `slot`.
+    pub(crate) fn group_of(&self, slot: &LoaderSlot) -> Option<&GroupSlot> {
+        self.group_index(slot.group).map(|g| &self.groups[g])
+    }
+
+    /// The group hosting loader `loader_id`.
+    pub(crate) fn host(&self, loader_id: u32) -> Option<&GroupSlot> {
+        self.loaders
+            .iter()
+            .find(|slot| slot.identity.loader_id == loader_id)
+            .and_then(|slot| self.group_of(slot))
+    }
+
+    /// Sends every group the request `msg` builds, pipelined (one round
+    /// trip for the whole fleet), and collects the replies in `groups`
+    /// order: `None` for a group that failed the RPC.
+    fn ask_groups<R: Send + 'static>(
+        &self,
+        msg: impl Fn(ReplyTo<R>) -> LoaderMsg,
+        timeout: Duration,
+    ) -> Vec<Option<R>> {
+        let pending: Vec<_> = self
+            .groups
+            .iter()
+            .map(|g| g.actor.ask_pipelined(&msg).ok())
+            .collect();
+        pending
+            .into_iter()
+            .map(|p| p.and_then(|p| p.wait(timeout).ok()))
+            .collect()
+    }
+
+    /// Reassembles per-group replies (from [`Topology::ask_groups`]) into
+    /// registry order: entry `i` is loader `i`'s item, `None` when its
+    /// group did not answer or no longer hosts it. Items are matched by
+    /// loader id, so a loader retired since this snapshot but not yet
+    /// drained from its group is dropped.
+    fn in_registry_order<T>(
+        &self,
+        replies: Vec<Option<Vec<T>>>,
+        id: impl Fn(&T) -> u32,
+    ) -> Vec<Option<T>> {
+        // A group answers in registry order: reversed, the next loader's
+        // item is the last one.
+        let mut replies: Vec<Vec<T>> = replies
+            .into_iter()
+            .map(|reply| {
+                let mut reply = reply.unwrap_or_default();
+                reply.reverse();
+                reply
+            })
+            .collect();
+        self.loaders
+            .iter()
+            .map(|slot| {
+                let reply = &mut replies[self.group_index(slot.group)?];
+                let pos = reply
+                    .iter()
+                    .rposition(|item| id(item) == slot.identity.loader_id)?;
+                Some(reply.swap_remove(pos))
+            })
+            .collect()
+    }
 }
 
 /// The live loader topology, shared between the pipeline handle, the
-/// serve driver, and the elastic controller. The controller mutates it
-/// (spawn/retire); everyone else snapshots it per operation, so a
-/// topology change lands between operations, never inside one.
-pub(crate) type LoaderRegistry = Arc<RwLock<Vec<LoaderSlot>>>;
+/// serve driver, the elastic controller and every loader group's
+/// factory. Copy-on-write: readers clone the inner `Arc` and keep a
+/// consistent snapshot for one operation; the controller replaces it
+/// (spawn/retire), so a topology change lands between operations, never
+/// inside one.
+pub(crate) type LoaderRegistry = Arc<RwLock<Arc<Topology>>>;
 
-/// Spawns one supervised loader actor and registers it in the shared
-/// registry and the GCS name registry. Used at pipeline construction and
-/// by the elastic controller for live scale-ups.
-pub(crate) fn spawn_loader(
+/// Seed of the transform-cost estimate [`loader_groups`] balances on,
+/// fixed so that grouping is a pure function of the loader list.
+const GROUP_COST_SEED: u64 = 0x4d53_445f_4752_5550;
+/// Draws per transform-cost estimate.
+const GROUP_COST_DRAWS: usize = 32;
+
+/// The cost [`loader_groups`] balances: the source's mean per-sample
+/// transform cost, estimated with a fixed seed.
+fn group_cost(spec: &SourceSpec) -> f64 {
+    spec.mean_transform_cost_ns(
+        &mut msd_sim::SimRng::seed(GROUP_COST_SEED),
+        GROUP_COST_DRAWS,
+    )
+}
+
+/// The grouping rule: `N` loaders run in `min(N, G)` groups, `G` being
+/// the paper's four source clusters (`PartitionOpts::default().clusters`,
+/// Sec 5.1), filled by greedy LPT on each loader's source transform
+/// cost. A step's gather waits on its slowest group, so the rule spreads
+/// cost across groups instead of clustering similar costs together (as
+/// `partition_sources` does to size workers). Returns each group's loader
+/// indices, ascending — registry order.
+fn loader_groups(loaders: &[(SourceSpec, LoaderConfig)]) -> Vec<Vec<usize>> {
+    let costs: Vec<f64> = loaders.iter().map(|(spec, _)| group_cost(spec)).collect();
+    let groups = crate::autoscale::PartitionOpts::default()
+        .clusters
+        .min(loaders.len());
+    let mut bins = msd_balance::balance(&costs, groups, msd_balance::BalanceMethod::Greedy).bins;
+    for bin in &mut bins {
+        bin.sort_unstable();
+    }
+    bins
+}
+
+/// Spawns `loaders` as supervised loader groups assigned by
+/// [`loader_groups`], registering every loader in the shared registry
+/// (in list order) and the GCS name registry. Used at pipeline
+/// construction and, with one loader — a group of one — by the elastic
+/// controller for live scale-ups.
+pub(crate) fn spawn_loaders(
     system: &ActorSystem,
     gcs: &Gcs,
     registry: &LoaderRegistry,
-    spec: SourceSpec,
-    config: LoaderConfig,
+    loaders: Vec<(SourceSpec, LoaderConfig)>,
     seed: u64,
-) -> ActorRef<LoaderMsg> {
-    let name = format!("loader/{}", config.loader_id);
-    gcs.register(&name, &spec.name);
-    let identity = LoaderIdentity {
-        loader_id: config.loader_id,
-        source: spec.name.clone(),
-        source_id: spec.id,
-    };
-    let factory_gcs = gcs.clone();
-    let factory_cfg = config.clone();
-    let actor = system.spawn_supervised(
-        &name,
-        RestartPolicy::Restart { max_restarts: 3 },
-        move || LoaderActor::new(spec.clone(), factory_cfg.clone(), seed, factory_gcs.clone()),
-    );
-    registry.write().push(LoaderSlot {
-        actor: actor.clone(),
-        identity,
-        config,
-    });
-    actor
+) {
+    let assignment = loader_groups(&loaders);
+    // Held until every group is spawned: a factory reads its members from
+    // the registry and so waits here until they are all in it.
+    let mut guard = registry.write();
+    let topology = Arc::make_mut(&mut *guard);
+    let base = topology.next_group;
+    let mut group_of = vec![base; loaders.len()];
+    for (g, members) in (base..).zip(&assignment) {
+        for &m in members {
+            group_of[m] = g;
+        }
+    }
+    for ((spec, config), group) in loaders.into_iter().zip(group_of) {
+        let key = format!("loader/{}", config.loader_id);
+        gcs.register(&key, &spec.name);
+        topology.loaders.push(LoaderSlot {
+            identity: LoaderIdentity {
+                loader_id: config.loader_id,
+                source: spec.name.clone(),
+                source_id: spec.id,
+            },
+            spec,
+            config,
+            group,
+            key,
+        });
+    }
+    for id in (base..).take(assignment.len()) {
+        let name = format!("loader-group/{id}");
+        gcs.register(&name, "loader group");
+        let (factory_registry, factory_gcs) = (registry.clone(), gcs.clone());
+        let actor = system.spawn_supervised(
+            &name,
+            RestartPolicy::Restart { max_restarts: 3 },
+            move || LoaderGroupActor::new(id, &factory_registry, factory_gcs.clone(), seed),
+        );
+        topology.groups.push(GroupSlot { id, actor });
+        topology.next_group = id + 1;
+    }
 }
 
 /// One loader's row in a [`RuntimeStats`] snapshot.
@@ -823,7 +1068,8 @@ pub struct LoaderStat {
     /// Health reported by the loader itself (buffer occupancy, fetch
     /// stall time, lifetime production).
     pub health: LoaderHealth,
-    /// Envelopes waiting in the actor's mailbox (backlog signal).
+    /// Envelopes waiting in the hosting group's mailbox (backlog signal,
+    /// shared by every loader of the group).
     pub mailbox_depth: usize,
 }
 
@@ -870,26 +1116,21 @@ impl RuntimeStats {
     }
 }
 
-/// Gathers per-loader health from a registry snapshot with pipelined
-/// asks; loaders that fail the RPC (mid-restart) are skipped. Shared by
+/// Gathers per-loader health through the hosting groups (one pipelined
+/// ask per group): `(registry index, health)` in registry order; loaders
+/// whose group fails the RPC (mid-restart) are skipped. Shared by
 /// [`ThreadedPipeline::stats`] and the elastic controller so the
 /// operator view and the control plane's decision input cannot diverge.
 pub(crate) fn gather_fleet_health(
-    snapshot: Vec<LoaderSlot>,
+    topology: &Topology,
     timeout: Duration,
-) -> Vec<(LoaderSlot, LoaderHealth)> {
-    let pending: Vec<(LoaderSlot, PendingReply<LoaderHealth>)> = snapshot
+) -> Vec<(usize, LoaderHealth)> {
+    let replies = topology.ask_groups(LoaderMsg::Health, timeout);
+    topology
+        .in_registry_order(replies, |h| h.loader_id)
         .into_iter()
-        .filter_map(|slot| {
-            slot.actor
-                .ask_pipelined(LoaderMsg::Health)
-                .ok()
-                .map(|p| (slot, p))
-        })
-        .collect();
-    pending
-        .into_iter()
-        .filter_map(|(slot, p)| p.wait(timeout).ok().map(|h| (slot, h)))
+        .enumerate()
+        .filter_map(|(i, health)| Some((i, health?)))
         .collect()
 }
 
@@ -921,41 +1162,34 @@ fn slot_failure(idx: usize, identity: &LoaderIdentity) -> RuntimeError {
 }
 
 impl Fleet {
-    /// A point-in-time copy of the loader topology. Handles are cheap
-    /// clones; the controller may grow or shrink the registry while this
-    /// snapshot is in use — directives for retired loaders then simply
-    /// miss (the same degradation as a loader crash mid-step).
-    fn snapshot(&self) -> Vec<LoaderSlot> {
+    /// A point-in-time view of the loader topology (an `Arc` clone). The
+    /// controller may grow or shrink the registry while it is in use —
+    /// directives for retired loaders then simply miss (the same
+    /// degradation as a loader crash mid-step).
+    fn snapshot(&self) -> Arc<Topology> {
         self.loaders.read().clone()
     }
 
     fn refill(&self, target: usize) {
-        for slot in self.snapshot() {
-            slot.actor.tell(LoaderMsg::Refill { target });
+        for group in &self.snapshot().groups {
+            group.actor.tell(LoaderMsg::Refill { target });
         }
     }
 
-    /// Gathers buffer summaries with pipelined asks (one fleet-wide
-    /// round-trip instead of one per loader).
+    /// Gathers buffer summaries, one pipelined ask per group, and
+    /// reassembles them in registry order: the planner sees the same
+    /// [`BufferInfo`] whichever group hosts a loader. A loader whose
+    /// group fails the RPC fails the gather.
     fn gather(&self) -> Result<BufferInfo, RuntimeError> {
-        let snapshot = self.snapshot();
-        let pending: Vec<(usize, PendingReply<BufferSummary>)> = snapshot
-            .iter()
+        let topology = self.snapshot();
+        let replies = topology.ask_groups(LoaderMsg::Summary, self.rpc_timeout);
+        let summaries = topology
+            .in_registry_order(replies, |s| s.loader_id)
+            .into_iter()
+            .zip(&topology.loaders)
             .enumerate()
-            .map(|(i, slot)| {
-                slot.actor
-                    .ask_pipelined(LoaderMsg::Summary)
-                    .map(|p| (i, p))
-                    .map_err(|_| slot_failure(i, &slot.identity))
-            })
+            .map(|(i, (summary, slot))| summary.ok_or_else(|| slot_failure(i, &slot.identity)))
             .collect::<Result<_, _>>()?;
-        let mut summaries = Vec::with_capacity(pending.len());
-        for (i, p) in pending {
-            summaries.push(
-                p.wait(self.rpc_timeout)
-                    .map_err(|_| slot_failure(i, &snapshot[i].identity))?,
-            );
-        }
         Ok(BufferInfo::new(summaries))
     }
 
@@ -971,45 +1205,58 @@ impl Fleet {
         Ok(outcome)
     }
 
-    /// Pops every plan directive with pipelined asks, addressing loaders
-    /// by deployment-wide id (the topology may have changed since the
-    /// plan was made); returns the popped samples plus the identities of
-    /// loaders whose pop RPC failed. Directives naming a loader that has
-    /// since been retired are skipped — the retiring drain handed its
-    /// unconsumed samples to a surviving peer, so they stay plannable.
-    fn pop(&self, plan: &LoadingPlan) -> (HashMap<u64, Sample>, Vec<(usize, LoaderIdentity)>) {
-        let snapshot = self.snapshot();
+    /// Pops every plan directive, one pipelined ask per group that hosts
+    /// a directed loader, addressing loaders by deployment-wide id (the
+    /// topology may have changed since the plan was made); returns the
+    /// popped samples plus, if a group failed its pop RPC, the failure of
+    /// its first directed loader in registry order. Directives naming a
+    /// loader that has since been retired are skipped — the retiring
+    /// drain handed its unconsumed samples to a surviving peer, so they
+    /// stay plannable.
+    fn pop(&self, plan: &LoadingPlan) -> (HashMap<u64, Sample>, Option<RuntimeError>) {
+        let topology = self.snapshot();
+        // Per group: its first directed loader (failure attribution) and
+        // its directives.
+        type Batch = (Option<usize>, Vec<(u32, Vec<u64>)>);
+        let mut batches: Vec<Batch> = vec![(None, Vec::new()); topology.groups.len()];
+        for (i, slot) in topology.loaders.iter().enumerate() {
+            let id = slot.identity.loader_id;
+            let (Some(ids), Some(g)) = (plan.directives.get(&id), topology.group_index(slot.group))
+            else {
+                continue;
+            };
+            let (first, directives) = &mut batches[g];
+            first.get_or_insert(i);
+            directives.push((id, ids.clone()));
+        }
         let mut pending = Vec::new();
-        let mut failed = Vec::new();
-        for (i, slot) in snapshot.iter().enumerate() {
-            if let Some(ids) = plan.directives.get(&slot.identity.loader_id) {
-                let ids = ids.clone();
-                match slot
-                    .actor
-                    .ask_pipelined(move |reply| LoaderMsg::Pop { ids, reply })
-                {
-                    Ok(p) => pending.push((i, p)),
-                    Err(_) => failed.push((i, slot.identity.clone())),
-                }
+        let mut failed: Option<usize> = None;
+        let mut fail = |i: usize| failed = Some(failed.map_or(i, |f| f.min(i)));
+        for (group, (first, directives)) in topology.groups.iter().zip(batches) {
+            let Some(first) = first else { continue };
+            match group
+                .actor
+                .ask_pipelined(move |reply| LoaderMsg::Pop { directives, reply })
+            {
+                Ok(p) => pending.push((first, p)),
+                Err(_) => fail(first),
             }
         }
-        let mut popped = HashMap::new();
-        for (i, p) in pending {
+        let wanted = plan.directives.values().map(Vec::len).sum();
+        let mut popped = HashMap::with_capacity(wanted);
+        for (first, p) in pending {
             match p.wait(self.rpc_timeout) {
-                Ok(samples) => {
-                    for s in samples {
-                        popped.insert(s.meta.sample_id, s);
-                    }
-                }
-                Err(_) => failed.push((i, snapshot[i].identity.clone())),
+                Ok(samples) => popped.extend(samples.into_iter().map(|s| (s.meta.sample_id, s))),
+                Err(_) => fail(first),
             }
         }
-        (popped, failed)
+        let failure = failed.map(|i| slot_failure(i, &topology.loaders[i].identity));
+        (popped, failure)
     }
 
     fn checkpoint(&self, version: u64) {
-        for slot in self.snapshot() {
-            slot.actor.tell(LoaderMsg::Checkpoint { version });
+        for group in &self.snapshot().groups {
+            group.actor.tell(LoaderMsg::Checkpoint { version });
         }
     }
 
@@ -1061,8 +1308,9 @@ pub struct ThreadedPipeline {
 
 impl ThreadedPipeline {
     /// Spawns the supervised actor topology: one loader per `(spec,
-    /// config)` pair, the planner, one constructor actor per entry of
-    /// `constructors`, and the elastic controller.
+    /// config)` pair, hosted by at most four loader groups (greedy LPT on
+    /// source transform cost), the planner, one constructor actor per
+    /// entry of `constructors`, and the elastic controller.
     pub fn new(
         sources: Vec<(SourceSpec, LoaderConfig)>,
         planner: Planner,
@@ -1114,10 +1362,8 @@ impl ThreadedPipeline {
         };
         let topology =
             crate::system::controller::restore_topology(&gcs, &sources).unwrap_or(sources.clone());
-        let registry: LoaderRegistry = Arc::new(RwLock::new(Vec::new()));
-        for (spec, config) in topology {
-            spawn_loader(&system, &gcs, &registry, spec, config, seed);
-        }
+        let registry = LoaderRegistry::default();
+        spawn_loaders(&system, &gcs, &registry, topology, seed);
 
         let broadcast_axes = planner.config.broadcast_axes.clone();
         gcs.register("planner", "central");
@@ -1208,23 +1454,28 @@ impl ThreadedPipeline {
         self.fleet.rpc_timeout = timeout;
     }
 
-    /// Loader handles in registry order (fault injection in tests). The
-    /// topology is live — the elastic controller may grow or shrink it —
-    /// so this returns a snapshot of cloned handles, not a borrow.
+    /// Each loader's hosting-group handle, in registry order (fault
+    /// injection in tests: a crash or stall hits the whole group, and
+    /// loaders sharing a group share the handle's name). The topology is
+    /// live — the elastic controller may grow or shrink it — so this
+    /// returns a snapshot of cloned handles, not a borrow.
     pub fn loaders(&self) -> Vec<ActorRef<LoaderMsg>> {
-        self.fleet
-            .snapshot()
-            .into_iter()
-            .map(|slot| slot.actor)
+        let topology = self.fleet.snapshot();
+        topology
+            .loaders
+            .iter()
+            .filter_map(|slot| topology.group_of(slot))
+            .map(|group| group.actor.clone())
             .collect()
     }
 
     /// Loader identities, parallel to [`ThreadedPipeline::loaders`].
     pub fn loader_identities(&self) -> Vec<LoaderIdentity> {
-        self.fleet
-            .snapshot()
-            .into_iter()
-            .map(|slot| slot.identity)
+        let topology = self.fleet.snapshot();
+        topology
+            .loaders
+            .iter()
+            .map(|slot| slot.identity.clone())
             .collect()
     }
 
@@ -1270,12 +1521,18 @@ impl ThreadedPipeline {
     /// the elastic controller's raw input, exposed for operators and
     /// tests; unreachable actors (mid-restart) are skipped.
     pub fn stats(&self) -> RuntimeStats {
-        let loaders = gather_fleet_health(self.fleet.snapshot(), self.fleet.rpc_timeout)
+        let topology = self.fleet.snapshot();
+        let loaders = gather_fleet_health(&topology, self.fleet.rpc_timeout)
             .into_iter()
-            .map(|(slot, health)| LoaderStat {
-                identity: slot.identity,
-                mailbox_depth: slot.actor.mailbox_depth(),
-                health,
+            .map(|(i, health)| {
+                let slot = &topology.loaders[i];
+                LoaderStat {
+                    identity: slot.identity.clone(),
+                    mailbox_depth: topology
+                        .group_of(slot)
+                        .map_or(0, |group| group.actor.mailbox_depth()),
+                    health,
+                }
             })
             .collect();
         let constructors = self
@@ -1346,8 +1603,8 @@ impl ThreadedPipeline {
 
         // 5. Pop and checkpoint.
         let (popped, failed) = self.fleet.pop(&plan);
-        if let Some((i, identity)) = failed.first() {
-            return Err(slot_failure(*i, identity));
+        if let Some(failure) = failed {
+            return Err(failure);
         }
         self.fleet.checkpoint(plan.step);
 
@@ -1596,15 +1853,16 @@ impl ThreadedPipeline {
         while self.fleet.controller.is_alive() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Stop loaders until the registry stops changing: even if the
-        // controller outlived the deadline above, a loader spawned behind
-        // our back is caught on the next pass instead of wedging the join.
+        // Stop loader groups until the registry stops changing: even if
+        // the controller outlived the deadline above, a group spawned
+        // behind our back is caught on the next pass instead of wedging
+        // the join.
         let mut stopped: std::collections::HashSet<u32> = std::collections::HashSet::new();
         loop {
             let mut new_any = false;
-            for slot in self.fleet.snapshot() {
-                if stopped.insert(slot.identity.loader_id) {
-                    slot.actor.stop();
+            for group in &self.fleet.snapshot().groups {
+                if stopped.insert(group.id) {
+                    group.actor.stop();
                     new_any = true;
                 }
             }
@@ -1896,7 +2154,7 @@ fn run_serve_driver(
         // (4) Pop, retrying loaders that were mid-restart once; a
         // restarted loader's lost samples are skipped by construction.
         let (mut popped, failed) = fleet.pop(&plan);
-        if !failed.is_empty() {
+        if failed.is_some() {
             std::thread::sleep(Duration::from_millis(20));
             let (retried, _) = fleet.pop(&plan);
             popped.extend(retried);
@@ -2015,9 +2273,8 @@ fn retire_frontier(
         }
     }
     let mut floor = plan_base.saturating_add(snap.frontier);
-    for slot in fleet.snapshot() {
-        let key = format!("loader/{}", slot.identity.loader_id);
-        floor = floor.min(fleet.gcs.state_version(&key));
+    for slot in &fleet.snapshot().loaders {
+        floor = floor.min(fleet.gcs.state_version(&slot.key));
     }
     if floor > *pruned_below {
         for step in *pruned_below..floor {
@@ -2055,7 +2312,8 @@ fn broadcast(fleet: &Fleet, step: u64, items: &[BroadcastItem]) {
 mod tests {
     use super::*;
     use msd_balance::BalanceMethod;
-    use msd_data::catalog::coyo700m_like;
+    use msd_data::catalog::{coyo700m_like, text_only};
+    use msd_data::Catalog;
     use msd_mesh::{Axis, ClientPlaceTree, DeviceMesh, DistributeAxis};
     use msd_sim::SimRng;
 
@@ -2063,8 +2321,10 @@ mod tests {
     use crate::schedule::MixSchedule;
 
     fn pipeline() -> ThreadedPipeline {
-        let mut rng = SimRng::seed(1);
-        let catalog = coyo700m_like(&mut rng);
+        pipeline_over(&coyo700m_like(&mut SimRng::seed(1)))
+    }
+
+    fn pipeline_over(catalog: &Catalog) -> ThreadedPipeline {
         let mesh = DeviceMesh::pp_dp_cp_tp(1, 2, 1, 2).unwrap();
         let tree = ClientPlaceTree::from_device_mesh(&mesh);
         let planner = Planner::new(
@@ -2091,16 +2351,10 @@ mod tests {
             catalog.sources().iter().map(|s| s.id).collect(),
             7,
         );
-        let sources: Vec<(SourceSpec, LoaderConfig)> = catalog
-            .sources()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), LoaderConfig::solo(i as u32)))
-            .collect();
         let constructors = (0..2)
             .map(|_| DataConstructor::new(mesh.clone(), 4096))
             .collect();
-        ThreadedPipeline::new(sources, planner, constructors, 99)
+        ThreadedPipeline::new(solo_loaders(catalog.sources()), planner, constructors, 99)
     }
 
     fn step_until_ok(
@@ -2116,6 +2370,112 @@ mod tests {
             }
         }
         panic!("pipeline never recovered");
+    }
+
+    /// One solo loader per source, loader id = position.
+    fn solo_loaders(sources: &[SourceSpec]) -> Vec<(SourceSpec, LoaderConfig)> {
+        sources
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.clone(), LoaderConfig::solo(i as u32)))
+            .collect()
+    }
+
+    /// Loader lists the grouping rule must handle: text catalogs of every
+    /// size class, the image catalog, and five shards of one source.
+    fn loader_lists() -> Vec<Vec<(SourceSpec, LoaderConfig)>> {
+        let mut rng = SimRng::seed(5);
+        let mut lists: Vec<_> = [0, 1, 2, 3, 4, 5, 6, 8, 13, 128]
+            .into_iter()
+            .map(|n| solo_loaders(text_only(&mut rng, n).sources()))
+            .collect();
+        let coyo = coyo700m_like(&mut rng);
+        lists.push(solo_loaders(coyo.sources()));
+        lists.push(solo_loaders(&vec![coyo.sources()[0].clone(); 5]));
+        lists
+    }
+
+    #[test]
+    fn every_loader_lands_in_exactly_one_of_at_most_four_groups() {
+        for loaders in loader_lists() {
+            let groups = loader_groups(&loaders);
+            assert_eq!(
+                groups.len(),
+                loaders.len().min(4),
+                "{} loaders",
+                loaders.len()
+            );
+            assert!(groups.iter().all(|g| !g.is_empty()), "an empty group");
+            assert!(
+                groups.iter().all(|g| g.windows(2).all(|w| w[0] < w[1])),
+                "members not in registry order: {groups:?}"
+            );
+            let mut members = groups.concat();
+            members.sort_unstable();
+            assert_eq!(members, (0..loaders.len()).collect::<Vec<_>>());
+            assert_eq!(groups, loader_groups(&loaders), "the rule is not pure");
+        }
+    }
+
+    #[test]
+    fn four_or_fewer_loaders_keep_one_loader_per_group() {
+        for loaders in loader_lists().into_iter().filter(|l| l.len() <= 4) {
+            let groups = loader_groups(&loaders);
+            assert!(groups.iter().all(|g| g.len() == 1), "{groups:?}");
+        }
+    }
+
+    #[test]
+    fn loader_groups_meet_the_lpt_bound() {
+        for loaders in loader_lists().into_iter().filter(|l| !l.is_empty()) {
+            let costs: Vec<f64> = loaders.iter().map(|(spec, _)| group_cost(spec)).collect();
+            let groups = loader_groups(&loaders);
+            let mean = costs.iter().sum::<f64>() / groups.len() as f64;
+            let max_item = costs.iter().copied().fold(0.0, f64::max);
+            let heaviest = groups
+                .iter()
+                .map(|g| g.iter().map(|&i| costs[i]).sum::<f64>())
+                .fold(0.0, f64::max);
+            assert!(
+                heaviest <= (mean + max_item) * (1.0 + 1e-9),
+                "{} loaders: heaviest group {heaviest} > mean {mean} + max item {max_item}",
+                loaders.len()
+            );
+        }
+    }
+
+    #[test]
+    fn gather_reassembles_group_replies_in_registry_order() {
+        let p = pipeline_over(&text_only(&mut SimRng::seed(3), 9));
+        let topology = p.fleet.snapshot();
+        let members = |group: &GroupSlot| -> Vec<usize> {
+            (0..topology.loaders.len())
+                .filter(|&i| topology.loaders[i].group == group.id)
+                .collect()
+        };
+        assert_eq!(topology.groups.len(), 4);
+        assert!(
+            topology
+                .groups
+                .iter()
+                .any(|g| members(g).windows(2).any(|w| w[1] != w[0] + 1)),
+            "the assignment is contiguous: the test would prove nothing"
+        );
+        p.fleet.refill(4);
+        let info = p.fleet.gather().expect("gather");
+        let got: Vec<(u32, SourceId)> = info
+            .summaries
+            .iter()
+            .map(|s| (s.loader_id, s.source))
+            .collect();
+        let registry: Vec<(u32, SourceId)> = p
+            .loader_identities()
+            .iter()
+            .map(|id| (id.loader_id, id.source_id))
+            .collect();
+        assert_eq!(got, registry);
+        assert!(info.summaries.iter().all(|s| s.len() == 4));
+        p.shutdown();
     }
 
     #[test]
@@ -2213,7 +2573,8 @@ mod tests {
         // load — only the injected stall may exceed it.
         p.step(32).unwrap();
         p.set_rpc_timeout(Duration::from_secs(2));
-        p.loaders()[1].inject_delay(Duration::from_secs(6));
+        let groups = p.loaders();
+        groups[1].inject_delay(Duration::from_secs(6));
         let r = p.step(32);
         match r {
             Err(RuntimeError::LoaderFailure {
@@ -2221,9 +2582,12 @@ mod tests {
                 loader_id,
                 ref source,
             }) => {
-                assert_eq!(loader, 1);
-                assert_eq!(loader_id, p.loader_identities()[1].loader_id);
-                assert_eq!(source, &p.loader_identities()[1].source);
+                // The stall hits loader 1's whole group; the failure names
+                // the group's first loader in registry order.
+                let first = groups.iter().position(|g| g.name() == groups[1].name());
+                assert_eq!(Some(loader), first);
+                assert_eq!(loader_id, p.loader_identities()[loader].loader_id);
+                assert_eq!(source, &p.loader_identities()[loader].source);
             }
             other => panic!("expected attributable loader failure, got {other:?}"),
         }

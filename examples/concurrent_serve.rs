@@ -4,12 +4,15 @@
 //! cargo run --example concurrent_serve
 //! ```
 //!
-//! Spawns the supervised actor topology (Source Loaders, Planner, Data
-//! Constructors), starts a [`ThreadedPipeline::serve`] session with
-//! pipelined refill-ahead, and has four trainer clients pull their batch
-//! streams concurrently — then kills a loader mid-serve to show the
-//! supervised restart keeping every client's stream intact.
+//! Spawns the supervised actor topology (Source Loaders in loader
+//! groups, Planner, Data Constructors), starts a
+//! [`ThreadedPipeline::serve`] session with pipelined refill-ahead, and
+//! has four trainer clients pull their batch streams concurrently — then
+//! crashes loader 0's group mid-serve to show the supervised restart
+//! keeping every client's stream intact. Exits non-zero if any client
+//! falls short of the session's steps.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
 use megascale_data::balance::{BackboneShape, BalanceMethod};
@@ -63,18 +66,27 @@ fn main() {
         .map(|_| DataConstructor::new(mesh.clone(), 4096))
         .collect();
 
-    // The actor topology: loaders + planner + constructors, supervised.
+    // The actor topology: loader groups + planner + constructors,
+    // supervised.
     let mut pipeline = ThreadedPipeline::new(sources, planner, constructors, 99);
+    let groups = pipeline.loaders();
+    let group_count = groups
+        .iter()
+        .map(|g| g.name())
+        .collect::<HashSet<_>>()
+        .len();
     println!(
-        "topology: {} loader actors, 1 planner actor, {} constructor actors",
-        pipeline.loaders().len(),
+        "topology: {} loaders in {group_count} loader-group actors, 1 planner actor, \
+         {} constructor actors",
+        groups.len(),
         pipeline.constructor_actors().len()
     );
 
     // Serve 8 steps to 4 concurrent clients with refill-ahead prefetch.
+    const STEPS: u64 = 8;
     let mut session = pipeline.serve(ServeOptions {
         clients: 4,
-        steps: 8,
+        steps: STEPS,
         refill_target: 64,
         queue_depth: 3,
         prefetch: true,
@@ -102,15 +114,23 @@ fn main() {
         })
         .collect();
 
-    // Mid-serve fault: kill loader 0. Supervision restores it from its
-    // GCS checkpoint and replays the plan log; clients never notice.
+    // Mid-serve fault: crash loader 0's group. Supervision restores each
+    // of its loaders from its own GCS checkpoint and replays the plan
+    // log; clients never notice.
     std::thread::sleep(Duration::from_millis(20));
-    pipeline.loaders()[0].inject_crash("demo mid-serve failure");
-    println!("injected: loader 0 crash mid-serve");
+    groups[0].inject_crash("demo mid-serve failure");
+    println!(
+        "injected: crash of loader 0's group ({}) mid-serve",
+        groups[0].name()
+    );
 
+    let mut short = Vec::new();
     for h in handles {
         let (id, pulled, samples) = h.join().expect("client thread");
         println!("client {id}: pulled {pulled} batches ({samples} packed samples)");
+        if pulled != STEPS {
+            short.push(id);
+        }
     }
     let steps = session.join();
     println!("driver pumped {steps} steps; faults logged: {}", {
@@ -118,5 +138,9 @@ fn main() {
         faults.len()
     });
     pipeline.shutdown();
-    println!("done: every client got a gap-free stream through the crash");
+    if !short.is_empty() || steps != STEPS {
+        eprintln!("clients {short:?} pulled fewer than {STEPS} steps (driver pumped {steps})");
+        std::process::exit(1);
+    }
+    println!("done: every client pulled all {STEPS} steps through the crash");
 }

@@ -23,7 +23,7 @@ use megascale_data::core::schedule::MixSchedule;
 use megascale_data::core::system::controller::{ControllerConfig, ControllerMsg};
 use megascale_data::core::system::runtime::{LoaderMsg, ServeOptions, ThreadedPipeline};
 use megascale_data::data::catalog::coyo700m_like;
-use megascale_data::data::{SourceId, SourceSpec};
+use megascale_data::data::{Catalog, SourceId, SourceSpec};
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeviceMesh, DistributeAxis};
 use megascale_data::sim::SimRng;
 
@@ -52,6 +52,11 @@ fn controller_config() -> ControllerConfig {
     }
 }
 
+/// The 5-source image catalog every test here draws from.
+fn catalog() -> Catalog {
+    coyo700m_like(&mut SimRng::seed(2))
+}
+
 /// Builds a 5-source pipeline whose mixture follows `schedule`, against
 /// an explicit control store (so tests can rebuild from its checkpoints).
 fn pipeline(
@@ -60,8 +65,29 @@ fn pipeline(
     gcs: Gcs,
     ctrl: ControllerConfig,
 ) -> ThreadedPipeline {
-    let mut rng = SimRng::seed(2);
-    let catalog = coyo700m_like(&mut rng);
+    let sources: Vec<(SourceSpec, LoaderConfig)> = catalog()
+        .sources()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            (
+                s.clone(),
+                LoaderConfig::solo_with_fetch_latency(i as u32, FETCH_LATENCY_NS),
+            )
+        })
+        .collect();
+    pipeline_with(sources, schedule, seed, gcs, ctrl)
+}
+
+/// A pipeline over the catalog's sources with an explicit loader list.
+fn pipeline_with(
+    sources: Vec<(SourceSpec, LoaderConfig)>,
+    schedule: MixSchedule,
+    seed: u64,
+    gcs: Gcs,
+    ctrl: ControllerConfig,
+) -> ThreadedPipeline {
+    let catalog = catalog();
     let mesh = DeviceMesh::pp_dp_cp_tp(1, 2, 1, 2).unwrap();
     let tree = ClientPlaceTree::from_device_mesh(&mesh);
     let planner = Planner::new(
@@ -81,21 +107,33 @@ fn pipeline(
         catalog.sources().iter().map(|s| s.id).collect(),
         3,
     );
-    let sources: Vec<(SourceSpec, LoaderConfig)> = catalog
-        .sources()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            (
-                s.clone(),
-                LoaderConfig::solo_with_fetch_latency(i as u32, FETCH_LATENCY_NS),
-            )
-        })
-        .collect();
     let constructors = (0..2)
         .map(|_| DataConstructor::new(mesh.clone(), 4096))
         .collect();
     ThreadedPipeline::new_with(sources, planner, constructors, seed, gcs, ctrl)
+}
+
+/// Source 0 split into two shards (loader ids 0/1), one loader for each
+/// other source (ids 2..): a source that can retire or rebalance.
+fn two_shard_loaders() -> Vec<(SourceSpec, LoaderConfig)> {
+    let mut sources: Vec<(SourceSpec, LoaderConfig)> = Vec::new();
+    for (i, s) in catalog().sources().iter().enumerate() {
+        if i == 0 {
+            for shard in 0..2u32 {
+                sources.push((
+                    s.clone(),
+                    LoaderConfig {
+                        shard,
+                        shards: 2,
+                        ..LoaderConfig::solo(shard)
+                    },
+                ));
+            }
+        } else {
+            sources.push((s.clone(), LoaderConfig::solo(i as u32 + 1)));
+        }
+    }
+    sources
 }
 
 /// A mixture that drifts mid-run: source 0 is scorching for the first 10
@@ -250,9 +288,12 @@ fn controller_checkpoint_restores_the_exact_topology() {
         .expect("spawned loader registered");
     let spawned = &p.loaders()[spawned_idx];
     spawned.tell(LoaderMsg::Refill { target: 8 });
-    let summary = spawned
+    let summaries = spawned
         .ask(LoaderMsg::Summary, Duration::from_secs(5))
         .expect("spawned loader reachable");
+    let [summary] = summaries.as_slice() else {
+        panic!("a scale-up hosts its loader in a group of one: {summaries:?}");
+    };
     assert!(!summary.is_empty(), "spawned loader refilled nothing");
     for m in &summary.samples {
         let shard = (m.sample_id >> 40) & 0xFF;
@@ -289,57 +330,44 @@ fn skewed_buffers_rebalance_through_drain_and_handoff() {
     // Two loaders for source 0 (shards 0/1), one for each other source;
     // a uniform mixture keeps the autoscaler quiet so the occupancy
     // rebalancer is the only control-plane path that can fire.
-    let mut rng = SimRng::seed(2);
-    let catalog = coyo700m_like(&mut rng);
-    let mesh = DeviceMesh::pp_dp_cp_tp(1, 2, 1, 2).unwrap();
-    let tree = ClientPlaceTree::from_device_mesh(&mesh);
-    let planner = Planner::new(
-        PlannerConfig {
-            axis: DistributeAxis::DP,
-            group_size: None,
-            microbatches: 2,
-            broadcast_axes: vec![Axis::TP],
-            samples_per_step: 16,
-            schedule: MixSchedule::uniform(catalog.len()),
-        },
-        Strategy::BackboneBalance {
-            method: BalanceMethod::Greedy,
-            backbone: small_backbone(),
-        },
-        tree,
-        catalog.sources().iter().map(|s| s.id).collect(),
-        3,
-    );
-    let mut sources: Vec<(SourceSpec, LoaderConfig)> = Vec::new();
-    for (i, s) in catalog.sources().iter().enumerate() {
-        if i == 0 {
-            for shard in 0..2u32 {
-                sources.push((
-                    s.clone(),
-                    LoaderConfig {
-                        shard,
-                        shards: 2,
-                        ..LoaderConfig::solo(shard)
-                    },
-                ));
-            }
-        } else {
-            sources.push((s.clone(), LoaderConfig::solo(i as u32 + 1)));
-        }
-    }
-    let constructors = (0..2)
-        .map(|_| DataConstructor::new(mesh.clone(), 4096))
-        .collect();
     let ctrl = ControllerConfig {
         rebalance_factor: 2.0,
         min_rebalance_delta: 16,
         ..ControllerConfig::default()
     };
-    let p = ThreadedPipeline::new_with(sources, planner, constructors, 44, Gcs::new(), ctrl);
+    let p = pipeline_with(
+        two_shard_loaders(),
+        MixSchedule::uniform(5),
+        44,
+        Gcs::new(),
+        ctrl,
+    );
 
     // Skew by hand: shard 0 of source 0 hoards a fat buffer while its
-    // peer stays empty.
-    p.loaders()[0].tell(LoaderMsg::Refill { target: 64 });
+    // peer stays empty. A refill covers a whole loader group, so both
+    // shards fill to 32 and shard 1 then hands its buffer to shard 0.
+    let timeout = Duration::from_secs(10);
+    let ids: Vec<u32> = p.loader_identities()[..2]
+        .iter()
+        .map(|id| id.loader_id)
+        .collect();
+    for group in &p.loaders()[..2] {
+        group.tell(LoaderMsg::Refill { target: 32 });
+    }
+    let (samples, _) = p.loaders()[1]
+        .ask(
+            |reply| LoaderMsg::Drain {
+                loader_id: ids[1],
+                reply,
+            },
+            timeout,
+        )
+        .expect("shard 1's group reachable")
+        .expect("shard 1 hosted");
+    p.loaders()[0].tell(LoaderMsg::Adopt {
+        loader_id: ids[0],
+        samples,
+    });
     let before = p.stats();
     assert_eq!(before.loaders[0].health.buffered, 64);
     assert_eq!(before.loaders[1].health.buffered, 0);
@@ -371,54 +399,20 @@ fn retiring_the_last_loader_of_a_source_is_refused() {
     // exactly one. Retiring from the single-loader sources must be
     // refused — there is no surviving same-source peer to adopt the
     // drained buffer — even when the configured floor would allow it.
-    let mut rng = SimRng::seed(2);
-    let catalog = coyo700m_like(&mut rng);
-    let mesh = DeviceMesh::pp_dp_cp_tp(1, 2, 1, 2).unwrap();
-    let tree = ClientPlaceTree::from_device_mesh(&mesh);
-    let planner = Planner::new(
-        PlannerConfig {
-            axis: DistributeAxis::DP,
-            group_size: None,
-            microbatches: 2,
-            broadcast_axes: vec![Axis::TP],
-            samples_per_step: 16,
-            schedule: MixSchedule::uniform(catalog.len()),
-        },
-        Strategy::BackboneBalance {
-            method: BalanceMethod::Greedy,
-            backbone: small_backbone(),
-        },
-        tree,
-        catalog.sources().iter().map(|s| s.id).collect(),
-        3,
-    );
-    let mut sources: Vec<(SourceSpec, LoaderConfig)> = Vec::new();
-    for (i, s) in catalog.sources().iter().enumerate() {
-        if i == 0 {
-            for shard in 0..2u32 {
-                sources.push((
-                    s.clone(),
-                    LoaderConfig {
-                        shard,
-                        shards: 2,
-                        ..LoaderConfig::solo(shard)
-                    },
-                ));
-            }
-        } else {
-            sources.push((s.clone(), LoaderConfig::solo(i as u32 + 1)));
-        }
-    }
-    let constructors = (0..2)
-        .map(|_| DataConstructor::new(mesh.clone(), 4096))
-        .collect();
     // min_loaders_per_source 0: even an operator config that permits
     // retiring everything must not drop the last loader's buffer.
     let ctrl = ControllerConfig {
         min_loaders_per_source: 0,
         ..ControllerConfig::default()
     };
-    let p = ThreadedPipeline::new_with(sources, planner, constructors, 46, Gcs::new(), ctrl);
+    let p = pipeline_with(
+        two_shard_loaders(),
+        MixSchedule::uniform(5),
+        46,
+        Gcs::new(),
+        ctrl,
+    );
+    let catalog = catalog();
     let single_source = catalog.sources()[1].id;
     let dual_source = catalog.sources()[0].id;
     let timeout = Duration::from_secs(10);
@@ -430,8 +424,9 @@ fn retiring_the_last_loader_of_a_source_is_refused() {
         .position(|id| id.source_id == single_source)
         .expect("single-loader source spawned");
     p.loaders()[single_idx].tell(LoaderMsg::Refill { target: 24 });
-    let buffered_before = p.stats().total_buffered();
-    assert_eq!(buffered_before, 24);
+    let stats = p.stats();
+    assert_eq!(stats.loaders[single_idx].health.buffered, 24);
+    let buffered_before = stats.total_buffered();
 
     // The retirement must be refused: no peer to hand the buffer to.
     let executed = p
@@ -555,6 +550,133 @@ fn stats_snapshot_reports_loaders_and_client_progress() {
         consumed,
         vec![(0, steps), (1, steps), (2, steps), (3, steps)],
         "per-client consumed counts wrong"
+    );
+    p.shutdown();
+}
+
+/// Retirement removes a loader from the registry before draining it, and
+/// a loader group rebuilds its members from the registry at every
+/// restart — so crashing the retired loader's former group must not
+/// bring it back: not in `stats()`, not in any group's hosted set, not
+/// as a checkpoint writer, and not in any delivered sample.
+#[test]
+fn retired_loader_stays_retired_through_a_crash_of_its_former_group() {
+    // Source 0 in eight equal-cost shards: four groups of two shards
+    // each, so whichever shard retirement picks, its group hosts a
+    // sibling and outlives the retirement.
+    const SHARDS: u32 = 8;
+    let timeout = Duration::from_secs(10);
+    let spec = catalog().sources()[0].clone();
+    let source = spec.id;
+    let shards: Vec<(SourceSpec, LoaderConfig)> = (0..SHARDS)
+        .map(|shard| {
+            (
+                spec.clone(),
+                LoaderConfig {
+                    shard,
+                    shards: SHARDS,
+                    ..LoaderConfig::solo_with_fetch_latency(shard, FETCH_LATENCY_NS)
+                },
+            )
+        })
+        .collect();
+    let mut p = pipeline_with(
+        shards,
+        MixSchedule::uniform(5),
+        48,
+        Gcs::new(),
+        ControllerConfig::default(),
+    );
+    let groups = p.loaders();
+    let before = p.loader_identities();
+    let hosted_by = |name: &str| groups.iter().filter(|g| g.name() == name).count();
+    assert!(
+        groups.iter().all(|g| hosted_by(g.name()) == 2),
+        "expected four groups of two shards"
+    );
+
+    let executed = p
+        .controller_actor()
+        .ask(|reply| ControllerMsg::Retire { source, reply }, timeout)
+        .expect("controller reachable");
+    assert!(executed, "retirement with surviving peers refused");
+    let after = p.loader_identities();
+    let victim = before
+        .iter()
+        .position(|id| !after.contains(id))
+        .expect("one loader retired");
+    let victim_id = before[victim].loader_id;
+    let victim_key = format!("loader/{victim_id}");
+    let resting_version = p.gcs.state_version(&victim_key);
+    let per_source = p.stats().loaders_per_source();
+    assert_eq!(per_source, vec![(source, SHARDS as usize - 1)]);
+
+    // Crash the former group; the answer to an ask queued behind the
+    // crash comes from the restarted incarnation.
+    let former = &groups[victim];
+    former.inject_crash("crash the retired loader's former group");
+    let hosted: Vec<u32> = former
+        .ask(LoaderMsg::Health, timeout)
+        .expect("restarted group answers")
+        .iter()
+        .map(|h| h.loader_id)
+        .collect();
+    assert!(
+        !hosted.contains(&victim_id),
+        "restart rebuilt retired loader {victim_id}: {hosted:?}"
+    );
+    assert_eq!(hosted.len(), 1, "the sibling shard was not rebuilt");
+
+    // Serve: every delivered sample comes from a live shard.
+    let steps = 6u64;
+    let mut session = p.serve(ServeOptions {
+        clients: 2,
+        steps,
+        refill_target: 16,
+        queue_depth: 3,
+        pull_timeout: Duration::from_millis(500),
+        ..ServeOptions::default()
+    });
+    let handles: Vec<_> = session
+        .take_clients()
+        .into_iter()
+        .map(|mut c| {
+            std::thread::spawn(move || {
+                let mut ids = Vec::new();
+                let mut pulled = 0u64;
+                while let Some((_, batch)) = c.next() {
+                    pulled += 1;
+                    ids.extend(sample_ids(&batch));
+                }
+                (pulled, ids)
+            })
+        })
+        .collect();
+    let victim_shard = u64::from(before[victim].loader_id);
+    for h in handles {
+        let (pulled, ids) = h.join().expect("client thread");
+        assert_eq!(pulled, steps, "a client missed steps");
+        // Id layout: source(16) | shard(8) | ordinal(40); shard = loader id here.
+        assert!(
+            ids.iter().all(|sid| (sid >> 40) & 0xFF != victim_shard),
+            "a sample of retired loader {victim_id} was delivered"
+        );
+    }
+    assert_eq!(session.join(), steps);
+
+    let stats = p.stats();
+    assert!(
+        stats
+            .loaders
+            .iter()
+            .all(|l| l.identity.loader_id != victim_id),
+        "retired loader {victim_id} reappeared in stats()"
+    );
+    assert_eq!(stats.loaders_per_source(), per_source);
+    assert_eq!(
+        p.gcs.state_version(&victim_key),
+        resting_version,
+        "retired loader {victim_id} kept checkpointing"
     );
     p.shutdown();
 }

@@ -171,17 +171,20 @@ fn threaded_pipeline_survives_faults() {
     // stays generous so healthy loaders never trip it under parallel test
     // load — only the injected stall exceeds it.
     pipeline.set_rpc_timeout(Duration::from_secs(2));
-    pipeline.loaders()[1].inject_delay(Duration::from_secs(6));
+    let groups = pipeline.loaders();
+    groups[1].inject_delay(Duration::from_secs(6));
     let r = pipeline.step(32);
-    // The failure is attributable: index, loader id, and source name.
+    // The failure is attributable: index, loader id, and source name of
+    // the stalled group's first loader in registry order.
     match r {
         Err(RuntimeError::LoaderFailure {
             loader,
             loader_id,
             ref source,
         }) => {
-            assert_eq!(loader, 1);
-            assert_eq!(loader_id, pipeline.loader_identities()[1].loader_id);
+            let first = groups.iter().position(|g| g.name() == groups[1].name());
+            assert_eq!(Some(loader), first);
+            assert_eq!(loader_id, pipeline.loader_identities()[loader].loader_id);
             assert!(!source.is_empty());
         }
         other => panic!("expected attributable loader failure, got {other:?}"),

@@ -26,7 +26,7 @@ use megascale_data::core::system::net::Transport;
 use megascale_data::core::system::runtime::{ServeOptions, ThreadedPipeline};
 use megascale_data::core::system::server::RemotePlacement;
 use megascale_data::data::catalog::coyo700m_like;
-use megascale_data::data::SourceSpec;
+use megascale_data::data::{Catalog, SourceSpec};
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeviceMesh, DistributeAxis};
 use megascale_data::sim::SimRng;
 // `Strategy` is the planner's enum in this file; the proptest trait is `Arb`.
@@ -51,8 +51,12 @@ pub fn small_backbone() -> megascale_data::balance::BackboneShape {
 /// produce identical plan and batch streams, which is what lets these
 /// tests compare local and distributed serving byte for byte.
 pub fn pipeline(seed: u64) -> ThreadedPipeline {
-    let mut rng = SimRng::seed(2);
-    let catalog = coyo700m_like(&mut rng);
+    pipeline_over(&coyo700m_like(&mut SimRng::seed(2)), 16, seed)
+}
+
+/// The same DP=2 pipeline over any catalog, one loader per source,
+/// planning `samples_per_step` samples a step.
+pub fn pipeline_over(catalog: &Catalog, samples_per_step: usize, seed: u64) -> ThreadedPipeline {
     let mesh = DeviceMesh::pp_dp_cp_tp(1, 2, 1, 2).unwrap();
     let tree = ClientPlaceTree::from_device_mesh(&mesh);
     let planner = Planner::new(
@@ -61,7 +65,7 @@ pub fn pipeline(seed: u64) -> ThreadedPipeline {
             group_size: None,
             microbatches: 2,
             broadcast_axes: vec![Axis::TP],
-            samples_per_step: 16,
+            samples_per_step,
             schedule: MixSchedule::uniform(catalog.len()),
         },
         Strategy::BackboneBalance {
@@ -119,8 +123,14 @@ pub type Stream = Vec<(u64, Arc<ConstructedBatch>)>;
 
 /// Serves locally and collects every client's full stream.
 pub fn local_streams(seed: u64, clients: u32, steps: u64) -> Vec<(u32, Stream)> {
-    let mut p = pipeline(seed);
-    let mut session = p.serve(opts(clients, steps));
+    serve_local(pipeline(seed), opts(clients, steps))
+}
+
+/// Serves `p` locally under `opts`, collects every client's full stream
+/// (sorted by client id), and shuts `p` down.
+pub fn serve_local(mut p: ThreadedPipeline, opts: ServeOptions) -> Vec<(u32, Stream)> {
+    let steps = opts.steps;
+    let mut session = p.serve(opts);
     let handles: Vec<_> = session
         .take_clients()
         .into_iter()

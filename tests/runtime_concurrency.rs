@@ -5,9 +5,11 @@
 //! [`ThreadedPipeline::serve`] with several clients pulling concurrently,
 //! kill a Source Loader / the Planner / a Data Constructor mid-serve, and
 //! assert every client still observes a *gap-free, duplicate-free,
-//! consistent* batch stream. A restarted constructor rebuilds its ready
-//! queue from the serve driver's retained window in `Actor::started`;
-//! the last test pins that path on its own.
+//! consistent* batch stream. Loaders run in groups behind one mailbox
+//! each, so a loader kill is a group kill: one test crashes a group of
+//! several loaders and checks every member restores exactly. A restarted
+//! constructor rebuilds its ready queue from the serve driver's retained
+//! window in `Actor::started`; the last test pins that path on its own.
 
 mod harness;
 
@@ -25,7 +27,7 @@ use megascale_data::core::loader::LoaderConfig;
 use megascale_data::core::planner::{Planner, PlannerConfig, Strategy};
 use megascale_data::core::schedule::MixSchedule;
 use megascale_data::core::system::runtime::{ServeOptions, ThreadedPipeline};
-use megascale_data::data::catalog::coyo700m_like;
+use megascale_data::data::catalog::{coyo700m_like, text_only};
 use megascale_data::data::SourceSpec;
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeviceMesh, DistributeAxis};
 use megascale_data::sim::SimRng;
@@ -192,6 +194,111 @@ fn loader_crash_mid_serve_keeps_every_client_whole() {
     });
     assert_streams_sound(&streams, 4, 10);
     p.shutdown();
+}
+
+/// Crashes the group hosting loader 0 — several loaders of an 8-source
+/// text catalog behind one mailbox — while four clients are mid-stream.
+/// Each plan draws every buffered sample (`samples_per_step` = loaders ×
+/// refill target), so at a step boundary each loader's checkpoint is its
+/// whole state, and without prefetch the driver's next message to the
+/// group is the next step's refill. A crash there loses nothing: every
+/// member restores from its own checkpoint, the streams stay
+/// byte-identical to an undisturbed run, and every member checkpoints
+/// again afterwards.
+#[test]
+fn group_crash_mid_serve_restores_every_member_byte_identically() {
+    const SOURCES: u32 = 8;
+    const REFILL: usize = 4;
+    const STEPS: u64 = 12;
+    const PARK_AT: u64 = 3;
+    const QUEUE_DEPTH: u64 = 2;
+    const SEED: u64 = 16;
+    let make = || {
+        let catalog = text_only(&mut SimRng::seed(2), SOURCES);
+        harness::pipeline_over(&catalog, SOURCES as usize * REFILL, SEED)
+    };
+    let opts = ServeOptions {
+        refill_target: REFILL,
+        prefetch: false,
+        queue_depth: QUEUE_DEPTH,
+        ..harness::opts(4, STEPS)
+    };
+    let reference = harness::serve_local(make(), opts);
+    let deadline = Instant::now() + Duration::from_secs(60);
+
+    let mut p = make();
+    let groups = p.loaders();
+    let group = groups[0].clone();
+    let hosted: Vec<String> = p
+        .loader_identities()
+        .iter()
+        .zip(&groups)
+        .filter(|(_, g)| g.name() == group.name())
+        .map(|(id, _)| format!("loader/{}", id.loader_id))
+        .collect();
+    assert!(hosted.len() >= 2, "loader 0's group hosts only {hosted:?}");
+
+    // Client 3 parks at cursor PARK_AT, so the driver stalls on
+    // backpressure once it has served step PARK_AT + QUEUE_DEPTH — whose
+    // checkpoint is its last message to the group until client 3 moves.
+    let mut session = p.serve(opts);
+    let mut clients = session.take_clients();
+    let mut parked = clients.pop().expect("client 3");
+    let runners: Vec<_> = clients
+        .into_iter()
+        .map(|mut c| {
+            std::thread::spawn(move || {
+                let mut stream = harness::Stream::new();
+                while let Some(item) = c.next() {
+                    stream.push(item);
+                }
+                (c.id, stream)
+            })
+        })
+        .collect();
+    let mut stream = harness::Stream::new();
+    while (stream.len() as u64) < PARK_AT {
+        stream.push(parked.next().expect("pull before parking"));
+    }
+    let stalled_at = PARK_AT + QUEUE_DEPTH;
+    while !(hosted.iter().all(|k| p.gcs.state_version(k) == stalled_at)
+        && group.mailbox_depth() == 0)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "driver never stalled at step {stalled_at}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    group.inject_crash("mid-serve group kill");
+    while let Some(item) = parked.next() {
+        stream.push(item);
+    }
+    let mut streams: Vec<(u32, Stream)> = runners
+        .into_iter()
+        .map(|h| h.join().expect("client thread"))
+        .collect();
+    streams.push((parked.id, stream));
+    streams.sort_by_key(|(id, _)| *id);
+    assert_eq!(session.join(), STEPS, "driver fell short of its steps");
+
+    for key in &hosted {
+        assert!(
+            p.gcs.state_version(key) > stalled_at,
+            "{key} never checkpointed after its group restarted"
+        );
+    }
+    let gaps: Vec<_> = p
+        .gcs
+        .fault_log("")
+        .into_iter()
+        .filter(|f| f.detail.contains("plan log replay gap"))
+        .collect();
+    assert!(gaps.is_empty(), "restart reported a replay gap: {gaps:?}");
+    p.shutdown();
+
+    assert_streams_sound(&streams, 4, STEPS);
+    harness::assert_byte_identical(&reference, &streams, "group restart");
 }
 
 #[test]
