@@ -100,7 +100,13 @@ cargo test --test frontier_recovery -q
 # first one.
 echo "==> property suites, alternate sampling (PROPTEST_CASES=96, MSD_PROPTEST_SEED=ci-leg-2)"
 PROPTEST_CASES=96 MSD_PROPTEST_SEED=ci-leg-2 cargo test -q \
-  --test prop_codec --test prop_invariants --test prop_deploy_tricks --test prop_future_work
+  --test prop_codec --test prop_invariants --test prop_deploy_tricks
+
+# Replay Mode end to end: record a live run's plans, round-trip the
+# store through its MSDB frame, replay it on a seeded twin; exits
+# non-zero unless every step replays the live run's samples.
+echo "==> cargo run --example replay_mode"
+cargo run --example replay_mode
 
 # Concurrent local serving through a mid-serve loader-group crash; exits
 # non-zero unless every client pulls every step.

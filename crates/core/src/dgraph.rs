@@ -1,8 +1,8 @@
 //! `DGraph`: the stateful dataflow graph behind the declarative data plane.
 //!
 //! A `DGraph` tracks every buffered sample through its scheduling lifecycle
-//! (`buffered → sampled → distributed → balanced → planned`), with each
-//! transition recorded as a lineage edge. The paper's primitives map to
+//! (`buffered → sampled → distributed → balanced → planned`); each node's
+//! `state` records where its sample went. The paper's primitives map to
 //! methods:
 //!
 //! | paper                         | here                                |
@@ -98,17 +98,6 @@ pub struct DNode {
     pub cost: f64,
 }
 
-/// A lineage edge: one recorded state transition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LineageEdge {
-    /// Sample id.
-    pub sample: u64,
-    /// Stage label (e.g. `"distribute"`).
-    pub stage: &'static str,
-    /// Human-readable detail (bucket/bin assignment etc.).
-    pub detail: String,
-}
-
 /// Options for [`DGraph::balance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BalanceOpts {
@@ -188,8 +177,6 @@ pub struct DGraph {
     microbatches: u32,
     mixed: bool,
     broadcast_axes: Vec<Axis>,
-    lineage: Vec<LineageEdge>,
-    record_lineage: bool,
     /// Wall-clock nanoseconds spent inside `cost` (Table 2).
     pub cost_api_ns: u64,
     /// Wall-clock nanoseconds spent inside `balance` (Table 2).
@@ -229,27 +216,8 @@ impl DGraph {
             microbatches: 1,
             mixed: false,
             broadcast_axes: Vec::new(),
-            lineage: Vec::new(),
-            record_lineage: true,
             cost_api_ns: 0,
             balance_api_ns: 0,
-        }
-    }
-
-    /// Enables or disables lineage recording. Lineage is on by default (the
-    /// paper's "orchestration transparency"); the Strategy Optimizer turns
-    /// it off for production programs where nobody reads the trace.
-    pub fn set_record_lineage(&mut self, record: bool) {
-        self.record_lineage = record;
-    }
-
-    fn trace(&mut self, sample: u64, stage: &'static str, detail: impl FnOnce() -> String) {
-        if self.record_lineage {
-            self.lineage.push(LineageEdge {
-                sample,
-                stage,
-                detail: detail(),
-            });
         }
     }
 
@@ -289,20 +257,6 @@ impl DGraph {
     /// Node lookup by sample id.
     pub fn node(&self, sample: u64) -> Option<&DNode> {
         self.by_id.get(&sample).map(|i| &self.nodes[*i])
-    }
-
-    /// Recorded lineage edges, in order.
-    pub fn lineage(&self) -> &[LineageEdge] {
-        &self.lineage
-    }
-
-    /// Lineage of one sample: chronological stage labels.
-    pub fn lineage_of(&self, sample: u64) -> Vec<&'static str> {
-        self.lineage
-            .iter()
-            .filter(|e| e.sample == sample)
-            .map(|e| e.stage)
-            .collect()
     }
 
     /// Sources visible to this graph, sorted (defines weight order).
@@ -352,9 +306,6 @@ impl DGraph {
             };
             let idx = queues[s].pop().expect("nonempty by weight masking");
             self.nodes[idx].state = NodeState::Sampled;
-            let id = self.nodes[idx].id;
-            let source = self.nodes[idx].meta.source;
-            self.trace(id, "mix", || format!("selected from {source}"));
             selected += 1;
         }
         for q in queues {
@@ -398,32 +349,7 @@ impl DGraph {
         for (pos, idx) in self.participants().into_iter().enumerate() {
             let bucket = (pos as u32) % n;
             self.nodes[idx].state = NodeState::Distributed { bucket };
-            let id = self.nodes[idx].id;
-            self.trace(id, "distribute", || {
-                format!("bucket {bucket}/{n} on {}", axis.label())
-            });
         }
-        Ok(n)
-    }
-
-    /// Lazy variant of [`DGraph::distribute`]: records the axis and group
-    /// size (so `balance`/`plan` know the bucket geometry) without the
-    /// per-node round-robin assignment pass.
-    ///
-    /// Only valid when the next bucket-consuming primitive is a `balance`
-    /// with `inter_bucket = true`, which recomputes every bucket assignment
-    /// from scratch anyway — the fusion the Strategy Optimizer applies
-    /// (`distribute ∘ balance → balance`). Calling `plan` directly after a
-    /// lazy distribute schedules nothing (samples never reach a bucket).
-    pub fn distribute_lazy(
-        &mut self,
-        axis: DistributeAxis,
-        group_size: Option<u32>,
-    ) -> Result<u32, DGraphError> {
-        let tree = self.tree.as_ref().ok_or(DGraphError::NotInitialized)?;
-        let n = tree.bucket_count(axis, group_size);
-        self.axis = Some(axis);
-        self.group_size = group_size;
         Ok(n)
     }
 
@@ -500,10 +426,6 @@ impl DGraph {
                         bucket: b as u32,
                         bin: bin_idx as u32,
                     };
-                    let id = self.nodes[idx].id;
-                    self.trace(id, "balance", || {
-                        format!("bucket {b} bin {bin_idx} ({})", method.label())
-                    });
                 }
             }
         }
@@ -821,30 +743,6 @@ mod tests {
         let plan = g.plan(0).unwrap();
         assert_eq!(plan.broadcast_axes, vec![Axis::TP, Axis::CP]);
         assert_eq!(plan.buckets.len(), 4); // DP×CP.
-    }
-
-    #[test]
-    fn lineage_records_transitions() {
-        let info = buffer_info();
-        let mut g = DGraph::from_buffer_infos(&info, MetaView::Tokens);
-        g.init(tree(2, 1, 1));
-        let mut rng = SimRng::seed(3);
-        g.mix(&[1.0, 1.0], 16, &mut rng).unwrap();
-        g.distribute(DistributeAxis::DP, None).unwrap();
-        g.balance(BalanceMethod::Interleave, BalanceOpts::full(2))
-            .unwrap();
-        let stages = g.lineage_of(0);
-        assert_eq!(stages, vec!["mix", "distribute", "balance"]);
-        // Lineage is append-only and time-ordered: mix events precede
-        // distribute events for every sample.
-        let first_distribute = g
-            .lineage()
-            .iter()
-            .position(|e| e.stage == "distribute")
-            .unwrap();
-        assert!(g.lineage()[..first_distribute]
-            .iter()
-            .all(|e| e.stage == "mix"));
     }
 
     #[test]

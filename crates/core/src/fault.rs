@@ -4,8 +4,9 @@
 //! integrity checks; a hot-standby *shadow loader* is promoted instantly.
 //! To keep snapshot costs low, loaders checkpoint *less frequently* than
 //! the Planner — on failover the shadow restores the last loader snapshot
-//! and *replays* the Planner's deterministic plan history to catch up
-//! (differential checkpointing).
+//! and *replays* the plans executed since then to catch up (differential
+//! checkpointing). The shadow keeps that delta itself, so it never holds
+//! more than one snapshot interval of plans.
 
 use msd_data::SourceSpec;
 
@@ -39,8 +40,9 @@ pub struct FailoverReport {
 
 /// A primary loader paired with a hot-standby shadow.
 ///
-/// The shadow holds the source spec and the latest (low-frequency) loader
-/// checkpoint; promotion costs one restore plus a deterministic replay.
+/// The shadow holds the source spec, the latest (low-frequency) loader
+/// checkpoint and this loader's directives since it; promotion costs one
+/// restore plus a deterministic replay of those directives.
 pub struct ShadowedLoader {
     spec: SourceSpec,
     config: LoaderConfig,
@@ -50,7 +52,9 @@ pub struct ShadowedLoader {
     snapshot: LoaderCheckpoint,
     /// Loader snapshot cadence in plans (> planner cadence, per the paper).
     pub snapshot_interval: u64,
-    plans_since_snapshot: u64,
+    /// The ids this loader popped in each plan since `snapshot`, in plan
+    /// order: the replay delta, cleared at every snapshot.
+    since_snapshot: Vec<Vec<u64>>,
 }
 
 impl ShadowedLoader {
@@ -64,7 +68,7 @@ impl ShadowedLoader {
             primary: Some(primary),
             snapshot,
             snapshot_interval: snapshot_interval.max(1),
-            plans_since_snapshot: 0,
+            since_snapshot: Vec::new(),
         }
     }
 
@@ -92,14 +96,20 @@ impl ShadowedLoader {
         self.spec.access_state.total()
     }
 
-    /// Records that one plan was executed; snapshots on the configured
-    /// cadence. Returns `true` if a snapshot was taken.
-    pub fn after_plan(&mut self, version: u64) -> bool {
-        self.plans_since_snapshot += 1;
-        if self.plans_since_snapshot >= self.snapshot_interval {
+    /// Records that `plan` was executed — keeping this loader's directive
+    /// for replay — and snapshots on the configured cadence. Returns `true`
+    /// if a snapshot was taken.
+    pub fn after_plan(&mut self, plan: &LoadingPlan) -> bool {
+        let ids = plan
+            .directives
+            .get(&self.config.loader_id)
+            .cloned()
+            .unwrap_or_default();
+        self.since_snapshot.push(ids);
+        if self.since_snapshot.len() as u64 >= self.snapshot_interval {
             if let Some(p) = &self.primary {
-                self.snapshot = p.checkpoint(version);
-                self.plans_since_snapshot = 0;
+                self.snapshot = p.checkpoint(plan.step);
+                self.since_snapshot.clear();
                 return true;
             }
         }
@@ -112,42 +122,29 @@ impl ShadowedLoader {
     }
 
     /// Promotes the shadow: restore the last snapshot, then replay the
-    /// planner's history from that version to reconstruct exactly the
-    /// buffered/popped state the primary had.
-    pub fn promote_shadow(
-        &mut self,
-        signal: FailureSignal,
-        planner_history: &[&LoadingPlan],
-    ) -> FailoverReport {
+    /// directives executed since it to reconstruct exactly the
+    /// buffered/popped state the primary had. The delta is kept, so a
+    /// second failure before the next snapshot replays it again.
+    pub fn promote_shadow(&mut self, signal: FailureSignal) -> FailoverReport {
         let mut restored =
             SourceLoader::restore(self.spec.clone(), self.config.clone(), &self.snapshot);
-        let mut replayed_plans = 0;
         let mut replayed_samples = 0;
-        for plan in planner_history {
-            if plan.step < self.snapshot.version {
-                continue;
-            }
-            if let Some(ids) = plan.directives.get(&self.config.loader_id) {
-                // Re-materialize everything this plan consumed, then drop it
-                // again (it was already delivered downstream).
-                restored
-                    .refill(restored.buffered() + ids.len())
-                    .expect("synthetic refill cannot fail");
-                let popped = restored.pop(ids);
-                replayed_samples += popped.len();
-            }
-            replayed_plans += 1;
+        for ids in &self.since_snapshot {
+            // Re-materialize everything this plan consumed, then drop it
+            // again (it was already delivered downstream).
+            restored
+                .refill(restored.buffered() + ids.len())
+                .expect("synthetic refill cannot fail");
+            replayed_samples += restored.pop(ids).len();
         }
-        let report = FailoverReport {
+        self.primary = Some(restored);
+        FailoverReport {
             loader_id: self.config.loader_id,
             signal,
             restored_version: self.snapshot.version,
-            replayed_plans,
+            replayed_plans: self.since_snapshot.len(),
             replayed_samples,
-        };
-        self.primary = Some(restored);
-        self.plans_since_snapshot = 0;
-        report
+        }
     }
 }
 
@@ -174,82 +171,64 @@ mod tests {
         coyo700m_like(&mut rng).sources()[0].clone()
     }
 
-    fn plan_with_directive(step: u64, loader: u32, ids: Vec<u64>) -> LoadingPlan {
-        LoadingPlan {
+    /// One plan against the live primary: refill to `fill`, pop the `take`
+    /// front samples, then record the plan. Returns whether it snapshotted.
+    fn run_plan(shadowed: &mut ShadowedLoader, step: u64, fill: usize, take: usize) -> bool {
+        shadowed.primary().refill(fill).unwrap();
+        let ids: Vec<u64> = shadowed
+            .primary()
+            .summary()
+            .samples
+            .iter()
+            .take(take)
+            .map(|m| m.sample_id)
+            .collect();
+        shadowed.primary().pop(&ids);
+        shadowed.after_plan(&LoadingPlan {
             step,
             axis: msd_mesh::DistributeAxis::DP,
             buckets: vec![],
             excluded: vec![],
             broadcast_axes: vec![],
-            directives: BTreeMap::from([(loader, ids)]),
+            directives: BTreeMap::from([(0, ids)]),
             subplans: BTreeMap::new(),
-        }
+        })
+    }
+
+    /// The ids the primary buffers after refilling to `fill`.
+    fn next_summary(shadowed: &mut ShadowedLoader, fill: usize) -> Vec<u64> {
+        shadowed.primary().refill(fill).unwrap();
+        shadowed
+            .primary()
+            .summary()
+            .samples
+            .iter()
+            .map(|m| m.sample_id)
+            .collect()
     }
 
     #[test]
     fn failover_restores_identical_stream_position() {
         let mut shadowed = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 42, 2);
         // Produce and consume some samples across several "plans".
-        let mut consumed_ids = Vec::new();
-        let mut history = Vec::new();
         for step in 0..5u64 {
-            shadowed.primary().refill(8).unwrap();
-            let ids: Vec<u64> = shadowed
-                .primary()
-                .summary()
-                .samples
-                .iter()
-                .take(4)
-                .map(|m| m.sample_id)
-                .collect();
-            shadowed.primary().pop(&ids);
-            consumed_ids.extend(ids.clone());
-            history.push(plan_with_directive(step, 0, ids));
-            shadowed.after_plan(step);
+            run_plan(&mut shadowed, step, 8, 4);
         }
         // Note what the primary would produce next.
-        shadowed.primary().refill(8).unwrap();
-        let expected_next: Vec<u64> = shadowed
-            .primary()
-            .summary()
-            .samples
-            .iter()
-            .map(|m| m.sample_id)
-            .collect();
+        let expected_next = next_summary(&mut shadowed, 8);
 
         // Kill and promote.
         let mut shadowed2 = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 42, 2);
-        let mut history2 = Vec::new();
         for step in 0..5u64 {
-            shadowed2.primary().refill(8).unwrap();
-            let ids: Vec<u64> = shadowed2
-                .primary()
-                .summary()
-                .samples
-                .iter()
-                .take(4)
-                .map(|m| m.sample_id)
-                .collect();
-            shadowed2.primary().pop(&ids);
-            history2.push(plan_with_directive(step, 0, ids));
-            shadowed2.after_plan(step);
+            run_plan(&mut shadowed2, step, 8, 4);
         }
         shadowed2.kill_primary();
         assert!(!shadowed2.is_alive());
-        let refs: Vec<&LoadingPlan> = history2.iter().collect();
-        let report = shadowed2.promote_shadow(FailureSignal::RpcTimeout, &refs);
+        let report = shadowed2.promote_shadow(FailureSignal::RpcTimeout);
         assert!(shadowed2.is_alive());
         assert!(report.replayed_plans > 0);
         // After recovery the loader yields the same future stream.
-        shadowed2.primary().refill(8).unwrap();
-        let recovered_next: Vec<u64> = shadowed2
-            .primary()
-            .summary()
-            .samples
-            .iter()
-            .map(|m| m.sample_id)
-            .collect();
-        assert_eq!(expected_next, recovered_next);
+        assert_eq!(expected_next, next_summary(&mut shadowed2, 8));
     }
 
     #[test]
@@ -257,8 +236,7 @@ mod tests {
         let mut shadowed = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 1, 3);
         let mut snapshots = 0;
         for step in 0..9u64 {
-            shadowed.primary().refill(2).unwrap();
-            if shadowed.after_plan(step) {
+            if run_plan(&mut shadowed, step, 2, 0) {
                 snapshots += 1;
             }
         }
@@ -269,26 +247,32 @@ mod tests {
     #[test]
     fn replay_skips_pre_snapshot_plans() {
         let mut shadowed = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 5, 1);
-        let mut history = Vec::new();
         for step in 0..4u64 {
-            shadowed.primary().refill(4).unwrap();
-            let ids: Vec<u64> = shadowed
-                .primary()
-                .summary()
-                .samples
-                .iter()
-                .take(2)
-                .map(|m| m.sample_id)
-                .collect();
-            shadowed.primary().pop(&ids);
-            history.push(plan_with_directive(step, 0, ids));
-            shadowed.after_plan(step); // Snapshot every plan.
+            run_plan(&mut shadowed, step, 4, 2); // Snapshot every plan.
         }
         shadowed.kill_primary();
-        let refs: Vec<&LoadingPlan> = history.iter().collect();
-        let report = shadowed.promote_shadow(FailureSignal::IntegrityViolation, &refs);
-        // Snapshot taken at step 3 → only the final plan replays.
+        let report = shadowed.promote_shadow(FailureSignal::IntegrityViolation);
+        // Snapshot taken at step 3 → at most the final plan replays.
         assert!(report.replayed_plans <= 1, "{report:?}");
+    }
+
+    #[test]
+    fn shadow_delta_is_bounded_by_the_snapshot_interval() {
+        // 66 plans: 64 fill sixteen snapshot intervals, the last two land
+        // mid-interval so the failover has a delta to replay.
+        let mut twin = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 9, 4);
+        let mut shadowed = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 9, 4);
+        for step in 0..66u64 {
+            run_plan(&mut twin, step, 8, 4);
+            run_plan(&mut shadowed, step, 8, 4);
+            assert!(shadowed.since_snapshot.len() <= 4, "step {step}");
+        }
+        shadowed.kill_primary();
+        let report = shadowed.promote_shadow(FailureSignal::RpcTimeout);
+        assert!(report.replayed_plans <= 4, "{report:?}");
+        assert_eq!(report.replayed_plans, 2);
+        assert_eq!(report.restored_version, 63);
+        assert_eq!(next_summary(&mut twin, 8), next_summary(&mut shadowed, 8));
     }
 
     #[test]

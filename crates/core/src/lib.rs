@@ -31,30 +31,23 @@
 //!   per-stage latency histograms, and queue-depth gauges snapshotted
 //!   through `RuntimeStats`.
 //! - [`fault`]: shadow loaders, differential checkpointing, replay.
-//! - [`reshard`]: elastic resharding on trainer-topology changes.
+//! - [`replay`]: Replay Mode (paper §9) — a step-indexed store of
+//!   pre-computed plans that either deployment adopts through
+//!   [`system::core::PipelineCore`] when they validate against live
+//!   buffers.
 //! - [`system`]: the assembled `MegaScaleData` simulation pipeline and
 //!   the analytic memory model used by the cluster-scale experiments;
 //!   [`system::core`] holds the deployment-agnostic `PipelineCore`,
 //!   [`system::runtime`] the fully actorized concurrent runtime
 //!   (`ThreadedPipeline::serve`), and [`system::controller`] the elastic
 //!   control plane that scales and rebalances the loader fleet live.
-//!
-//! The paper's §9 "Future Work" directions are implemented too:
-//!
-//! - [`replay`]: Replay Mode — pre-computed per-step plans executed by a
-//!   store-backed planner, freeing the live Planner for health monitoring.
-//! - [`aheadfetch`]: Ahead-of-Fetch balancing — plan from storage-resident
-//!   metadata (optionally with embedded pre-computed costs) before any
-//!   payload fetch.
-//! - [`optimizer`]: the Strategy Optimizer — rewrites declarative
-//!   orchestration programs (dead-primitive elimination, fusion, lineage
-//!   elision) while preserving plan semantics.
+//!   A trainer-topology change (elastic resharding) is
+//!   [`planner::Planner::set_tree`]: later plans use the new mesh.
 
 // The zero-copy data plane makes many historical clones dead; keep new
 // ones from creeping in (ci.sh runs clippy with -D warnings).
 #![warn(clippy::redundant_clone)]
 
-pub mod aheadfetch;
 pub mod autoscale;
 pub mod buffer;
 pub mod codec;
@@ -63,26 +56,22 @@ pub mod dgraph;
 pub mod fault;
 pub mod loader;
 pub mod metrics;
-pub mod optimizer;
 pub mod plan;
 pub mod planner;
 pub mod pool;
 pub mod replay;
-pub mod reshard;
 pub mod schedule;
 pub mod system;
 
-pub use aheadfetch::{AheadOfFetchSession, FetchSavings, MetaIndex, PositionalFetcher};
 pub use buffer::{BufferInfo, BufferSummary};
 pub use constructor::DataConstructor;
 pub use dgraph::{BalanceOpts, DGraph, DGraphError, MetaView, NodeState};
 pub use loader::SourceLoader;
 pub use metrics::{MetricsSnapshot, Stage, StageSnapshot};
-pub use optimizer::{CostExpr, OptimizeReport, StrategyOp, StrategyProgram};
 pub use plan::{BinPlan, BucketPlan, LoadingPlan};
 pub use planner::{Planner, Strategy};
 pub use pool::{BufferPool, PoolConfig, PoolCounters, PooledBuf};
-pub use replay::{PlanStore, ReplayOutcome, ReplayPlanner};
+pub use replay::PlanStore;
 pub use schedule::MixSchedule;
 pub use system::core::{PipelineCore, PlanOutcome};
 pub use system::net::{

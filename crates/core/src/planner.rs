@@ -94,9 +94,11 @@ impl PhaseBreakdown {
     }
 }
 
-/// Serializable snapshot of the Planner's restart-critical state. The
-/// plan history is deliberately excluded: it is a replay *log*, not
-/// state the planner needs to keep planning deterministically.
+/// Serializable snapshot of the Planner's restart-critical state: the step
+/// counter and the sampling RNG are all the planner needs to keep planning
+/// deterministically. Loader replay reads the GCS plan log (threaded
+/// runtime) or a shadow's own bounded delta (inline failover), never the
+/// planner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannerCheckpoint {
     /// Step counter at snapshot time.
@@ -118,7 +120,6 @@ pub struct Planner {
     net: NetModel,
     rng: SimRng,
     step: u64,
-    history: Vec<LoadingPlan>,
 }
 
 impl Planner {
@@ -139,7 +140,6 @@ impl Planner {
             net: NetModel::default(),
             rng: SimRng::seed(seed),
             step: 0,
-            history: Vec::new(),
         }
     }
 
@@ -170,19 +170,6 @@ impl Planner {
         self.net = net;
     }
 
-    /// Plan history (the replay log for differential checkpointing).
-    pub fn history(&self) -> &[LoadingPlan] {
-        &self.history
-    }
-
-    /// Plans with `step >= from_step`, for loader replay after failover.
-    pub fn plans_since(&self, from_step: u64) -> Vec<&LoadingPlan> {
-        self.history
-            .iter()
-            .filter(|p| p.step >= from_step)
-            .collect()
-    }
-
     /// Feeds observed per-source losses into a loss-adaptive schedule.
     pub fn observe_loss(&mut self, losses: &[f64]) {
         self.config.schedule.observe_loss(losses);
@@ -198,7 +185,7 @@ impl Planner {
     }
 
     /// Restores step counter and RNG from a checkpoint so subsequent plans
-    /// continue the exact pre-crash sequence. History is not restored.
+    /// continue the exact pre-crash sequence.
     pub fn restore_checkpoint(&mut self, cp: &PlannerCheckpoint) {
         self.step = cp.step;
         self.rng = SimRng::from_state(cp.rng_state);
@@ -223,11 +210,10 @@ impl Planner {
 
     /// Records an externally generated plan (e.g. one served from a Replay
     /// Mode [`crate::replay::PlanStore`]) as this planner's plan for the
-    /// current step, advancing the step counter and the replay history just
-    /// as [`Planner::generate`] would.
+    /// current step, advancing the step counter just as
+    /// [`Planner::generate`] would.
     pub fn adopt_plan(&mut self, mut plan: LoadingPlan) -> LoadingPlan {
         plan.step = self.step;
-        self.history.push(plan.clone());
         self.step += 1;
         plan
     }
@@ -321,7 +307,6 @@ impl Planner {
         // Phase 3: broadcast (plan to constructors + loader directives).
         phases.broadcast_ns = self.broadcast_cost_ns(&plan);
 
-        self.history.push(plan.clone());
         self.step += 1;
         Ok((plan, phases))
     }
@@ -491,17 +476,6 @@ mod tests {
         for id in plan.all_samples() {
             assert_eq!(id >> 48, 2);
         }
-    }
-
-    #[test]
-    fn history_accumulates_for_replay() {
-        let mut p = planner(Strategy::Vanilla);
-        for _ in 0..5 {
-            p.generate(&info(50)).unwrap();
-        }
-        assert_eq!(p.history().len(), 5);
-        assert_eq!(p.plans_since(3).len(), 2);
-        assert_eq!(p.plans_since(0).len(), 5);
     }
 
     #[test]

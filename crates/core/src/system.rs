@@ -43,31 +43,6 @@ pub mod runtime;
 pub mod server;
 pub mod tcp;
 
-/// Feature toggles for the component ablation (Fig 16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Features {
-    /// Disaggregated loaders/constructors (off = per-rank clones).
-    pub disaggregation: bool,
-    /// Load-time orchestration (off = Vanilla strategy).
-    pub orchestration: bool,
-    /// Source auto-partitioning + mixture-driven scaling.
-    pub autoscaler: bool,
-    /// Shadow loaders + differential checkpointing.
-    pub fault_tolerance: bool,
-}
-
-impl Features {
-    /// Everything on (the shipped configuration).
-    pub fn all() -> Self {
-        Features {
-            disaggregation: true,
-            orchestration: true,
-            autoscaler: true,
-            fault_tolerance: true,
-        }
-    }
-}
-
 /// Top-level configuration for a [`MegaScaleData`] deployment.
 #[derive(Debug, Clone)]
 pub struct MsdConfig {
@@ -85,7 +60,10 @@ pub struct MsdConfig {
     pub resources: ClusterResources,
     /// Auto-partitioning knobs.
     pub partition: PartitionOpts,
-    /// Shadow loaders per source (0 disables fault tolerance).
+    /// Standby loaders per source that [`MegaScaleData::memory_report`]
+    /// charges (the `shadow` category; 0 charges none). It sizes the
+    /// memory model only: every loader is shadowed and snapshotted
+    /// regardless.
     pub shadow_loaders: u32,
     /// Loader buffer capacity in samples.
     pub buffer_capacity: usize,
@@ -254,7 +232,7 @@ impl MegaScaleData {
         self.loaders.len()
     }
 
-    /// Access to the planner (strategy inspection, resharding, history).
+    /// Access to the planner (strategy inspection, resharding).
     pub fn planner(&mut self) -> &mut Planner {
         self.core.planner()
     }
@@ -307,7 +285,7 @@ impl MegaScaleData {
             if let Some(tail) = loader.deferred_pipeline() {
                 tails.entry(loader.source()).or_insert_with(|| tail.clone());
             }
-            l.after_plan(plan.step);
+            l.after_plan(&plan);
         }
 
         // Deferred transforms run at the constructor (transformation
@@ -540,13 +518,11 @@ mod tests {
         for _ in 0..3 {
             msd.step().unwrap();
         }
-        // Kill loader 0 and promote its shadow using planner history.
-        let history: Vec<LoadingPlan> = msd.planner().history().to_vec();
-        let refs: Vec<&LoadingPlan> = history.iter().collect();
+        // Kill loader 0 and promote its shadow from its replay delta.
         msd.loader(0).kill_primary();
         let report = msd
             .loader(0)
-            .promote_shadow(crate::fault::FailureSignal::RpcTimeout, &refs);
+            .promote_shadow(crate::fault::FailureSignal::RpcTimeout);
         assert!(report.replayed_plans > 0);
         // Pipeline continues.
         let out = msd.step().unwrap();

@@ -3,22 +3,10 @@
 //! trainer client) exercises genuine storage reads.
 
 use msd_sim::SimRng;
-use msd_storage::{ColumnarWriter, Field, MemStore, ObjectStore, Schema, StorageError, Value};
+use msd_storage::{ColumnarWriter, MemStore, ObjectStore, Schema, StorageError, Value};
 
 use crate::catalog::{Catalog, SourceSpec};
 use crate::sample::{Sample, SampleMeta};
-
-/// Name of the optional embedded-cost column written by
-/// [`materialize_source_with_cost`] (Ahead-of-Fetch balancing, paper §9).
-pub const COST_COLUMN: &str = "msd_cost";
-
-/// The sample schema extended with a trailing `msd_cost` Int64 column
-/// carrying the pre-computed per-sample cost.
-pub fn sample_schema_with_cost() -> Schema {
-    let mut fields = Schema::sample_schema().fields().to_vec();
-    fields.push(Field::new(COST_COLUMN, msd_storage::DataType::Int64));
-    Schema::new(fields)
-}
 
 /// Manifest of one materialized source.
 #[derive(Debug, Clone)]
@@ -59,49 +47,6 @@ pub fn materialize_source(
             Value::Bytes(sample.payload),
             Value::Int64(i64::from(meta.text_tokens)),
             Value::Int64(i64::from(meta.image_patches)),
-        ])?;
-    }
-    let path = format!("{prefix}/{}", spec.name);
-    store.put(&path, writer.finish()?);
-    Ok(SourceFiles {
-        source: spec.id,
-        path,
-        rows,
-    })
-}
-
-/// Like [`materialize_source`], but additionally evaluates `costfn` on each
-/// sample's metadata at *write* time and embeds the result in a trailing
-/// [`COST_COLUMN`] Int64 column (rounded to the nearest integer).
-///
-/// This is the storage half of Ahead-of-Fetch load balancing (paper §9):
-/// cost computation moves from the training-time Planner to the one-off
-/// dataset build, and the Planner later reads it back with a cheap
-/// column-projection scan — before any loader has fetched payload bytes.
-pub fn materialize_source_with_cost(
-    store: &dyn ObjectStore,
-    prefix: &str,
-    spec: &SourceSpec,
-    rows: u64,
-    rng: &mut SimRng,
-    costfn: impl Fn(&SampleMeta) -> f64,
-) -> Result<SourceFiles, StorageError> {
-    let schema = sample_schema_with_cost();
-    let mut writer = ColumnarWriter::with_group_size(schema, 64 << 10);
-    for i in 0..rows {
-        let meta = spec.sample_meta(rng, i);
-        let sample = Sample::synthesize(SampleMeta {
-            raw_bytes: meta.raw_bytes.min(2048),
-            ..meta
-        });
-        let cost = costfn(&meta).max(0.0).round() as i64;
-        writer.push(vec![
-            Value::Int64(meta.sample_id as i64),
-            Value::Utf8(format!("sample-{}-{}", spec.name, i)),
-            Value::Bytes(sample.payload),
-            Value::Int64(i64::from(meta.text_tokens)),
-            Value::Int64(i64::from(meta.image_patches)),
-            Value::Int64(cost),
         ])?;
     }
     let path = format!("{prefix}/{}", spec.name);
@@ -163,55 +108,6 @@ mod tests {
         paths.sort_unstable();
         paths.dedup();
         assert_eq!(paths.len(), cat.len());
-    }
-
-    #[test]
-    fn cost_column_embeds_costfn_results() {
-        let store = MemStore::new();
-        let mut rng = SimRng::seed(9);
-        let cat = coyo700m_like(&mut rng);
-        let costfn = |m: &SampleMeta| (m.total_tokens() as f64).powi(2);
-        let manifest =
-            materialize_source_with_cost(&store, "data", &cat.sources()[0], 80, &mut rng, costfn)
-                .unwrap();
-        let mut reader = ColumnarReader::open(&store, &manifest.path).unwrap();
-        let schema = reader.schema().clone();
-        let cost_col = schema.index_of(COST_COLUMN).expect("cost column present");
-        let text_col = schema.index_of("text_tokens").unwrap();
-        let img_col = schema.index_of("img_patches").unwrap();
-        let rows = reader.scan().unwrap();
-        assert_eq!(rows.len(), 80);
-        for row in &rows {
-            let tokens =
-                row[text_col].as_i64().unwrap() as u64 + row[img_col].as_i64().unwrap() as u64;
-            let expect = (tokens as f64).powi(2).round() as i64;
-            assert_eq!(row[cost_col].as_i64(), Some(expect));
-        }
-    }
-
-    #[test]
-    fn cost_column_stats_cover_value_range() {
-        // Row-group stats on the embedded cost column let a planner bound
-        // per-group costs from the footer alone.
-        let store = MemStore::new();
-        let mut rng = SimRng::seed(10);
-        let cat = coyo700m_like(&mut rng);
-        let manifest =
-            materialize_source_with_cost(&store, "data", &cat.sources()[0], 200, &mut rng, |m| {
-                m.total_tokens() as f64
-            })
-            .unwrap();
-        let mut reader = ColumnarReader::open(&store, &manifest.path).unwrap();
-        let cost_col = reader.schema().index_of(COST_COLUMN).unwrap();
-        let footer = reader.footer().clone();
-        for (g, rg) in footer.row_groups.iter().enumerate() {
-            let stats = rg.columns[cost_col].stats.expect("int stats");
-            let vals = reader.read_columns(g, &[cost_col]).unwrap();
-            for v in &vals[0] {
-                let v = v.as_i64().unwrap();
-                assert!(v >= stats.min && v <= stats.max);
-            }
-        }
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! ```
 //!
 //! The training framework shrinks from DP=8 to DP=4 (e.g. after losing a
-//! node). MegaScale-Data rebuilds its `ClientPlaceTree`, recomputes the
-//! loading plan for future data, and fast-reshards the batches already
-//! resident in Data Constructors (Sec 6.1).
+//! node). MegaScale-Data rebuilds its `ClientPlaceTree` and every later
+//! loading plan follows the new mesh (Sec 6.1). Nothing needs moving
+//! between Data Constructors: a step's samples are constructed within the
+//! step, so none sit unconstructed across the change. Exits non-zero
+//! unless the bucket count follows the mesh.
 
 use megascale_data::core::autoscale::{ClusterResources, PartitionOpts};
 use megascale_data::core::planner::PlannerConfig;
 use megascale_data::core::planner::Strategy;
-use megascale_data::core::reshard::reshard;
 use megascale_data::core::schedule::MixSchedule;
 use megascale_data::core::system::{MegaScaleData, MsdConfig};
 use megascale_data::data::catalog::coyo700m_like;
@@ -50,35 +51,19 @@ fn main() {
 
     // Run on the 16-GPU topology.
     let out = msd.step().expect("step");
+    assert_eq!(
+        out.plan.buckets.len(),
+        8,
+        "buckets must follow the DP=8 mesh"
+    );
     println!(
         "before reshard: {} buckets x {} clients each",
         out.plan.buckets.len(),
         out.plan.buckets[0].clients.len()
     );
 
-    // Capture resident (bucket, sample) placement from the last step.
-    let resident: Vec<(u64, u32)> = out
-        .plan
-        .buckets
-        .iter()
-        .flat_map(|b| {
-            b.bins
-                .iter()
-                .flat_map(move |bin| bin.samples.iter().map(move |s| (*s, b.bucket)))
-        })
-        .collect();
-
     // Notification arrives: topology shrinks to DP=4.
-    let old_tree = ClientPlaceTree::from_device_mesh(&mesh8);
     let new_tree = ClientPlaceTree::from_device_mesh(&mesh4);
-    let plan = reshard(&resident, &old_tree, &new_tree, DistributeAxis::DP);
-    println!(
-        "reshard to {} buckets: {} samples stay, {} move ({:.0}% of resident data)",
-        plan.new_buckets,
-        plan.stationary,
-        plan.moves.len(),
-        plan.move_fraction() * 100.0
-    );
 
     // The planner switches to the new topology; future plans follow it.
     msd.planner().set_tree(new_tree);
@@ -88,5 +73,10 @@ fn main() {
         out.plan.buckets.len(),
         out.plan.buckets[0].clients.len(),
         out.plan.all_samples().len()
+    );
+    assert_eq!(
+        out.plan.buckets.len(),
+        4,
+        "buckets must follow the DP=4 mesh"
     );
 }

@@ -8,7 +8,7 @@
 //!
 //! 1. **Deterministic failover** — a Source Loader is killed mid-run; its
 //!    shadow restores the last (low-frequency) snapshot and replays the
-//!    Planner's plan history to reach exactly the pre-failure stream
+//!    plans executed since it to reach exactly the pre-failure stream
 //!    position.
 //! 2. **Threaded supervision** — the actor-deployed pipeline detects a
 //!    crashed loader via RPC failure, the supervisor restarts it from its
@@ -72,14 +72,10 @@ fn main() {
         );
     }
     // Kill loader 0 (simulating an RPC timeout detection) and promote its
-    // shadow using the Planner's replay log.
-    let history: Vec<_> = msd.planner().history().to_vec();
-    let refs: Vec<&_> = history.iter().collect();
+    // shadow, which replays the plans since its last snapshot.
     msd.loader(0).kill_primary();
     println!("loader 0 killed; promoting shadow ...");
-    let report = msd
-        .loader(0)
-        .promote_shadow(FailureSignal::RpcTimeout, &refs);
+    let report = msd.loader(0).promote_shadow(FailureSignal::RpcTimeout);
     println!(
         "  restored snapshot v{} and replayed {} plans ({} samples re-materialized)",
         report.restored_version, report.replayed_plans, report.replayed_samples

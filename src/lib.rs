@@ -12,9 +12,8 @@
 //! - [`balance`] — cost models and load-balancing algorithms.
 //! - [`core`] — the MegaScale-Data system: `DGraph` data plane, Planner,
 //!   Source Loaders, Data Constructors, AutoScaler, fault tolerance; plus
-//!   the paper's §9 future-work features (Replay Mode, Ahead-of-Fetch
-//!   balancing, the Strategy Optimizer) and Sec 6.2 deployment tricks
-//!   (hybrid sidecar placement, transformation reordering, selective
+//!   the paper's §9 Replay Mode and Sec 6.2 deployment tricks (hybrid
+//!   sidecar placement, transformation reordering, selective
 //!   broadcasting).
 //! - [`train`] — hybrid-parallel trainer model (FLOPs, pipeline, loss).
 //! - [`baselines`] — architectural models of competing dataloaders.

@@ -5,20 +5,16 @@
 //! and drain/hand-off retirements, with every client still observing a
 //! gap-free, duplicate-free batch stream; every executed decision lands
 //! as an `MSDB` GCS checkpoint from which a rebuilt deployment resumes
-//! the exact topology. A property test pins elastic resharding's
-//! minimal-disruption guarantee against the naive full-reshuffle bound.
+//! the exact topology.
 
 use std::collections::HashSet;
 use std::time::Duration;
-
-use proptest::prelude::*;
 
 use megascale_data::actor::Gcs;
 use megascale_data::balance::BalanceMethod;
 use megascale_data::core::constructor::{ConstructedBatch, DataConstructor};
 use megascale_data::core::loader::LoaderConfig;
 use megascale_data::core::planner::{Planner, PlannerConfig, Strategy};
-use megascale_data::core::reshard::{naive_full_reshuffle, reshard};
 use megascale_data::core::schedule::MixSchedule;
 use megascale_data::core::system::controller::{ControllerConfig, ControllerMsg};
 use megascale_data::core::system::runtime::{LoaderMsg, ServeOptions, ThreadedPipeline};
@@ -679,39 +675,4 @@ fn retired_loader_stays_retired_through_a_crash_of_its_former_group() {
         "retired loader {victim_id} kept checkpointing"
     );
     p.shutdown();
-}
-
-proptest! {
-    /// Elastic resharding's minimal-disruption pledge: for any resident
-    /// placement and any topology change, the reshard plan never moves
-    /// more data than the naive full reshuffle (reassign everything
-    /// round-robin from scratch) would.
-    #[test]
-    fn reshard_never_moves_more_than_the_naive_full_reshuffle(
-        n in 1usize..300,
-        old_dp in 1u32..9,
-        new_dp in 1u32..9,
-    ) {
-        let tree = |dp: u32| {
-            ClientPlaceTree::from_device_mesh(&DeviceMesh::pp_dp_cp_tp(1, dp, 1, 1).unwrap())
-        };
-        let resident: Vec<(u64, u32)> =
-            (0..n).map(|i| (i as u64, i as u32 % old_dp)).collect();
-        let (old_tree, new_tree) = (tree(old_dp), tree(new_dp));
-        let plan = reshard(&resident, &old_tree, &new_tree, DistributeAxis::DP);
-        let naive = naive_full_reshuffle(&resident, &new_tree, DistributeAxis::DP);
-        prop_assert_eq!(plan.new_buckets, new_dp);
-        prop_assert!(
-            plan.moves.len() <= naive.moves.len(),
-            "reshard moved {} > naive {}", plan.moves.len(), naive.moves.len()
-        );
-        prop_assert!(plan.move_fraction() <= naive.move_fraction() + 1e-12);
-        // Moves touch only orphaned buckets and land in live ones.
-        for m in &plan.moves {
-            prop_assert!(m.from_bucket >= new_dp);
-            prop_assert!(m.to_bucket < new_dp);
-        }
-        // Conservation: every resident sample is either moved or stays.
-        prop_assert_eq!(plan.moves.len() + plan.stationary, n);
-    }
 }

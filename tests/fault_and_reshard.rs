@@ -74,12 +74,10 @@ fn failover_is_transparent_to_the_stream() {
     for _ in 0..3 {
         faulty.step().unwrap();
     }
-    let history: Vec<_> = faulty.planner().history().to_vec();
-    let refs: Vec<&_> = history.iter().collect();
     faulty.loader(0).kill_primary();
     let report = faulty
         .loader(0)
-        .promote_shadow(FailureSignal::IntegrityViolation, &refs);
+        .promote_shadow(FailureSignal::IntegrityViolation);
     assert!(report.replayed_plans > 0);
     let recovered: Vec<u64> = faulty.step().unwrap().plan.all_samples();
     assert_eq!(expected, recovered, "failover must not perturb the stream");

@@ -1,6 +1,5 @@
 //! Shared harness for the distributed-serving integration suites (and,
-//! at the bottom, the plan generators the codec and future-work property
-//! suites share).
+//! at the bottom, the plan generators the codec property suite uses).
 //!
 //! `tests/distributed_serve.rs` and `tests/tcp_transport.rs` exercise
 //! the same contract — serving trainer clients over the MSDB wire

@@ -10,10 +10,13 @@ use megascale_data::core::buffer::BufferInfo;
 use megascale_data::core::constructor::DataConstructor;
 use megascale_data::core::loader::{LoaderConfig, SourceLoader};
 use megascale_data::core::planner::{Planner, PlannerConfig, Strategy};
+use megascale_data::core::replay::{validate_stored, FallbackReason, PlanStore};
 use megascale_data::core::schedule::MixSchedule;
+use megascale_data::core::system::core::{PipelineCore, PlanOutcome};
 use megascale_data::core::system::{MegaScaleData, MsdConfig};
 use megascale_data::data::catalog::coyo700m_like;
 use megascale_data::data::gen::materialize_catalog;
+use megascale_data::data::SourceSpec;
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeliveryKind, DeviceMesh, DistributeAxis};
 use megascale_data::sim::SimRng;
 use megascale_data::storage::MemStore;
@@ -240,4 +243,138 @@ fn loss_adaptive_mixing_responds() {
         after > before + 5,
         "loss-adaptive shift too weak: {before} -> {after}"
     );
+}
+
+fn specs(n: usize) -> Vec<SourceSpec> {
+    let mut rng = SimRng::seed(77);
+    coyo700m_like(&mut rng).sources()[..n].to_vec()
+}
+
+fn fleet(specs: &[SourceSpec], seed: u64) -> Vec<SourceLoader> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| SourceLoader::synthetic(spec.clone(), LoaderConfig::solo(i as u32), seed))
+        .collect()
+}
+
+fn replay_core(specs: &[SourceSpec], mesh: &DeviceMesh, samples_per_step: usize) -> PipelineCore {
+    PipelineCore::new(Planner::new(
+        PlannerConfig {
+            axis: DistributeAxis::DP,
+            group_size: None,
+            microbatches: 2,
+            broadcast_axes: vec![Axis::TP],
+            samples_per_step,
+            schedule: MixSchedule::uniform(specs.len()),
+        },
+        Strategy::BackboneBalance {
+            method: BalanceMethod::Greedy,
+            backbone: backbone(),
+        },
+        ClientPlaceTree::from_device_mesh(mesh),
+        specs.iter().map(|s| s.id).collect(),
+        31,
+    ))
+}
+
+/// Runs `steps` steps of `core` over `loaders` (refill to `fill`, plan,
+/// pop every directive), returning each step's outcome. Every directive
+/// must pop in full.
+fn drive(
+    core: &mut PipelineCore,
+    loaders: &mut [SourceLoader],
+    steps: u64,
+    fill: usize,
+) -> Vec<PlanOutcome> {
+    (0..steps)
+        .map(|_| {
+            for l in loaders.iter_mut() {
+                l.refill(fill).expect("refill");
+            }
+            let info = BufferInfo::new(loaders.iter().map(SourceLoader::summary).collect());
+            let out = core.synthesize(&info).expect("plan");
+            for (loader_id, ids) in &out.plan.directives {
+                let popped = loaders[*loader_id as usize].pop(ids);
+                assert_eq!(popped.len(), ids.len(), "directive must pop");
+            }
+            out
+        })
+        .collect()
+}
+
+/// Replay Mode against real loaders: record plans from fleet A, replay them
+/// through the pipeline core driving identically seeded fleet B; every
+/// directive pops successfully.
+#[test]
+fn replay_drives_identically_seeded_loader_fleet() {
+    let specs = specs(3);
+    let mesh = DeviceMesh::pp_dp_cp_tp(1, 4, 1, 1).expect("mesh");
+    let (steps, per_step) = (5u64, 20usize);
+
+    // Offline: drive fleet A through the full loop, recording plans.
+    let mut store = PlanStore::new();
+    for out in drive(
+        &mut replay_core(&specs, &mesh, per_step),
+        &mut fleet(&specs, 1000),
+        steps,
+        64,
+    ) {
+        store.insert(out.plan);
+    }
+
+    // Checkpoint round trip, as a deployment would.
+    let store = PlanStore::from_bytes(&store.to_bytes()).expect("restore");
+
+    // Online: fleet B (same seeds) served from the store.
+    let mut core = replay_core(&specs, &mesh, per_step);
+    core.set_replay_store(store.clone());
+    let replayed = drive(&mut core, &mut fleet(&specs, 1000), steps, 64);
+    let mut delivered = 0usize;
+    for (step, out) in replayed.iter().enumerate() {
+        assert!(out.replayed, "step {step} must replay");
+        assert_eq!(out.phases.gather_ns, 0);
+        assert_eq!(Some(&out.plan), store.get(step as u64));
+        delivered += out.plan.all_samples().len();
+    }
+    assert_eq!(delivered, steps as usize * per_step);
+    assert_eq!(core.replayed_steps, steps);
+}
+
+/// A fleet whose buffers no longer hold the recorded ids forces fallback —
+/// and the live plan still pops cleanly from the divergent buffers.
+#[test]
+fn replay_falls_back_on_diverged_fleet_and_recovers() {
+    let specs = specs(2);
+    let mesh = DeviceMesh::pp_dp_cp_tp(1, 2, 1, 1).expect("mesh");
+
+    let mut store = PlanStore::new();
+    for out in drive(
+        &mut replay_core(&specs, &mesh, 8),
+        &mut fleet(&specs, 1),
+        3,
+        32,
+    ) {
+        store.insert(out.plan);
+    }
+
+    // Online fleet seeded differently with only 4 buffered samples per
+    // loader: the 8-sample recorded plan references ids not yet produced,
+    // so the stored plan is stale and the step plans live over what exists.
+    let mut loaders = fleet(&specs, 2);
+    for l in &mut loaders {
+        l.refill(4).expect("refill");
+    }
+    let info = BufferInfo::new(loaders.iter().map(SourceLoader::summary).collect());
+    assert!(matches!(
+        validate_stored(store.get(0).expect("recorded"), &info, 2),
+        Err(FallbackReason::StaleSamples { .. })
+    ));
+    let mut core = replay_core(&specs, &mesh, 8);
+    core.set_replay_store(store);
+    let fallback = &drive(&mut core, &mut loaders, 1, 4)[0];
+    assert!(!fallback.replayed);
+    assert!(fallback.phases.gather_ns > 0, "live planning gathers");
+    assert_eq!(fallback.plan.step, 0);
+    assert_eq!(core.replayed_steps, 0);
 }

@@ -7,12 +7,18 @@ use proptest::prelude::*;
 use megascale_data::balance::{balance, imbalance_factor, BalanceMethod};
 use megascale_data::core::buffer::{BufferInfo, BufferSummary};
 use megascale_data::core::dgraph::{BalanceOpts, DGraph, MetaView};
+use megascale_data::core::planner::{Planner, PlannerConfig, Strategy as PlannerStrategy};
+use megascale_data::core::replay::PlanStore;
 use megascale_data::core::schedule::MixSchedule;
+use megascale_data::core::system::core::PipelineCore;
 use megascale_data::core::system::frontier::{FrontierHub, Holder};
+use megascale_data::data::catalog::coyo700m_like;
+use megascale_data::data::gen::materialize_source;
 use megascale_data::data::{Modality, SampleMeta, SourceId};
 use megascale_data::mesh::{
-    cp_partition, zigzag_partition, ClientPlaceTree, DeviceMesh, DistributeAxis,
+    cp_partition, zigzag_partition, Axis, ClientPlaceTree, DeviceMesh, DistributeAxis,
 };
+use megascale_data::sim::SimRng;
 use megascale_data::storage::{
     ColumnarReader, ColumnarWriter, DataType, Field, MemStore, ObjectStore, Schema, Value,
 };
@@ -281,5 +287,91 @@ proptest! {
         // Directives cover exactly the scheduled set.
         let directed: usize = plan.directives.values().map(Vec::len).sum();
         prop_assert_eq!(directed, scheduled.len());
+    }
+}
+
+/// Two loaders' worth of image samples whose metadata shifts with `salt`.
+fn buffers(samples_per_loader: u64, salt: u64) -> BufferInfo {
+    let mk = |loader: u32, src: u32| BufferSummary {
+        loader_id: loader,
+        source: SourceId(src),
+        samples: (0..samples_per_loader)
+            .map(|i| SampleMeta {
+                sample_id: (u64::from(src) << 48) | i,
+                source: SourceId(src),
+                modality: Modality::Image,
+                text_tokens: 8 + ((i * 37 + salt * 13) % 512) as u32,
+                image_patches: 32 + ((i * 101 + salt * 7) % 2048) as u32,
+                raw_bytes: 256,
+            })
+            .collect(),
+        mean_transform_ns: 500.0,
+    };
+    BufferInfo::new(vec![mk(0, 0), mk(1, 1)])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Replay Mode serves the recorded plan for any (seed, batch)
+    /// combination as long as buffers match the recording run: the
+    /// pipeline core adopts every stored step and gathers nothing.
+    #[test]
+    fn replay_is_deterministic_for_any_workload(
+        seed in 0u64..500,
+        batch in 4usize..32,
+        steps in 1u64..6,
+    ) {
+        let mk_planner = || Planner::new(
+            PlannerConfig {
+                axis: DistributeAxis::DP,
+                group_size: None,
+                microbatches: 2,
+                broadcast_axes: vec![Axis::TP],
+                samples_per_step: batch,
+                schedule: MixSchedule::uniform(2),
+            },
+            PlannerStrategy::Vanilla,
+            ClientPlaceTree::from_device_mesh(&DeviceMesh::pp_dp_cp_tp(1, 2, 1, 2).unwrap()),
+            vec![SourceId(0), SourceId(1)],
+            seed,
+        );
+        let bufs = |step: u64| buffers(96, step.wrapping_mul(31).wrapping_add(seed));
+        let store = PlanStore::record(mk_planner(), steps, bufs).unwrap();
+        let mut core = PipelineCore::new(mk_planner());
+        core.set_replay_store(store.clone());
+        for step in 0..steps {
+            let out = core.synthesize(&bufs(step)).unwrap();
+            prop_assert!(out.replayed, "step {} planned live", step);
+            prop_assert_eq!(&out.plan, store.get(step).unwrap());
+            prop_assert_eq!(out.phases.gather_ns, 0);
+        }
+        prop_assert_eq!(core.replayed_steps, steps);
+    }
+}
+
+proptest! {
+    // Storage materialization per case: keep the case count modest.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Column projection agrees with the full scan for every column, on
+    /// random materialized source files.
+    #[test]
+    fn projection_matches_scan(rows in 10u64..150, seed in 0u64..100) {
+        let store = MemStore::new();
+        let mut rng = SimRng::seed(seed);
+        let spec = coyo700m_like(&mut rng).sources()[1].clone();
+        let manifest = materialize_source(&store, "p", &spec, rows, &mut rng).unwrap();
+        let mut reader = ColumnarReader::open(&store, &manifest.path).unwrap();
+        let ncols = reader.schema().len();
+        let full = reader.scan().unwrap();
+        let all: Vec<usize> = (0..ncols).collect();
+        let projected = reader.scan_columns(&all).unwrap();
+        for (c, col) in projected.iter().enumerate() {
+            prop_assert_eq!(col.len() as u64, rows);
+            for (r, v) in col.iter().enumerate() {
+                prop_assert_eq!(&full[r][c], v);
+            }
+        }
     }
 }
