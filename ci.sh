@@ -93,14 +93,22 @@ cargo test --test many_clients -q
 echo "==> cargo test --test frontier_recovery -q"
 cargo test --test frontier_recovery -q
 
+# Planning cost follows the samples a step draws: allocator calls per
+# `Planner::generate` must not change with buffer depth (counted on the
+# test thread by its own global allocator).
+echo "==> cargo test --test planner_scaling -q"
+cargo test --test planner_scaling -q
+
 # Second property-test leg: an independent sampling of every property
-# suite. MSD_PROPTEST_SEED salts the shim's deterministic RNG labels
+# suite, including the DGraph reference-equivalence proptests in
+# msd_core. MSD_PROPTEST_SEED salts the shim's deterministic RNG labels
 # (so the cases differ from the default leg's), and PROPTEST_CASES
 # sizes the leg. Fixed values keep this leg as reproducible as the
 # first one.
 echo "==> property suites, alternate sampling (PROPTEST_CASES=96, MSD_PROPTEST_SEED=ci-leg-2)"
 PROPTEST_CASES=96 MSD_PROPTEST_SEED=ci-leg-2 cargo test -q \
   --test prop_codec --test prop_invariants --test prop_deploy_tricks
+PROPTEST_CASES=96 MSD_PROPTEST_SEED=ci-leg-2 cargo test -q -p msd_core dgraph::
 
 # Replay Mode end to end: record a live run's plans, round-trip the
 # store through its MSDB frame, replay it on a seeded twin; exits

@@ -79,8 +79,9 @@ use msd_mesh::{Axis, ClientPlaceTree, DeliveryKind, DeviceMesh, DistributeAxis};
 pub const MAGIC: [u8; 4] = *b"MSDB";
 /// Current frame version (2 added the trailing FNV-1a frame checksum;
 /// 3 added the binary batch payload frame, kind 11, and the head-sealed
-/// batch container; 4 dropped kind 11's position-id run).
-pub const VERSION: u8 = 4;
+/// batch container; 4 dropped kind 11's position-id run; 5 dropped the
+/// run of undrawn sample ids from every plan in kind 15).
+pub const VERSION: u8 = 5;
 /// Oldest frame version decoders still accept. No encoder in the tree
 /// writes anything but [`VERSION`]; the range exists for the next bump.
 pub const MIN_VERSION: u8 = VERSION;
@@ -715,7 +716,6 @@ fn put_plan(buf: &mut Vec<u8>, plan: &LoadingPlan, depth: usize) {
             buf.put_u64_le(bin.total_cost.to_bits());
         }
     }
-    put_ids(buf, &plan.excluded);
     buf.put_u32_le(plan.broadcast_axes.len() as u32);
     for axis in &plan.broadcast_axes {
         buf.put_u8(axis_tag(*axis));
@@ -780,7 +780,6 @@ fn get_plan(r: &mut Reader<'_>, depth: usize) -> Result<LoadingPlan, CodecError>
             bins,
         });
     }
-    let excluded = get_ids(r)?;
     let axis_count = r.u32()? as usize;
     let mut broadcast_axes = Vec::with_capacity(axis_count.min(Axis::CANONICAL.len()));
     for _ in 0..axis_count {
@@ -801,7 +800,6 @@ fn get_plan(r: &mut Reader<'_>, depth: usize) -> Result<LoadingPlan, CodecError>
         step,
         axis,
         buckets,
-        excluded,
         broadcast_axes,
         directives,
         subplans,
@@ -1917,7 +1915,6 @@ mod tests {
                     },
                 ],
             }],
-            excluded: vec![14],
             broadcast_axes: vec![Axis::TP, Axis::CP],
             directives: directives(),
             subplans,
@@ -1950,7 +1947,6 @@ mod tests {
                 buf.put_u64_le(0); // step
                 buf.put_u8(0); // axis
                 buf.put_u32_le(0); // buckets
-                buf.put_u32_le(0); // excluded
                 buf.put_u32_le(0); // broadcast axes
                 buf.put_u32_le(0); // directives
                 if level + 1 < levels {

@@ -19,7 +19,7 @@
 //! The Fig 9 seven-line LLM strategy reads almost identically in Rust; see
 //! the crate examples.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use msd_balance::{balance as run_balance, BalanceMethod};
 use msd_data::SampleMeta;
@@ -164,18 +164,25 @@ impl std::fmt::Display for DGraphError {
 impl std::error::Error for DGraphError {}
 
 /// The stateful dataflow graph. See the module docs for the primitive map.
+///
+/// A step's planning cost follows what the step draws, not what the
+/// loaders buffer: `from_buffer_infos` copies the gathered metadata into
+/// one exactly-sized node array, `mix` draws each source's FIFO run in
+/// place, and every later primitive walks only the drawn samples.
 #[derive(Debug, Clone)]
 pub struct DGraph {
     view: MetaView,
     nodes: Vec<DNode>,
-    by_id: HashMap<u64, usize>,
     /// Source ids present, sorted (index = weight-vector position).
     source_order: Vec<msd_data::SourceId>,
+    /// Indices of the nodes taking part in the step, in node order: the
+    /// samples `mix` drew, or every node when the program never mixes
+    /// (materialised by the first primitive that needs it).
+    participants: Option<Vec<usize>>,
     tree: Option<ClientPlaceTree>,
     axis: Option<DistributeAxis>,
     group_size: Option<u32>,
     microbatches: u32,
-    mixed: bool,
     broadcast_axes: Vec<Axis>,
     /// Wall-clock nanoseconds spent inside `cost` (Table 2).
     pub cost_api_ns: u64,
@@ -183,18 +190,56 @@ pub struct DGraph {
     pub balance_api_ns: u64,
 }
 
+/// The participant list, materialised as every node on first use.
+fn participants(participants: &mut Option<Vec<usize>>, nodes: usize) -> &[usize] {
+    participants.get_or_insert_with(|| (0..nodes).collect())
+}
+
+/// The total [`SimRng::weighted_index`] draws against: the positive
+/// weights, summed in index order.
+fn positive_total(weights: &[f64]) -> f64 {
+    weights.iter().filter(|w| **w > 0.0).sum()
+}
+
+/// [`SimRng::weighted_index`] with its total precomputed by
+/// [`positive_total`]: the same arithmetic, hence the same draws.
+fn weighted_index(rng: &mut SimRng, weights: &[f64], total: f64) -> Option<usize> {
+    if !(total > 0.0) {
+        return None;
+    }
+    let mut x = rng.f64() * total;
+    for (i, w) in weights.iter().enumerate() {
+        if *w <= 0.0 {
+            continue;
+        }
+        if x < *w {
+            return Some(i);
+        }
+        x -= *w;
+    }
+    weights.iter().rposition(|w| *w > 0.0)
+}
+
 impl DGraph {
     /// Builds a graph over the gathered buffer metadata, filtered by `view`.
     pub fn from_buffer_infos(info: &BufferInfo, view: MetaView) -> Self {
-        let mut nodes = Vec::new();
-        let mut by_id = HashMap::new();
+        Self::over(view, || info.iter_samples())
+    }
+
+    /// A graph over the `(loader, meta)` pairs `samples` yields that `view`
+    /// includes, in order, as one exactly-sized node array.
+    fn over<'a, I>(view: MetaView, samples: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (u32, &'a SampleMeta)>,
+    {
+        let included = || samples().filter(|(_, meta)| view.includes(meta));
+        let mut nodes = Vec::with_capacity(included().count());
         let mut sources = Vec::new();
-        for (loader, meta) in info.iter_samples() {
-            if !view.includes(meta) {
-                continue;
+        for (loader, meta) in included() {
+            // One loader's samples mostly share a source.
+            if sources.last() != Some(&meta.source) {
+                sources.push(meta.source);
             }
-            by_id.insert(meta.sample_id, nodes.len());
-            sources.push(meta.source);
             nodes.push(DNode {
                 id: meta.sample_id,
                 loader,
@@ -208,13 +253,12 @@ impl DGraph {
         DGraph {
             view,
             nodes,
-            by_id,
             source_order: sources,
+            participants: None,
             tree: None,
             axis: None,
             group_size: None,
             microbatches: 1,
-            mixed: false,
             broadcast_axes: Vec::new(),
             cost_api_ns: 0,
             balance_api_ns: 0,
@@ -226,22 +270,23 @@ impl DGraph {
         self.tree = Some(tree);
     }
 
-    /// Restricts the graph to the given sample ids (used to derive a
-    /// subgraph — e.g. the encoder image graph over the samples the main
-    /// graph's `mix` selected).
-    pub fn retain_ids(&mut self, ids: &std::collections::HashSet<u64>) {
-        self.nodes.retain(|n| ids.contains(&n.id));
-        self.by_id = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, i))
-            .collect();
-        let mut sources: Vec<msd_data::SourceId> =
-            self.nodes.iter().map(|n| n.meta.source).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        self.source_order = sources;
+    /// A fresh graph over the samples this graph has distributed, in node
+    /// order, seen through `view` — e.g. the encoder image graph over the
+    /// samples the backbone graph's `mix` drew (paper Fig 9).
+    pub fn subgraph(&self, view: MetaView) -> Self {
+        Self::over(view, || {
+            self.participants
+                .iter()
+                .flatten()
+                .map(|idx| &self.nodes[*idx])
+                .filter(|n| {
+                    matches!(
+                        n.state,
+                        NodeState::Distributed { .. } | NodeState::Balanced { .. }
+                    )
+                })
+                .map(|n| (n.loader, &n.meta))
+        })
     }
 
     /// The graph's view.
@@ -254,9 +299,10 @@ impl DGraph {
         &self.nodes
     }
 
-    /// Node lookup by sample id.
+    /// Node lookup by sample id: a linear scan, for tests and cold
+    /// callers.
     pub fn node(&self, sample: u64) -> Option<&DNode> {
-        self.by_id.get(&sample).map(|i| &self.nodes[*i])
+        self.nodes.iter().find(|n| n.id == sample)
     }
 
     /// Sources visible to this graph, sorted (defines weight order).
@@ -265,73 +311,78 @@ impl DGraph {
     }
 
     /// `mix(schedule)`: probabilistically selects up to `take` samples
-    /// according to per-source `weights` (ordered by [`DGraph::sources`]).
-    /// Unselected samples are marked [`NodeState::Excluded`] and stay
-    /// buffered for future steps.
+    /// according to per-source `weights` (ordered by [`DGraph::sources`]),
+    /// each source's oldest buffered sample first. Unselected samples are
+    /// marked [`NodeState::Excluded`] and stay buffered for future steps.
     pub fn mix(
         &mut self,
         weights: &[f64],
         take: usize,
         rng: &mut SimRng,
     ) -> Result<(), DGraphError> {
-        if weights.len() != self.source_order.len() {
+        let sources = self.source_order.len();
+        if weights.len() != sources {
             return Err(DGraphError::WeightArity {
-                sources: self.source_order.len(),
+                sources,
                 weights: weights.len(),
             });
         }
-        // FIFO queues of node indices per source.
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); self.source_order.len()];
-        for (i, n) in self.nodes.iter().enumerate() {
-            let s = self
-                .source_order
-                .binary_search(&n.meta.source)
-                .expect("source indexed at construction");
-            queues[s].push(i);
-        }
-        for q in &mut queues {
-            q.reverse(); // Pop from the back = FIFO front.
-        }
-        let mut live_weights: Vec<f64> = weights.to_vec();
-        let mut selected = 0usize;
-        while selected < take {
-            // Zero out exhausted sources.
-            for (s, q) in queues.iter().enumerate() {
-                if q.is_empty() {
-                    live_weights[s] = 0.0;
-                }
+        // Every source's FIFO run as one flat order over the nodes: source
+        // `s` owns `order[start[s]..start[s + 1]]`, oldest first, and
+        // `next[s]` is its oldest undrawn sample. A loader's samples share
+        // a source, so the lookup is cached across a run.
+        let mut last: Option<(msd_data::SourceId, usize)> = None;
+        let mut source_index = |source| match last {
+            Some((cached, s)) if cached == source => s,
+            _ => {
+                let s = self
+                    .source_order
+                    .binary_search(&source)
+                    .expect("source indexed at construction");
+                last = Some((source, s));
+                s
             }
-            let Some(s) = rng.weighted_index(&live_weights) else {
+        };
+        let mut start = vec![0usize; sources + 1];
+        for n in &self.nodes {
+            start[source_index(n.meta.source) + 1] += 1;
+        }
+        for s in 0..sources {
+            start[s + 1] += start[s];
+        }
+        let mut next = start[..sources].to_vec();
+        let mut order = vec![0usize; self.nodes.len()];
+        for (idx, n) in self.nodes.iter_mut().enumerate() {
+            let s = source_index(n.meta.source);
+            order[next[s]] = idx;
+            next[s] += 1;
+            n.state = NodeState::Excluded;
+        }
+        next.copy_from_slice(&start[..sources]);
+
+        // Exhausted sources weigh zero, so the positive-weight total only
+        // changes when one runs out.
+        let mut live = weights.to_vec();
+        let mut total = positive_total(&live);
+        let mut drawn = Vec::with_capacity(take.min(self.nodes.len()));
+        while drawn.len() < take {
+            let Some(s) = weighted_index(rng, &live, total) else {
                 break; // All weighted sources exhausted.
             };
-            let idx = queues[s].pop().expect("nonempty by weight masking");
-            self.nodes[idx].state = NodeState::Sampled;
-            selected += 1;
-        }
-        for q in queues {
-            for idx in q {
-                self.nodes[idx].state = NodeState::Excluded;
+            debug_assert!(next[s] < start[s + 1], "drew an exhausted source");
+            drawn.push(order[next[s]]);
+            next[s] += 1;
+            if next[s] == start[s + 1] {
+                live[s] = 0.0;
+                total = positive_total(&live);
             }
         }
-        self.mixed = true;
+        for idx in &drawn {
+            self.nodes[*idx].state = NodeState::Sampled;
+        }
+        drawn.sort_unstable();
+        self.participants = Some(drawn);
         Ok(())
-    }
-
-    /// Indices of nodes participating this step (everything buffered if
-    /// `mix` was not called, otherwise the sampled set).
-    fn participants(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| {
-                if self.mixed {
-                    !matches!(n.state, NodeState::Excluded)
-                } else {
-                    true
-                }
-            })
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// `distribute(axis, group_size)`: creates consumer buckets from the
@@ -346,9 +397,10 @@ impl DGraph {
         let n = tree.bucket_count(axis, group_size);
         self.axis = Some(axis);
         self.group_size = group_size;
-        for (pos, idx) in self.participants().into_iter().enumerate() {
+        let participants = participants(&mut self.participants, self.nodes.len());
+        for (pos, idx) in participants.iter().enumerate() {
             let bucket = (pos as u32) % n;
-            self.nodes[idx].state = NodeState::Distributed { bucket };
+            self.nodes[*idx].state = NodeState::Distributed { bucket };
         }
         Ok(n)
     }
@@ -357,8 +409,9 @@ impl DGraph {
     /// propagate to the subsequent `balance`.
     pub fn cost(&mut self, costfn: impl Fn(&SampleMeta) -> f64) {
         let t0 = std::time::Instant::now();
-        for idx in self.participants() {
-            self.nodes[idx].cost = costfn(&self.nodes[idx].meta).max(0.0);
+        for idx in participants(&mut self.participants, self.nodes.len()) {
+            let node = &mut self.nodes[*idx];
+            node.cost = costfn(&node.meta).max(0.0);
         }
         self.cost_api_ns += t0.elapsed().as_nanos() as u64;
     }
@@ -372,7 +425,7 @@ impl DGraph {
         self.microbatches = opts.microbatches.max(1);
         let t0 = std::time::Instant::now();
 
-        let participants = self.participants();
+        let participants = participants(&mut self.participants, self.nodes.len());
         // Level 1: bucket assignment.
         let bucket_of: Vec<(usize, u32)> = if opts.inter_bucket {
             let costs: Vec<f64> = participants.iter().map(|i| self.nodes[*i].cost).collect();
@@ -400,7 +453,11 @@ impl DGraph {
 
         // Level 2: bins within each bucket.
         let m = self.microbatches as usize;
-        let mut per_bucket: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut sizes = vec![0usize; n];
+        for (_, b) in &bucket_of {
+            sizes[*b as usize] += 1;
+        }
+        let mut per_bucket: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
         for (idx, b) in &bucket_of {
             per_bucket[*b as usize].push(*idx);
         }
@@ -460,48 +517,74 @@ impl DGraph {
         let tree = self.tree.as_ref().ok_or(DGraphError::NotInitialized)?;
         let axis = self.axis.ok_or(DGraphError::NotDistributed)?;
         let bucket_clients = tree.buckets(axis, self.group_size);
-        let n = bucket_clients.len();
         let m = self.microbatches as usize;
 
-        let mut bins: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); m]; n];
-        let mut costs: Vec<Vec<f64>> = vec![vec![0.0; m]; n];
-        let mut excluded = Vec::new();
-        let mut directives: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        for node in &self.nodes {
-            match node.state {
-                NodeState::Balanced { bucket, bin } => {
-                    bins[bucket as usize][bin as usize].push(node.id);
-                    costs[bucket as usize][bin as usize] += node.cost;
-                    directives.entry(node.loader).or_default().push(node.id);
-                }
-                NodeState::Distributed { bucket } => {
-                    // Un-balanced graphs: single implicit bin 0.
-                    bins[bucket as usize][0].push(node.id);
-                    costs[bucket as usize][0] += node.cost;
-                    directives.entry(node.loader).or_default().push(node.id);
-                }
-                NodeState::Excluded | NodeState::Buffered => excluded.push(node.id),
-                NodeState::Sampled => {
-                    // Sampled but never distributed: should not happen in a
-                    // well-formed program; treat as excluded.
-                    excluded.push(node.id);
-                }
+        // The scheduled samples in node order, each with its flat
+        // `bucket * m + bin` slot. Un-balanced graphs use bin 0; a sample
+        // sampled but never distributed is not scheduled.
+        let scheduled = || {
+            self.participants
+                .iter()
+                .flatten()
+                .map(|idx| &self.nodes[*idx])
+                .filter_map(move |node| match node.state {
+                    NodeState::Balanced { bucket, bin } => {
+                        Some((node, bucket as usize * m + bin as usize))
+                    }
+                    NodeState::Distributed { bucket } => Some((node, bucket as usize * m)),
+                    _ => None,
+                })
+        };
+
+        // Size every bin and directive, then fill them in node order.
+        let mut bin_sizes = vec![0usize; bucket_clients.len() * m];
+        let mut loader_sizes: Vec<(u32, usize)> = Vec::new();
+        for (node, slot) in scheduled() {
+            bin_sizes[slot] += 1;
+            match loader_sizes.last_mut() {
+                Some((loader, size)) if *loader == node.loader => *size += 1,
+                _ => loader_sizes.push((node.loader, 1)),
             }
         }
+        // A loader appears in one run per summary that carried it.
+        loader_sizes.sort_unstable_by_key(|(loader, _)| *loader);
+        loader_sizes.dedup_by(|run, kept| {
+            let same = run.0 == kept.0;
+            if same {
+                kept.1 += run.1;
+            }
+            same
+        });
+        let mut bins: Vec<BinPlan> = bin_sizes
+            .into_iter()
+            .enumerate()
+            .map(|(slot, size)| BinPlan {
+                bin: (slot % m) as u32,
+                samples: Vec::with_capacity(size),
+                total_cost: 0.0,
+            })
+            .collect();
+        let mut directives: BTreeMap<u32, Vec<u64>> = loader_sizes
+            .into_iter()
+            .map(|(loader, size)| (loader, Vec::with_capacity(size)))
+            .collect();
+        for (node, slot) in scheduled() {
+            bins[slot].samples.push(node.id);
+            bins[slot].total_cost += node.cost;
+            directives
+                .get_mut(&node.loader)
+                .expect("every scheduled loader was sized")
+                .push(node.id);
+        }
 
+        let mut bins = bins.into_iter();
         let buckets = bucket_clients
             .into_iter()
             .enumerate()
             .map(|(b, clients)| BucketPlan {
                 bucket: b as u32,
                 clients,
-                bins: (0..m)
-                    .map(|k| BinPlan {
-                        bin: k as u32,
-                        samples: std::mem::take(&mut bins[b][k]),
-                        total_cost: costs[b][k],
-                    })
-                    .collect(),
+                bins: bins.by_ref().take(m).collect(),
             })
             .collect();
 
@@ -509,7 +592,6 @@ impl DGraph {
             step,
             axis,
             buckets,
-            excluded,
             broadcast_axes: self.broadcast_axes.clone(),
             directives,
             subplans: BTreeMap::new(),
@@ -518,9 +600,19 @@ impl DGraph {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::buffer::{BufferInfo, BufferSummary};
+    use crate::planner::{Planner, PlannerConfig, Strategy as PlannerStrategy};
+    use crate::schedule::MixSchedule;
+    use msd_balance::{BackboneShape, EncoderShape};
     use msd_data::{Modality, SourceId};
     use msd_mesh::DeviceMesh;
 
@@ -620,7 +712,8 @@ mod tests {
         let scheduled = plan.all_samples();
         assert_eq!(scheduled.len(), 4);
         assert!(scheduled.iter().all(|id| *id >= 8), "{scheduled:?}");
-        assert_eq!(plan.excluded.len(), 12);
+        let excluded = g.nodes().iter().filter(|n| n.state == NodeState::Excluded);
+        assert_eq!(excluded.count(), 12);
     }
 
     #[test]
@@ -769,5 +862,171 @@ mod tests {
         assert_eq!(plan.buckets.len(), 2);
         // Each merged bucket serves the clients of two DP groups.
         assert_eq!(plan.buckets[0].clients.len(), 2);
+    }
+
+    /// Random gathers: 1–8 loaders in non-monotone id order, loaders that
+    /// share a source, loaders holding several sources, text-only and
+    /// image samples, and empty buffers. Sample ids are unique.
+    fn arb_info() -> impl Strategy<Value = BufferInfo> {
+        // (source offset, text tokens, image patches + 1000 when imaged)
+        let sample = (0u32..3, 1u32..600, 0u32..3000);
+        let loader = (
+            0u32..4,
+            any::<bool>(),
+            proptest::collection::vec(sample, 0..24),
+        );
+        proptest::collection::vec(loader, 1..9).prop_map(|loaders| {
+            let summaries = loaders
+                .into_iter()
+                .enumerate()
+                .map(|(l, (source, several, samples))| BufferSummary {
+                    loader_id: (l as u32 * 5) % 8,
+                    source: SourceId(source),
+                    samples: samples
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (offset, text, img))| {
+                            let img = img.saturating_sub(1000);
+                            SampleMeta {
+                                sample_id: (l as u64) << 32 | i as u64,
+                                source: SourceId(source + if several { offset } else { 0 }),
+                                modality: if img > 0 {
+                                    Modality::Image
+                                } else {
+                                    Modality::Text
+                                },
+                                text_tokens: text,
+                                image_patches: img,
+                                raw_bytes: 64,
+                            }
+                        })
+                        .collect(),
+                    mean_transform_ns: 1.0,
+                })
+                .collect();
+            BufferInfo::new(summaries)
+        })
+    }
+
+    /// Per-source weights indexed by source id, a third of them zero.
+    fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(prop_oneof![Just(0.0), 0.0f64..4.0, 0.5f64..1.0], 8)
+    }
+
+    /// Asserts two plans are equal, bin costs bit for bit.
+    fn assert_same_plan(got: &LoadingPlan, want: &LoadingPlan) {
+        assert_eq!(got, want);
+        let bits = |p: &LoadingPlan| -> Vec<u64> {
+            p.buckets
+                .iter()
+                .flat_map(|b| b.bins.iter().map(|bin| bin.total_cost.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(got), bits(want));
+        for (name, sub) in &got.subplans {
+            assert_same_plan(sub, &want.subplans[name]);
+        }
+    }
+
+    proptest! {
+        /// `mix` over the gathered buffers in place draws exactly what the
+        /// per-source queues drew, leaving every node, the plan and the
+        /// RNG as the reference leaves them — for every view, `take` from
+        /// zero to past the buffered count, and each balancing level.
+        #[test]
+        fn mix_and_plan_match_reference(
+            info in arb_info(),
+            view in 0usize..3,
+            weights in arb_weights(),
+            take in 0usize..200,
+            (dp, microbatches, method, inter_bucket, intra_bucket) in
+                (1u32..4, 1u32..4, 0usize..3, any::<bool>(), any::<bool>()),
+            seed in 0u64..1000,
+        ) {
+            let view = [MetaView::Tokens, MetaView::Images, MetaView::Text][view];
+            let run = |old: bool| {
+                let mut rng = SimRng::seed(seed);
+                let mut g = if old {
+                    reference::from_buffer_infos(&info, view)
+                } else {
+                    DGraph::from_buffer_infos(&info, view)
+                };
+                g.init(tree(dp, 1, 1));
+                let gw: Vec<f64> = g.sources().iter().map(|s| weights[s.0 as usize]).collect();
+                if old {
+                    reference::mix(&mut g, &gw, take, &mut rng).unwrap();
+                } else {
+                    g.mix(&gw, take, &mut rng).unwrap();
+                }
+                g.distribute(DistributeAxis::DP, None).unwrap();
+                g.cost(|m| (m.total_tokens() as f64).powf(1.5));
+                let opts = BalanceOpts { microbatches, inter_bucket, intra_bucket };
+                g.balance(BalanceMethod::ALL[method], opts).unwrap();
+                let plan = g.plan(3).unwrap();
+                (g, plan, rng.state())
+            };
+            let (got, got_plan, got_rng) = run(false);
+            let (want, want_plan, want_rng) = run(true);
+            prop_assert_eq!(got.sources(), want.sources());
+            let nodes = |g: &DGraph| -> Vec<(u64, u32, NodeState, u64)> {
+                g.nodes().iter().map(|n| (n.id, n.loader, n.state, n.cost.to_bits())).collect()
+            };
+            prop_assert_eq!(nodes(&got), nodes(&want));
+            assert_same_plan(&got_plan, &want_plan);
+            prop_assert_eq!(got_rng, want_rng);
+        }
+
+        /// `Planner::generate` plans what the reference pipeline planned
+        /// for every strategy, over catalogs that repeat or lack a
+        /// source, and leaves its RNG where the reference leaves it.
+        #[test]
+        fn planner_matches_reference_for_every_strategy(
+            info in arb_info(),
+            catalog in proptest::collection::vec(0u32..7, 1..8),
+            weights in arb_weights(),
+            take in 0usize..200,
+            (dp, tp, microbatches, strategy) in (1u32..4, 1u32..3, 1u32..4, 0usize..3),
+            seed in 0u64..1000,
+        ) {
+            let backbone = BackboneShape {
+                layers: 4,
+                hidden: 256,
+                mlp_ratio: 4.0,
+                heads: 4,
+                vocab: 8000,
+                experts_per_token: 1,
+            };
+            let encoder = EncoderShape { layers: 2, hidden: 128, mlp_ratio: 4.0, heads: 4 };
+            let strategy = match strategy {
+                0 => PlannerStrategy::Vanilla,
+                1 => PlannerStrategy::BackboneBalance { method: BalanceMethod::Greedy, backbone },
+                _ => PlannerStrategy::HybridBalance {
+                    method: BalanceMethod::KarmarkarKarp,
+                    backbone,
+                    encoder,
+                },
+            };
+            let mut planner = Planner::new(
+                PlannerConfig {
+                    axis: DistributeAxis::DP,
+                    group_size: None,
+                    microbatches,
+                    broadcast_axes: vec![Axis::TP],
+                    samples_per_step: take,
+                    schedule: MixSchedule::Static(weights[..catalog.len()].to_vec()),
+                },
+                strategy,
+                tree(dp, 1, tp),
+                catalog.iter().map(|s| SourceId(*s)).collect(),
+                seed,
+            );
+            for _ in 0..2 {
+                let mut want_rng = SimRng::from_state(planner.checkpoint().rng_state);
+                let want = reference::generate(&planner, &info, &mut want_rng).unwrap();
+                let (got, _) = planner.generate(&info).unwrap();
+                assert_same_plan(&got, &want);
+                prop_assert_eq!(planner.checkpoint().rng_state, want_rng.state());
+            }
+        }
     }
 }

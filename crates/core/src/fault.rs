@@ -188,7 +188,6 @@ mod tests {
             step,
             axis: msd_mesh::DistributeAxis::DP,
             buckets: vec![],
-            excluded: vec![],
             broadcast_axes: vec![],
             directives: BTreeMap::from([(0, ids)]),
             subplans: BTreeMap::new(),

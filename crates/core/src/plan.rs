@@ -53,8 +53,6 @@ pub struct LoadingPlan {
     pub axis: DistributeAxis,
     /// Consumer buckets.
     pub buckets: Vec<BucketPlan>,
-    /// Samples left in buffers (not sampled by `mix` this step).
-    pub excluded: Vec<u64>,
     /// Axes along which trainers broadcast (data fetch elided for >0 ranks).
     pub broadcast_axes: Vec<Axis>,
     /// Pop directives: loader id → sample ids, in plan order.
@@ -108,7 +106,7 @@ impl LoadingPlan {
     /// Serialized size estimate for the plan-broadcast cost model
     /// (~8 B per scheduled sample id plus fixed headers per bucket/bin).
     pub fn wire_bytes(&self) -> u64 {
-        let samples: u64 = self.all_samples().len() as u64;
+        let samples: u64 = self.buckets.iter().map(|b| b.sample_count() as u64).sum();
         let bins: u64 = self.buckets.iter().map(|b| b.bins.len() as u64).sum();
         let subplans: u64 = self.subplans.values().map(LoadingPlan::wire_bytes).sum();
         64 + samples * 8 + bins * 16 + self.buckets.len() as u64 * 32 + subplans
@@ -157,7 +155,6 @@ mod tests {
                     ],
                 },
             ],
-            excluded: vec![14],
             broadcast_axes: vec![Axis::TP],
             directives: BTreeMap::from([(0, vec![10, 11, 12]), (1, vec![13])]),
             subplans: BTreeMap::new(),

@@ -7,7 +7,7 @@
 //! and broadcast follow the network cost model (they are communication),
 //! while compute is measured wall-clock (it is real work in this process).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use msd_balance::{BackboneShape, BalanceMethod, EncoderShape};
 use msd_data::SourceId;
@@ -117,6 +117,8 @@ pub struct Planner {
     tree: ClientPlaceTree,
     /// Catalog source order: position = schedule weight index.
     sources: Vec<SourceId>,
+    /// `(source, first position in sources)`, sorted by source.
+    source_index: Vec<(SourceId, usize)>,
     net: NetModel,
     rng: SimRng,
     step: u64,
@@ -132,11 +134,16 @@ impl Planner {
         sources: Vec<SourceId>,
         seed: u64,
     ) -> Self {
+        let mut source_index: Vec<(SourceId, usize)> =
+            sources.iter().enumerate().map(|(i, s)| (*s, i)).collect();
+        source_index.sort_unstable();
+        source_index.dedup_by_key(|(source, _)| *source);
         Planner {
             config,
             strategy,
             tree,
             sources,
+            source_index,
             net: NetModel::default(),
             rng: SimRng::seed(seed),
             step: 0,
@@ -218,15 +225,16 @@ impl Planner {
         plan
     }
 
-    /// Maps catalog-ordered schedule weights onto the graph's sources.
+    /// Maps catalog-ordered schedule weights onto the graph's sources; a
+    /// source the catalog lacks weighs zero.
     fn graph_weights(&self, graph_sources: &[SourceId], weights: &[f64]) -> Vec<f64> {
         graph_sources
             .iter()
             .map(|s| {
-                self.sources
-                    .iter()
-                    .position(|cs| cs == s)
-                    .and_then(|i| weights.get(i).copied())
+                self.source_index
+                    .binary_search_by_key(s, |(source, _)| *source)
+                    .ok()
+                    .and_then(|k| weights.get(self.source_index[k].1).copied())
                     .unwrap_or(0.0)
             })
             .collect()
@@ -287,9 +295,7 @@ impl Planner {
         // Hybrid: encoder subplan over the *sampled* images, distributed
         // world-wide and interleave-balanced (Fig 9's five extra lines).
         if let Strategy::HybridBalance { encoder, .. } = &self.strategy {
-            let sampled: HashSet<u64> = plan.all_samples().into_iter().collect();
-            let mut enc = DGraph::from_buffer_infos(info, MetaView::Images);
-            enc.retain_ids(&sampled);
+            let mut enc = graph.subgraph(MetaView::Images);
             enc.init(self.tree.clone());
             enc.distribute(DistributeAxis::World, self.config.group_size)?;
             let eshape = *encoder;

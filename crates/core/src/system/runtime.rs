@@ -93,10 +93,12 @@ pub enum LoaderMsg {
     },
     /// Report every hosted loader's buffer summary, in registry order.
     Summary(ReplyTo<Vec<BufferSummary>>),
-    /// Pop each named loader's sample ids and reply with all the samples.
+    /// Pop every hosted loader's directed sample ids and reply with all
+    /// the samples.
     Pop {
-        /// `(loader id, sample ids)` per loader the plan draws from.
-        directives: Vec<(u32, Vec<u64>)>,
+        /// The step's pop directives (loader id → sample ids), shared by
+        /// every group: each looks up its own members.
+        directives: Arc<BTreeMap<u32, Vec<u64>>>,
         /// Reply channel.
         reply: ReplyTo<Vec<Sample>>,
     },
@@ -349,15 +351,23 @@ impl Actor for LoaderGroupActor {
                 reply.send(self.members.iter().map(|m| m.loader.summary()).collect());
             }
             LoaderMsg::Pop { directives, reply } => {
-                let wanted = directives.iter().map(|(_, ids)| ids.len()).sum();
+                // A loader this group no longer hosts misses its pop, as a
+                // crashed loader's does.
+                let wanted = self
+                    .members
+                    .iter()
+                    .filter_map(|m| directives.get(&m.loader.id()))
+                    .map(Vec::len)
+                    .sum();
                 let mut samples = Vec::with_capacity(wanted);
-                for (loader_id, ids) in &directives {
-                    // A loader this group no longer hosts misses its pop,
-                    // as a crashed loader's does.
-                    if let Some(pos) = self.position(*loader_id) {
-                        self.members[pos].loader.pop_into(ids, &mut samples);
+                for member in &mut self.members {
+                    if let Some(ids) = directives.get(&member.loader.id()) {
+                        member.loader.pop_into(ids, &mut samples);
                     }
                 }
+                // Let go of the shared directives before replying, so the
+                // driver gets them back without a copy.
+                drop(directives);
                 reply.send(samples);
             }
             LoaderMsg::Checkpoint { version } => {
@@ -1207,33 +1217,34 @@ impl Fleet {
 
     /// Pops every plan directive, one pipelined ask per group that hosts
     /// a directed loader, addressing loaders by deployment-wide id (the
-    /// topology may have changed since the plan was made); returns the
-    /// popped samples plus, if a group failed its pop RPC, the failure of
-    /// its first directed loader in registry order. Directives naming a
-    /// loader that has since been retired are skipped — the retiring
+    /// topology may have changed since the plan was made). Every asked
+    /// group shares `directives` and pops the members it hosts. Returns
+    /// the popped samples plus, if a group failed its pop RPC, the
+    /// failure of its first directed loader in registry order. Directives
+    /// naming a loader that has since been drained are skipped — the
     /// drain handed its unconsumed samples to a surviving peer, so they
     /// stay plannable.
-    fn pop(&self, plan: &LoadingPlan) -> (HashMap<u64, Sample>, Option<RuntimeError>) {
+    fn pop(
+        &self,
+        directives: &Arc<BTreeMap<u32, Vec<u64>>>,
+    ) -> (HashMap<u64, Sample>, Option<RuntimeError>) {
         let topology = self.snapshot();
-        // Per group: its first directed loader (failure attribution) and
-        // its directives.
-        type Batch = (Option<usize>, Vec<(u32, Vec<u64>)>);
-        let mut batches: Vec<Batch> = vec![(None, Vec::new()); topology.groups.len()];
+        // Per group: its first directed loader (failure attribution).
+        let mut firsts: Vec<Option<usize>> = vec![None; topology.groups.len()];
         for (i, slot) in topology.loaders.iter().enumerate() {
-            let id = slot.identity.loader_id;
-            let (Some(ids), Some(g)) = (plan.directives.get(&id), topology.group_index(slot.group))
-            else {
+            if !directives.contains_key(&slot.identity.loader_id) {
                 continue;
-            };
-            let (first, directives) = &mut batches[g];
-            first.get_or_insert(i);
-            directives.push((id, ids.clone()));
+            }
+            if let Some(g) = topology.group_index(slot.group) {
+                firsts[g].get_or_insert(i);
+            }
         }
         let mut pending = Vec::new();
         let mut failed: Option<usize> = None;
         let mut fail = |i: usize| failed = Some(failed.map_or(i, |f| f.min(i)));
-        for (group, (first, directives)) in topology.groups.iter().zip(batches) {
+        for (group, first) in topology.groups.iter().zip(firsts) {
             let Some(first) = first else { continue };
+            let directives = Arc::clone(directives);
             match group
                 .actor
                 .ask_pipelined(move |reply| LoaderMsg::Pop { directives, reply })
@@ -1242,7 +1253,7 @@ impl Fleet {
                 Err(_) => fail(first),
             }
         }
-        let wanted = plan.directives.values().map(Vec::len).sum();
+        let wanted = directives.values().map(Vec::len).sum();
         let mut popped = HashMap::with_capacity(wanted);
         for (first, p) in pending {
             match p.wait(self.rpc_timeout) {
@@ -1599,10 +1610,13 @@ impl ThreadedPipeline {
         // 3–4. Plan on the planner actor (replay-store adoption or live
         // strategy execution, via the shared PipelineCore).
         let outcome = self.fleet.plan(info)?;
-        let (plan, phases) = (outcome.plan, outcome.phases);
+        let (mut plan, phases) = (outcome.plan, outcome.phases);
 
-        // 5. Pop and checkpoint.
-        let (popped, failed) = self.fleet.pop(&plan);
+        // 5. Pop and checkpoint. The groups share the directives and hand
+        // them back to the returned plan.
+        let directives = Arc::new(std::mem::take(&mut plan.directives));
+        let (popped, failed) = self.fleet.pop(&directives);
+        plan.directives = Arc::unwrap_or_clone(directives);
         if let Some(failure) = failed {
             return Err(failure);
         }
@@ -2133,7 +2147,7 @@ fn run_serve_driver(
                 Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         };
-        let plan = outcome.plan;
+        let mut plan = outcome.plan;
         let base = *plan_base.get_or_insert(plan.step);
         if plan.buckets.len() > fleet.constructors.len() && !bucket_overflow_reported {
             bucket_overflow_reported = true;
@@ -2153,10 +2167,12 @@ fn run_serve_driver(
 
         // (4) Pop, retrying loaders that were mid-restart once; a
         // restarted loader's lost samples are skipped by construction.
-        let (mut popped, failed) = fleet.pop(&plan);
+        // Both pops share the step's directives; nothing later reads them.
+        let directives = Arc::new(std::mem::take(&mut plan.directives));
+        let (mut popped, failed) = fleet.pop(&directives);
         if failed.is_some() {
             std::thread::sleep(Duration::from_millis(20));
-            let (retried, _) = fleet.pop(&plan);
+            let (retried, _) = fleet.pop(&directives);
             popped.extend(retried);
         }
 

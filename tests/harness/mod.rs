@@ -262,12 +262,11 @@ fn arb_flat_plan() -> impl Arb<Value = LoadingPlan> {
         0u64..100,
         axis,
         buckets,
-        arb_ids(4),
         proptest::collection::vec(broadcast_axis, 0..3),
         proptest::collection::vec((0u32..64, arb_ids(8)), 0..4),
     )
         .prop_map(
-            |(step, axis, buckets, excluded, broadcast_axes, directives)| LoadingPlan {
+            |(step, axis, buckets, broadcast_axes, directives)| LoadingPlan {
                 step,
                 axis,
                 buckets: buckets
@@ -287,7 +286,6 @@ fn arb_flat_plan() -> impl Arb<Value = LoadingPlan> {
                             .collect(),
                     })
                     .collect(),
-                excluded,
                 broadcast_axes,
                 directives: directives.into_iter().collect(),
                 subplans: Default::default(),
