@@ -29,6 +29,25 @@ ALLOW=(
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# One home for the cost model: msd_core reports counts, bytes, wall time
+# and transform-cost estimates; modeled network, barrier, memcpy and
+# memory time lives in msd_bench::model. So msd_core names no msd_sim
+# item but SimRng, except the NetModel and LossyLink the simulated
+# transport runs on, and those only in system/net.rs.
+echo "==> msd_core names only SimRng from msd_sim (NetModel/LossyLink: system/net.rs)"
+sim_names=$(
+  perl -0777 -ne 'while (/msd_sim::(\{[^}]*\}|\w+|\*)/g) {
+      (my $items = $1) =~ tr/{} \n//d;
+      print "$ARGV: msd_sim::$_\n" for grep { !/^(SimRng|NetModel|LossyLink)$/ } split /,/, $items;
+    }' $(find crates/core/src -name '*.rs')
+  grep -rnwE 'NetModel|LossyLink' crates/core/src | grep -v '^crates/core/src/system/net.rs:' || true
+)
+if [ -n "$sim_names" ]; then
+  echo "$sim_names" >&2
+  echo "msd_core names a modeled-time msd_sim item outside its allowance" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings (+allowlist)"
 cargo clippy --all-targets -- -D warnings "${ALLOW[@]}"
 
@@ -115,6 +134,11 @@ PROPTEST_CASES=96 MSD_PROPTEST_SEED=ci-leg-2 cargo test -q -p msd_core dgraph::
 # non-zero unless every step replays the live run's samples.
 echo "==> cargo run --example replay_mode"
 cargo run --example replay_mode
+
+# Fig 15 through msd_bench::model: asserts every config's projected fetch
+# hides behind its iteration, so the cost model runs, not just compiles.
+echo "==> cargo bench --bench fig15_time_breakdown"
+cargo bench --offline --bench fig15_time_breakdown
 
 # Concurrent local serving through a mid-serve loader-group crash; exits
 # non-zero unless every client pulls every step.

@@ -22,7 +22,7 @@ fn run(scenario: &Scenario, strategy: Strategy) -> (IterationBreakdown, f64) {
         GpuSpec::l20(),
         scenario.model.clone(),
     );
-    let out = msd.step().expect("step");
+    let (out, times) = msd_bench::model::step(&mut msd);
     let loads = plan_to_loads(
         &out.plan,
         &out.metas,
@@ -30,7 +30,7 @@ fn run(scenario: &Scenario, strategy: Strategy) -> (IterationBreakdown, f64) {
         &scenario.mesh,
         scenario.ctx,
     );
-    (setup.iteration(&loads), out.fetch_ns as f64 / 1e9)
+    (setup.iteration(&loads), times.fetch_ns as f64 / 1e9)
 }
 
 fn main() {

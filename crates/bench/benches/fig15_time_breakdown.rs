@@ -3,11 +3,12 @@
 //! Base configuration: 576 GPUs, 8k context, BS 72, 100 sources; then one
 //! knob at a time: sources 100→300, context 8k→32k, batch 72→288, GPUs
 //! 576→1152. For each, prints the planner phases (buffer gather, compute
-//! plan, broadcast plan), Source Loader and Data Constructor times, and
-//! the total iteration time they hide behind.
+//! plan, broadcast plan) in µs, Source Loader and Data Constructor times,
+//! and the total iteration time they hide behind. Plan compute is measured
+//! wall time; every other column is a projection of `msd_bench::model`.
 
 use msd_balance::BalanceMethod;
-use msd_bench::{banner, f, plan_to_loads, table_header, table_row, Scenario};
+use msd_bench::{banner, f, model, plan_to_loads, table_header, table_row, Scenario};
 use msd_core::planner::Strategy;
 use msd_data::catalog::navit_sized;
 use msd_mesh::DeviceMesh;
@@ -66,7 +67,13 @@ fn main() {
     ];
 
     table_header(&[
-        "config", "gather_s", "plan_s", "bcast_s", "loader_s", "constr_s", "iter_s",
+        "config",
+        "gather_us",
+        "plan_us",
+        "bcast_us",
+        "loader_s",
+        "constr_s",
+        "iter_s",
     ]);
     for cfg in configs {
         let mut rng = SimRng::seed(15);
@@ -90,20 +97,20 @@ fn main() {
         );
         let setup = TrainSetup::new(cfg.mesh.clone(), GpuSpec::l20(), model.clone());
         // Warm-up step, then measure.
-        msd.step().expect("warmup");
-        let out = msd.step().expect("step");
+        model::step(&mut msd);
+        let (out, times) = model::step(&mut msd);
         let loads = plan_to_loads(&out.plan, &out.metas, &model, &cfg.mesh, cfg.ctx);
         let iter_s = setup.iteration(&loads).total_s();
         table_row(&[
             cfg.label.to_string(),
-            f(out.phases.gather_ns as f64 / 1e9),
-            f(out.phases.compute_ns as f64 / 1e9),
-            f(out.phases.broadcast_ns as f64 / 1e9),
-            f(out.loader_ns as f64 / 1e9),
-            f(out.constructor_ns as f64 / 1e9),
+            f(times.gather_ns as f64 / 1e3),
+            f(out.phases.compute_ns as f64 / 1e3),
+            f(times.broadcast_ns as f64 / 1e3),
+            f(times.loader_ns as f64 / 1e9),
+            f(times.constructor_ns as f64 / 1e9),
             f(iter_s),
         ]);
-        let fetch_s = out.fetch_ns as f64 / 1e9;
+        let fetch_s = times.fetch_ns as f64 / 1e9;
         assert!(
             fetch_s < iter_s,
             "{}: fetch {fetch_s:.2}s must hide behind iteration {iter_s:.2}s",

@@ -14,7 +14,7 @@
 //!    for fewer synchronized clients.
 
 use msd_balance::BalanceMethod;
-use msd_bench::{banner, f, table_header, table_row, Scenario};
+use msd_bench::{banner, f, model, table_header, table_row, Scenario};
 use msd_core::autoscale::{
     partition_sources, place_actors, ClusterResources, HybridDeployment, PartitionOpts, PodSpec,
 };
@@ -130,11 +130,11 @@ fn reordering_section() {
             let (mut ship, mut loader, mut constr, mut fetch) = (0u64, 0u64, 0u64, 0u64);
             let steps = 3u64;
             for _ in 0..steps {
-                let out = msd.step().expect("step");
+                let (out, times) = model::step(&mut msd);
                 ship += out.ship_bytes;
-                loader += out.loader_ns;
-                constr += out.constructor_ns;
-                fetch += out.fetch_ns;
+                loader += times.loader_ns;
+                constr += times.constructor_ns;
+                fetch += times.fetch_ns;
             }
             results.push(ship / steps);
             table_row(&[

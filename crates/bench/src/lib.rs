@@ -3,7 +3,8 @@
 //! Every bench target under `benches/` regenerates one table or figure of
 //! the paper's evaluation. This library holds what they share: workload
 //! builders (model combos, meshes, catalogs), the plan→trainer-load
-//! conversion, and plain-text report formatting.
+//! conversion, the pipeline cost model ([`model`]), and plain-text report
+//! formatting.
 
 use std::collections::HashMap;
 
@@ -17,6 +18,8 @@ use msd_data::{Catalog, SampleMeta};
 use msd_mesh::{Axis, DeviceMesh, DistributeAxis};
 use msd_train::models::ModelPreset;
 use msd_train::{GpuSpec, RankLoads, TrainSetup};
+
+pub mod model;
 
 /// Table formatting: prints a header row and separator.
 pub fn table_header(cols: &[&str]) {
@@ -102,7 +105,6 @@ impl Scenario {
                 total_mem_bytes: 8 << 40,
             },
             partition: PartitionOpts::default(),
-            shadow_loaders: 0,
             buffer_capacity: self.samples_per_step.max(64) * 2,
             seed,
         })
@@ -244,7 +246,7 @@ pub fn run_scenario(scenario: &Scenario, strategy: Strategy, steps: u64, seed: u
     let mut tput = 0.0;
     let mut iter_s = 0.0;
     for _ in 0..steps {
-        let out = msd.step().expect("scenario step");
+        let (out, times) = model::step(&mut msd);
         let metas = &out.metas;
         let loads = plan_to_loads(
             &out.plan,
@@ -255,7 +257,7 @@ pub fn run_scenario(scenario: &Scenario, strategy: Strategy, steps: u64, seed: u
         );
         let breakdown = setup.iteration(&loads);
         let tokens = plan_tokens(&out.plan, metas);
-        let fetch_s = out.fetch_ns as f64 / 1e9;
+        let fetch_s = times.fetch_ns as f64 / 1e9;
         // Input-bound check: iteration is the max of compute and the
         // unoverlapped fetch residual.
         let t = breakdown.total_s().max(fetch_s * 0.05);

@@ -89,13 +89,6 @@ impl ShadowedLoader {
         self.primary.is_some()
     }
 
-    /// The shadow's extra resident memory (one standby actor's access
-    /// state; excluded from the paper's Fig 12 measurements, included in
-    /// Fig 16e).
-    pub fn shadow_memory_bytes(&self) -> u64 {
-        self.spec.access_state.total()
-    }
-
     /// Records that `plan` was executed — keeping this loader's directive
     /// for replay — and snapshots on the configured cadence. Returns `true`
     /// if a snapshot was taken.
@@ -272,12 +265,6 @@ mod tests {
         assert_eq!(report.replayed_plans, 2);
         assert_eq!(report.restored_version, 63);
         assert_eq!(next_summary(&mut twin, 8), next_summary(&mut shadowed, 8));
-    }
-
-    #[test]
-    fn shadow_memory_is_one_access_state() {
-        let shadowed = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 1, 4);
-        assert_eq!(shadowed.shadow_memory_bytes(), spec().access_state.total());
     }
 
     #[test]

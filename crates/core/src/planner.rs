@@ -2,17 +2,18 @@
 //!
 //! Each step the Planner (1) gathers buffer metadata from all Source
 //! Loaders, (2) runs the user's orchestration strategy over a [`DGraph`],
-//! and (3) broadcasts the resulting [`LoadingPlan`]. Phases are
-//! instrumented separately because Fig 15 reports their breakdown: gather
-//! and broadcast follow the network cost model (they are communication),
-//! while compute is measured wall-clock (it is real work in this process).
+//! and (3) broadcasts the resulting [`LoadingPlan`]. The planner measures
+//! only its own work — compute and the `cost`/`balance` primitives, in
+//! wall-clock time. Gather and broadcast are communication done by
+//! whichever deployment moves the summaries and the plan; the paper
+//! figures project them with the cost model in `msd_bench::model`.
 
 use std::collections::BTreeMap;
 
 use msd_balance::{BackboneShape, BalanceMethod, EncoderShape};
 use msd_data::SourceId;
 use msd_mesh::{Axis, ClientPlaceTree, DistributeAxis};
-use msd_sim::{NetModel, SimRng};
+use msd_sim::SimRng;
 
 use crate::buffer::BufferInfo;
 use crate::dgraph::{BalanceOpts, DGraph, DGraphError, MetaView};
@@ -72,26 +73,16 @@ pub struct PlannerConfig {
     pub schedule: MixSchedule,
 }
 
-/// Per-phase timing of one plan generation (Fig 15).
+/// Measured wall-clock timing of one plan generation (Fig 15's compute
+/// phase, Table 2's primitives).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
-    /// Virtual time to gather buffer metadata from loaders.
-    pub gather_ns: u64,
     /// Wall-clock time of strategy computation (DGraph pipeline).
     pub compute_ns: u64,
-    /// Virtual time to broadcast the plan to constructors and loaders.
-    pub broadcast_ns: u64,
     /// Wall-clock time inside the `cost` primitive (Table 2).
     pub cost_api_ns: u64,
     /// Wall-clock time inside the `balance` primitive (Table 2).
     pub balance_api_ns: u64,
-}
-
-impl PhaseBreakdown {
-    /// Total planner-side latency (gather + compute + broadcast).
-    pub fn total_ns(&self) -> u64 {
-        self.gather_ns + self.compute_ns + self.broadcast_ns
-    }
 }
 
 /// Serializable snapshot of the Planner's restart-critical state: the step
@@ -119,7 +110,6 @@ pub struct Planner {
     sources: Vec<SourceId>,
     /// `(source, first position in sources)`, sorted by source.
     source_index: Vec<(SourceId, usize)>,
-    net: NetModel,
     rng: SimRng,
     step: u64,
 }
@@ -144,7 +134,6 @@ impl Planner {
             tree,
             sources,
             source_index,
-            net: NetModel::default(),
             rng: SimRng::seed(seed),
             step: 0,
         }
@@ -172,11 +161,6 @@ impl Planner {
         self.tree = tree;
     }
 
-    /// Replaces the network model (tests use faster fabrics).
-    pub fn set_net(&mut self, net: NetModel) {
-        self.net = net;
-    }
-
     /// Feeds observed per-source losses into a loss-adaptive schedule.
     pub fn observe_loss(&mut self, losses: &[f64]) {
         self.config.schedule.observe_loss(losses);
@@ -196,23 +180,6 @@ impl Planner {
     pub fn restore_checkpoint(&mut self, cp: &PlannerCheckpoint) {
         self.step = cp.step;
         self.rng = SimRng::from_state(cp.rng_state);
-    }
-
-    /// Virtual-time cost of broadcasting `plan` to constructors, loaders,
-    /// and fetching clients (phase 3 of [`Planner::generate`]; also used by
-    /// Replay Mode, which skips gather/compute but still broadcasts).
-    pub fn broadcast_cost_ns(&self, plan: &LoadingPlan) -> u64 {
-        let constructors = plan.buckets.len().max(1) as u32;
-        let fanout = (f64::from(constructors) + 1.0).log2().ceil() as u64;
-        self.net.transfer(plan.wire_bytes()).as_nanos() * fanout
-            + self
-                .net
-                .barrier(
-                    self.tree
-                        .fetching_clients(&self.config.broadcast_axes)
-                        .len() as u32,
-                )
-                .as_nanos()
     }
 
     /// Records an externally generated plan (e.g. one served from a Replay
@@ -247,17 +214,6 @@ impl Planner {
     ) -> Result<(LoadingPlan, PhaseBreakdown), DGraphError> {
         let step = self.step;
         let mut phases = PhaseBreakdown::default();
-
-        // Phase 1: gather (virtual communication cost — incast of loader
-        // summaries into the planner).
-        let loaders = info.summaries.len().max(1) as u32;
-        phases.gather_ns = self
-            .net
-            .fanin_transfer(info.wire_bytes(), loaders)
-            .as_nanos()
-            + self.net.barrier(loaders).as_nanos();
-
-        // Phase 2: compute (real wall time).
         let t0 = std::time::Instant::now();
         let weights = self.config.schedule.weights(step);
         let mut graph = DGraph::from_buffer_infos(info, MetaView::Tokens);
@@ -309,10 +265,6 @@ impl Planner {
         phases.cost_api_ns += graph.cost_api_ns;
         phases.balance_api_ns += graph.balance_api_ns;
         phases.compute_ns = t0.elapsed().as_nanos() as u64;
-
-        // Phase 3: broadcast (plan to constructors + loader directives).
-        phases.broadcast_ns = self.broadcast_cost_ns(&plan);
-
         self.step += 1;
         Ok((plan, phases))
     }
@@ -390,9 +342,7 @@ mod tests {
         assert_eq!(plan.buckets.len(), 4);
         assert_eq!(plan.microbatches(), 2);
         assert_eq!(plan.all_samples().len(), 32);
-        assert!(phases.gather_ns > 0);
         assert!(phases.compute_ns > 0);
-        assert!(phases.broadcast_ns > 0);
         assert_eq!(p.step(), 1);
     }
 

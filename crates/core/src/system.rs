@@ -1,4 +1,4 @@
-//! The assembled MegaScale-Data pipeline and its cluster memory model.
+//! The assembled MegaScale-Data pipeline.
 //!
 //! [`MegaScaleData`] wires the synchronous components together — Source
 //! Loaders (one actor per source partition from auto-partitioning), the
@@ -11,20 +11,20 @@
 //! 4. the Planner gathers buffer metadata and synthesizes a plan,
 //! 5. loaders pop planned samples, constructors assemble and deliver.
 //!
-//! The struct exposes per-step instrumentation (plan, phase breakdown,
-//! modeled fetch latency, memory report) that the evaluation benches
-//! consume. A threaded actor deployment of the same components lives in
-//! [`crate::system::runtime`].
+//! Each step reports what it did — the plan, the buffer metadata it was
+//! planned from, the planner's measured compute, shipped bytes and the
+//! transform-cost estimates of loader refills and deferred tails. The
+//! evaluation benches turn those into projected times with the cost model
+//! in `msd_bench::model`. A threaded actor deployment of the same
+//! components lives in [`crate::system::runtime`].
 
 use std::collections::HashMap;
 
 use msd_data::Catalog;
 use msd_mesh::{ClientPlaceTree, DeviceMesh};
-use msd_sim::{MemoryMeter, SimRng};
+use msd_sim::SimRng;
 
-use crate::autoscale::{
-    expand_configs, partition_sources, AutoScaler, ClusterResources, PartitionOpts,
-};
+use crate::autoscale::{expand_configs, partition_sources, ClusterResources, PartitionOpts};
 use crate::buffer::BufferInfo;
 use crate::constructor::{ConstructedBatch, DataConstructor};
 use crate::dgraph::DGraphError;
@@ -60,11 +60,6 @@ pub struct MsdConfig {
     pub resources: ClusterResources,
     /// Auto-partitioning knobs.
     pub partition: PartitionOpts,
-    /// Standby loaders per source that [`MegaScaleData::memory_report`]
-    /// charges (the `shadow` category; 0 charges none). It sizes the
-    /// memory model only: every loader is shadowed and snapshotted
-    /// regardless.
-    pub shadow_loaders: u32,
     /// Loader buffer capacity in samples.
     pub buffer_capacity: usize,
     /// Base RNG seed.
@@ -82,12 +77,15 @@ pub struct StepOutput {
     pub batches: Vec<ConstructedBatch>,
     /// Metadata of every sample the plan consumed (keyed by sample id).
     pub metas: HashMap<u64, msd_data::SampleMeta>,
-    /// Slowest loader's refill time this step (virtual ns).
+    /// The buffer metadata the plan was synthesized from.
+    pub info: BufferInfo,
+    /// Slowest loader's refill time this step (virtual ns, from the
+    /// transform-cost estimate).
     pub loader_ns: u64,
-    /// Constructor assembly + delivery time model (virtual ns).
-    pub constructor_ns: u64,
-    /// End-to-end unoverlapped data fetch latency (virtual ns).
-    pub fetch_ns: u64,
+    /// Slowest bucket's deferred transform tail this step (virtual ns,
+    /// from the transform-cost estimate; 0 without transformation
+    /// reordering).
+    pub tail_ns: u64,
     /// Payload bytes shipped loader → constructor this step (what
     /// transformation reordering shrinks).
     pub ship_bytes: u64,
@@ -100,8 +98,6 @@ pub struct MegaScaleData {
     loaders: Vec<ShadowedLoader>,
     core: PipelineCore,
     constructors: Vec<DataConstructor>,
-    /// Mixture-driven scaler (present when the feature is on).
-    pub autoscaler: Option<AutoScaler>,
     transform_reorder: bool,
     /// Working buffers for the constructor-side deferred transform tails.
     tail_scratch: msd_data::TransformScratch,
@@ -144,21 +140,19 @@ impl MegaScaleData {
         let constructors = (0..buckets)
             .map(|_| DataConstructor::new(config.mesh.clone(), config.max_seq_len))
             .collect();
-        let autoscaler = Some(AutoScaler::new(setups));
         MegaScaleData {
             config,
             loaders,
             core: PipelineCore::new(planner),
             constructors,
-            autoscaler,
             transform_reorder: false,
             tail_scratch: msd_data::TransformScratch::default(),
         }
     }
 
     /// Builds a deployment from explicit loader sources and a pre-built
-    /// planner, bypassing auto-partitioning (no autoscaler). Loader RNG
-    /// seeding matches [`crate::system::runtime::ThreadedPipeline::new`]
+    /// planner, bypassing auto-partitioning. Loader RNG seeding matches
+    /// [`crate::system::runtime::ThreadedPipeline::new`]
     /// — every `SourceLoader` mixes its own id into the shared
     /// `config.seed` — so a threaded pipeline spawned from the same parts
     /// produces the *identical* plan and batch stream. That
@@ -184,7 +178,6 @@ impl MegaScaleData {
             loaders,
             core: PipelineCore::new(planner),
             constructors,
-            autoscaler: None,
             transform_reorder: false,
             tail_scratch: msd_data::TransformScratch::default(),
         }
@@ -289,9 +282,8 @@ impl MegaScaleData {
         }
 
         // Deferred transforms run at the constructor (transformation
-        // reordering, Sec 6.2): per-bucket tail cost adds to the slowest
-        // constructor's assembly time.
-        let mut constructor_ns = 0u64;
+        // reordering, Sec 6.2): report the slowest bucket's tail cost.
+        let mut tail_ns = 0u64;
         if self.transform_reorder && !tails.is_empty() {
             let mut per_bucket_tail = vec![0u64; plan.buckets.len()];
             for (b, bp) in plan.buckets.iter().enumerate() {
@@ -306,77 +298,20 @@ impl MegaScaleData {
                     }
                 }
             }
-            constructor_ns = per_bucket_tail.into_iter().max().unwrap_or(0);
+            tail_ns = per_bucket_tail.into_iter().max().unwrap_or(0);
         }
-        let batches: Vec<ConstructedBatch> = plan
-            .buckets
-            .iter()
-            .map(|bp| {
-                let c = &self.constructors
-                    [PipelineCore::constructor_index(bp.bucket, self.constructors.len())];
-                let batch = c.construct(bp, &popped, &plan.broadcast_axes);
-                // Assembly cost model: linear in padded tokens (memcpy-ish,
-                // ~1 ns per 16 tokens per core) plus delivery transfers.
-                let tokens: u64 = batch.microbatches.iter().map(|m| m.padded_tokens()).sum();
-                let delivery_bytes: u64 = batch.deliveries.iter().map(|d| d.bytes).sum();
-                constructor_ns = constructor_ns.max(
-                    tokens / 16
-                        + msd_sim::NetModel::default()
-                            .transfer(delivery_bytes)
-                            .as_nanos(),
-                );
-                batch
-            })
-            .collect();
-
-        // Autoscaler observes the realized mixture.
-        if let Some(scaler) = &mut self.autoscaler {
-            let weights = self.config.planner.schedule.weights(plan.step);
-            scaler.observe(&weights);
-        }
-
-        let fetch_ns = loader_ns + phases.total_ns() + constructor_ns;
+        let batches = PipelineCore::assemble(&self.constructors, &plan, &popped);
         let metas = popped.iter().map(|(id, s)| (*id, s.meta)).collect();
         Ok(StepOutput {
             plan,
             phases,
             batches,
             metas,
+            info,
             loader_ns,
-            constructor_ns,
-            fetch_ns,
+            tail_ns,
             ship_bytes,
         })
-    }
-
-    /// Current memory accounting across components, by category.
-    pub fn memory_report(&mut self) -> MemoryMeter {
-        let mut meter = MemoryMeter::new();
-        let mut source_state = 0u64;
-        let mut buffers_and_ctx = 0u64;
-        let mut shadow = 0u64;
-        for l in &mut self.loaders {
-            let access = l.shadow_memory_bytes(); // Same as primary's state.
-            let total = l.primary().memory_bytes();
-            source_state += access;
-            buffers_and_ctx += total - access;
-            if self.config.shadow_loaders > 0 {
-                shadow += u64::from(self.config.shadow_loaders) * access;
-            }
-        }
-        meter.alloc("source_state", source_state);
-        meter.alloc("worker_and_buffer", buffers_and_ctx);
-        if shadow > 0 {
-            meter.alloc("shadow", shadow);
-        }
-        // Constructor resident batches: bounded by one in-flight batch per
-        // bucket; approximate with samples_per_step × mean payload.
-        meter.alloc(
-            "constructor",
-            (self.config.planner.samples_per_step as u64) * 4096,
-        );
-        meter.alloc("planner_metadata", 64 << 20);
-        meter
     }
 }
 
@@ -421,7 +356,6 @@ mod tests {
                 total_mem_bytes: 1 << 40,
             },
             partition: PartitionOpts::default(),
-            shadow_loaders: 1,
             buffer_capacity: 256,
             seed: 42,
         }
@@ -443,7 +377,6 @@ mod tests {
             .map(|s| s.segments.len())
             .sum();
         assert_eq!(constructed, 64);
-        assert!(out.fetch_ns > 0);
     }
 
     #[test]
@@ -468,17 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_report_is_dominated_by_source_state() {
-        // The Fig 4 observation: with moderate batch sizes, per-source
-        // access states dominate loader memory.
-        let mut msd = MegaScaleData::new(config());
-        msd.step().unwrap();
-        let report = msd.memory_report();
-        assert!(report.category_share("source_state") > 0.3);
-        assert!(report.total() > 0);
-    }
-
-    #[test]
     fn transform_reordering_shrinks_shipped_bytes() {
         // Image-heavy catalog: deferring decode past the pop keeps payloads
         // JPEG-sized on the loader → constructor link.
@@ -497,7 +419,7 @@ mod tests {
             b.ship_bytes
         );
         // The deferred tail shows up as constructor-side work.
-        assert!(r.constructor_ns > b.constructor_ns);
+        assert!(r.tail_ns > b.tail_ns);
         // Deliveries still carry decoded payloads: the constructed batches'
         // payload bytes match between the two pipelines.
         let payload = |out: &StepOutput| -> u64 {

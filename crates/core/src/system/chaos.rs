@@ -5,7 +5,7 @@
 //!
 //! - [`ChaosTransport`] composes with any [`Transport`] and perturbs the
 //!   frame stream *in both directions*: seeded drops, duplicates, and
-//!   adjacent-swap reorders beyond what the sim fabric's `LossyLink`
+//!   adjacent-swap reorders beyond what the sim fabric's lossy link
 //!   models, plus link partitions — scheduled windows keyed to the
 //!   global offered-frame count (so a plan replays exactly from its
 //!   seed, independent of wall-clock), or manual per-link control via

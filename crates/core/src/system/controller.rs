@@ -44,7 +44,7 @@ use msd_balance::BalanceMethod;
 use msd_data::{Sample, SourceId, SourceSpec};
 
 use crate::autoscale::{AutoScaler, LoaderSetup, ScaleAction};
-use crate::loader::{LoaderCheckpoint, LoaderConfig, LoaderHealth, WORKER_CTX_BYTES};
+use crate::loader::{LoaderCheckpoint, LoaderConfig, LoaderHealth};
 use crate::system::runtime::{
     gather_fleet_health, spawn_loaders, LoaderIdentity, LoaderMsg, LoaderRegistry, LoaderSlot,
     PlannerMsg,
@@ -373,19 +373,14 @@ impl ControllerActor {
             .iter()
             .map(|src| {
                 let actors = self.slots_of(*src).len().max(1) as u32;
-                let workers = self.templates.get(src).map(|t| t.workers).unwrap_or(1);
-                let mem = self
-                    .specs
-                    .get(src)
-                    .map(|s| s.access_state.total())
-                    .unwrap_or(0)
-                    + u64::from(workers) * WORKER_CTX_BYTES;
                 LoaderSetup {
                     source: *src,
                     actors,
-                    workers_per_actor: workers,
+                    workers_per_actor: self.templates.get(src).map(|t| t.workers).unwrap_or(1),
                     cost_estimate_ns: 0.0,
-                    mem_per_actor: mem,
+                    // Memory is sized offline (`partition_sources`); no
+                    // online decision reads it.
+                    mem_per_actor: 0,
                 }
             })
             .collect();

@@ -26,7 +26,8 @@ use crate::replay::PlanStore;
 pub struct PlanOutcome {
     /// The plan for this step.
     pub plan: LoadingPlan,
-    /// Planner phase breakdown (replayed steps only account broadcast).
+    /// Planner phase breakdown (all zero on a replayed step: no strategy
+    /// ran).
     pub phases: PhaseBreakdown,
     /// Whether the plan was adopted from the replay store.
     pub replayed: bool,
@@ -98,15 +99,10 @@ impl PipelineCore {
         });
         match replayed {
             Some(stored) => {
-                let plan = self.planner.adopt_plan(stored);
-                let phases = PhaseBreakdown {
-                    broadcast_ns: self.planner.broadcast_cost_ns(&plan),
-                    ..PhaseBreakdown::default()
-                };
                 self.replayed_steps += 1;
                 Ok(PlanOutcome {
-                    plan,
-                    phases,
+                    plan: self.planner.adopt_plan(stored),
+                    phases: PhaseBreakdown::default(),
                     replayed: true,
                 })
             }
@@ -243,7 +239,6 @@ mod tests {
             let info = gather(&mut loaders2);
             let out = replayer.synthesize(&info).unwrap();
             assert!(out.replayed, "step {step} should replay");
-            assert_eq!(out.phases.gather_ns, 0);
             assert_eq!(out.phases.compute_ns, 0);
             for id in out.plan.all_samples() {
                 for l in loaders2.iter_mut() {

@@ -1,4 +1,4 @@
-//! Deterministic discrete-event simulation substrate for MegaScale-Data.
+//! Deterministic simulation substrate for MegaScale-Data.
 //!
 //! The paper evaluates on clusters of 288–4096 GPUs; this crate provides the
 //! machinery to reproduce those experiments on a single machine:
@@ -7,23 +7,16 @@
 //!   resolution.
 //! - [`rng`]: a seedable, splittable random number generator ([`SimRng`])
 //!   so every experiment is bit-reproducible.
-//! - [`engine`]: a discrete-event engine ([`Engine`]) with stable FIFO
-//!   ordering for simultaneous events.
-//! - [`resource`]: counted resource pools (CPU cores) and a hierarchical
-//!   [`MemoryMeter`] used for every memory figure in the paper.
-//! - [`net`]: latency/bandwidth/incast network cost model (Fig 20).
+//! - [`net`]: latency/bandwidth/incast network cost model (Fig 20) and the
+//!   seeded lossy link the simulated transport runs on.
 //! - [`stats`]: histograms, CDFs and streaming summaries (Fig 2, Fig 5).
 
-pub mod engine;
 pub mod net;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, EventId, Scheduler};
 pub use net::{LossyLink, NetModel};
-pub use resource::{MemoryMeter, ResourcePool};
 pub use rng::SimRng;
 pub use stats::{Cdf, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

@@ -1,8 +1,8 @@
 //! Virtual time primitives.
 //!
 //! All simulated latencies in the repository are expressed as
-//! [`SimDuration`] values with nanosecond resolution, and the discrete-event
-//! engine advances a [`SimTime`] clock. Keeping these as dedicated newtypes
+//! [`SimDuration`] values with nanosecond resolution; a [`SimTime`] is an
+//! instant on that virtual timeline. Keeping these as dedicated newtypes
 //! (instead of bare `u64`s or `std::time` types) prevents accidentally mixing
 //! wall-clock and virtual time.
 

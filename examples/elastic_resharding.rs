@@ -44,7 +44,6 @@ fn main() {
             total_mem_bytes: 1 << 40,
         },
         partition: PartitionOpts::default(),
-        shadow_loaders: 0,
         buffer_capacity: 256,
         seed: 1,
     });

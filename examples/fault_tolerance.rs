@@ -58,7 +58,6 @@ fn main() {
             total_mem_bytes: 512 << 30,
         },
         partition: PartitionOpts::default(),
-        shadow_loaders: 1,
         buffer_capacity: 128,
         seed: 9,
     });

@@ -58,7 +58,6 @@ fn main() {
             total_mem_bytes: 64 << 30,
         },
         partition: PartitionOpts::default(),
-        shadow_loaders: 0,
         buffer_capacity: 256,
         seed: 7,
     };
@@ -73,11 +72,12 @@ fn main() {
             / costs.iter().cloned().fold(f64::MAX, f64::min);
         println!(
             "step {step}: {} samples -> {} buckets x {} microbatches, \
-             bucket imbalance {imbalance:.2}x, fetch {:.1} ms",
+             bucket imbalance {imbalance:.2}x, {} KiB shipped, planned in {} us",
             out.plan.all_samples().len(),
             out.plan.buckets.len(),
             out.plan.microbatches(),
-            out.fetch_ns as f64 / 1e6,
+            out.ship_bytes / 1024,
+            out.phases.compute_ns / 1000,
         );
         // What one trainer client sees:
         let delivery = &out.batches[0].deliveries[0];
@@ -85,15 +85,5 @@ fn main() {
             "         rank {} receives {:?} ({} bytes)",
             delivery.rank, delivery.kind, delivery.bytes
         );
-    }
-
-    // 5. Memory accounting by category.
-    let report = msd.memory_report();
-    println!(
-        "\nloader memory: {:.2} GiB total",
-        report.total() as f64 / (1u64 << 30) as f64
-    );
-    for (cat, bytes) in report.categories() {
-        println!("  {cat:>18}: {:.2} GiB", bytes as f64 / (1u64 << 30) as f64);
     }
 }

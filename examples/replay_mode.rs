@@ -55,7 +55,6 @@ fn pipeline() -> MegaScaleData {
             total_mem_bytes: 1 << 40,
         },
         partition: PartitionOpts::default(),
-        shadow_loaders: 1,
         buffer_capacity: 256,
         seed: 13,
     })
@@ -69,7 +68,7 @@ fn main() {
     let mut expected = Vec::new();
     for _ in 0..STEPS {
         let out = live.step().expect("live step");
-        live_ns += out.phases.gather_ns + out.phases.compute_ns;
+        live_ns += out.phases.compute_ns;
         expected.push(out.plan.all_samples());
         store.insert(out.plan);
     }
@@ -89,13 +88,13 @@ fn main() {
     let mut diverged = Vec::new();
     for (step, want) in expected.iter().enumerate() {
         let out = twin.step().expect("replay step");
-        replay_ns += out.phases.gather_ns + out.phases.compute_ns;
+        replay_ns += out.phases.compute_ns;
         if &out.plan.all_samples() != want {
             diverged.push(step);
         }
     }
     println!(
-        "replayed {}/{STEPS} steps; planner gather+compute {:.3} ms live vs {:.3} ms replayed",
+        "replayed {}/{STEPS} steps; planner compute {:.3} ms live vs {:.3} ms replayed",
         twin.replayed_steps(),
         live_ns as f64 / 1e6,
         replay_ns as f64 / 1e6,

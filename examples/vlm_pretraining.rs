@@ -74,7 +74,6 @@ fn main() {
                 total_mem_bytes: 4 << 40,
             },
             partition: PartitionOpts::default(),
-            shadow_loaders: 0,
             buffer_capacity: 512,
             seed: 7,
         });

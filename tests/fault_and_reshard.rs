@@ -52,7 +52,6 @@ fn msd(seed: u64) -> MegaScaleData {
             total_mem_bytes: 1 << 40,
         },
         partition: PartitionOpts::default(),
-        shadow_loaders: 1,
         buffer_capacity: 128,
         seed,
     })

@@ -67,7 +67,6 @@ mod msd_bench_shim {
                         total_mem_bytes: 4 << 40,
                     },
                     partition: PartitionOpts::default(),
-                    shadow_loaders: 0,
                     buffer_capacity: self.samples_per_step.max(64) * 2,
                     seed,
                 })

@@ -106,7 +106,6 @@ fn msd_config(catalog: Catalog) -> MsdConfig {
             total_mem_bytes: 1 << 40,
         },
         partition: PartitionOpts::default(),
-        shadow_loaders: 0,
         buffer_capacity: 1024,
         seed: SEED,
     }
