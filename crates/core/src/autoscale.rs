@@ -185,7 +185,6 @@ pub fn expand_configs(
                     buffer_capacity,
                     shard,
                     shards: s.actors,
-                    fetch_latency_ns: 0,
                 },
             ));
             next_id += 1;

@@ -75,7 +75,7 @@ pub use replay::PlanStore;
 pub use schedule::MixSchedule;
 pub use system::core::{PipelineCore, PlanOutcome};
 pub use system::net::{
-    BatchPayload, LoopbackTransport, NetError, SharedBatch, SimTransport, Transport, WireFrame,
+    BatchPayload, LoopbackTransport, NetError, SharedBatch, Transport, WireFrame,
 };
 pub use system::runtime::{ServeClient, ServeOptions, ServeSession, ThreadedPipeline};
 pub use system::server::{DataServerHandle, RemoteClient, RemotePlacement, ServerStatus};

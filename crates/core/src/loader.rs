@@ -33,13 +33,6 @@ pub struct LoaderConfig {
     pub shard: u32,
     /// Total data-parallel loaders for this source.
     pub shards: u32,
-    /// Real storage-fetch latency modeled per produced sample, in
-    /// nanoseconds: [`SourceLoader::refill`] actually *waits* this long
-    /// per sample (amortized over workers), so threaded deployments can
-    /// overlap fetch latency the way the paper's loaders hide storage
-    /// stalls. `0` (the default) keeps refill pure-compute for
-    /// deterministic simulation.
-    pub fetch_latency_ns: u64,
 }
 
 impl LoaderConfig {
@@ -51,15 +44,6 @@ impl LoaderConfig {
             buffer_capacity: 1024,
             shard: 0,
             shards: 1,
-            fetch_latency_ns: 0,
-        }
-    }
-
-    /// Same, with a modeled real storage-fetch latency per sample.
-    pub fn solo_with_fetch_latency(loader_id: u32, fetch_latency_ns: u64) -> Self {
-        LoaderConfig {
-            fetch_latency_ns,
-            ..Self::solo(loader_id)
         }
     }
 }
@@ -78,8 +62,8 @@ pub struct LoaderCheckpoint {
 }
 
 /// Point-in-time health snapshot of one Source Loader — the control
-/// plane's per-loader input (buffer occupancy, fetch stall time) for
-/// autoscaling and rebalancing decisions.
+/// plane's per-loader input (buffer occupancy) for autoscaling and
+/// rebalancing decisions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoaderHealth {
     /// The loader's id.
@@ -90,8 +74,6 @@ pub struct LoaderHealth {
     pub buffered: usize,
     /// Samples produced over the loader's lifetime.
     pub samples_produced: u64,
-    /// Cumulative wall time spent stalled on modeled storage fetches, ns.
-    pub fetch_stall_ns: u64,
     /// Cumulative virtual transform time, ns.
     pub transform_ns: u64,
 }
@@ -126,9 +108,6 @@ pub struct SourceLoader {
     pub transform_ns_total: u64,
     /// Cumulative virtual I/O time, in ns.
     pub io_ns_total: u64,
-    /// Cumulative *wall* time spent stalled on modeled storage fetches
-    /// (the real sleeps `fetch_latency_ns` induces), in ns.
-    pub fetch_stall_ns_total: u64,
     samples_produced: u64,
     /// The transforms that run loader-side, built once rather than per
     /// sample: all of `spec.pipeline()`, or — under a transformation-
@@ -156,7 +135,6 @@ impl SourceLoader {
             rng,
             transform_ns_total: 0,
             io_ns_total: 0,
-            fetch_stall_ns_total: 0,
             samples_produced: 0,
         }
     }
@@ -241,29 +219,12 @@ impl SourceLoader {
     pub fn refill(&mut self, target: usize) -> Result<u64, StorageError> {
         let target = target.min(self.config.buffer_capacity);
         let mut spent_ns = 0u64;
-        let mut produced = 0u64;
         while self.buffer.len() < target {
             let Some((sample, cost_ns)) = self.produce_one()? else {
                 break; // Source exhausted.
             };
             spent_ns += cost_ns;
-            produced += 1;
             self.buffer.push_back(sample);
-        }
-        // Modeled storage-fetch latency is real wall time (amortized over
-        // the loader's parallel workers): a caller driving refill inline
-        // waits here, a loader actor overlaps the wait with the rest of
-        // the pipeline.
-        if self.config.fetch_latency_ns > 0 && produced > 0 {
-            let wait =
-                self.config.fetch_latency_ns * produced / u64::from(self.config.workers.max(1));
-            std::thread::sleep(std::time::Duration::from_nanos(wait));
-            self.fetch_stall_ns_total += wait;
-            spent_ns += wait;
-            crate::metrics::record_stage(
-                crate::metrics::Stage::Fetch,
-                std::time::Duration::from_nanos(wait),
-            );
         }
         Ok(spent_ns)
     }
@@ -400,7 +361,6 @@ impl SourceLoader {
             source: self.spec.id,
             buffered: self.buffer.len(),
             samples_produced: self.samples_produced,
-            fetch_stall_ns: self.fetch_stall_ns_total,
             transform_ns: self.transform_ns_total,
         }
     }
@@ -792,19 +752,16 @@ mod tests {
     }
 
     #[test]
-    fn health_reports_occupancy_and_stalls() {
-        let cfg = LoaderConfig::solo_with_fetch_latency(3, 10_000);
-        let mut l = SourceLoader::synthetic(spec(), cfg, 1);
+    fn health_reports_occupancy() {
+        let mut l = SourceLoader::synthetic(spec(), LoaderConfig::solo(3), 1);
         let h0 = l.health();
         assert_eq!(h0.buffered, 0);
-        assert_eq!(h0.fetch_stall_ns, 0);
         l.refill(8).unwrap();
         let h = l.health();
         assert_eq!(h.loader_id, 3);
         assert_eq!(h.source, spec().id);
         assert_eq!(h.buffered, 8);
         assert_eq!(h.samples_produced, 8);
-        assert!(h.fetch_stall_ns > 0, "modeled fetch stalls unaccounted");
         assert!(h.transform_ns > 0);
     }
 

@@ -6,10 +6,10 @@
 //! fixed-bucket power-of-two [`Histogram`]s — plus one process-wide
 //! registry covering the serve path's stages:
 //!
-//! - per-stage latencies ([`Stage`]: fetch, decode, construct, encode,
-//!   send), recorded where the work happens (loader refill, storage /
-//!   synthetic decode, constructor actors, batch serialization, the
-//!   transport send threads);
+//! - per-stage latencies ([`Stage`]: decode, construct, encode, send,
+//!   pump), recorded where the work happens (storage / synthetic
+//!   decode, constructor actors, batch serialization, the transport
+//!   send threads, the data server's pump);
 //! - buffer-pool traffic (hit/miss/steal/resize counters and allocated
 //!   vs recycled byte totals, fed by [`crate::pool`]);
 //! - queue-depth gauges sampled by `ThreadedPipeline::stats()`.
@@ -201,27 +201,24 @@ impl HistogramSnapshot {
 /// The serve path's instrumented stages, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Loader refill: modeled storage-fetch latency actually waited out.
-    Fetch = 0,
     /// Producing one sample's bytes (storage row decode or synthesis).
-    Decode = 1,
+    Decode = 0,
     /// Microbatch assembly on a constructor actor.
-    Construct = 2,
+    Construct = 1,
     /// Batch wire serialization (`SharedBatch` memoized encode).
-    Encode = 3,
+    Encode = 2,
     /// Transport send-path work (frame encode + socket/link hand-off).
-    Send = 4,
+    Send = 3,
     /// One data-server pump tick: lease-wheel sweep plus draining the
     /// activity ring. `benchmark/` reports it as `server.pump_p50_us` /
     /// `server.pump_p99_us` — a tick must stay cheap no matter how many
     /// idle sessions are connected.
-    Pump = 5,
+    Pump = 4,
 }
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 6] = [
-        Stage::Fetch,
+    pub const ALL: [Stage; 5] = [
         Stage::Decode,
         Stage::Construct,
         Stage::Encode,
@@ -232,7 +229,6 @@ impl Stage {
     /// Stable label (snapshot maps and bench JSON keys).
     pub fn label(self) -> &'static str {
         match self {
-            Stage::Fetch => "fetch",
             Stage::Decode => "decode",
             Stage::Construct => "construct",
             Stage::Encode => "encode",
@@ -244,7 +240,7 @@ impl Stage {
 
 /// The process-wide metric registry.
 struct Registry {
-    stages: [Histogram; 6],
+    stages: [Histogram; 5],
     planner_mailbox_depth: Gauge,
     constructor_mailbox_depth: Gauge,
     loader_buffered: Gauge,
@@ -258,7 +254,6 @@ fn registry() -> &'static Registry {
     static REGISTRY: std::sync::OnceLock<Registry> = std::sync::OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
         stages: [
-            Histogram::new(),
             Histogram::new(),
             Histogram::new(),
             Histogram::new(),

@@ -308,8 +308,8 @@ impl BufferPool {
     }
 
     /// Leases a raw `Vec<u8>` for callers whose buffer ownership moves
-    /// across threads outside `PooledBuf`'s RAII (e.g. a sim packet
-    /// owns its frame head until the receiver decodes it). Pair with
+    /// outside `PooledBuf`'s RAII (e.g. the TCP writer's per-connection
+    /// head scratch, held for the connection's life). Pair with
     /// [`BufferPool::recycle_vec`].
     pub fn lease_vec(&self, capacity: usize) -> Vec<u8> {
         self.acquire(capacity).0

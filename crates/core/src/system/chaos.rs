@@ -5,11 +5,11 @@
 //!
 //! - [`ChaosTransport`] composes with any [`Transport`] and perturbs the
 //!   frame stream *in both directions*: seeded drops, duplicates, and
-//!   adjacent-swap reorders beyond what the sim fabric's lossy link
-//!   models, plus link partitions — scheduled windows keyed to the
-//!   global offered-frame count (so a plan replays exactly from its
-//!   seed, independent of wall-clock), or manual per-link control via
-//!   [`LinkChaos`].
+//!   adjacent-swap reorders, plus link partitions — scheduled windows
+//!   keyed to the global offered-frame count (so a plan replays exactly
+//!   from its seed, independent of wall-clock), or manual per-link
+//!   control via [`LinkChaos`]. It is the serving plane's one fault
+//!   layer: over TCP it is a lossy, serializing network.
 //! - [`ChaosPlan`] is the replayable script: the seed and probabilities
 //!   the transport consumes, plus *step-keyed* [`ChaosEvent`]s the test
 //!   harness applies against the actor system — silently killing a
@@ -20,13 +20,14 @@
 //! Everything is keyed to counts (frames offered, steps consumed),
 //! never to wall-clock, so a failing chaos soak reproduces from its
 //! seed alone. See `tests/chaos_serve.rs` for the harness that drives
-//! a plan against live Loopback/Sim/TCP serve sessions.
+//! a plan against live Loopback/TCP serve sessions.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use msd_sim::SimRng;
+use parking_lot::Mutex;
 
 use crate::system::net::{FrameTx, NetError, Transport, WireConn, WireFrame};
 
@@ -93,7 +94,7 @@ pub struct PartitionWindow {
 pub struct ChaosPlan {
     /// Seed for every per-lane fault RNG.
     pub seed: u64,
-    /// Per-frame drop probability (on top of any transport loss).
+    /// Per-frame drop probability.
     pub drop_p: f64,
     /// Per-frame duplication probability.
     pub dup_p: f64,
@@ -248,7 +249,7 @@ struct ChaosTx {
 impl FrameTx for ChaosTx {
     fn send(&self, frame: WireFrame) -> Result<(), NetError> {
         let n = self.faults.offered.fetch_add(1, Ordering::SeqCst);
-        let mut lane = self.lane.lock().expect("chaos lane poisoned");
+        let mut lane = self.lane.lock();
         if self.link.is_blocked() || self.partitions.iter().any(|w| n >= w.from && n < w.until) {
             // Partitioned: the frame (and anything held) never arrives.
             // Loss is invisible to the sender, like a real datagram.
@@ -284,10 +285,8 @@ impl Drop for ChaosTx {
     fn drop(&mut self) {
         // Flush a held frame so teardown handshakes on an otherwise
         // quiet lane are delayed, not lost forever.
-        if let Ok(mut lane) = self.lane.lock() {
-            if let Some(held) = lane.held.take() {
-                let _ = self.inner.send(held);
-            }
+        if let Some(held) = self.lane.lock().held.take() {
+            let _ = self.inner.send(held);
         }
     }
 }
@@ -324,7 +323,7 @@ impl ChaosTransport {
     /// The manual per-link controls, one per `pair()` call so far, in
     /// open order.
     pub fn links(&self) -> Vec<Arc<LinkChaos>> {
-        self.links.lock().expect("chaos links poisoned").clone()
+        self.links.lock().clone()
     }
 
     /// Injected-fault counters so far.
@@ -334,7 +333,7 @@ impl ChaosTransport {
             dropped: self.faults.dropped.load(Ordering::SeqCst),
             duplicated: self.faults.duplicated.load(Ordering::SeqCst),
             reordered: self.faults.reordered.load(Ordering::SeqCst),
-            links: self.links.lock().expect("chaos links poisoned").len(),
+            links: self.links.lock().len(),
         }
     }
 
@@ -349,7 +348,7 @@ impl ChaosTransport {
             link,
             faults: self.faults.clone(),
             lane: Mutex::new(LaneState {
-                // Decorrelate lanes the same way SimTransport does.
+                // Decorrelate lanes: each draws its own seeded stream.
                 rng: SimRng::seed(self.plan.seed ^ (lane << 32) ^ lane),
                 held: None,
             }),
@@ -361,10 +360,7 @@ impl Transport for ChaosTransport {
     fn pair(&self) -> (WireConn, WireConn) {
         let (client_end, server_end) = self.inner.pair();
         let link = Arc::new(LinkChaos::default());
-        self.links
-            .lock()
-            .expect("chaos links poisoned")
-            .push(link.clone());
+        self.links.lock().push(link.clone());
         let client_end = WireConn {
             tx: self.wrap_tx(client_end.tx, link.clone()),
             rx: client_end.rx,

@@ -7,7 +7,7 @@
 //!
 //! 1. pulls mixing-weight telemetry from the planner actor
 //!    ([`PlannerMsg::Telemetry`]) and per-loader health — buffer
-//!    occupancy, fetch stall time — from every loader group,
+//!    occupancy — from every loader group,
 //! 2. feeds the weights through [`AutoScaler`] to decide
 //!    scale-up / scale-down, and loader occupancy through
 //!    [`msd_balance::balance`] to decide shard rebalancing,

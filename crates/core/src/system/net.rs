@@ -12,25 +12,26 @@
 //!   so delivery is a refcount bump on the one constructed batch — the
 //!   zero-copy contract of the data plane extends through the wire
 //!   layer unchanged.
-//! - [`SimTransport`]: every frame is *serialized* through the MSDB
-//!   codec and pushed through a [`msd_sim::LossyLink`] — deterministic
-//!   loss plus the alpha-beta latency of [`msd_sim::NetModel`] — before
-//!   the receiver decodes it. This is the adversarial testbed: the
-//!   reliability layer above (credit windows, acks, resume-from-cursor)
-//!   must keep client streams gap-free and duplicate-free on it.
+//! - [`TcpTransport`]: every frame is *serialized* through the MSDB
+//!   codec and crosses a real socket before the receiver decodes it.
+//!
+//! [`ChaosTransport`] wraps either one and is the one fault layer:
+//! seeded drops, duplicates, reorders and partitions. The reliability
+//! layer above (credit windows, acks, resume-from-cursor) must keep
+//! client streams gap-free and duplicate-free under it.
 //!
 //! Frames, not streams: each send is one self-delimiting MSDB frame, so
-//! the sim transport can drop, delay, or (on decode failure) discard
-//! messages independently — the failure units the protocol reasons
-//! about.
+//! the chaos layer can drop, duplicate or reorder messages
+//! independently — the failure units the protocol reasons about.
+//!
+//! [`TcpTransport`]: crate::system::tcp::TcpTransport
+//! [`ChaosTransport`]: crate::system::chaos::ChaosTransport
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use msd_sim::{LossyLink, NetModel};
 use parking_lot::Mutex;
 
 use crate::codec::{self, CodecError};
@@ -124,16 +125,6 @@ impl SharedBatch {
             .map(|mb| mb.payload_bytes)
             .sum()
     }
-
-    /// Number of sample payloads the batch carries (for per-sample wire
-    /// accounting).
-    fn samples(&self) -> u64 {
-        self.batch
-            .microbatches
-            .iter()
-            .map(|mb| mb.payloads.len() as u64)
-            .sum()
-    }
 }
 
 impl PartialEq for SharedBatch {
@@ -145,8 +136,8 @@ impl PartialEq for SharedBatch {
 /// The batch payload of a [`WireFrame::Batch`].
 ///
 /// On loopback the payload stays a shared handle end to end; over a real
-/// (or simulated) network it is the serialized batch bytes. Receivers
-/// call [`BatchPayload::batch`] and get a shared `Arc` either way.
+/// network it is the serialized batch bytes. Receivers call
+/// [`BatchPayload::batch`] and get a shared `Arc` either way.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchPayload {
     /// In-process delivery: the constructed batch handed over by
@@ -352,10 +343,6 @@ pub enum TryRecv {
     Frame(WireFrame),
     /// Nothing observable right now; the waker fires when that changes.
     Empty,
-    /// A frame is in flight but its modeled delivery time lies in the
-    /// future (sim transport latency). Poll again at the instant — no
-    /// waker fires for it, because the sender already woke at enqueue.
-    NotBefore(Instant),
     /// The peer endpoint is gone.
     Closed,
     /// The byte stream is unrecoverably desynchronized (see
@@ -364,30 +351,22 @@ pub enum TryRecv {
 }
 
 /// The receiving half of a connection endpoint.
+///
+/// Every receiver must wake: the server registers its session receivers
+/// on the sharded reader plane, which polls a session only after its
+/// waker fired, so a receiver that never wakes strands its session.
 pub trait FrameRx: Send {
     /// Blocks up to `timeout` for the next frame.
     fn recv(&mut self, timeout: Duration) -> Result<WireFrame, NetError>;
 
-    /// Non-blocking poll. The default maps a zero-timeout [`recv`],
-    /// which is correct for any transport; channel-backed transports
-    /// override it with a plain channel `try_recv`.
-    ///
-    /// [`recv`]: FrameRx::recv
-    fn try_recv(&mut self) -> TryRecv {
-        match self.recv(Duration::ZERO) {
-            Ok(frame) => TryRecv::Frame(frame),
-            Err(NetError::Timeout) => TryRecv::Empty,
-            Err(NetError::Closed) => TryRecv::Closed,
-            Err(NetError::Corrupt) => TryRecv::Corrupt,
-        }
-    }
+    /// Non-blocking poll.
+    fn try_recv(&mut self) -> TryRecv;
 
-    /// Installs a readiness waker (see [`FrameWaker`]). Implementations
-    /// fire it once immediately so frames enqueued before registration
-    /// are never silently parked. Endpoints that do not support waking
-    /// ignore the call; such endpoints must then be drained by a
-    /// blocking reader.
-    fn set_waker(&mut self, _waker: FrameWaker) {}
+    /// Installs a readiness waker (see [`FrameWaker`]), fired on every
+    /// delivery and on hang-up. Implementations also fire it once
+    /// immediately, so frames enqueued before registration are never
+    /// silently parked.
+    fn set_waker(&mut self, waker: FrameWaker);
 }
 
 /// The waker slot shared between a connection's sending and receiving
@@ -560,289 +539,6 @@ impl Transport for LoopbackTransport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Simulated network: serialized frames over a lossy, delayed link.
-
-/// Aggregate traffic counters of a [`SimTransport`], summed over every
-/// lane of every connection it opened.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimNetStats {
-    /// Frames offered to the network.
-    pub offered: u64,
-    /// Frames the network dropped.
-    pub dropped: u64,
-    /// Serialized bytes of every delivered frame.
-    pub delivered_bytes: u64,
-    /// Serialized bytes of every delivered `Batch` frame.
-    pub batch_wire_bytes: u64,
-    /// Sample payloads carried by delivered `Batch` frames (resends
-    /// count again — the metric tracks actual wire traffic).
-    pub batch_samples: u64,
-}
-
-impl SimNetStats {
-    /// Wire bytes spent per delivered sample payload — the encoding-
-    /// efficiency headline (the binary batch frame pays ~1× the payload
-    /// bytes).
-    pub fn wire_bytes_per_sample(&self) -> f64 {
-        if self.batch_samples == 0 {
-            return 0.0;
-        }
-        self.batch_wire_bytes as f64 / self.batch_samples as f64
-    }
-}
-
-/// A simulated network path: frames are MSDB-serialized, then pushed
-/// through a per-lane [`LossyLink`] (deterministic loss, alpha-beta
-/// latency) and decoded at the far end. Frames that fail to decode are
-/// discarded like drops — corruption and loss are the same event to the
-/// protocol above.
-pub struct SimTransport {
-    model: NetModel,
-    loss: f64,
-    seed: u64,
-    next_lane: AtomicU64,
-    stats: Arc<Mutex<SimNetStats>>,
-}
-
-impl SimTransport {
-    /// Creates a transport with the given link model, per-frame loss
-    /// probability, and RNG seed (lanes derive per-connection seeds, so
-    /// a run is bit-reproducible).
-    pub fn new(model: NetModel, loss: f64, seed: u64) -> Self {
-        SimTransport {
-            model,
-            loss,
-            seed,
-            next_lane: AtomicU64::new(0),
-            stats: Arc::new(Mutex::new(SimNetStats::default())),
-        }
-    }
-
-    /// Traffic counters aggregated over all connections so far.
-    pub fn stats(&self) -> SimNetStats {
-        *self.stats.lock()
-    }
-
-    fn lane(&self, tx: Sender<SimPacket>, wake: Arc<WakeSlot>) -> SimTx {
-        let lane = self.next_lane.fetch_add(1, Ordering::SeqCst);
-        SimTx {
-            link: Mutex::new(LossyLink::new(
-                self.model.clone(),
-                self.loss,
-                self.seed ^ (lane << 32) ^ lane,
-            )),
-            tx,
-            wake: WakeOnDrop(wake),
-            stats: Arc::clone(&self.stats),
-        }
-    }
-}
-
-/// One simulated in-flight frame: its modeled delivery time plus the
-/// scatter-gather wire parts from [`codec::encode_wire_frame_parts`] —
-/// the sealed head, and for batch frames the payload [`Bytes`] handed
-/// through by refcount. The simulated link charges for (and can drop)
-/// the full serialized size, but never copies the payload: exactly the
-/// scatter-gather send a real NIC path would do.
-struct SimPacket {
-    due: Instant,
-    head: Vec<u8>,
-    payload: Option<Bytes>,
-}
-
-struct SimTx {
-    link: Mutex<LossyLink>,
-    // Field order is load-bearing: `tx` must drop before `wake`, so the
-    // hang-up wake fires on an already-disconnected channel.
-    tx: Sender<SimPacket>,
-    wake: WakeOnDrop,
-    stats: Arc<Mutex<SimNetStats>>,
-}
-
-impl FrameTx for SimTx {
-    fn send(&self, frame: WireFrame) -> Result<(), NetError> {
-        let samples = match &frame {
-            WireFrame::Batch {
-                payload: BatchPayload::Shared(shared),
-                ..
-            } => Some(shared.samples()),
-            WireFrame::Batch { .. } => Some(0),
-            _ => None,
-        };
-        // Frame heads are small and constantly churning: lease from the
-        // pool here, recycle on the receive side once decoded.
-        let send_start = Instant::now();
-        let mut head = crate::pool::global().lease_vec(codec::encoded_wire_frame_len(&frame));
-        let payload = codec::encode_wire_frame_parts(&frame, &mut head);
-        let wire_len = (head.len() + payload.as_ref().map_or(0, Bytes::len)) as u64;
-        let admitted = self.link.lock().admit(wire_len);
-        {
-            let mut stats = self.stats.lock();
-            stats.offered += 1;
-            match admitted {
-                Some(_) => {
-                    stats.delivered_bytes += wire_len;
-                    if let Some(samples) = samples {
-                        stats.batch_wire_bytes += wire_len;
-                        stats.batch_samples += samples;
-                    }
-                }
-                None => stats.dropped += 1,
-            }
-        }
-        let outcome = match admitted {
-            // Dropped in flight: success from the sender's perspective
-            // (and the head buffer goes straight back to the pool).
-            None => {
-                crate::pool::global().recycle_vec(head);
-                Ok(())
-            }
-            Some(delay) => {
-                let due = Instant::now() + Duration::from_nanos(delay.as_nanos());
-                let sent = self
-                    .tx
-                    .send(SimPacket { due, head, payload })
-                    .map_err(|_| NetError::Closed);
-                // Wake at enqueue, not at `due`: a multiplexed reader
-                // polling too early sees `NotBefore(due)` and re-polls
-                // at the delivery instant on its own timer.
-                self.wake.wake();
-                sent
-            }
-        };
-        crate::metrics::record_stage(crate::metrics::Stage::Send, send_start.elapsed());
-        outcome
-    }
-}
-
-struct SimRx {
-    rx: Receiver<SimPacket>,
-    /// A dequeued frame whose modeled delivery time lies beyond a past
-    /// `recv` call's deadline — parked so the timeout contract holds
-    /// without losing the frame.
-    pending: Option<SimPacket>,
-    wake: Arc<WakeSlot>,
-}
-
-impl FrameRx for SimRx {
-    fn recv(&mut self, timeout: Duration) -> Result<WireFrame, NetError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let packet = match self.pending.take() {
-                Some(parked) => parked,
-                None => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    self.rx.recv_timeout(remaining).map_err(|e| match e {
-                        RecvTimeoutError::Timeout => NetError::Timeout,
-                        RecvTimeoutError::Disconnected => NetError::Closed,
-                    })?
-                }
-            };
-            // Model the link latency: the frame is not observable before
-            // its delivery time — but never wait past the caller's
-            // deadline; park the frame for the next call instead. OS
-            // sleep granularity (hrtimer slack) is ~50µs, far coarser
-            // than wire-speed delivery times, so sub-resolution waits
-            // spin instead of inflating every microsecond-scale frame
-            // to a scheduler quantum.
-            let now = Instant::now();
-            if packet.due > now {
-                if packet.due > deadline {
-                    self.pending = Some(packet);
-                    return Err(NetError::Timeout);
-                }
-                if packet.due - now > Duration::from_micros(200) {
-                    std::thread::sleep(packet.due - now);
-                }
-                while Instant::now() < packet.due {
-                    std::hint::spin_loop();
-                }
-            }
-            let SimPacket { head, payload, .. } = packet;
-            let decoded = codec::decode_wire_frame_split(&head, payload);
-            // The head's bytes are fully consumed by the decode; the
-            // buffer completes its pool round trip here.
-            crate::pool::global().recycle_vec(head);
-            match decoded {
-                Ok(frame) => return Ok(frame),
-                Err(_) => continue, // Corrupted in transit: same as lost.
-            }
-        }
-    }
-
-    fn try_recv(&mut self) -> TryRecv {
-        loop {
-            let packet = match self.pending.take() {
-                Some(parked) => parked,
-                None => match self.rx.try_recv() {
-                    Ok(packet) => packet,
-                    Err(TryRecvError::Empty) => return TryRecv::Empty,
-                    Err(TryRecvError::Disconnected) => return TryRecv::Closed,
-                },
-            };
-            // Model the link latency without blocking the multiplexed
-            // reader: sub-resolution waits spin (like `recv`), anything
-            // longer is handed back as a re-poll instant — the sender
-            // already woke us at enqueue, so no further wake is coming
-            // for this packet.
-            let now = Instant::now();
-            if packet.due > now {
-                if packet.due - now > Duration::from_micros(200) {
-                    let due = packet.due;
-                    self.pending = Some(packet);
-                    return TryRecv::NotBefore(due);
-                }
-                while Instant::now() < packet.due {
-                    std::hint::spin_loop();
-                }
-            }
-            let SimPacket { head, payload, .. } = packet;
-            let decoded = codec::decode_wire_frame_split(&head, payload);
-            crate::pool::global().recycle_vec(head);
-            match decoded {
-                Ok(frame) => return TryRecv::Frame(frame),
-                Err(_) => continue, // Corrupted in transit: same as lost.
-            }
-        }
-    }
-
-    fn set_waker(&mut self, waker: FrameWaker) {
-        self.wake.set(waker);
-    }
-}
-
-impl Transport for SimTransport {
-    fn pair(&self) -> (WireConn, WireConn) {
-        let (to_server_tx, to_server_rx) = unbounded();
-        let (to_client_tx, to_client_rx) = unbounded();
-        let (server_wake, client_wake) =
-            (Arc::new(WakeSlot::default()), Arc::new(WakeSlot::default()));
-        (
-            WireConn {
-                tx: Box::new(self.lane(to_server_tx, Arc::clone(&server_wake))),
-                rx: Box::new(SimRx {
-                    rx: to_client_rx,
-                    pending: None,
-                    wake: client_wake.clone(),
-                }),
-            },
-            WireConn {
-                tx: Box::new(self.lane(to_client_tx, client_wake)),
-                rx: Box::new(SimRx {
-                    rx: to_server_rx,
-                    pending: None,
-                    wake: server_wake,
-                }),
-            },
-        )
-    }
-
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -911,39 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_transport_serializes_and_drops_deterministically() {
-        let t = SimTransport::new(NetModel::default(), 0.5, 11);
-        let (client, server) = t.pair();
-        let (_, mut srx) = server.split();
-        let sent = 200u32;
-        for i in 0..sent {
-            client.tx.send(hello(i)).unwrap();
-        }
-        let mut got = 0u32;
-        while let Ok(frame) = srx.recv(Duration::from_millis(100)) {
-            assert!(matches!(frame, WireFrame::Hello { .. }));
-            got += 1;
-        }
-        let stats = t.stats();
-        assert_eq!(stats.offered, u64::from(sent));
-        assert_eq!(u64::from(got), stats.offered - stats.dropped);
-        assert!(stats.dropped > 30, "loss=0.5 dropped {}", stats.dropped);
-        assert!(got > 30, "loss=0.5 delivered only {got}");
-        // Identical seed → identical drop pattern.
-        let t2 = SimTransport::new(NetModel::default(), 0.5, 11);
-        let (client2, server2) = t2.pair();
-        let (_, mut srx2) = server2.split();
-        for i in 0..sent {
-            client2.tx.send(hello(i)).unwrap();
-        }
-        let mut got2 = 0u32;
-        while srx2.recv(Duration::from_millis(100)).is_ok() {
-            got2 += 1;
-        }
-        assert_eq!(got, got2, "sim loss is not deterministic");
-    }
-
-    #[test]
     fn encoded_payload_decode_errors_carry_frame_context() {
         let batch = ConstructedBatch {
             bucket: 2,
@@ -961,41 +624,5 @@ mod tests {
             err.to_string().contains(&format!("{cut}-byte frame")),
             "frame length missing from: {err}"
         );
-    }
-
-    #[test]
-    fn sim_transport_round_trips_batches_through_the_codec() {
-        let t = SimTransport::new(NetModel::default(), 0.0, 3);
-        let (client, server) = t.pair();
-        let batch = Arc::new(ConstructedBatch {
-            bucket: 9,
-            microbatches: vec![],
-            deliveries: vec![],
-        });
-        client
-            .tx
-            .send(WireFrame::Batch {
-                client: 4,
-                step: 17,
-                payload: BatchPayload::shared(Arc::clone(&batch)),
-            })
-            .unwrap();
-        let (_, mut srx) = server.split();
-        match srx.recv(Duration::from_secs(1)).unwrap() {
-            WireFrame::Batch {
-                client,
-                step,
-                payload,
-            } => {
-                assert_eq!((client, step), (4, 17));
-                // The wire hop serialized: the decoded batch is equal but
-                // no longer the same allocation.
-                let got = payload.batch().unwrap();
-                assert_eq!(*got, *batch);
-                assert!(!Arc::ptr_eq(&got, &batch));
-                assert!(matches!(payload, BatchPayload::Encoded(_)));
-            }
-            other => panic!("unexpected frame: {other:?}"),
-        }
     }
 }

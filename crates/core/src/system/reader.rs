@@ -33,11 +33,8 @@
 //! re-queues the session behind its shard-mates, so one firehose client
 //! cannot starve the rest of its shard.
 //!
-//! The sim transport models link latency by returning
-//! [`TryRecv::NotBefore`] for a frame whose delivery time is still in
-//! the future; the shard parks such sessions on a deferred list and
-//! uses the nearest due time as its condvar timeout, so modeled latency
-//! holds without busy-polling.
+//! An idle shard sleeps until a waker fires or the liveness
+//! `HEARTBEAT` passes; it never polls a session no waker has queued.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -81,9 +78,6 @@ struct SessionEntry {
 #[derive(Default)]
 struct ShardState {
     ready: VecDeque<u64>,
-    /// Sessions whose next frame has a modeled delivery time in the
-    /// future: `(due, session)`. Promoted to `ready` once due.
-    deferred: Vec<(Instant, u64)>,
     sessions: HashMap<u64, SessionEntry>,
     shutdown: bool,
 }
@@ -99,8 +93,6 @@ enum Visit {
     Idle,
     /// Quantum exhausted with frames possibly remaining.
     More,
-    /// Next frame's modeled delivery time is in the future.
-    Defer(Instant),
     /// Peer hung up or stream went corrupt.
     Gone,
     /// Handler reported the consumer dead: wind the shard down.
@@ -140,27 +132,6 @@ impl Shard {
         let mut last_strike: Option<Instant> = None;
         let mut state = self.state.lock().unwrap();
         loop {
-            // Promote deferred sessions whose modeled delivery time has
-            // arrived. The sender woke us at enqueue, not at due time,
-            // so promotion is the shard's own job.
-            let now = Instant::now();
-            let mut promoted = Vec::new();
-            state.deferred.retain(|&(due, session)| {
-                if due <= now {
-                    promoted.push(session);
-                    false
-                } else {
-                    true
-                }
-            });
-            for session in promoted {
-                if let Some(entry) = state.sessions.get(&session) {
-                    if !entry.queued.swap(true, Ordering::AcqRel) {
-                        state.ready.push_back(session);
-                    }
-                }
-            }
-
             if let Some(session) = state.ready.pop_front() {
                 // Check the entry out of the registry so the drain runs
                 // without holding the shard lock (wakers fired from
@@ -188,10 +159,6 @@ impl Shard {
                         }
                         TryRecv::Empty => {
                             outcome = Visit::Idle;
-                            break;
-                        }
-                        TryRecv::NotBefore(due) => {
-                            outcome = Visit::Defer(due);
                             break;
                         }
                         TryRecv::Closed | TryRecv::Corrupt => {
@@ -224,12 +191,6 @@ impl Shard {
                         }
                         state.sessions.insert(session, entry);
                     }
-                    Visit::Defer(due) => {
-                        state = self.state.lock().unwrap();
-                        state.deferred.retain(|&(_, s)| s != session);
-                        state.deferred.push((due, session));
-                        state.sessions.insert(session, entry);
-                    }
                 }
                 continue;
             }
@@ -241,8 +202,8 @@ impl Shard {
                 dead_strikes = 0;
             } else if last_strike.is_none_or(|at| at.elapsed() >= HEARTBEAT) {
                 // Strikes are heartbeat-spaced: back-to-back passes (a
-                // short deferred timeout, say) must not both land inside
-                // one restart window and fake a sustained death.
+                // waker for a departed session, say) must not both land
+                // inside one restart window and fake a sustained death.
                 dead_strikes += 1;
                 last_strike = Some(Instant::now());
                 if dead_strikes >= 2 {
@@ -251,16 +212,8 @@ impl Shard {
                 }
             }
 
-            // Nothing ready: sleep until the nearest deferred due time,
-            // a waker, or the liveness heartbeat.
-            let timeout = state
-                .deferred
-                .iter()
-                .map(|&(due, _)| due.saturating_duration_since(Instant::now()))
-                .min()
-                .unwrap_or(HEARTBEAT)
-                .min(HEARTBEAT);
-            let (guard, _) = self.cv.wait_timeout(state, timeout).unwrap();
+            // Nothing ready: sleep until a waker or the liveness heartbeat.
+            let (guard, _) = self.cv.wait_timeout(state, HEARTBEAT).unwrap();
             state = guard;
         }
     }

@@ -109,8 +109,7 @@ pub enum LoaderMsg {
         version: u64,
     },
     /// Report every hosted loader's control-plane health snapshot (buffer
-    /// occupancy, fetch stall time, lifetime production), in registry
-    /// order.
+    /// occupancy, lifetime production), in registry order.
     Health(ReplyTo<Vec<LoaderHealth>>),
     /// Hand-off, step 1: flush loader `loader_id`'s whole read buffer and
     /// reply with the drained samples plus a final checkpoint, or `None`
@@ -1526,7 +1525,7 @@ impl ThreadedPipeline {
     }
 
     /// Snapshots runtime health across the whole deployment: per-loader
-    /// buffer occupancy / fetch stalls / mailbox depth, the planner's
+    /// buffer occupancy / mailbox depth, the planner's
     /// backlog, and per-constructor queue state (client progress lives in
     /// the session's frontier, [`ServeSession::frontier`]). This is
     /// the elastic controller's raw input, exposed for operators and

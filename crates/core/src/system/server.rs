@@ -31,7 +31,7 @@
 //! ## Reconnect and resume
 //!
 //! Every batch stays in a per-client retransmit buffer until acked. A
-//! client that loses its connection (or just a frame, on the lossy sim
+//! client that loses its connection (or just a frame, under the chaos
 //! transport) re-dials and re-`Subscribe`s from its consumed cursor; the
 //! server rebinds the session, resends exactly the unacknowledged
 //! window, and the client discards anything below its cursor — the

@@ -1,9 +1,11 @@
 //! Real TCP transport for the distributed serving plane.
 //!
-//! [`LoopbackTransport`] and [`SimTransport`] bound the fidelity/cost
-//! trade in-process; this module crosses an actual OS socket so a
-//! trainer process and a data-plane process can run as two genuine OS
-//! processes (see `examples/tcp_serve.rs`). Built on `std::net` only.
+//! [`LoopbackTransport`] hands frames over in-process; this module
+//! serializes every frame and crosses an actual OS socket, so a trainer
+//! process and a data-plane process can run as two genuine OS processes
+//! (see `examples/tcp_serve.rs`). Wrapped in a [`ChaosTransport`] it is
+//! also the lossy network the fault tests run on. Built on `std::net`
+//! only.
 //!
 //! ## Framing
 //!
@@ -39,7 +41,7 @@
 //! transports.
 //!
 //! [`LoopbackTransport`]: crate::system::net::LoopbackTransport
-//! [`SimTransport`]: crate::system::net::SimTransport
+//! [`ChaosTransport`]: crate::system::chaos::ChaosTransport
 
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -7,8 +7,7 @@
 //!   resolution.
 //! - [`rng`]: a seedable, splittable random number generator ([`SimRng`])
 //!   so every experiment is bit-reproducible.
-//! - [`net`]: latency/bandwidth/incast network cost model (Fig 20) and the
-//!   seeded lossy link the simulated transport runs on.
+//! - [`net`]: latency/bandwidth/incast network cost model (Fig 20).
 //! - [`stats`]: histograms, CDFs and streaming summaries (Fig 2, Fig 5).
 
 pub mod net;
@@ -16,7 +15,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use net::{LossyLink, NetModel};
+pub use net::NetModel;
 pub use rng::SimRng;
 pub use stats::{Cdf, Histogram, Summary};
 pub use time::{SimDuration, SimTime};

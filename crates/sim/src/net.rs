@@ -10,7 +10,6 @@
 //! - **Incast congestion**: when `n` senders converge on one receiver, the
 //!   effective bandwidth degrades superlinearly past a saturation knee.
 
-use crate::rng::SimRng;
 use crate::time::SimDuration;
 
 /// Parameters of the network model.
@@ -93,59 +92,6 @@ impl NetModel {
     }
 }
 
-/// Deterministic lossy/latency link: the per-message admission model the
-/// distributed serving plane's simulated transport runs on. Each message
-/// is either dropped (with probability `loss`, drawn from a seeded
-/// [`SimRng`] so a run is bit-reproducible) or admitted with the
-/// alpha-beta transfer delay of the underlying [`NetModel`].
-#[derive(Debug, Clone)]
-pub struct LossyLink {
-    model: NetModel,
-    loss: f64,
-    rng: SimRng,
-    /// Messages offered to the link.
-    pub offered: u64,
-    /// Messages the link dropped.
-    pub dropped: u64,
-    /// Bytes of every admitted message.
-    pub delivered_bytes: u64,
-}
-
-impl LossyLink {
-    /// Creates a link with the given loss probability in `[0, 1]`.
-    pub fn new(model: NetModel, loss: f64, seed: u64) -> Self {
-        LossyLink {
-            model,
-            loss: loss.clamp(0.0, 1.0),
-            rng: SimRng::seed(seed),
-            offered: 0,
-            dropped: 0,
-            delivered_bytes: 0,
-        }
-    }
-
-    /// Offers one `bytes`-sized message to the link. Returns the modeled
-    /// one-way delivery delay, or `None` when the link dropped it.
-    pub fn admit(&mut self, bytes: u64) -> Option<SimDuration> {
-        self.offered += 1;
-        if self.loss > 0.0 && self.rng.chance(self.loss) {
-            self.dropped += 1;
-            return None;
-        }
-        self.delivered_bytes += bytes;
-        Some(self.model.transfer(bytes))
-    }
-
-    /// Fraction of offered messages the link dropped so far.
-    pub fn drop_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.offered as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,30 +141,5 @@ mod tests {
         let small = net.barrier(8);
         let big = net.barrier(4096);
         assert!(big > small);
-    }
-
-    #[test]
-    fn lossy_link_is_deterministic_and_converges_to_loss() {
-        let mut a = LossyLink::new(NetModel::default(), 0.25, 7);
-        let mut b = LossyLink::new(NetModel::default(), 0.25, 7);
-        for _ in 0..4000 {
-            assert_eq!(a.admit(1024).is_some(), b.admit(1024).is_some());
-        }
-        assert_eq!(a.offered, 4000);
-        assert_eq!(a.dropped, b.dropped);
-        assert!(
-            (a.drop_rate() - 0.25).abs() < 0.03,
-            "rate {}",
-            a.drop_rate()
-        );
-        assert_eq!(a.delivered_bytes, (a.offered - a.dropped) * 1024);
-    }
-
-    #[test]
-    fn lossless_link_admits_everything_with_transfer_delay() {
-        let mut link = LossyLink::new(NetModel::default(), 0.0, 1);
-        let d = link.admit(1 << 20).expect("lossless link dropped");
-        assert_eq!(d, NetModel::default().transfer(1 << 20));
-        assert_eq!(link.drop_rate(), 0.0);
     }
 }

@@ -9,22 +9,37 @@
 //! [`ThreadedPipeline::serve`] session with pipelined refill-ahead, and
 //! has four trainer clients pull their batch streams concurrently — then
 //! crashes loader 0's group mid-serve to show the supervised restart
-//! keeping every client's stream intact. Exits non-zero if any client
-//! falls short of the session's steps.
+//! keeping every client's stream intact. Exits non-zero if the crash
+//! does not land mid-serve or any client falls short of the session's
+//! steps.
 
 use std::collections::HashSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use megascale_data::balance::{BackboneShape, BalanceMethod};
 use megascale_data::core::constructor::DataConstructor;
 use megascale_data::core::loader::LoaderConfig;
 use megascale_data::core::planner::{Planner, PlannerConfig, Strategy};
 use megascale_data::core::schedule::MixSchedule;
-use megascale_data::core::system::runtime::{ServeOptions, ThreadedPipeline};
+use megascale_data::core::system::runtime::{ServeClient, ServeOptions, ThreadedPipeline};
 use megascale_data::data::catalog::coyo700m_like;
 use megascale_data::data::SourceSpec;
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeviceMesh, DistributeAxis};
 use megascale_data::sim::SimRng;
+
+/// Pulls the client's next batch; returns how many packed samples it
+/// carries, or `None` at the end of the stream.
+fn pull(client: &mut ServeClient) -> Option<usize> {
+    let (_, batch) = client.next()?;
+    Some(
+        batch
+            .microbatches
+            .iter()
+            .flat_map(|m| &m.sequences)
+            .map(|s| s.segments.len())
+            .sum(),
+    )
+}
 
 fn main() {
     // Sources, topology, strategy — same shape as the quickstart.
@@ -84,49 +99,85 @@ fn main() {
 
     // Serve 8 steps to 4 concurrent clients with refill-ahead prefetch.
     const STEPS: u64 = 8;
+    const QUEUE_DEPTH: u64 = 3;
+    const PARK_AT: u64 = 2;
     let mut session = pipeline.serve(ServeOptions {
         clients: 4,
         steps: STEPS,
         refill_target: 64,
-        queue_depth: 3,
+        queue_depth: QUEUE_DEPTH,
         prefetch: true,
         pull_timeout: Duration::from_millis(500),
         ..ServeOptions::default()
     });
-    let handles: Vec<_> = session
-        .take_clients()
+    let mut clients = session.take_clients();
+    let mut parked = clients.pop().expect("a client to park");
+    let handles: Vec<_> = clients
         .into_iter()
         .map(|mut client| {
             std::thread::spawn(move || {
-                let mut pulled = 0u64;
-                let mut samples = 0usize;
-                while let Some((_, batch)) = client.next() {
+                let (mut pulled, mut samples) = (0u64, 0usize);
+                while let Some(n) = pull(&mut client) {
                     pulled += 1;
-                    samples += batch
-                        .microbatches
-                        .iter()
-                        .flat_map(|m| &m.sequences)
-                        .map(|s| s.segments.len())
-                        .sum::<usize>();
+                    samples += n;
                 }
                 (client.id, pulled, samples)
             })
         })
         .collect();
 
+    // Park the last client at cursor PARK_AT: backpressure then holds
+    // the driver at step PARK_AT + QUEUE_DEPTH, and once every loader
+    // has checkpointed that step the crash provably lands mid-serve.
+    let mut parked_samples = 0usize;
+    while parked.consumed() < PARK_AT {
+        parked_samples += pull(&mut parked).expect("pull before parking");
+    }
+    let stalled_at = PARK_AT + QUEUE_DEPTH;
+    let keys: Vec<String> = pipeline
+        .loader_identities()
+        .iter()
+        .map(|id| format!("loader/{}", id.loader_id))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !keys
+        .iter()
+        .all(|k| pipeline.gcs.state_version(k) == stalled_at)
+    {
+        if Instant::now() > deadline {
+            eprintln!("the driver never stalled at step {stalled_at}");
+            std::process::exit(1);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
     // Mid-serve fault: crash loader 0's group. Supervision restores each
     // of its loaders from its own GCS checkpoint and replays the plan
     // log; clients never notice.
-    std::thread::sleep(Duration::from_millis(20));
     groups[0].inject_crash("demo mid-serve failure");
+    let served = stalled_at + 1;
     println!(
-        "injected: crash of loader 0's group ({}) mid-serve",
-        groups[0].name()
+        "injected: crash of loader 0's group ({}) with {served} of {STEPS} steps served, \
+         client {} parked at {}",
+        groups[0].name(),
+        parked.id,
+        parked.consumed(),
     );
+    if served >= STEPS {
+        eprintln!("the crash landed after the stream ended");
+        std::process::exit(1);
+    }
+    while let Some(n) = pull(&mut parked) {
+        parked_samples += n;
+    }
 
     let mut short = Vec::new();
-    for h in handles {
-        let (id, pulled, samples) = h.join().expect("client thread");
+    let parked_result = (parked.id, parked.consumed(), parked_samples);
+    for (id, pulled, samples) in handles
+        .into_iter()
+        .map(|h| h.join().expect("client thread"))
+        .chain([parked_result])
+    {
         println!("client {id}: pulled {pulled} batches ({samples} packed samples)");
         if pulled != STEPS {
             short.push(id);

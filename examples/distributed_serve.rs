@@ -14,9 +14,9 @@
 //! 1. over the **loopback** transport (zero-copy `Arc` hand-off), with
 //!    one client dropping its connection mid-stream and resuming from
 //!    its cursor, and
-//! 2. over the **lossy simulated network** (every frame serialized
-//!    through the MSDB codec, 10% dropped, alpha-beta latency), where
-//!    the ack/credit/resubscribe machinery has to earn its keep.
+//! 2. over **real TCP under the chaos layer** (every frame serialized
+//!    through the MSDB codec onto a socket, 10% dropped), where the
+//!    ack/credit/resubscribe machinery has to earn its keep.
 //!
 //! Both runs deliver every client a gap-free, in-order stream.
 
@@ -28,13 +28,15 @@ use megascale_data::core::constructor::DataConstructor;
 use megascale_data::core::loader::LoaderConfig;
 use megascale_data::core::planner::{Planner, PlannerConfig, Strategy};
 use megascale_data::core::schedule::MixSchedule;
-use megascale_data::core::system::net::{LoopbackTransport, SimTransport, Transport};
+use megascale_data::core::system::chaos::{ChaosPlan, ChaosTransport};
+use megascale_data::core::system::net::{LoopbackTransport, Transport};
 use megascale_data::core::system::runtime::{ServeOptions, ThreadedPipeline};
 use megascale_data::core::system::server::RemotePlacement;
+use megascale_data::core::system::tcp::TcpTransport;
 use megascale_data::data::catalog::coyo700m_like;
 use megascale_data::data::SourceSpec;
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeviceMesh, DistributeAxis};
-use megascale_data::sim::{NetModel, SimRng};
+use megascale_data::sim::SimRng;
 
 fn pipeline() -> ThreadedPipeline {
     let mut rng = SimRng::seed(5);
@@ -69,12 +71,7 @@ fn pipeline() -> ThreadedPipeline {
         .sources()
         .iter()
         .enumerate()
-        .map(|(i, s)| {
-            (
-                s.clone(),
-                LoaderConfig::solo_with_fetch_latency(i as u32, 400_000),
-            )
-        })
+        .map(|(i, s)| (s.clone(), LoaderConfig::solo(i as u32)))
         .collect();
     let constructors = (0..2)
         .map(|_| DataConstructor::new(mesh.clone(), 4096))
@@ -151,16 +148,19 @@ fn main() {
     println!("== distributed serve over loopback (zero-copy, one mid-stream disconnect) ==");
     serve_over(Arc::new(LoopbackTransport), steps, true);
 
-    println!("\n== distributed serve over the lossy sim network (10% frame loss) ==");
-    let sim = Arc::new(SimTransport::new(NetModel::default(), 0.10, 42));
-    serve_over(sim.clone(), steps, false);
-    let stats = sim.stats();
+    println!("\n== distributed serve over lossy tcp (10% frame loss) ==");
+    let tcp = Arc::new(TcpTransport::new().expect("bind tcp transport"));
+    let chaos = Arc::new(ChaosTransport::new(
+        tcp,
+        ChaosPlan::seeded(42).with_drops(0.10),
+    ));
+    serve_over(chaos.clone(), steps, false);
+    let stats = chaos.stats();
     println!(
-        "  [sim] network: {} frames offered, {} dropped ({:.0}%), {:.1} KiB delivered",
+        "  [chaos] network: {} frames offered, {} dropped ({:.0}%)",
         stats.offered,
         stats.dropped,
         stats.dropped as f64 / stats.offered.max(1) as f64 * 100.0,
-        stats.delivered_bytes as f64 / 1024.0,
     );
 
     println!("\ndone: the wire was lossy, the streams were not.");

@@ -67,12 +67,7 @@ fn main() {
         .sources()
         .iter()
         .enumerate()
-        .map(|(i, s)| {
-            (
-                s.clone(),
-                LoaderConfig::solo_with_fetch_latency(i as u32, 400_000),
-            )
-        })
+        .map(|(i, s)| (s.clone(), LoaderConfig::solo(i as u32)))
         .collect();
     let constructors = (0..2)
         .map(|_| DataConstructor::new(mesh.clone(), 4096))

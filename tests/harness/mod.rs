@@ -31,10 +31,6 @@ use megascale_data::sim::SimRng;
 // `Strategy` is the planner's enum in this file; the proptest trait is `Arb`.
 use proptest::prelude::{any, prop_oneof, Just, Strategy as Arb};
 
-/// Per-sample modeled fetch latency: keeps steps slow enough that the
-/// serving plane's pipelining actually overlaps with loader work.
-pub const FETCH_LATENCY_NS: u64 = 200_000;
-
 pub fn small_backbone() -> megascale_data::balance::BackboneShape {
     megascale_data::balance::BackboneShape {
         layers: 2,
@@ -79,12 +75,7 @@ pub fn pipeline_over(catalog: &Catalog, samples_per_step: usize, seed: u64) -> T
         .sources()
         .iter()
         .enumerate()
-        .map(|(i, s)| {
-            (
-                s.clone(),
-                LoaderConfig::solo_with_fetch_latency(i as u32, FETCH_LATENCY_NS),
-            )
-        })
+        .map(|(i, s)| (s.clone(), LoaderConfig::solo(i as u32)))
         .collect();
     let constructors = (0..2)
         .map(|_| DataConstructor::new(mesh.clone(), 4096))

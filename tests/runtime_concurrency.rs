@@ -5,7 +5,9 @@
 //! [`ThreadedPipeline::serve`] with several clients pulling concurrently,
 //! kill a Source Loader / the Planner / a Data Constructor mid-serve, and
 //! assert every client still observes a *gap-free, duplicate-free,
-//! consistent* batch stream. Loaders run in groups behind one mailbox
+//! consistent* batch stream. Each fault lands while one client is parked
+//! and backpressure holds the driver mid-stream, so no fault can miss the
+//! stream it is meant to disturb. Loaders run in groups behind one mailbox
 //! each, so a loader kill is a group kill: one test crashes a group of
 //! several loaders and checks every member restores exactly. A restarted
 //! constructor rebuilds its ready queue from the serve driver's retained
@@ -17,125 +19,87 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use harness::{pipeline, sample_ids, Stream};
 use megascale_data::actor::ActorRef;
 use megascale_data::core::system::net::LoopbackTransport;
-use megascale_data::core::system::runtime::ConstructorMsg;
-
-use megascale_data::balance::BalanceMethod;
-use megascale_data::core::constructor::{ConstructedBatch, DataConstructor};
-use megascale_data::core::loader::LoaderConfig;
-use megascale_data::core::planner::{Planner, PlannerConfig, Strategy};
-use megascale_data::core::schedule::MixSchedule;
-use megascale_data::core::system::runtime::{ServeOptions, ThreadedPipeline};
-use megascale_data::data::catalog::{coyo700m_like, text_only};
-use megascale_data::data::SourceSpec;
-use megascale_data::mesh::{Axis, ClientPlaceTree, DeviceMesh, DistributeAxis};
+use megascale_data::core::system::runtime::{ConstructorMsg, ServeOptions, ThreadedPipeline};
+use megascale_data::data::catalog::text_only;
 use megascale_data::sim::SimRng;
 
-/// Per-sample modeled fetch latency: slows steps to a few milliseconds so
-/// mid-serve fault injection reliably lands while traffic is in flight.
-const FETCH_LATENCY_NS: u64 = 1_000_000;
-
-fn pipeline(seed: u64) -> ThreadedPipeline {
-    let mut rng = SimRng::seed(2);
-    let catalog = coyo700m_like(&mut rng);
-    let mesh = DeviceMesh::pp_dp_cp_tp(1, 2, 1, 2).unwrap();
-    let tree = ClientPlaceTree::from_device_mesh(&mesh);
-    let planner = Planner::new(
-        PlannerConfig {
-            axis: DistributeAxis::DP,
-            group_size: None,
-            microbatches: 2,
-            broadcast_axes: vec![Axis::TP],
-            samples_per_step: 16,
-            schedule: MixSchedule::uniform(catalog.len()),
-        },
-        Strategy::BackboneBalance {
-            method: BalanceMethod::Greedy,
-            backbone: megascale_data::balance::BackboneShape {
-                layers: 2,
-                hidden: 128,
-                mlp_ratio: 4.0,
-                heads: 2,
-                vocab: 1000,
-                experts_per_token: 1,
-            },
-        },
-        tree,
-        catalog.sources().iter().map(|s| s.id).collect(),
-        3,
-    );
-    let sources: Vec<(SourceSpec, LoaderConfig)> = catalog
-        .sources()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            (
-                s.clone(),
-                LoaderConfig::solo_with_fetch_latency(i as u32, FETCH_LATENCY_NS),
-            )
-        })
-        .collect();
-    let constructors = (0..2)
-        .map(|_| DataConstructor::new(mesh.clone(), 4096))
-        .collect();
-    ThreadedPipeline::new(sources, planner, constructors, seed)
-}
-
-/// One client's observed stream: `(serve step, batch)` in pull order.
-/// Batches are shared handles — a pull is a refcount bump on the one
-/// constructed batch, never a payload copy.
-type Stream = Vec<(u64, Arc<ConstructedBatch>)>;
-
-fn sample_ids(batch: &ConstructedBatch) -> Vec<u64> {
-    batch
-        .microbatches
-        .iter()
-        .flat_map(|m| &m.sequences)
-        .flat_map(|s| &s.segments)
-        .map(|seg| seg.sample_id)
-        .collect()
-}
-
-/// Serves `steps` steps to `clients` clients while `fault` runs on the
-/// main thread; returns each client's observed stream.
+/// Serves `steps` steps to `clients` clients and runs `fault` while the
+/// stream is provably mid-flight. The last client parks at cursor
+/// `PARK_AT`, so backpressure holds the driver at serve step
+/// `PARK_AT + QUEUE_DEPTH`; once every loader has checkpointed that
+/// step, `fault` runs and the parked client resumes. Returns each
+/// client's observed stream, sorted by client id.
 fn serve_with_fault(
     p: &mut ThreadedPipeline,
     clients: u32,
     steps: u64,
     fault: impl FnOnce(&ThreadedPipeline),
 ) -> Vec<(u32, Stream)> {
+    const PARK_AT: u64 = 2;
+    const QUEUE_DEPTH: u64 = 3;
     let mut session = p.serve(ServeOptions {
-        clients,
-        steps,
-        refill_target: 32,
-        queue_depth: 3,
-        prefetch: true,
-        pull_timeout: Duration::from_millis(500),
-        ..ServeOptions::default()
+        queue_depth: QUEUE_DEPTH,
+        ..harness::opts(clients, steps)
     });
-    let handles: Vec<_> = session
-        .take_clients()
+    let mut clients = session.take_clients();
+    let mut parked = clients.pop().expect("a client to park");
+    let runners: Vec<_> = clients
         .into_iter()
         .map(|mut c| {
             std::thread::spawn(move || {
-                let mut stream: Stream = Vec::new();
-                while let Some((step, batch)) = c.next() {
-                    stream.push((step, batch));
+                let mut stream = Stream::new();
+                while let Some(item) = c.next() {
+                    stream.push(item);
                 }
                 (c.id, stream)
             })
         })
         .collect();
-    // Let traffic build up, then inject the fault mid-serve.
-    std::thread::sleep(Duration::from_millis(40));
+    let mut stream = Stream::new();
+    while parked.consumed() < PARK_AT {
+        stream.push(parked.next().expect("pull before parking"));
+    }
+    let served = await_stall(p, PARK_AT + QUEUE_DEPTH);
     fault(p);
-    let streams: Vec<(u32, Stream)> = handles
+    assert!(
+        served < steps && parked.consumed() < steps,
+        "fault landed after the stream ended ({served} served, {} consumed, of {steps})",
+        parked.consumed()
+    );
+    while let Some(item) = parked.next() {
+        stream.push(item);
+    }
+    let mut streams: Vec<(u32, Stream)> = runners
         .into_iter()
         .map(|h| h.join().expect("client thread"))
         .collect();
+    streams.push((parked.id, stream));
+    streams.sort_by_key(|(id, _)| *id);
     assert_eq!(session.join(), steps, "driver fell short of its steps");
     streams
+}
+
+/// Waits until every loader has checkpointed serve step `at` — the
+/// last step backpressure lets the driver take while a client is parked
+/// `queue_depth` steps behind it — and returns the steps served by then.
+fn await_stall(p: &ThreadedPipeline, at: u64) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let keys: Vec<String> = p
+        .loader_identities()
+        .iter()
+        .map(|id| format!("loader/{}", id.loader_id))
+        .collect();
+    while !keys.iter().all(|k| p.gcs.state_version(k) == at) {
+        assert!(
+            Instant::now() < deadline,
+            "driver never stalled at step {at}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    at + 1
 }
 
 /// Core invariants: every client sees exactly `steps` batches, in order,

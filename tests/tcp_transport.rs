@@ -2,9 +2,10 @@
 //!
 //! Conformance: the gap-free / duplicate-free / byte-identical serving
 //! assertions (shared with `distributed_serve.rs` through `harness/`)
-//! run over *every* transport — Loopback, lossy Sim, and real TCP
-//! sockets — against the same local-serve reference. A transport is
-//! correct exactly when it is invisible.
+//! run over *every* transport — Loopback, real TCP sockets, and TCP
+//! under the chaos layer's 20 % frame loss — against the same
+//! local-serve reference. A transport is correct exactly when it is
+//! invisible.
 //!
 //! Adversarial TCP: the byte-stream edge cases a datagram-shaped
 //! protocol meets on a real socket — frames split at every byte
@@ -26,11 +27,11 @@ use harness::{
     remote_streams, sample_ids, Stream,
 };
 use megascale_data::core::codec::encode_wire_frame;
+use megascale_data::core::system::chaos::{ChaosPlan, ChaosTransport};
 use megascale_data::core::system::net::{
-    BatchPayload, LoopbackTransport, NetError, SimTransport, Transport, WireConn, WireFrame,
+    BatchPayload, LoopbackTransport, NetError, Transport, WireConn, WireFrame,
 };
 use megascale_data::core::system::tcp::{wire_conn, TcpTransport};
-use megascale_data::sim::NetModel;
 
 const RECV: Duration = Duration::from_secs(5);
 
@@ -42,10 +43,15 @@ fn every_transport_serves_byte_identical_to_local() {
     let (clients, steps, seed) = (4u32, 5u64, 21u64);
     let reference = local_streams(seed, clients, steps);
     assert_ordered_full(&reference, steps);
+    let tcp = || Arc::new(TcpTransport::new().expect("bind tcp transport"));
     let transports: Vec<Arc<dyn Transport>> = vec![
         Arc::new(LoopbackTransport),
-        Arc::new(SimTransport::new(NetModel::default(), 0.2, 7)),
-        Arc::new(TcpTransport::new().expect("bind tcp transport")),
+        tcp(),
+        // Lossy and serialized: 20 % of frames dropped on a real socket.
+        Arc::new(ChaosTransport::new(
+            tcp(),
+            ChaosPlan::seeded(7).with_drops(0.2),
+        )),
     ];
     for transport in transports {
         let label = transport.name();
