@@ -98,10 +98,9 @@ echo "==> cargo test --test chaos_serve -q"
 cargo test --test chaos_serve -q
 
 # The massive fan-out soak: 256 loopback clients (64 streaming, 192
-# idle-attached) — byte-identical active streams, zero idle retention,
-# idle sessions off the pump's activity ring, reader thread count
-# pinned against /proc, and aggregate-cap shedding
-# of an idle laggard that must resume gap-free.
+# idle-attached) — byte-identical active streams, nothing in flight to
+# idle sessions, idle sessions off the pump's activity ring, and the
+# reader thread count pinned against /proc.
 echo "==> cargo test --test many_clients -q"
 cargo test --test many_clients -q
 

@@ -1040,31 +1040,6 @@ pub fn decode_wire_frame_shared(data: &Bytes) -> Result<WireFrame, CodecError> {
     decode_sealed_wire_frame(data)
 }
 
-/// Reassembles a wire frame received as scatter-gather parts (see
-/// [`encode_wire_frame_parts`]): a sealed head plus an optional payload
-/// buffer that was transferred separately. The payload is attached to
-/// the decoded frame as-is — zero-copy — after its length is checked
-/// against the head's declaration. With no payload part, `head` is the
-/// whole contiguous frame.
-pub fn decode_wire_frame_split(
-    head: &[u8],
-    payload: Option<Bytes>,
-) -> Result<WireFrame, CodecError> {
-    let Some(payload) = payload else {
-        return decode_wire_frame(head);
-    };
-    if !is_wire_batch(head) || head.len() != WIRE_BATCH_HEAD_LEN {
-        return Err(CodecError::new("payload attached to a non-batch head")
-            .with_frame_len(head.len() + payload.len()));
-    }
-    let (client, step, _) = decode_wire_batch_head(head, head.len() + payload.len())?;
-    Ok(WireFrame::Batch {
-        client,
-        step,
-        payload: BatchPayload::Encoded(payload),
-    })
-}
-
 /// Whether `data` starts like a `WireFrame::Batch` container, the one
 /// head-sealed kind ([`decode_wire_batch_head`] validates the rest).
 fn is_wire_batch(data: &[u8]) -> bool {
@@ -1864,10 +1839,9 @@ mod tests {
 
     #[test]
     fn split_decode_of_a_bare_batch_head_checks_the_declared_length() {
-        // No in-tree sender produces (batch head, no payload part) —
-        // `encode_wire_frame_parts` always returns the payload — but the
-        // decoder is public: such a head is a contiguous frame, valid
-        // exactly when it declares an empty payload.
+        // The head part of a split encode, received on its own, is a
+        // contiguous frame: valid exactly when it declares an empty
+        // payload.
         let mut head = Vec::new();
         let empty = WireFrame::Batch {
             client: 3,
@@ -1878,15 +1852,14 @@ mod tests {
             encode_wire_frame_parts(&empty, &mut head),
             Some(Bytes::new())
         );
-        assert_eq!(decode_wire_frame_split(&head, None).unwrap(), empty);
+        assert_eq!(decode_wire_frame(&head).unwrap(), empty);
         let full = WireFrame::Batch {
             client: 3,
             step: 9,
             payload: BatchPayload::Encoded(Bytes::from(vec![5u8; 64])),
         };
-        let payload = encode_wire_frame_parts(&full, &mut head);
-        assert!(decode_wire_frame_split(&head, None).is_err());
-        assert_eq!(decode_wire_frame_split(&head, payload).unwrap(), full);
+        encode_wire_frame_parts(&full, &mut head);
+        assert!(decode_wire_frame(&head).is_err());
     }
 
     /// A plan exercising every field, with `depth` levels of sub-plans
@@ -2034,31 +2007,30 @@ mod tests {
 
     #[test]
     fn reject_frames_round_trip_and_validate_reason_codes() {
-        for reason in [RejectReason::SessionLimit, RejectReason::RetransmitCap] {
-            let frame = WireFrame::Reject { client: 42, reason };
-            let wire = encode_wire_frame(&frame);
-            assert_eq!(wire.len(), encoded_wire_frame_len(&frame));
-            assert_eq!(decode_wire_frame(&wire).unwrap(), frame);
-            // A flipped checksum bit is caught like any other frame.
-            let mut flipped = wire.clone();
-            let last = flipped.len() - 1;
-            flipped[last] ^= 0x01;
-            assert!(decode_wire_frame(&flipped).is_err());
-        }
-        // An unknown reason code is a decode error even under a valid
-        // checksum — fuzzed frames can't smuggle an unclassifiable
-        // refusal through.
-        let mut bad = encode_wire_frame(&WireFrame::Reject {
+        let frame = WireFrame::Reject {
             client: 42,
             reason: RejectReason::SessionLimit,
-        });
+        };
+        let wire = encode_wire_frame(&frame);
+        assert_eq!(wire.len(), encoded_wire_frame_len(&frame));
+        assert_eq!(decode_wire_frame(&wire).unwrap(), frame);
+        // A flipped checksum bit is caught like any other frame.
+        let mut flipped = wire.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x01;
+        assert!(decode_wire_frame(&flipped).is_err());
+        // An unknown reason code is a decode error even under a valid
+        // checksum — fuzzed frames can't smuggle an unclassifiable
+        // refusal through. Code 1 belonged to a retired reason.
         let reason_at = MAGIC.len() + 2 + 4;
-        bad[reason_at] = 0xEE;
-        let bad = reseal(bad);
-        let err = decode_wire_frame(&bad).unwrap_err();
-        assert!(
-            err.to_string().contains("reject reason"),
-            "unexpected error: {err}"
-        );
+        for code in [1, 0xEE] {
+            let mut bad = wire.clone();
+            bad[reason_at] = code;
+            let err = decode_wire_frame(&reseal(bad)).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown reject reason"),
+                "unexpected error: {err}"
+            );
+        }
     }
 }

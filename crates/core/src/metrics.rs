@@ -247,7 +247,6 @@ struct Registry {
     sessions_evicted: Counter,
     dials_rejected: Counter,
     redial_backoffs: Counter,
-    retained_retransmit_bytes: Gauge,
 }
 
 fn registry() -> &'static Registry {
@@ -266,7 +265,6 @@ fn registry() -> &'static Registry {
         sessions_evicted: Counter::new(),
         dials_rejected: Counter::new(),
         redial_backoffs: Counter::new(),
-        retained_retransmit_bytes: Gauge::new(),
     })
 }
 
@@ -286,15 +284,14 @@ pub fn set_queue_depths(planner_mailbox: u64, constructor_mailbox: u64, loader_b
 }
 
 /// Counts one session eviction (a client's liveness lease expired and
-/// the server reaped its retransmit buffer; see
+/// the server released its frontier capability; see
 /// `ServerConfig::lease`).
 pub fn record_session_evicted() {
     registry().sessions_evicted.inc();
 }
 
 /// Counts one admission rejection (a dial refused with a wire `Reject`
-/// frame; see `ServerConfig::max_sessions` and the per-client
-/// retransmit-byte cap).
+/// frame; see `ServerConfig::max_sessions`).
 pub fn record_dial_rejected() {
     registry().dials_rejected.inc();
 }
@@ -303,13 +300,6 @@ pub fn record_dial_rejected() {
 /// with jitter between reconnect attempts).
 pub fn record_redial_backoff() {
     registry().redial_backoffs.inc();
-}
-
-/// Publishes the data server's aggregate retained retransmit bytes
-/// (the server-wide sum over every bound client's unacked window; see
-/// `ServerConfig::aggregate_cap_bytes`). Set on every pump tick.
-pub fn set_retained_retransmit_bytes(bytes: u64) {
-    registry().retained_retransmit_bytes.set(bytes);
 }
 
 /// One stage's latency summary inside a [`MetricsSnapshot`].
@@ -357,9 +347,6 @@ pub struct MetricsSnapshot {
     pub dials_rejected: u64,
     /// Client redial backoff sleeps, since process start.
     pub redial_backoffs: u64,
-    /// Aggregate retained retransmit bytes across every bound client,
-    /// as of the data server's last pump tick.
-    pub retained_retransmit_bytes: u64,
 }
 
 impl MetricsSnapshot {
@@ -393,7 +380,6 @@ pub fn snapshot() -> MetricsSnapshot {
         sessions_evicted: r.sessions_evicted.get(),
         dials_rejected: r.dials_rejected.get(),
         redial_backoffs: r.redial_backoffs.get(),
-        retained_retransmit_bytes: r.retained_retransmit_bytes.get(),
     }
 }
 

@@ -293,7 +293,7 @@ impl Drop for ChaosTx {
 
 /// A fault-injecting decorator over any [`Transport`]. Every connection
 /// opened through it has *both* endpoints' send halves wrapped, so
-/// client→server frames (Hello/Subscribe/Ack/Credit/Close) are
+/// client→server frames (Hello/Subscribe/Frontier/Close) are
 /// perturbed just like server→client batches. Fault decisions come
 /// from seeded per-lane RNGs — the same [`ChaosPlan`] replays the same
 /// perturbation.
@@ -390,14 +390,17 @@ mod tests {
         let chaos = ChaosTransport::new(Arc::new(LoopbackTransport), plan.clone());
         let (client_end, server_end) = chaos.pair();
         for step in 0..frames {
-            let _ = client_end.tx.send(WireFrame::Ack { client: 1, step });
+            let _ = client_end.tx.send(WireFrame::Frontier {
+                client: 1,
+                consumed: step,
+            });
         }
         drop(client_end);
         let mut rx = server_end.rx;
         let mut seen = Vec::new();
         while let Ok(frame) = rx.recv(Duration::from_millis(50)) {
-            if let WireFrame::Ack { step, .. } = frame {
-                seen.push(step);
+            if let WireFrame::Frontier { consumed, .. } = frame {
+                seen.push(consumed);
             }
         }
         (seen, chaos.stats())
@@ -441,17 +444,23 @@ mod tests {
         let (client_end, server_end) = chaos.pair();
         let link = chaos.links()[0].clone();
         link.block();
-        let _ = client_end.tx.send(WireFrame::Ack { client: 1, step: 0 });
+        let _ = client_end.tx.send(WireFrame::Frontier {
+            client: 1,
+            consumed: 0,
+        });
         let _ = server_end.tx.send(WireFrame::Close { client: 1 });
         let mut srx = server_end.rx;
         let mut crx = client_end.rx;
         assert!(srx.recv(Duration::from_millis(20)).is_err());
         assert!(crx.recv(Duration::from_millis(20)).is_err());
         link.unblock();
-        let _ = client_end.tx.send(WireFrame::Ack { client: 1, step: 1 });
+        let _ = client_end.tx.send(WireFrame::Frontier {
+            client: 1,
+            consumed: 1,
+        });
         assert!(matches!(
             srx.recv(Duration::from_millis(200)),
-            Ok(WireFrame::Ack { step: 1, .. })
+            Ok(WireFrame::Frontier { consumed: 1, .. })
         ));
         assert_eq!(chaos.stats().dropped, 2);
     }

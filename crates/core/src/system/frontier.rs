@@ -10,8 +10,8 @@
 //! t can never appear here again"):
 //!
 //! * the frontier is **monotone non-decreasing** — once a step retires it
-//!   stays retired, so pruning a plan-log prefix or a retransmit buffer
-//!   below the frontier is provably safe, not a window-size guess;
+//!   stays retired, so pruning a plan-log prefix or a ready queue below
+//!   the frontier is provably safe, not a window-size guess;
 //! * a holder's cursor only moves forward (`advance` takes the max);
 //! * releasing a capability (client `Close`, drop, or lease eviction)
 //!   removes the holder from the fold — a departed consumer can neither
@@ -22,8 +22,8 @@
 //!
 //! Retirement policy everywhere downstream is then a single rule:
 //! `step < frontier ⇒ retire eagerly; step ≥ frontier ⇒ must retain`.
-//! Constructor ready queues, the driver's retained broadcast window, the
-//! GCS plan log and the servers' retransmit buffers all follow it.
+//! Constructor ready queues, the driver's retained broadcast window and
+//! the GCS plan log all follow it.
 //!
 //! [`ServeClient`]: crate::system::runtime::ServeClient
 //! [`DataServer`]: crate::system::server::DataServer

@@ -17,7 +17,7 @@
 //!
 //! [`ChaosTransport`] wraps either one and is the one fault layer:
 //! seeded drops, duplicates, reorders and partitions. The reliability
-//! layer above (credit windows, acks, resume-from-cursor) must keep
+//! layer above (windows, consumed reports, resume-from-cursor) must keep
 //! client streams gap-free and duplicate-free under it.
 //!
 //! Frames, not streams: each send is one self-delimiting MSDB frame, so
@@ -98,9 +98,10 @@ impl SharedBatch {
 
     /// The serialized wire form (the binary MSDB batch frame), computed
     /// once per batch. The encode scratch is leased from the global
-    /// buffer pool and frozen in place: once the batch has been acked by
-    /// every client and pruned from resend windows, the backing buffer's
-    /// views all drop and the pool steals it back for a later batch.
+    /// buffer pool and frozen in place: once the constructor's ready
+    /// queue retires the batch and every sent frame has been written,
+    /// the backing buffer's views all drop and the pool steals it back
+    /// for a later batch.
     fn encoded(&self) -> Bytes {
         self.wire
             .get_or_init(|| {
@@ -113,17 +114,6 @@ impl SharedBatch {
                 bytes
             })
             .clone()
-    }
-
-    /// Payload bytes the batch carries, from the microbatch byte
-    /// counters — cheap, and crucially it never forces the wire
-    /// encoding, so retransmit-buffer accounting works on loopback too.
-    pub(crate) fn payload_len(&self) -> u64 {
-        self.batch
-            .microbatches
-            .iter()
-            .map(|mb| mb.payload_bytes)
-            .sum()
     }
 }
 
@@ -180,12 +170,14 @@ impl BatchPayload {
 ///
 /// The protocol is client-driven and window-based: a client introduces
 /// itself (`Hello`), opens or resumes its stream (`Subscribe` carries
-/// the resume cursor plus the initial credit window), and thereafter
-/// every consumed batch is both acknowledged (`Ack`, trimming the
-/// server's retransmit buffer) and paid for (`Credit`, sliding the
-/// absolute send window forward). Loss of any frame degrades to a
-/// client-side receive timeout, which re-`Subscribe`s from the cursor —
-/// the server then resends exactly the unacknowledged window.
+/// the resume cursor plus the window `W`), and thereafter reports every
+/// consumed batch with one cumulative `Frontier`, which both
+/// acknowledges it and slides the send limit to `consumed + W`. Loss of
+/// any frame degrades to a client-side receive timeout, which
+/// re-`Subscribe`s from the cursor — the server then re-pulls the window
+/// from the constructor's ready queue. `Ack` and `Credit` are no longer
+/// sent; the server ignores them, and they stay decodable only until
+/// their kinds are retired.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireFrame {
     /// Client introduction: who is dialing and which trainer rank it
@@ -204,9 +196,9 @@ pub enum WireFrame {
         /// cursor — resume is gap-free and duplicate-free by
         /// construction).
         from_step: u64,
-        /// Credit window: the server may send steps
-        /// `[from_step, from_step + credits)` before further `Credit`
-        /// grants arrive.
+        /// Window `W`: the server may send steps below
+        /// `consumed + credits`, where `consumed` is the client's latest
+        /// report (`from_step` until a `Frontier` arrives).
         credits: u32,
     },
     /// One serve step's constructed batch (server → client).
@@ -218,17 +210,17 @@ pub enum WireFrame {
         /// The batch, shared on loopback, serialized on the wire.
         payload: BatchPayload,
     },
-    /// Receipt for a delivered batch; trims the server's retransmit
-    /// buffer.
+    /// Receipt for a delivered batch. Unsent and ignored by the server:
+    /// [`WireFrame::Frontier`] carries the same fact cumulatively.
     Ack {
         /// Acknowledging client id.
         client: u32,
         /// The received serve step.
         step: u64,
     },
-    /// Flow-control grant: slide the client's send window forward by
-    /// `grant` steps. Withholding credit is how a slow trainer rank
-    /// backpressures the constructors instead of ballooning queues.
+    /// Flow-control grant. Unsent and ignored by the server: the send
+    /// limit is `consumed + W`, so [`WireFrame::Frontier`] grants credit
+    /// as it reports progress.
     Credit {
         /// Granting client id.
         client: u32,
@@ -250,14 +242,14 @@ pub enum WireFrame {
         /// Why admission was refused.
         reason: RejectReason,
     },
-    /// Consumed-frontier announcement (client → server): everything
-    /// below `consumed` has been durably consumed by this client, so
-    /// the server may release retained state for those steps. Cumulative
-    /// (a later announcement subsumes an earlier one) and monotone on
-    /// the server — a stale or reordered announcement can never rewind
-    /// the capability. Unlike `Ack`, which receipts one step, this
-    /// carries the client's whole progress in one frame, which is what
-    /// the global frontier fold consumes.
+    /// Consumed report (client → server), sent once per consumed step:
+    /// everything below `consumed` has been durably consumed by this
+    /// client. It acknowledges those steps, slides the send limit to
+    /// `consumed + W` (withholding it is how a slow trainer rank
+    /// backpressures the constructors), and folds the client's
+    /// capability into the global frontier. Cumulative (a later report
+    /// subsumes an earlier, lost one) and monotone on the server — a
+    /// stale or reordered report can never rewind the capability.
     Frontier {
         /// Announcing client id.
         client: u32,
@@ -275,9 +267,6 @@ pub enum WireFrame {
 pub enum RejectReason {
     /// The server is at `ServerConfig::max_sessions` live sessions.
     SessionLimit = 0,
-    /// The client's retransmit buffer would exceed its per-client byte
-    /// cap (the client is consuming too far behind its window).
-    RetransmitCap = 1,
 }
 
 impl RejectReason {
@@ -291,7 +280,6 @@ impl RejectReason {
     pub fn from_code(code: u8) -> Option<Self> {
         match code {
             0 => Some(RejectReason::SessionLimit),
-            1 => Some(RejectReason::RetransmitCap),
             _ => None,
         }
     }
@@ -301,7 +289,6 @@ impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RejectReason::SessionLimit => write!(f, "session limit reached"),
-            RejectReason::RetransmitCap => write!(f, "retransmit buffer over cap"),
         }
     }
 }
@@ -560,14 +547,10 @@ mod tests {
             }
             other => panic!("unexpected frame: {other:?}"),
         }
-        stx.send(WireFrame::Credit {
-            client: 3,
-            grant: 2,
-        })
-        .unwrap();
+        stx.send(WireFrame::Close { client: 3 }).unwrap();
         assert!(matches!(
             crx.recv(Duration::from_secs(1)).unwrap(),
-            WireFrame::Credit { grant: 2, .. }
+            WireFrame::Close { client: 3 }
         ));
     }
 

@@ -1687,7 +1687,7 @@ impl ThreadedPipeline {
     ///
     /// Returns the serve session (no local clients; join it as usual)
     /// plus the server handle used to [`DataServerHandle::connect`]
-    /// remote clients. The credit window of each client is
+    /// remote clients. The window `W` of each client is
     /// `opts.queue_depth` steps, so remote flow control and the driver's
     /// bounded-queue backpressure agree on how far ahead the pipeline
     /// may run.

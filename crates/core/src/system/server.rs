@@ -13,49 +13,49 @@
 //!   | -- Hello{client, rank} ----> |   bind session, place on the mesh
 //!   | -- Subscribe{cursor, W} ---> |   window = [cursor, cursor + W)
 //!   | <------- Batch{step} ------- |   pulled from the bucket constructor
-//!   | -- Ack{step} --------------> |   trim retransmit buffer
-//!   | -- Credit{1} --------------> |   slide the window forward
-//!   | -- Frontier{consumed} -----> |   whole-progress claim; folds the
-//!   |                              |   step frontier even if Acks were lost
+//!   | -- Frontier{consumed} -----> |   cumulative: acknowledges, folds the
+//!   |                              |   step frontier, slides the window
 //!   |            ...               |
 //!   | -- Close{client} ----------> |   capability released
 //! ```
 //!
-//! The server pulls a step from the client's constructor only while the
-//! step is inside the granted window, and every `Ack`/`Frontier` folds
-//! the client's consumed cursor into the session's frontier hub, so a
-//! slow (or vanished) trainer rank freezes its own capability and the
-//! serve driver's bounded-queue backpressure stalls the pipeline —
-//! queues never balloon on behalf of a rank that is not consuming.
+//! Per client the server keeps cursors, never batches: the consumed
+//! cursor (from `Subscribe`/`Frontier`), the next step to pull, one
+//! pending pull, and the window `W`. It pulls a step from the client's
+//! constructor only while the step is below `consumed + W`, sends it
+//! straight to the wire, and folds every consumed report into the
+//! session's frontier hub, so a slow (or vanished) trainer rank freezes
+//! its own capability and the serve driver's bounded-queue backpressure
+//! stalls the pipeline — queues never balloon on behalf of a rank that
+//! is not consuming.
 //!
 //! ## Reconnect and resume
 //!
-//! Every batch stays in a per-client retransmit buffer until acked. A
-//! client that loses its connection (or just a frame, under the chaos
-//! transport) re-dials and re-`Subscribe`s from its consumed cursor; the
-//! server rebinds the session, resends exactly the unacknowledged
-//! window, and the client discards anything below its cursor — the
+//! The constructor's ready queue keeps every step at or above the
+//! frontier, so it is the one copy a resend needs. A client that loses
+//! its connection (or just a frame, under the chaos transport) re-dials
+//! and re-`Subscribe`s from its consumed cursor; the server rebinds the
+//! session, rewinds its pull cursor there and re-pulls from the ready
+//! queue, and the client discards anything below its cursor — the
 //! resumed stream is gap-free and duplicate-free by construction.
 //!
 //! ## Failure domains
 //!
 //! Resume alone degrades badly when a client dies *silently*: its
-//! retransmit buffer and frontier capability would otherwise freeze
-//! retirement forever, stalling every healthy client through the serve
-//! driver's bounded-queue backpressure. [`ServerConfig`] closes those
-//! gaps:
+//! frontier capability would otherwise freeze retirement forever,
+//! stalling every healthy client through the serve driver's
+//! bounded-queue backpressure. [`ServerConfig`] closes those gaps:
 //!
 //! - **Session leases** — any frame renews a client's lease; expiry
-//!   evicts the session (buffer freed, capability released, GCS fault
-//!   logged, eviction metric bumped). A late-returning client still
-//!   resumes gap-free: its re-`Subscribe` re-acquires its capability at
-//!   its cursor, and its constructor still queues every step at or
-//!   above the frontier.
+//!   evicts the session (capability released, GCS fault logged,
+//!   eviction metric bumped). A late-returning client still resumes
+//!   gap-free: its re-`Subscribe` re-acquires its capability at its
+//!   cursor, and its constructor still queues every step at or above
+//!   the frontier.
 //! - **Admission control** — dials beyond
-//!   [`ServerConfig::max_sessions`], or resumes whose retained
-//!   retransmit bytes exceed [`ServerConfig::retransmit_cap_bytes`],
-//!   are refused with a wire [`WireFrame::Reject`] instead of being
-//!   stranded; rejected clients back off before retrying.
+//!   [`ServerConfig::max_sessions`] are refused with a wire
+//!   [`WireFrame::Reject`] instead of being stranded; rejected clients
+//!   back off before retrying.
 //! - **Client backoff** — [`RemoteClient`] redials under seeded
 //!   exponential backoff with jitter ([`RedialBackoff`]) and a retry
 //!   budget surfaced in [`ClientStats`], so a server restart sees a
@@ -96,46 +96,28 @@ pub struct RemotePlacement {
     pub rank: Rank,
 }
 
-/// Robustness knobs of a [`DataServer`]: admission control, per-client
-/// memory caps, and session leases (ROADMAP item 2). Threaded through
-/// `ServeOptions::server`; the defaults are permissive enough that a
-/// healthy deployment never trips them.
+/// Robustness knobs of a [`DataServer`]: admission control and session
+/// leases (ROADMAP item 2). Threaded through `ServeOptions::server`; the
+/// defaults are permissive enough that a healthy deployment never trips
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Maximum concurrently bound sessions. A dial that would bind a
     /// session beyond this is refused with
     /// [`WireFrame::Reject`]`{`[`RejectReason::SessionLimit`]`}`.
     pub max_sessions: usize,
-    /// Per-client cap on retained retransmit bytes. The pump stops
-    /// pulling new steps for a client at the cap (backpressure), and a
-    /// resuming dial whose retained buffer already exceeds it is
-    /// refused with
-    /// [`WireFrame::Reject`]`{`[`RejectReason::RetransmitCap`]`}`.
-    pub retransmit_cap_bytes: u64,
     /// Session lease: a subscribed, unfinished client whose last frame
-    /// is older than this is evicted — its retransmit buffer is freed
-    /// and its frontier capability released so the rest of the pipeline
-    /// keeps flowing. `None` disables leases.
+    /// is older than this is evicted — its frontier capability is
+    /// released so the rest of the pipeline keeps flowing. `None`
+    /// disables leases.
     pub lease: Option<Duration>,
-    /// Server-wide cap on retained retransmit bytes, summed over every
-    /// client. Enforced on each pump tick: while the aggregate gauge is
-    /// over the cap, the most-retained *idle* client (no pending
-    /// activity this tick) is shed — told with
-    /// [`WireFrame::Reject`]`{`[`RejectReason::RetransmitCap`]`}` and
-    /// then evicted through the lease machinery, so it resumes
-    /// gap-free from its cursor once it redials under backoff. Bounds
-    /// total server memory under massive fan-out the way
-    /// [`ServerConfig::retransmit_cap_bytes`] bounds one client.
-    pub aggregate_cap_bytes: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_sessions: 1024,
-            retransmit_cap_bytes: 256 << 20,
             lease: Some(Duration::from_secs(30)),
-            aggregate_cap_bytes: 32 << 30,
         }
     }
 }
@@ -177,11 +159,13 @@ pub struct ClientServeStat {
     pub client: u32,
     /// Whether a session is currently bound.
     pub connected: bool,
-    /// Resume floor of the latest `Subscribe`.
-    pub base: u64,
+    /// The client's consumed cursor: every step below it is reported
+    /// consumed (by `Subscribe` or `Frontier`).
+    pub consumed: u64,
     /// Next step the server will pull from the constructor.
     pub next_pull: u64,
-    /// Batches sent but not yet acknowledged (retransmit buffer size).
+    /// Steps pulled but not yet reported consumed (`next_pull −
+    /// consumed`); the server keeps no copy of them.
     pub unacked: usize,
     /// `Subscribe` frames seen after the first (reconnects + loss
     /// recoveries).
@@ -190,8 +174,6 @@ pub struct ClientServeStat {
     pub done: bool,
     /// Times this client's session was evicted on lease expiry.
     pub evictions: u64,
-    /// Retained retransmit bytes (what eviction would free).
-    pub unacked_bytes: u64,
 }
 
 /// Point-in-time state of a [`DataServer`].
@@ -207,16 +189,16 @@ pub struct ServerStatus {
     pub evictions: u64,
     /// Dials refused with a wire `Reject`.
     pub rejections: u64,
-    /// Aggregate retained retransmit bytes across every client (the
-    /// sum [`ServerConfig::aggregate_cap_bytes`] bounds).
+    /// Batch bytes the server retains on behalf of its clients: always
+    /// 0, because a sent batch goes straight to the wire and resends
+    /// re-pull from the constructor's ready queue. Kept so existing
+    /// readers of the gauge still see it.
     pub retained_bytes: u64,
     /// Cumulative sessions visited by lease sweeps. Each pump tick only
     /// touches the expiry-wheel buckets that just came due, so this
     /// grows with expirations — not with `sessions × ticks` (the
     /// regression the wheel exists to prevent).
     pub sweep_visited: u64,
-    /// Clients shed by aggregate-cap enforcement.
-    pub shed_evictions: u64,
     /// Clients currently on the activity ring (what the next pump tick
     /// will touch).
     pub active: usize,
@@ -258,19 +240,14 @@ struct ClientState {
     ctor: usize,
     session: Option<u64>,
     subscribed: bool,
-    /// Resume floor: `from_step` of the latest `Subscribe`.
-    base: u64,
-    /// Absolute send limit: the server may pull/send steps `< high`.
-    high: u64,
+    /// Consumed cursor: the highest `Subscribe`/`Frontier` report.
+    consumed: u64,
+    /// Window `W` of the latest `Subscribe`: the server may pull/send
+    /// steps below `consumed + window`.
+    window: u64,
     /// Next step to pull from the constructor.
     next_pull: u64,
     pending: Option<PendingPull>,
-    /// Sent-but-unacked batches, kept for window resends (the wire
-    /// form memoizes inside `SharedBatch`, so resends serialize once).
-    unacked: BTreeMap<u64, SharedBatch>,
-    /// Payload bytes retained in `unacked` (the per-client memory the
-    /// retransmit cap bounds).
-    unacked_bytes: u64,
     /// Liveness lease: renewed by any frame from this client.
     last_seen: Instant,
     /// Latched by eviction so a client that stays silent is reaped
@@ -287,13 +264,11 @@ struct ClientState {
     in_wheel: bool,
 }
 
-/// Recomputes a client's retained retransmit bytes after its `unacked`
-/// map was trimmed (maps stay credit-window small, so the walk is
-/// cheap), keeping the server-wide aggregate `total` in step.
-fn recount_unacked(total: &mut u64, state: &mut ClientState) {
-    *total = total.saturating_sub(state.unacked_bytes);
-    state.unacked_bytes = state.unacked.values().map(SharedBatch::payload_len).sum();
-    *total += state.unacked_bytes;
+impl ClientState {
+    /// Whether the window has room for the next pull.
+    fn may_pull(&self, steps: u64) -> bool {
+        self.next_pull < steps.min(self.consumed.saturating_add(self.window))
+    }
 }
 
 /// The serving-plane server actor. See the module docs for the
@@ -312,7 +287,7 @@ pub struct DataServer {
     config: ServerConfig,
     gcs: Gcs,
     /// The serve session's step-frontier fold. Every placed client holds
-    /// a capability in it; `Subscribe`/`Ack`/`Frontier` frames advance
+    /// a capability in it; `Subscribe`/`Frontier` frames advance
     /// the client's cursor, and [`DataServer::finish`] /
     /// [`DataServer::evict`] *release* the capability so a departed
     /// client can neither hold global retirement back nor falsely
@@ -329,8 +304,6 @@ pub struct DataServer {
     /// Count of clients with a bound session (the admission-control
     /// denominator), maintained incrementally so admission is O(1).
     bound: usize,
-    /// Aggregate retained retransmit bytes across every client.
-    retained_bytes: u64,
     /// Lease expiry wheel: bucket index (deadline epoch-offset divided
     /// by [`DataServer::wheel_granularity`]) → clients whose lease
     /// deadline lands in that bucket. A sweep pops only the buckets
@@ -342,8 +315,6 @@ pub struct DataServer {
     wheel_granularity: Duration,
     /// Cumulative sessions visited by sweeps (regression-tested).
     sweep_visited: u64,
-    /// Clients shed by aggregate-cap enforcement.
-    shed_evictions: u64,
 }
 
 impl DataServer {
@@ -369,12 +340,10 @@ impl DataServer {
                         ctor,
                         session: None,
                         subscribed: false,
-                        base: 0,
-                        high: 0,
+                        consumed: 0,
+                        window: 0,
                         next_pull: 0,
                         pending: None,
-                        unacked: BTreeMap::new(),
-                        unacked_bytes: 0,
                         last_seen: Instant::now(),
                         reaped: false,
                         resumes: 0,
@@ -401,14 +370,12 @@ impl DataServer {
             rejections: 0,
             ring: VecDeque::new(),
             bound: 0,
-            retained_bytes: 0,
             wheel: BTreeMap::new(),
             epoch: Instant::now(),
             wheel_granularity: config.lease.map_or(Duration::from_millis(1), |lease| {
                 (lease / 4).max(Duration::from_millis(1))
             }),
             sweep_visited: 0,
-            shed_evictions: 0,
         };
         // Every placed client pins a capability from step 0 (the serve
         // driver acquires the whole roster before it starts), so even one
@@ -464,17 +431,14 @@ impl DataServer {
 
     /// Sends one batch frame to a client's bound session; a send failure
     /// unbinds the session (the reader's `Gone` may still be in flight).
-    fn send_batch(&mut self, client: u32, step: u64) {
-        let Some(state) = self.clients.get(&client) else {
-            return;
-        };
-        let (Some(session), Some(shared)) = (state.session, state.unacked.get(&step)) else {
+    fn send_batch(&mut self, client: u32, step: u64, shared: SharedBatch) {
+        let Some(session) = self.clients.get(&client).and_then(|s| s.session) else {
             return;
         };
         let frame = WireFrame::Batch {
             client,
             step,
-            payload: BatchPayload::Shared(shared.clone()),
+            payload: BatchPayload::Shared(shared),
         };
         let delivered = match self.sessions.get(&session) {
             Some(tx) => tx.send(frame).is_ok(),
@@ -505,14 +469,11 @@ impl DataServer {
         }
         state.done = true;
         state.pending = None;
-        state.unacked.clear();
-        self.retained_bytes = self.retained_bytes.saturating_sub(state.unacked_bytes);
-        state.unacked_bytes = 0;
         self.hub.release(Holder::Client(client));
     }
 
-    /// Evicts a client's session: frees its retransmit buffer, unbinds
-    /// the session, and releases its frontier capability so retirement
+    /// Evicts a client's session: unbinds the session and releases its
+    /// frontier capability so retirement
     /// (and with it every healthy client) stops waiting on a client that
     /// went silent. Unlike [`DataServer::finish`] the stream is *not*
     /// marked done — a late-returning client re-`Subscribe`s from its
@@ -522,7 +483,6 @@ impl DataServer {
         let Some(state) = self.clients.get_mut(&client) else {
             return;
         };
-        let freed = state.unacked_bytes;
         let session = state.session.take();
         if let Some(session) = session {
             self.sessions.remove(&session);
@@ -530,12 +490,8 @@ impl DataServer {
         }
         state.subscribed = false;
         state.pending = None;
-        state.unacked.clear();
-        state.unacked_bytes = 0;
-        self.retained_bytes = self.retained_bytes.saturating_sub(freed);
-        // The evicted window is gone; a re-subscribe must re-pull from
-        // its cursor instead of resuming past the freed batches.
-        state.next_pull = state.base;
+        // Nothing is in flight to a client with no session.
+        state.next_pull = state.consumed;
         state.reaped = true;
         state.evictions += 1;
         let rank = state.rank;
@@ -544,10 +500,7 @@ impl DataServer {
         let session = session.map_or_else(|| "none".to_string(), |s| s.to_string());
         self.gcs.log_fault(
             "data-server",
-            format!(
-                "evicted client {client} (rank {rank}, session {session}): {reason}; \
-                 freed {freed} retransmit bytes"
-            ),
+            format!("evicted client {client} (rank {rank}, session {session}): {reason}"),
         );
         // Release — never advance — the frontier capability: the evicted
         // client must not hold global retirement back at its stale
@@ -559,35 +512,22 @@ impl DataServer {
         self.hub.release(Holder::Client(client));
     }
 
-    /// Admission check for a dial binding a *new* session. Returns the
-    /// refusal reason, or `None` to admit. Rebinds of a client's own
-    /// live session never grow the session count and are always
-    /// admitted.
-    fn admission_refusal(&self, client: u32, session: u64) -> Option<RejectReason> {
-        let state = self.clients.get(&client)?;
-        match state.session {
-            Some(current) if current >= session => None, // Rebind/stale: not a new binding.
-            Some(_) => {
-                // Replacing its own older session: no count growth.
-                (state.unacked_bytes > self.config.retransmit_cap_bytes)
-                    .then_some(RejectReason::RetransmitCap)
-            }
-            None => {
-                if self.bound >= self.config.max_sessions {
-                    Some(RejectReason::SessionLimit)
-                } else if state.unacked_bytes > self.config.retransmit_cap_bytes {
-                    Some(RejectReason::RetransmitCap)
-                } else {
-                    None
-                }
-            }
-        }
+    /// Admission check for a dial: whether binding it would exceed
+    /// [`ServerConfig::max_sessions`]. A client that already has a bound
+    /// session only rebinds or replaces it, which never grows the
+    /// session count, so it is always admitted.
+    fn over_session_limit(&self, client: u32) -> bool {
+        self.clients
+            .get(&client)
+            .is_some_and(|state| state.session.is_none() && self.bound >= self.config.max_sessions)
     }
 
-    /// Refuses a dial: sends `Reject` on the dialing session, drops the
-    /// session, and leaves a post-mortem trail (GCS fault log entry
-    /// with session id, rank, and reason; rejection metric).
-    fn reject(&mut self, client: u32, session: u64, reason: RejectReason) {
+    /// Refuses a dial over the session limit: sends `Reject` on the
+    /// dialing session, drops the session, and leaves a post-mortem
+    /// trail (GCS fault log entry with session id, rank, and reason;
+    /// rejection metric).
+    fn reject(&mut self, client: u32, session: u64) {
+        let reason = RejectReason::SessionLimit;
         if let Some(tx) = self.sessions.remove(&session) {
             let _ = tx.send(WireFrame::Reject { client, reason });
         }
@@ -615,8 +555,8 @@ impl DataServer {
             state.reaped = false;
         }
         self.arm_lease(client);
-        // Inbound activity can unblock the pump (new window, trimmed
-        // buffer, fresh subscription): put the client on the ring.
+        // Inbound activity can unblock the pump (slid window, fresh
+        // subscription): put the client on the ring.
         self.enqueue_ring(client);
         match frame {
             WireFrame::Hello { rank, .. } => {
@@ -647,8 +587,8 @@ impl DataServer {
                     // client times out, tears down, and redials fresh.
                     return;
                 }
-                if let Some(reason) = self.admission_refusal(client, session) {
-                    self.reject(client, session, reason);
+                if self.over_session_limit(client) {
+                    self.reject(client, session);
                     return;
                 }
                 let state = self.clients.get_mut(&client).expect("placed above");
@@ -669,8 +609,8 @@ impl DataServer {
                 // session. Session ids are monotone, so a delayed frame
                 // from a pre-reconnect session can never rebind
                 // backwards.
-                if let Some(reason) = self.admission_refusal(client, session) {
-                    self.reject(client, session, reason);
+                if self.over_session_limit(client) {
+                    self.reject(client, session);
                     return;
                 }
                 let state = self.clients.get_mut(&client).expect("placed above");
@@ -685,22 +625,17 @@ impl DataServer {
                 // re-acquire at the resume point (the hub clamps at the
                 // global frontier and never rewinds a live holder).
                 self.hub.acquire(Holder::Client(client), from_step);
-                // Everything below the client's cursor is consumed.
-                state.base = from_step;
-                state.unacked.retain(|step, _| *step >= from_step);
-                recount_unacked(&mut self.retained_bytes, state);
-                state.high = from_step.saturating_add(u64::from(credits));
-                state.next_pull = state.next_pull.max(from_step);
-                // Resend the unacknowledged window (idempotent on the
-                // client, which discards steps below its cursor).
-                let resend: Vec<u64> = state
-                    .unacked
-                    .range(from_step..state.high.min(self.steps))
-                    .map(|(step, _)| *step)
-                    .collect();
-                for step in resend {
-                    self.send_batch(client, step);
-                }
+                // Everything below the client's cursor is consumed; a
+                // reordered stale Subscribe never rewinds the report.
+                state.consumed = state.consumed.max(from_step);
+                state.window = u64::from(credits);
+                // Re-pull the window from the cursor: whatever was in
+                // flight may be lost, and the ready queue still holds
+                // every step at or above the frontier. Re-pulls are
+                // idempotent, and the client discards steps below its
+                // cursor.
+                state.next_pull = from_step;
+                state.pending = None;
                 // A subscribe at (or past) the end of the stream is an
                 // idle attach: the client wants a bound session but no
                 // batches. Finish it immediately so its capability
@@ -710,30 +645,18 @@ impl DataServer {
                     self.finish(client);
                 }
             }
-            WireFrame::Ack { step, .. } => {
+            WireFrame::Frontier { consumed, .. } => {
                 if let Some(state) = self.clients.get_mut(&client) {
-                    // Clients consume strictly in order, so an Ack for
-                    // `step` implies everything below it was consumed
-                    // too — trim cumulatively, or a single lost Ack
-                    // would pin its batch in the buffer forever (a
-                    // smoothly consuming client never re-subscribes).
-                    state.unacked.retain(|s, _| *s > step);
-                    recount_unacked(&mut self.retained_bytes, state);
-                    // The cumulative Ack is also a consumed-frontier
-                    // report: everything through `step` is consumed.
-                    self.hub
-                        .advance(Holder::Client(client), step.saturating_add(1));
-                    if state.next_pull >= self.steps
-                        && state.unacked.is_empty()
-                        && state.pending.is_none()
-                    {
+                    // The one consumed report: cumulative, so a lost one
+                    // is subsumed by the next. It acknowledges every step
+                    // below `consumed`, slides the window to
+                    // `consumed + W`, and folds the client's capability
+                    // forward (the hub drops stale/regressive reports).
+                    state.consumed = state.consumed.max(consumed);
+                    self.hub.advance(Holder::Client(client), consumed);
+                    if state.consumed >= self.steps {
                         self.finish(client);
                     }
-                }
-            }
-            WireFrame::Credit { grant, .. } => {
-                if let Some(state) = self.clients.get_mut(&client) {
-                    state.high = state.high.saturating_add(u64::from(grant));
                 }
             }
             WireFrame::Close { .. } => {
@@ -750,32 +673,18 @@ impl DataServer {
                     }
                 }
             }
-            WireFrame::Frontier { consumed, .. } => {
-                if let Some(state) = self.clients.get_mut(&client) {
-                    // An explicit whole-progress claim: every step below
-                    // `consumed` was delivered, even if the individual
-                    // Acks were lost on the wire. Trim the retransmit
-                    // buffer below it and fold the client's capability
-                    // forward (the hub drops stale/regressive reports).
-                    state.unacked.retain(|s, _| *s >= consumed);
-                    recount_unacked(&mut self.retained_bytes, state);
-                    self.hub.advance(Holder::Client(client), consumed);
-                    if state.next_pull >= self.steps
-                        && state.unacked.is_empty()
-                        && state.pending.is_none()
-                    {
-                        self.finish(client);
-                    }
-                }
-            }
-            WireFrame::Batch { .. } | WireFrame::Reject { .. } => {
-                // Clients never send batches or rejections; ignore.
+            WireFrame::Batch { .. }
+            | WireFrame::Reject { .. }
+            | WireFrame::Ack { .. }
+            | WireFrame::Credit { .. } => {
+                // Clients never send batches or rejections, and
+                // `Frontier` carries what `Ack`/`Credit` once did; ignore.
             }
         }
     }
 
-    /// Drives one client forward: resolve its parked pull, issue the
-    /// next one while the credit window allows, send what completed.
+    /// Drives one client forward: resolve its parked pull and send it,
+    /// then issue the next one while the window allows.
     fn pump_client(&mut self, client: u32) {
         loop {
             let Some(state) = self.clients.get_mut(&client) else {
@@ -793,12 +702,8 @@ impl DataServer {
                         // same wrapper, so the memoized wire encoding is
                         // shared (and, on serializing transports,
                         // already warmed at construct time).
-                        let retained = shared.payload_len();
-                        state.unacked_bytes += retained;
-                        state.unacked.insert(step, shared);
-                        self.retained_bytes += retained;
-                        self.send_batch(client, step);
-                        continue; // A send may open room for the next pull.
+                        self.send_batch(client, step, shared);
+                        continue; // The slot is free for the next pull.
                     }
                     Err(reply) => {
                         if issued.elapsed() > self.pull_retry {
@@ -820,14 +725,8 @@ impl DataServer {
                     }
                 }
             }
-            // Issue the next pull while inside the granted window and
-            // under the retransmit-byte cap (at the cap the client must
-            // ack something before the buffer may grow — backpressure,
-            // not rejection, for an admitted session).
-            if state.next_pull < self.steps
-                && state.next_pull < state.high
-                && state.unacked_bytes < self.config.retransmit_cap_bytes
-            {
+            // Issue the next pull while inside the window.
+            if state.may_pull(self.steps) {
                 let step = state.next_pull;
                 let ctor = &self.constructors[state.ctor];
                 match ctor.ask_pipelined(move |tx| ConstructorMsg::Pull {
@@ -854,13 +753,12 @@ impl DataServer {
             .map(|(client, s)| ClientServeStat {
                 client: *client,
                 connected: s.session.is_some(),
-                base: s.base,
+                consumed: s.consumed,
                 next_pull: s.next_pull,
-                unacked: s.unacked.len(),
+                unacked: s.next_pull.saturating_sub(s.consumed) as usize,
                 resumes: s.resumes,
                 done: s.done,
                 evictions: s.evictions,
-                unacked_bytes: s.unacked_bytes,
             })
             .collect();
         clients.sort_by_key(|c| c.client);
@@ -869,20 +767,14 @@ impl DataServer {
             clients.iter().filter(|c| c.connected).count(),
             "incremental bound-session counter drifted"
         );
-        debug_assert_eq!(
-            self.retained_bytes,
-            clients.iter().map(|c| c.unacked_bytes).sum::<u64>(),
-            "aggregate retained-byte gauge drifted"
-        );
         ServerStatus {
             clients,
             frames_rx: self.frames_rx,
             batches_tx: self.batches_tx,
             evictions: self.evictions,
             rejections: self.rejections,
-            retained_bytes: self.retained_bytes,
+            retained_bytes: 0,
             sweep_visited: self.sweep_visited,
-            shed_evictions: self.shed_evictions,
             active: self.ring.len(),
             frontier: self.hub.frontier(),
         }
@@ -944,43 +836,6 @@ impl DataServer {
             }
         }
     }
-
-    /// Aggregate-cap enforcement, run after each pump tick: while the
-    /// server-wide retained-byte gauge exceeds
-    /// [`ServerConfig::aggregate_cap_bytes`], shed the most-retained
-    /// client — preferring one that is *idle* (not on the activity
-    /// ring), since an active client is still draining its buffer. The
-    /// victim is told with a wire `Reject{RetransmitCap}` before the
-    /// eviction so it backs off hard (like an admission refusal) and
-    /// then resumes gap-free from its cursor through the lease path.
-    fn enforce_aggregate_cap(&mut self) {
-        while self.retained_bytes > self.config.aggregate_cap_bytes {
-            let victim = self
-                .clients
-                .iter()
-                .filter(|(_, s)| !s.done && s.unacked_bytes > 0)
-                .max_by_key(|(_, s)| (!s.in_ring, s.unacked_bytes))
-                .map(|(client, _)| *client);
-            let Some(client) = victim else {
-                return; // Nothing sheddable holds bytes; give up.
-            };
-            if let Some(state) = self.clients.get(&client) {
-                if let Some(session) = state.session {
-                    if let Some(tx) = self.sessions.get(&session) {
-                        let _ = tx.send(WireFrame::Reject {
-                            client,
-                            reason: RejectReason::RetransmitCap,
-                        });
-                    }
-                }
-            }
-            self.shed_evictions += 1;
-            self.evict(
-                client,
-                "aggregate retransmit cap exceeded; shed most-retained idle client",
-            );
-        }
-    }
 }
 
 impl Actor for DataServer {
@@ -1022,18 +877,12 @@ impl Actor for DataServer {
                     // open window with no pull pending means the issue
                     // failed (constructor mid-restart) and must retry.
                     let again = self.clients.get(&client).is_some_and(|s| {
-                        !s.done
-                            && s.subscribed
-                            && (s.pending.is_some()
-                                || (s.next_pull < self.steps.min(s.high)
-                                    && s.unacked_bytes < self.config.retransmit_cap_bytes))
+                        !s.done && s.subscribed && (s.pending.is_some() || s.may_pull(self.steps))
                     });
                     if again {
                         self.enqueue_ring(client);
                     }
                 }
-                self.enforce_aggregate_cap();
-                crate::metrics::set_retained_retransmit_bytes(self.retained_bytes);
                 crate::metrics::record_stage(crate::metrics::Stage::Pump, tick_start.elapsed());
             }
             ServerMsg::Status(reply) => {
@@ -1347,17 +1196,11 @@ pub struct ClientStats {
 /// server cannot spin a client forever.
 const DEFAULT_RETRY_BUDGET: u32 = 256;
 
-/// How often (in consumed steps) a [`RemoteClient`] sends an explicit
-/// [`WireFrame::Frontier`] whole-progress announcement on top of its
-/// per-batch Acks. Acks are cumulative, so the announcement only
-/// matters when Acks are being lost — a low-rate heartbeat is enough to
-/// keep the server's fold (and with it plan-log retirement) moving on a
-/// lossy transport.
-const FRONTIER_ANNOUNCE_EVERY: u64 = 16;
-
 /// A remote trainer client of a distributed serve session. The
 /// network-facing sibling of [`ServeClient`]: pulls are strictly
-/// ordered, the client carries its own consumed cursor, and a lost
+/// ordered, the client carries its own consumed cursor and reports it
+/// with one cumulative [`WireFrame::Frontier`] per consumed step, and a
+/// lost
 /// connection (or lost frames, on a lossy transport) is survived by
 /// re-dialing and re-subscribing from that cursor — under the seeded
 /// exponential backoff of [`RedialBackoff`], with the retry budget and
@@ -1401,8 +1244,8 @@ impl RemoteClient {
     /// [`DataServerHandle::serve_tcp`]) — the cross-process sibling of
     /// [`DataServerHandle::connect`]. The caller supplies what the
     /// in-process path reads off the handle: its placed rank, the
-    /// session's step count, the per-pull timeout, and the initial
-    /// credit window. The connection is dialed lazily on the first
+    /// session's step count, the per-pull timeout, and the window
+    /// `W`. The connection is dialed lazily on the first
     /// [`RemoteClient::next`] call and redialed as needed.
     pub fn over_tcp(
         addr: SocketAddr,
@@ -1513,7 +1356,7 @@ impl RemoteClient {
     }
 
     /// Reliable stream teardown: retries `Close` until the server's echo
-    /// confirms it landed, so a lost final Ack/Close on a lossy
+    /// confirms it landed, so a lost final Frontier/Close on a lossy
     /// transport cannot leave the server (and with it the serve
     /// driver's drain) waiting on this client forever.
     fn close_handshake(&mut self) {
@@ -1524,9 +1367,9 @@ impl RemoteClient {
             let Some(conn) = self.conn.as_mut() else {
                 break; // Never connected (or server gone): nothing to close.
             };
-            // Cement the whole-progress claim before closing, so the
-            // server's frontier fold reflects this client's final cursor
-            // even if earlier Acks were lost.
+            // Cement the consumed report before closing, so the server's
+            // frontier fold reflects this client's final cursor even if
+            // earlier reports were lost.
             let _ = conn.tx.send(WireFrame::Frontier {
                 client: self.id,
                 consumed: self.next_step,
@@ -1538,14 +1381,6 @@ impl RemoteClient {
                 Ok(WireFrame::Close { .. }) => {
                     self.closed = true;
                     return;
-                }
-                Ok(WireFrame::Batch { step, .. }) if step < self.next_step => {
-                    // A straggling window resend: re-ack so the server's
-                    // retransmit buffer drains.
-                    let _ = conn.tx.send(WireFrame::Ack {
-                        client: self.id,
-                        step,
-                    });
                 }
                 Ok(_) => {}
                 Err(NetError::Timeout) => {} // Close lost: retry.
@@ -1606,42 +1441,23 @@ impl RemoteClient {
             match conn.rx.recv(self.pull_timeout) {
                 Ok(WireFrame::Batch { step, payload, .. }) => {
                     quiet_timeouts = 0;
-                    if step < want {
-                        // Window resend of an already-consumed step:
-                        // re-ack so the server trims it.
-                        let _ = conn.tx.send(WireFrame::Ack {
-                            client: self.id,
-                            step,
-                        });
-                        continue;
-                    }
-                    if step > want {
-                        // Early arrival while `want` was lost; the
-                        // timeout-driven resubscribe will recover it.
+                    if step != want {
+                        // A resend of an already-consumed step, or an
+                        // early arrival while `want` was lost (the
+                        // timeout-driven resubscribe recovers it).
                         continue;
                     }
                     let Ok(batch) = payload.batch() else {
                         continue; // Undecodable payload: same as lost.
                     };
-                    let _ = conn.tx.send(WireFrame::Ack {
-                        client: self.id,
-                        step,
-                    });
-                    let _ = conn.tx.send(WireFrame::Credit {
-                        client: self.id,
-                        grant: 1,
-                    });
                     self.next_step = want + 1;
-                    if self.next_step % FRONTIER_ANNOUNCE_EVERY == 0 {
-                        // Periodic whole-progress announcement: on a
-                        // lossy transport a run of lost Acks would leave
-                        // the server's frontier fold (and its retransmit
-                        // buffer) stuck at a stale cursor.
-                        let _ = conn.tx.send(WireFrame::Frontier {
-                            client: self.id,
-                            consumed: self.next_step,
-                        });
-                    }
+                    // One cumulative report both acknowledges the step
+                    // and slides the server's window; a lost one is
+                    // subsumed by the next.
+                    let _ = conn.tx.send(WireFrame::Frontier {
+                        client: self.id,
+                        consumed: self.next_step,
+                    });
                     if self.next_step == self.steps {
                         let _ = conn.tx.send(WireFrame::Close { client: self.id });
                     }
@@ -1652,9 +1468,9 @@ impl RemoteClient {
                     self.conn = None; // Server shed us; re-dial.
                 }
                 Ok(WireFrame::Reject { .. }) => {
-                    // Admission refusal: the server is over its session
-                    // or retransmit-byte cap. Back off harder than a
-                    // plain disconnect before trying again.
+                    // Admission refusal: the server is at its session
+                    // limit. Back off harder than a plain disconnect
+                    // before trying again.
                     self.stats.rejections += 1;
                     self.backoff.penalize();
                     self.conn = None;
@@ -1663,7 +1479,7 @@ impl RemoteClient {
                     quiet_timeouts = 0;
                 }
                 Err(NetError::Timeout) => {
-                    // Lost Batch/Subscribe/Ack/Credit all collapse to
+                    // Lost Batch/Subscribe/Frontier all collapse to
                     // this: resync the window from the cursor. If even
                     // repeated re-subscriptions stay unanswered, the
                     // session itself may be broken (e.g. its Hello was
@@ -1838,7 +1654,7 @@ mod tests {
         assert_eq!(server.evictions, 2);
         let state = &server.clients[&0];
         assert!(!state.subscribed && state.session.is_none());
-        assert!(state.unacked.is_empty() && state.unacked_bytes == 0);
+        assert!(state.pending.is_none() && state.next_pull == state.consumed);
         assert!(!state.done, "eviction must not finish the stream");
 
         // Latched: staying silent does not re-evict every sweep.
@@ -1869,7 +1685,7 @@ mod tests {
         let state = &server.clients[&0];
         assert!(state.subscribed && !state.reaped);
         assert_eq!(state.session, Some(5));
-        assert_eq!(state.base, 2);
+        assert_eq!(state.consumed, 2);
     }
 
     #[test]
@@ -1916,57 +1732,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_cap_sheds_the_most_retained_idle_client() {
-        let (_system, mut server) = test_server(ServerConfig {
-            aggregate_cap_bytes: 64,
-            lease: None,
-            ..ServerConfig::default()
-        });
-        open_session(&mut server, 1);
-        server.handle_frame(1, WireFrame::Hello { client: 0, rank: 0 });
-        open_session(&mut server, 2);
-        server.handle_frame(2, WireFrame::Hello { client: 1, rank: 1 });
-
-        // Hand-plant retained bytes: client 1 hoards more than client 0.
-        for (client, bytes) in [(0u32, 40u64), (1, 100)] {
-            let state = server.clients.get_mut(&client).unwrap();
-            state.subscribed = true;
-            state.unacked_bytes = bytes;
-            server.retained_bytes += bytes;
-        }
-        assert_eq!(server.retained_bytes, 140);
-
-        // Client 0 is active (on the ring); the shed must pick the idle
-        // hoarder, which alone brings the total back under the cap.
-        server.enqueue_ring(0);
-        server.enforce_aggregate_cap();
-        assert_eq!(server.shed_evictions, 1);
-        assert_eq!(server.retained_bytes, 40);
-        let shed = &server.clients[&1];
-        assert!(shed.session.is_none() && shed.unacked_bytes == 0);
-        let kept = &server.clients[&0];
-        assert!(kept.session.is_some() && kept.unacked_bytes == 40);
-        assert!(
-            server
-                .gcs
-                .fault_log("data-server")
-                .iter()
-                .any(|r| r.detail.contains("aggregate retransmit cap")),
-            "shed must leave a fault-log trail"
-        );
-    }
-
-    /// One dummy batch to plant in a retransmit buffer (zero payload
-    /// bytes, which keeps the byte gauges trivially consistent).
-    fn dummy_shared_batch() -> SharedBatch {
-        SharedBatch::new(Arc::new(ConstructedBatch {
-            bucket: 0,
-            microbatches: Vec::new(),
-            deliveries: Vec::new(),
-        }))
-    }
-
-    #[test]
     fn eviction_releases_the_frontier_capability() {
         let (_system, mut server) = test_server(ServerConfig {
             lease: Some(Duration::from_millis(10)),
@@ -1986,7 +1751,13 @@ mod tests {
                 credits: 4,
             },
         );
-        server.handle_frame(1, WireFrame::Ack { client: 0, step: 1 });
+        server.handle_frame(
+            1,
+            WireFrame::Frontier {
+                client: 0,
+                consumed: 2,
+            },
+        );
         assert_eq!(server.hub.cursor(Holder::Client(0)), Some(2));
 
         // Client 0 goes silent and client 1 never dials: both evicted.
@@ -2045,51 +1816,86 @@ mod tests {
         assert_eq!(server.hub.frontier(), 0);
     }
 
-    #[test]
-    fn frontier_frame_trims_retransmit_and_advances_the_fold() {
-        let (_system, mut server) = test_server(ServerConfig::default());
-        open_session(&mut server, 1);
+    /// Binds client 0 on session 1 and subscribes it from step 0 with a
+    /// window of `credits`.
+    fn subscribe_client_0(server: &mut DataServer, credits: u32) {
+        open_session(server, 1);
         server.handle_frame(1, WireFrame::Hello { client: 0, rank: 0 });
         server.handle_frame(
             1,
             WireFrame::Subscribe {
                 client: 0,
                 from_step: 0,
+                credits,
+            },
+        );
+    }
+
+    fn report(server: &mut DataServer, consumed: u64) {
+        server.handle_frame(
+            1,
+            WireFrame::Frontier {
+                client: 0,
+                consumed,
+            },
+        );
+    }
+
+    #[test]
+    fn frontier_frame_advances_the_fold_and_slides_the_window() {
+        let (_system, mut server) = test_server(ServerConfig::default());
+        subscribe_client_0(&mut server, 2);
+        // As if steps 0 and 1 were sent: the window [0, 2) is full.
+        server.clients.get_mut(&0).unwrap().next_pull = 2;
+        assert!(!server.clients[&0].may_pull(server.steps));
+
+        // One cumulative report acknowledges, folds the capability
+        // forward, and slides the send limit to `consumed + W`.
+        report(&mut server, 1);
+        let state = &server.clients[&0];
+        assert_eq!(state.consumed + state.window, 3);
+        assert!(state.may_pull(server.steps));
+        assert_eq!(server.hub.cursor(Holder::Client(0)), Some(1));
+
+        // Stale reports never rewind the cursor or shrink the window.
+        report(&mut server, 0);
+        assert_eq!(server.clients[&0].consumed, 1);
+        assert_eq!(server.hub.cursor(Holder::Client(0)), Some(1));
+
+        // Consuming the last step finishes the stream.
+        let steps = server.steps;
+        report(&mut server, steps);
+        assert!(server.clients[&0].done);
+        assert!(!server.hub.holds(Holder::Client(0)));
+    }
+
+    #[test]
+    fn resubscribe_rewinds_the_pull_cursor() {
+        let (_system, mut server) = test_server(ServerConfig::default());
+        subscribe_client_0(&mut server, 4);
+        // Steps 0..3 were sent; the client consumed step 0, then lost
+        // step 1 on the wire.
+        server.clients.get_mut(&0).unwrap().next_pull = 3;
+        report(&mut server, 1);
+        assert_eq!(server.status().clients[0].unacked, 2);
+
+        server.handle_frame(
+            1,
+            WireFrame::Subscribe {
+                client: 0,
+                from_step: 1,
                 credits: 4,
             },
         );
-        // Plant an unacked window as if steps 0..3 were sent and every
-        // Ack was lost.
-        {
-            let state = server.clients.get_mut(&0).unwrap();
-            for step in 0..3 {
-                state.unacked.insert(step, dummy_shared_batch());
-            }
-        }
-        assert_eq!(server.clients[&0].unacked.len(), 3);
+        let state = &server.clients[&0];
+        assert_eq!(state.resumes, 1);
+        assert_eq!((state.consumed, state.next_pull), (1, 1));
 
-        // The whole-progress claim trims below `consumed` and folds the
-        // capability forward, exactly as the lost Acks would have.
-        server.handle_frame(
-            1,
-            WireFrame::Frontier {
-                client: 0,
-                consumed: 2,
-            },
-        );
-        assert_eq!(server.clients[&0].unacked.len(), 1);
-        assert_eq!(server.hub.cursor(Holder::Client(0)), Some(2));
-
-        // Stale announcements never rewind the cursor.
-        server.handle_frame(
-            1,
-            WireFrame::Frontier {
-                client: 0,
-                consumed: 1,
-            },
-        );
-        assert_eq!(server.hub.cursor(Holder::Client(0)), Some(2));
-        assert_eq!(server.clients[&0].unacked.len(), 1);
+        // The lost step is re-pulled from the constructor's ready queue.
+        server.pump_client(0);
+        let state = &server.clients[&0];
+        assert_eq!(state.pending.as_ref().map(|(step, _, _)| *step), Some(1));
+        assert_eq!(state.next_pull, 2);
     }
 
     #[test]

@@ -292,15 +292,11 @@ mod tests {
             WireFrame::Hello { client, rank } => assert_eq!((client, rank), (7, 3)),
             other => panic!("unexpected frame: {other:?}"),
         }
-        stx.send(WireFrame::Credit {
-            client: 7,
-            grant: 4,
-        })
-        .unwrap();
+        stx.send(WireFrame::Close { client: 7 }).unwrap();
         let mut crx = client.rx;
         assert!(matches!(
             crx.recv(Duration::from_secs(5)).unwrap(),
-            WireFrame::Credit { grant: 4, .. }
+            WireFrame::Close { client: 7 }
         ));
     }
 

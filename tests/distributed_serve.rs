@@ -46,6 +46,42 @@ fn loopback_distributed_serve_is_byte_identical_to_local() {
     }
 }
 
+/// The protocol's cost, counted: with no loss a client sends Hello,
+/// Subscribe, one cumulative `Frontier` per consumed step and a short
+/// close handshake — no per-step receipts or credit grants on top.
+#[test]
+fn lossless_serve_sends_one_consumed_report_per_step() {
+    let (clients, steps) = (4u32, 24u64);
+    let mut p = pipeline(21);
+    let (session, handle) = p.serve_distributed(
+        opts(clients, steps),
+        Arc::new(LoopbackTransport),
+        &placements(clients),
+    );
+    let threads: Vec<_> = (0..clients)
+        .map(|c| {
+            let mut rc = handle.connect(c);
+            std::thread::spawn(move || std::iter::from_fn(|| rc.next()).count() as u64)
+        })
+        .collect();
+    for t in threads {
+        assert_eq!(t.join().expect("client thread"), steps, "client fell short");
+    }
+    assert_eq!(session.join(), steps, "driver fell short");
+
+    // Timeout-driven re-subscribes are loss recovery, not per-step cost.
+    let status = handle.status().expect("server status");
+    let resumes: u64 = status.clients.iter().map(|c| c.resumes).sum();
+    let budget = u64::from(clients) * (steps + 8);
+    assert!(
+        status.frames_rx - resumes <= budget,
+        "{} frames received ({resumes} resumes) over {clients} clients × {steps} steps; \
+         budget {budget}",
+        status.frames_rx
+    );
+    p.shutdown();
+}
+
 #[test]
 fn dropped_remote_client_reconnects_and_resumes_gap_free() {
     let (clients, steps) = (2u32, 8u64);

@@ -169,14 +169,10 @@ fn wire_frame() -> impl Strategy<Value = WireFrame> {
         any::<u32>().prop_map(|client| WireFrame::Close { client }),
         (any::<u32>(), any::<u64>())
             .prop_map(|(client, consumed)| WireFrame::Frontier { client, consumed }),
-        (
-            any::<u32>(),
-            prop_oneof![
-                Just(RejectReason::SessionLimit),
-                Just(RejectReason::RetransmitCap),
-            ],
-        )
-            .prop_map(|(client, reason)| WireFrame::Reject { client, reason }),
+        any::<u32>().prop_map(|client| WireFrame::Reject {
+            client,
+            reason: RejectReason::SessionLimit,
+        }),
     ]
 }
 
