@@ -116,6 +116,12 @@ cargo test --test frontier_recovery -q
 echo "==> cargo test --test planner_scaling -q"
 cargo test --test planner_scaling -q
 
+# The send path copies no payload: sealing a 64 × 48 KiB batch for the
+# wire makes at most two small allocations, and a pool lease that
+# reclaims a parked buffer makes none (same thread-counting allocator).
+echo "==> cargo test --test wire_allocs -q"
+cargo test --test wire_allocs -q
+
 # Second property-test leg: an independent sampling of every property
 # suite, including the DGraph reference-equivalence proptests in
 # msd_core. MSD_PROPTEST_SEED salts the shim's deterministic RNG labels

@@ -42,20 +42,25 @@
 //! it, so any single-bit corruption anywhere in a frame is guaranteed to
 //! surface as a [`CodecError`], never as a silently mis-decoded value.
 //!
-//! Two deviations keep multi-megabyte batches at memcpy speed:
+//! Two deviations keep multi-megabyte batches fast to seal and free of
+//! copies on the send side:
 //!
 //! - The kind-11 frame seals with an 8-byte trailer computed by a
 //!   *word-wise* 64-bit FNV-1a (`fnv1a64`) — one multiply per 8 bytes
 //!   instead of per byte, with the same single-corruption guarantee.
+//!   The hash streams over pieces, so a batch is sealed without being
+//!   assembled: a [`BatchFrame`] is the frame's metadata and seal, a
+//!   few KB, while the payload bytes stay in the samples' own [`Bytes`],
+//!   hashed where they lie.
 //! - The `WireFrame::Batch` container (kind 7) is **head-sealed**:
 //!   a fixed 26-byte head (client, step, payload length, then a
 //!   byte-wise checksum over the head alone) followed by the raw
 //!   payload bytes. The payload region is *excluded* from the head
 //!   checksum because it is itself a sealed kind-11 frame; excluding it
-//!   lets senders append the memoized payload [`Bytes`] without
-//!   re-hashing or re-copying it per client ([`encode_wire_frame_parts`]),
-//!   and lets receivers slice it zero-copy out of the receive buffer
-//!   ([`decode_wire_frame_shared`]).
+//!   lets senders follow the head with the memoized payload parts
+//!   without re-hashing or copying them per client
+//!   ([`encode_wire_frame_parts`]), and lets receivers slice it
+//!   zero-copy out of the receive buffer ([`decode_wire_frame_shared`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -306,41 +311,104 @@ const BATCH_CHECKSUM_LEN: usize = 8;
 /// flipped byte lands in exactly one word, hence perturbs exactly one
 /// lane, hence always changes the fold; the length seed separates
 /// frames whose difference hides in the zero padding.
-fn fnv1a64(data: &[u8]) -> u64 {
+///
+/// Streaming: words are cut at multiples of 8 from the start of the
+/// whole input, so a word may straddle two [`Fnv1a64::write`] calls and
+/// the hash of the pieces equals the hash of their concatenation at
+/// every split point. [`fnv1a64`] is the one-piece form.
+struct Fnv1a64 {
+    lanes: [u64; 4],
+    /// Lane the next full word goes to.
+    next: usize,
+    /// The bytes of a word not yet complete, carried to the next piece.
+    partial: [u8; 8],
+    partial_len: usize,
+}
+
+impl Fnv1a64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut lanes = [OFFSET, OFFSET ^ 1, OFFSET ^ 2, OFFSET ^ 3];
-    lanes[0] ^= data.len() as u64;
-    lanes[0] = lanes[0].wrapping_mul(PRIME);
-    let mut blocks = data.chunks_exact(32);
-    for block in &mut blocks {
-        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane ^= u64::from_le_bytes(w.try_into().expect("8-byte word"));
-            *lane = lane.wrapping_mul(PRIME);
+
+    /// A hasher for an input of `len` bytes in total, however it is
+    /// split into pieces.
+    fn new(len: usize) -> Self {
+        let o = Self::OFFSET;
+        let mut lanes = [o, o ^ 1, o ^ 2, o ^ 3];
+        lanes[0] = (lanes[0] ^ len as u64).wrapping_mul(Self::PRIME);
+        Fnv1a64 {
+            lanes,
+            next: 0,
+            partial: [0; 8],
+            partial_len: 0,
         }
     }
-    // Up to three full words plus a zero-padded partial word remain;
-    // they continue the round-robin from lane 0.
-    let rem = blocks.remainder();
-    let mut words = rem.chunks_exact(8);
-    let mut next = 0;
-    for w in &mut words {
-        lanes[next] ^= u64::from_le_bytes(w.try_into().expect("8-byte word"));
-        lanes[next] = lanes[next].wrapping_mul(PRIME);
-        next += 1;
+
+    fn word(&mut self, word: [u8; 8]) {
+        let lane = &mut self.lanes[self.next];
+        *lane = (*lane ^ u64::from_le_bytes(word)).wrapping_mul(Self::PRIME);
+        self.next = (self.next + 1) % 4;
     }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut word = [0u8; 8];
-        word[..tail.len()].copy_from_slice(tail);
-        lanes[next] ^= u64::from_le_bytes(word);
-        lanes[next] = lanes[next].wrapping_mul(PRIME);
+
+    /// Hashes the next piece of the input.
+    fn write(&mut self, mut data: &[u8]) {
+        if self.partial_len > 0 {
+            let take = data.len().min(8 - self.partial_len);
+            let (head, rest) = data.split_at(take);
+            self.partial[self.partial_len..][..take].copy_from_slice(head);
+            self.partial_len += take;
+            data = rest;
+            if self.partial_len < 8 {
+                return;
+            }
+            self.partial_len = 0;
+            self.word(self.partial);
+        }
+        // Single words until the round-robin is back at lane 0, then
+        // whole four-lane blocks, then single words again.
+        while self.next != 0 && data.len() >= 8 {
+            let (w, rest) = data.split_at(8);
+            self.word(w.try_into().expect("8-byte word"));
+            data = rest;
+        }
+        if self.next == 0 {
+            let mut blocks = data.chunks_exact(32);
+            for block in &mut blocks {
+                for (lane, w) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
+                    *lane ^= u64::from_le_bytes(w.try_into().expect("8-byte word"));
+                    *lane = lane.wrapping_mul(Self::PRIME);
+                }
+            }
+            data = blocks.remainder();
+        }
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            self.word(w.try_into().expect("8-byte word"));
+        }
+        let tail = words.remainder();
+        self.partial[..tail.len()].copy_from_slice(tail);
+        self.partial_len = tail.len();
     }
-    let mut h = lanes[0];
-    for lane in &lanes[1..] {
-        h = h.wrapping_mul(PRIME) ^ lane;
+
+    /// The hash of everything written: a zero-padded partial word counts
+    /// as one more word, then the lanes fold.
+    fn finish(mut self) -> u64 {
+        if self.partial_len > 0 {
+            self.partial[self.partial_len..].fill(0);
+            self.word(self.partial);
+        }
+        let mut h = self.lanes[0];
+        for lane in &self.lanes[1..] {
+            h = h.wrapping_mul(Self::PRIME) ^ lane;
+        }
+        h
     }
-    h
+}
+
+/// [`Fnv1a64`] over one contiguous input.
+fn fnv1a64(data: &[u8]) -> u64 {
+    let mut hasher = Fnv1a64::new(data.len());
+    hasher.write(data);
+    hasher.finish()
 }
 
 /// Appends the wide batch-frame checksum; [`encode_batch_into`]'s final
@@ -890,14 +958,14 @@ const WIRE_BATCH_HEAD_LEN: usize = HEADER_LEN + 4 + 8 + 4 + CHECKSUM_LEN;
 /// Exact encoded length of a wire frame, from the same per-variant field
 /// walk as [`encode_wire_frame_parts`]. Lets encoders presize scratch
 /// (or lease a pooled buffer of the right class) instead of growing a
-/// `Vec` by doubling. For a batch frame this memoizes the payload
-/// encoding, so calling it right before encoding costs nothing extra.
+/// `Vec` by doubling. A batch frame is sized without building its
+/// payload's wire form ([`BatchPayload::wire_len`]).
 pub fn encoded_wire_frame_len(frame_in: &WireFrame) -> usize {
     let base = HEADER_LEN + CHECKSUM_LEN; // magic, version, kind, seal
     match frame_in {
         WireFrame::Hello { .. } => base + 4 + 4,
         WireFrame::Subscribe { .. } => base + 4 + 8 + 4,
-        WireFrame::Batch { payload, .. } => WIRE_BATCH_HEAD_LEN + payload.encoded().len(),
+        WireFrame::Batch { payload, .. } => WIRE_BATCH_HEAD_LEN + payload.wire_len(),
         WireFrame::Ack { .. } => base + 4 + 8,
         WireFrame::Credit { .. } => base + 4 + 4,
         WireFrame::Close { .. } => base + 4,
@@ -921,22 +989,27 @@ pub fn encode_wire_frame(frame_in: &WireFrame) -> Vec<u8> {
 /// buffer (cleared first, capacity kept). Steady-state senders reuse one
 /// scratch across every frame of a connection, so per-frame encoding
 /// costs no allocation at all once the buffer has grown to the largest
-/// frame.
+/// frame. The contiguous form is the head followed by the payload's
+/// parts ([`encode_wire_frame_parts`]).
 pub fn encode_wire_frame_into(frame_in: &WireFrame, buf: &mut Vec<u8>) {
     if let Some(payload) = encode_wire_frame_parts(frame_in, buf) {
-        buf.put_slice(&payload);
+        buf.reserve(payload.wire_len());
+        payload.for_each_part(|part| buf.put_slice(part));
     }
 }
 
 /// Scatter-gather encoder: writes the frame's (sealed, self-contained)
-/// head into `head` and returns the trailing payload bytes, if any. The
-/// frame's contiguous wire form is exactly `head` followed by the
-/// returned payload — but senders that can write two buffers (the TCP
-/// writer, the simulated link) skip assembling it, so a multi-megabyte
-/// batch leaves the process without its payload ever being copied or
-/// re-hashed: the returned [`Bytes`] is the memoized encoding shared
-/// across every client and resend.
-pub fn encode_wire_frame_parts(frame_in: &WireFrame, head: &mut Vec<u8>) -> Option<Bytes> {
+/// head into `head` and returns the batch payload whose parts
+/// ([`BatchPayload::for_each_part`]) follow it on the wire, if any.
+/// Senders that can write many buffers (the TCP writer) skip assembling
+/// the contiguous form, so a multi-megabyte batch leaves the process
+/// without a payload byte being copied or re-hashed: a shared batch's
+/// parts are its memoized [`BatchFrame`] metadata interleaved with the
+/// samples' own `Bytes`.
+pub fn encode_wire_frame_parts<'a>(
+    frame_in: &'a WireFrame,
+    head: &mut Vec<u8>,
+) -> Option<&'a BatchPayload> {
     head.clear();
     head.put_slice(&MAGIC);
     head.put_u8(VERSION);
@@ -962,12 +1035,11 @@ pub fn encode_wire_frame_parts(frame_in: &WireFrame, head: &mut Vec<u8>) -> Opti
             step,
             payload,
         } => {
-            let encoded = payload.encoded();
             head.put_u8(KIND_WIRE_BATCH);
             head.put_u32_le(*client);
             head.put_u64_le(*step);
-            head.put_u32_le(encoded.len() as u32);
-            payload_out = Some(encoded);
+            head.put_u32_le(payload.wire_len() as u32);
+            payload_out = Some(payload);
         }
         WireFrame::Ack { client, step } => {
             head.put_u8(KIND_WIRE_ACK);
@@ -1158,13 +1230,20 @@ fn batch_sequences(batch: &ConstructedBatch) -> impl Iterator<Item = &PackedSequ
     batch.microbatches.iter().flat_map(|mb| &mb.sequences)
 }
 
-/// Exact encoded size of a batch frame (header + body + checksum).
-/// Encoders pre-size their buffer with this, so building even a
-/// multi-megabyte batch frame is a single allocation with zero
-/// reallocation — and zero per-sample or per-sequence allocations.
-pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
+/// Every sample payload of `batch`, in frame order.
+fn batch_payloads(batch: &ConstructedBatch) -> impl Iterator<Item = &[u8]> {
+    batch
+        .microbatches
+        .iter()
+        .flat_map(|mb| mb.payloads.iter().map(|(_, payload)| payload.as_ref()))
+}
+
+/// The shape of a batch's kind-11 frame: `(bytes that are not payload —
+/// header, fields and seal —, payload bytes, payload count)`.
+fn batch_frame_shape(batch: &ConstructedBatch) -> (usize, usize, usize) {
     let mut n = HEADER_LEN; // magic + version + kind
     n += 4 + 4 + 4; // bucket + segment count + microbatch count
+    let (mut payload_bytes, mut payloads) = (0, 0);
     for mb in &batch.microbatches {
         n += 4 + 4; // bin + sequence count
         for seq in &mb.sequences {
@@ -1172,8 +1251,10 @@ pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
         }
         n += 4; // payload count
         for (_, payload) in &mb.payloads {
-            n += 8 + 4 + payload.len(); // sample id + length + raw bytes
+            n += 8 + 4; // sample id + length, then the raw bytes
+            payload_bytes += payload.len();
         }
+        payloads += mb.payloads.len();
         n += 8; // payload_bytes
     }
     n += 4; // delivery count
@@ -1184,7 +1265,16 @@ pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
             n += 4 + slices.len() * 16; // slice count + (start, end)
         }
     }
-    n + BATCH_CHECKSUM_LEN
+    (n + BATCH_CHECKSUM_LEN, payload_bytes, payloads)
+}
+
+/// Exact encoded size of a batch frame (header + body + checksum).
+/// Encoders pre-size their buffer with this, so building even a
+/// multi-megabyte batch frame is a single allocation with zero
+/// reallocation — and zero per-sample or per-sequence allocations.
+pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
+    let (meta, payload_bytes, _) = batch_frame_shape(batch);
+    meta + payload_bytes
 }
 
 /// Encodes a constructed batch as a binary `MSDB` frame (kind 11) into
@@ -1193,10 +1283,25 @@ pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
 /// order; each sequence record then names only its segment count. Sample
 /// payloads are written as raw byte runs — each payload's [`Bytes`]
 /// view is copied once, directly into the scratch, with no per-sample
-/// allocation and no inflation.
+/// allocation and no inflation. Senders do not need this contiguous
+/// form: [`BatchFrame`] is the same frame without the payload copies.
 pub fn encode_batch_into(batch: &ConstructedBatch, buf: &mut Vec<u8>) {
     buf.clear();
     buf.reserve(encoded_batch_len(batch));
+    put_batch_fields(batch, buf, |buf, payload| buf.put_slice(payload));
+    seal_batch(buf);
+    debug_assert_eq!(buf.len(), encoded_batch_len(batch));
+}
+
+/// The one field walk of a kind-11 frame: writes every byte that is not
+/// a sample payload (the seal excepted) into `buf`, and calls
+/// `payload_at` where each payload's bytes go — [`encode_batch_into`]
+/// copies them there, [`BatchFrame::encode`] records the offset.
+fn put_batch_fields(
+    batch: &ConstructedBatch,
+    buf: &mut Vec<u8>,
+    mut payload_at: impl FnMut(&mut Vec<u8>, &[u8]),
+) {
     buf.put_slice(&MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(KIND_BATCH);
@@ -1220,7 +1325,7 @@ pub fn encode_batch_into(batch: &ConstructedBatch, buf: &mut Vec<u8>) {
         for (sample_id, payload) in &mb.payloads {
             buf.put_u64_le(*sample_id);
             buf.put_u32_le(payload.len() as u32);
-            buf.put_slice(payload);
+            payload_at(buf, payload);
         }
         buf.put_u64_le(mb.payload_bytes);
     }
@@ -1238,8 +1343,6 @@ pub fn encode_batch_into(batch: &ConstructedBatch, buf: &mut Vec<u8>) {
             }
         }
     }
-    seal_batch(buf);
-    debug_assert_eq!(buf.len(), encoded_batch_len(batch));
 }
 
 /// Encodes a constructed batch into a fresh, exactly-sized buffer.
@@ -1247,6 +1350,66 @@ pub fn encode_batch(batch: &ConstructedBatch) -> Vec<u8> {
     let mut buf = Vec::with_capacity(encoded_batch_len(batch));
     encode_batch_into(batch, &mut buf);
     buf
+}
+
+/// A batch's kind-11 frame with the payload bytes left where they are:
+/// every other byte of the frame in wire order, seal included, plus the
+/// offset at which each sample payload goes. That is a few KB for a
+/// multi-megabyte batch. The frame's bytes are this metadata
+/// interleaved with the batch's own payload views
+/// ([`BatchFrame::for_each_part`]), byte-identical to
+/// [`encode_batch`]'s contiguous form — so a sender writes them out
+/// vectored and no payload is ever copied into a send buffer.
+#[derive(Debug)]
+pub struct BatchFrame {
+    /// Every non-payload byte of the frame, in order, seal included.
+    meta: Vec<u8>,
+    /// Offset into `meta` at which each payload goes, in frame order.
+    splits: Vec<usize>,
+    /// Length of the whole frame, payloads included.
+    len: usize,
+}
+
+impl BatchFrame {
+    /// Builds the frame of `batch`: one walk writes the metadata into
+    /// one exactly-sized buffer and records the payload offsets into
+    /// another, then one streaming pass over the parts computes the seal.
+    /// Each payload is hashed in place, never copied.
+    pub fn encode(batch: &ConstructedBatch) -> Self {
+        let (meta_len, payload_bytes, payloads) = batch_frame_shape(batch);
+        let mut meta = Vec::with_capacity(meta_len);
+        let mut splits = Vec::with_capacity(payloads);
+        put_batch_fields(batch, &mut meta, |meta, _| splits.push(meta.len()));
+        let mut frame = BatchFrame {
+            meta,
+            splits,
+            len: meta_len + payload_bytes,
+        };
+        let mut hasher = Fnv1a64::new(frame.len - BATCH_CHECKSUM_LEN);
+        frame.for_each_part(batch, |part| hasher.write(part));
+        frame.meta.put_u64_le(hasher.finish());
+        debug_assert_eq!(frame.meta.len(), meta_len);
+        frame
+    }
+
+    /// Length of the whole frame on the wire, payloads included.
+    pub fn encoded_len(&self) -> usize {
+        self.len
+    }
+
+    /// Calls `f` on the frame's bytes in wire order: metadata slices
+    /// interleaved with `batch`'s payload views. `batch` must be the
+    /// batch the frame was encoded from.
+    pub fn for_each_part<'a>(&'a self, batch: &'a ConstructedBatch, mut f: impl FnMut(&'a [u8])) {
+        debug_assert_eq!(batch_payloads(batch).count(), self.splits.len());
+        let mut at = 0;
+        for (split, payload) in self.splits.iter().zip(batch_payloads(batch)) {
+            f(&self.meta[at..*split]);
+            f(payload);
+            at = *split;
+        }
+        f(&self.meta[at..]);
+    }
 }
 
 /// Decodes a batch payload. Errors carry the frame length and the
@@ -1658,6 +1821,37 @@ mod tests {
     }
 
     #[test]
+    fn streaming_seal_equals_the_one_shot_hash_at_every_pair_of_splits() {
+        let data: Vec<u8> = (0..203u32).map(|i| (i * 7 + 3) as u8).collect();
+        let want = fnv1a64(&data);
+        for i in 0..=data.len() {
+            for j in i..=data.len() {
+                let mut hasher = Fnv1a64::new(data.len());
+                for piece in [&data[..i], &data[i..j], &data[j..]] {
+                    hasher.write(piece);
+                }
+                assert_eq!(hasher.finish(), want, "split at {i} and {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_frame_parts_are_the_contiguous_encoding() {
+        let empty = ConstructedBatch {
+            bucket: 0,
+            microbatches: vec![],
+            deliveries: vec![],
+        };
+        for b in [batch(), empty] {
+            let frame = BatchFrame::encode(&b);
+            let mut parts = Vec::new();
+            frame.for_each_part(&b, |part| parts.extend_from_slice(part));
+            assert_eq!(parts, encode_batch(&b));
+            assert_eq!(frame.encoded_len(), encoded_batch_len(&b));
+        }
+    }
+
+    #[test]
     fn batch_decode_errors_carry_frame_length_and_offset() {
         let b = batch();
         let full = encode_batch(&b);
@@ -1849,8 +2043,8 @@ mod tests {
             payload: BatchPayload::Encoded(Bytes::new()),
         };
         assert_eq!(
-            encode_wire_frame_parts(&empty, &mut head),
-            Some(Bytes::new())
+            encode_wire_frame_parts(&empty, &mut head).map(BatchPayload::wire_len),
+            Some(0)
         );
         assert_eq!(decode_wire_frame(&head).unwrap(), empty);
         let full = WireFrame::Batch {

@@ -230,51 +230,51 @@ impl BufferPool {
         };
         let class = &self.classes[idx];
 
-        // Sweep the parked list: any frozen buffer whose consumers have
-        // all dropped is uniquely owned and its backing vec comes back.
-        let mut reclaimed: Vec<Vec<u8>> = Vec::new();
-        {
-            let mut parked = class.parked.lock().expect("pool parked lock");
-            let mut i = 0;
-            while i < parked.len() {
-                if parked[i].is_unique() {
-                    match parked.swap_remove(i).try_reclaim() {
-                        Ok(mut vec) => {
-                            vec.clear();
-                            reclaimed.push(vec);
+        // Shed vecs are freed once the lock is released; the list only
+        // allocates on a lease that sheds.
+        let mut shed: Vec<Vec<u8>> = Vec::new();
+        let mut stolen = false;
+        let vec = {
+            // Lock order: free, then parked (as `idle_buffers`).
+            let mut free = class.free.lock().expect("pool free lock");
+            // Sweep the parked list: any frozen buffer whose consumers
+            // have all dropped is uniquely owned, and its backing vec
+            // goes straight onto the free list, to serve this lease and
+            // later hits.
+            {
+                let mut parked = class.parked.lock().expect("pool parked lock");
+                let mut i = 0;
+                while i < parked.len() {
+                    if parked[i].is_unique() {
+                        match parked.swap_remove(i).try_reclaim() {
+                            Ok(mut vec) => {
+                                vec.clear();
+                                free.vecs.push(vec);
+                                stolen = true;
+                            }
+                            Err(bytes) => {
+                                parked.insert(i, bytes);
+                                i += 1;
+                            }
                         }
-                        Err(bytes) => {
-                            parked.insert(i, bytes);
-                            i += 1;
-                        }
+                    } else {
+                        i += 1;
                     }
-                } else {
-                    i += 1;
                 }
             }
-        }
-
-        let stolen = !reclaimed.is_empty();
-        let vec = {
-            // Reclaims serve this lease and top up the free list for
-            // future hits.
-            let mut free = class.free.lock().expect("pool free lock");
-            free.vecs.append(&mut reclaimed);
             free.low_water = free.low_water.min(free.vecs.len());
             free.leases += 1;
-            // Shed vecs leave through `reclaimed`, to be freed once the
-            // lock is released.
             if free.leases == TRIM_INTERVAL {
                 free.leases = 0;
                 let on_hand = std::mem::replace(&mut free.low_water, usize::MAX);
-                reclaimed.extend(free.vecs.drain(..on_hand.saturating_sub(1)));
+                shed.extend(free.vecs.drain(..on_hand.saturating_sub(1)));
             }
             let vec = free.vecs.pop();
             let cap = self.config.max_free_per_class.min(free.vecs.len());
-            reclaimed.extend(free.vecs.drain(cap..));
+            shed.extend(free.vecs.drain(cap..));
             vec
         };
-        self.counters.resizes.add(reclaimed.len() as u64);
+        self.counters.resizes.add(shed.len() as u64);
         if vec.is_some() {
             if stolen {
                 self.counters.steals.inc();

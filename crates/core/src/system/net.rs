@@ -34,7 +34,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
-use crate::codec::{self, CodecError};
+use crate::codec::{self, BatchFrame, CodecError};
 use crate::constructor::ConstructedBatch;
 
 /// Errors surfaced by a transport endpoint.
@@ -64,13 +64,14 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// A shared in-process batch plus its lazily memoized wire form: the
-/// first wire send serializes, and window resends or bucket-mate
-/// fan-out of the same batch reuse the cached bytes.
+/// A shared in-process batch plus its lazily memoized wire form, a
+/// [`BatchFrame`]: the frame's metadata and seal, with the payload bytes
+/// left in the batch's own `Bytes`. The first wire send builds it, and
+/// resends or bucket-mate fan-out of the same batch reuse it.
 #[derive(Debug, Clone)]
 pub struct SharedBatch {
     batch: Arc<ConstructedBatch>,
-    wire: Arc<std::sync::OnceLock<Bytes>>,
+    wire: Arc<std::sync::OnceLock<BatchFrame>>,
 }
 
 impl SharedBatch {
@@ -87,33 +88,33 @@ impl SharedBatch {
         Arc::clone(&self.batch)
     }
 
-    /// Forces the memoized wire encoding now, off the send path.
-    /// Constructor actors call this (when the session's transport
-    /// serializes) so a multi-megabyte batch is serialized on the
-    /// construct thread — overlapped with loader fetches and client
-    /// consumption — instead of stalling the serve loop's first send.
+    /// Forces the memoized wire form now, off the send path. Constructor
+    /// actors call this (when the session's transport serializes) so a
+    /// multi-megabyte batch is sealed on the construct thread —
+    /// overlapped with loader fetches and client consumption — instead
+    /// of stalling the serve loop's first send.
     pub fn warm(&self) {
-        let _ = self.encoded();
+        self.frame();
     }
 
-    /// The serialized wire form (the binary MSDB batch frame), computed
-    /// once per batch. The encode scratch is leased from the global
-    /// buffer pool and frozen in place: once the constructor's ready
-    /// queue retires the batch and every sent frame has been written,
-    /// the backing buffer's views all drop and the pool steals it back
-    /// for a later batch.
-    fn encoded(&self) -> Bytes {
-        self.wire
-            .get_or_init(|| {
-                let start = std::time::Instant::now();
-                let mut lease =
-                    crate::pool::global().lease(codec::encoded_batch_len(self.batch.as_ref()));
-                codec::encode_batch_into(self.batch.as_ref(), &mut lease);
-                let bytes = lease.freeze();
-                crate::metrics::record_stage(crate::metrics::Stage::Encode, start.elapsed());
-                bytes
-            })
-            .clone()
+    /// The wire form, built once per batch: the metadata is written and
+    /// every payload hashed in place for the seal; no payload is copied.
+    fn frame(&self) -> &BatchFrame {
+        self.wire.get_or_init(|| {
+            let start = std::time::Instant::now();
+            let frame = BatchFrame::encode(&self.batch);
+            crate::metrics::record_stage(crate::metrics::Stage::Encode, start.elapsed());
+            frame
+        })
+    }
+
+    /// Length of the wire form, read off the memo when it is built and
+    /// counted from the batch's fields when it is not.
+    fn wire_len(&self) -> usize {
+        self.wire.get().map_or_else(
+            || codec::encoded_batch_len(&self.batch),
+            BatchFrame::encoded_len,
+        )
     }
 }
 
@@ -155,12 +156,23 @@ impl BatchPayload {
         }
     }
 
-    /// The wire form of the payload; shared batches serialize once and
-    /// memoize.
-    pub fn encoded(&self) -> Bytes {
+    /// Length of the payload's wire form (a kind-11 frame), without
+    /// building it.
+    pub fn wire_len(&self) -> usize {
         match self {
-            BatchPayload::Shared(shared) => shared.encoded(),
-            BatchPayload::Encoded(bytes) => bytes.clone(),
+            BatchPayload::Shared(shared) => shared.wire_len(),
+            BatchPayload::Encoded(bytes) => bytes.len(),
+        }
+    }
+
+    /// Calls `f` on the payload's wire form in order. Received bytes are
+    /// one part; a shared batch yields its memoized [`BatchFrame`]
+    /// metadata interleaved with its samples' own payload views, building
+    /// the memo on first use.
+    pub fn for_each_part<'a>(&'a self, mut f: impl FnMut(&'a [u8])) {
+        match self {
+            BatchPayload::Shared(shared) => shared.frame().for_each_part(&shared.batch, f),
+            BatchPayload::Encoded(bytes) => f(bytes),
         }
     }
 }

@@ -684,8 +684,9 @@ impl ConstructorActor {
         )));
         crate::metrics::record_stage(crate::metrics::Stage::Construct, construct_start.elapsed());
         if self.pre_encode {
-            // Serialize here, on the construct thread, so the serve
-            // loop sends memoized bytes instead of encoding inline.
+            // Seal the wire form here, on the construct thread, so the
+            // serve loop sends the memoized frame instead of encoding
+            // inline.
             shared.warm();
         }
         self.ready.insert(step, shared.clone());

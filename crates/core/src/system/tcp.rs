@@ -17,9 +17,9 @@
 //! ```
 //!
 //! The receive thread reassembles frames across arbitrary packet
-//! boundaries (`read_exact` on the prefix, then on the body — a frame
-//! split at every single byte still reassembles). Failure mapping keeps
-//! the protocol's datagram worldview:
+//! boundaries (`read_exact` on the prefix, then a read of exactly `len`
+//! body bytes — a frame split at every single byte still reassembles).
+//! Failure mapping keeps the protocol's datagram worldview:
 //!
 //! - A frame **body** that fails MSDB decoding is discarded like a lost
 //!   datagram — the stream is still in sync because the length prefix
@@ -33,8 +33,10 @@
 //! ## Threads
 //!
 //! Each connection endpoint owns a send thread (drains a frame channel,
-//! encodes into one reusable scratch buffer, writes through a
-//! `BufWriter` that flushes when the queue goes idle) and a recv thread
+//! encodes each frame head into one reusable scratch buffer, writes
+//! control frames through a `BufWriter` that flushes when the queue goes
+//! idle, and writes batch frames straight to the socket as vectored
+//! writes over the head and the batch's own bytes) and a recv thread
 //! (blocking reassembly loop feeding a frame channel). The
 //! [`FrameTx`]/[`FrameRx`] halves only touch channels, so the serving
 //! plane above sees the exact same non-blocking surface as the other
@@ -43,7 +45,7 @@
 //! [`LoopbackTransport`]: crate::system::net::LoopbackTransport
 //! [`ChaosTransport`]: crate::system::chaos::ChaosTransport
 
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,7 +55,8 @@ use parking_lot::Mutex;
 
 use crate::codec;
 use crate::system::net::{
-    FrameRx, FrameTx, FrameWaker, NetError, Transport, TryRecv, WakeSlot, WireConn, WireFrame,
+    BatchPayload, FrameRx, FrameTx, FrameWaker, NetError, Transport, TryRecv, WakeSlot, WireConn,
+    WireFrame,
 };
 
 /// Upper bound on a frame body accepted off the wire. A length prefix
@@ -100,14 +103,72 @@ impl FrameRx for TcpRx {
     }
 }
 
+/// Most slices one vectored write is handed. A batch frame has two parts
+/// per sample payload, so a large batch goes out in several writes, each
+/// over a stack array of this many slices.
+const IOV_CHUNK: usize = 64;
+
+/// Gathers a frame's parts into a stack array of [`IoSlice`]s and writes
+/// each full array with vectored writes, so a frame of any number of
+/// parts is sent without a per-frame allocation. The first error sticks
+/// and skips every later write.
+struct Gather<'a, 'w> {
+    out: &'w mut TcpStream,
+    iov: [IoSlice<'a>; IOV_CHUNK],
+    len: usize,
+    sent: io::Result<()>,
+}
+
+impl<'a, 'w> Gather<'a, 'w> {
+    fn new(out: &'w mut TcpStream) -> Self {
+        Gather {
+            out,
+            iov: [IoSlice::new(&[]); IOV_CHUNK],
+            len: 0,
+            sent: Ok(()),
+        }
+    }
+
+    fn push(&mut self, part: &'a [u8]) {
+        if part.is_empty() {
+            return;
+        }
+        if self.len == IOV_CHUNK {
+            self.write();
+        }
+        self.iov[self.len] = IoSlice::new(part);
+        self.len += 1;
+    }
+
+    /// Writes the gathered slices in full, across partial writes.
+    fn write(&mut self) {
+        let mut bufs = &mut self.iov[..self.len];
+        self.len = 0;
+        while self.sent.is_ok() && !bufs.is_empty() {
+            match self.out.write_vectored(bufs) {
+                Ok(0) => self.sent = Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => self.sent = Err(e),
+            }
+        }
+    }
+
+    fn finish(mut self) -> io::Result<()> {
+        self.write();
+        self.sent
+    }
+}
+
 /// Send thread: drain the frame channel, encode each frame's head into
-/// one reusable scratch buffer, and write it length-prefixed. Batch
-/// payloads are written scatter-gather, straight from the memoized
-/// encoding shared across clients — a multi-megabyte batch is never
-/// copied into a per-frame buffer, and its bytes are only hashed once,
-/// when the shared encoding was first built. The `BufWriter` coalesces
-/// small control frames; it is flushed whenever the queue goes idle so
-/// latency never waits on a full buffer.
+/// one reusable scratch buffer, and write it length-prefixed. Control
+/// frames go through a `BufWriter` that coalesces them and is flushed
+/// whenever the queue goes idle, so latency never waits on a full
+/// buffer. A batch frame flushes it and goes straight to the socket in
+/// vectored writes over the length prefix, the head and the payload's
+/// parts: a shared batch's parts are its memoized frame metadata and the
+/// samples' own payload bytes, so no payload is copied into a send
+/// buffer, and it was hashed once, when the memo was built.
 fn spawn_writer(stream: TcpStream, rx: Receiver<WireFrame>) {
     std::thread::Builder::new()
         .name("msd/tcp-tx".into())
@@ -122,12 +183,21 @@ fn spawn_writer(stream: TcpStream, rx: Receiver<WireFrame>) {
                 loop {
                     let send_start = std::time::Instant::now();
                     let payload = codec::encode_wire_frame_parts(&frame, &mut scratch);
-                    let payload = payload.as_deref().unwrap_or(&[]);
-                    let len = (scratch.len() + payload.len()) as u32;
-                    if out.write_all(&len.to_le_bytes()).is_err()
-                        || out.write_all(&scratch).is_err()
-                        || out.write_all(payload).is_err()
-                    {
+                    let len = scratch.len() + payload.map_or(0, BatchPayload::wire_len);
+                    let prefix = (len as u32).to_le_bytes();
+                    let sent = match payload {
+                        None => out
+                            .write_all(&prefix)
+                            .and_then(|()| out.write_all(&scratch)),
+                        Some(payload) => out.flush().and_then(|()| {
+                            let mut gather = Gather::new(out.get_mut());
+                            gather.push(&prefix);
+                            gather.push(&scratch);
+                            payload.for_each_part(|part| gather.push(part));
+                            gather.finish()
+                        }),
+                    };
+                    if sent.is_err() {
                         break 'conn;
                     }
                     crate::metrics::record_stage(crate::metrics::Stage::Send, send_start.elapsed());
@@ -151,9 +221,9 @@ fn spawn_writer(stream: TcpStream, rx: Receiver<WireFrame>) {
         .expect("failed to spawn tcp writer thread");
 }
 
-/// Recv thread: blocking frame reassembly. `read_exact` loops over
-/// partial reads, so frames split at arbitrary byte boundaries (one
-/// byte at a time, in the adversarial tests) still reassemble intact.
+/// Recv thread: blocking frame reassembly. Both reads loop over partial
+/// reads, so frames split at arbitrary byte boundaries (one byte at a
+/// time, in the adversarial tests) still reassemble intact.
 fn spawn_reader(stream: TcpStream, tx: Sender<Result<WireFrame, NetError>>, wake: Arc<WakeSlot>) {
     std::thread::Builder::new()
         .name("msd/tcp-rx".into())
@@ -180,11 +250,13 @@ fn spawn_reader(stream: TcpStream, tx: Sender<Result<WireFrame, NetError>>, wake
                 // so the next frame of this connection steals the same
                 // backing storage once the previous batch is consumed.
                 // This is the per-connection decode scratch: steady-state
-                // receive runs without touching the allocator.
+                // receive runs without touching the allocator. The body
+                // is read into the lease's spare capacity, so no byte is
+                // zero-filled just to be overwritten.
                 let mut body = crate::pool::global().lease(len);
-                body.resize(len, 0);
-                if input.read_exact(&mut body).is_err() {
-                    break;
+                match (&mut input).take(len as u64).read_to_end(&mut body) {
+                    Ok(read) if read == len => {}
+                    _ => break, // EOF mid-frame or socket error.
                 }
                 match codec::decode_wire_frame_shared(&body.freeze()) {
                     // A corrupt body inside an intact frame boundary is

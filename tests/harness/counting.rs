@@ -1,0 +1,76 @@
+//! A counting global allocator that counts only the threads that opt in,
+//! for the counted test suites (`planner_scaling.rs`, `wire_allocs.rs`).
+//! A test crate includes it with
+//! `#[path = "harness/counting.rs"] mod counting;`, which installs it as
+//! that test binary's global allocator, and reads counts through
+//! [`counted`]. Counts are exact: only the calling thread is counted, so
+//! other tests running concurrently cannot disturb them.
+
+// A `GlobalAlloc` is an `unsafe impl`; this module is the only place the
+// test suite needs one.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// `System`, counting the calls and requested bytes of threads that
+/// opted in.
+struct ThreadCounting;
+
+thread_local! {
+    // Const-initialised and without destructors: reading or writing them
+    // never allocates, so the allocator may touch them.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn grew(bytes: usize) {
+    if COUNTING.with(Cell::get) {
+        CALLS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|b| b.set(b.get() + bytes as u64));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for ThreadCounting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller's layout is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller's layout is passed through as received.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this same layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grew(new_size);
+        // SAFETY: `ptr`/`layout` describe a live `System` block and
+        // `new_size` is the caller's, passed through as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: ThreadCounting = ThreadCounting;
+
+/// `(f's result, allocator calls, requested bytes)` of `f` on this
+/// thread.
+pub fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (CALLS.with(Cell::get), BYTES.with(Cell::get));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    let calls = CALLS.with(Cell::get) - before.0;
+    let bytes = BYTES.with(Cell::get) - before.1;
+    (out, calls, bytes)
+}

@@ -15,13 +15,10 @@
 //! Counts are exact: the test thread is the only one counted, so other
 //! tests running concurrently cannot disturb them.
 
-// A `GlobalAlloc` is an `unsafe impl`; this file is the only place the
-// test suite needs one.
-#![allow(unsafe_code)]
+#[path = "harness/counting.rs"]
+mod counting;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use counting::counted;
 use megascale_data::balance::{BackboneShape, BalanceMethod};
 use megascale_data::core::buffer::{BufferInfo, BufferSummary};
 use megascale_data::core::planner::{Planner, PlannerConfig, Strategy};
@@ -29,69 +26,8 @@ use megascale_data::core::schedule::MixSchedule;
 use megascale_data::data::{Modality, SampleMeta, SourceId};
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeviceMesh, DistributeAxis};
 
-/// `System`, counting the calls and requested bytes of threads that
-/// opted in.
-struct ThreadCounting;
-
-thread_local! {
-    // Const-initialised and without destructors: reading or writing them
-    // never allocates, so the allocator may touch them.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn grew(bytes: usize) {
-    if COUNTING.with(Cell::get) {
-        CALLS.with(|c| c.set(c.get() + 1));
-        BYTES.with(|b| b.set(b.get() + bytes as u64));
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
-unsafe impl GlobalAlloc for ThreadCounting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller's layout is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller's layout is passed through as received.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` for this same layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grew(new_size);
-        // SAFETY: `ptr`/`layout` describe a live `System` block and
-        // `new_size` is the caller's, passed through as received.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: ThreadCounting = ThreadCounting;
-
 /// Samples the `manysrc` planner draws per step.
 const DRAWN: usize = 1024;
-
-/// `(allocator calls, requested bytes)` made by `f` on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let before = (CALLS.with(Cell::get), BYTES.with(Cell::get));
-    COUNTING.with(|c| c.set(true));
-    let out = f();
-    COUNTING.with(|c| c.set(false));
-    let calls = CALLS.with(Cell::get) - before.0;
-    let bytes = BYTES.with(Cell::get) - before.1;
-    (out, calls, bytes)
-}
 
 /// One loader per source, each buffering `depth` text samples whose
 /// metadata depends only on (source, position): a deeper buffer holds the

@@ -41,7 +41,7 @@ use megascale_data::core::codec::{
     decode_topology, decode_wire_frame, decode_wire_frame_shared, encode_batch,
     encode_controller_checkpoint, encode_frontier_checkpoint, encode_loader_checkpoint,
     encode_plan_log, encode_plan_store, encode_planner_checkpoint, encode_topology,
-    encode_wire_frame, is_binary,
+    encode_wire_frame, is_binary, BatchFrame,
 };
 use megascale_data::core::constructor::{
     ClientDelivery, ConstructedBatch, Microbatch, PackedSequence, Segment,
@@ -539,6 +539,18 @@ proptest! {
         let encoded = encode_batch(&batch);
         prop_assert!(is_binary(&encoded));
         prop_assert_eq!(decode_batch(&encoded).unwrap(), batch);
+    }
+
+    /// The send-side form of a batch frame — metadata and seal, with the
+    /// payloads left in the batch — yields the contiguous frame's bytes,
+    /// seal included, when its parts are laid end to end.
+    #[test]
+    fn batch_frame_parts_concatenate_to_the_encoding(batch in constructed_batch()) {
+        let frame = BatchFrame::encode(&batch);
+        let mut parts = Vec::new();
+        frame.for_each_part(&batch, |part| parts.extend_from_slice(part));
+        prop_assert_eq!(frame.encoded_len(), parts.len());
+        prop_assert_eq!(parts, encode_batch(&batch));
     }
 
     /// The position ids a client derives from a decoded sequence — as an

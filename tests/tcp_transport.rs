@@ -26,7 +26,8 @@ use harness::{
     assert_byte_identical, assert_ordered_full, local_streams, opts, pipeline, placements,
     remote_streams, sample_ids, Stream,
 };
-use megascale_data::core::codec::encode_wire_frame;
+use megascale_data::core::codec::{encode_batch, encode_wire_frame};
+use megascale_data::core::constructor::{ConstructedBatch, Microbatch};
 use megascale_data::core::system::chaos::{ChaosPlan, ChaosTransport};
 use megascale_data::core::system::net::{
     BatchPayload, LoopbackTransport, NetError, Transport, WireConn, WireFrame,
@@ -114,6 +115,67 @@ fn tcp_client_killed_mid_stream_resumes_from_cursor() {
     assert!(victim_stat.resumes >= 1, "server never saw a re-subscribe");
     assert!(victim_stat.done, "victim's stream not finished");
     p.shutdown();
+}
+
+/// One microbatch of `payloads` sample payloads of `len` bytes each.
+fn batch_of(payloads: u64, len: usize) -> ConstructedBatch {
+    ConstructedBatch {
+        bucket: 1,
+        microbatches: vec![Microbatch {
+            bin: 0,
+            sequences: vec![],
+            payloads: (0..payloads)
+                .map(|id| {
+                    let bytes: Vec<u8> = (0..len).map(|i| (i as u64 * 31 + id) as u8).collect();
+                    (id, bytes::Bytes::from(bytes))
+                })
+                .collect(),
+            payload_bytes: payloads * len as u64,
+        }],
+        deliveries: vec![],
+    }
+}
+
+#[test]
+fn shared_batches_cross_a_real_socket_byte_identical() {
+    let t = TcpTransport::new().unwrap();
+    let (client, server) = t.pair();
+    // Both halves of both ends stay alive: a dropped sender shuts the
+    // socket down.
+    let (_ctx, mut crx) = client.split();
+    let (stx, _srx) = server.split();
+    let batches = [
+        // 3,001 parts, more than the 1,024 slices one vectored write
+        // may carry on Linux (`IOV_MAX`).
+        batch_of(1_500, 3),
+        // Multi-megabyte: many partial writes.
+        batch_of(3, 1 << 20),
+    ];
+    for (step, batch) in batches.into_iter().enumerate() {
+        let batch = Arc::new(batch);
+        stx.send(WireFrame::Batch {
+            client: 0,
+            step: step as u64,
+            payload: BatchPayload::shared(Arc::clone(&batch)),
+        })
+        .unwrap();
+        match crx.recv(RECV).expect("batch frame") {
+            WireFrame::Batch {
+                step: got,
+                payload: BatchPayload::Encoded(wire),
+                ..
+            } => {
+                assert_eq!(got, step as u64);
+                assert!(
+                    wire[..] == encode_batch(&batch)[..],
+                    "step {step}: wire bytes differ"
+                );
+                let decoded = BatchPayload::Encoded(wire).batch().expect("opens");
+                assert_eq!(*decoded, *batch);
+            }
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
