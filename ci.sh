@@ -47,6 +47,32 @@ if [ -n "$sim_names" ]; then
   exit 1
 fi
 
+# The serve plane waits on events, not clocks: a batch reaches the server
+# as a pushed `Ready`, leases expire on the server actor's deadline, and
+# the serve driver blocks on the frontier hub. A `thread::sleep` outside
+# tests is a poll loop unless it is one of the sites listed here, so a
+# new one fails until it is either replaced by an event or added to
+# this list with its reason.
+#   server.rs   2  client redial backoff; TCP accept loop (non-blocking listener)
+#   runtime.rs  5  driver fault retries (gather, plan x2, pop); shutdown's
+#                  wait for the controller to stop
+echo "==> no new sleep-poll loops in crates/core/src/system/"
+declare -A sleep_sites=([server.rs]=2 [runtime.rs]=5)
+sleep_bad=0
+for f in crates/core/src/system/*.rs; do
+  name=$(basename "$f")
+  found=$(awk '/^#\[cfg\(test\)\]/ { exit } /thread::sleep/ { n++ } END { print n + 0 }' "$f")
+  allowed=${sleep_sites[$name]:-0}
+  if [ "$found" -ne "$allowed" ]; then
+    echo "$f: $found non-test thread::sleep call sites, allowlist says $allowed" >&2
+    sleep_bad=1
+  fi
+done
+if [ "$sleep_bad" -ne 0 ]; then
+  echo "wait on an event instead, or update the allowlist above with the reason" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings (+allowlist)"
 cargo clippy --all-targets -- -D warnings "${ALLOW[@]}"
 
@@ -99,8 +125,8 @@ cargo test --test chaos_serve -q
 
 # The massive fan-out soak: 256 loopback clients (64 streaming, 192
 # idle-attached) — byte-identical active streams, nothing in flight to
-# idle sessions, idle sessions off the pump's activity ring, and the
-# reader thread count pinned against /proc.
+# idle sessions, no lease sweep while nothing is due, and the reader
+# thread count pinned against /proc.
 echo "==> cargo test --test many_clients -q"
 cargo test --test many_clients -q
 

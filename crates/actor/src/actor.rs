@@ -1,8 +1,8 @@
 //! The actor trait and typed actor references.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
@@ -19,6 +19,20 @@ pub trait Actor: Send + 'static {
 
     /// Called when the actor (re)starts, before the first message.
     fn started(&mut self, _ctx: &mut Ctx) {}
+
+    /// The instant this actor next wants [`Actor::deadline_passed`] to
+    /// run, if any. The run loop reads it before every receive and waits
+    /// for a message no longer than until then, so timed work (lease
+    /// expiry, say) needs no ticker thread and a busy mailbox cannot
+    /// starve it.
+    fn deadline(&self) -> Option<Instant> {
+        None
+    }
+
+    /// Runs on the actor's thread once [`Actor::deadline`] has passed. It
+    /// must move the deadline forward (or clear it), or it runs again at
+    /// once.
+    fn deadline_passed(&mut self, _ctx: &mut Ctx) {}
 
     /// Called when the actor stops cleanly.
     fn stopped(&mut self) {}
@@ -76,7 +90,9 @@ impl std::error::Error for AskError {}
 /// A cloneable, typed handle to an actor.
 pub struct ActorRef<M> {
     pub(crate) name: String,
-    pub(crate) tx: Sender<Envelope<M>>,
+    /// Shared so a supervisor can hold a [`WeakRef`] that does not keep
+    /// the mailbox open.
+    pub(crate) tx: Arc<Sender<Envelope<M>>>,
     pub(crate) alive: Arc<AtomicBool>,
     pub(crate) processed: Arc<AtomicU64>,
     pub(crate) queued: Arc<AtomicUsize>,
@@ -118,12 +134,17 @@ impl<M: Send + 'static> ActorRef<M> {
     }
 
     fn send_envelope(&self, envelope: Envelope<M>) -> bool {
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        if self.tx.send(envelope).is_ok() {
-            true
-        } else {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            false
+        send_counted(&self.tx, &self.queued, envelope)
+    }
+
+    /// A handle that does not keep the mailbox open.
+    pub(crate) fn downgrade(&self) -> WeakRef<M> {
+        WeakRef {
+            name: self.name.clone(),
+            tx: Arc::downgrade(&self.tx),
+            alive: self.alive.clone(),
+            processed: self.processed.clone(),
+            queued: self.queued.clone(),
         }
     }
 
@@ -170,7 +191,7 @@ impl<M: Send + 'static> ActorRef<M> {
         build: impl FnOnce(ReplyTo<R>) -> M,
     ) -> Result<PendingReply<R>, AskError> {
         let (tx, rx) = bounded(1);
-        let msg = build(ReplyTo { tx });
+        let msg = build(ReplyTo(Reply::Channel(tx)));
         if !self.send_envelope(Envelope::Msg(msg)) {
             return Err(AskError::Dead);
         }
@@ -198,6 +219,30 @@ impl<M: Send + 'static> ActorRef<M> {
     }
 }
 
+/// What a supervisor keeps to hand each incarnation its own [`ActorRef`]
+/// without holding the mailbox open: once every strong handle drops, the
+/// actor's receive ends as it would without a supervisor.
+pub(crate) struct WeakRef<M> {
+    name: String,
+    tx: Weak<Sender<Envelope<M>>>,
+    alive: Arc<AtomicBool>,
+    processed: Arc<AtomicU64>,
+    queued: Arc<AtomicUsize>,
+}
+
+impl<M> WeakRef<M> {
+    /// A strong handle, unless every strong handle has dropped.
+    pub(crate) fn upgrade(&self) -> Option<ActorRef<M>> {
+        Some(ActorRef {
+            name: self.name.clone(),
+            tx: self.tx.upgrade()?,
+            alive: self.alive.clone(),
+            processed: self.processed.clone(),
+            queued: self.queued.clone(),
+        })
+    }
+}
+
 /// An in-flight [`ActorRef::ask_pipelined`] reply.
 pub struct PendingReply<R> {
     rx: Receiver<R>,
@@ -215,26 +260,51 @@ impl<R> PendingReply<R> {
             }
         })
     }
+}
 
-    /// Non-blocking poll; returns the pending handle back while the reply
-    /// has not arrived yet.
-    pub fn try_wait(self) -> Result<R, Self> {
-        match self.rx.try_recv() {
-            Ok(r) => Ok(r),
-            Err(_) => Err(self),
+/// One-shot reply carried inside request messages: either the channel an
+/// [`ActorRef::ask`] waits on, or a message told to another actor
+/// ([`ReplyTo::tell`]). The replying actor cannot tell them apart.
+pub struct ReplyTo<R>(Reply<R>);
+
+enum Reply<R> {
+    Channel(Sender<R>),
+    Tell(Box<dyn FnOnce(R) -> bool + Send>),
+}
+
+impl<R> ReplyTo<R> {
+    /// A reply that arrives in `actor`'s mailbox as `wrap(value)`: the
+    /// replier pushes its answer to the requesting actor instead of
+    /// waking a blocked asker.
+    pub fn tell<M: Send + 'static>(
+        actor: &ActorRef<M>,
+        wrap: impl FnOnce(R) -> M + Send + 'static,
+    ) -> Self {
+        let tx = actor.tx.clone();
+        let queued = actor.queued.clone();
+        ReplyTo(Reply::Tell(Box::new(move |value| {
+            send_counted(&tx, &queued, Envelope::Msg(wrap(value)))
+        })))
+    }
+
+    /// Sends the reply; returns `false` if the asker gave up or the
+    /// actor to tell has stopped.
+    pub fn send(self, value: R) -> bool {
+        match self.0 {
+            Reply::Channel(tx) => tx.send(value).is_ok(),
+            Reply::Tell(tell) => tell(value),
         }
     }
 }
 
-/// One-shot reply channel carried inside request messages.
-pub struct ReplyTo<R> {
-    tx: Sender<R>,
-}
-
-impl<R: Send> ReplyTo<R> {
-    /// Sends the reply; returns `false` if the asker gave up.
-    pub fn send(self, value: R) -> bool {
-        self.tx.send(value).is_ok()
+/// Enqueues `envelope`, keeping the mailbox-depth gauge in step.
+fn send_counted<M>(tx: &Sender<Envelope<M>>, queued: &AtomicUsize, envelope: Envelope<M>) -> bool {
+    queued.fetch_add(1, Ordering::SeqCst);
+    if tx.send(envelope).is_ok() {
+        true
+    } else {
+        queued.fetch_sub(1, Ordering::SeqCst);
+        false
     }
 }
 
@@ -255,7 +325,7 @@ pub(crate) fn mailbox<M: Send + 'static>(name: &str) -> (ActorRef<M>, Mailbox<M>
     (
         ActorRef {
             name: name.to_string(),
-            tx,
+            tx: Arc::new(tx),
             alive: alive.clone(),
             processed: processed.clone(),
             queued: queued.clone(),

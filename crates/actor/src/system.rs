@@ -4,7 +4,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
+use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 
 use crate::actor::{mailbox, Actor, ActorRef, Ctx, Envelope, Mailbox};
@@ -103,14 +105,36 @@ impl ActorSystem {
         policy: RestartPolicy,
         factory: impl Fn() -> A + Send + 'static,
     ) -> ActorRef<A::Msg> {
+        self.spawn_supervised_with(name, policy, move |_| factory())
+    }
+
+    /// [`ActorSystem::spawn_supervised`] for an actor that needs its own
+    /// handle — to have other actors reply into its mailbox with
+    /// [`ReplyTo::tell`](crate::actor::ReplyTo::tell). Every incarnation's
+    /// factory receives the same handle, so replies addressed to a crashed
+    /// incarnation reach its successor.
+    pub fn spawn_supervised_with<A: Actor>(
+        &self,
+        name: &str,
+        policy: RestartPolicy,
+        factory: impl Fn(&ActorRef<A::Msg>) -> A + Send + 'static,
+    ) -> ActorRef<A::Msg> {
         let (aref, mbox) = mailbox::<A::Msg>(name);
+        let weak = aref.downgrade();
+        let mut first = Some(aref.clone());
         let name = name.to_string();
         let handle = std::thread::Builder::new()
             .name(format!("{}/{}", self.name, name))
             .spawn(move || {
                 let mut restarts = 0u32;
                 loop {
-                    let mut actor = factory();
+                    // Every strong handle has dropped: nothing could reach
+                    // a new incarnation, so none starts.
+                    let Some(me) = first.take().or_else(|| weak.upgrade()) else {
+                        break;
+                    };
+                    let mut actor = factory(&me);
+                    drop(me);
                     let finished = catch_unwind(AssertUnwindSafe(|| {
                         run_actor_loop(&mut actor, &mbox, &name, restarts)
                     }));
@@ -163,8 +187,23 @@ fn run_actor_loop<A: Actor>(actor: &mut A, mbox: &Mailbox<A::Msg>, name: &str, r
     mbox.alive.store(true, Ordering::SeqCst);
     actor.started(&mut ctx);
     while !ctx.stop_requested {
-        let Ok(envelope) = mbox.rx.recv() else {
-            break; // All senders dropped.
+        let envelope = match actor.deadline() {
+            None => match mbox.rx.recv() {
+                Ok(envelope) => envelope,
+                Err(_) => break, // All senders dropped.
+            },
+            Some(at) => {
+                let now = Instant::now();
+                if at <= now {
+                    actor.deadline_passed(&mut ctx);
+                    continue;
+                }
+                match mbox.rx.recv_timeout(at - now) {
+                    Ok(envelope) => envelope,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
         };
         mbox.queued.fetch_sub(1, Ordering::SeqCst);
         match envelope {
@@ -360,6 +399,201 @@ mod tests {
         assert_eq!(a.mailbox_depth(), 0);
         a.stop();
         sys.shutdown();
+    }
+
+    /// Reports each passed deadline on `fired` and clears it.
+    struct Timed {
+        at: Option<Instant>,
+        fired: std::sync::mpsc::Sender<Instant>,
+    }
+
+    impl Actor for Timed {
+        type Msg = ();
+        fn handle(&mut self, _msg: (), _ctx: &mut Ctx) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        fn deadline(&self) -> Option<Instant> {
+            self.at
+        }
+        fn deadline_passed(&mut self, _ctx: &mut Ctx) {
+            let _ = self.fired.send(Instant::now());
+            self.at = None;
+        }
+    }
+
+    fn spawn_timed(
+        sys: &ActorSystem,
+        after: Duration,
+    ) -> (ActorRef<()>, Instant, std::sync::mpsc::Receiver<Instant>) {
+        let (fired, rx) = std::sync::mpsc::channel();
+        let at = Instant::now() + after;
+        let a = sys.spawn(
+            "timed",
+            Timed {
+                at: Some(at),
+                fired,
+            },
+        );
+        (a, at, rx)
+    }
+
+    #[test]
+    fn deadline_fires_on_an_idle_mailbox() {
+        let sys = ActorSystem::new("t");
+        let (a, at, fired) = spawn_timed(&sys, Duration::from_millis(30));
+        let when = fired
+            .recv_timeout(ask_timeout())
+            .expect("deadline never fired");
+        assert!(when >= at);
+        assert!(
+            fired.recv_timeout(Duration::from_millis(50)).is_err(),
+            "fired twice"
+        );
+        a.stop();
+        sys.shutdown();
+    }
+
+    #[test]
+    fn deadline_fires_on_time_under_a_busy_mailbox() {
+        let sys = ActorSystem::new("t");
+        let (a, at, fired) = spawn_timed(&sys, Duration::from_millis(50));
+        // Keep messages queued for well past the deadline, so the actor
+        // never waits on an empty mailbox.
+        let spammer = {
+            let a = a.clone();
+            std::thread::spawn(move || {
+                let until = Instant::now() + Duration::from_millis(400);
+                while Instant::now() < until {
+                    if a.mailbox_depth() < 16 {
+                        a.tell(());
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        };
+        let when = fired
+            .recv_timeout(ask_timeout())
+            .expect("deadline never fired");
+        assert!(when >= at);
+        assert!(
+            when < at + Duration::from_millis(150),
+            "deadline starved by a busy mailbox: fired {:?} late",
+            when - at
+        );
+        spammer.join().unwrap();
+        a.stop();
+        sys.shutdown();
+    }
+
+    enum Collected {
+        Value(u64),
+        Take(ReplyTo<Vec<u64>>),
+    }
+
+    struct Collector(Vec<u64>);
+
+    impl Actor for Collector {
+        type Msg = Collected;
+        fn handle(&mut self, msg: Collected, _ctx: &mut Ctx) {
+            match msg {
+                Collected::Value(v) => self.0.push(v),
+                Collected::Take(reply) => {
+                    reply.send(std::mem::take(&mut self.0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tell_reply_lands_in_the_target_mailbox() {
+        let sys = ActorSystem::new("t");
+        let counter = sys.spawn("counter", Counter { value: 0 });
+        let collector_sys = ActorSystem::new("c");
+        let collector = collector_sys.spawn("collector", Collector(Vec::new()));
+        counter.tell(CounterMsg::Add(7));
+        counter.tell(CounterMsg::Get(ReplyTo::tell(&collector, Collected::Value)));
+        // The counter's reply is queued ahead of anything it handles
+        // later, so one more ask orders it before the Take below.
+        counter.ask(CounterMsg::Get, ask_timeout()).unwrap();
+        let got = collector.ask(Collected::Take, ask_timeout()).unwrap();
+        assert_eq!(got, vec![7]);
+
+        // Once the target has stopped, a tell reply reports the loss.
+        collector.stop();
+        collector_sys.shutdown();
+        assert!(!ReplyTo::tell(&collector, Collected::Value).send(1));
+        counter.stop();
+        sys.shutdown();
+    }
+
+    /// Tells itself `Add(1)` on start, through the handle its factory got.
+    struct SelfTeller {
+        me: ActorRef<CounterMsg>,
+        value: u64,
+    }
+
+    impl Actor for SelfTeller {
+        type Msg = CounterMsg;
+        fn started(&mut self, _ctx: &mut Ctx) {
+            self.me.tell(CounterMsg::Add(1));
+        }
+        fn handle(&mut self, msg: CounterMsg, _ctx: &mut Ctx) {
+            match msg {
+                CounterMsg::Add(n) => self.value += n,
+                CounterMsg::Get(reply) | CounterMsg::SlowGet(reply, _) => {
+                    reply.send(self.value);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_incarnation_gets_its_own_handle() {
+        let sys = ActorSystem::new("t");
+        let a =
+            sys.spawn_supervised_with("self", RestartPolicy::Restart { max_restarts: 1 }, |me| {
+                SelfTeller {
+                    me: me.clone(),
+                    value: 0,
+                }
+            });
+        // The self-told Add may land behind a Get sent at spawn: poll.
+        let reaches_one = |a: &ActorRef<CounterMsg>| {
+            let until = Instant::now() + ask_timeout();
+            while Instant::now() < until {
+                if a.ask(CounterMsg::Get, ask_timeout()) == Ok(1) {
+                    return true;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            false
+        };
+        assert!(reaches_one(&a));
+        a.inject_crash("boom");
+        assert!(reaches_one(&a), "the restarted incarnation lost its handle");
+        a.stop();
+        sys.shutdown();
+    }
+
+    #[test]
+    fn supervised_actor_ends_when_every_handle_drops() {
+        let sys = ActorSystem::new("t");
+        let a = sys.spawn_supervised(
+            "counter",
+            RestartPolicy::Restart { max_restarts: 1 },
+            || Counter { value: 0 },
+        );
+        a.tell(CounterMsg::Add(1));
+        drop(a);
+        let (done, joined) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            sys.shutdown();
+            let _ = done.send(());
+        });
+        joined
+            .recv_timeout(ask_timeout())
+            .expect("the supervisor kept an unreachable actor alive");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! - per-stage latencies ([`Stage`]: decode, construct, encode, send,
 //!   pump), recorded where the work happens (storage / synthetic
 //!   decode, constructor actors, batch serialization, the transport
-//!   send threads, the data server's pump);
+//!   send threads, the data server's `Ready` hand-off);
 //! - buffer-pool traffic (hit/miss/steal/resize counters and allocated
 //!   vs recycled byte totals, fed by [`crate::pool`]);
 //! - queue-depth gauges sampled by `ThreadedPipeline::stats()`.
@@ -209,10 +209,10 @@ pub enum Stage {
     Encode = 2,
     /// Transport send-path work (frame encode + socket/link hand-off).
     Send = 3,
-    /// One data-server pump tick: lease-wheel sweep plus draining the
-    /// activity ring. `benchmark/` reports it as `server.pump_p50_us` /
-    /// `server.pump_p99_us` — a tick must stay cheap no matter how many
-    /// idle sessions are connected.
+    /// One data-server `Ready` hand-off: sending the batch a constructor
+    /// pushed, plus issuing the client's next pull. `benchmark/` reports
+    /// it as `server.pump_p50_us` / `server.pump_p99_us`, which is why
+    /// the stage keeps this name.
     Pump = 4,
 }
 

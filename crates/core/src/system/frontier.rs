@@ -29,7 +29,8 @@
 //! [`DataServer`]: crate::system::server::DataServer
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// A capability holder in the frontier fold. Consumers are the only
 /// holders: constructors keep no cursors of their own and retire their
@@ -61,6 +62,10 @@ struct HubState {
     clamped_acquires: u64,
     /// Capabilities released (close, eviction, completion).
     releases: u64,
+    /// Threads blocked in [`FrontierHub::wait_until`]. A change signals
+    /// the condvar only when there are some: a wake is a syscall even
+    /// with nobody waiting, and cursors advance every step.
+    waiters: u32,
 }
 
 impl HubState {
@@ -93,6 +98,8 @@ impl HubState {
 #[derive(Debug, Default)]
 pub struct FrontierHub {
     state: Mutex<HubState>,
+    /// Signalled by [`FrontierHub::wake`] and every cursor change.
+    changed: Condvar,
 }
 
 /// A point-in-time snapshot of the fold, for checkpointing.
@@ -132,14 +139,55 @@ impl FrontierHub {
     /// The fold's state. The `expect` cannot fire: a mutex is poisoned
     /// only by a panic while it is held, and no hub method can panic
     /// while holding this one. Every critical section is map and
-    /// multiset bookkeeping on integers — no indexing, no unwrap, no call
-    /// into caller code — and its only arithmetic is counters bounded by
-    /// the number of holders or of calls, plus a multiset decrement that
-    /// runs only on a count of at least 1 (zero counts are removed).
+    /// multiset bookkeeping on integers — no indexing, no unwrap — and
+    /// its only arithmetic is counters bounded by the number of holders
+    /// or of calls, plus a multiset decrement that runs only on a count
+    /// of at least 1 (zero counts are removed). The one call into caller
+    /// code is [`FrontierHub::wait_until`]'s condition, which the serve
+    /// driver passes as a flag load and cursor comparisons.
     fn state(&self) -> MutexGuard<'_, HubState> {
         self.state
             .lock()
             .expect("frontier hub lock: no hub method panics while holding it")
+    }
+
+    /// Wakes every [`FrontierHub::wait_until`] caller to re-check its
+    /// condition — for whoever flips a flag a condition reads (a
+    /// session's stop). Cursor changes wake waiters on their own.
+    pub fn wake(&self) {
+        self.notify(&self.state());
+    }
+
+    /// Signals waiters, if any, with the lock held (so none can miss it
+    /// between checking its condition and blocking).
+    fn notify(&self, s: &HubState) {
+        if s.waiters > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Blocks until `ready(min_client_cursor)` holds or `deadline`
+    /// passes, re-checking after every acquire, advance, release and
+    /// [`FrontierHub::wake`]. Returns whether `ready` held.
+    pub fn wait_until(
+        &self,
+        deadline: Instant,
+        mut ready: impl FnMut(Option<u64>) -> bool,
+    ) -> bool {
+        let mut s = self.state();
+        while !ready(s.counts.keys().next().copied()) {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                return false;
+            };
+            s.waiters += 1;
+            s = self
+                .changed
+                .wait_timeout(s, left)
+                .expect("frontier hub lock: no hub method panics while holding it")
+                .0;
+            s.waiters -= 1;
+        }
+        true
     }
 
     /// Acquires (or re-acquires) a capability at `at`. Returns the granted
@@ -160,6 +208,7 @@ impl FrontierHub {
         s.holders.insert(holder, granted);
         s.count_insert(granted);
         s.refold();
+        self.notify(&s);
         granted
     }
 
@@ -178,6 +227,7 @@ impl FrontierHub {
         s.holders.insert(holder, to);
         s.count_insert(to);
         s.refold();
+        self.notify(&s);
     }
 
     /// Releases a holder's capability, removing it from the fold. The
@@ -191,6 +241,7 @@ impl FrontierHub {
         s.releases += 1;
         s.count_remove(prev);
         s.refold();
+        self.notify(&s);
     }
 
     /// The current global frontier: every step below it is retired.
@@ -240,6 +291,7 @@ impl FrontierHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn frontier_is_min_over_live_holders() {
@@ -330,6 +382,82 @@ mod tests {
         hub.release(Holder::Client(7));
         assert_eq!(hub.min_client_cursor(), None);
         assert_eq!(hub.frontier(), 12);
+    }
+
+    /// Runs `change` on another thread after a beat, while this one
+    /// waits for the lowest cursor to leave 0; returns what the wait
+    /// returned and how long it took.
+    fn wait_across(
+        hub: &std::sync::Arc<FrontierHub>,
+        change: impl FnOnce(&FrontierHub) + Send + 'static,
+    ) -> (bool, Duration) {
+        let other = hub.clone();
+        let changer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            change(&other);
+        });
+        let start = Instant::now();
+        let woke = hub.wait_until(start + Duration::from_secs(5), |min| min != Some(0));
+        changer.join().unwrap();
+        (woke, start.elapsed())
+    }
+
+    #[test]
+    fn wait_wakes_on_advance_and_on_release() {
+        let hub = std::sync::Arc::new(FrontierHub::new());
+        hub.acquire(Holder::Client(0), 0);
+        let (woke, took) = wait_across(&hub, |hub| hub.advance(Holder::Client(0), 3));
+        assert!(
+            woke && took < Duration::from_secs(1),
+            "advance: {woke} after {took:?}"
+        );
+
+        let hub = std::sync::Arc::new(FrontierHub::new());
+        hub.acquire(Holder::Client(0), 0);
+        hub.acquire(Holder::Client(1), 4);
+        let (woke, took) = wait_across(&hub, |hub| hub.release(Holder::Client(0)));
+        assert!(
+            woke && took < Duration::from_secs(1),
+            "release: {woke} after {took:?}"
+        );
+    }
+
+    #[test]
+    fn wait_returns_false_at_its_deadline() {
+        let hub = FrontierHub::new();
+        hub.acquire(Holder::Client(0), 0);
+        let start = Instant::now();
+        let deadline = start + Duration::from_millis(30);
+        assert!(!hub.wait_until(deadline, |min| min != Some(0)));
+        assert!(Instant::now() >= deadline);
+        // An advance that leaves the lowest cursor in place wakes the
+        // waiter but does not satisfy it.
+        hub.acquire(Holder::Client(1), 0);
+        hub.advance(Holder::Client(1), 5);
+        assert!(
+            !hub.wait_until(Instant::now() + Duration::from_millis(10), |min| {
+                min != Some(0)
+            })
+        );
+    }
+
+    #[test]
+    fn wake_rechecks_a_condition_outside_the_hub() {
+        let hub = std::sync::Arc::new(FrontierHub::new());
+        hub.acquire(Holder::Client(0), 0);
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = stop.clone();
+        let other = hub.clone();
+        let stopper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            flag.store(true, std::sync::atomic::Ordering::SeqCst);
+            other.wake();
+        });
+        let start = Instant::now();
+        assert!(hub.wait_until(start + Duration::from_secs(5), |_| stop
+            .load(std::sync::atomic::Ordering::SeqCst)));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        stopper.join().unwrap();
     }
 
     #[test]

@@ -567,7 +567,8 @@ pub enum ConstructorMsg {
         client: u32,
         /// The serve step the client needs next.
         step: u64,
-        /// Reply channel.
+        /// Where the batch goes: a local client's ask channel, or a
+        /// tell into the data server's mailbox.
         reply: ReplyTo<(u64, SharedBatch)>,
     },
     /// Report the serve steps currently queued for pulling clients.
@@ -1311,8 +1312,8 @@ pub struct ThreadedPipeline {
     fleet: Fleet,
     placement: PlacementView,
     /// Data-server actors opened by [`ThreadedPipeline::serve_distributed`]
-    /// (stopped at shutdown), paired with their pump threads' stop flags.
-    servers: Vec<(ActorRef<ServerMsg>, Arc<AtomicBool>)>,
+    /// (stopped at shutdown).
+    servers: Vec<ActorRef<ServerMsg>>,
     /// Shared control store (checkpoints, registry, fault log).
     pub gcs: Gcs,
 }
@@ -1674,9 +1675,8 @@ impl ThreadedPipeline {
                 }
             })
             .collect();
-        let stop = Arc::new(AtomicBool::new(false));
         // Local clients consume batches by `Arc`; nothing to pre-encode.
-        self.spawn_driver(opts, roster, clients, stop, false, hub)
+        self.spawn_driver(opts, roster, clients, false, hub)
     }
 
     /// Starts a *distributed* serve session: the driver pumps exactly as
@@ -1722,10 +1722,6 @@ impl ThreadedPipeline {
             .collect();
         let roster: Vec<(u32, usize)> = placed.iter().map(|(c, _, i)| (*c, *i)).collect();
 
-        // Parked pulls are re-issued on this cadence after constructor
-        // restarts; bounded so loss recovery stays well inside the
-        // driver's per-step retry budget.
-        let pull_retry = self.fleet.rpc_timeout.min(Duration::from_secs(2));
         let hub = Arc::new(FrontierHub::new());
         let factory_ctors = self.fleet.constructors.clone();
         let factory_placed = placed.clone();
@@ -1740,15 +1736,17 @@ impl ThreadedPipeline {
         // their orphaned sessions, redial under backoff, and resume
         // from their cursors — the frontier hub and the constructors'
         // ready queues live outside the server and survive the crash.
-        let actor = self.system.spawn_supervised(
+        // The factory hands each incarnation the server's own handle,
+        // which constructors answer its pulls through.
+        let actor = self.system.spawn_supervised_with(
             &name,
             RestartPolicy::Restart { max_restarts: 4 },
-            move || {
+            move |me| {
                 DataServer::new(
+                    me.clone(),
                     factory_ctors.clone(),
                     factory_placed.clone(),
                     factory_steps,
-                    pull_retry,
                     factory_config,
                     factory_gcs.clone(),
                     factory_hub.clone(),
@@ -1756,33 +1754,7 @@ impl ThreadedPipeline {
             },
         );
 
-        // The pump thread resolves the server's pipelined constructor
-        // pulls. Its lifetime is the *session's*: the driver's drain
-        // (and so `ServeSession::join`) depends on the pump advancing
-        // client cursors, and once the session is joined or dropped its
-        // stop flag ends the pump — sequential serve sessions do not
-        // accumulate 1 ms pollers. (The server actor itself stays
-        // alive, idle, for `DataServerHandle::status` until pipeline
-        // shutdown.)
-        let session_stop = Arc::new(AtomicBool::new(false));
-        let pipeline_stop = Arc::new(AtomicBool::new(false));
-        let pump_actor = actor.clone();
-        let pump_session_stop = session_stop.clone();
-        let pump_pipeline_stop = pipeline_stop.clone();
-        std::thread::Builder::new()
-            .name("msd/server-pump".to_string())
-            .spawn(move || {
-                while !pump_session_stop.load(Ordering::SeqCst)
-                    && !pump_pipeline_stop.load(Ordering::SeqCst)
-                {
-                    if pump_actor.mailbox_depth() < 8 && !pump_actor.tell(ServerMsg::Pump) {
-                        break; // Server stopped.
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-            .expect("failed to spawn server pump thread");
-        self.servers.push((actor.clone(), pipeline_stop));
+        self.servers.push(actor.clone());
 
         let pre_encode = transport.serializes();
         let handle = DataServerHandle::new(
@@ -1793,22 +1765,19 @@ impl ThreadedPipeline {
             opts.pull_timeout,
             opts.queue_depth.min(u64::from(u32::MAX)) as u32,
         );
-        let session = self.spawn_driver(opts, roster, Vec::new(), session_stop, pre_encode, hub);
+        let session = self.spawn_driver(opts, roster, Vec::new(), pre_encode, hub);
         (session, handle)
     }
 
     /// Spawns the serve driver over an explicit `(client, constructor)`
     /// roster; shared by local and distributed serving. Every rostered
     /// client holds a frontier capability from step 0 before the driver
-    /// starts, so backpressure binds from the first step. `stop` becomes
-    /// the session's stop flag (distributed serving also hangs its pump
-    /// thread's lifetime off it).
+    /// starts, so backpressure binds from the first step.
     fn spawn_driver(
         &mut self,
         opts: ServeOptions,
         roster: Vec<(u32, usize)>,
         clients: Vec<ServeClient>,
-        stop: Arc<AtomicBool>,
         pre_encode: bool,
         hub: Arc<FrontierHub>,
     ) -> ServeSession {
@@ -1816,6 +1785,7 @@ impl ThreadedPipeline {
             hub.acquire(Holder::Client(*client), 0);
         }
         let fleet = self.fleet.clone();
+        let stop = Arc::new(AtomicBool::new(false));
         let driver_stop = stop.clone();
         let driver_opts = opts;
         let driver_hub = hub.clone();
@@ -1842,11 +1812,9 @@ impl ThreadedPipeline {
 
     /// Stops all actors and joins their threads.
     pub fn shutdown(self) {
-        // Data servers (and their pump threads) first: they hold
-        // constructor handles and would otherwise keep issuing pulls
-        // into a fleet that is tearing down.
-        for (server, pump_stop) in &self.servers {
-            pump_stop.store(true, Ordering::SeqCst);
+        // Data servers first: they hold constructor handles and would
+        // otherwise keep issuing pulls into a fleet that is tearing down.
+        for server in &self.servers {
             server.stop();
         }
         // The controller must be fully out of the way before the loader
@@ -1960,9 +1928,11 @@ impl ServeSession {
         self.hub.frontier()
     }
 
-    /// Requests the driver to stop after the current step.
+    /// Requests the driver to stop after the current step; a driver
+    /// blocked on backpressure or the drain wakes at once.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.hub.wake();
     }
 
     /// Waits for the driver to finish; returns how many steps it
@@ -1978,7 +1948,7 @@ impl ServeSession {
 
 impl Drop for ServeSession {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop();
         if let Some(driver) = self.driver.take() {
             let _ = driver.join();
         }
@@ -2215,19 +2185,15 @@ fn run_serve_driver(
             fleet.controller.tell(ControllerMsg::Tick);
         }
 
-        // (8) Backpressure: stall while the slowest client's consumed
-        // cursor is more than `queue_depth` steps behind. Deadline-bounded
-        // so a vanished client cannot wedge the driver forever.
-        let mut stalls = 0u32;
-        while hub
-            .min_client_cursor()
-            .is_some_and(|c| s + 1 > c + opts.queue_depth)
-        {
-            if stop.load(Ordering::SeqCst) || Instant::now() > step_deadline {
-                break 'steps;
-            }
-            stalls += 1;
-            std::thread::sleep(Duration::from_millis(if stalls > 50 { 10 } else { 2 }));
+        // (8) Backpressure: block while the slowest client's consumed
+        // cursor is more than `queue_depth` steps behind; every cursor
+        // change and `stop` wake the wait. Deadline-bounded so a vanished
+        // client cannot wedge the driver forever.
+        let caught_up = hub.wait_until(step_deadline, |min| {
+            stop.load(Ordering::SeqCst) || min.is_none_or(|c| served <= c + opts.queue_depth)
+        });
+        if !caught_up || stop.load(Ordering::SeqCst) {
+            break 'steps;
         }
     }
 
@@ -2235,13 +2201,9 @@ fn run_serve_driver(
     // (completion and drop both *release*, so a departed client cannot
     // wedge it) or a generous deadline passes. The window stays intact
     // meanwhile, so a constructor restarting now still rebuilds.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !stop.load(Ordering::SeqCst)
-        && Instant::now() < deadline
-        && hub.min_client_cursor().is_some_and(|c| c < served)
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    hub.wait_until(Instant::now() + Duration::from_secs(60), |min| {
+        stop.load(Ordering::SeqCst) || min.is_none_or(|c| c >= served)
+    });
     // The session is over: free the retained samples.
     fleet.window.lock().steps.clear();
     served
@@ -2744,6 +2706,39 @@ mod tests {
             }
         }
         assert_eq!(session.join(), 6);
+        p.shutdown();
+    }
+
+    #[test]
+    fn stop_wakes_a_driver_blocked_on_backpressure() {
+        let mut p = pipeline();
+        let queue_depth = 2;
+        let mut session = p.serve(ServeOptions {
+            clients: 1,
+            steps: 50,
+            refill_target: 32,
+            queue_depth,
+            ..ServeOptions::default()
+        });
+        // The client holds its capability at step 0 and never pulls, so
+        // the driver builds `queue_depth + 1` steps and blocks.
+        let _idle = session.take_clients();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while p.stats().constructors[0].ready_steps.len() as u64 <= queue_depth {
+            assert!(
+                Instant::now() < deadline,
+                "driver never reached backpressure"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let start = Instant::now();
+        session.stop();
+        assert_eq!(session.join(), queue_depth + 1);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "stop took {:?} to reach a driver blocked on backpressure",
+            start.elapsed()
+        );
         p.shutdown();
     }
 }

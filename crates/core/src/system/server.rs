@@ -22,8 +22,10 @@
 //! Per client the server keeps cursors, never batches: the consumed
 //! cursor (from `Subscribe`/`Frontier`), the next step to pull, one
 //! pending pull, and the window `W`. It pulls a step from the client's
-//! constructor only while the step is below `consumed + W`, sends it
-//! straight to the wire, and folds every consumed report into the
+//! constructor only while the step is below `consumed + W`; the
+//! constructor answers by telling the server [`ServerMsg::Ready`] once
+//! the step is built, and the server sends it straight to the wire —
+//! nothing polls. It folds every consumed report into the
 //! session's frontier hub, so a slow (or vanished) trainer rank freezes
 //! its own capability and the serve driver's bounded-queue backpressure
 //! stalls the pipeline — queues never balloon on behalf of a rank that
@@ -63,7 +65,7 @@
 //!
 //! [`ThreadedPipeline`]: crate::system::runtime::ThreadedPipeline
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,7 +73,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use msd_actor::actor::ReplyTo;
-use msd_actor::{Actor, ActorRef, Ctx, Gcs, PendingReply};
+use msd_actor::{Actor, ActorRef, Ctx, Gcs};
 use msd_mesh::Rank;
 use msd_sim::SimRng;
 
@@ -125,8 +127,8 @@ impl Default for ServerConfig {
 /// Messages understood by the data-server actor.
 pub enum ServerMsg {
     /// A freshly dialed connection's server-side sender. The receiver
-    /// half is drained by a reader thread that forwards decoded frames
-    /// as [`ServerMsg::Frame`].
+    /// half is registered with the reader plane, which forwards decoded
+    /// frames as [`ServerMsg::Frame`].
     Session {
         /// Connection identity (unique per dial).
         session: u64,
@@ -145,9 +147,16 @@ pub enum ServerMsg {
         /// The dead session.
         session: u64,
     },
-    /// Poll pending constructor pulls and push window-eligible batches
-    /// (ticked by the pump thread).
-    Pump,
+    /// A constructor's answer to the server's pull of `step` for
+    /// `client`, told into this mailbox once the step is built.
+    Ready {
+        /// The client the pull was issued for.
+        client: u32,
+        /// The pulled serve step.
+        step: u64,
+        /// The constructed batch, shared with every bucket-mate.
+        batch: SharedBatch,
+    },
     /// Report per-client serving state.
     Status(ReplyTo<ServerStatus>),
 }
@@ -194,21 +203,16 @@ pub struct ServerStatus {
     /// re-pull from the constructor's ready queue. Kept so existing
     /// readers of the gauge still see it.
     pub retained_bytes: u64,
-    /// Cumulative sessions visited by lease sweeps. Each pump tick only
-    /// touches the expiry-wheel buckets that just came due, so this
-    /// grows with expirations — not with `sessions × ticks` (the
-    /// regression the wheel exists to prevent).
+    /// Cumulative sessions visited by lease sweeps. A sweep runs only
+    /// when the expiry wheel's first bucket comes due and touches only
+    /// the due buckets, so this grows with expirations — not with
+    /// sessions or elapsed time (the regression the wheel exists to
+    /// prevent).
     pub sweep_visited: u64,
-    /// Clients currently on the activity ring (what the next pump tick
-    /// will touch).
-    pub active: usize,
     /// The serve session's global step frontier: every step below this
     /// is provably consumed by every live capability holder.
     pub frontier: u64,
 }
-
-/// The in-flight constructor pull of one client.
-type PendingPull = (u64, Instant, PendingReply<(u64, SharedBatch)>);
 
 /// Binds `state` to `session` unless a *newer* session already owns the
 /// client (ids are monotone per server). Returns whether `session` is
@@ -247,7 +251,8 @@ struct ClientState {
     window: u64,
     /// Next step to pull from the constructor.
     next_pull: u64,
-    pending: Option<PendingPull>,
+    /// The step of the one pull in flight; its `Ready` issues the next.
+    pending: Option<u64>,
     /// Liveness lease: renewed by any frame from this client.
     last_seen: Instant,
     /// Latched by eviction so a client that stays silent is reaped
@@ -256,9 +261,6 @@ struct ClientState {
     resumes: u64,
     evictions: u64,
     done: bool,
-    /// Whether this client sits on the activity ring (dedup bit, so a
-    /// burst of frames enqueues it once per pump tick).
-    in_ring: bool,
     /// Whether this client sits in an expiry-wheel bucket (dedup bit;
     /// lease renewals re-bucket lazily at sweep time).
     in_wheel: bool,
@@ -277,11 +279,11 @@ impl ClientState {
 ///
 /// [`ThreadedPipeline::serve_distributed`]: crate::system::runtime::ThreadedPipeline::serve_distributed
 pub struct DataServer {
+    /// This server's own mailbox: constructors answer its pulls by
+    /// telling it [`ServerMsg::Ready`].
+    me: ActorRef<ServerMsg>,
     constructors: Vec<ActorRef<ConstructorMsg>>,
     steps: u64,
-    /// A parked pull older than this is assumed lost to a constructor
-    /// restart and re-issued (re-pulls are idempotent).
-    pull_retry: Duration,
     sessions: HashMap<u64, Box<dyn FrameTx>>,
     clients: HashMap<u32, ClientState>,
     config: ServerConfig,
@@ -297,10 +299,6 @@ pub struct DataServer {
     batches_tx: u64,
     evictions: u64,
     rejections: u64,
-    /// Clients with recent inbound activity or in-flight pulls: the
-    /// only clients a pump tick touches, so tick cost tracks *active*
-    /// clients, not connected sessions.
-    ring: VecDeque<u32>,
     /// Count of clients with a bound session (the admission-control
     /// denominator), maintained incrementally so admission is O(1).
     bound: usize,
@@ -318,14 +316,15 @@ pub struct DataServer {
 }
 
 impl DataServer {
-    /// Creates the server for one serve session. `placements` carries
-    /// `(client, rank, constructor index)` triples — the mesh lookup
-    /// happened in the caller, which owns the `ClientPlaceTree`.
+    /// Creates the server for one serve session. `me` is the server's
+    /// own handle; `placements` carries `(client, rank, constructor
+    /// index)` triples — the mesh lookup happened in the caller, which
+    /// owns the `ClientPlaceTree`.
     pub fn new(
+        me: ActorRef<ServerMsg>,
         constructors: Vec<ActorRef<ConstructorMsg>>,
         placements: Vec<(u32, Rank, usize)>,
         steps: u64,
-        pull_retry: Duration,
         config: ServerConfig,
         gcs: Gcs,
         hub: Arc<FrontierHub>,
@@ -349,16 +348,15 @@ impl DataServer {
                         resumes: 0,
                         evictions: 0,
                         done: false,
-                        in_ring: false,
                         in_wheel: false,
                     },
                 )
             })
             .collect();
         let mut server = DataServer {
+            me,
             constructors,
             steps,
-            pull_retry,
             sessions: HashMap::new(),
             clients,
             config,
@@ -368,7 +366,6 @@ impl DataServer {
             batches_tx: 0,
             evictions: 0,
             rejections: 0,
-            ring: VecDeque::new(),
             bound: 0,
             wheel: BTreeMap::new(),
             epoch: Instant::now(),
@@ -416,17 +413,63 @@ impl DataServer {
         self.wheel.entry(bucket).or_default().push(client);
     }
 
-    /// Puts a client on the activity ring for the next pump tick
-    /// (deduped via its `in_ring` bit).
-    fn enqueue_ring(&mut self, client: u32) {
+    /// When the expiry wheel's first bucket is due: the end of its
+    /// span, by which every lease deadline in it has passed — so a sweep
+    /// then leaves nothing in that bucket and the deadline moves on.
+    fn next_sweep(&self) -> Option<Instant> {
+        let (&bucket, _) = self.wheel.first_key_value()?;
+        let buckets = u32::try_from(bucket.saturating_add(1)).unwrap_or(u32::MAX);
+        self.epoch
+            .checked_add(self.wheel_granularity.saturating_mul(buckets))
+    }
+
+    /// Issues the client's next pull while the window has room and no
+    /// pull is in flight. The constructor answers by telling this server
+    /// [`ServerMsg::Ready`] once the step is built; a pull lost to a
+    /// constructor restart is re-issued by the client's re-`Subscribe`.
+    fn pull(&mut self, client: u32) {
         let Some(state) = self.clients.get_mut(&client) else {
             return;
         };
-        if state.in_ring || state.done {
+        if state.done || !state.subscribed || state.pending.is_some() || !state.may_pull(self.steps)
+        {
             return;
         }
-        state.in_ring = true;
-        self.ring.push_back(client);
+        let step = state.next_pull;
+        let reply = ReplyTo::tell(&self.me, move |(step, batch)| ServerMsg::Ready {
+            client,
+            step,
+            batch,
+        });
+        if self.constructors[state.ctor].tell(ConstructorMsg::Pull {
+            client,
+            step,
+            reply,
+        }) {
+            state.pending = Some(step);
+            state.next_pull = step + 1;
+        }
+    }
+
+    /// A constructor's answer: send the batch if it is the client's
+    /// pending step, then pull the next one. Any other step is stale — a
+    /// pull a re-`Subscribe`, a finish or an eviction superseded — and is
+    /// dropped.
+    fn ready(&mut self, client: u32, step: u64, batch: SharedBatch) {
+        let Some(state) = self.clients.get_mut(&client) else {
+            return;
+        };
+        if state.pending != Some(step) {
+            return;
+        }
+        let start = Instant::now();
+        state.pending = None;
+        // The constructor hands every bucket-mate the same wrapper, so the
+        // memoized wire form is shared (and, on serializing transports,
+        // already sealed at construct time).
+        self.send_batch(client, step, batch);
+        self.pull(client);
+        crate::metrics::record_stage(crate::metrics::Stage::Pump, start.elapsed());
     }
 
     /// Sends one batch frame to a client's bound session; a send failure
@@ -555,9 +598,6 @@ impl DataServer {
             state.reaped = false;
         }
         self.arm_lease(client);
-        // Inbound activity can unblock the pump (slid window, fresh
-        // subscription): put the client on the ring.
-        self.enqueue_ring(client);
         match frame {
             WireFrame::Hello { rank, .. } => {
                 let Some(state) = self.clients.get(&client) else {
@@ -644,6 +684,7 @@ impl DataServer {
                 if from_step >= self.steps {
                     self.finish(client);
                 }
+                self.pull(client);
             }
             WireFrame::Frontier { consumed, .. } => {
                 if let Some(state) = self.clients.get_mut(&client) {
@@ -657,6 +698,7 @@ impl DataServer {
                     if state.consumed >= self.steps {
                         self.finish(client);
                     }
+                    self.pull(client);
                 }
             }
             WireFrame::Close { .. } => {
@@ -680,69 +722,6 @@ impl DataServer {
                 // Clients never send batches or rejections, and
                 // `Frontier` carries what `Ack`/`Credit` once did; ignore.
             }
-        }
-    }
-
-    /// Drives one client forward: resolve its parked pull and send it,
-    /// then issue the next one while the window allows.
-    fn pump_client(&mut self, client: u32) {
-        loop {
-            let Some(state) = self.clients.get_mut(&client) else {
-                return;
-            };
-            if state.done || !state.subscribed {
-                return;
-            }
-            // Resolve the in-flight pull, if any.
-            if let Some((step, issued, reply)) = state.pending.take() {
-                match reply.try_wait() {
-                    Ok((got, shared)) => {
-                        debug_assert_eq!(got, step);
-                        // The constructor hands every bucket-mate the
-                        // same wrapper, so the memoized wire encoding is
-                        // shared (and, on serializing transports,
-                        // already warmed at construct time).
-                        self.send_batch(client, step, shared);
-                        continue; // The slot is free for the next pull.
-                    }
-                    Err(reply) => {
-                        if issued.elapsed() > self.pull_retry {
-                            // The constructor likely restarted and lost
-                            // the parked reply; re-issue (idempotent).
-                            let ctor = &self.constructors[state.ctor];
-                            match ctor.ask_pipelined(move |tx| ConstructorMsg::Pull {
-                                client,
-                                step,
-                                reply: tx,
-                            }) {
-                                Ok(p) => state.pending = Some((step, Instant::now(), p)),
-                                Err(_) => state.pending = None, // Retry next pump.
-                            }
-                        } else {
-                            state.pending = Some((step, issued, reply));
-                        }
-                        return;
-                    }
-                }
-            }
-            // Issue the next pull while inside the window.
-            if state.may_pull(self.steps) {
-                let step = state.next_pull;
-                let ctor = &self.constructors[state.ctor];
-                match ctor.ask_pipelined(move |tx| ConstructorMsg::Pull {
-                    client,
-                    step,
-                    reply: tx,
-                }) {
-                    Ok(p) => {
-                        state.pending = Some((step, Instant::now(), p));
-                        state.next_pull = step + 1;
-                    }
-                    Err(_) => return, // Constructor mid-restart.
-                }
-                continue;
-            }
-            return;
         }
     }
 
@@ -775,12 +754,12 @@ impl DataServer {
             rejections: self.rejections,
             retained_bytes: 0,
             sweep_visited: self.sweep_visited,
-            active: self.ring.len(),
             frontier: self.hub.frontier(),
         }
     }
 
-    /// Lease sweep, run on every pump tick: evict unfinished clients
+    /// Lease sweep, run when the actor deadline
+    /// ([`DataServer::next_sweep`]) passes: evict unfinished clients
     /// that have gone silent past the lease. Subscribed or not: even a
     /// client that never dialed (or whose session died with a server
     /// restart) pins its frontier capability, so silence past the lease
@@ -788,8 +767,8 @@ impl DataServer {
     /// construction.
     ///
     /// Cost: only the expiry-wheel buckets at or before the current
-    /// tick are popped, so a tick with nothing due touches zero
-    /// sessions no matter how many are connected. A client whose lease
+    /// instant are popped, so a sweep touches only the sessions that
+    /// were due, no matter how many are connected. A client whose lease
     /// was renewed after bucketing is simply re-bucketed at its real
     /// deadline (lazy re-bucket: renewals never touch the wheel).
     fn sweep_leases(&mut self) {
@@ -800,7 +779,7 @@ impl DataServer {
         let due = self.wheel_bucket(now);
         // Snapshot the due bucket keys first: a client renewed into the
         // still-current bucket re-inserts under a popped key, and
-        // re-scanning the live map would revisit it in the same tick.
+        // re-scanning the live map would revisit it in the same sweep.
         let due_buckets: Vec<u64> = self
             .wheel
             .range(..=due)
@@ -841,6 +820,16 @@ impl DataServer {
 impl Actor for DataServer {
     type Msg = ServerMsg;
 
+    /// Lease expiry needs no ticker: the run loop calls
+    /// [`Actor::deadline_passed`] when the wheel's first bucket is due.
+    fn deadline(&self) -> Option<Instant> {
+        self.next_sweep()
+    }
+
+    fn deadline_passed(&mut self, _ctx: &mut Ctx) {
+        self.sweep_leases();
+    }
+
     fn handle(&mut self, msg: ServerMsg, _ctx: &mut Ctx) {
         match msg {
             ServerMsg::Session { session, tx } => {
@@ -856,35 +845,11 @@ impl Actor for DataServer {
                     }
                 }
             }
-            ServerMsg::Pump => {
-                // A tick costs O(due lease buckets + active clients):
-                // parked sessions are invisible to it, which is what
-                // keeps per-idle-client cost flat (`tests/many_clients.rs`
-                // pins idle sessions off the ring and out of the sweep).
-                let tick_start = Instant::now();
-                self.sweep_leases();
-                let rounds = self.ring.len();
-                for _ in 0..rounds {
-                    let Some(client) = self.ring.pop_front() else {
-                        break;
-                    };
-                    if let Some(state) = self.clients.get_mut(&client) {
-                        state.in_ring = false;
-                    }
-                    self.pump_client(client);
-                    // Stay on the ring while work is still in flight: a
-                    // parked pull needs a future tick to resolve, and an
-                    // open window with no pull pending means the issue
-                    // failed (constructor mid-restart) and must retry.
-                    let again = self.clients.get(&client).is_some_and(|s| {
-                        !s.done && s.subscribed && (s.pending.is_some() || s.may_pull(self.steps))
-                    });
-                    if again {
-                        self.enqueue_ring(client);
-                    }
-                }
-                crate::metrics::record_stage(crate::metrics::Stage::Pump, tick_start.elapsed());
-            }
+            ServerMsg::Ready {
+                client,
+                step,
+                batch,
+            } => self.ready(client, step, batch),
             ServerMsg::Status(reply) => {
                 reply.send(self.status());
             }
@@ -1073,14 +1038,13 @@ impl DataServerHandle {
                             }
                             handle.register(conn);
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            if !handle.actor.is_alive() {
-                                return; // Session shut down; stop accepting.
-                            }
-                            std::thread::sleep(idle_wait);
-                            idle_wait = (idle_wait * 2).min(IDLE_MAX);
-                        }
+                        // Nothing to accept, or a failed accept (e.g.
+                        // EMFILE): either way, stop once the session has
+                        // shut down rather than retrying forever.
                         Err(_) => {
+                            if !handle.actor.is_alive() {
+                                return;
+                            }
                             std::thread::sleep(idle_wait);
                             idle_wait = (idle_wait * 2).min(IDLE_MAX);
                         }
@@ -1560,6 +1524,16 @@ mod tests {
         assert!(d <= BASE, "post-reset delay {d:?} exceeds base {BASE:?}");
     }
 
+    /// Stands in for the server's own mailbox: the constructor's
+    /// `Ready`s land here unread, and tests hand them to the server
+    /// directly.
+    struct Unread;
+
+    impl Actor for Unread {
+        type Msg = ServerMsg;
+        fn handle(&mut self, _msg: ServerMsg, _ctx: &mut Ctx) {}
+    }
+
     fn test_server(config: ServerConfig) -> (msd_actor::ActorSystem, DataServer) {
         let system = msd_actor::ActorSystem::new("server-test");
         let mesh = msd_mesh::DeviceMesh::pp_dp_cp_tp(1, 1, 1, 1).unwrap();
@@ -1578,11 +1552,12 @@ mod tests {
         for client in [0, 1] {
             hub.acquire(Holder::Client(client), 0);
         }
+        let me = system.spawn("server", Unread);
         let server = DataServer::new(
+            me,
             vec![ctor],
             vec![(0, 0, 0), (1, 1, 0)],
             4,
-            Duration::from_millis(100),
             config,
             Gcs::new(),
             hub,
@@ -1591,11 +1566,13 @@ mod tests {
     }
 
     /// Registers a live sender for `session`, as `ServerMsg::Session`
-    /// would before any frame of a real dial arrives.
-    fn open_session(server: &mut DataServer, session: u64) {
-        let (_, server_end) = crate::system::net::LoopbackTransport.pair();
+    /// would before any frame of a real dial arrives. Returns the
+    /// client's end.
+    fn open_session(server: &mut DataServer, session: u64) -> WireConn {
+        let (client_end, server_end) = crate::system::net::LoopbackTransport.pair();
         let (tx, _rx) = server_end.split();
         server.sessions.insert(session, tx);
+        client_end
     }
 
     #[test]
@@ -1698,7 +1675,7 @@ mod tests {
 
         // Nothing is due: a sweep visits zero sessions no matter how
         // many are parked (the old implementation walked every client
-        // on every tick — the regression this test pins).
+        // on every sweep — the regression this test pins).
         server.sweep_leases();
         assert_eq!(server.sweep_visited, 0);
 
@@ -1726,7 +1703,7 @@ mod tests {
         assert_eq!(server.sweep_visited, 3);
         assert_eq!(server.evictions, 2);
 
-        // Popped buckets and the reaped latch: further ticks are free.
+        // Popped buckets and the reaped latch: further sweeps are free.
         server.sweep_leases();
         assert_eq!(server.sweep_visited, 3);
     }
@@ -1887,15 +1864,103 @@ mod tests {
                 credits: 4,
             },
         );
+        // The pull cursor rewinds to the resume point, and the lost step
+        // is re-pulled from the constructor's ready queue at once.
         let state = &server.clients[&0];
         assert_eq!(state.resumes, 1);
-        assert_eq!((state.consumed, state.next_pull), (1, 1));
-
-        // The lost step is re-pulled from the constructor's ready queue.
-        server.pump_client(0);
-        let state = &server.clients[&0];
-        assert_eq!(state.pending.as_ref().map(|(step, _, _)| *step), Some(1));
+        assert_eq!(state.consumed, 1);
+        assert_eq!(state.pending, Some(1));
         assert_eq!(state.next_pull, 2);
+    }
+
+    fn batch() -> SharedBatch {
+        SharedBatch::new(Arc::new(ConstructedBatch {
+            bucket: 0,
+            microbatches: Vec::new(),
+            deliveries: Vec::new(),
+        }))
+    }
+
+    #[test]
+    fn ready_sends_the_pending_step_and_pulls_the_next() {
+        let (_system, mut server) = test_server(ServerConfig::default());
+        let mut client = open_session(&mut server, 1);
+        server.handle_frame(1, WireFrame::Hello { client: 0, rank: 0 });
+        server.handle_frame(
+            1,
+            WireFrame::Subscribe {
+                client: 0,
+                from_step: 0,
+                credits: 2,
+            },
+        );
+        // Subscribe issues the first pull; one pull is in flight at a time.
+        assert_eq!(server.clients[&0].pending, Some(0));
+        assert_eq!(server.clients[&0].next_pull, 1);
+
+        // A Ready for any other step is stale and dropped.
+        server.ready(0, 1, batch());
+        assert_eq!(
+            (server.batches_tx, server.clients[&0].pending),
+            (0, Some(0))
+        );
+
+        // The pending step is sent and the next pull goes out.
+        server.ready(0, 0, batch());
+        assert_eq!(server.batches_tx, 1);
+        assert_eq!(server.clients[&0].pending, Some(1));
+        match client.rx.recv(Duration::from_secs(1)) {
+            Ok(WireFrame::Batch { step: 0, .. }) => {}
+            other => panic!("expected step 0's batch, got {other:?}"),
+        }
+
+        // The window [0, 2) is then full: no pull until a Frontier
+        // slides it.
+        server.ready(0, 1, batch());
+        assert_eq!(server.clients[&0].pending, None);
+        report(&mut server, 1);
+        assert_eq!(server.clients[&0].pending, Some(2));
+
+        // A Subscribe supersedes the pull in flight: its late Ready is
+        // dropped, and the re-pull from the cursor is the pending one.
+        server.handle_frame(
+            1,
+            WireFrame::Subscribe {
+                client: 0,
+                from_step: 1,
+                credits: 2,
+            },
+        );
+        assert_eq!(server.clients[&0].pending, Some(1));
+        server.ready(0, 2, batch());
+        assert_eq!(server.batches_tx, 2);
+    }
+
+    #[test]
+    fn the_server_deadline_is_the_end_of_the_first_due_bucket() {
+        let lease = Duration::from_millis(40); // Wheel granularity: 10 ms.
+        let (_system, mut server) = test_server(ServerConfig {
+            lease: Some(lease),
+            ..ServerConfig::default()
+        });
+        // Both placed clients are armed at construction, in one bucket.
+        let at = server.next_sweep().expect("armed leases set a deadline");
+        assert!(at >= server.clients[&0].last_seen + lease);
+        assert!(at <= server.epoch + lease + server.wheel_granularity);
+
+        // Sweeping at the deadline empties that bucket: the silent
+        // clients are evicted and, latched, leave no deadline behind.
+        std::thread::sleep(at.saturating_duration_since(Instant::now()));
+        server.sweep_leases();
+        assert_eq!(server.evictions, 2);
+        assert_eq!(server.next_sweep(), None);
+
+        // Leases off: no deadline at all.
+        let (_system, server) = test_server(ServerConfig {
+            lease: None,
+            ..ServerConfig::default()
+        });
+        assert_eq!(server.next_sweep(), None);
     }
 
     #[test]

@@ -347,3 +347,82 @@ fn server_restart_keeps_released_capabilities_released() {
     drop(spectator);
     p.shutdown();
 }
+
+/// A pull parked on a step that is not built yet dies with its
+/// constructor: the restarted incarnation rebuilds its ready queue from
+/// the retained window but knows nothing of the pull. The client's
+/// quiet-timeout re-`Subscribe` re-issues it, so the stream stays
+/// byte-identical and finishes within a few pull timeouts of the crash.
+#[test]
+fn constructor_crash_under_a_parked_remote_pull_recovers_by_resubscribe() {
+    const STEPS: u64 = 10;
+    let reference = local_streams(88, 2, STEPS);
+
+    let mut p = pipeline(88);
+    let o = opts(2, STEPS);
+    let (session, handle) = p.serve_distributed(o, Arc::new(LoopbackTransport), &placements(2));
+
+    // Client 1 has not dialed, so its capability holds the driver at
+    // `queue_depth + 1` built steps. Client 0 consumes them and parks a
+    // pull on the next step, which is not built yet.
+    let parked = o.queue_depth + 1;
+    let collect = |mut rc: megascale_data::core::system::server::RemoteClient| {
+        std::thread::spawn(move || {
+            let mut stream = Stream::new();
+            while let Some(item) = rc.next() {
+                stream.push(item);
+            }
+            stream
+        })
+    };
+    let (done, victim_done) = mpsc::channel();
+    let victim = collect(handle.connect(0));
+    std::thread::spawn(move || {
+        let _ = done.send(victim.join().expect("victim thread"));
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let status = handle.status().expect("server status");
+        let c0 = status.clients.iter().find(|c| c.client == 0).unwrap();
+        if c0.consumed == parked && c0.next_pull == parked + 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "client 0 never parked a pull on step {parked}: {c0:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // The pull went out before the status reply, so this ask queues
+    // behind it: the constructor has parked the pull on an unbuilt step.
+    let ready = p.stats().constructors[0].ready_steps.clone();
+    assert!(
+        !ready.contains(&parked),
+        "step {parked} was built: {ready:?}"
+    );
+
+    p.constructor_actors()[0].inject_crash("test: crash under a parked pull");
+    let crashed = Instant::now();
+    // Release the driver: client 1 dials and consumes its stream.
+    let peer = collect(handle.connect(1));
+    let victim_stream = victim_done
+        .recv_timeout(o.pull_timeout * 20)
+        .expect("client 0 never recovered its lost pull");
+    let took = crashed.elapsed();
+    assert!(
+        took < o.pull_timeout * 5,
+        "recovery took {took:?}, over five pull timeouts of {:?}",
+        o.pull_timeout
+    );
+    let peer_stream = peer.join().expect("peer thread");
+    assert_eq!(session.join(), STEPS, "driver fell short after the crash");
+
+    let streams = vec![(0u32, victim_stream), (1u32, peer_stream)];
+    assert_ordered_full(&streams, STEPS);
+    assert_byte_identical(
+        &reference,
+        &streams,
+        "constructor crash under a parked pull",
+    );
+    p.shutdown();
+}
