@@ -101,6 +101,13 @@ cargo test --test elastic_runtime -q
 echo "==> cargo test --test distributed_serve -q"
 cargo test --test distributed_serve -q
 
+# Inline ≡ threaded: both deployments built from the same parts deliver
+# byte-identical streams, and payloads reach batches uncopied. Loaders
+# buffer samples part-transformed and finish them at pop, so this is the
+# guard that where the pipeline is cut never shows in what is delivered.
+echo "==> cargo test --test zero_copy_dataplane -q"
+cargo test --test zero_copy_dataplane -q
+
 # Actor kills mid-serve; its constructor kills are the gate on
 # `started()` rehydration from the driver's retained window.
 echo "==> cargo test --test runtime_concurrency -q"

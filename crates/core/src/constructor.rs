@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use msd_data::Sample;
-use msd_mesh::{cp_partition, delivery_kind, Axis, DeliveryKind, DeviceMesh, Rank};
+use msd_mesh::{cp_range, delivery_kind, Axis, DeliveryKind, DeviceMesh, Rank};
 
 use crate::plan::BucketPlan;
 
@@ -347,8 +347,7 @@ impl DataConstructor {
                             mb.sequences
                                 .iter()
                                 .map(|seq| {
-                                    let parts = cp_partition(seq.padded_len(), cp);
-                                    let r = &parts[cp_coord as usize];
+                                    let r = cp_range(seq.padded_len(), cp, cp_coord);
                                     (r.start, r.end)
                                 })
                                 .collect()

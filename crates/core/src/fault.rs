@@ -124,11 +124,12 @@ impl ShadowedLoader {
         let mut replayed_samples = 0;
         for ids in &self.since_snapshot {
             // Re-materialize everything this plan consumed, then drop it
-            // again (it was already delivered downstream).
+            // again (it was already delivered downstream) without running
+            // the pop-time transforms.
             restored
                 .refill(restored.buffered() + ids.len())
                 .expect("synthetic refill cannot fail");
-            replayed_samples += restored.pop(ids).len();
+            replayed_samples += restored.discard(ids);
         }
         self.primary = Some(restored);
         FailoverReport {

@@ -6,6 +6,18 @@
 //! *metadata* to the Planner. Keeping file access states inside one loader
 //! per source — instead of one per worker per rank — is the architecture's
 //! source-redundancy fix (Sec 3).
+//!
+//! # What the buffer holds
+//!
+//! Loader memory grows with every buffered sample (Fig 4), so the buffer
+//! keeps each sample at its smallest point: after only the
+//! transfer-optimal prefix of its pipeline
+//! ([`TransformPipeline::min_transfer_index`]). Image and audio samples
+//! wait as raw bytes, video as keyframes, text as tokens (for text the
+//! prefix is the whole pipeline). [`SourceLoader::pop`] runs the rest on
+//! exactly the samples a plan takes, and [`SourceLoader::summary`]
+//! reports each buffered sample's metadata as it will be once popped, so
+//! plans and delivered bytes do not depend on where the cut lies.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -111,8 +123,14 @@ pub struct SourceLoader {
     samples_produced: u64,
     /// The transforms that run loader-side, built once rather than per
     /// sample: all of `spec.pipeline()`, or — under a transformation-
-    /// reordering split (Sec 6.2) — only its first `idx` transforms.
+    /// reordering split (Sec 6.2) — only its first `idx` transforms. Its
+    /// whole cost is charged when a sample is produced.
     pipeline: TransformPipeline,
+    /// The part of `pipeline` that runs at refill: its transfer-optimal
+    /// prefix, or all of it under a reordering split.
+    head: TransformPipeline,
+    /// The rest of `pipeline`, run at pop on the samples a plan takes.
+    tail: TransformPipeline,
     /// The rest of a split pipeline, deferred to the Data Constructor.
     deferred: Option<TransformPipeline>,
     /// Working buffers of the transform chain, reused for every sample.
@@ -123,8 +141,12 @@ impl SourceLoader {
     /// Creates a loader that synthesizes samples from the spec.
     pub fn synthetic(spec: SourceSpec, config: LoaderConfig, seed: u64) -> Self {
         let rng = SimRng::seed(seed ^ (u64::from(config.loader_id) << 32));
+        let pipeline = spec.pipeline();
+        let (head, tail) = pipeline.split_for_transfer();
         SourceLoader {
-            pipeline: spec.pipeline(),
+            pipeline,
+            head,
+            tail,
             deferred: None,
             scratch: TransformScratch::default(),
             spec,
@@ -140,14 +162,20 @@ impl SourceLoader {
     }
 
     /// Enables transformation reordering: only pipeline transforms before
-    /// `idx` run in this loader; the tail is the constructor's job (fetch
-    /// it via [`SourceLoader::deferred_pipeline`]). `None` restores the
-    /// default (whole pipeline loader-side). Affects samples produced by
-    /// *future* refills only.
+    /// `idx` run in this loader, all of them at refill, and the tail is
+    /// the constructor's job (fetch it via
+    /// [`SourceLoader::deferred_pipeline`]). `None` restores the default
+    /// (whole pipeline loader-side, its transfer-optimal prefix at refill
+    /// and the rest at pop). Set it before the first refill: samples
+    /// already buffered pop with the new split's pop-time tail.
     pub fn set_transform_split(&mut self, idx: Option<usize>) {
-        let (head, tail) = self.spec.pipeline().split_at(idx.unwrap_or(usize::MAX));
-        self.pipeline = head;
-        self.deferred = (!tail.is_empty()).then_some(tail);
+        let (pipeline, deferred) = self.spec.pipeline().split_at(idx.unwrap_or(usize::MAX));
+        (self.head, self.tail) = match idx {
+            Some(_) => pipeline.split_at(usize::MAX),
+            None => pipeline.split_for_transfer(),
+        };
+        self.pipeline = pipeline;
+        self.deferred = (!deferred.is_empty()).then_some(deferred);
     }
 
     /// The transforms this loader defers to the constructor, if any
@@ -247,9 +275,9 @@ impl SourceLoader {
                     ..meta
                 };
                 // Synthesize into a pooled lease instead of a fresh vec:
-                // at steady state the payload's backing buffer is one the
-                // pipeline already finished serving, reclaimed once every
-                // downstream `Bytes` view of it dropped.
+                // the lease is the raw payload the buffer holds until a
+                // pop (or the refill-time head) transforms it, and the
+                // pool reclaims it once that last view of it dropped.
                 let mut lease = crate::pool::global().lease(Sample::synthesized_len(&meta));
                 Sample::synthesize_payload_into(&meta, &mut lease);
                 Sample {
@@ -287,11 +315,12 @@ impl SourceLoader {
             }
         };
         crate::metrics::record_stage(crate::metrics::Stage::Decode, decode_start.elapsed());
-        // Sample-level transformations happen inside the loader —
-        // all of them by default, or just the pre-split head when
-        // transformation reordering defers the rest (Sec 6.2).
+        // Sample-level transformations happen inside the loader, charged
+        // in full here: the transfer-optimal head now, the rest at pop
+        // (or, under transformation reordering, the pre-split head now
+        // and the rest at the constructor, Sec 6.2).
         let cost = self.pipeline.cost_ns(&sample.meta);
-        self.pipeline.apply_with(&mut sample, &mut self.scratch);
+        self.head.apply_with(&mut sample, &mut self.scratch);
         // Worker parallelism amortizes transform latency (Sec 5.1's
         // "Worker Parallel" scheme).
         let spent_ns = cost / u64::from(self.config.workers.max(1));
@@ -339,7 +368,9 @@ impl SourceLoader {
         dropped
     }
 
-    /// Buffer-metadata summary for the Planner.
+    /// Buffer-metadata summary for the Planner: each buffered sample's
+    /// metadata as [`SourceLoader::pop`] will deliver it, i.e. after the
+    /// pop-time tail (see the module docs).
     pub fn summary(&self) -> BufferSummary {
         let mean = if self.samples_produced == 0 {
             0.0
@@ -349,7 +380,11 @@ impl SourceLoader {
         BufferSummary {
             loader_id: self.config.loader_id,
             source: self.spec.id,
-            samples: self.buffer.iter().map(|s| s.meta).collect(),
+            samples: self
+                .buffer
+                .iter()
+                .map(|s| self.tail.settled_meta(s.meta, s.payload.len()))
+                .collect(),
             mean_transform_ns: mean,
         }
     }
@@ -366,7 +401,8 @@ impl SourceLoader {
     }
 
     /// Drains the whole read buffer for a retirement hand-off: returns
-    /// every buffered sample (in buffer order) and leaves the buffer
+    /// every buffered sample (in buffer order, as buffered: before the
+    /// pop-time tail, which the adopting peer runs) and leaves the buffer
     /// empty. Because the actor wrapper processes messages sequentially,
     /// a drain can never race a pop — a sample is either popped (and
     /// delivered) *or* drained (and handed off), never both.
@@ -385,9 +421,10 @@ impl SourceLoader {
         self.buffer.extend(samples);
     }
 
-    /// Pops the samples a plan directive names, in directive order.
-    /// Unknown ids are skipped (they may have been popped by a prior plan
-    /// replay — idempotence matters for failover).
+    /// Pops the samples a plan directive names, in directive order, and
+    /// runs the pop-time tail of the pipeline on them. Unknown ids are
+    /// skipped (they may have been popped by a prior plan replay —
+    /// idempotence matters for failover).
     pub fn pop(&mut self, ids: &[u64]) -> Vec<Sample> {
         let mut out = Vec::with_capacity(ids.len());
         self.pop_into(ids, &mut out);
@@ -397,6 +434,25 @@ impl SourceLoader {
     /// [`SourceLoader::pop`], appending to `out`: a host popping several
     /// loaders for one reply collects them in one vector.
     pub fn pop_into(&mut self, ids: &[u64], out: &mut Vec<Sample>) {
+        let popped = out.len();
+        self.take_into(ids, out);
+        for sample in &mut out[popped..] {
+            self.tail.apply_with(sample, &mut self.scratch);
+        }
+    }
+
+    /// Removes the samples a directive names exactly as
+    /// [`SourceLoader::pop`] does, but drops them untransformed: replay
+    /// of samples already delivered before a failure. Returns how many
+    /// were removed.
+    pub fn discard(&mut self, ids: &[u64]) -> usize {
+        let mut taken = Vec::new();
+        self.take_into(ids, &mut taken);
+        taken.len()
+    }
+
+    /// Moves the named samples, as buffered, from the buffer to `out`.
+    fn take_into(&mut self, ids: &[u64], out: &mut Vec<Sample>) {
         // A plan usually names the front of the buffer in buffer order:
         // that run pops straight off.
         let mut rest = ids;
@@ -431,8 +487,8 @@ impl SourceLoader {
         out.extend(slots.into_iter().flatten());
     }
 
-    /// Resident memory: one per-source access state + buffered payloads +
-    /// per-worker contexts.
+    /// Resident memory: one per-source access state + buffered payloads
+    /// (as buffered, before the pop-time tail) + per-worker contexts.
     pub fn memory_bytes(&self) -> u64 {
         let buffer: u64 = self.buffer.iter().map(|s| s.payload.len() as u64).sum();
         self.spec.access_state.total() + buffer + u64::from(self.config.workers) * WORKER_CTX_BYTES
@@ -505,8 +561,9 @@ fn read_stored_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msd_data::catalog::coyo700m_like;
+    use msd_data::catalog::{coyo700m_like, navit_like};
     use msd_data::gen::materialize_source;
+    use msd_data::Modality;
 
     fn spec() -> SourceSpec {
         let mut rng = SimRng::seed(11);
@@ -606,22 +663,96 @@ mod tests {
     #[test]
     fn scratch_stops_growing_and_payloads_are_exact_sized() {
         // coyo's source 0 is an image source: decode → crop → flip →
-        // tokenize, i.e. two 12x intermediates per sample.
+        // tokenize, i.e. two 12x intermediates per sample. The buffer
+        // holds raw bytes, so all of it runs at pop.
         let mut l = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), 42);
         l.refill(64).unwrap();
-        let high_water = l.scratch.capacity();
-        // Raw payloads are capped at 8 KB, so the decode output — the
-        // largest intermediate — at 96 KB; a grown Vec at most doubles.
-        assert!((1..=2 * 12 * 8192).contains(&high_water), "{high_water}");
+        assert_eq!(l.scratch.capacity(), 0, "refill ran the decode");
+        let mut high_water = None;
         for _ in 0..8 {
-            for sample in l.drain() {
+            let ids: Vec<u64> = l.summary().samples.iter().map(|m| m.sample_id).collect();
+            for sample in l.pop(&ids) {
                 let len = sample.payload.len();
                 let backing = sample.payload.try_reclaim().expect("sole view");
                 assert_eq!((backing.len(), backing.capacity()), (len, len));
             }
+            // Raw payloads are capped at 8 KB, so the decode output — the
+            // largest intermediate — at 96 KB; a grown Vec at most doubles.
+            let grown = l.scratch.capacity();
+            assert!((1..=2 * 12 * 8192).contains(&grown), "{grown}");
+            assert_eq!(*high_water.get_or_insert(grown), grown);
             l.refill(64).unwrap();
-            assert_eq!(l.scratch.capacity(), high_water);
         }
+    }
+
+    #[test]
+    fn summary_metas_are_the_popped_metas() {
+        let catalog = navit_like(&mut SimRng::seed(3));
+        for modality in [
+            Modality::Image,
+            Modality::Video,
+            Modality::Audio,
+            Modality::Text,
+        ] {
+            let spec = catalog
+                .sources()
+                .iter()
+                .find(|s| s.modality == modality)
+                .expect("navit_like has every modality")
+                .clone();
+            let mk = |shard| LoaderConfig {
+                shard,
+                shards: 2,
+                loader_id: shard,
+                ..LoaderConfig::solo(shard)
+            };
+            let mut l = SourceLoader::synthetic(spec.clone(), mk(0), 5);
+            let mut retiring = SourceLoader::synthetic(spec, mk(1), 5);
+            l.refill(12).unwrap();
+            retiring.refill(6).unwrap();
+            l.adopt(retiring.drain());
+            let promised: Vec<SampleMeta> = l.summary().samples;
+            // Only text buffers its samples as they will be delivered.
+            let buffered: u64 = l.buffer.iter().map(|s| s.payload.len() as u64).sum();
+            let settled: u64 = promised.iter().map(|m| m.raw_bytes).sum();
+            assert_eq!(
+                settled == buffered,
+                modality == Modality::Text,
+                "{modality:?}"
+            );
+
+            // A front run, then out of order (adopted samples too), then
+            // whatever is left.
+            let ids: Vec<u64> = promised.iter().map(|m| m.sample_id).collect();
+            let mut popped = l.pop(&ids[..3]);
+            popped.extend(l.pop(&[ids[14], ids[7], ids[4], ids[16]]));
+            popped.extend(l.pop(&ids));
+            assert_eq!(popped.len(), promised.len());
+            for sample in &popped {
+                let want = promised
+                    .iter()
+                    .find(|m| m.sample_id == sample.meta.sample_id);
+                assert_eq!(Some(&sample.meta), want, "{modality:?}");
+                assert_eq!(sample.meta.raw_bytes, sample.payload.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn discard_leaves_the_buffer_as_pop_does_without_transforming() {
+        let mut popping = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), 8);
+        let mut discarding = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), 8);
+        popping.refill(16).unwrap();
+        discarding.refill(16).unwrap();
+        let ids: Vec<u64> = popping.summary().samples[3..9]
+            .iter()
+            .map(|m| m.sample_id)
+            .collect();
+        assert_eq!(popping.pop(&ids).len(), discarding.discard(&ids));
+        assert_eq!(popping.summary(), discarding.summary());
+        // The image source's decode ran for the pop only.
+        assert!(popping.scratch.capacity() > 0);
+        assert_eq!(discarding.scratch.capacity(), 0);
     }
 
     #[test]

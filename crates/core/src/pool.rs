@@ -15,14 +15,25 @@
 //! borrows the timely-dataflow allocator trick: when a buffer is
 //! frozen, the pool *parks a clone* of the `Bytes` handle. Once every
 //! consumer view drops, the parked handle is the unique owner
-//! ([`Bytes::is_unique`]), and the next lease reclaims the backing
+//! ([`Bytes::is_unique`]), and a later lease reclaims the backing
 //! `Vec<u8>` via [`Bytes::try_reclaim`] — no free, no malloc, full
 //! capacity back.
 //!
+//! Reclaim is a clock sweep, oldest first. A class parks its buffers in
+//! a queue in freeze order, and every lease advances over at most
+//! `SWEEP_STEP` of the oldest: each whose views have all dropped goes
+//! onto the class free list, each still viewed moves to the back of the
+//! queue. So a lease costs the same however many buffers are parked, a
+//! buffer long held — a Source Loader's raw samples wait in its buffer
+//! until a plan pops them — costs one queue slot and a look per turn of
+//! the sweep, and a buffer comes back within one turn of its last view
+//! dropping.
+//!
 //! Three ways storage comes back:
-//! - **steal** — a parked `Bytes` went unique and its backing vec was
-//!   reclaimed on lease;
-//! - **hit** — a plain recycled vec was waiting on the class free list;
+//! - **steal** — the lease's own sweep reclaimed a parked `Bytes` that
+//!   went unique;
+//! - **hit** — a vec was waiting on the class free list (recycled, or
+//!   reclaimed by an earlier lease's sweep);
 //! - **miss** — nothing available; a fresh vec is allocated.
 //!
 //! What the pool holds idle follows demand, not its peak: every
@@ -37,6 +48,7 @@
 //! no deadlock. All internal locks are short push/pop critical
 //! sections on per-class free lists.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use bytes::{Bytes, BytesMut};
@@ -50,10 +62,14 @@ pub struct PoolConfig {
     pub min_class_bytes: usize,
     /// Largest size class in bytes (requests above it bypass the pool).
     pub max_class_bytes: usize,
-    /// Cap on idle recycled vecs kept per class; overflow is dropped
-    /// (counted as a resize) so the pool cannot hoard memory.
+    /// Cap on idle vecs [`BufferPool::recycle_vec`] keeps per class;
+    /// overflow is dropped (counted as a resize) so the pool cannot hoard
+    /// memory.
     pub max_free_per_class: usize,
-    /// Cap on parked frozen handles per class awaiting reclaim.
+    /// Cap on parked frozen handles per class awaiting reclaim. It must
+    /// cover the frozen buffers that are alive at once (a loader fleet's
+    /// buffered raw samples): a buffer frozen past the cap is never
+    /// reclaimed, so its class pays a fresh allocation for it later.
     pub max_parked_per_class: usize,
 }
 
@@ -63,7 +79,7 @@ impl Default for PoolConfig {
             min_class_bytes: 1 << 10,
             max_class_bytes: 16 << 20,
             max_free_per_class: 32,
-            max_parked_per_class: 256,
+            max_parked_per_class: 4096,
         }
     }
 }
@@ -71,12 +87,37 @@ impl Default for PoolConfig {
 /// Leases of one size class between two trims of its free list.
 const TRIM_INTERVAL: u32 = 256;
 
+/// Parked buffers one lease sweeps, oldest first.
+const SWEEP_STEP: usize = 8;
+
 /// One power-of-two size class: recycled vecs ready to hand out, plus
 /// frozen handles parked until their consumers drop.
 #[derive(Debug, Default)]
 struct SizeClass {
     free: Mutex<FreeList>,
-    parked: Mutex<Vec<Bytes>>,
+    /// Frozen handles in freeze order, oldest at the front.
+    parked: Mutex<VecDeque<Bytes>>,
+}
+
+/// Advances a class's sweep over at most [`SWEEP_STEP`] of its oldest
+/// parked buffers: each whose views have all dropped goes onto `free`,
+/// each still viewed to the back of the queue. Returns whether it
+/// reclaimed any.
+fn sweep_oldest(parked: &mut VecDeque<Bytes>, free: &mut Vec<Vec<u8>>) -> bool {
+    let before = free.len();
+    for _ in 0..SWEEP_STEP.min(parked.len()) {
+        let Some(oldest) = parked.pop_front() else {
+            break;
+        };
+        match oldest.try_reclaim() {
+            Ok(mut vec) => {
+                vec.clear();
+                free.push(vec);
+            }
+            Err(viewed) => parked.push_back(viewed),
+        }
+    }
+    free.len() > before
 }
 
 /// A class's recycled vecs, with the demand bookkeeping behind trimming.
@@ -233,35 +274,16 @@ impl BufferPool {
         // Shed vecs are freed once the lock is released; the list only
         // allocates on a lease that sheds.
         let mut shed: Vec<Vec<u8>> = Vec::new();
-        let mut stolen = false;
-        let vec = {
+        let (vec, stolen) = {
             // Lock order: free, then parked (as `idle_buffers`).
             let mut free = class.free.lock().expect("pool free lock");
-            // Sweep the parked list: any frozen buffer whose consumers
-            // have all dropped is uniquely owned, and its backing vec
-            // goes straight onto the free list, to serve this lease and
-            // later hits.
-            {
-                let mut parked = class.parked.lock().expect("pool parked lock");
-                let mut i = 0;
-                while i < parked.len() {
-                    if parked[i].is_unique() {
-                        match parked.swap_remove(i).try_reclaim() {
-                            Ok(mut vec) => {
-                                vec.clear();
-                                free.vecs.push(vec);
-                                stolen = true;
-                            }
-                            Err(bytes) => {
-                                parked.insert(i, bytes);
-                                i += 1;
-                            }
-                        }
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
+            // Reclaimed buffers join the free list uncapped: the parked
+            // cap bounds them, and the trim below sheds what demand
+            // leaves unused.
+            let stolen = sweep_oldest(
+                &mut class.parked.lock().expect("pool parked lock"),
+                &mut free.vecs,
+            );
             free.low_water = free.low_water.min(free.vecs.len());
             free.leases += 1;
             if free.leases == TRIM_INTERVAL {
@@ -269,10 +291,7 @@ impl BufferPool {
                 let on_hand = std::mem::replace(&mut free.low_water, usize::MAX);
                 shed.extend(free.vecs.drain(..on_hand.saturating_sub(1)));
             }
-            let vec = free.vecs.pop();
-            let cap = self.config.max_free_per_class.min(free.vecs.len());
-            shed.extend(free.vecs.drain(cap..));
-            vec
+            (free.vecs.pop(), stolen)
         };
         self.counters.resizes.add(shed.len() as u64);
         if vec.is_some() {
@@ -339,7 +358,7 @@ impl BufferPool {
         };
         let mut parked = self.classes[idx].parked.lock().expect("pool parked lock");
         if parked.len() < self.config.max_parked_per_class {
-            parked.push(bytes);
+            parked.push_back(bytes);
         } else {
             self.counters.resizes.inc();
         }
@@ -368,14 +387,16 @@ impl BufferPool {
         }
     }
 
-    /// Idle buffers currently held (free-listed plus parked), summed
-    /// across classes. Test/diagnostic aid.
+    /// Idle buffers currently held, summed across classes: free-listed
+    /// ones plus parked ones no view holds any more (a parked buffer a
+    /// consumer still views is in use, not idle). Test/diagnostic aid.
     pub fn idle_buffers(&self) -> usize {
         self.classes
             .iter()
             .map(|c| {
-                c.free.lock().expect("pool free lock").vecs.len()
-                    + c.parked.lock().expect("pool parked lock").len()
+                let free = c.free.lock().expect("pool free lock");
+                let parked = c.parked.lock().expect("pool parked lock");
+                free.vecs.len() + parked.iter().filter(|b| b.is_unique()).count()
             })
             .sum()
     }
@@ -478,6 +499,7 @@ mod tests {
         let frozen = lease.freeze();
         let view = frozen.slice(10..20);
         drop(frozen);
+        assert_eq!(p.idle_buffers(), 0, "a viewed buffer is not idle");
 
         // A view is still alive: the lease below must not steal it.
         let second = p.lease(2048);
@@ -485,6 +507,7 @@ mod tests {
         assert_eq!(&view[..], &[7u8; 10]);
         drop(second);
         drop(view);
+        assert_eq!(p.idle_buffers(), 2, "one free-listed, one parked unviewed");
 
         // All views gone: now the backing vec comes back as a steal.
         let third = p.lease(2048);

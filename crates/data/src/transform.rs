@@ -35,6 +35,16 @@
 //! pipeline for many samples owns the scratch and passes it to
 //! [`TransformPipeline::apply_with`]; [`TransformPipeline::apply`] is the
 //! same chain over a throwaway scratch.
+//!
+//! # Where a pipeline is cut
+//!
+//! A pipeline need not run in one place. [`TransformPipeline::split_at`]
+//! cuts it in two, and [`TransformPipeline::min_transfer_index`] names
+//! the cut after which the payload is smallest: raw JPEG for image and
+//! audio, keyframes for video, tokens for text (Sec 6.2). A Source
+//! Loader buffers each sample at that cut and runs the rest only on the
+//! samples a plan pops; [`TransformPipeline::settled_meta`] tells the
+//! planner, from lengths alone, what metadata the rest will leave.
 
 use crate::sample::{Modality, Sample, SampleMeta};
 
@@ -398,6 +408,23 @@ impl TransformPipeline {
     /// [`TransformPipeline::min_transfer_index`].
     pub fn split_for_transfer(&self) -> (TransformPipeline, TransformPipeline) {
         self.split_at(self.min_transfer_index())
+    }
+
+    /// The metadata [`TransformPipeline::apply`] leaves on a sample with
+    /// metadata `meta` and a `len`-byte payload, computed from lengths
+    /// alone: the chain's own `Crop` and output-length arithmetic, no
+    /// payload bytes touched. A loader that buffers samples before their
+    /// pipeline's tail reports what each will be once popped.
+    pub fn settled_meta(&self, mut meta: SampleMeta, len: usize) -> SampleMeta {
+        if self.transforms.is_empty() {
+            return meta;
+        }
+        let len = self.transforms.iter().fold(len, |len, t| match t {
+            Transform::Crop { max_patches } => crop(&mut meta, *max_patches, len).unwrap_or(len),
+            t => t.output_len(len),
+        });
+        meta.raw_bytes = len as u64;
+        meta
     }
 
     /// Whether the pipeline has no transforms.

@@ -22,7 +22,7 @@ pub mod tree;
 
 pub use mesh::{Axis, DeviceMesh, MeshError, Rank};
 pub use transform::{
-    causal_cost, cp_partition, delivery_census, delivery_kind, zigzag_partition, CpStyle,
+    causal_cost, cp_partition, cp_range, delivery_census, delivery_kind, zigzag_partition, CpStyle,
     DeliveryKind,
 };
 pub use tree::{BroadcastTradeoff, ClientPlaceTree, DistributeAxis};

@@ -31,17 +31,20 @@ pub enum CpStyle {
 /// Splits `[0, seq_len)` into per-CP-rank index ranges, contiguous style.
 /// The first `seq_len % cp` ranks get one extra token.
 pub fn cp_partition(seq_len: u64, cp: u32) -> Vec<Range<u64>> {
-    let cp = cp.max(1) as u64;
-    let base = seq_len / cp;
-    let extra = seq_len % cp;
-    let mut out = Vec::with_capacity(cp as usize);
-    let mut start = 0;
-    for i in 0..cp {
-        let len = base + u64::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    (0..cp.max(1))
+        .map(|coord| cp_range(seq_len, cp, coord))
+        .collect()
+}
+
+/// The range CP rank `coord` owns in [`cp_partition`]`(seq_len, cp)`,
+/// computed without building the others.
+pub fn cp_range(seq_len: u64, cp: u32, coord: u32) -> Range<u64> {
+    let cp = u64::from(cp.max(1));
+    let coord = u64::from(coord);
+    debug_assert!(coord < cp, "CP coordinate {coord} outside {cp} ranks");
+    let (base, extra) = (seq_len / cp, seq_len % cp);
+    let start = coord * base + coord.min(extra);
+    start..start + base + u64::from(coord < extra)
 }
 
 /// Zig-zag split: returns, per CP rank, the *pair* of ranges it owns.

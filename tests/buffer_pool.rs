@@ -176,6 +176,43 @@ fn exhaustion_falls_back_to_plain_allocation_without_deadlock() {
 }
 
 #[test]
+fn long_held_frozen_leases_come_back_oldest_first_without_misses() {
+    // A loader fleet's buffered raw samples: 600 frozen leases of one
+    // class alive at once (more than the 256 parked handles the pool used
+    // to keep), released oldest first in plan-sized batches and leased
+    // again by the refill that follows.
+    const LIVE: usize = 600;
+    const BATCH: usize = 128;
+    const LEN: usize = 8192;
+    let pool = Arc::new(BufferPool::new(PoolConfig::default()));
+    let mut next_tag = 0u8;
+    let mut lease_frozen = || {
+        let mut lease = pool.lease(LEN);
+        assert!(lease.is_empty(), "lease arrived dirty");
+        let expect = pattern(next_tag, LEN);
+        next_tag = next_tag.wrapping_add(1);
+        lease.extend_from_slice(&expect);
+        (lease.freeze(), expect)
+    };
+    let mut live: std::collections::VecDeque<_> = (0..LIVE).map(|_| lease_frozen()).collect();
+    let filled = pool.counters();
+    assert_eq!((filled.misses, filled.resizes), (LIVE as u64, 0));
+
+    for _ in 0..4 * LIVE / BATCH {
+        for (bytes, expect) in live.drain(..BATCH) {
+            assert_eq!(bytes.as_ref(), expect.as_slice(), "held view mutated");
+        }
+        live.extend((0..BATCH).map(|_| lease_frozen()));
+    }
+    let relet = pool.counters().since(&filled);
+    assert_eq!(relet.leases, (4 * LIVE / BATCH * BATCH) as u64);
+    assert_eq!((relet.misses, relet.resizes), (0, 0), "{relet:?}");
+    for (bytes, expect) in &live {
+        assert_eq!(bytes.as_ref(), expect.as_slice(), "held view mutated");
+    }
+}
+
+#[test]
 fn pooled_serving_stays_byte_identical_to_local_reference() {
     // The end-to-end safety proof: with every hot path drawing from the
     // global pool (synthetic payloads, batch encode, TCP frame recv),

@@ -89,6 +89,40 @@ proptest! {
         }
     }
 
+    /// `settled_meta` predicts from lengths alone the metadata `apply`
+    /// leaves: for every modality's canonical pipeline and an arbitrary
+    /// one, cut at every point (a loader buffers at a cut and reports
+    /// the tail's settled metadata), over 0-, 1-byte, odd and arbitrary
+    /// payloads, with and without a patch count `Crop` cuts.
+    #[test]
+    fn settled_meta_matches_apply(
+        transforms in proptest::collection::vec(arb_transform(), 0..6),
+        meta in arb_meta(),
+        odd in 1u64..64,
+    ) {
+        let canonical = [Modality::Text, Modality::Image, Modality::Video, Modality::Audio]
+            .map(TransformPipeline::for_modality);
+        let arbitrary = TransformPipeline::new(transforms, 1.0);
+        for p in canonical.iter().chain([&arbitrary]) {
+            for split in 0..=p.transforms().len() {
+                let (head, tail) = p.split_at(split);
+                for raw_bytes in [0, 1, 2 * odd + 1, meta.raw_bytes] {
+                    for image_patches in [meta.image_patches, 100_000] {
+                        let mut sample = Sample::synthesize(SampleMeta {
+                            raw_bytes,
+                            image_patches,
+                            ..meta
+                        });
+                        head.apply(&mut sample);
+                        let settled = tail.settled_meta(sample.meta, sample.payload.len());
+                        tail.apply(&mut sample);
+                        prop_assert_eq!(settled, sample.meta, "{:?} cut at {}", p, split);
+                    }
+                }
+            }
+        }
+    }
+
     /// `min_transfer_index` is optimal: no other split point yields a
     /// smaller cumulative inflation product, and it is the earliest
     /// minimizer.
