@@ -73,6 +73,29 @@ if [ "$sleep_bad" -ne 0 ]; then
   exit 1
 fi
 
+# One client protocol: local `serve` and `serve_distributed` both run the
+# data server, so a constructor's batches reach clients only through the
+# server's pull. A second non-test `ConstructorMsg::Pull` site (comment
+# lines aside) is a client asking constructors directly, and fails here.
+#   server.rs   1  the data server's pull (the one sender)
+#   runtime.rs  1  the constructor's handler
+echo "==> ConstructorMsg::Pull has one sender and one handler in crates/core/src/system/"
+declare -A pull_sites=([server.rs]=1 [runtime.rs]=1)
+pull_bad=0
+for f in crates/core/src/system/*.rs; do
+  name=$(basename "$f")
+  found=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } /ConstructorMsg::Pull/ { n++ } END { print n + 0 }' "$f")
+  allowed=${pull_sites[$name]:-0}
+  if [ "$found" -ne "$allowed" ]; then
+    echo "$f: $found non-test ConstructorMsg::Pull sites, allowlist says $allowed" >&2
+    pull_bad=1
+  fi
+done
+if [ "$pull_bad" -ne 0 ]; then
+  echo "clients read batches through the data server; pull there, not from a constructor" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings (+allowlist)"
 cargo clippy --all-targets -- -D warnings "${ALLOW[@]}"
 

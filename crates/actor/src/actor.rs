@@ -94,6 +94,7 @@ pub struct ActorRef<M> {
     /// the mailbox open.
     pub(crate) tx: Arc<Sender<Envelope<M>>>,
     pub(crate) alive: Arc<AtomicBool>,
+    pub(crate) stopped: Arc<AtomicBool>,
     pub(crate) processed: Arc<AtomicU64>,
     pub(crate) queued: Arc<AtomicUsize>,
 }
@@ -104,6 +105,7 @@ impl<M> Clone for ActorRef<M> {
             name: self.name.clone(),
             tx: self.tx.clone(),
             alive: self.alive.clone(),
+            stopped: self.stopped.clone(),
             processed: self.processed.clone(),
             queued: self.queued.clone(),
         }
@@ -116,9 +118,19 @@ impl<M: Send + 'static> ActorRef<M> {
         &self.name
     }
 
-    /// Whether the actor thread is currently running.
+    /// Whether the actor thread is currently running. False before the
+    /// first incarnation starts and between a supervised crash and its
+    /// restart, so it is no test of whether the actor is gone.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
+    }
+
+    /// Whether the actor is gone for good: its thread has exited after
+    /// its last incarnation (a clean stop, a closed mailbox, or a spent
+    /// restart budget). Unlike [`ActorRef::is_alive`] it never flips
+    /// back.
+    pub fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
     }
 
     /// Messages processed so far (across restarts).
@@ -143,6 +155,7 @@ impl<M: Send + 'static> ActorRef<M> {
             name: self.name.clone(),
             tx: Arc::downgrade(&self.tx),
             alive: self.alive.clone(),
+            stopped: self.stopped.clone(),
             processed: self.processed.clone(),
             queued: self.queued.clone(),
         }
@@ -226,6 +239,7 @@ pub(crate) struct WeakRef<M> {
     name: String,
     tx: Weak<Sender<Envelope<M>>>,
     alive: Arc<AtomicBool>,
+    stopped: Arc<AtomicBool>,
     processed: Arc<AtomicU64>,
     queued: Arc<AtomicUsize>,
 }
@@ -237,6 +251,7 @@ impl<M> WeakRef<M> {
             name: self.name.clone(),
             tx: self.tx.upgrade()?,
             alive: self.alive.clone(),
+            stopped: self.stopped.clone(),
             processed: self.processed.clone(),
             queued: self.queued.clone(),
         })
@@ -312,6 +327,7 @@ fn send_counted<M>(tx: &Sender<Envelope<M>>, queued: &AtomicUsize, envelope: Env
 pub(crate) struct Mailbox<M> {
     pub rx: Receiver<Envelope<M>>,
     pub alive: Arc<AtomicBool>,
+    pub stopped: Arc<AtomicBool>,
     pub processed: Arc<AtomicU64>,
     pub queued: Arc<AtomicUsize>,
 }
@@ -320,6 +336,7 @@ pub(crate) struct Mailbox<M> {
 pub(crate) fn mailbox<M: Send + 'static>(name: &str) -> (ActorRef<M>, Mailbox<M>) {
     let (tx, rx) = crossbeam::channel::unbounded();
     let alive = Arc::new(AtomicBool::new(false));
+    let stopped = Arc::new(AtomicBool::new(false));
     let processed = Arc::new(AtomicU64::new(0));
     let queued = Arc::new(AtomicUsize::new(0));
     (
@@ -327,12 +344,14 @@ pub(crate) fn mailbox<M: Send + 'static>(name: &str) -> (ActorRef<M>, Mailbox<M>
             name: name.to_string(),
             tx: Arc::new(tx),
             alive: alive.clone(),
+            stopped: stopped.clone(),
             processed: processed.clone(),
             queued: queued.clone(),
         },
         Mailbox {
             rx,
             alive,
+            stopped,
             processed,
             queued,
         },

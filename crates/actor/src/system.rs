@@ -87,8 +87,9 @@ impl ActorSystem {
                     run_actor_loop(&mut actor, &mbox, &name, 0)
                 }));
                 mbox.alive.store(false, Ordering::SeqCst);
+                mbox.stopped.store(true, Ordering::SeqCst);
                 // An unsupervised panic stays contained to this actor; the
-                // harness observes it through `is_alive` / ask errors.
+                // harness observes it through `is_stopped` / ask errors.
                 drop(result);
             })
             .expect("failed to spawn actor thread");
@@ -155,6 +156,7 @@ impl ActorSystem {
                     }
                 }
                 mbox.alive.store(false, Ordering::SeqCst);
+                mbox.stopped.store(true, Ordering::SeqCst);
             })
             .expect("failed to spawn supervised actor thread");
         self.handles.lock().push(handle);
@@ -322,10 +324,12 @@ mod tests {
             }
         }
         assert_eq!(value, Some(0));
+        assert!(!a.is_stopped(), "a restarted actor reads stopped");
         a.tell(CounterMsg::Add(5));
         assert_eq!(a.ask(CounterMsg::Get, ask_timeout()).unwrap(), 5);
         a.stop();
         sys.shutdown();
+        assert!(a.is_stopped());
     }
 
     #[test]
@@ -354,6 +358,24 @@ mod tests {
         a.inject_crash("second");
         sys.shutdown();
         assert!(!a.is_alive());
+        assert!(a.is_stopped());
+    }
+
+    #[test]
+    fn an_actor_not_yet_started_is_neither_alive_nor_stopped() {
+        let sys = ActorSystem::new("t");
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let a = sys.spawn_supervised("counter", RestartPolicy::Never, move || {
+            let _ = gate.recv(); // Held until the test releases it.
+            Counter { value: 0 }
+        });
+        assert!(!a.is_alive());
+        assert!(!a.is_stopped());
+        drop(release);
+        assert_eq!(a.ask(CounterMsg::Get, ask_timeout()).unwrap(), 0);
+        a.stop();
+        sys.shutdown();
+        assert!(a.is_stopped());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Step-frontier progress tracking for the serve plane.
 //!
-//! Every consumer of the serve stream — a local [`ServeClient`] or a
-//! remote session tracked by the [`DataServer`] — holds a *capability* at
+//! Every consumer of the serve stream — a client session tracked by the
+//! [`DataServer`], whether it dials over the in-process loopback or from
+//! another process — holds a *capability* at
 //! the lowest step it may still need. The [`FrontierHub`] is the serve
 //! plane's only record of consumer progress: the driver reads it for
 //! backpressure and for the end-of-session drain, and folds its cursors
@@ -25,7 +26,6 @@
 //! Constructor ready queues, the driver's retained broadcast window and
 //! the GCS plan log all follow it.
 //!
-//! [`ServeClient`]: crate::system::runtime::ServeClient
 //! [`DataServer`]: crate::system::server::DataServer
 
 use std::collections::{BTreeMap, HashMap};
@@ -37,8 +37,9 @@ use std::time::Instant;
 /// ready queues by the announced frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Holder {
-    /// A serve-stream consumer (local `ServeClient` or remote session),
-    /// keyed by client id. Its cursor is the next step it will consume.
+    /// A serve-stream consumer — a data-server client session, local or
+    /// remote — keyed by client id. Its cursor is the next step it will
+    /// consume.
     Client(u32),
 }
 

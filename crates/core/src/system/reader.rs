@@ -39,7 +39,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::system::net::{FrameRx, FrameWaker, TryRecv, WireFrame};
 
@@ -66,8 +66,10 @@ pub enum SessionEvent {
 /// (server actor dead), which winds the whole plane down.
 pub type SessionHandler = Arc<dyn Fn(u64, SessionEvent) -> bool + Send + Sync>;
 
-/// Liveness probe checked on every heartbeat so idle shards exit when
-/// the server they feed has stopped.
+/// Liveness probe checked on every heartbeat so idle shards exit once
+/// the server they feed has stopped for good. It must not read false
+/// while a supervised server is merely restarting: the plane never
+/// respawns, so a shard that exits then is lost for every later session.
 pub type AliveCheck = Arc<dyn Fn() -> bool + Send + Sync>;
 
 struct SessionEntry {
@@ -120,16 +122,6 @@ impl Shard {
     }
 
     fn run(self: Arc<Self>, handler: SessionHandler, alive: AliveCheck) {
-        // Consecutive heartbeats that saw `alive() == false`. The probe
-        // flips false *transiently* while a supervised server actor is
-        // between a panic and its restart, so one bad reading must not
-        // kill the shard (the plane never respawns — new registrations
-        // would land on dead threads). Only sustained death, observed
-        // across two heartbeat-spaced probes, winds the shard down;
-        // `PlaneDead` (a failed `tell`, which is permanent by mailbox
-        // semantics) still exits immediately.
-        let mut dead_strikes = 0u32;
-        let mut last_strike: Option<Instant> = None;
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(session) = state.ready.pop_front() {
@@ -195,21 +187,9 @@ impl Shard {
                 continue;
             }
 
-            if state.shutdown {
+            if state.shutdown || !alive() {
+                state.shutdown = true;
                 return;
-            }
-            if alive() {
-                dead_strikes = 0;
-            } else if last_strike.is_none_or(|at| at.elapsed() >= HEARTBEAT) {
-                // Strikes are heartbeat-spaced: back-to-back passes (a
-                // waker for a departed session, say) must not both land
-                // inside one restart window and fake a sustained death.
-                dead_strikes += 1;
-                last_strike = Some(Instant::now());
-                if dead_strikes >= 2 {
-                    state.shutdown = true;
-                    return;
-                }
             }
 
             // Nothing ready: sleep until a waker or the liveness heartbeat.

@@ -13,7 +13,7 @@
 //!   [`PipelineCore`] (plan synthesis
 //!   plus Replay Mode adoption),
 //! - one [`ConstructorActor`] per consumer bucket, receiving broadcast
-//!   plans and serving batches to pulling trainer clients,
+//!   plans and answering the data server's pulls with built batches,
 //! - one [`ControllerActor`] (see [`crate::system::controller`]) watching
 //!   mixing-weight telemetry and loader health, scaling and rebalancing
 //!   the loader fleet live through the shared registry.
@@ -25,10 +25,14 @@
 //! a crash is never delivered twice.
 //!
 //! [`ThreadedPipeline::step`] drives one synchronous step for a single
-//! caller; [`ThreadedPipeline::serve`] is the concurrent front door — a
-//! driver thread pumps plans/pops/broadcasts with pipelined refill-ahead
-//! while N trainer clients pull batches from their constructor actors,
-//! throttled by a bounded-queue backpressure knob.
+//! caller. Every concurrent session is one contract:
+//! [`ThreadedPipeline::serve_distributed`] starts a driver thread that
+//! pumps plans/pops/broadcasts with pipelined refill-ahead, and a
+//! [`DataServer`] actor that streams each placed trainer client its
+//! constructor's batches over a [`Transport`], throttled by a
+//! bounded-queue backpressure knob. [`ThreadedPipeline::serve`] is the
+//! same session over the in-process [`LoopbackTransport`], its clients
+//! connected for the caller.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,9 +57,9 @@ use crate::system::controller::{
 };
 use crate::system::core::{PipelineCore, PlanOutcome};
 use crate::system::frontier::{FrontierCheckpoint, FrontierHub, Holder};
-use crate::system::net::{SharedBatch, Transport};
+use crate::system::net::{LoopbackTransport, SharedBatch, Transport};
 use crate::system::server::{
-    DataServer, DataServerHandle, RemotePlacement, ServerConfig, ServerMsg,
+    DataServer, DataServerHandle, RemoteClient, RemotePlacement, ServerConfig, ServerMsg,
 };
 
 /// GCS key holding the planner actor's restart checkpoint.
@@ -555,20 +559,21 @@ pub enum ConstructorMsg {
         /// path).
         reply: Option<ReplyTo<ConstructedBatch>>,
     },
-    /// A trainer client requests the batch for exactly `step`. The reply
-    /// is parked until that step is constructed. The client carries its
-    /// own cursor, so a restarted constructor cannot double-serve it.
-    /// The reply shares the queued batch ([`SharedBatch`]): N pulling
-    /// clients and every rebuilt replay read the *same* constructed
-    /// buffers — and, on serializing transports, the same memoized wire
-    /// encoding — a pull is a refcount bump, never a payload copy.
+    /// The data server requests the batch of exactly `step` for
+    /// `client`. The reply is parked until that step is constructed. The
+    /// server carries the client's cursor, so a restarted constructor
+    /// cannot double-serve it. The reply shares the queued batch
+    /// ([`SharedBatch`]): every bucket-mate and every rebuilt replay read
+    /// the *same* constructed buffers — and, on serializing transports,
+    /// the same memoized wire encoding — a pull is a refcount bump, never
+    /// a payload copy.
     Pull {
-        /// Pulling client id.
+        /// The client the pull is for.
         client: u32,
         /// The serve step the client needs next.
         step: u64,
-        /// Where the batch goes: a local client's ask channel, or a
-        /// tell into the data server's mailbox.
+        /// A tell into the data server's mailbox
+        /// ([`ServerMsg::Ready`]).
         reply: ReplyTo<(u64, SharedBatch)>,
     },
     /// Report the serve steps currently queued for pulling clients.
@@ -612,12 +617,12 @@ pub(crate) struct RetainedWindow {
 type SharedWindow = Arc<Mutex<RetainedWindow>>;
 
 /// A Data Constructor hosted in a supervised actor, serving one bucket's
-/// batches to pulling trainer clients.
+/// batches to the data server's pulls.
 ///
-/// The actor tracks no consumer progress: clients carry their own cursors
-/// in `Pull`, the [`FrontierHub`] holds every client's capability, and
-/// the ready queue is retired by the frontier the driver announces
-/// (`step < frontier`). Recovery keeps no durable state either: a
+/// The actor tracks no consumer progress: the server carries each
+/// client's cursor in `Pull`, the [`FrontierHub`] holds every client's
+/// capability, and the ready queue is retired by the frontier the driver
+/// announces (`step < frontier`). Recovery keeps no durable state either: a
 /// restarted incarnation rebuilds its ready queue from the driver's
 /// retained window in [`Actor::started`], the way loaders restore
 /// themselves from the GCS, so a crash mid-serve costs latency, never
@@ -1651,47 +1656,58 @@ impl ThreadedPipeline {
         Ok((plan, phases, batches))
     }
 
-    /// Starts concurrent serving: a driver thread pumps the pipeline for
-    /// `opts.steps` steps while the returned session's clients pull
-    /// batches from their constructor actors. See [`ServeOptions`].
+    /// Starts an in-process serve session: the distributed session of
+    /// [`ThreadedPipeline::serve_distributed`] over [`LoopbackTransport`],
+    /// with `opts.clients` clients already connected. Client `i` is placed
+    /// on a trainer rank of bucket `i % C` (`C` constructors), so it reads
+    /// constructor `i % C`; [`ServeSession::take_clients`] hands them out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trainer mesh has fewer buckets than there are
+    /// constructors and `opts.clients` reaches past the last bucket.
     pub fn serve(&mut self, opts: ServeOptions) -> ServeSession {
+        let view = &self.placement;
+        let buckets = view.tree.buckets(view.axis, view.group_size);
         let ctor_count = self.fleet.constructors.len().max(1);
-        let roster: Vec<(u32, usize)> = (0..opts.clients)
-            .map(|id| (id, id as usize % ctor_count))
-            .collect();
-        let hub = Arc::new(FrontierHub::new());
-        let clients: Vec<ServeClient> = roster
-            .iter()
-            .map(|(id, ctor_idx)| {
-                // Each local client self-reports progress into its
-                // frontier capability as it pulls.
-                ServeClient {
-                    id: *id,
-                    constructor: self.fleet.constructors[*ctor_idx].clone(),
-                    next_step: 0,
-                    steps: opts.steps,
-                    pull_timeout: opts.pull_timeout,
-                    hub: hub.clone(),
-                }
+        let placements: Vec<RemotePlacement> = (0..opts.clients)
+            .map(|client| {
+                let i = client as usize;
+                let ranks = buckets.get(i % ctor_count).unwrap_or_else(|| {
+                    panic!(
+                        "client {client} has no trainer rank: bucket {} is past the mesh",
+                        i % ctor_count
+                    )
+                });
+                // Bucket-mates take the bucket's ranks in turn.
+                let rank = ranks[(i / ctor_count) % ranks.len()];
+                RemotePlacement { client, rank }
             })
             .collect();
-        // Local clients consume batches by `Arc`; nothing to pre-encode.
-        self.spawn_driver(opts, roster, clients, false, hub)
+        let (mut session, handle) =
+            self.serve_distributed(opts, Arc::new(LoopbackTransport), &placements);
+        session.clients = placements
+            .iter()
+            .map(|p| handle.connect(p.client))
+            .collect();
+        session
     }
 
-    /// Starts a *distributed* serve session: the driver pumps exactly as
-    /// in [`ThreadedPipeline::serve`], but the consumers are remote
-    /// trainer clients reaching the pipeline over `transport` through a
-    /// [`DataServer`] actor. Each placement's rank is mapped onto the
-    /// trainer mesh ([`ClientPlaceTree`]: DP-rank → constructor bucket);
+    /// Starts a serve session: a driver thread pumps the pipeline for
+    /// `opts.steps` steps, and a [`DataServer`] actor streams each placed
+    /// trainer client its constructor's batches over `transport`. Each
+    /// placement's rank is mapped onto the trainer mesh
+    /// ([`ClientPlaceTree`]: DP-rank → constructor bucket);
     /// `opts.clients` is ignored — `placements` defines the client set.
     ///
-    /// Returns the serve session (no local clients; join it as usual)
-    /// plus the server handle used to [`DataServerHandle::connect`]
-    /// remote clients. The window `W` of each client is
-    /// `opts.queue_depth` steps, so remote flow control and the driver's
-    /// bounded-queue backpressure agree on how far ahead the pipeline
-    /// may run.
+    /// Returns the serve session (no clients of its own; join it as
+    /// usual) plus the server handle used to
+    /// [`DataServerHandle::connect`] clients. The window `W` of each
+    /// client is `opts.queue_depth` steps, so client flow control and the
+    /// driver's bounded-queue backpressure agree on how far ahead the
+    /// pipeline may run. Every placed client holds a frontier capability
+    /// from step 0 before the driver starts, so backpressure binds from
+    /// the first step.
     ///
     /// # Panics
     ///
@@ -1723,6 +1739,9 @@ impl ThreadedPipeline {
         let roster: Vec<(u32, usize)> = placed.iter().map(|(c, _, i)| (*c, *i)).collect();
 
         let hub = Arc::new(FrontierHub::new());
+        for (client, _) in &roster {
+            hub.acquire(Holder::Client(*client), 0);
+        }
         let factory_ctors = self.fleet.constructors.clone();
         let factory_placed = placed.clone();
         let factory_steps = opts.steps;
@@ -1730,7 +1749,7 @@ impl ThreadedPipeline {
         let factory_gcs = self.gcs.clone();
         let factory_hub = hub.clone();
         let name = format!("data-server/{}", self.servers.len());
-        self.gcs.register(&name, "distributed serving plane");
+        self.gcs.register(&name, "serving plane");
         // Supervised: a crashed (or chaos-killed) server actor restarts
         // with fresh, empty session state. Clients quiet-timeout on
         // their orphaned sessions, redial under backoff, and resume
@@ -1765,49 +1784,24 @@ impl ThreadedPipeline {
             opts.pull_timeout,
             opts.queue_depth.min(u64::from(u32::MAX)) as u32,
         );
-        let session = self.spawn_driver(opts, roster, Vec::new(), pre_encode, hub);
-        (session, handle)
-    }
 
-    /// Spawns the serve driver over an explicit `(client, constructor)`
-    /// roster; shared by local and distributed serving. Every rostered
-    /// client holds a frontier capability from step 0 before the driver
-    /// starts, so backpressure binds from the first step.
-    fn spawn_driver(
-        &mut self,
-        opts: ServeOptions,
-        roster: Vec<(u32, usize)>,
-        clients: Vec<ServeClient>,
-        pre_encode: bool,
-        hub: Arc<FrontierHub>,
-    ) -> ServeSession {
-        for (client, _) in &roster {
-            hub.acquire(Holder::Client(*client), 0);
-        }
         let fleet = self.fleet.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let driver_stop = stop.clone();
-        let driver_opts = opts;
         let driver_hub = hub.clone();
         let driver = std::thread::Builder::new()
             .name("msd/serve-driver".to_string())
             .spawn(move || {
-                run_serve_driver(
-                    fleet,
-                    driver_opts,
-                    driver_stop,
-                    roster,
-                    pre_encode,
-                    driver_hub,
-                )
+                run_serve_driver(fleet, opts, driver_stop, roster, pre_encode, driver_hub)
             })
             .expect("failed to spawn serve driver");
-        ServeSession {
+        let session = ServeSession {
             driver: Some(driver),
-            clients,
+            clients: Vec::new(),
             stop,
             hub,
-        }
+        };
+        (session, handle)
     }
 
     /// Stops all actors and joins their threads.
@@ -1863,8 +1857,11 @@ impl ThreadedPipeline {
 /// Configuration of one [`ThreadedPipeline::serve`] session.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Number of concurrent trainer clients (client `i` pulls from
-    /// constructor `i % constructors`).
+    /// Number of trainer clients [`ThreadedPipeline::serve`] connects:
+    /// client `i` sits on a trainer rank of bucket `i % constructors` and
+    /// reads constructor `i % constructors`. Ignored by
+    /// [`ThreadedPipeline::serve_distributed`], whose placements define
+    /// the client set.
     pub clients: u32,
     /// Serve steps to pump.
     pub steps: u64,
@@ -1877,17 +1874,17 @@ pub struct ServeOptions {
     /// Pipelined refill-ahead: loaders prefetch toward the next plan
     /// while the current step is constructed and delivered.
     pub prefetch: bool,
-    /// Per-pull ask timeout on the client side (pulls retry until their
-    /// step arrives).
+    /// How long a client waits for its next batch before it
+    /// re-subscribes from its cursor; after three quiet waits in a row it
+    /// redials instead.
     pub pull_timeout: Duration,
     /// Elastic control-plane cadence: every this-many serve steps the
     /// driver ticks the controller, which pulls mixing-weight telemetry
     /// and loader health and may scale or rebalance the loader fleet
     /// live. `0` (the default) disables autoscaling during the session.
     pub control_interval: u64,
-    /// Distributed-plane hardening knobs: session admission caps and
-    /// the lease that reaps silently-dead clients. Ignored by local
-    /// (in-process) serving.
+    /// Data-server hardening knobs: session admission caps and the lease
+    /// that reaps silently-dead clients.
     pub server: ServerConfig,
 }
 
@@ -1906,10 +1903,11 @@ impl Default for ServeOptions {
     }
 }
 
-/// A live serving session: the driver thread plus client handles.
+/// A live serving session: the driver thread plus, for
+/// [`ThreadedPipeline::serve`], its connected clients.
 pub struct ServeSession {
     driver: Option<JoinHandle<u64>>,
-    clients: Vec<ServeClient>,
+    clients: Vec<RemoteClient>,
     stop: Arc<AtomicBool>,
     /// The session's frontier fold (shared with every consumer).
     hub: Arc<FrontierHub>,
@@ -1917,8 +1915,8 @@ pub struct ServeSession {
 
 impl ServeSession {
     /// Takes the client handles (each is `Send`; move them into client
-    /// threads).
-    pub fn take_clients(&mut self) -> Vec<ServeClient> {
+    /// threads). Each dials on its first `next()`.
+    pub fn take_clients(&mut self) -> Vec<RemoteClient> {
         std::mem::take(&mut self.clients)
     }
 
@@ -1955,83 +1953,9 @@ impl Drop for ServeSession {
     }
 }
 
-/// One trainer client of a serve session. Pulls are strictly ordered:
-/// the client asks for serve step 0, 1, 2, … and carries its own cursor,
-/// so constructor restarts can neither skip nor double-serve it. Its
-/// capability in the session's [`FrontierHub`] is the only record of its
-/// progress the rest of the pipeline reads.
-pub struct ServeClient {
-    /// Client id (also its roster entry).
-    pub id: u32,
-    constructor: ActorRef<ConstructorMsg>,
-    next_step: u64,
-    steps: u64,
-    pull_timeout: Duration,
-    /// The session's frontier fold: this client self-reports its
-    /// consumed cursor after every pull and releases its capability when
-    /// the stream ends (normally or by drop).
-    hub: Arc<FrontierHub>,
-}
-
-impl ServeClient {
-    /// Pulls the next batch, blocking (with retries while the pipeline
-    /// recovers from faults) until it is available. Returns `None` once
-    /// the session's steps are exhausted or the pipeline stays
-    /// unreachable past the retry budget. The batch is a shared handle:
-    /// every client of a serve step reads the same constructed buffers.
-    pub fn next(&mut self) -> Option<(u64, Arc<ConstructedBatch>)> {
-        if self.next_step >= self.steps {
-            return None;
-        }
-        let want = self.next_step;
-        // Generous budget: supervised restarts take tens of milliseconds;
-        // backpressure stalls take as long as the slowest client.
-        for _ in 0..600 {
-            let id = self.id;
-            match self.constructor.ask(
-                |reply| ConstructorMsg::Pull {
-                    client: id,
-                    step: want,
-                    reply,
-                },
-                self.pull_timeout,
-            ) {
-                Ok((step, shared)) => {
-                    debug_assert_eq!(step, want);
-                    self.next_step = want + 1;
-                    self.hub.advance(Holder::Client(self.id), self.next_step);
-                    if self.next_step == self.steps {
-                        // Release the frontier capability — this client
-                        // can never need a retained step again.
-                        self.hub.release(Holder::Client(self.id));
-                    }
-                    return Some((step, shared.batch()));
-                }
-                Err(_) => continue, // Not constructed yet, or restarting.
-            }
-        }
-        None
-    }
-
-    /// Serve steps already consumed.
-    pub fn consumed(&self) -> u64 {
-        self.next_step
-    }
-}
-
-impl Drop for ServeClient {
-    fn drop(&mut self) {
-        if self.next_step < self.steps {
-            // Abandoned mid-stream: release the frontier capability so
-            // the serve driver's backpressure and drain stop waiting for
-            // pulls that will never come, and retirement (ready queues
-            // included) moves on without this client. Released, not
-            // advanced: a departed client must neither hold back nor
-            // falsely advance retirement.
-            self.hub.release(Holder::Client(self.id));
-        }
-    }
-}
+/// The older name of a [`ThreadedPipeline::serve`] client, which is a
+/// [`RemoteClient`] over the in-process loopback.
+pub type ServeClient = RemoteClient;
 
 /// How long the driver keeps retrying one serve step through failures
 /// before concluding the fleet is unrecoverable (e.g. a loader exhausted
@@ -2042,8 +1966,8 @@ const STEP_RETRY_BUDGET: Duration = Duration::from_secs(60);
 /// The serve driver loop: pump `opts.steps` steps through the actor
 /// fleet, riding out supervised restarts, then drain until every
 /// rostered client has consumed its stream. `roster` maps each client
-/// to its constructor — `i % C` for local sessions, the mesh placement
-/// for distributed ones. The driver asks no constructor anything: client
+/// to its constructor by its mesh placement. The driver asks no
+/// constructor anything: client
 /// progress is read from `hub`, and a restarted constructor rebuilds its
 /// ready queue from the retained window on its own.
 fn run_serve_driver(
@@ -2706,6 +2630,70 @@ mod tests {
             }
         }
         assert_eq!(session.join(), 6);
+        p.shutdown();
+    }
+
+    #[test]
+    fn dropping_an_unused_local_client_does_not_stall_the_rest() {
+        let mut p = pipeline();
+        let mut session = p.serve(ServeOptions {
+            clients: 2,
+            steps: 8,
+            refill_target: 32,
+            ..ServeOptions::default()
+        });
+        let start = Instant::now();
+        let mut clients = session.take_clients();
+        // Dropped before its first `next`: it never dialed, yet its
+        // capability must not pin the frontier until its 30 s lease.
+        drop(clients.pop());
+        let mut kept = clients.pop().expect("client 0");
+        let mut steps = Vec::new();
+        while let Some((step, _)) = kept.next() {
+            steps.push(step);
+        }
+        assert_eq!(steps, (0..8).collect::<Vec<_>>());
+        assert_eq!(session.join(), 8);
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the dropped client held the session for {:?}",
+            start.elapsed()
+        );
+        p.shutdown();
+    }
+
+    #[test]
+    fn a_silent_local_client_is_evicted_at_its_lease_and_the_rest_finish() {
+        let mut p = pipeline();
+        let mut session = p.serve(ServeOptions {
+            clients: 2,
+            steps: 12,
+            refill_target: 32,
+            server: ServerConfig {
+                lease: Some(Duration::from_millis(300)),
+                ..ServerConfig::default()
+            },
+            ..ServeOptions::default()
+        });
+        let start = Instant::now();
+        let mut clients = session.take_clients();
+        // One step, then silence while still held: only its lease can
+        // release the capability that holds the driver back.
+        let mut silent = clients.pop().expect("client 1");
+        assert!(silent.next().is_some());
+        let mut active = clients.pop().expect("client 0");
+        let mut steps = 0;
+        while active.next().is_some() {
+            steps += 1;
+        }
+        assert_eq!(steps, 12, "the active client fell short");
+        assert_eq!(session.join(), 12);
+        assert!(
+            start.elapsed() < Duration::from_secs(15),
+            "the silent client held the session for {:?}",
+            start.elapsed()
+        );
+        drop(silent);
         p.shutdown();
     }
 

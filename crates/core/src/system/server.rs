@@ -1,10 +1,11 @@
 //! The loader-side data server of the distributed serving plane.
 //!
-//! [`DataServer`] is the actor that turns a [`ThreadedPipeline`] serve
-//! session into a network service: remote trainer clients dial in over a
-//! [`Transport`], are mapped onto the device mesh via
-//! [`msd_mesh::ClientPlaceTree`] (DP-rank → constructor bucket), and
-//! stream their per-step batches under credit-based flow control.
+//! [`DataServer`] is the actor behind every [`ThreadedPipeline`] serve
+//! session, in-process or distributed: trainer clients dial in over a
+//! [`Transport`] (the in-process loopback for local `serve`), are mapped
+//! onto the device mesh via [`msd_mesh::ClientPlaceTree`] (DP-rank →
+//! constructor bucket), and stream their per-step batches under
+//! credit-based flow control.
 //!
 //! ## Protocol walk-through
 //!
@@ -887,17 +888,15 @@ impl DataServerHandle {
         credits: u32,
     ) -> Self {
         let events = actor.clone();
+        // A failed `tell` and `is_stopped` both mean the server is gone for
+        // good (clean stop or restart budget spent); neither reads so
+        // while a supervised crash restarts it.
         let handler: SessionHandler = Arc::new(move |session, event| match event {
             SessionEvent::Frame(frame) => events.tell(ServerMsg::Frame { session, frame }),
-            // `tell` is the authoritative liveness signal: it fails only
-            // when the mailbox receiver is gone (clean stop or restart
-            // budget exhausted). `is_alive()` flips false transiently
-            // mid-restart, so consulting it here could wind the plane
-            // down during a supervised crash the server survives.
             SessionEvent::Closed => events.tell(ServerMsg::Gone { session }),
         });
         let probe = actor.clone();
-        let alive: AliveCheck = Arc::new(move || probe.is_alive());
+        let alive: AliveCheck = Arc::new(move || !probe.is_stopped());
         DataServerHandle {
             actor,
             transport,
@@ -1033,16 +1032,19 @@ impl DataServerHandle {
                                 .set_nonblocking(false)
                                 .and_then(|()| tcp::wire_conn(stream));
                             let Ok(conn) = conn else { continue };
-                            if !handle.actor.is_alive() {
+                            if handle.actor.is_stopped() {
                                 return;
                             }
                             handle.register(conn);
                         }
                         // Nothing to accept, or a failed accept (e.g.
-                        // EMFILE): either way, stop once the session has
-                        // shut down rather than retrying forever.
+                        // EMFILE): either way, stop once the server has
+                        // stopped for good rather than retrying forever.
+                        // Not on `!is_alive()`: that also reads true
+                        // before the server's first incarnation runs and
+                        // while a crash restarts it.
                         Err(_) => {
-                            if !handle.actor.is_alive() {
+                            if handle.actor.is_stopped() {
                                 return;
                             }
                             std::thread::sleep(idle_wait);
@@ -1160,17 +1162,18 @@ pub struct ClientStats {
 /// server cannot spin a client forever.
 const DEFAULT_RETRY_BUDGET: u32 = 256;
 
-/// A remote trainer client of a distributed serve session. The
-/// network-facing sibling of [`ServeClient`]: pulls are strictly
+/// A trainer client of a serve session, in-process
+/// ([`ThreadedPipeline::serve`] hands these out over the loopback) or in
+/// another process ([`RemoteClient::over_tcp`]). Pulls are strictly
 /// ordered, the client carries its own consumed cursor and reports it
 /// with one cumulative [`WireFrame::Frontier`] per consumed step, and a
-/// lost
-/// connection (or lost frames, on a lossy transport) is survived by
+/// lost connection (or lost frames, on a lossy transport) is survived by
 /// re-dialing and re-subscribing from that cursor — under the seeded
 /// exponential backoff of [`RedialBackoff`], with the retry budget and
-/// backoff counters surfaced in [`ClientStats`].
+/// backoff counters surfaced in [`ClientStats`]. Dropping it mid-stream
+/// closes its stream, so the rest of the session never waits on it.
 ///
-/// [`ServeClient`]: crate::system::runtime::ServeClient
+/// [`ThreadedPipeline::serve`]: crate::system::runtime::ThreadedPipeline::serve
 pub struct RemoteClient {
     /// Client id (also its roster entry on the serve driver).
     pub id: u32,
@@ -1365,9 +1368,8 @@ impl RemoteClient {
             return None;
         }
         let want = self.next_step;
-        // Generous budget: mirrors ServeClient::next — supervised
-        // restarts, backpressure stalls, and (here) loss recovery all
-        // spend retries.
+        // Generous budget: supervised restarts, backpressure stalls and
+        // loss recovery all spend retries.
         let mut quiet_timeouts = 0u32;
         for _ in 0..600 {
             if self.conn.is_none() {
@@ -1470,13 +1472,20 @@ impl RemoteClient {
 
 impl Drop for RemoteClient {
     fn drop(&mut self) {
-        if !self.closed {
-            // Abandoned (or never fully torn down): tell the server so
-            // its capability releases and the serve driver stops waiting
-            // for a client that will never pull again.
-            if let Some(conn) = self.conn.as_ref() {
-                let _ = conn.tx.send(WireFrame::Close { client: self.id });
-            }
+        if self.closed {
+            return;
+        }
+        // Abandoned (or never fully torn down): tell the server so its
+        // capability releases and the serve driver stops waiting for a
+        // client that will never pull again. A client dropped before its
+        // first `next` has never dialed, yet its capability pins the
+        // frontier from step 0 until its lease runs out: dial once to
+        // say so.
+        if self.conn.is_none() && !self.ever_connected {
+            self.conn = self.dialer.dial();
+        }
+        if let Some(conn) = self.conn.as_ref() {
+            let _ = conn.tx.send(WireFrame::Close { client: self.id });
         }
     }
 }
@@ -1961,6 +1970,79 @@ mod tests {
             ..ServerConfig::default()
         });
         assert_eq!(server.next_sweep(), None);
+    }
+
+    /// A constructor with every step already built: it answers each
+    /// pull at once.
+    struct Stocked;
+
+    impl Actor for Stocked {
+        type Msg = ConstructorMsg;
+        fn handle(&mut self, msg: ConstructorMsg, _ctx: &mut Ctx) {
+            if let ConstructorMsg::Pull { step, reply, .. } = msg {
+                reply.send((step, batch()));
+            }
+        }
+    }
+
+    #[test]
+    fn the_tcp_accept_loop_outlasts_a_server_that_has_not_started() {
+        const STEPS: u64 = 6;
+        let system = msd_actor::ActorSystem::new("accept-test");
+        let ctor = system.spawn("ctor", Stocked);
+        let hub = Arc::new(FrontierHub::new());
+        hub.acquire(Holder::Client(0), 0);
+        // The server's first incarnation is held in its factory until
+        // the test releases it, so the accept loop polls first.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let server =
+            system.spawn_supervised_with("server", msd_actor::RestartPolicy::Never, move |me| {
+                let _ = gate.recv();
+                DataServer::new(
+                    me.clone(),
+                    vec![ctor.clone()],
+                    vec![(0, 0, 0)],
+                    STEPS,
+                    ServerConfig::default(),
+                    Gcs::new(),
+                    hub.clone(),
+                )
+            });
+        let handle = DataServerHandle::new(
+            server.clone(),
+            Arc::new(crate::system::net::LoopbackTransport),
+            Arc::new(HashMap::from([(0, 0)])),
+            STEPS,
+            Duration::from_millis(200),
+            2,
+        );
+        let addr = handle.serve_tcp("127.0.0.1:0").expect("bind a listener");
+        // Time for the accept loop's first polls, which find no server
+        // running yet. The fixed loop passes however it interleaves.
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(
+            !server.is_alive(),
+            "the server started before the test let it"
+        );
+        drop(release);
+
+        let (done, streamed) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut client =
+                RemoteClient::over_tcp(addr, 0, 0, STEPS, Duration::from_millis(200), 2);
+            let mut steps = Vec::new();
+            while let Some((step, _)) = client.next() {
+                steps.push(step);
+            }
+            let _ = done.send(steps);
+        });
+        let steps = streamed
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the TCP client never finished: the accept loop gave up on the server");
+        client.join().expect("client thread");
+        assert_eq!(steps, (0..STEPS).collect::<Vec<_>>());
+        server.stop();
+        system.shutdown();
     }
 
     #[test]

@@ -96,10 +96,10 @@ pub fn opts(clients: u32, steps: u64) -> ServeOptions {
     }
 }
 
-/// Placements whose constructor mapping matches local client ids: in the
-/// 1×2×1×2 mesh, DP bucket 0 holds ranks {0, 1} and bucket 1 holds
-/// {2, 3}, so client `c` lands on bucket `c % 2` — exactly where a local
-/// `ServeClient` with the same id pulls from.
+/// The placements local `serve` makes for `n` clients: in the 1×2×1×2
+/// mesh, DP bucket 0 holds ranks {0, 1} and bucket 1 holds {2, 3}, so
+/// client `c` lands on bucket `c % 2`, and bucket-mates take its ranks
+/// in turn.
 pub fn placements(n: u32) -> Vec<RemotePlacement> {
     (0..n)
         .map(|c| RemotePlacement {
