@@ -96,6 +96,32 @@ if [ "$pull_bad" -ne 0 ]; then
   exit 1
 fi
 
+# No thread reads session receivers: a session's frames reach the data
+# server's mailbox on the thread that delivered them (the sending client's
+# on loopback, the connection's reader on TCP). A non-test
+# `thread::Builder::new` / `thread::spawn` site (comment lines aside)
+# beyond the ones listed here fails, so a reader pool cannot come back
+# unnoticed; add a new one here with its reason.
+#   runtime.rs  1  the serve driver
+#   server.rs   1  the TCP accept loop
+#   tcp.rs      2  each connection's writer and reader
+echo "==> no new thread spawn sites in crates/core/src/system/"
+declare -A spawn_sites=([runtime.rs]=1 [server.rs]=1 [tcp.rs]=2)
+spawn_bad=0
+for f in crates/core/src/system/*.rs; do
+  name=$(basename "$f")
+  found=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } /thread::(Builder::new|spawn)/ { n++ } END { print n + 0 }' "$f")
+  allowed=${spawn_sites[$name]:-0}
+  if [ "$found" -ne "$allowed" ]; then
+    echo "$f: $found non-test thread spawn sites, allowlist says $allowed" >&2
+    spawn_bad=1
+  fi
+done
+if [ "$spawn_bad" -ne 0 ]; then
+  echo "run the work on a thread that already exists, or update the allowlist above with the reason" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings (+allowlist)"
 cargo clippy --all-targets -- -D warnings "${ALLOW[@]}"
 
@@ -155,8 +181,8 @@ cargo test --test chaos_serve -q
 
 # The massive fan-out soak: 256 loopback clients (64 streaming, 192
 # idle-attached) — byte-identical active streams, nothing in flight to
-# idle sessions, no lease sweep while nothing is due, and the reader
-# thread count pinned against /proc.
+# idle sessions, no lease sweep while nothing is due, and the process's
+# thread count (/proc/self/task) unmoved by attaching the idle fleet.
 echo "==> cargo test --test many_clients -q"
 cargo test --test many_clients -q
 

@@ -512,14 +512,6 @@ impl SourceLoader {
         loader.rng = SimRng::from_state(checkpoint.rng_state);
         loader
     }
-
-    /// Rewinds the loader to a checkpoint in place (used by shadow
-    /// promotion when the shadow already holds the spec).
-    pub fn rewind_to(&mut self, checkpoint: &LoaderCheckpoint) {
-        self.cursor = checkpoint.cursor;
-        self.rng = SimRng::from_state(checkpoint.rng_state);
-        self.buffer.clear();
-    }
 }
 
 /// Reads the row at file ordinal `ordinal` through the loader's open

@@ -38,7 +38,6 @@ pub mod controller;
 pub mod core;
 pub mod frontier;
 pub mod net;
-pub mod reader;
 pub mod runtime;
 pub mod server;
 pub mod tcp;

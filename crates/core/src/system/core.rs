@@ -67,11 +67,6 @@ impl PipelineCore {
         self.replay = Some(store);
     }
 
-    /// The installed replay store, if any.
-    pub fn replay_store(&self) -> Option<&PlanStore> {
-        self.replay.as_ref()
-    }
-
     /// Access to the planner.
     pub fn planner(&mut self) -> &mut Planner {
         &mut self.planner

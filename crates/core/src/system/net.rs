@@ -331,9 +331,10 @@ pub trait FrameTx: Send {
 
 /// Readiness callback installed on a [`FrameRx`] via
 /// [`FrameRx::set_waker`]. The transport fires it whenever a frame
-/// becomes observable on the endpoint (and when the peer hangs up), so
-/// a multiplexing reader — the server's sharded reader plane — can park
-/// thousands of idle sessions without polling any of them.
+/// becomes observable on the endpoint (and when the peer hangs up), on
+/// the thread that delivered it. The data server's waker drains the
+/// session's receiver into its mailbox right there, so an idle session
+/// costs no thread and nothing polls it.
 pub type FrameWaker = Arc<dyn Fn() + Send + Sync>;
 
 /// Outcome of a non-blocking [`FrameRx::try_recv`] poll.
@@ -351,9 +352,9 @@ pub enum TryRecv {
 
 /// The receiving half of a connection endpoint.
 ///
-/// Every receiver must wake: the server registers its session receivers
-/// on the sharded reader plane, which polls a session only after its
-/// waker fired, so a receiver that never wakes strands its session.
+/// Every receiver must wake: the data server reads a session's receiver
+/// only when its waker fires, so a receiver that never wakes strands
+/// its session.
 pub trait FrameRx: Send {
     /// Blocks up to `timeout` for the next frame.
     fn recv(&mut self, timeout: Duration) -> Result<WireFrame, NetError>;
@@ -424,7 +425,7 @@ pub struct WireConn {
 
 impl WireConn {
     /// Splits the endpoint into independently owned halves (the server
-    /// actor keeps the sender; a reader thread drains the receiver).
+    /// actor keeps the sender; the receiver's waker drains it).
     pub fn split(self) -> (Box<dyn FrameTx>, Box<dyn FrameRx>) {
         (self.tx, self.rx)
     }

@@ -77,13 +77,14 @@ use msd_actor::actor::ReplyTo;
 use msd_actor::{Actor, ActorRef, Ctx, Gcs};
 use msd_mesh::Rank;
 use msd_sim::SimRng;
+use parking_lot::Mutex;
 
 use crate::constructor::ConstructedBatch;
 use crate::system::frontier::{FrontierHub, Holder};
 use crate::system::net::{
-    BatchPayload, FrameTx, NetError, RejectReason, SharedBatch, Transport, WireConn, WireFrame,
+    BatchPayload, FrameRx, FrameTx, NetError, RejectReason, SharedBatch, Transport, TryRecv,
+    WireConn, WireFrame,
 };
-use crate::system::reader::{AliveCheck, ReaderPlane, SessionEvent, SessionHandler};
 use crate::system::runtime::ConstructorMsg;
 use crate::system::tcp;
 
@@ -127,9 +128,9 @@ impl Default for ServerConfig {
 
 /// Messages understood by the data-server actor.
 pub enum ServerMsg {
-    /// A freshly dialed connection's server-side sender. The receiver
-    /// half is registered with the reader plane, which forwards decoded
-    /// frames as [`ServerMsg::Frame`].
+    /// A freshly dialed connection's server-side sender. Its receive
+    /// half drains into this mailbox as [`ServerMsg::Frame`]s, on
+    /// whichever thread delivered them (see `DataServerHandle::register`).
     Session {
         /// Connection identity (unique per dial).
         session: u64,
@@ -143,7 +144,8 @@ pub enum ServerMsg {
         /// The decoded frame.
         frame: WireFrame,
     },
-    /// A session's reader observed the peer hang up.
+    /// A session's receive half observed the peer hang up (or its byte
+    /// stream go corrupt).
     Gone {
         /// The dead session.
         session: u64,
@@ -872,10 +874,6 @@ pub struct DataServerHandle {
     steps: u64,
     pull_timeout: Duration,
     credits: u32,
-    /// The sharded reader plane every accepted session's receive half
-    /// registers with — a fixed thread pool, regardless of how many
-    /// sessions connect.
-    plane: Arc<ReaderPlane>,
 }
 
 impl DataServerHandle {
@@ -887,16 +885,6 @@ impl DataServerHandle {
         pull_timeout: Duration,
         credits: u32,
     ) -> Self {
-        let events = actor.clone();
-        // A failed `tell` and `is_stopped` both mean the server is gone for
-        // good (clean stop or restart budget spent); neither reads so
-        // while a supervised crash restarts it.
-        let handler: SessionHandler = Arc::new(move |session, event| match event {
-            SessionEvent::Frame(frame) => events.tell(ServerMsg::Frame { session, frame }),
-            SessionEvent::Closed => events.tell(ServerMsg::Gone { session }),
-        });
-        let probe = actor.clone();
-        let alive: AliveCheck = Arc::new(move || !probe.is_stopped());
         DataServerHandle {
             actor,
             transport,
@@ -905,22 +893,15 @@ impl DataServerHandle {
             steps,
             pull_timeout,
             credits,
-            plane: ReaderPlane::new(handler, alive),
         }
     }
 
-    /// Number of reader threads multiplexing this server's sessions
-    /// (fixed at startup; the fan-out soak asserts it never grows with
-    /// session count).
+    /// Threads this server runs to read session receivers: always 0,
+    /// because each session's frames reach the mailbox on the thread
+    /// that delivered them. Kept because the benchmark's
+    /// `reader.threads` metric reads it.
     pub fn reader_threads(&self) -> usize {
-        self.plane.shard_count()
-    }
-
-    /// OS thread-name prefix of this server's reader shards, unique
-    /// per plane — a soak test counts exactly these threads in
-    /// `/proc/self/task` to prove the pool never grows with sessions.
-    pub fn reader_thread_prefix(&self) -> &str {
-        self.plane.thread_name_prefix()
+        0
     }
 
     /// The transport connections ride on.
@@ -974,8 +955,8 @@ impl DataServerHandle {
         }
     }
 
-    /// Opens one transport connection, registers its server end with the
-    /// actor, and routes its receive half onto the reader plane.
+    /// Opens one transport connection, registers its server end, and
+    /// returns the client end.
     fn dial(&self) -> WireConn {
         let (client_end, server_end) = self.transport.pair();
         self.register(server_end);
@@ -991,14 +972,23 @@ impl DataServerHandle {
     }
 
     /// Registers the server end of an established connection: assigns a
-    /// session id, hands the sender to the actor, and parks the
-    /// receive half on the sharded reader plane. The TCP accept loop
-    /// and the in-process `dial` path both funnel through here.
+    /// session id, hands the sender to the actor, and installs a waker
+    /// on the receive half that drains it into the actor's mailbox (see
+    /// [`drain_session`]). The TCP accept loop and the in-process `dial`
+    /// path both funnel through here.
     fn register(&self, server_end: WireConn) -> u64 {
         let session = self.next_session.fetch_add(1, Ordering::SeqCst);
-        let (tx, rx) = server_end.split();
+        let (tx, mut rx) = server_end.split();
         self.actor.tell(ServerMsg::Session { session, tx });
-        self.plane.register(session, rx);
+        let slot: Arc<SessionSlot> = Arc::default();
+        let (woken, server) = (Arc::clone(&slot), self.actor.clone());
+        // Install before the receiver is in the slot: the install fires
+        // the waker once, and a fire under the slot lock would deadlock.
+        // This one finds the slot empty; the drain below picks up
+        // whatever was sent before registration.
+        rx.set_waker(Arc::new(move || drain_session(&woken, session, &server)));
+        *slot.lock() = Some(rx);
+        drain_session(&slot, session, &self.actor);
         session
     }
 
@@ -1054,6 +1044,38 @@ impl DataServerHandle {
                 }
             })?;
         Ok(local)
+    }
+}
+
+/// A session's receive half, shared by every thread that fires its
+/// waker; `None` once the session is gone. The lock serializes
+/// concurrent wakes, so frames reach the mailbox in arrival order.
+type SessionSlot = Mutex<Option<Box<dyn FrameRx>>>;
+
+/// Moves every frame observable on a session's receive half into the
+/// server's mailbox, and tells [`ServerMsg::Gone`] once the peer hangs
+/// up. Runs on whichever thread fired the waker: the sending client's
+/// on loopback, the connection's reader thread on TCP. It never runs on
+/// the server actor's thread, since server→client lanes end at clients,
+/// which install no waker; and it calls only `try_recv` and the
+/// unbounded, non-blocking `tell`, so it never waits on the server.
+fn drain_session(slot: &SessionSlot, session: u64, server: &ActorRef<ServerMsg>) {
+    let mut slot = slot.lock();
+    let Some(rx) = slot.as_mut() else {
+        return;
+    };
+    loop {
+        let (msg, last) = match rx.try_recv() {
+            TryRecv::Frame(frame) => (ServerMsg::Frame { session, frame }, false),
+            TryRecv::Empty => return,
+            TryRecv::Closed | TryRecv::Corrupt => (ServerMsg::Gone { session }, true),
+        };
+        // A failed `tell` means the server stopped for good: a supervised
+        // restart keeps the mailbox, so it does not fail during one.
+        if !server.tell(msg) || last {
+            *slot = None;
+            return;
+        }
     }
 }
 
@@ -2041,6 +2063,75 @@ mod tests {
             .expect("the TCP client never finished: the accept loop gave up on the server");
         client.join().expect("client thread");
         assert_eq!(steps, (0..STEPS).collect::<Vec<_>>());
+        server.stop();
+        system.shutdown();
+    }
+
+    #[test]
+    fn a_session_binds_and_hangs_up_with_no_reader_thread() {
+        const STEPS: u64 = 6;
+        let system = msd_actor::ActorSystem::new("drain-test");
+        let ctor = system.spawn("ctor", Stocked);
+        let hub = Arc::new(FrontierHub::new());
+        hub.acquire(Holder::Client(0), 0);
+        let server =
+            system.spawn_supervised_with("server", msd_actor::RestartPolicy::Never, move |me| {
+                DataServer::new(
+                    me.clone(),
+                    vec![ctor.clone()],
+                    vec![(0, 0, 0)],
+                    STEPS,
+                    ServerConfig::default(),
+                    Gcs::new(),
+                    hub.clone(),
+                )
+            });
+        let handle = DataServerHandle::new(
+            server.clone(),
+            Arc::new(crate::system::net::LoopbackTransport),
+            Arc::new(HashMap::from([(0, 0)])),
+            STEPS,
+            Duration::from_millis(200),
+            2,
+        );
+
+        // The client speaks before its server end is registered: the
+        // waker installed at registration fires into an empty slot, so
+        // only the drain after filling it can deliver these frames.
+        let (client_end, server_end) = crate::system::net::LoopbackTransport.pair();
+        client_end
+            .tx
+            .send(WireFrame::Hello { client: 0, rank: 0 })
+            .unwrap();
+        client_end
+            .tx
+            .send(WireFrame::Subscribe {
+                client: 0,
+                from_step: 2,
+                credits: 0,
+            })
+            .unwrap();
+        handle.register(server_end);
+        let status = handle.status().expect("server status");
+        assert_eq!(status.frames_rx, 2);
+        let row = &status.clients[0];
+        assert!(row.connected, "Hello sent before registration never bound");
+        assert_eq!(
+            (row.consumed, row.next_pull),
+            (2, 2),
+            "Subscribe sent before registration never landed"
+        );
+
+        // Dropping the client end fires the hang-up wake on this thread,
+        // which tells `Gone` before the status ask below is sent.
+        drop(client_end);
+        let status = handle.status().expect("server status");
+        assert!(
+            !status.clients[0].connected,
+            "hang-up left the session bound"
+        );
+        assert_eq!(handle.reader_threads(), 0);
+
         server.stop();
         system.shutdown();
     }
