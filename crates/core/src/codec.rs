@@ -30,6 +30,25 @@
 //! could hold), and the one nested structure (a plan's sub-plans, kind
 //! 15) carries an explicit depth that errors past [`MAX_SUBPLAN_DEPTH`].
 //!
+//! # Where a layout is declared
+//!
+//! Each layout is declared once, in wire order, and that declaration is
+//! its encoder, its bounded decoder and its exact size (the private
+//! `Field` trait). `record!` lists every struct's fields (kinds 1, 3, 4
+//! and 13, a stored plan's buckets and bins, kind 11's delivery table,
+//! kind 7's head); `tags!` gives each field-less enum its one-byte tags,
+//! an unknown byte being an error at its offset; `wire_kinds!` lists the
+//! control frames (kinds 5, 6, 8–10, 12 and 14). A `Vec`, `BTreeMap` or
+//! `String` is a `u32` count, then its items; map keys must ascend
+//! strictly, as the encoder writes them. Written by hand are [`Holder`],
+//! [`LoadingPlan`] (it counts its nesting), [`PlanStore`] (its steps
+//! ascend), and the zero-copy paths: kind 11's sample and segment walk,
+//! [`BatchFrame`], kind 7's payload. To add a field to a kind, add
+//! `name: type` to its declaration where the field goes on the wire,
+//! bump [`VERSION`], and recapture `tests/codec_golden.rs`.
+//!
+//! # The batch frames
+//!
 //! The batch frame (kind 11) carries each packed sequence as its segment
 //! table, never its position ids: those are a function of the segment
 //! lengths and the padding ([`PackedSequence::position_ids`]). All the
@@ -65,7 +84,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bytes::{BufMut, Bytes};
+use bytes::Bytes;
 
 use crate::constructor::{
     ClientDelivery, ConstructedBatch, Microbatch, PackedSequence, Segment, Segments,
@@ -196,19 +215,21 @@ impl std::error::Error for CodecError {}
 
 /// Whether `data` carries the frame magic (and a full header).
 pub fn is_binary(data: &[u8]) -> bool {
-    data.len() >= HEADER_LEN && data[..MAGIC.len()] == MAGIC
+    data.len() >= HEADER_LEN && data.starts_with(&MAGIC)
 }
 
-/// A bounds-checked little-endian reader (the `Buf` accessors panic on
-/// short input; decoders must return errors instead). Tracks its
-/// absolute offset within the frame so every error can name the byte it
-/// tripped on.
+/// A bounds-checked little-endian reader: every read of bytes the frame
+/// does not hold is an error, never a panic. Tracks its absolute offset
+/// within the frame so every error can name the byte it tripped on.
 struct Reader<'a> {
     data: &'a [u8],
     /// Absolute offset of the next unread byte within the whole frame.
     pos: usize,
     /// Whole-frame length (header + body + checksum), for error context.
     frame_len: usize,
+    /// Sub-plan nesting of the plan being read ([`LoadingPlan`]'s
+    /// decoder counts it here).
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -229,16 +250,11 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    /// The next `N` bytes, for a fixed-width field.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
     /// Room to reserve for `count` records of at least `min_len` bytes:
@@ -261,12 +277,375 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A value with one wire layout: what it writes, how it reads back, and
+/// exactly how many bytes that takes. Every layout of the codec is built
+/// from these, so each is stated once.
+///
+/// The size method is `encoded_len`, not `len`: inside a declaration,
+/// `self.items.len()` would resolve to the inherent `Vec::len` and size
+/// frames short without changing a byte of them.
+trait Field: Sized {
+    /// The fewest bytes an encoded value takes. Decoders reserve room for
+    /// at most `remaining / MIN_LEN` items of a count.
+    const MIN_LEN: usize;
+    /// Appends the value's bytes.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// Reads a value back; malformed bytes are an error, never a panic.
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+    /// Exactly the bytes [`Field::put`] appends: `MIN_LEN`, unless the
+    /// value's size varies.
+    fn encoded_len(&self) -> usize {
+        Self::MIN_LEN
+    }
+}
+
+/// Little-endian fixed-width numbers. `f64` is bit-exact: NaN payloads
+/// and the sign of zero survive.
+macro_rules! le_fields {
+    ($($t:ty),+) => {$(
+        impl Field for $t {
+            const MIN_LEN: usize = size_of::<$t>();
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )+};
+}
+
+le_fields!(u8, u32, u64, f64);
+
+/// An RNG state.
+impl Field for [u64; 4] {
+    const MIN_LEN: usize = 4 * 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        for word in self {
+            word.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok([u64::get(r)?, u64::get(r)?, u64::get(r)?, u64::get(r)?])
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len() + self.1.encoded_len()
+    }
+}
+
+/// A `u32` count, then the items.
+impl<T: Field> Field for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for item in self {
+            item.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let count = u32::get(r)? as usize;
+        let mut out = Vec::with_capacity(r.capacity(count, T::MIN_LEN));
+        for _ in 0..count {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.iter().map(Field::encoded_len).sum::<usize>()
+    }
+}
+
+/// A `u32` count, then the entries in key order. Decoding accepts only
+/// strictly ascending keys, the order the encoder writes: a repeated
+/// key would otherwise overwrite an entry without a word.
+impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for (key, value) in self {
+            key.put(buf);
+            value.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let count = u32::get(r)?;
+        let mut out = BTreeMap::new();
+        for _ in 0..count {
+            let at = r.pos;
+            let key = K::get(r)?;
+            if out.last_key_value().is_some_and(|(last, _)| *last >= key) {
+                return Err(CodecError::at(
+                    "map keys are not in strictly ascending order",
+                    at,
+                    r.frame_len,
+                ));
+            }
+            let value = V::get(r)?;
+            out.insert(key, value);
+        }
+        Ok(out)
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self
+            .iter()
+            .map(|(key, value)| key.encoded_len() + value.encoded_len())
+            .sum::<usize>()
+    }
+}
+
+/// A `u32` byte length, then UTF-8.
+impl Field for String {
+    const MIN_LEN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let len = u32::get(r)? as usize;
+        let at = r.pos;
+        std::str::from_utf8(r.take(len)?)
+            .map(str::to_owned)
+            .map_err(|e| CodecError::at(format!("string: {e}"), at, r.frame_len))
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.len()
+    }
+}
+
+/// Declares structs' layouts: each struct's fields, in wire order, with
+/// their types. Decoding builds a struct in the order written, so the
+/// declaration is the wire order whatever the struct's own field order.
+macro_rules! record {
+    ($($ty:ident { $($field:ident: $fty:ty),+ $(,)? })+) => {$(
+        impl Field for $ty {
+            const MIN_LEN: usize = 0 $(+ <$fty as Field>::MIN_LEN)+;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(Field::put(&self.$field, buf);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok($ty { $($field: <$fty as Field>::get(r)?),+ })
+            }
+            fn encoded_len(&self) -> usize {
+                0 $(+ Field::encoded_len(&self.$field))+
+            }
+        }
+    )+};
+}
+
+/// Declares a field-less enum's one-byte tags. An unknown byte is an
+/// error naming `$what` and its offset.
+macro_rules! tags {
+    ($ty:ty, $what:literal { $($tag:literal => $variant:path),+ $(,)? }) => {
+        impl Field for $ty {
+            const MIN_LEN: usize = 1;
+            fn put(&self, buf: &mut Vec<u8>) {
+                let tag: u8 = match *self { $($variant => $tag),+ };
+                tag.put(buf);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let at = r.pos;
+                match u8::get(r)? {
+                    $($tag => Ok($variant),)+
+                    other => Err(CodecError::at(
+                        format!("unknown {} {other}", $what),
+                        at,
+                        r.frame_len,
+                    )),
+                }
+            }
+        }
+    };
+}
+
+tags!(Axis, "mesh axis tag" { 0 => Axis::PP, 1 => Axis::DP, 2 => Axis::CP, 3 => Axis::TP });
+tags!(DistributeAxis, "distribute axis tag" {
+    0 => DistributeAxis::DP,
+    1 => DistributeAxis::CP,
+    2 => DistributeAxis::World,
+});
+tags!(DeliveryKind, "delivery kind tag" {
+    0 => DeliveryKind::Payload,
+    1 => DeliveryKind::MetadataOnly,
+    2 => DeliveryKind::Elided,
+});
+tags!(RejectReason, "reject reason code" { 0 => RejectReason::SessionLimit });
+
+// Every record's layout: its fields, in wire order.
+record! {
+    PlannerCheckpoint { step: u64, rng_state: [u64; 4] }
+    CoreCheckpoint { planner: PlannerCheckpoint, replayed_steps: u64 }
+    LoaderCheckpoint { loader_id: u32, cursor: u64, rng_state: [u64; 4], version: u64 }
+    ControllerCheckpoint {
+        seq: u64,
+        next_loader_id: u32,
+        scale_ups: u64,
+        scale_downs: u64,
+        rebalances: u64,
+        slots: Vec<SlotRecord>,
+    }
+    SlotRecord { source: u32, loader_id: u32, shard: u32, shards: u32 }
+    FrontierCheckpoint {
+        frontier: u64,
+        served: u64,
+        plan_base: u64,
+        pruned_below: u64,
+        holders: Vec<(Holder, u64)>,
+    }
+    BucketPlan { bucket: u32, clients: Vec<u32>, bins: Vec<BinPlan> }
+    BinPlan { bin: u32, samples: Vec<u64>, total_cost: f64 }
+    ClientDelivery { rank: u32, kind: DeliveryKind, bytes: u64, cp_slices: Vec<Vec<(u64, u64)>> }
+    BatchHead { client: u32, step: u64, payload_len: u32 }
+}
+
+/// A one-byte holder tag, then the holder's id. Clients are the only
+/// holders; tag 1 once named a constructor holder and is no longer
+/// accepted.
+impl Field for Holder {
+    const MIN_LEN: usize = 1 + 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        let Holder::Client(id) = self;
+        0u8.put(buf);
+        id.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let at = r.pos;
+        match u8::get(r)? {
+            0 => Ok(Holder::Client(u32::get(r)?)),
+            tag => Err(CodecError::at(
+                format!("unknown holder tag {tag}"),
+                at,
+                r.frame_len,
+            )),
+        }
+    }
+}
+
+/// Deepest sub-plan nesting a plan-store frame may carry. The planner
+/// nests one level (the VLM `"encoder"` sub-plan); the cap is what keeps
+/// [`decode_plan_store`] from recursing on input depth.
+pub const MAX_SUBPLAN_DEPTH: usize = 4;
+
+/// Most trainer ranks a topology frame may describe: decoding rebuilds
+/// the place tree, one node per rank, so the product of the dims is
+/// bounded before anything is allocated for it.
+pub const MAX_TOPOLOGY_RANKS: u32 = 1 << 20;
+
+/// A plan's fields in wire order, its sub-plans last. Written by hand
+/// only so that decoding counts its nesting in the reader: a frame
+/// nesting sub-plans past [`MAX_SUBPLAN_DEPTH`] is an error, so the
+/// recursion is bounded by the cap, not by the input.
+impl Field for LoadingPlan {
+    const MIN_LEN: usize = 8 + 1 + 4 * 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.step.put(buf);
+        self.axis.put(buf);
+        self.buckets.put(buf);
+        self.broadcast_axes.put(buf);
+        self.directives.put(buf);
+        self.subplans.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        if r.depth > MAX_SUBPLAN_DEPTH {
+            return Err(CodecError::at(
+                format!("sub-plans nested deeper than {MAX_SUBPLAN_DEPTH}"),
+                r.pos,
+                r.frame_len,
+            ));
+        }
+        r.depth += 1;
+        let plan = LoadingPlan {
+            step: Field::get(r)?,
+            axis: Field::get(r)?,
+            buckets: Field::get(r)?,
+            broadcast_axes: Field::get(r)?,
+            directives: Field::get(r)?,
+            subplans: Field::get(r)?,
+        };
+        r.depth -= 1;
+        Ok(plan)
+    }
+    fn encoded_len(&self) -> usize {
+        self.step.encoded_len()
+            + self.axis.encoded_len()
+            + self.buckets.encoded_len()
+            + self.broadcast_axes.encoded_len()
+            + self.directives.encoded_len()
+            + self.subplans.encoded_len()
+    }
+}
+
+/// A `u32` count, then the plans in strictly ascending step order, as
+/// the store keeps them.
+impl Field for PlanStore {
+    const MIN_LEN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for plan in self.plans() {
+            plan.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let count = u32::get(r)?;
+        let mut store = PlanStore::new();
+        for _ in 0..count {
+            let at = r.pos;
+            let plan: LoadingPlan = Field::get(r)?;
+            if store.last_step().is_some_and(|last| plan.step <= last) {
+                return Err(CodecError::at(
+                    format!("plan for step {} is out of order", plan.step),
+                    at,
+                    r.frame_len,
+                ));
+            }
+            store.insert(plan);
+        }
+        Ok(store)
+    }
+    fn encoded_len(&self) -> usize {
+        4 + self.plans().map(Field::encoded_len).sum::<usize>()
+    }
+}
+
+/// A buffer holding a frame header, with room for `capacity` bytes of
+/// fields and the checksum.
 fn frame(kind: u8, capacity: usize) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + capacity + CHECKSUM_LEN);
-    buf.put_slice(&MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(kind);
+    put_header(&mut buf, kind);
     buf
+}
+
+/// Writes the header every frame opens with.
+fn put_header(buf: &mut Vec<u8>, kind: u8) {
+    buf.extend_from_slice(&MAGIC);
+    VERSION.put(buf);
+    kind.put(buf);
+}
+
+/// Encodes `value` as a frame of `kind`, in one exactly-sized buffer.
+fn encode<T: Field>(kind: u8, value: &T) -> Vec<u8> {
+    let mut buf = frame(kind, value.encoded_len());
+    value.put(&mut buf);
+    debug_assert_eq!(buf.len(), HEADER_LEN + value.encoded_len());
+    seal(buf)
+}
+
+/// Decodes a frame of `kind` holding exactly one `T`.
+fn decode<T: Field>(data: &[u8], kind: u8) -> Result<T, CodecError> {
+    let mut r = open_frame(data, kind)?;
+    let value = T::get(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Trailing checksum width.
@@ -288,7 +667,7 @@ fn fnv1a(data: &[u8]) -> u32 {
 /// Appends the frame checksum; every encoder's final step.
 fn seal(mut buf: Vec<u8>) -> Vec<u8> {
     let sum = fnv1a(&buf);
-    buf.put_u32_le(sum);
+    sum.put(&mut buf);
     buf
 }
 
@@ -365,28 +744,25 @@ impl Fnv1a64 {
         }
         // Single words until the round-robin is back at lane 0, then
         // whole four-lane blocks, then single words again.
-        while self.next != 0 && data.len() >= 8 {
-            let (w, rest) = data.split_at(8);
-            self.word(w.try_into().expect("8-byte word"));
+        while self.next != 0 {
+            let Some((w, rest)) = data.split_first_chunk::<8>() else {
+                break;
+            };
+            self.word(*w);
             data = rest;
         }
-        if self.next == 0 {
-            let mut blocks = data.chunks_exact(32);
-            for block in &mut blocks {
-                for (lane, w) in self.lanes.iter_mut().zip(block.chunks_exact(8)) {
-                    *lane ^= u64::from_le_bytes(w.try_into().expect("8-byte word"));
-                    *lane = lane.wrapping_mul(Self::PRIME);
-                }
+        while let Some((block, rest)) = data.split_first_chunk::<32>() {
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                *lane = (*lane ^ le_u64(block, 8 * i)).wrapping_mul(Self::PRIME);
             }
-            data = blocks.remainder();
+            data = rest;
         }
-        let mut words = data.chunks_exact(8);
-        for w in &mut words {
-            self.word(w.try_into().expect("8-byte word"));
+        while let Some((w, rest)) = data.split_first_chunk::<8>() {
+            self.word(*w);
+            data = rest;
         }
-        let tail = words.remainder();
-        self.partial[..tail.len()].copy_from_slice(tail);
-        self.partial_len = tail.len();
+        self.partial[..data.len()].copy_from_slice(data);
+        self.partial_len = data.len();
     }
 
     /// The hash of everything written: a zero-padded partial word counts
@@ -404,6 +780,12 @@ impl Fnv1a64 {
     }
 }
 
+/// The little-endian `u64` at `bytes[at..at + 8]`, for callers that
+/// hold whole fixed-size rows (the bytes are there by construction).
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(std::array::from_fn(|i| bytes[at + i]))
+}
+
 /// [`Fnv1a64`] over one contiguous input.
 fn fnv1a64(data: &[u8]) -> u64 {
     let mut hasher = Fnv1a64::new(data.len());
@@ -415,18 +797,24 @@ fn fnv1a64(data: &[u8]) -> u64 {
 /// step.
 fn seal_batch(buf: &mut Vec<u8>) {
     let sum = fnv1a64(buf);
-    buf.put_u64_le(sum);
+    sum.put(buf);
 }
 
-/// The one header check every frame opener shares: `data` (at least
-/// [`HEADER_LEN`] bytes of a `frame_len`-byte frame) must start with the
-/// magic and carry an accepted version. Returns the kind byte and a
-/// reader positioned on the bytes after the header.
+/// The one header check every frame opener shares: `data` (the start of
+/// a `frame_len`-byte frame) must start with the magic and carry an
+/// accepted version. Returns the kind byte and a reader positioned on
+/// the bytes after the header.
 fn open_header(data: &[u8], frame_len: usize) -> Result<(u8, Reader<'_>), CodecError> {
-    if data[..MAGIC.len()] != MAGIC {
+    let mut r = Reader {
+        data,
+        pos: 0,
+        frame_len,
+        depth: 0,
+    };
+    if r.array()? != MAGIC {
         return Err(CodecError::at("missing MSDB magic", 0, frame_len));
     }
-    let version = data[MAGIC.len()];
+    let version = u8::get(&mut r)?;
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(CodecError::at(
             format!("unsupported frame version {version}"),
@@ -434,24 +822,21 @@ fn open_header(data: &[u8], frame_len: usize) -> Result<(u8, Reader<'_>), CodecE
             frame_len,
         ));
     }
-    let r = Reader {
-        data: &data[HEADER_LEN..],
-        pos: HEADER_LEN,
-        frame_len,
-    };
-    Ok((data[MAGIC.len() + 1], r))
+    Ok((u8::get(&mut r)?, r))
 }
 
 /// Strips and validates the header plus the wide trailing checksum of a
 /// kind-11 batch frame, returning a reader over the body only.
 fn open_batch_frame(data: &[u8]) -> Result<Reader<'_>, CodecError> {
-    if data.len() < HEADER_LEN + BATCH_CHECKSUM_LEN {
+    let Some((body, tail)) = data
+        .split_last_chunk::<BATCH_CHECKSUM_LEN>()
+        .filter(|(body, _)| body.len() >= HEADER_LEN)
+    else {
         return Err(
             CodecError::new(format!("batch frame too short: {} bytes", data.len()))
                 .with_frame_len(data.len()),
         );
-    }
-    let (body, tail) = data.split_at(data.len() - BATCH_CHECKSUM_LEN);
+    };
     let (kind, r) = open_header(body, data.len())?;
     if kind != KIND_BATCH {
         return Err(CodecError::at(
@@ -460,7 +845,7 @@ fn open_batch_frame(data: &[u8]) -> Result<Reader<'_>, CodecError> {
             data.len(),
         ));
     }
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
+    let stored = u64::from_le_bytes(*tail);
     let computed = fnv1a64(body);
     if stored != computed {
         return Err(CodecError::new(format!(
@@ -487,15 +872,17 @@ fn open_frame(data: &[u8], kind: u8) -> Result<Reader<'_>, CodecError> {
 /// Like [`open_frame`], but yields whichever kind the frame carries
 /// (the wire decoder dispatches on it).
 fn open_any_frame(data: &[u8]) -> Result<(u8, Reader<'_>), CodecError> {
-    if data.len() < HEADER_LEN + CHECKSUM_LEN {
+    let Some((body, tail)) = data
+        .split_last_chunk::<CHECKSUM_LEN>()
+        .filter(|(body, _)| body.len() >= HEADER_LEN)
+    else {
         return Err(
             CodecError::new(format!("frame too short: {} bytes", data.len()))
                 .with_frame_len(data.len()),
         );
-    }
-    let (body, tail) = data.split_at(data.len() - CHECKSUM_LEN);
+    };
     let opened = open_header(body, data.len())?;
-    let stored = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
+    let stored = u32::from_le_bytes(*tail);
     let computed = fnv1a(body);
     if stored != computed {
         return Err(CodecError::new(format!(
@@ -506,372 +893,59 @@ fn open_any_frame(data: &[u8]) -> Result<(u8, Reader<'_>), CodecError> {
     Ok(opened)
 }
 
-fn put_rng(buf: &mut Vec<u8>, state: &[u64; 4]) {
-    for w in state {
-        buf.put_u64_le(*w);
-    }
-}
-
-fn get_rng(r: &mut Reader<'_>) -> Result<[u64; 4], CodecError> {
-    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
-}
-
 /// Encodes a planner checkpoint.
 pub fn encode_planner_checkpoint(cp: &CoreCheckpoint) -> Vec<u8> {
-    let mut buf = frame(KIND_PLANNER, 6 * 8);
-    buf.put_u64_le(cp.planner.step);
-    put_rng(&mut buf, &cp.planner.rng_state);
-    buf.put_u64_le(cp.replayed_steps);
-    seal(buf)
+    encode(KIND_PLANNER, cp)
 }
 
 /// Decodes a planner checkpoint.
 pub fn decode_planner_checkpoint(data: &[u8]) -> Result<CoreCheckpoint, CodecError> {
-    let mut r = open_frame(data, KIND_PLANNER)?;
-    let step = r.u64()?;
-    let rng_state = get_rng(&mut r)?;
-    let replayed_steps = r.u64()?;
-    r.finish()?;
-    Ok(CoreCheckpoint {
-        planner: PlannerCheckpoint { step, rng_state },
-        replayed_steps,
-    })
+    decode(data, KIND_PLANNER)
 }
 
-fn put_ids(buf: &mut Vec<u8>, ids: &[u64]) {
-    buf.put_u32_le(ids.len() as u32);
-    for id in ids {
-        buf.put_u64_le(*id);
-    }
-}
-
-/// Reads a counted run of sample ids with one bounds check (a hostile
-/// count fails it before anything is allocated).
-fn get_ids(r: &mut Reader<'_>) -> Result<Vec<u64>, CodecError> {
-    let count = r.u32()? as usize;
-    let raw = r.take(count.saturating_mul(8))?;
-    Ok(raw
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte id")))
-        .collect())
-}
-
-/// Pop directives (`loader id → sample ids`, ids in plan order): the
-/// body of a plan-log entry, and one field of a stored plan.
-fn put_directives(buf: &mut Vec<u8>, directives: &BTreeMap<u32, Vec<u64>>) {
-    buf.put_u32_le(directives.len() as u32);
-    for (loader, samples) in directives {
-        buf.put_u32_le(*loader);
-        put_ids(buf, samples);
-    }
-}
-
-fn get_directives(r: &mut Reader<'_>) -> Result<BTreeMap<u32, Vec<u64>>, CodecError> {
-    let entries = r.u32()?;
-    let mut out = BTreeMap::new();
-    for _ in 0..entries {
-        out.insert(r.u32()?, get_ids(r)?);
-    }
-    Ok(out)
-}
-
-/// Encodes one plan-log entry: the step's pop directives.
+/// Encodes one plan-log entry: the step's pop directives (`loader id →
+/// sample ids`, ids in plan order).
 pub fn encode_plan_log(directives: &BTreeMap<u32, Vec<u64>>) -> Vec<u8> {
-    let ids: usize = directives.values().map(Vec::len).sum();
-    let mut buf = frame(KIND_PLAN_LOG, 4 + directives.len() * 8 + ids * 8);
-    put_directives(&mut buf, directives);
-    seal(buf)
+    encode(KIND_PLAN_LOG, directives)
 }
 
 /// Decodes a plan-log entry.
 pub fn decode_plan_log(data: &[u8]) -> Result<BTreeMap<u32, Vec<u64>>, CodecError> {
-    let mut r = open_frame(data, KIND_PLAN_LOG)?;
-    let directives = get_directives(&mut r)?;
-    r.finish()?;
-    Ok(directives)
+    decode(data, KIND_PLAN_LOG)
 }
 
 /// Encodes a loader checkpoint (58 bytes).
 pub fn encode_loader_checkpoint(cp: &LoaderCheckpoint) -> Vec<u8> {
-    let mut buf = frame(KIND_LOADER, 4 + 6 * 8);
-    buf.put_u32_le(cp.loader_id);
-    buf.put_u64_le(cp.cursor);
-    put_rng(&mut buf, &cp.rng_state);
-    buf.put_u64_le(cp.version);
-    seal(buf)
+    encode(KIND_LOADER, cp)
 }
 
 /// Decodes a loader checkpoint.
 pub fn decode_loader_checkpoint(data: &[u8]) -> Result<LoaderCheckpoint, CodecError> {
-    let mut r = open_frame(data, KIND_LOADER)?;
-    let loader_id = r.u32()?;
-    let cursor = r.u64()?;
-    let rng_state = get_rng(&mut r)?;
-    let version = r.u64()?;
-    r.finish()?;
-    Ok(LoaderCheckpoint {
-        loader_id,
-        cursor,
-        rng_state,
-        version,
-    })
+    decode(data, KIND_LOADER)
 }
 
 /// Encodes an elastic-controller checkpoint: event sequence, id
 /// allocator, lifetime decision counters, and the live loader topology
 /// (16 bytes per slot).
 pub fn encode_controller_checkpoint(cp: &ControllerCheckpoint) -> Vec<u8> {
-    let mut buf = frame(KIND_CONTROLLER, 4 * 8 + 8 + cp.slots.len() * 16);
-    buf.put_u64_le(cp.seq);
-    buf.put_u32_le(cp.next_loader_id);
-    buf.put_u64_le(cp.scale_ups);
-    buf.put_u64_le(cp.scale_downs);
-    buf.put_u64_le(cp.rebalances);
-    buf.put_u32_le(cp.slots.len() as u32);
-    for slot in &cp.slots {
-        buf.put_u32_le(slot.source);
-        buf.put_u32_le(slot.loader_id);
-        buf.put_u32_le(slot.shard);
-        buf.put_u32_le(slot.shards);
-    }
-    seal(buf)
+    encode(KIND_CONTROLLER, cp)
 }
 
 /// Decodes an elastic-controller checkpoint.
 pub fn decode_controller_checkpoint(data: &[u8]) -> Result<ControllerCheckpoint, CodecError> {
-    let mut r = open_frame(data, KIND_CONTROLLER)?;
-    let seq = r.u64()?;
-    let next_loader_id = r.u32()?;
-    let scale_ups = r.u64()?;
-    let scale_downs = r.u64()?;
-    let rebalances = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut slots = Vec::with_capacity(r.capacity(count, 16));
-    for _ in 0..count {
-        slots.push(SlotRecord {
-            source: r.u32()?,
-            loader_id: r.u32()?,
-            shard: r.u32()?,
-            shards: r.u32()?,
-        });
-    }
-    r.finish()?;
-    Ok(ControllerCheckpoint {
-        seq,
-        next_loader_id,
-        scale_ups,
-        scale_downs,
-        rebalances,
-        slots,
-    })
+    decode(data, KIND_CONTROLLER)
 }
-
-/// Holder tag of the frontier checkpoint frame. Clients are the only
-/// holders; tag 1 once named a constructor holder and is no longer
-/// accepted.
-const HOLDER_CLIENT: u8 = 0;
 
 /// Encodes a serve-plane frontier checkpoint: the folded frontier, the
 /// driver's served/pruning cursors, and every live capability holder
 /// (13 bytes per holder).
 pub fn encode_frontier_checkpoint(cp: &FrontierCheckpoint) -> Vec<u8> {
-    let mut buf = frame(KIND_FRONTIER, 4 * 8 + 4 + cp.holders.len() * 13);
-    buf.put_u64_le(cp.frontier);
-    buf.put_u64_le(cp.served);
-    buf.put_u64_le(cp.plan_base);
-    buf.put_u64_le(cp.pruned_below);
-    buf.put_u32_le(cp.holders.len() as u32);
-    for (Holder::Client(id), cursor) in &cp.holders {
-        buf.put_u8(HOLDER_CLIENT);
-        buf.put_u32_le(*id);
-        buf.put_u64_le(*cursor);
-    }
-    seal(buf)
+    encode(KIND_FRONTIER, cp)
 }
 
 /// Decodes a frontier checkpoint.
 pub fn decode_frontier_checkpoint(data: &[u8]) -> Result<FrontierCheckpoint, CodecError> {
-    let mut r = open_frame(data, KIND_FRONTIER)?;
-    let frontier = r.u64()?;
-    let served = r.u64()?;
-    let plan_base = r.u64()?;
-    let pruned_below = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut holders = Vec::with_capacity(r.capacity(count, 13));
-    for _ in 0..count {
-        let tag = r.u8()?;
-        let id = r.u32()?;
-        let cursor = r.u64()?;
-        let holder = match tag {
-            HOLDER_CLIENT => Holder::Client(id),
-            other => {
-                return Err(CodecError::new(format!("unknown holder tag {other}"))
-                    .with_frame_len(data.len()));
-            }
-        };
-        holders.push((holder, cursor));
-    }
-    r.finish()?;
-    Ok(FrontierCheckpoint {
-        frontier,
-        served,
-        plan_base,
-        pruned_below,
-        holders,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Replay Mode plan store (kind 15) and trainer topology (kind 16).
-
-/// Deepest sub-plan nesting a plan-store frame may carry. The planner
-/// nests one level (the VLM `"encoder"` sub-plan); the cap is what keeps
-/// [`decode_plan_store`] from recursing on input depth.
-pub const MAX_SUBPLAN_DEPTH: usize = 4;
-
-/// Most trainer ranks a topology frame may describe: decoding rebuilds
-/// the place tree, one node per rank, so the product of the dims is
-/// bounded before anything is allocated for it.
-pub const MAX_TOPOLOGY_RANKS: u32 = 1 << 20;
-
-fn axis_tag(axis: Axis) -> u8 {
-    match axis {
-        Axis::PP => 0,
-        Axis::DP => 1,
-        Axis::CP => 2,
-        Axis::TP => 3,
-    }
-}
-
-fn get_axis(r: &mut Reader<'_>) -> Result<Axis, CodecError> {
-    let at = r.pos;
-    match r.u8()? {
-        0 => Ok(Axis::PP),
-        1 => Ok(Axis::DP),
-        2 => Ok(Axis::CP),
-        3 => Ok(Axis::TP),
-        other => Err(CodecError::at(
-            format!("unknown mesh axis tag {other}"),
-            at,
-            r.frame_len,
-        )),
-    }
-}
-
-fn put_plan(buf: &mut Vec<u8>, plan: &LoadingPlan, depth: usize) {
-    assert!(
-        depth <= MAX_SUBPLAN_DEPTH,
-        "plan nests sub-plans deeper than {MAX_SUBPLAN_DEPTH}; no planner builds that"
-    );
-    buf.put_u64_le(plan.step);
-    buf.put_u8(match plan.axis {
-        DistributeAxis::DP => 0,
-        DistributeAxis::CP => 1,
-        DistributeAxis::World => 2,
-    });
-    buf.put_u32_le(plan.buckets.len() as u32);
-    for bucket in &plan.buckets {
-        buf.put_u32_le(bucket.bucket);
-        buf.put_u32_le(bucket.clients.len() as u32);
-        for rank in &bucket.clients {
-            buf.put_u32_le(*rank);
-        }
-        buf.put_u32_le(bucket.bins.len() as u32);
-        for bin in &bucket.bins {
-            buf.put_u32_le(bin.bin);
-            put_ids(buf, &bin.samples);
-            // Bit-exact: NaN payloads and the sign of zero survive.
-            buf.put_u64_le(bin.total_cost.to_bits());
-        }
-    }
-    buf.put_u32_le(plan.broadcast_axes.len() as u32);
-    for axis in &plan.broadcast_axes {
-        buf.put_u8(axis_tag(*axis));
-    }
-    put_directives(buf, &plan.directives);
-    buf.put_u32_le(plan.subplans.len() as u32);
-    for (name, sub) in &plan.subplans {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-        put_plan(buf, sub, depth + 1);
-    }
-}
-
-/// Reads one plan at sub-plan nesting `depth`. The recursion is bounded
-/// by [`MAX_SUBPLAN_DEPTH`], not by the input.
-fn get_plan(r: &mut Reader<'_>, depth: usize) -> Result<LoadingPlan, CodecError> {
-    if depth > MAX_SUBPLAN_DEPTH {
-        return Err(CodecError::at(
-            format!("sub-plans nested deeper than {MAX_SUBPLAN_DEPTH}"),
-            r.pos,
-            r.frame_len,
-        ));
-    }
-    let step = r.u64()?;
-    let axis_at = r.pos;
-    let axis = match r.u8()? {
-        0 => DistributeAxis::DP,
-        1 => DistributeAxis::CP,
-        2 => DistributeAxis::World,
-        other => {
-            return Err(CodecError::at(
-                format!("unknown distribute axis tag {other}"),
-                axis_at,
-                r.frame_len,
-            ));
-        }
-    };
-    let bucket_count = r.u32()? as usize;
-    // Bucket: id, client count, bin count.
-    let mut buckets = Vec::with_capacity(r.capacity(bucket_count, 12));
-    for _ in 0..bucket_count {
-        let bucket = r.u32()?;
-        let client_count = r.u32()? as usize;
-        let clients = r
-            .take(client_count.saturating_mul(4))?
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte rank")))
-            .collect();
-        let bin_count = r.u32()? as usize;
-        // Bin: id, sample count, cost.
-        let mut bins = Vec::with_capacity(r.capacity(bin_count, 16));
-        for _ in 0..bin_count {
-            bins.push(BinPlan {
-                bin: r.u32()?,
-                samples: get_ids(r)?,
-                total_cost: f64::from_bits(r.u64()?),
-            });
-        }
-        buckets.push(BucketPlan {
-            bucket,
-            clients,
-            bins,
-        });
-    }
-    let axis_count = r.u32()? as usize;
-    let mut broadcast_axes = Vec::with_capacity(axis_count.min(Axis::CANONICAL.len()));
-    for _ in 0..axis_count {
-        broadcast_axes.push(get_axis(r)?);
-    }
-    let directives = get_directives(r)?;
-    let subplan_count = r.u32()? as usize;
-    let mut subplans = BTreeMap::new();
-    for _ in 0..subplan_count {
-        let name_len = r.u32()? as usize;
-        let name_at = r.pos;
-        let name = std::str::from_utf8(r.take(name_len)?)
-            .map_err(|e| CodecError::at(format!("sub-plan name: {e}"), name_at, r.frame_len))?
-            .to_string();
-        subplans.insert(name, get_plan(r, depth + 1)?);
-    }
-    Ok(LoadingPlan {
-        step,
-        axis,
-        buckets,
-        broadcast_axes,
-        directives,
-        subplans,
-    })
+    decode(data, KIND_FRONTIER)
 }
 
 /// Encodes a Replay Mode plan store: its plans in step order, bin costs
@@ -882,60 +956,37 @@ fn get_plan(r: &mut Reader<'_>, depth: usize) -> Result<LoadingPlan, CodecError>
 /// If a plan nests sub-plans deeper than [`MAX_SUBPLAN_DEPTH`] — such a
 /// frame would not decode, and no planner builds one.
 pub fn encode_plan_store(store: &PlanStore) -> Vec<u8> {
-    let mut buf = frame(KIND_PLAN_STORE, 4);
-    buf.put_u32_le(store.len() as u32);
-    for plan in store.plans() {
-        put_plan(&mut buf, plan, 0);
+    fn nesting(plan: &LoadingPlan) -> usize {
+        plan.subplans
+            .values()
+            .map(|sub| 1 + nesting(sub))
+            .max()
+            .unwrap_or(0)
     }
-    seal(buf)
+    assert!(
+        store.plans().all(|plan| nesting(plan) <= MAX_SUBPLAN_DEPTH),
+        "plan nests sub-plans deeper than {MAX_SUBPLAN_DEPTH}; no planner builds that"
+    );
+    encode(KIND_PLAN_STORE, store)
 }
 
 /// Decodes a Replay Mode plan store. Plans must arrive in strictly
 /// ascending step order, as [`encode_plan_store`] writes them.
 pub fn decode_plan_store(data: &[u8]) -> Result<PlanStore, CodecError> {
-    let mut r = open_frame(data, KIND_PLAN_STORE)?;
-    let count = r.u32()?;
-    let mut store = PlanStore::new();
-    for _ in 0..count {
-        let at = r.pos;
-        let plan = get_plan(&mut r, 0)?;
-        if store.last_step().is_some_and(|last| plan.step <= last) {
-            return Err(CodecError::at(
-                format!("plan for step {} is out of order", plan.step),
-                at,
-                data.len(),
-            ));
-        }
-        store.insert(plan);
-    }
-    r.finish()?;
-    Ok(store)
+    decode(data, KIND_PLAN_STORE)
 }
 
 /// Encodes a trainer topology as the dims of its device mesh — the tree
 /// is a pure function of them ([`ClientPlaceTree::from_device_mesh`]).
 pub fn encode_topology(tree: &ClientPlaceTree) -> Vec<u8> {
-    let dims = tree.mesh().dims();
-    let mut buf = frame(KIND_TOPOLOGY, 4 + dims.len() * 5);
-    buf.put_u32_le(dims.len() as u32);
-    for (axis, size) in dims {
-        buf.put_u8(axis_tag(*axis));
-        buf.put_u32_le(*size);
-    }
-    seal(buf)
+    encode(KIND_TOPOLOGY, &tree.mesh().dims().to_vec())
 }
 
 /// Decodes a trainer topology and rebuilds its place tree. Dims no mesh
 /// accepts (a zero size, a repeated axis) and meshes past
 /// [`MAX_TOPOLOGY_RANKS`] are errors.
 pub fn decode_topology(data: &[u8]) -> Result<ClientPlaceTree, CodecError> {
-    let mut r = open_frame(data, KIND_TOPOLOGY)?;
-    let count = r.u32()? as usize;
-    let mut dims = Vec::with_capacity(count.min(Axis::CANONICAL.len()));
-    for _ in 0..count {
-        dims.push((get_axis(&mut r)?, r.u32()?));
-    }
-    r.finish()?;
+    let dims: Vec<(Axis, u32)> = decode(data, KIND_TOPOLOGY)?;
     let ranks = dims
         .iter()
         .try_fold(1u32, |n, (_, size)| n.checked_mul(*size));
@@ -950,28 +1001,82 @@ pub fn decode_topology(data: &[u8]) -> Result<ClientPlaceTree, CodecError> {
     Ok(ClientPlaceTree::from_device_mesh(&mesh))
 }
 
-/// Byte length of the head-sealed `WireFrame::Batch` head: magic,
-/// version, kind, client, step, payload length, head checksum. The
-/// payload bytes follow immediately after.
-const WIRE_BATCH_HEAD_LEN: usize = HEADER_LEN + 4 + 8 + 4 + CHECKSUM_LEN;
+/// The fixed head of the `WireFrame::Batch` container (kind 7): the
+/// payload's length stands where the payload's bytes would.
+struct BatchHead {
+    client: u32,
+    step: u64,
+    payload_len: u32,
+}
 
-/// Exact encoded length of a wire frame, from the same per-variant field
-/// walk as [`encode_wire_frame_parts`]. Lets encoders presize scratch
-/// (or lease a pooled buffer of the right class) instead of growing a
-/// `Vec` by doubling. A batch frame is sized without building its
-/// payload's wire form ([`BatchPayload::wire_len`]).
+/// Byte length of the head-sealed `WireFrame::Batch` head: header,
+/// [`BatchHead`], head checksum. The payload bytes follow immediately
+/// after.
+const WIRE_BATCH_HEAD_LEN: usize = HEADER_LEN + <BatchHead as Field>::MIN_LEN + CHECKSUM_LEN;
+
+/// Declares the wire kinds once: each control frame's kind byte, its
+/// [`WireFrame`] variant and its fields in wire order. The batch
+/// container (kind 7) is the one variant not listed: its sealed part is
+/// a [`BatchHead`], and its payload follows the seal.
+macro_rules! wire_kinds {
+    ($($kind:ident => $variant:ident { $($field:ident: $ty:ty),+ }),+ $(,)?) => {
+        /// Bytes between the header and the end of the frame, the
+        /// checksum aside: the fields, and a batch's payload.
+        fn wire_body_len(frame: &WireFrame) -> usize {
+            match frame {
+                $(WireFrame::$variant { $($field),+ } => 0 $(+ Field::encoded_len($field))+,)+
+                WireFrame::Batch { payload, .. } => {
+                    <BatchHead as Field>::MIN_LEN + payload.wire_len()
+                }
+            }
+        }
+
+        /// Writes the frame's header and the fields its checksum covers,
+        /// and returns a batch's payload, which follows the checksum.
+        fn put_wire_head<'a>(frame: &'a WireFrame, buf: &mut Vec<u8>) -> Option<&'a BatchPayload> {
+            match frame {
+                $(WireFrame::$variant { $($field),+ } => {
+                    put_header(buf, $kind);
+                    $(Field::put($field, buf);)+
+                    None
+                })+
+                WireFrame::Batch { client, step, payload } => {
+                    put_header(buf, KIND_WIRE_BATCH);
+                    let payload_len = payload.wire_len() as u32;
+                    BatchHead { client: *client, step: *step, payload_len }.put(buf);
+                    Some(payload)
+                }
+            }
+        }
+
+        /// Reads the fields of a control frame of `kind`.
+        fn get_control_frame(kind: u8, r: &mut Reader<'_>) -> Result<WireFrame, CodecError> {
+            match kind {
+                $($kind => Ok(WireFrame::$variant { $($field: <$ty as Field>::get(r)?),+ }),)+
+                other => Err(CodecError::new(format!("not a wire frame kind: {other}"))
+                    .with_frame_len(r.frame_len)),
+            }
+        }
+    };
+}
+
+wire_kinds! {
+    KIND_WIRE_HELLO => Hello { client: u32, rank: u32 },
+    KIND_WIRE_SUBSCRIBE => Subscribe { client: u32, from_step: u64, credits: u32 },
+    KIND_WIRE_ACK => Ack { client: u32, step: u64 },
+    KIND_WIRE_CREDIT => Credit { client: u32, grant: u32 },
+    KIND_WIRE_CLOSE => Close { client: u32 },
+    KIND_WIRE_REJECT => Reject { client: u32, reason: RejectReason },
+    KIND_WIRE_FRONTIER => Frontier { client: u32, consumed: u64 },
+}
+
+/// Exact encoded length of a wire frame, from the same declaration as
+/// [`encode_wire_frame_parts`]. Lets encoders presize scratch (or lease
+/// a pooled buffer of the right class) instead of growing a `Vec` by
+/// doubling. A batch frame is sized without building its payload's wire
+/// form ([`BatchPayload::wire_len`]).
 pub fn encoded_wire_frame_len(frame_in: &WireFrame) -> usize {
-    let base = HEADER_LEN + CHECKSUM_LEN; // magic, version, kind, seal
-    match frame_in {
-        WireFrame::Hello { .. } => base + 4 + 4,
-        WireFrame::Subscribe { .. } => base + 4 + 8 + 4,
-        WireFrame::Batch { payload, .. } => WIRE_BATCH_HEAD_LEN + payload.wire_len(),
-        WireFrame::Ack { .. } => base + 4 + 8,
-        WireFrame::Credit { .. } => base + 4 + 4,
-        WireFrame::Close { .. } => base + 4,
-        WireFrame::Reject { .. } => base + 4 + 1,
-        WireFrame::Frontier { .. } => base + 4 + 8,
-    }
+    HEADER_LEN + wire_body_len(frame_in) + CHECKSUM_LEN
 }
 
 /// Encodes one wire frame of the distributed serving plane's MSDB
@@ -994,7 +1099,7 @@ pub fn encode_wire_frame(frame_in: &WireFrame) -> Vec<u8> {
 pub fn encode_wire_frame_into(frame_in: &WireFrame, buf: &mut Vec<u8>) {
     if let Some(payload) = encode_wire_frame_parts(frame_in, buf) {
         buf.reserve(payload.wire_len());
-        payload.for_each_part(|part| buf.put_slice(part));
+        payload.for_each_part(|part| buf.extend_from_slice(part));
     }
 }
 
@@ -1011,67 +1116,10 @@ pub fn encode_wire_frame_parts<'a>(
     head: &mut Vec<u8>,
 ) -> Option<&'a BatchPayload> {
     head.clear();
-    head.put_slice(&MAGIC);
-    head.put_u8(VERSION);
-    let mut payload_out = None;
-    match frame_in {
-        WireFrame::Hello { client, rank } => {
-            head.put_u8(KIND_WIRE_HELLO);
-            head.put_u32_le(*client);
-            head.put_u32_le(*rank);
-        }
-        WireFrame::Subscribe {
-            client,
-            from_step,
-            credits,
-        } => {
-            head.put_u8(KIND_WIRE_SUBSCRIBE);
-            head.put_u32_le(*client);
-            head.put_u64_le(*from_step);
-            head.put_u32_le(*credits);
-        }
-        WireFrame::Batch {
-            client,
-            step,
-            payload,
-        } => {
-            head.put_u8(KIND_WIRE_BATCH);
-            head.put_u32_le(*client);
-            head.put_u64_le(*step);
-            head.put_u32_le(payload.wire_len() as u32);
-            payload_out = Some(payload);
-        }
-        WireFrame::Ack { client, step } => {
-            head.put_u8(KIND_WIRE_ACK);
-            head.put_u32_le(*client);
-            head.put_u64_le(*step);
-        }
-        WireFrame::Credit { client, grant } => {
-            head.put_u8(KIND_WIRE_CREDIT);
-            head.put_u32_le(*client);
-            head.put_u32_le(*grant);
-        }
-        WireFrame::Close { client } => {
-            head.put_u8(KIND_WIRE_CLOSE);
-            head.put_u32_le(*client);
-        }
-        WireFrame::Reject { client, reason } => {
-            head.put_u8(KIND_WIRE_REJECT);
-            head.put_u32_le(*client);
-            head.put_u8(reason.code());
-        }
-        WireFrame::Frontier { client, consumed } => {
-            head.put_u8(KIND_WIRE_FRONTIER);
-            head.put_u32_le(*client);
-            head.put_u64_le(*consumed);
-        }
-    }
+    let payload = put_wire_head(frame_in, head);
     let sum = fnv1a(head);
-    head.put_u32_le(sum);
-    if payload_out.is_some() {
-        debug_assert_eq!(head.len(), WIRE_BATCH_HEAD_LEN);
-    }
-    payload_out
+    sum.put(head);
+    payload
 }
 
 /// Decodes one wire frame from its contiguous byte form. A decoded batch
@@ -1083,16 +1131,7 @@ pub fn encode_wire_frame_parts<'a>(
 /// [`decode_wire_frame_shared`], which hands the batch payload out as a
 /// zero-copy view; this slice-based form copies it.
 pub fn decode_wire_frame(data: &[u8]) -> Result<WireFrame, CodecError> {
-    if is_wire_batch(data) {
-        let (client, step, payload_len) = decode_wire_batch_head(data, data.len())?;
-        let payload = Bytes::copy_from_slice(&data[WIRE_BATCH_HEAD_LEN..][..payload_len]);
-        return Ok(WireFrame::Batch {
-            client,
-            step,
-            payload: BatchPayload::Encoded(payload),
-        });
-    }
-    decode_sealed_wire_frame(data)
+    decode_wire(data, |at| Bytes::copy_from_slice(&data[at..]))
 }
 
 /// Like [`decode_wire_frame`], but slices a batch frame's payload
@@ -1100,30 +1139,37 @@ pub fn decode_wire_frame(data: &[u8]) -> Result<WireFrame, CodecError> {
 /// [`BatchPayload::Encoded`] view keeps `data`'s allocation alive
 /// instead of copying megabytes.
 pub fn decode_wire_frame_shared(data: &Bytes) -> Result<WireFrame, CodecError> {
-    if is_wire_batch(data) {
-        let (client, step, payload_len) = decode_wire_batch_head(data, data.len())?;
-        let payload = data.slice(WIRE_BATCH_HEAD_LEN..WIRE_BATCH_HEAD_LEN + payload_len);
-        return Ok(WireFrame::Batch {
-            client,
-            step,
-            payload: BatchPayload::Encoded(payload),
-        });
-    }
-    decode_sealed_wire_frame(data)
+    decode_wire(data, |at| data.slice(at..))
 }
 
-/// Whether `data` starts like a `WireFrame::Batch` container, the one
-/// head-sealed kind ([`decode_wire_batch_head`] validates the rest).
-fn is_wire_batch(data: &[u8]) -> bool {
-    is_binary(data) && data[MAGIC.len() + 1] == KIND_WIRE_BATCH
+/// Shared walk of the two wire decoders: `payload_from(at)` is a batch
+/// payload's bytes, the frame's from offset `at` on.
+fn decode_wire(
+    data: &[u8],
+    payload_from: impl FnOnce(usize) -> Bytes,
+) -> Result<WireFrame, CodecError> {
+    // The batch container is the one head-sealed kind.
+    if !(is_binary(data) && data.get(MAGIC.len() + 1) == Some(&KIND_WIRE_BATCH)) {
+        return decode_sealed_wire_frame(data);
+    }
+    let BatchHead { client, step, .. } = decode_wire_batch_head(data, data.len())?;
+    let payload = BatchPayload::Encoded(payload_from(WIRE_BATCH_HEAD_LEN));
+    Ok(WireFrame::Batch {
+        client,
+        step,
+        payload,
+    })
 }
 
 /// Validates a head-sealed batch head (checksum over the head bytes
 /// only) and the payload length it declares against the frame's total
 /// byte count (`total_len` — head plus payload, however the two were
-/// transferred), returning `(client, step, payload_len)`.
-fn decode_wire_batch_head(data: &[u8], total_len: usize) -> Result<(u32, u64, usize), CodecError> {
-    if data.len() < WIRE_BATCH_HEAD_LEN {
+/// transferred).
+fn decode_wire_batch_head(data: &[u8], total_len: usize) -> Result<BatchHead, CodecError> {
+    let Some((sealed, tail)) = data
+        .get(..WIRE_BATCH_HEAD_LEN)
+        .and_then(<[u8]>::split_last_chunk::<CHECKSUM_LEN>)
+    else {
         return Err(CodecError::at(
             format!(
                 "truncated batch head: {} of {WIRE_BATCH_HEAD_LEN} bytes",
@@ -1132,10 +1178,9 @@ fn decode_wire_batch_head(data: &[u8], total_len: usize) -> Result<(u32, u64, us
             data.len(),
             total_len,
         ));
-    }
-    let (sealed, tail) = data[..WIRE_BATCH_HEAD_LEN].split_at(WIRE_BATCH_HEAD_LEN - CHECKSUM_LEN);
+    };
     let (_, mut r) = open_header(sealed, total_len)?;
-    let stored = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
+    let stored = u32::from_le_bytes(*tail);
     let computed = fnv1a(sealed);
     if stored != computed {
         return Err(CodecError::new(format!(
@@ -1143,9 +1188,8 @@ fn decode_wire_batch_head(data: &[u8], total_len: usize) -> Result<(u32, u64, us
         ))
         .with_frame_len(total_len));
     }
-    let client = r.u32()?;
-    let step = r.u64()?;
-    let payload_len = r.u32()? as usize;
+    let head = BatchHead::get(&mut r)?;
+    let payload_len = head.payload_len as usize;
     if total_len != WIRE_BATCH_HEAD_LEN + payload_len {
         return Err(CodecError::at(
             format!(
@@ -1156,69 +1200,20 @@ fn decode_wire_batch_head(data: &[u8], total_len: usize) -> Result<(u32, u64, us
             total_len,
         ));
     }
-    Ok((client, step, payload_len))
+    Ok(head)
 }
 
 /// Decodes the whole-frame-sealed wire kinds: every control frame. The
 /// batch container (kind 7) is head-sealed and never decodes here.
 fn decode_sealed_wire_frame(data: &[u8]) -> Result<WireFrame, CodecError> {
     let (kind, mut r) = open_any_frame(data)?;
-    let frame_out = match kind {
-        KIND_WIRE_HELLO => WireFrame::Hello {
-            client: r.u32()?,
-            rank: r.u32()?,
-        },
-        KIND_WIRE_SUBSCRIBE => WireFrame::Subscribe {
-            client: r.u32()?,
-            from_step: r.u64()?,
-            credits: r.u32()?,
-        },
-        KIND_WIRE_ACK => WireFrame::Ack {
-            client: r.u32()?,
-            step: r.u64()?,
-        },
-        KIND_WIRE_CREDIT => WireFrame::Credit {
-            client: r.u32()?,
-            grant: r.u32()?,
-        },
-        KIND_WIRE_CLOSE => WireFrame::Close { client: r.u32()? },
-        KIND_WIRE_REJECT => {
-            let client = r.u32()?;
-            let code = r.u8()?;
-            let reason = RejectReason::from_code(code).ok_or_else(|| {
-                CodecError::new(format!("unknown reject reason code {code}"))
-                    .with_frame_len(data.len())
-            })?;
-            WireFrame::Reject { client, reason }
-        }
-        KIND_WIRE_FRONTIER => WireFrame::Frontier {
-            client: r.u32()?,
-            consumed: r.u64()?,
-        },
-        other => {
-            return Err(CodecError::new(format!("not a wire frame kind: {other}"))
-                .with_frame_len(data.len()));
-        }
-    };
+    let frame_out = get_control_frame(kind, &mut r)?;
     r.finish()?;
     Ok(frame_out)
 }
 
 // ---------------------------------------------------------------------
 // Binary batch payload (kind 11): the body of a `WireFrame::Batch`.
-
-/// Delivery-kind tags of the batch frame.
-const DELIVERY_PAYLOAD: u8 = 0;
-const DELIVERY_METADATA_ONLY: u8 = 1;
-const DELIVERY_ELIDED: u8 = 2;
-
-fn delivery_kind_tag(kind: DeliveryKind) -> u8 {
-    match kind {
-        DeliveryKind::Payload => DELIVERY_PAYLOAD,
-        DeliveryKind::MetadataOnly => DELIVERY_METADATA_ONLY,
-        DeliveryKind::Elided => DELIVERY_ELIDED,
-    }
-}
 
 /// One segment-table row: sample id, tokens.
 const SEGMENT_RECORD_LEN: usize = 8 + 8;
@@ -1257,14 +1252,7 @@ fn batch_frame_shape(batch: &ConstructedBatch) -> (usize, usize, usize) {
         payloads += mb.payloads.len();
         n += 8; // payload_bytes
     }
-    n += 4; // delivery count
-    for d in &batch.deliveries {
-        n += 4 + 1 + 8; // rank + kind tag + bytes
-        n += 4; // microbatch count of cp_slices
-        for slices in &d.cp_slices {
-            n += 4 + slices.len() * 16; // slice count + (start, end)
-        }
-    }
+    n += batch.deliveries.encoded_len();
     (n + BATCH_CHECKSUM_LEN, payload_bytes, payloads)
 }
 
@@ -1288,7 +1276,7 @@ pub fn encoded_batch_len(batch: &ConstructedBatch) -> usize {
 pub fn encode_batch_into(batch: &ConstructedBatch, buf: &mut Vec<u8>) {
     buf.clear();
     buf.reserve(encoded_batch_len(batch));
-    put_batch_fields(batch, buf, |buf, payload| buf.put_slice(payload));
+    put_batch_fields(batch, buf, |buf, payload| buf.extend_from_slice(payload));
     seal_batch(buf);
     debug_assert_eq!(buf.len(), encoded_batch_len(batch));
 }
@@ -1302,47 +1290,32 @@ fn put_batch_fields(
     buf: &mut Vec<u8>,
     mut payload_at: impl FnMut(&mut Vec<u8>, &[u8]),
 ) {
-    buf.put_slice(&MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(KIND_BATCH);
-    buf.put_u32_le(batch.bucket);
+    put_header(buf, KIND_BATCH);
+    batch.bucket.put(buf);
     let segments: usize = batch_sequences(batch).map(|s| s.segments.len()).sum();
-    buf.put_u32_le(segments as u32);
+    (segments as u32).put(buf);
     for seg in batch_sequences(batch).flat_map(|s| &s.segments) {
-        buf.put_u64_le(seg.sample_id);
-        buf.put_u64_le(seg.tokens);
+        seg.sample_id.put(buf);
+        seg.tokens.put(buf);
     }
-    buf.put_u32_le(batch.microbatches.len() as u32);
+    (batch.microbatches.len() as u32).put(buf);
     for mb in &batch.microbatches {
-        buf.put_u32_le(mb.bin);
-        buf.put_u32_le(mb.sequences.len() as u32);
+        mb.bin.put(buf);
+        (mb.sequences.len() as u32).put(buf);
         for seq in &mb.sequences {
-            buf.put_u64_le(seq.tokens);
-            buf.put_u64_le(seq.padding);
-            buf.put_u32_le(seq.segments.len() as u32);
+            seq.tokens.put(buf);
+            seq.padding.put(buf);
+            (seq.segments.len() as u32).put(buf);
         }
-        buf.put_u32_le(mb.payloads.len() as u32);
+        (mb.payloads.len() as u32).put(buf);
         for (sample_id, payload) in &mb.payloads {
-            buf.put_u64_le(*sample_id);
-            buf.put_u32_le(payload.len() as u32);
+            sample_id.put(buf);
+            (payload.len() as u32).put(buf);
             payload_at(buf, payload);
         }
-        buf.put_u64_le(mb.payload_bytes);
+        mb.payload_bytes.put(buf);
     }
-    buf.put_u32_le(batch.deliveries.len() as u32);
-    for d in &batch.deliveries {
-        buf.put_u32_le(d.rank);
-        buf.put_u8(delivery_kind_tag(d.kind));
-        buf.put_u64_le(d.bytes);
-        buf.put_u32_le(d.cp_slices.len() as u32);
-        for slices in &d.cp_slices {
-            buf.put_u32_le(slices.len() as u32);
-            for (start, end) in slices {
-                buf.put_u64_le(*start);
-                buf.put_u64_le(*end);
-            }
-        }
-    }
+    batch.deliveries.put(buf);
 }
 
 /// Encodes a constructed batch into a fresh, exactly-sized buffer.
@@ -1387,7 +1360,7 @@ impl BatchFrame {
         };
         let mut hasher = Fnv1a64::new(frame.len - BATCH_CHECKSUM_LEN);
         frame.for_each_part(batch, |part| hasher.write(part));
-        frame.meta.put_u64_le(hasher.finish());
+        hasher.finish().put(&mut frame.meta);
         debug_assert_eq!(frame.meta.len(), meta_len);
         frame
     }
@@ -1434,16 +1407,13 @@ pub fn decode_batch_shared(data: &Bytes) -> Result<ConstructedBatch, CodecError>
 /// count, then one bounds check over all the rows (a hostile count fails
 /// it before anything is allocated).
 fn get_segment_table(r: &mut Reader<'_>) -> Result<Arc<[Segment]>, CodecError> {
-    let count = r.u32()? as usize;
+    let count = u32::get(r)? as usize;
     let raw = r.take(count.saturating_mul(SEGMENT_RECORD_LEN))?;
     Ok(raw
         .chunks_exact(SEGMENT_RECORD_LEN)
-        .map(|row| {
-            let (id, tokens) = row.split_at(8);
-            Segment {
-                sample_id: u64::from_le_bytes(id.try_into().expect("8-byte id")),
-                tokens: u64::from_le_bytes(tokens.try_into().expect("8-byte count")),
-            }
+        .map(|row| Segment {
+            sample_id: le_u64(row, 0),
+            tokens: le_u64(row, 8),
         })
         .collect())
 }
@@ -1458,9 +1428,9 @@ fn get_sequence(
     next_row: &mut usize,
 ) -> Result<PackedSequence, CodecError> {
     let at = r.pos;
-    let tokens = r.u64()?;
-    let padding = r.u64()?;
-    let count = r.u32()? as usize;
+    let tokens = u64::get(r)?;
+    let padding = u64::get(r)?;
+    let count = u32::get(r)? as usize;
     let rows = *next_row..*next_row + count;
     let Some(segments) = table.get(rows.clone()) else {
         return Err(CodecError::at(
@@ -1503,25 +1473,25 @@ fn get_sequence(
 /// sliced from it zero-copy; otherwise they are copied.
 fn decode_batch_impl(data: &[u8], share: Option<&Bytes>) -> Result<ConstructedBatch, CodecError> {
     let mut r = open_batch_frame(data)?;
-    let bucket = r.u32()?;
+    let bucket = u32::get(&mut r)?;
     let table = get_segment_table(&mut r)?;
     let mut next_row = 0;
-    let mb_count = r.u32()? as usize;
+    let mb_count = u32::get(&mut r)? as usize;
     // Microbatch: bin, sequence count, payload count, payload bytes.
     let mut microbatches = Vec::with_capacity(r.capacity(mb_count, 4 + 4 + 4 + 8));
     for _ in 0..mb_count {
-        let bin = r.u32()?;
-        let seq_count = r.u32()? as usize;
+        let bin = u32::get(&mut r)?;
+        let seq_count = u32::get(&mut r)? as usize;
         let mut sequences = Vec::with_capacity(r.capacity(seq_count, SEQUENCE_RECORD_LEN));
         for _ in 0..seq_count {
             sequences.push(get_sequence(&mut r, &table, &mut next_row)?);
         }
-        let payload_count = r.u32()? as usize;
+        let payload_count = u32::get(&mut r)? as usize;
         // Payload: sample id, length.
         let mut payloads = Vec::with_capacity(r.capacity(payload_count, 8 + 4));
         for _ in 0..payload_count {
-            let sample_id = r.u64()?;
-            let len = r.u32()? as usize;
+            let sample_id = u64::get(&mut r)?;
+            let len = u32::get(&mut r)? as usize;
             let start = r.pos;
             let raw = r.take(len)?;
             let payload = match share {
@@ -1530,7 +1500,7 @@ fn decode_batch_impl(data: &[u8], share: Option<&Bytes>) -> Result<ConstructedBa
             };
             payloads.push((sample_id, payload));
         }
-        let payload_bytes = r.u64()?;
+        let payload_bytes = u64::get(&mut r)?;
         microbatches.push(Microbatch {
             bin,
             sequences,
@@ -1549,42 +1519,7 @@ fn decode_batch_impl(data: &[u8], share: Option<&Bytes>) -> Result<ConstructedBa
             data.len(),
         ));
     }
-    let delivery_count = r.u32()? as usize;
-    // Delivery: rank, kind tag, bytes, microbatch count.
-    let mut deliveries = Vec::with_capacity(r.capacity(delivery_count, 4 + 1 + 8 + 4));
-    for _ in 0..delivery_count {
-        let rank = r.u32()?;
-        let tag_pos = r.pos;
-        let kind = match r.u8()? {
-            DELIVERY_PAYLOAD => DeliveryKind::Payload,
-            DELIVERY_METADATA_ONLY => DeliveryKind::MetadataOnly,
-            DELIVERY_ELIDED => DeliveryKind::Elided,
-            other => {
-                return Err(CodecError::at(
-                    format!("unknown delivery kind tag {other}"),
-                    tag_pos,
-                    data.len(),
-                ));
-            }
-        };
-        let bytes = r.u64()?;
-        let mb_count = r.u32()? as usize;
-        let mut cp_slices = Vec::with_capacity(r.capacity(mb_count, 4));
-        for _ in 0..mb_count {
-            let slice_count = r.u32()? as usize;
-            let mut slices = Vec::with_capacity(r.capacity(slice_count, 16));
-            for _ in 0..slice_count {
-                slices.push((r.u64()?, r.u64()?));
-            }
-            cp_slices.push(slices);
-        }
-        deliveries.push(ClientDelivery {
-            rank,
-            kind,
-            cp_slices,
-            bytes,
-        });
-    }
+    let deliveries = Field::get(&mut r)?;
     r.finish()?;
     Ok(ConstructedBatch {
         bucket,
@@ -1596,6 +1531,7 @@ fn decode_batch_impl(data: &[u8], share: Option<&Bytes>) -> Result<ConstructedBa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     fn core_cp() -> CoreCheckpoint {
         CoreCheckpoint {
@@ -1957,6 +1893,7 @@ mod tests {
             data: &buf[at..buf.len() - BATCH_CHECKSUM_LEN],
             pos: at,
             frame_len: buf.len(),
+            depth: 0,
         };
         assert_eq!(r.capacity(u16::MAX.into(), SEQUENCE_RECORD_LEN), 0);
         assert_eq!(r.capacity(u16::MAX.into(), 2), 3);
@@ -1989,6 +1926,22 @@ mod tests {
     }
 
     #[test]
+    fn maps_decode_only_in_ascending_key_order() {
+        // A plan-log entry `{1: [5], 2: [6]}` whose second key is rewritten
+        // to repeat the first (1) or to come before it (0), then resealed.
+        let wire = encode_plan_log(&BTreeMap::from([(1, vec![5]), (2, vec![6])]));
+        let second_key = HEADER_LEN + 4 + 4 + 4 + 8;
+        assert_eq!(wire[second_key], 2);
+        for key in [1, 0] {
+            let mut bad = wire.clone();
+            bad[second_key] = key;
+            let err = decode_plan_log(&reseal(bad)).unwrap_err();
+            assert!(err.detail().contains("ascending"), "{err}");
+            assert_eq!(err.offset(), Some(second_key), "{err}");
+        }
+    }
+
+    #[test]
     fn frontier_checkpoint_with_holder_tag_1_errors() {
         let cp = FrontierCheckpoint {
             frontier: 3,
@@ -1999,7 +1952,7 @@ mod tests {
         };
         let mut bad = encode_frontier_checkpoint(&cp);
         let tag = HEADER_LEN + 4 * 8 + 4;
-        assert_eq!(bad[tag], HOLDER_CLIENT);
+        assert_eq!(bad[tag], 0);
         bad[tag] = 1;
         let err = decode_frontier_checkpoint(&reseal(bad)).unwrap_err();
         assert!(err.to_string().contains("unknown holder tag 1"), "{err}");
@@ -2136,8 +2089,8 @@ mod tests {
     fn plan_store_rejects_out_of_order_steps() {
         let mut buf = frame(KIND_PLAN_STORE, 0);
         buf.put_u32_le(2);
-        put_plan(&mut buf, &plan(3, 0), 0);
-        put_plan(&mut buf, &plan(3, 0), 0);
+        plan(3, 0).put(&mut buf);
+        plan(3, 0).put(&mut buf);
         let err = decode_plan_store(&seal(buf)).unwrap_err();
         assert!(err.detail().contains("out of order"), "{err}");
     }

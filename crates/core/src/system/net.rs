@@ -272,29 +272,13 @@ pub enum WireFrame {
 }
 
 /// Why a [`WireFrame::Reject`] refused a dial. Carried on the wire as a
-/// single validated byte, so fuzzed frames with unknown codes fail to
-/// decode instead of smuggling an unclassifiable refusal.
+/// one-byte tag declared in [`crate::codec`]; a byte naming no reason is
+/// a decode error, so fuzzed frames cannot smuggle an unclassifiable
+/// refusal through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum RejectReason {
     /// The server is at `ServerConfig::max_sessions` live sessions.
-    SessionLimit = 0,
-}
-
-impl RejectReason {
-    /// The wire byte for this reason.
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// Parses a wire byte back into a reason; unknown codes are a
-    /// decode error, not a default.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(RejectReason::SessionLimit),
-            _ => None,
-        }
-    }
+    SessionLimit,
 }
 
 impl std::fmt::Display for RejectReason {

@@ -2032,12 +2032,6 @@ fn run_serve_driver(
             };
             match fleet.plan(info) {
                 Ok(outcome) => break outcome,
-                Err(RuntimeError::Plan(_)) => {
-                    // A genuine planning error (not a crash): nudge the
-                    // loaders and retry — buffers may simply be lean.
-                    fleet.refill(opts.refill_target);
-                    std::thread::sleep(Duration::from_millis(10));
-                }
                 Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         };

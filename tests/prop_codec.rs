@@ -532,6 +532,39 @@ proptest! {
         }
     }
 
+    /// Every encoder sizes its frame before writing it, and sizes it
+    /// exactly: the encoded `Vec` never grew, so its capacity is its
+    /// length. A size that undercounts still writes the right bytes (the
+    /// `Vec` just reallocates), so no round-trip or golden test sees it.
+    #[test]
+    fn encoders_presize_exactly(
+        cps in (planner_cp(), plan_log(), loader_cp(), controller_cp(), frontier_cp()),
+        frame in wire_frame(),
+        batch in constructed_batch(),
+        store in plan_store(),
+        tree in topology(),
+    ) {
+        let frames = [
+            encode_planner_checkpoint(&cps.0),
+            encode_plan_log(&cps.1),
+            encode_loader_checkpoint(&cps.2),
+            encode_controller_checkpoint(&cps.3),
+            encode_frontier_checkpoint(&cps.4),
+            encode_wire_frame(&frame),
+            encode_batch(&batch),
+            encode_plan_store(&store),
+            encode_topology(&tree),
+        ];
+        for (kind, encoded) in frames.iter().enumerate() {
+            prop_assert_eq!(
+                encoded.capacity(),
+                encoded.len(),
+                "frame {} (in `decoder_verdicts` order) was resized",
+                kind
+            );
+        }
+    }
+
     /// The binary batch frame round-trips over arbitrary batches —
     /// payload runs of every size in range, 0 bytes included.
     #[test]
