@@ -224,10 +224,19 @@ echo "==> cargo test --test planner_scaling -q"
 cargo test --test planner_scaling -q
 
 # The send path copies no payload: sealing a 64 × 48 KiB batch for the
-# wire makes at most two small allocations, and a pool lease that
-# reclaims a parked buffer makes none (same thread-counting allocator).
+# wire makes at most two small allocations, a pool lease that reclaims a
+# parked buffer makes none, and neither does a warmed pool's whole
+# lease → fill → freeze → drop → lease → freeze cycle (same
+# thread-counting allocator).
 echo "==> cargo test --test wire_allocs -q"
 cargo test --test wire_allocs -q
+
+# A warmed synthetic text loader's refill makes exactly two allocator
+# calls per sample (its token Vec and that Vec's shared header). Its own
+# binary: the loader draws from the process-global pool, which no
+# concurrent test may touch.
+echo "==> cargo test --test loader_allocs -q"
+cargo test --test loader_allocs -q
 
 # Second property-test leg: an independent sampling of every property
 # suite, including the DGraph reference-equivalence proptests in

@@ -665,7 +665,7 @@ mod tests {
             let ids: Vec<u64> = l.summary().samples.iter().map(|m| m.sample_id).collect();
             for sample in l.pop(&ids) {
                 let len = sample.payload.len();
-                let backing = sample.payload.try_reclaim().expect("sole view");
+                let backing = sample.payload.try_into_mut().expect("sole view");
                 assert_eq!((backing.len(), backing.capacity()), (len, len));
             }
             // Raw payloads are capped at 8 KB, so the decode output — the

@@ -15,9 +15,15 @@
 //! borrows the timely-dataflow allocator trick: when a buffer is
 //! frozen, the pool *parks a clone* of the `Bytes` handle. Once every
 //! consumer view drops, the parked handle is the unique owner
-//! ([`Bytes::is_unique`]), and a later lease reclaims the backing
-//! `Vec<u8>` via [`Bytes::try_reclaim`] — no free, no malloc, full
-//! capacity back.
+//! ([`Bytes::is_unique`]), and a later lease reclaims the storage via
+//! [`Bytes::try_into_mut`] — full capacity back, together with the
+//! shared header its views counted on.
+//!
+//! A pooled buffer keeps that header for life: the free lists hold
+//! [`BytesMut`], a lease fills one, and [`PooledBuf::freeze`] shares it
+//! as it is. So once a class is warm, the whole cycle — lease, fill,
+//! freeze, views drop, reclaim, lease again — makes no free and no
+//! malloc.
 //!
 //! Reclaim is a clock sweep, oldest first. A class parks its buffers in
 //! a queue in freeze order, and every lease advances over at most
@@ -32,12 +38,12 @@
 //! Three ways storage comes back:
 //! - **steal** — the lease's own sweep reclaimed a parked `Bytes` that
 //!   went unique;
-//! - **hit** — a vec was waiting on the class free list (recycled, or
-//!   reclaimed by an earlier lease's sweep);
-//! - **miss** — nothing available; a fresh vec is allocated.
+//! - **hit** — a buffer was waiting on the class free list (recycled,
+//!   or reclaimed by an earlier lease's sweep);
+//! - **miss** — nothing available; a fresh buffer is allocated.
 //!
 //! What the pool holds idle follows demand, not its peak: every
-//! `TRIM_INTERVAL` leases of a class, the free-listed vecs that no lease
+//! `TRIM_INTERVAL` leases of a class, the free-listed buffers that no lease
 //! in that interval needed go back to the allocator. A burst — the serve
 //! driver running `queue_depth` steps ahead of a stalled client, say —
 //! would otherwise pin its peak in multi-megabyte frame buffers forever.
@@ -62,9 +68,9 @@ pub struct PoolConfig {
     pub min_class_bytes: usize,
     /// Largest size class in bytes (requests above it bypass the pool).
     pub max_class_bytes: usize,
-    /// Cap on idle vecs [`BufferPool::recycle_vec`] keeps per class;
-    /// overflow is dropped (counted as a resize) so the pool cannot hoard
-    /// memory.
+    /// Cap on idle buffers a dropped, never-frozen [`PooledBuf`] may
+    /// join per class; overflow is dropped (counted as a resize) so the
+    /// pool cannot hoard memory.
     pub max_free_per_class: usize,
     /// Cap on parked frozen handles per class awaiting reclaim. It must
     /// cover the frozen buffers that are alive at once (a loader fleet's
@@ -90,7 +96,7 @@ const TRIM_INTERVAL: u32 = 256;
 /// Parked buffers one lease sweeps, oldest first.
 const SWEEP_STEP: usize = 8;
 
-/// One power-of-two size class: recycled vecs ready to hand out, plus
+/// One power-of-two size class: recycled buffers ready to hand out, plus
 /// frozen handles parked until their consumers drop.
 #[derive(Debug, Default)]
 struct SizeClass {
@@ -101,18 +107,18 @@ struct SizeClass {
 
 /// Advances a class's sweep over at most [`SWEEP_STEP`] of its oldest
 /// parked buffers: each whose views have all dropped goes onto `free`,
-/// each still viewed to the back of the queue. Returns whether it
-/// reclaimed any.
-fn sweep_oldest(parked: &mut VecDeque<Bytes>, free: &mut Vec<Vec<u8>>) -> bool {
+/// header and all, each still viewed to the back of the queue. Returns
+/// whether it reclaimed any.
+fn sweep_oldest(parked: &mut VecDeque<Bytes>, free: &mut Vec<BytesMut>) -> bool {
     let before = free.len();
     for _ in 0..SWEEP_STEP.min(parked.len()) {
         let Some(oldest) = parked.pop_front() else {
             break;
         };
-        match oldest.try_reclaim() {
-            Ok(mut vec) => {
-                vec.clear();
-                free.push(vec);
+        match oldest.try_into_mut() {
+            Ok(mut buf) => {
+                buf.clear();
+                free.push(buf);
             }
             Err(viewed) => parked.push_back(viewed),
         }
@@ -120,13 +126,14 @@ fn sweep_oldest(parked: &mut VecDeque<Bytes>, free: &mut Vec<Vec<u8>>) -> bool {
     free.len() > before
 }
 
-/// A class's recycled vecs, with the demand bookkeeping behind trimming.
+/// A class's recycled buffers, with the demand bookkeeping behind
+/// trimming.
 #[derive(Debug, Default)]
 struct FreeList {
-    vecs: Vec<Vec<u8>>,
+    bufs: Vec<BytesMut>,
     /// Leases of this class since the last trim.
     leases: u32,
-    /// Fewest vecs on hand at any of those leases (each of which took
+    /// Fewest buffers on hand at any of those leases (each of which took
     /// one): all but one of them sat unused through the whole interval.
     /// Starts at 0, so the first interval — warm-up — never trims.
     low_water: usize,
@@ -260,21 +267,21 @@ impl BufferPool {
     }
 
     /// The core acquisition path: steal from parked, else pop free,
-    /// else allocate. Returns the vec plus whether it belongs to a
+    /// else allocate. Returns the buffer plus whether it belongs to a
     /// class (and should return to the pool when done).
-    fn acquire(&self, capacity: usize) -> (Vec<u8>, bool) {
+    fn acquire(&self, capacity: usize) -> (BytesMut, bool) {
         self.counters.leases.inc();
         let Some(idx) = self.request_class(capacity) else {
             self.counters.misses.inc();
             self.counters.bytes_allocated.add(capacity as u64);
-            return (Vec::with_capacity(capacity), false);
+            return (BytesMut::with_capacity(capacity), false);
         };
         let class = &self.classes[idx];
 
-        // Shed vecs are freed once the lock is released; the list only
+        // Shed buffers are freed once the lock is released; the list only
         // allocates on a lease that sheds.
-        let mut shed: Vec<Vec<u8>> = Vec::new();
-        let (vec, stolen) = {
+        let mut shed: Vec<BytesMut> = Vec::new();
+        let (buf, stolen) = {
             // Lock order: free, then parked (as `idle_buffers`).
             let mut free = class.free.lock().expect("pool free lock");
             // Reclaimed buffers join the free list uncapped: the parked
@@ -282,35 +289,35 @@ impl BufferPool {
             // leaves unused.
             let stolen = sweep_oldest(
                 &mut class.parked.lock().expect("pool parked lock"),
-                &mut free.vecs,
+                &mut free.bufs,
             );
-            free.low_water = free.low_water.min(free.vecs.len());
+            free.low_water = free.low_water.min(free.bufs.len());
             free.leases += 1;
             if free.leases == TRIM_INTERVAL {
                 free.leases = 0;
                 let on_hand = std::mem::replace(&mut free.low_water, usize::MAX);
-                shed.extend(free.vecs.drain(..on_hand.saturating_sub(1)));
+                shed.extend(free.bufs.drain(..on_hand.saturating_sub(1)));
             }
-            (free.vecs.pop(), stolen)
+            (free.bufs.pop(), stolen)
         };
         self.counters.resizes.add(shed.len() as u64);
-        if vec.is_some() {
+        if buf.is_some() {
             if stolen {
                 self.counters.steals.inc();
             } else {
                 self.counters.hits.inc();
             }
         }
-        match vec {
-            Some(vec) => {
-                self.counters.bytes_recycled.add(vec.capacity() as u64);
-                (vec, true)
+        match buf {
+            Some(buf) => {
+                self.counters.bytes_recycled.add(buf.capacity() as u64);
+                (buf, true)
             }
             None => {
                 let size = self.class_size(idx).max(capacity);
                 self.counters.misses.inc();
                 self.counters.bytes_allocated.add(size as u64);
-                (Vec::with_capacity(size), true)
+                (BytesMut::with_capacity(size), true)
             }
         }
     }
@@ -319,32 +326,24 @@ impl BufferPool {
     /// a [`PooledBuf`] that recycles itself back into this pool on drop
     /// or freeze.
     pub fn lease(self: &Arc<Self>, capacity: usize) -> PooledBuf {
-        let (vec, pooled) = self.acquire(capacity);
+        let (buf, pooled) = self.acquire(capacity);
         PooledBuf {
-            vec: Some(vec),
+            buf: Some(buf),
             pool: pooled.then(|| Arc::clone(self)),
         }
     }
 
-    /// Leases a raw `Vec<u8>` for callers whose buffer ownership moves
-    /// outside `PooledBuf`'s RAII (e.g. the TCP writer's per-connection
-    /// head scratch, held for the connection's life). Pair with
-    /// [`BufferPool::recycle_vec`].
-    pub fn lease_vec(&self, capacity: usize) -> Vec<u8> {
-        self.acquire(capacity).0
-    }
-
-    /// Returns a raw vec (from [`BufferPool::lease_vec`] or anywhere
-    /// else) to the free lists. Contents are discarded; too-small or
-    /// over-capacity vecs are simply dropped.
-    pub fn recycle_vec(&self, mut vec: Vec<u8>) {
-        vec.clear();
-        let Some(idx) = self.return_class(vec.capacity()) else {
+    /// Returns a never-frozen buffer to its class's free list, header
+    /// and all. Contents are discarded; too-small buffers are simply
+    /// dropped.
+    fn recycle(&self, mut buf: BytesMut) {
+        buf.clear();
+        let Some(idx) = self.return_class(buf.capacity()) else {
             return;
         };
         let mut free = self.classes[idx].free.lock().expect("pool free lock");
-        if free.vecs.len() < self.config.max_free_per_class {
-            free.vecs.push(vec);
+        if free.bufs.len() < self.config.max_free_per_class {
+            free.bufs.push(buf);
         } else {
             self.counters.resizes.inc();
         }
@@ -367,9 +366,8 @@ impl BufferPool {
     /// Freezes an externally built buffer through the pool: the caller
     /// gets the `Bytes`, the pool parks a clone for later reclaim.
     pub fn seal(&self, buf: BytesMut) -> Bytes {
-        let vec = buf.into_vec();
-        let capacity = vec.capacity();
-        let bytes = Bytes::from(vec);
+        let capacity = buf.capacity();
+        let bytes = buf.freeze();
         self.park(capacity, bytes.clone());
         bytes
     }
@@ -396,7 +394,7 @@ impl BufferPool {
             .map(|c| {
                 let free = c.free.lock().expect("pool free lock");
                 let parked = c.parked.lock().expect("pool parked lock");
-                free.vecs.len() + parked.iter().filter(|b| b.is_unique()).count()
+                free.bufs.len() + parked.iter().filter(|b| b.is_unique()).count()
             })
             .sum()
     }
@@ -404,7 +402,7 @@ impl BufferPool {
 
 impl msd_storage::BlockAlloc for BufferPool {
     fn lease_block(&self, capacity: usize) -> BytesMut {
-        BytesMut::from_vec(self.lease_vec(capacity))
+        self.acquire(capacity).0
     }
 
     fn seal_block(&self, buf: BytesMut) -> Bytes {
@@ -424,28 +422,23 @@ pub fn global() -> &'static Arc<BufferPool> {
 /// recycles the storage immediately.
 #[derive(Debug)]
 pub struct PooledBuf {
-    vec: Option<Vec<u8>>,
+    buf: Option<BytesMut>,
     pool: Option<Arc<BufferPool>>,
 }
 
 impl PooledBuf {
-    /// Freezes the buffer into immutable shareable `Bytes`. The pool
-    /// keeps a parked clone, so once every returned view drops the
-    /// backing storage is stolen back by a later lease.
+    /// Freezes the buffer into immutable shareable `Bytes` over the
+    /// lease's own storage and header, so freezing allocates nothing.
+    /// The pool keeps a parked clone, so once every returned view drops
+    /// the backing storage is stolen back by a later lease.
     pub fn freeze(mut self) -> Bytes {
-        let vec = self.vec.take().expect("freeze consumed buffer");
-        let capacity = vec.capacity();
-        let bytes = Bytes::from(vec);
+        let buf = self.buf.take().expect("freeze consumed buffer");
+        let capacity = buf.capacity();
+        let bytes = buf.freeze();
         if let Some(pool) = self.pool.take() {
             pool.park(capacity, bytes.clone());
         }
         bytes
-    }
-
-    /// Moves the buffer out without pooling the storage (the caller
-    /// takes full ownership; nothing is parked or recycled).
-    pub fn into_vec(mut self) -> Vec<u8> {
-        self.vec.take().expect("into_vec consumed buffer")
     }
 }
 
@@ -453,20 +446,24 @@ impl std::ops::Deref for PooledBuf {
     type Target = Vec<u8>;
 
     fn deref(&self) -> &Vec<u8> {
-        self.vec.as_ref().expect("lease still held")
+        self.buf.as_ref().expect("lease still held").as_vec()
     }
 }
 
 impl std::ops::DerefMut for PooledBuf {
     fn deref_mut(&mut self) -> &mut Vec<u8> {
-        self.vec.as_mut().expect("lease still held")
+        // The lease's `BytesMut` is the unique owner of its shared
+        // header: it came fresh from the allocator, or from a parked
+        // handle `Bytes::try_into_mut` found to be the last view, and
+        // nothing shares it before `freeze` consumes the lease.
+        self.buf.as_mut().expect("lease still held").as_mut_vec()
     }
 }
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        if let (Some(vec), Some(pool)) = (self.vec.take(), self.pool.take()) {
-            pool.recycle_vec(vec);
+        if let (Some(buf), Some(pool)) = (self.buf.take(), self.pool.take()) {
+            pool.recycle(buf);
         }
     }
 }
@@ -550,25 +547,16 @@ mod tests {
     }
 
     #[test]
-    fn raw_vec_cycle_round_trips() {
-        let p = pool();
-        let mut v = p.lease_vec(100);
-        v.extend_from_slice(b"head bytes");
-        p.recycle_vec(v);
-        let v2 = p.lease_vec(100);
-        assert!(v2.is_empty() && v2.capacity() >= 1024);
-        assert_eq!(p.counters().hits, 1);
-    }
-
-    #[test]
     fn seal_parks_for_later_steal() {
         let p = pool();
-        let mut buf = BytesMut::with_capacity(4096);
+        let mut buf = msd_storage::BlockAlloc::lease_block(&*p, 100);
         buf.put_slice(&[1u8; 64]);
         let bytes = p.seal(buf);
         drop(bytes);
-        p.lease(4096);
-        assert_eq!(p.counters().steals, 1);
+        let again = msd_storage::BlockAlloc::lease_block(&*p, 100);
+        assert!(again.is_empty() && again.capacity() >= 1024);
+        let c = p.counters();
+        assert_eq!((c.leases, c.misses, c.steals), (2, 1, 1));
     }
 
     #[test]

@@ -174,10 +174,10 @@ fn spawn_writer(stream: TcpStream, rx: Receiver<WireFrame>) {
         .name("msd/tcp-tx".into())
         .spawn(move || {
             let mut out = BufWriter::with_capacity(256 << 10, stream);
-            // One pooled head scratch for the whole connection: every
-            // frame of the session encodes into it allocation-free, and
-            // it returns to the pool when the connection dies.
-            let mut scratch = crate::pool::global().lease_vec(64);
+            // One head scratch for the whole connection: every frame of
+            // the session encodes into it allocation-free once it has
+            // grown to the largest head.
+            let mut scratch = Vec::with_capacity(64);
             'conn: while let Ok(first) = rx.recv() {
                 let mut frame = first;
                 loop {
@@ -210,7 +210,6 @@ fn spawn_writer(stream: TcpStream, rx: Receiver<WireFrame>) {
                     break;
                 }
             }
-            crate::pool::global().recycle_vec(scratch);
             // All senders gone (endpoint dropped) or the socket died:
             // shut the socket down so the peer's reader sees EOF
             // promptly instead of waiting out a timeout.

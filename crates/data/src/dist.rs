@@ -80,8 +80,7 @@ impl LengthDist {
                 f64::from(*n) * unit
             }
             LengthDist::Mixture(parts) => {
-                let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
-                match rng.weighted_index(&weights) {
+                match rng.weighted_index_by(parts.len(), |i| parts[i].0) {
                     Some(i) => parts[i].1.sample(rng),
                     None => 0.0,
                 }

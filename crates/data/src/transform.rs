@@ -755,7 +755,7 @@ mod tests {
             pipeline.apply_with(&mut s, &mut scratch);
             let len = s.payload.len();
             assert_eq!(len as u64, raw_bytes * 12 / 2);
-            let backing = s.payload.try_reclaim().expect("sole view");
+            let backing = s.payload.try_into_mut().expect("sole view");
             assert_eq!((backing.len(), backing.capacity()), (len, len));
             // High-water mark of the decode output, never more.
             assert_eq!(scratch.capacity(), 8192 * 12);

@@ -151,22 +151,35 @@ impl SimRng {
     ///
     /// Returns `None` if `weights` is empty or sums to zero.
     pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
+        self.weighted_index_by(weights.len(), |i| weights[i])
+    }
+
+    /// [`SimRng::weighted_index`] over the weights `weight(0..len)`, for
+    /// callers whose weights sit inside other data: no slice of them is
+    /// collected. Consumes the same draw and picks the same index as the
+    /// slice form over the same weights.
+    pub fn weighted_index_by(
+        &mut self,
+        len: usize,
+        weight: impl Fn(usize) -> f64,
+    ) -> Option<usize> {
+        let total: f64 = (0..len).map(&weight).filter(|w| *w > 0.0).sum();
         if !(total > 0.0) {
             return None;
         }
         let mut x = self.f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if *w <= 0.0 {
+        for i in 0..len {
+            let w = weight(i);
+            if w <= 0.0 {
                 continue;
             }
-            if x < *w {
+            if x < w {
                 return Some(i);
             }
-            x -= *w;
+            x -= w;
         }
         // Floating-point slack: fall back to the last positive weight.
-        weights.iter().rposition(|w| *w > 0.0)
+        (0..len).rev().find(|&i| weight(i) > 0.0)
     }
 
     /// Fisher–Yates shuffles a slice in place.
@@ -275,6 +288,32 @@ mod tests {
         assert_eq!(r.weighted_index(&[]), None);
         assert_eq!(r.weighted_index(&[0.0, 0.0]), None);
         assert_eq!(r.weighted_index(&[0.0, 2.0]), Some(1));
+    }
+
+    #[test]
+    fn weighted_index_by_draws_as_the_slice_form() {
+        // A zero is skipped; a NaN is left out of the total but, once
+        // reached, poisons the walk into the last-positive fallback.
+        let weights = [0.5, 0.0, 2.0, f64::NAN, 1.0, 0.25];
+        let (mut by_slice, mut by_index) = (SimRng::seed(31), SimRng::seed(31));
+        let draws: Vec<usize> = (0..24)
+            .map(|_| by_slice.weighted_index(&weights).unwrap())
+            .collect();
+        let indexed: Vec<usize> = (0..24)
+            .map(|_| {
+                by_index
+                    .weighted_index_by(weights.len(), |i| weights[i])
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(indexed, draws);
+        assert_eq!(
+            draws,
+            [0, 5, 5, 5, 5, 2, 2, 5, 2, 5, 0, 2, 5, 5, 5, 2, 5, 2, 5, 5, 2, 5, 0, 5]
+        );
+        assert_eq!(by_index.f64(), by_slice.f64(), "same draws consumed");
+        assert_eq!(by_index.weighted_index_by(2, |_| 0.0), None);
+        assert_eq!(by_index.weighted_index_by(0, |_| 1.0), None);
     }
 
     #[test]

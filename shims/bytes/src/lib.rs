@@ -102,22 +102,30 @@ impl Bytes {
     /// A `true` here is stable for a holder that never shares the view:
     /// no other handle exists, so no concurrent clone can appear. Buffer
     /// pools use this to find parked buffers whose consumers are all
-    /// done. (The real crate exposes the equivalent check through
-    /// `BytesMut::try_reclaim` / `Bytes::try_into_mut`.)
+    /// done. (The real crate has the same method.)
     pub fn is_unique(&self) -> bool {
         Arc::strong_count(&self.data) == 1
     }
 
-    /// Recovers the backing `Vec<u8>` if this is the only live view
-    /// (timely-allocator style reclaim): the whole original allocation
-    /// comes back — full capacity, regardless of this view's range — so
-    /// a pool can hand it out again without touching the allocator. When
-    /// other views are still alive, returns `self` unchanged.
-    pub fn try_reclaim(self) -> Result<Vec<u8>, Bytes> {
-        let Bytes { data, start, end } = self;
-        match Arc::try_unwrap(data) {
-            Ok(vec) => Ok(vec),
-            Err(data) => Err(Bytes { data, start, end }),
+    /// Turns the only live view back into a writable [`BytesMut`] holding
+    /// this view's bytes (timely-allocator style reclaim). The storage
+    /// comes back whole — its full capacity and the shared header views
+    /// count on — so [`BytesMut::freeze`] can share it again and a pool
+    /// can hand it out again, neither touching the allocator. When other
+    /// views are still alive, returns `self` unchanged.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes {
+            mut data,
+            start,
+            end,
+        } = self;
+        match Arc::get_mut(&mut data) {
+            Some(vec) => {
+                vec.truncate(end);
+                vec.drain(..start);
+                Ok(BytesMut { data })
+            }
+            None => Err(Bytes { data, start, end }),
         }
     }
 
@@ -190,9 +198,14 @@ impl std::fmt::Debug for Bytes {
 }
 
 /// A growable byte buffer; freeze it into [`Bytes`] when done writing.
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
+///
+/// It owns its storage together with the shared header [`Bytes`] views
+/// count on, so [`BytesMut::freeze`] allocates nothing and
+/// [`Bytes::try_into_mut`] takes both back: a buffer can go round the
+/// freeze/reclaim cycle forever on its first two allocations.
+#[derive(Default, Debug, PartialEq, Eq)]
 pub struct BytesMut {
-    data: Vec<u8>,
+    data: Arc<Vec<u8>>,
 }
 
 impl BytesMut {
@@ -204,14 +217,8 @@ impl BytesMut {
     /// Creates an empty buffer with room for `cap` bytes.
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
-            data: Vec::with_capacity(cap),
+            data: Arc::new(Vec::with_capacity(cap)),
         }
-    }
-
-    /// Wraps an existing `Vec<u8>` without copying (pool reuse: a
-    /// reclaimed backing vector becomes writable again).
-    pub fn from_vec(data: Vec<u8>) -> Self {
-        BytesMut { data }
     }
 
     /// Current length in bytes.
@@ -231,27 +238,50 @@ impl BytesMut {
 
     /// Reserves room for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional);
+        self.as_mut_vec().reserve(additional);
     }
 
     /// Drops the contents, keeping the allocation.
     pub fn clear(&mut self) {
-        self.data.clear();
+        self.as_mut_vec().clear();
     }
 
     /// Appends `src` to the buffer.
     pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
+        self.as_mut_vec().extend_from_slice(src);
     }
 
-    /// Converts the accumulated bytes into an immutable [`Bytes`].
+    /// Converts the accumulated bytes into an immutable [`Bytes`],
+    /// sharing this buffer's storage and header as they are.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
+        let end = self.data.len();
+        Bytes {
+            data: self.data,
+            start: 0,
+            end,
+        }
     }
 
-    /// Unwraps the backing `Vec<u8>` without copying.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
+    /// The backing vector, for code written against `Vec`'s API.
+    pub fn as_vec(&self) -> &Vec<u8> {
+        &self.data
+    }
+
+    /// The backing vector, writable: a buffer pool fills its leases
+    /// through `Vec`'s API (`Read::read_to_end` among it).
+    pub fn as_mut_vec(&mut self) -> &mut Vec<u8> {
+        // Proof: a `BytesMut` is built from a fresh `Arc` or from the only
+        // live view (`Bytes::try_into_mut`), never clones it, and
+        // `freeze` consumes it: nothing else holds the header.
+        Arc::get_mut(&mut self.data).expect("BytesMut storage is unshared")
+    }
+}
+
+impl Clone for BytesMut {
+    fn clone(&self) -> Self {
+        BytesMut {
+            data: Arc::new(self.as_vec().clone()),
+        }
     }
 }
 
@@ -394,7 +424,7 @@ pub trait BufMut {
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
+        self.extend_from_slice(src);
     }
 }
 
@@ -476,28 +506,35 @@ mod tests {
 
     #[test]
     fn reclaim_recovers_the_backing_vec_only_when_unique() {
-        let mut v = Vec::with_capacity(64);
-        v.extend_from_slice(b"reclaim me");
-        let b = Bytes::from(v);
+        let mut m = BytesMut::with_capacity(64);
+        m.extend_from_slice(b"reclaim me");
+        let b = m.freeze();
         assert!(b.is_unique());
         let view = b.slice(2..6);
         assert!(!b.is_unique());
         // A live sub-view blocks reclaim; the original comes back intact.
-        let b = b.try_reclaim().unwrap_err();
+        let b = b.try_into_mut().unwrap_err();
         assert_eq!(&b[..], b"reclaim me");
         drop(view);
         assert!(b.is_unique());
-        let vec = b.try_reclaim().unwrap();
-        assert_eq!(&vec[..], b"reclaim me");
-        assert!(vec.capacity() >= 64, "reclaim lost the allocation");
-        // Reclaiming through a sub-view still returns the whole vec.
-        let sub = Bytes::from(vec).slice(3..5);
-        assert_eq!(sub.try_reclaim().unwrap().len(), 10);
+        let m = b.try_into_mut().unwrap();
+        assert_eq!(&m[..], b"reclaim me");
+        assert!(m.capacity() >= 64, "reclaim lost the allocation");
+        // Freezing again shares the same storage: no copy, no new header.
+        let b = m.freeze();
+        let again = b.clone();
+        let sub = b.try_into_mut().unwrap_err().slice(3..5);
+        drop(again);
+        // Reclaiming through a sub-view keeps the storage, holding the
+        // view's bytes.
+        let m = sub.try_into_mut().unwrap();
+        assert_eq!(&m[..], b"la");
+        assert!(m.capacity() >= 64);
     }
 
     #[test]
     fn bytes_mut_vec_roundtrip_keeps_capacity() {
-        let mut m = BytesMut::from_vec(Vec::with_capacity(128));
+        let mut m = BytesMut::with_capacity(128);
         assert_eq!(m.capacity(), 128);
         m.extend_from_slice(b"abc");
         m.clear();
@@ -505,6 +542,15 @@ mod tests {
         assert_eq!(m.capacity(), 128);
         m.reserve(256);
         assert!(m.capacity() >= 256);
-        assert!(m.into_vec().capacity() >= 256);
+        m.as_mut_vec().extend_from_slice(b"xyz");
+        let m = m.freeze().try_into_mut().unwrap();
+        assert_eq!(
+            (m.as_vec().as_slice(), m.capacity() >= 256),
+            (&b"xyz"[..], true)
+        );
+        // A clone owns storage of its own.
+        let mut c = m.clone();
+        c.put_u8(b'!');
+        assert_eq!((&m[..], &c[..]), (&b"xyz"[..], &b"xyz!"[..]));
     }
 }

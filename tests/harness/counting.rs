@@ -1,5 +1,6 @@
 //! A counting global allocator that counts only the threads that opt in,
-//! for the counted test suites (`planner_scaling.rs`, `wire_allocs.rs`).
+//! for the counted test suites (`planner_scaling.rs`, `wire_allocs.rs`,
+//! `loader_allocs.rs`).
 //! A test crate includes it with
 //! `#[path = "harness/counting.rs"] mod counting;`, which installs it as
 //! that test binary's global allocator, and reads counts through

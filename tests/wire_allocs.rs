@@ -8,6 +8,11 @@
 //!    requests under 8 KiB, against the 3 MiB the contiguous form needs.
 //! 2. **A steal is free.** A pool lease served by reclaiming a parked
 //!    buffer makes no allocator call.
+//! 3. **So is the whole cycle.** Once a class is warm, lease → fill →
+//!    freeze → views drop → lease → freeze makes no allocator call: a
+//!    pooled buffer keeps the shared header its views count on, so
+//!    freezing it allocates none and reclaiming it frees none. A dropped,
+//!    never-frozen lease keeps its header too.
 
 #[path = "harness/counting.rs"]
 mod counting;
@@ -100,4 +105,29 @@ fn a_pool_lease_that_steals_makes_no_allocator_call() {
     assert_eq!((served.leases, served.steals), (1, 1), "{served:?}");
     assert_eq!(calls, 0, "a steal called the allocator");
     assert!(lease.is_empty() && lease.capacity() >= PAYLOAD);
+}
+
+#[test]
+fn a_warmed_pool_cycle_makes_no_allocator_call() {
+    let pool = Arc::new(BufferPool::new(PoolConfig::default()));
+    let cycle = || {
+        let mut lease = pool.lease(PAYLOAD);
+        lease.extend_from_slice(&[7; 64]);
+        let frozen = lease.freeze();
+        let view = frozen.slice(8..16);
+        drop(frozen);
+        assert_eq!(&view[..], &[7; 8]);
+        drop(view); // The parked handle is the last view now.
+        drop(pool.lease(PAYLOAD)); // Steals it, never freezes it.
+        let mut again = pool.lease(PAYLOAD);
+        again.extend_from_slice(&[9; 64]);
+        again.freeze()
+    };
+    drop(cycle()); // Warm-up: the class's first buffer and its lists.
+    let before = pool.counters();
+    let (frozen, calls, _) = counted(cycle);
+    let served = pool.counters().since(&before);
+    assert_eq!((served.leases, served.misses), (3, 0), "{served:?}");
+    assert_eq!(calls, 0, "a warmed lease/freeze cycle called the allocator");
+    assert_eq!(&frozen[..], &[9; 64]);
 }
