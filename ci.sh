@@ -223,6 +223,16 @@ cargo test --test frontier_recovery -q
 echo "==> cargo test --test planner_scaling -q"
 cargo test --test planner_scaling -q
 
+# A live fig 20: allocator calls per served step (every thread counted)
+# grow at most 1.25x from 512 to 2,048 sources at a fixed draw.
+echo "==> cargo test --test source_scaling -q"
+cargo test --test source_scaling -q
+
+# A loader checkpoint re-put makes no allocator call, and a loader
+# group's summaries share one table (same thread-counting allocator).
+echo "==> cargo test --test control_allocs -q"
+cargo test --test control_allocs -q
+
 # The send path copies no payload: sealing a 64 × 48 KiB batch for the
 # wire makes at most two small allocations, a pool lease that reclaims a
 # parked buffer makes none, and neither does a warmed pool's whole

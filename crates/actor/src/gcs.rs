@@ -85,14 +85,33 @@ impl Gcs {
     /// Returns `true` if the store accepted it. An existing entry is
     /// replaced in place: only a key's first put allocates the key.
     pub fn put_state(&self, key: &str, version: u64, data: Vec<u8>) -> bool {
+        self.put_state_with(key, version, move |buf| *buf = data)
+    }
+
+    /// [`Gcs::put_state`], writing the blob in place: if the store
+    /// accepts `version`, `encode` runs on the key's stored buffer,
+    /// cleared but with its capacity kept (a fresh one for a new key).
+    /// Re-putting a blob no larger than the stored one makes no
+    /// allocator call. A refused put leaves the entry as it was and does
+    /// not run `encode`.
+    pub fn put_state_with(
+        &self,
+        key: &str,
+        version: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
         let mut inner = self.inner.write();
         match inner.state.get_mut(key) {
             Some(existing) if existing.version >= version => false,
             Some(existing) => {
-                *existing = Checkpoint { version, data };
+                existing.version = version;
+                existing.data.clear();
+                encode(&mut existing.data);
                 true
             }
             None => {
+                let mut data = Vec::new();
+                encode(&mut data);
                 inner
                     .state
                     .insert(key.to_string(), Checkpoint { version, data });
@@ -114,6 +133,15 @@ impl Gcs {
             .get(key)
             .map(|c| c.version)
             .unwrap_or(0)
+    }
+
+    /// The least [`Gcs::state_version`] among `keys`, read under one lock
+    /// (`None` when `keys` is empty).
+    pub fn min_state_version<'a>(&self, keys: impl IntoIterator<Item = &'a str>) -> Option<u64> {
+        let inner = self.inner.read();
+        keys.into_iter()
+            .map(|key| inner.state.get(key).map_or(0, |c| c.version))
+            .min()
     }
 
     /// Drops the checkpoint stored under `key` (log pruning). Returns
@@ -198,6 +226,39 @@ mod tests {
         assert!(gcs.remove_state("loader/1"));
         assert!(gcs.put_state("loader/1", 2, vec![2]));
         assert_eq!(get("loader/1"), Some((2, vec![2])));
+    }
+
+    #[test]
+    fn put_state_with_keeps_the_version_rule_and_writes_in_place() {
+        let gcs = Gcs::new();
+        let write = |bytes: &'static [u8]| move |buf: &mut Vec<u8>| buf.extend_from_slice(bytes);
+        // A new key is inserted, as `put_state` inserts it.
+        assert!(gcs.put_state_with("loader/0", 3, write(b"abcd")));
+        let get = |key: &str| gcs.get_state(key).map(|cp| (cp.version, cp.data));
+        assert_eq!(get("loader/0"), Some((3, b"abcd".to_vec())));
+        // Equal and older versions are refused, never encode, and leave
+        // the entry as it was.
+        let refused = |buf: &mut Vec<u8>| panic!("a refused put encoded {buf:?}");
+        assert!(!gcs.put_state_with("loader/0", 3, refused));
+        assert!(!gcs.put_state_with("loader/0", 2, refused));
+        assert_eq!(get("loader/0"), Some((3, b"abcd".to_vec())));
+        // A newer version replaces the bytes: the buffer is cleared first.
+        assert!(gcs.put_state_with("loader/0", 4, write(b"xy")));
+        assert_eq!(get("loader/0"), Some((4, b"xy".to_vec())));
+        assert!(gcs.put_state("loader/0", 5, vec![5]));
+        assert!(!gcs.put_state_with("loader/0", 5, refused));
+        assert_eq!(gcs.state_version("loader/0"), 5);
+    }
+
+    #[test]
+    fn min_state_version_reads_missing_keys_as_zero() {
+        let gcs = Gcs::new();
+        assert_eq!(gcs.min_state_version([]), None);
+        gcs.put_state("loader/0", 4, vec![]);
+        gcs.put_state("loader/1", 9, vec![]);
+        assert_eq!(gcs.min_state_version(["loader/0", "loader/1"]), Some(4));
+        assert_eq!(gcs.min_state_version(["loader/1"]), Some(9));
+        assert_eq!(gcs.min_state_version(["loader/1", "loader/2"]), Some(0));
     }
 
     #[test]

@@ -117,23 +117,41 @@ fn greedy(costs: &[f64], bins: usize) -> Assignment {
         }
     }
     let mut heap: BinaryHeap<Slot> = (0..bins).map(|b| Slot(0.0, b)).collect();
-    let mut out = vec![Vec::new(); bins];
-    for i in desc_order(costs) {
-        let Slot(load, b) = heap.pop().expect("bins > 0");
-        out[b].push(i);
-        heap.push(Slot(load + costs[i], b));
-    }
-    Assignment { bins: out }
+    let order = desc_order(costs);
+    let placed: Vec<usize> = order
+        .iter()
+        .map(|&i| {
+            let Slot(load, b) = heap.pop().expect("bins > 0");
+            heap.push(Slot(load + costs[i], b));
+            b
+        })
+        .collect();
+    collect_bins(order.iter().copied().zip(placed), bins)
 }
 
 fn interleave(costs: &[f64], bins: usize) -> Assignment {
-    let mut out = vec![Vec::new(); bins];
-    for (pos, i) in desc_order(costs).into_iter().enumerate() {
+    let order = desc_order(costs);
+    let placed = order.iter().enumerate().map(|(pos, &i)| {
         let round = pos / bins;
         let off = pos % bins;
         // Serpentine: reverse direction on odd rounds so the bin that got
         // the largest item of a round gets the smallest of the next.
         let b = if round % 2 == 0 { off } else { bins - 1 - off };
+        (i, b)
+    });
+    collect_bins(placed, bins)
+}
+
+/// The bins of `placed`, `(item, bin)` pairs in placement order, each bin
+/// allocated once at its final size and listing its items in the order
+/// they were placed.
+fn collect_bins(placed: impl Iterator<Item = (usize, usize)> + Clone, bins: usize) -> Assignment {
+    let mut sizes = vec![0; bins];
+    for (_, b) in placed.clone() {
+        sizes[b] += 1;
+    }
+    let mut out: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (i, b) in placed {
         out[b].push(i);
     }
     Assignment { bins: out }

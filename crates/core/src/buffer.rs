@@ -7,6 +7,8 @@
 
 use msd_data::{SampleMeta, SourceId};
 
+use crate::window::Window;
+
 /// Metadata summary of one Source Loader's read buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BufferSummary {
@@ -14,8 +16,10 @@ pub struct BufferSummary {
     pub loader_id: u32,
     /// The source this loader serves.
     pub source: SourceId,
-    /// Metadata of buffered, not-yet-scheduled samples, in buffer order.
-    pub samples: Vec<SampleMeta>,
+    /// Metadata of buffered, not-yet-scheduled samples, in buffer order:
+    /// a window onto a table shared with the other summaries of the same
+    /// reply (see [`SourceLoader::summaries`](crate::loader::SourceLoader::summaries)).
+    pub samples: Window<SampleMeta>,
     /// Loader-reported mean transform cost (ns/sample), for autoscaling.
     pub mean_transform_ns: f64,
 }
@@ -122,7 +126,7 @@ mod tests {
         let s = BufferSummary {
             loader_id: 0,
             source: SourceId(0),
-            samples: vec![],
+            samples: Vec::new().into(),
             mean_transform_ns: 0.0,
         };
         assert!(s.is_empty());

@@ -39,8 +39,9 @@
 //! kind 7's head); `tags!` gives each field-less enum its one-byte tags,
 //! an unknown byte being an error at its offset; `wire_kinds!` lists the
 //! control frames (kinds 5, 6, 8–10, 12 and 14). A `Vec`, `BTreeMap` or
-//! `String` is a `u32` count, then its items; map keys must ascend
-//! strictly, as the encoder writes them. Written by hand are [`Holder`],
+//! `String` is a `u32` count, then its items (a [`Window`] is written as
+//! the `Vec` it views); map keys must ascend strictly, as the encoder
+//! writes them. Written by hand are [`Holder`],
 //! [`LoadingPlan`] (it counts its nesting), [`PlanStore`] (its steps
 //! ascend), and the zero-copy paths: kind 11's sample and segment walk,
 //! [`BatchFrame`], kind 7's payload. To add a field to a kind, add
@@ -97,6 +98,7 @@ use crate::system::controller::{ControllerCheckpoint, SlotRecord};
 use crate::system::core::CoreCheckpoint;
 use crate::system::frontier::{FrontierCheckpoint, Holder};
 use crate::system::net::{BatchPayload, RejectReason, WireFrame};
+use crate::window::Window;
 use msd_mesh::{Axis, ClientPlaceTree, DeliveryKind, DeviceMesh, DistributeAxis};
 
 /// Frame magic of every blob and wire frame.
@@ -348,10 +350,7 @@ impl<A: Field, B: Field> Field for (A, B) {
 impl<T: Field> Field for Vec<T> {
     const MIN_LEN: usize = 4;
     fn put(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).put(buf);
-        for item in self {
-            item.put(buf);
-        }
+        put_items(self, buf);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let count = u32::get(r)? as usize;
@@ -362,8 +361,36 @@ impl<T: Field> Field for Vec<T> {
         Ok(out)
     }
     fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Field::encoded_len).sum::<usize>()
+        items_len(self)
     }
+}
+
+/// Written and read as the `Vec` of its rows: a directive window's bytes
+/// are the bytes of the `Vec<u64>` it replaced.
+impl<T: Field> Field for Window<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_items(self, buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Vec::get(r).map(Window::from)
+    }
+    fn encoded_len(&self) -> usize {
+        items_len(self)
+    }
+}
+
+/// A sequence's layout: a `u32` count, then the items.
+fn put_items<T: Field>(items: &[T], buf: &mut Vec<u8>) {
+    (items.len() as u32).put(buf);
+    for item in items {
+        item.put(buf);
+    }
+}
+
+/// Exactly the bytes [`put_items`] appends.
+fn items_len<T: Field>(items: &[T]) -> usize {
+    4 + items.iter().map(Field::encoded_len).sum::<usize>()
 }
 
 /// A `u32` count, then the entries in key order. Decoding accepts only
@@ -617,14 +644,6 @@ impl Field for PlanStore {
     }
 }
 
-/// A buffer holding a frame header, with room for `capacity` bytes of
-/// fields and the checksum.
-fn frame(kind: u8, capacity: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + capacity + CHECKSUM_LEN);
-    put_header(&mut buf, kind);
-    buf
-}
-
 /// Writes the header every frame opens with.
 fn put_header(buf: &mut Vec<u8>, kind: u8) {
     buf.extend_from_slice(&MAGIC);
@@ -634,10 +653,20 @@ fn put_header(buf: &mut Vec<u8>, kind: u8) {
 
 /// Encodes `value` as a frame of `kind`, in one exactly-sized buffer.
 fn encode<T: Field>(kind: u8, value: &T) -> Vec<u8> {
-    let mut buf = frame(kind, value.encoded_len());
-    value.put(&mut buf);
+    let mut buf = Vec::new();
+    encode_into(kind, value, &mut buf);
+    buf
+}
+
+/// [`encode`] into `buf`: cleared first, its capacity kept, and grown
+/// only if it is smaller than the frame, to the frame's exact size.
+fn encode_into<T: Field>(kind: u8, value: &T, buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.reserve_exact(HEADER_LEN + value.encoded_len() + CHECKSUM_LEN);
+    put_header(buf, kind);
+    value.put(buf);
     debug_assert_eq!(buf.len(), HEADER_LEN + value.encoded_len());
-    seal(buf)
+    seal(buf);
 }
 
 /// Decodes a frame of `kind` holding exactly one `T`.
@@ -665,10 +694,9 @@ fn fnv1a(data: &[u8]) -> u32 {
 }
 
 /// Appends the frame checksum; every encoder's final step.
-fn seal(mut buf: Vec<u8>) -> Vec<u8> {
-    let sum = fnv1a(&buf);
-    sum.put(&mut buf);
-    buf
+fn seal(buf: &mut Vec<u8>) {
+    let sum = fnv1a(buf);
+    sum.put(buf);
 }
 
 /// Trailing checksum width of the kind-11 batch frame.
@@ -905,18 +933,25 @@ pub fn decode_planner_checkpoint(data: &[u8]) -> Result<CoreCheckpoint, CodecErr
 
 /// Encodes one plan-log entry: the step's pop directives (`loader id →
 /// sample ids`, ids in plan order).
-pub fn encode_plan_log(directives: &BTreeMap<u32, Vec<u64>>) -> Vec<u8> {
+pub fn encode_plan_log(directives: &BTreeMap<u32, Window<u64>>) -> Vec<u8> {
     encode(KIND_PLAN_LOG, directives)
 }
 
 /// Decodes a plan-log entry.
-pub fn decode_plan_log(data: &[u8]) -> Result<BTreeMap<u32, Vec<u64>>, CodecError> {
+pub fn decode_plan_log(data: &[u8]) -> Result<BTreeMap<u32, Window<u64>>, CodecError> {
     decode(data, KIND_PLAN_LOG)
 }
 
-/// Encodes a loader checkpoint (58 bytes).
+/// Encodes a loader checkpoint (62 bytes: 52 of fields).
 pub fn encode_loader_checkpoint(cp: &LoaderCheckpoint) -> Vec<u8> {
     encode(KIND_LOADER, cp)
+}
+
+/// [`encode_loader_checkpoint`] into `buf` (cleared first, capacity
+/// kept): re-encoding into a buffer that held a checkpoint before makes
+/// no allocator call.
+pub fn encode_loader_checkpoint_into(cp: &LoaderCheckpoint, buf: &mut Vec<u8>) {
+    encode_into(KIND_LOADER, cp, buf);
 }
 
 /// Decodes a loader checkpoint.
@@ -1533,6 +1568,13 @@ mod tests {
     use super::*;
     use bytes::BufMut;
 
+    /// A buffer holding a frame header, for hand-built frames.
+    fn frame(kind: u8, capacity: usize) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(HEADER_LEN + capacity + CHECKSUM_LEN);
+        put_header(&mut buf, kind);
+        buf
+    }
+
     fn core_cp() -> CoreCheckpoint {
         CoreCheckpoint {
             planner: PlannerCheckpoint {
@@ -1552,8 +1594,12 @@ mod tests {
         }
     }
 
-    fn directives() -> BTreeMap<u32, Vec<u64>> {
-        BTreeMap::from([(0, vec![10, 11, 12]), (3, vec![]), (7, vec![u64::MAX])])
+    fn directives() -> BTreeMap<u32, Window<u64>> {
+        BTreeMap::from([
+            (0, vec![10, 11, 12].into()),
+            (3, vec![].into()),
+            (7, vec![u64::MAX].into()),
+        ])
     }
 
     fn controller_cp() -> ControllerCheckpoint {
@@ -1624,6 +1670,34 @@ mod tests {
             decode_plan_log(&encode_plan_log(&directives())).unwrap(),
             directives()
         );
+    }
+
+    #[test]
+    fn directive_windows_encode_as_the_vecs_they_view() {
+        // Windows at offsets of one shared table, as a plan holds them.
+        let table: std::sync::Arc<[u64]> = vec![10, 11, 12, u64::MAX].into();
+        let windows: Vec<Window<u64>> = Window::split(&table, [3, 3, 4]).collect();
+        let shared: BTreeMap<u32, Window<u64>> = [0, 3, 7].into_iter().zip(windows).collect();
+        let vecs: BTreeMap<u32, Vec<u64>> = shared.iter().map(|(k, w)| (*k, w.to_vec())).collect();
+        let encoded = encode_plan_log(&shared);
+        assert_eq!(encoded, encode(KIND_PLAN_LOG, &vecs));
+        assert_eq!(encoded, encode_plan_log(&directives()));
+        assert_eq!(decode_plan_log(&encoded).unwrap(), shared);
+    }
+
+    #[test]
+    fn loader_checkpoint_encodes_in_place_into_a_reused_buffer() {
+        let want = encode_loader_checkpoint(&loader_cp());
+        let mut buf = b"an older, longer blob left in the buffer".repeat(2);
+        let capacity = buf.capacity();
+        encode_loader_checkpoint_into(&loader_cp(), &mut buf);
+        assert_eq!(buf, want);
+        assert_eq!(buf.capacity(), capacity, "the buffer was reallocated");
+        // And into an empty one, at the frame's exact size.
+        let mut fresh = Vec::new();
+        encode_loader_checkpoint_into(&loader_cp(), &mut fresh);
+        assert_eq!((fresh.len(), fresh.capacity()), (62, 62));
+        assert_eq!(fresh, want);
     }
 
     #[test]
@@ -1914,7 +1988,8 @@ mod tests {
     /// *semantic* validation is what must reject or accept it).
     fn reseal(mut frame: Vec<u8>) -> Vec<u8> {
         frame.truncate(frame.len() - CHECKSUM_LEN);
-        seal(frame)
+        seal(&mut frame);
+        frame
     }
 
     /// [`reseal`] for kind-11 batch frames, which carry the wide
@@ -1929,7 +2004,7 @@ mod tests {
     fn maps_decode_only_in_ascending_key_order() {
         // A plan-log entry `{1: [5], 2: [6]}` whose second key is rewritten
         // to repeat the first (1) or to come before it (0), then resealed.
-        let wire = encode_plan_log(&BTreeMap::from([(1, vec![5]), (2, vec![6])]));
+        let wire = encode_plan_log(&BTreeMap::from([(1, vec![5].into()), (2, vec![6].into())]));
         let second_key = HEADER_LEN + 4 + 4 + 4 + 8;
         assert_eq!(wire[second_key], 2);
         for key in [1, 0] {
@@ -2077,7 +2152,8 @@ mod tests {
                     buf.put_u32_le(0);
                 }
             }
-            seal(buf)
+            seal(&mut buf);
+            buf
         };
         assert!(decode_plan_store(&nested(MAX_SUBPLAN_DEPTH + 1)).is_ok());
         let err = decode_plan_store(&nested(MAX_SUBPLAN_DEPTH + 2)).unwrap_err();
@@ -2091,7 +2167,8 @@ mod tests {
         buf.put_u32_le(2);
         plan(3, 0).put(&mut buf);
         plan(3, 0).put(&mut buf);
-        let err = decode_plan_store(&seal(buf)).unwrap_err();
+        seal(&mut buf);
+        let err = decode_plan_store(&buf).unwrap_err();
         assert!(err.detail().contains("out of order"), "{err}");
     }
 
@@ -2108,7 +2185,8 @@ mod tests {
                 buf.put_u8(*tag);
                 buf.put_u32_le(*size);
             }
-            seal(buf)
+            seal(&mut buf);
+            buf
         };
         assert!(decode_topology(&topology(&[(1, 2), (3, 2)])).is_ok());
         for (bad, why) in [

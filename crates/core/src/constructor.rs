@@ -22,15 +22,13 @@
 //! are never replicated — the parallelism-redundancy fix of Fig 6.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::ops::{Deref, Range};
-use std::sync::Arc;
 
 use bytes::Bytes;
 use msd_data::Sample;
 use msd_mesh::{cp_range, delivery_kind, Axis, DeliveryKind, DeviceMesh, Rank};
 
 use crate::plan::BucketPlan;
+use crate::window::{self, Window};
 
 /// One packed segment (one original sample) inside a packed sequence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,64 +40,8 @@ pub struct Segment {
 }
 
 /// A packed sequence's segments: a window onto a segment table shared by
-/// every sequence of a microbatch (or of a decoded batch). Reads as a
-/// `[Segment]`; cloning bumps a refcount; `Debug` and equality go by the
-/// segments themselves, whatever table they sit in.
-#[derive(Clone)]
-pub struct Segments {
-    table: Arc<[Segment]>,
-    range: Range<u32>,
-}
-
-impl Segments {
-    /// The window `range` of `table`; callers keep it in bounds.
-    pub(crate) fn new(table: Arc<[Segment]>, range: Range<u32>) -> Self {
-        debug_assert!(range.start <= range.end && range.end as usize <= table.len());
-        Segments { table, range }
-    }
-
-    /// Whether `self` and `other` view the same table.
-    #[cfg(test)]
-    pub(crate) fn shares_table(&self, other: &Segments) -> bool {
-        Arc::ptr_eq(&self.table, &other.table)
-    }
-}
-
-impl Deref for Segments {
-    type Target = [Segment];
-
-    fn deref(&self) -> &[Segment] {
-        &self.table[self.range.start as usize..self.range.end as usize]
-    }
-}
-
-impl<'a> IntoIterator for &'a Segments {
-    type Item = &'a Segment;
-    type IntoIter = std::slice::Iter<'a, Segment>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl From<Vec<Segment>> for Segments {
-    fn from(segments: Vec<Segment>) -> Self {
-        let range = 0..segments.len() as u32;
-        Segments::new(segments.into(), range)
-    }
-}
-
-impl fmt::Debug for Segments {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl PartialEq for Segments {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
+/// every sequence of a microbatch (or of a decoded batch).
+pub type Segments = Window<Segment>;
 
 /// A complete (packed) sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,24 +212,19 @@ impl DataConstructor {
             *row = *c;
             *c += 1;
         }
-        let mut table: Arc<[Segment]> = samples.iter().map(|_| Segment::default()).collect();
-        // Proof: the table was collected on the line above; nothing else
-        // holds it yet.
-        let rows = Arc::get_mut(&mut table).expect("fresh table is unshared");
-        for ((sample_id, tokens), row) in samples.iter().zip(&slot) {
-            rows[*row as usize] = Segment {
-                sample_id: *sample_id,
-                tokens: clamp(*tokens),
-            };
-        }
-        let mut start = 0;
+        let table = window::table(samples.len(), Segment::default(), |rows| {
+            for ((sample_id, tokens), row) in samples.iter().zip(&slot) {
+                rows[*row as usize] = Segment {
+                    sample_id: *sample_id,
+                    tokens: clamp(*tokens),
+                };
+            }
+        });
         loads
             .iter()
-            .zip(&cursor)
-            .map(|(&tokens, &end)| {
+            .zip(Segments::split(&table, cursor))
+            .map(|(&tokens, segments)| {
                 let padded = tokens.div_ceil(self.pad_multiple) * self.pad_multiple;
-                let segments = Segments::new(Arc::clone(&table), start..end);
-                start = end;
                 PackedSequence {
                     segments,
                     tokens,
@@ -309,20 +246,14 @@ impl DataConstructor {
             .bins
             .iter()
             .map(|bin| {
-                let toks: Vec<(u64, u64)> = bin
-                    .samples
-                    .iter()
-                    .filter_map(|id| samples.get(id))
-                    .map(|s| (s.meta.sample_id, s.meta.total_tokens().max(1)))
-                    .collect();
-                // Refcount bumps, not copies: the batch shares the popped
-                // samples' allocations.
-                let payloads: Vec<(u64, Bytes)> = bin
-                    .samples
-                    .iter()
-                    .filter_map(|id| samples.get(id))
-                    .map(|s| (s.meta.sample_id, s.payload.clone()))
-                    .collect();
+                let mut toks = Vec::with_capacity(bin.samples.len());
+                let mut payloads: Vec<(u64, Bytes)> = Vec::with_capacity(bin.samples.len());
+                for s in bin.samples.iter().filter_map(|id| samples.get(id)) {
+                    toks.push((s.meta.sample_id, s.meta.total_tokens().max(1)));
+                    // A refcount bump, not a copy: the batch shares the
+                    // popped samples' allocations.
+                    payloads.push((s.meta.sample_id, s.payload.clone()));
+                }
                 let payload_bytes: u64 = payloads.iter().map(|(_, p)| p.len() as u64).sum();
                 Microbatch {
                     bin: bin.bin,

@@ -20,6 +20,7 @@
 //! the crate examples.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use msd_balance::{balance as run_balance, BalanceMethod};
 use msd_data::SampleMeta;
@@ -28,6 +29,7 @@ use msd_sim::SimRng;
 
 use crate::buffer::BufferInfo;
 use crate::plan::{BinPlan, BucketPlan, LoadingPlan};
+use crate::window::{self, Window};
 
 /// Which samples (and which default cost basis) a graph views.
 ///
@@ -179,7 +181,7 @@ pub struct DGraph {
     /// samples `mix` drew, or every node when the program never mixes
     /// (materialised by the first primitive that needs it).
     participants: Option<Vec<usize>>,
-    tree: Option<ClientPlaceTree>,
+    tree: Option<Arc<ClientPlaceTree>>,
     axis: Option<DistributeAxis>,
     group_size: Option<u32>,
     microbatches: u32,
@@ -265,9 +267,9 @@ impl DGraph {
         }
     }
 
-    /// Binds the trainer topology.
-    pub fn init(&mut self, tree: ClientPlaceTree) {
-        self.tree = Some(tree);
+    /// Binds the trainer topology (a shared tree binds without a copy).
+    pub fn init(&mut self, tree: impl Into<Arc<ClientPlaceTree>>) {
+        self.tree = Some(tree.into());
     }
 
     /// A fresh graph over the samples this graph has distributed, in node
@@ -564,18 +566,33 @@ impl DGraph {
                 total_cost: 0.0,
             })
             .collect();
-        let mut directives: BTreeMap<u32, Vec<u64>> = loader_sizes
-            .into_iter()
-            .map(|(loader, size)| (loader, Vec::with_capacity(size)))
+        // Every directive is a window onto one table of the scheduled
+        // ids, grouped by loader: `cursor[i]` starts at the i-th loader's
+        // first row and ends one past its last.
+        let mut start = 0;
+        let mut cursor: Vec<u32> = loader_sizes
+            .iter()
+            .map(|(_, size)| {
+                let first = start;
+                start += *size as u32;
+                first
+            })
             .collect();
-        for (node, slot) in scheduled() {
-            bins[slot].samples.push(node.id);
-            bins[slot].total_cost += node.cost;
-            directives
-                .get_mut(&node.loader)
-                .expect("every scheduled loader was sized")
-                .push(node.id);
-        }
+        let scheduled_ids = loader_sizes.iter().map(|(_, size)| size).sum();
+        let table = window::table(scheduled_ids, 0, |rows| {
+            for (node, slot) in scheduled() {
+                bins[slot].samples.push(node.id);
+                bins[slot].total_cost += node.cost;
+                let run = loader_sizes.partition_point(|(loader, _)| *loader < node.loader);
+                rows[cursor[run] as usize] = node.id;
+                cursor[run] += 1;
+            }
+        });
+        let directives = loader_sizes
+            .iter()
+            .map(|(loader, _)| *loader)
+            .zip(Window::split(&table, cursor))
+            .collect();
 
         let mut bins = bins.into_iter();
         let buckets = bucket_clients
@@ -822,6 +839,30 @@ mod tests {
         assert_eq!(plan.directives.len(), 2);
         assert!(plan.directives[&0].iter().all(|id| *id < 8));
         assert!(plan.directives[&1].iter().all(|id| *id >= 8));
+    }
+
+    #[test]
+    fn plan_directives_are_windows_onto_one_table() {
+        // Loader 1 reports in two summaries, around loader 0's.
+        let summary = |loader: u32, ids: std::ops::Range<u64>| BufferSummary {
+            loader_id: loader,
+            source: SourceId(loader),
+            samples: ids.map(|i| meta(i, loader, 100, 0)).collect(),
+            mean_transform_ns: 1.0,
+        };
+        let info = BufferInfo::new(vec![
+            summary(1, 0..3),
+            summary(0, 10..14),
+            summary(1, 20..22),
+        ]);
+        let mut g = DGraph::from_buffer_infos(&info, MetaView::Tokens);
+        g.init(tree(2, 1, 1));
+        g.distribute(DistributeAxis::DP, None).unwrap();
+        let plan = g.plan(0).unwrap();
+        // Each loader's ids in node order, whichever summary carried them.
+        assert_eq!(*plan.directives[&0], [10, 11, 12, 13]);
+        assert_eq!(*plan.directives[&1], [0, 1, 2, 20, 21]);
+        assert!(plan.directives[&0].shares_table(&plan.directives[&1]));
     }
 
     #[test]

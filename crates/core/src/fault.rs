@@ -12,6 +12,7 @@ use msd_data::SourceSpec;
 
 use crate::loader::{LoaderCheckpoint, LoaderConfig, SourceLoader};
 use crate::plan::LoadingPlan;
+use crate::window::Window;
 
 /// How a failure was detected (both paper mechanisms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +55,7 @@ pub struct ShadowedLoader {
     pub snapshot_interval: u64,
     /// The ids this loader popped in each plan since `snapshot`, in plan
     /// order: the replay delta, cleared at every snapshot.
-    since_snapshot: Vec<Vec<u64>>,
+    since_snapshot: Vec<Window<u64>>,
 }
 
 impl ShadowedLoader {
@@ -183,7 +184,7 @@ mod tests {
             axis: msd_mesh::DistributeAxis::DP,
             buckets: vec![],
             broadcast_axes: vec![],
-            directives: BTreeMap::from([(0, ids)]),
+            directives: BTreeMap::from([(0, ids.into())]),
             subplans: BTreeMap::new(),
         })
     }

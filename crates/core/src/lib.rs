@@ -21,6 +21,9 @@
 //! - [`constructor`]: the Data Constructor — microbatch assembly (packing
 //!   into a shared segment table, padding, position ids derived from it)
 //!   and parallelism transformation.
+//! - [`window`]: [`window::Window`], a window onto a shared table — one
+//!   type for a sequence's segments, a summary's sample metadata and a
+//!   pop directive's sample ids.
 //! - [`planner`]: the Planner — plan synthesis with phase instrumentation.
 //! - [`autoscale`]: offline multi-level source auto-partitioning and online
 //!   mixture-driven scaling.
@@ -62,6 +65,7 @@ pub mod pool;
 pub mod replay;
 pub mod schedule;
 pub mod system;
+pub mod window;
 
 pub use buffer::{BufferInfo, BufferSummary};
 pub use constructor::DataConstructor;
@@ -80,3 +84,4 @@ pub use system::net::{
 pub use system::runtime::{ServeClient, ServeOptions, ServeSession, ThreadedPipeline};
 pub use system::server::{DataServerHandle, RemoteClient, RemotePlacement, ServerStatus};
 pub use system::MegaScaleData;
+pub use window::Window;

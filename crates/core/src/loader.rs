@@ -22,11 +22,14 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use msd_data::{Sample, SampleMeta, SourceId, SourceSpec, TransformPipeline, TransformScratch};
+use msd_data::{
+    Modality, Sample, SampleMeta, SourceId, SourceSpec, TransformPipeline, TransformScratch,
+};
 use msd_sim::SimRng;
 use msd_storage::{ColumnarReader, MemStore, StorageError};
 
 use crate::buffer::BufferSummary;
+use crate::window::{self, Window};
 
 /// Resident memory per loader worker process (execution context + prefetch
 /// slots) — the "worker scaling" memory dimension of Fig 4.
@@ -370,8 +373,63 @@ impl SourceLoader {
 
     /// Buffer-metadata summary for the Planner: each buffered sample's
     /// metadata as [`SourceLoader::pop`] will deliver it, i.e. after the
-    /// pop-time tail (see the module docs).
+    /// pop-time tail (see the module docs). One allocation: the
+    /// summary's own metadata table.
     pub fn summary(&self) -> BufferSummary {
+        let table = Self::settled_table(std::iter::once(self));
+        let whole = 0..table.len() as u32;
+        self.summary_in(Window::new(table, whole))
+    }
+
+    /// [`SourceLoader::summary`] of each of `loaders`, in order, their
+    /// metadata windows onto one shared table: a loader group answers a
+    /// gather with two allocations (the table and the returned vector),
+    /// however many loaders it hosts.
+    pub fn summaries<'a, I>(loaders: I) -> Vec<BufferSummary>
+    where
+        I: IntoIterator<Item = &'a SourceLoader>,
+        I::IntoIter: Clone,
+    {
+        let loaders = loaders.into_iter();
+        let table = Self::settled_table(loaders.clone());
+        let mut end = 0;
+        let ends = loaders.clone().map(move |l| {
+            end += l.buffer.len() as u32;
+            end
+        });
+        loaders
+            .zip(Window::split(&table, ends))
+            .map(|(l, samples)| l.summary_in(samples))
+            .collect()
+    }
+
+    /// Every buffered sample's settled metadata, loader after loader, in
+    /// one exactly-sized table written in place.
+    fn settled_table<'a>(
+        loaders: impl Iterator<Item = &'a SourceLoader> + Clone,
+    ) -> Arc<[SampleMeta]> {
+        let len = loaders.clone().map(|l| l.buffer.len()).sum();
+        let blank = SampleMeta {
+            sample_id: 0,
+            source: SourceId(0),
+            modality: Modality::Text,
+            text_tokens: 0,
+            image_patches: 0,
+            raw_bytes: 0,
+        };
+        window::table(len, blank, |rows| {
+            let mut rows = rows.iter_mut();
+            for l in loaders {
+                // The buffer leads the zip, so its end consumes no row.
+                for (s, row) in l.buffer.iter().zip(rows.by_ref()) {
+                    *row = l.tail.settled_meta(s.meta, s.payload.len());
+                }
+            }
+        })
+    }
+
+    /// This loader's summary around `samples`, its settled metadata.
+    fn summary_in(&self, samples: Window<SampleMeta>) -> BufferSummary {
         let mean = if self.samples_produced == 0 {
             0.0
         } else {
@@ -380,11 +438,7 @@ impl SourceLoader {
         BufferSummary {
             loader_id: self.config.loader_id,
             source: self.spec.id,
-            samples: self
-                .buffer
-                .iter()
-                .map(|s| self.tail.settled_meta(s.meta, s.payload.len()))
-                .collect(),
+            samples,
             mean_transform_ns: mean,
         }
     }
@@ -605,6 +659,26 @@ mod tests {
     }
 
     #[test]
+    fn summaries_share_one_table_and_equal_each_loaders_own_summary() {
+        let mut loaders: Vec<SourceLoader> = (0..3)
+            .map(|id| SourceLoader::synthetic(spec(), LoaderConfig::solo(id), u64::from(id)))
+            .collect();
+        loaders[0].refill(5).unwrap();
+        loaders[2].refill(3).unwrap(); // Loader 1 stays empty.
+        let summaries = SourceLoader::summaries(&loaders);
+        assert_eq!(summaries.len(), 3);
+        for (summary, loader) in summaries.iter().zip(&loaders) {
+            assert_eq!(*summary, loader.summary());
+            assert!(summary.samples.shares_table(&summaries[0].samples));
+        }
+        assert_eq!(
+            summaries.iter().map(BufferSummary::len).collect::<Vec<_>>(),
+            [5, 0, 3]
+        );
+        assert!(SourceLoader::summaries(&[]).is_empty());
+    }
+
+    #[test]
     fn pop_removes_exactly_named_samples() {
         let mut l = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), 1);
         l.refill(8).unwrap();
@@ -703,7 +777,7 @@ mod tests {
             l.refill(12).unwrap();
             retiring.refill(6).unwrap();
             l.adopt(retiring.drain());
-            let promised: Vec<SampleMeta> = l.summary().samples;
+            let promised: Window<SampleMeta> = l.summary().samples;
             // Only text buffers its samples as they will be delivered.
             let buffered: u64 = l.buffer.iter().map(|s| s.payload.len() as u64).sum();
             let settled: u64 = promised.iter().map(|m| m.raw_bytes).sum();

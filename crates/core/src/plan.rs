@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 
 use msd_mesh::{Axis, DistributeAxis, Rank};
 
+use crate::window::Window;
+
 /// One microbatch within a bucket.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinPlan {
@@ -55,8 +57,9 @@ pub struct LoadingPlan {
     pub buckets: Vec<BucketPlan>,
     /// Axes along which trainers broadcast (data fetch elided for >0 ranks).
     pub broadcast_axes: Vec<Axis>,
-    /// Pop directives: loader id → sample ids, in plan order.
-    pub directives: BTreeMap<u32, Vec<u64>>,
+    /// Pop directives: loader id → sample ids, in plan order. Each is a
+    /// window onto one table of the plan's scheduled ids.
+    pub directives: BTreeMap<u32, Window<u64>>,
     /// Named subplans (e.g. `"encoder"` for the VLM image graph).
     pub subplans: BTreeMap<String, LoadingPlan>,
 }
@@ -156,7 +159,7 @@ mod tests {
                 },
             ],
             broadcast_axes: vec![Axis::TP],
-            directives: BTreeMap::from([(0, vec![10, 11, 12]), (1, vec![13])]),
+            directives: BTreeMap::from([(0, vec![10, 11, 12].into()), (1, vec![13].into())]),
             subplans: BTreeMap::new(),
         }
     }

@@ -9,6 +9,7 @@
 //! figures project them with the cost model in `msd_bench::model`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use msd_balance::{BackboneShape, BalanceMethod, EncoderShape};
 use msd_data::SourceId;
@@ -105,7 +106,8 @@ pub struct Planner {
     pub config: PlannerConfig,
     /// The active strategy.
     pub strategy: Strategy,
-    tree: ClientPlaceTree,
+    /// Shared with each step's graphs, so planning never copies it.
+    tree: Arc<ClientPlaceTree>,
     /// Catalog source order: position = schedule weight index.
     sources: Vec<SourceId>,
     /// `(source, first position in sources)`, sorted by source.
@@ -131,7 +133,7 @@ impl Planner {
         Planner {
             config,
             strategy,
-            tree,
+            tree: Arc::new(tree),
             sources,
             source_index,
             rng: SimRng::seed(seed),
@@ -158,7 +160,7 @@ impl Planner {
     /// Replaces the topology (elastic resharding, Sec 6.1). Rebuilding is
     /// cheap; subsequent plans use the new mesh.
     pub fn set_tree(&mut self, tree: ClientPlaceTree) {
-        self.tree = tree;
+        self.tree = Arc::new(tree);
     }
 
     /// Feeds observed per-source losses into a loss-adaptive schedule.
@@ -217,7 +219,7 @@ impl Planner {
         let t0 = std::time::Instant::now();
         let weights = self.config.schedule.weights(step);
         let mut graph = DGraph::from_buffer_infos(info, MetaView::Tokens);
-        graph.init(self.tree.clone());
+        graph.init(Arc::clone(&self.tree));
         let gw = self.graph_weights(graph.sources(), &weights);
         graph.mix(&gw, self.config.samples_per_step, &mut self.rng)?;
         graph.distribute(self.config.axis, self.config.group_size)?;
@@ -252,7 +254,7 @@ impl Planner {
         // world-wide and interleave-balanced (Fig 9's five extra lines).
         if let Strategy::HybridBalance { encoder, .. } = &self.strategy {
             let mut enc = graph.subgraph(MetaView::Images);
-            enc.init(self.tree.clone());
+            enc.init(Arc::clone(&self.tree));
             enc.distribute(DistributeAxis::World, self.config.group_size)?;
             let eshape = *encoder;
             enc.cost(move |meta| eshape.flops_sample(u64::from(meta.image_patches)));

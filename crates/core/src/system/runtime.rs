@@ -61,6 +61,7 @@ use crate::system::net::{LoopbackTransport, SharedBatch, Transport};
 use crate::system::server::{
     DataServer, DataServerHandle, RemoteClient, RemotePlacement, ServerConfig, ServerMsg,
 };
+use crate::window::Window;
 
 /// GCS key holding the planner actor's restart checkpoint.
 const PLANNER_STATE_KEY: &str = "planner";
@@ -83,7 +84,7 @@ fn plan_log_key(step: u64) -> String {
 /// the samples the bucket consumes). Samples are `Arc`-shared between the
 /// in-flight message and the driver's retained window, so a broadcast is
 /// a refcount bump, not a payload copy.
-type BroadcastItem = (usize, BucketPlan, Arc<HashMap<u64, Sample>>);
+type BroadcastItem = (usize, Arc<BucketPlan>, Arc<HashMap<u64, Sample>>);
 
 /// Messages understood by a loader group. The per-step operations
 /// (refill, summary, pop, checkpoint) and the health probe cover every
@@ -95,14 +96,16 @@ pub enum LoaderMsg {
         /// Target buffered sample count, per loader.
         target: usize,
     },
-    /// Report every hosted loader's buffer summary, in registry order.
+    /// Report every hosted loader's buffer summary, in registry order,
+    /// their metadata windows onto one table
+    /// ([`SourceLoader::summaries`]).
     Summary(ReplyTo<Vec<BufferSummary>>),
     /// Pop every hosted loader's directed sample ids and reply with all
     /// the samples.
     Pop {
         /// The step's pop directives (loader id → sample ids), shared by
         /// every group: each looks up its own members.
-        directives: Arc<BTreeMap<u32, Vec<u64>>>,
+        directives: Arc<BTreeMap<u32, Window<u64>>>,
         /// Reply channel.
         reply: ReplyTo<Vec<Sample>>,
     },
@@ -351,7 +354,9 @@ impl Actor for LoaderGroupActor {
                 }
             }
             LoaderMsg::Summary(reply) => {
-                reply.send(self.members.iter().map(|m| m.loader.summary()).collect());
+                reply.send(SourceLoader::summaries(
+                    self.members.iter().map(|m| &m.loader),
+                ));
             }
             LoaderMsg::Pop { directives, reply } => {
                 // A loader this group no longer hosts misses its pop, as a
@@ -360,7 +365,7 @@ impl Actor for LoaderGroupActor {
                     .members
                     .iter()
                     .filter_map(|m| directives.get(&m.loader.id()))
-                    .map(Vec::len)
+                    .map(|ids| ids.len())
                     .sum();
                 let mut samples = Vec::with_capacity(wanted);
                 for member in &mut self.members {
@@ -374,13 +379,13 @@ impl Actor for LoaderGroupActor {
                 reply.send(samples);
             }
             LoaderMsg::Checkpoint { version } => {
+                // Each frame is encoded into its key's stored buffer: a
+                // step's checkpoints make no allocator call.
                 for member in &self.members {
                     let cp = member.loader.checkpoint(version);
-                    self.gcs.put_state(
-                        &member.key,
-                        version,
-                        crate::codec::encode_loader_checkpoint(&cp),
-                    );
+                    self.gcs.put_state_with(&member.key, version, |buf| {
+                        crate::codec::encode_loader_checkpoint_into(&cp, buf)
+                    });
                 }
             }
             LoaderMsg::Health(reply) => {
@@ -550,8 +555,9 @@ pub enum ConstructorMsg {
     Construct {
         /// Serve-step ordinal (contiguous; not necessarily `plan.step`).
         step: u64,
-        /// This bucket's slice of the loading plan.
-        bucket_plan: BucketPlan,
+        /// This bucket's slice of the loading plan (shared with the
+        /// driver's retained window).
+        bucket_plan: Arc<BucketPlan>,
         /// Popped samples the bucket consumes (shared, not copied).
         samples: Arc<HashMap<u64, Sample>>,
         /// When present, reply with the batch directly instead of queueing
@@ -1232,7 +1238,7 @@ impl Fleet {
     /// stay plannable.
     fn pop(
         &self,
-        directives: &Arc<BTreeMap<u32, Vec<u64>>>,
+        directives: &Arc<BTreeMap<u32, Window<u64>>>,
     ) -> (HashMap<u64, Sample>, Option<RuntimeError>) {
         let topology = self.snapshot();
         // Per group: its first directed loader (failure attribution).
@@ -1259,7 +1265,7 @@ impl Fleet {
                 Err(_) => fail(first),
             }
         }
-        let wanted = directives.values().map(Vec::len).sum();
+        let wanted = directives.values().map(|ids| ids.len()).sum();
         let mut popped = HashMap::with_capacity(wanted);
         for (first, p) in pending {
             match p.wait(self.rpc_timeout) {
@@ -1288,13 +1294,14 @@ impl Fleet {
             .iter()
             .map(|bp| {
                 let idx = PipelineCore::constructor_index(bp.bucket, self.constructors.len());
-                let samples: HashMap<u64, Sample> = bp
-                    .bins
-                    .iter()
-                    .flat_map(|bin| bin.samples.iter())
-                    .filter_map(|id| popped.remove(id).map(|s| (*id, s)))
-                    .collect();
-                (idx, bp.clone(), Arc::new(samples))
+                let mut samples = HashMap::with_capacity(bp.sample_count());
+                samples.extend(
+                    bp.bins
+                        .iter()
+                        .flat_map(|bin| bin.samples.iter())
+                        .filter_map(|id| popped.remove(id).map(|s| (*id, s))),
+                );
+                (idx, Arc::new(bp.clone()), Arc::new(samples))
             })
             .collect()
     }
@@ -2168,10 +2175,13 @@ fn retire_frontier(
             ctor.tell(ConstructorMsg::Frontier { at: snap.frontier });
         }
     }
-    let mut floor = plan_base.saturating_add(snap.frontier);
-    for slot in &fleet.snapshot().loaders {
-        floor = floor.min(fleet.gcs.state_version(&slot.key));
-    }
+    let topology = fleet.snapshot();
+    let loaders = topology.loaders.iter().map(|slot| slot.key.as_str());
+    let floor = fleet
+        .gcs
+        .min_state_version(loaders)
+        .unwrap_or(u64::MAX)
+        .min(plan_base.saturating_add(snap.frontier));
     if floor > *pruned_below {
         for step in *pruned_below..floor {
             fleet.gcs.remove_state(&plan_log_key(step));
@@ -2197,7 +2207,7 @@ fn broadcast(fleet: &Fleet, step: u64, items: &[BroadcastItem]) {
     for (idx, bucket_plan, samples) in items {
         fleet.constructors[*idx].tell(ConstructorMsg::Construct {
             step,
-            bucket_plan: bucket_plan.clone(),
+            bucket_plan: Arc::clone(bucket_plan),
             samples: samples.clone(),
             reply: None,
         });
@@ -2371,6 +2381,23 @@ mod tests {
             .collect();
         assert_eq!(got, registry);
         assert!(info.summaries.iter().all(|s| s.len() == 4));
+        p.shutdown();
+    }
+
+    #[test]
+    fn a_group_summary_reply_is_one_table() {
+        let p = pipeline_over(&text_only(&mut SimRng::seed(3), 9));
+        p.fleet.refill(4);
+        let topology = p.fleet.snapshot();
+        let info = p.fleet.gather().expect("gather");
+        for (i, slot) in topology.loaders.iter().enumerate() {
+            for (j, other) in topology.loaders.iter().enumerate() {
+                let shared = info.summaries[i]
+                    .samples
+                    .shares_table(&info.summaries[j].samples);
+                assert_eq!(shared, slot.group == other.group, "loaders {i} and {j}");
+            }
+        }
         p.shutdown();
     }
 

@@ -30,6 +30,7 @@ use megascale_data::core::system::controller::{ControllerCheckpoint, SlotRecord}
 use megascale_data::core::system::core::CoreCheckpoint;
 use megascale_data::core::system::frontier::{FrontierCheckpoint, Holder};
 use megascale_data::core::system::net::{BatchPayload, RejectReason, WireFrame};
+use megascale_data::core::window::Window;
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeliveryKind, DeviceMesh, DistributeAxis};
 
 /// `(name, hex)` of every frame, as captured.
@@ -138,8 +139,12 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
 ];
 
-fn directives() -> BTreeMap<u32, Vec<u64>> {
-    BTreeMap::from([(0, vec![10, 11, 12]), (3, vec![]), (7, vec![u64::MAX])])
+fn directives() -> BTreeMap<u32, Window<u64>> {
+    BTreeMap::from([
+        (0, vec![10, 11, 12].into()),
+        (3, vec![].into()),
+        (7, vec![u64::MAX].into()),
+    ])
 }
 
 /// A plan with two bins — one costing `-0.0`, one a NaN with a payload —

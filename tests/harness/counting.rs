@@ -1,18 +1,24 @@
 //! A counting global allocator that counts only the threads that opt in,
 //! for the counted test suites (`planner_scaling.rs`, `wire_allocs.rs`,
-//! `loader_allocs.rs`).
+//! `loader_allocs.rs`, `control_allocs.rs`, `source_scaling.rs`).
 //! A test crate includes it with
 //! `#[path = "harness/counting.rs"] mod counting;`, which installs it as
 //! that test binary's global allocator, and reads counts through
 //! [`counted`]. Counts are exact: only the calling thread is counted, so
 //! other tests running concurrently cannot disturb them.
+//!
+//! A binary that holds a single test may instead count every thread with
+//! [`count_every_thread`] and read the total with [`process_calls`], to
+//! see what a multi-threaded runtime allocates as a whole.
 
 // A `GlobalAlloc` is an `unsafe impl`; this module is the only place the
 // test suite needs one.
 #![allow(unsafe_code)]
+#![allow(dead_code)] // Each test crate uses one of the two counting modes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// `System`, counting the calls and requested bytes of threads that
 /// opted in.
@@ -26,7 +32,14 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Process-wide mode: every thread's calls, once switched on.
+static EVERY_THREAD: AtomicBool = AtomicBool::new(false);
+static PROCESS_CALLS: AtomicU64 = AtomicU64::new(0);
+
 fn grew(bytes: usize) {
+    if EVERY_THREAD.load(Ordering::Relaxed) {
+        PROCESS_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
     if COUNTING.with(Cell::get) {
         CALLS.with(|c| c.set(c.get() + 1));
         BYTES.with(|b| b.set(b.get() + bytes as u64));
@@ -74,4 +87,15 @@ pub fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let calls = CALLS.with(Cell::get) - before.0;
     let bytes = BYTES.with(Cell::get) - before.1;
     (out, calls, bytes)
+}
+
+/// Switches on process-wide counting: from now on [`process_calls`]
+/// counts the allocator calls of every thread.
+pub fn count_every_thread() {
+    EVERY_THREAD.store(true, Ordering::Relaxed);
+}
+
+/// Allocator calls of every thread since [`count_every_thread`].
+pub fn process_calls() -> u64 {
+    PROCESS_CALLS.load(Ordering::Relaxed)
 }

@@ -278,7 +278,10 @@ fn arb_flat_plan() -> impl Arb<Value = LoadingPlan> {
                     })
                     .collect(),
                 broadcast_axes,
-                directives: directives.into_iter().collect(),
+                directives: directives
+                    .into_iter()
+                    .map(|(loader, ids)| (loader, ids.into()))
+                    .collect(),
                 subplans: Default::default(),
             },
         )

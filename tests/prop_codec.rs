@@ -53,6 +53,7 @@ use megascale_data::core::system::controller::{ControllerCheckpoint, SlotRecord}
 use megascale_data::core::system::core::CoreCheckpoint;
 use megascale_data::core::system::frontier::{FrontierCheckpoint, Holder};
 use megascale_data::core::system::net::{BatchPayload, RejectReason, WireFrame};
+use megascale_data::core::window::Window;
 use megascale_data::mesh::{Axis, ClientPlaceTree, DeliveryKind, DeviceMesh};
 
 use std::collections::BTreeMap;
@@ -84,12 +85,17 @@ fn loader_cp() -> impl Strategy<Value = LoaderCheckpoint> {
     )
 }
 
-fn plan_log() -> impl Strategy<Value = BTreeMap<u32, Vec<u64>>> {
+fn plan_log() -> impl Strategy<Value = BTreeMap<u32, Window<u64>>> {
     proptest::collection::vec(
         (0u32..64, proptest::collection::vec(any::<u64>(), 0..8)),
         0..6,
     )
-    .prop_map(|entries| entries.into_iter().collect())
+    .prop_map(|entries| {
+        entries
+            .into_iter()
+            .map(|(loader, ids)| (loader, ids.into()))
+            .collect()
+    })
 }
 
 fn controller_cp() -> impl Strategy<Value = ControllerCheckpoint> {

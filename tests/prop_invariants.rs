@@ -259,7 +259,7 @@ proptest! {
         let info = BufferInfo::new(vec![BufferSummary {
             loader_id: 0,
             source: SourceId(0),
-            samples,
+            samples: samples.into(),
             mean_transform_ns: 1.0,
         }]);
         let mut g = DGraph::from_buffer_infos(&info, MetaView::Tokens);
@@ -283,7 +283,7 @@ proptest! {
         prop_assert!(unique.iter().all(|id| *id < n_samples), "scheduled an unbuffered id");
         prop_assert_eq!(scheduled.len(), take.min(n_samples as usize));
         // Directives cover exactly the scheduled set.
-        let directed: usize = plan.directives.values().map(Vec::len).sum();
+        let directed: usize = plan.directives.values().map(|ids| ids.len()).sum();
         prop_assert_eq!(directed, scheduled.len());
     }
 }

@@ -1,0 +1,103 @@
+//! A live fig 20: what one served step allocates as the number of sources
+//! grows, on the real threaded runtime.
+//!
+//! Each run serves a `text_only` catalog of 128, 512 or 2,048 sources (one
+//! loader each) through `serve_distributed` over in-process loopback to
+//! two clients, at a fixed 1,024 samples per step and a refill target of
+//! 32 per loader. Every thread's allocator calls are counted between two
+//! deliveries of client 0, after a warm-up; the run prints calls per
+//! step and per sample, and the process's threads
+//! (`cargo test --test source_scaling -- --nocapture`).
+//!
+//! The gate: from 512 to 2,048 sources, calls per step grow at most
+//! 1.25×. A step's payload is the same 1,024 samples at every width, so
+//! what grows with the sources is the control path: the gather, the
+//! plan's directives, the checkpoints.
+//!
+//! This binary holds this one test, so no other test allocates while it
+//! counts every thread.
+
+#[path = "harness/counting.rs"]
+mod counting;
+mod harness;
+
+use std::sync::Arc;
+
+use megascale_data::core::system::net::{LoopbackTransport, Transport};
+use megascale_data::data::catalog::text_only;
+use megascale_data::sim::SimRng;
+
+/// Samples the planner draws per step, at every width.
+const DRAWN: usize = 1024;
+/// Deliveries client 0 takes before counting starts.
+const WARMUP: u64 = 4;
+/// Deliveries counted.
+const MEASURED: u64 = 16;
+
+/// Threads of this process.
+fn os_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .count()
+}
+
+/// `(allocator calls per step, threads)` of a live session over
+/// `sources` text sources.
+fn calls_per_step(sources: u32) -> (f64, usize) {
+    let catalog = text_only(&mut SimRng::seed(17), sources);
+    let mut pipeline = harness::pipeline_over(&catalog, DRAWN, 5);
+    let opts = harness::opts(2, WARMUP + MEASURED + 2);
+    let transport: Arc<dyn Transport> = Arc::new(LoopbackTransport);
+    let (session, handle) = pipeline.serve_distributed(opts, transport, &harness::placements(2));
+    let (calls, threads) = std::thread::scope(|s| {
+        let counter = s.spawn(|| {
+            let mut client = handle.connect(0);
+            let mut marks = Vec::with_capacity(2);
+            let mut threads = 0;
+            for delivery in 1..=WARMUP + MEASURED {
+                client.next().expect("client 0 stream ended early");
+                if delivery == WARMUP {
+                    threads = os_threads();
+                    marks.push(counting::process_calls());
+                } else if delivery == WARMUP + MEASURED {
+                    marks.push(counting::process_calls());
+                }
+            }
+            while client.next().is_some() {}
+            (marks[1] - marks[0], threads)
+        });
+        s.spawn(|| {
+            let mut client = handle.connect(1);
+            while client.next().is_some() {}
+        });
+        counter.join().expect("client 0 thread")
+    });
+    session.join();
+    drop(handle);
+    pipeline.shutdown();
+    (calls as f64 / MEASURED as f64, threads)
+}
+
+#[test]
+fn per_step_allocator_calls_barely_grow_with_sources() {
+    counting::count_every_thread();
+    println!("live serve, {DRAWN} samples per step, refill target 32, 2 loopback clients:");
+    println!("sources  calls/step  calls/sample  threads");
+    let mut per_step = Vec::new();
+    for sources in [128u32, 512, 2048] {
+        let (calls, threads) = calls_per_step(sources);
+        println!(
+            "{sources:>7}  {calls:>10.0}  {:>12.3}  {threads:>7}",
+            calls / DRAWN as f64
+        );
+        per_step.push(calls);
+    }
+    let growth = per_step[2] / per_step[1];
+    assert!(
+        growth <= 1.25,
+        "allocator calls per step grew {growth:.2}x from 512 to 2,048 sources \
+         ({:.0} -> {:.0})",
+        per_step[1],
+        per_step[2]
+    );
+}
