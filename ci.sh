@@ -54,10 +54,8 @@ fi
 # new one fails until it is either replaced by an event or added to
 # this list with its reason.
 #   server.rs   2  client redial backoff; TCP accept loop (non-blocking listener)
-#   runtime.rs  4  driver fault retries (gather, plan, pop); shutdown's
-#                  wait for the controller to stop
 echo "==> no new sleep-poll loops in crates/core/src/system/"
-declare -A sleep_sites=([server.rs]=2 [runtime.rs]=4)
+declare -A sleep_sites=([server.rs]=2)
 sleep_bad=0
 for f in crates/core/src/system/*.rs; do
   name=$(basename "$f")
@@ -128,10 +126,10 @@ fi
 # codec stays at none and the serve plane's count only goes down; lower
 # a count when its sites become errors.
 #   codec.rs       0  every decoder returns a CodecError
-#   controller.rs  4, frontier.rs 2, runtime.rs 4, server.rs 3, tcp.rs 6
+#   controller.rs  4, frontier.rs 2, runtime.rs 3, server.rs 3, tcp.rs 6
 #                     not yet audited
 echo "==> no new panic sites in crates/core/src/codec.rs and crates/core/src/system/"
-declare -A panic_sites=([codec.rs]=0 [controller.rs]=4 [frontier.rs]=2 [runtime.rs]=4 [server.rs]=3 [tcp.rs]=6)
+declare -A panic_sites=([codec.rs]=0 [controller.rs]=4 [frontier.rs]=2 [runtime.rs]=3 [server.rs]=3 [tcp.rs]=6)
 panic_bad=0
 for f in crates/core/src/codec.rs crates/core/src/system/*.rs; do
   name=$(basename "$f")

@@ -120,6 +120,9 @@ pub enum ControllerMsg {
         /// Whether the retirement executed.
         reply: ReplyTo<bool>,
     },
+    /// Stop after replying: no message queued behind this one runs, so
+    /// once the reply lands no later `Tick` can spawn a loader.
+    Stop(ReplyTo<()>),
 }
 
 /// The controller's observable state.
@@ -719,9 +722,13 @@ impl ControllerActor {
 impl Actor for ControllerActor {
     type Msg = ControllerMsg;
 
-    fn handle(&mut self, msg: ControllerMsg, _ctx: &mut Ctx) {
+    fn handle(&mut self, msg: ControllerMsg, ctx: &mut Ctx) {
         match msg {
             ControllerMsg::Tick => self.tick(),
+            ControllerMsg::Stop(reply) => {
+                ctx.stop();
+                reply.send(());
+            }
             ControllerMsg::Retire { source, reply } => {
                 let healths = self.gather_health();
                 let executed = self.scale_down(source, &healths);

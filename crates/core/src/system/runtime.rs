@@ -24,8 +24,10 @@
 //! GCS plan log (differential checkpointing) so a sample consumed before
 //! a crash is never delivered twice.
 //!
-//! [`ThreadedPipeline::step`] drives one synchronous step for a single
-//! caller. Every concurrent session is one contract:
+//! One serial chain drives the fleet: gather → plan → pop → checkpoint.
+//! [`ThreadedPipeline::step`] runs it once for a single synchronous
+//! caller and assembles the batches on the caller's thread, as the
+//! inline deployment does. Every concurrent session is one contract:
 //! [`ThreadedPipeline::serve_distributed`] starts a driver thread that
 //! pumps plans/pops/broadcasts with pipelined refill-ahead, and a
 //! [`DataServer`] actor that streams each placed trainer client its
@@ -560,10 +562,6 @@ pub enum ConstructorMsg {
         bucket_plan: Arc<BucketPlan>,
         /// Popped samples the bucket consumes (shared, not copied).
         samples: Arc<HashMap<u64, Sample>>,
-        /// When present, reply with the batch directly instead of queueing
-        /// it for pulling clients (the synchronous [`ThreadedPipeline::step`]
-        /// path).
-        reply: Option<ReplyTo<ConstructedBatch>>,
     },
     /// The data server requests the batch of exactly `step` for
     /// `client`. The reply is parked until that step is constructed. The
@@ -741,16 +739,7 @@ impl Actor for ConstructorActor {
                 step,
                 bucket_plan,
                 samples,
-                reply,
             } => {
-                if let Some(reply) = reply {
-                    // Synchronous step path: construct and return, no queue.
-                    reply.send(
-                        self.inner
-                            .construct(&bucket_plan, &samples, &self.broadcast_axes),
-                    );
-                    return;
-                }
                 let Some(shared) = self.build(step, &bucket_plan, &samples) else {
                     return;
                 };
@@ -802,8 +791,9 @@ impl Actor for ConstructorActor {
 #[derive(Debug)]
 pub enum RuntimeError {
     /// A loader's group failed its RPC (timeout or death) — the failure
-    /// signal. It names the group's first loader the RPC covered, in
-    /// registry order.
+    /// signal — or, at a pop, the loader's samples are still missing
+    /// after the re-pop. It names the first loader affected, in registry
+    /// order.
     LoaderFailure {
         /// Index of the failing loader in registry order.
         loader: usize,
@@ -814,11 +804,6 @@ pub enum RuntimeError {
     },
     /// The planner actor failed its RPC (it is restarting).
     PlannerFailure,
-    /// A constructor actor failed its RPC (it is restarting).
-    ConstructorFailure {
-        /// The bucket whose constructor failed.
-        bucket: u32,
-    },
     /// Plan generation failed.
     Plan(DGraphError),
     /// Plan-log replay found a missing step the frontier protocol never
@@ -847,9 +832,6 @@ impl std::fmt::Display for RuntimeError {
                 "loader {loader} (id {loader_id}, source {source:?}) failed RPC"
             ),
             RuntimeError::PlannerFailure => write!(f, "planner actor failed RPC"),
-            RuntimeError::ConstructorFailure { bucket } => {
-                write!(f, "constructor for bucket {bucket} failed RPC")
-            }
             RuntimeError::Plan(e) => write!(f, "plan generation failed: {e}"),
             RuntimeError::PlanLogGap {
                 loader_id,
@@ -1175,6 +1157,11 @@ struct Fleet {
     gcs: Gcs,
 }
 
+/// One turn of the driver's chain ([`Fleet::advance`]): the plan
+/// outcome, the popped samples, and the first directed loader whose
+/// samples are still missing after the re-pop.
+type Advanced = (PlanOutcome, HashMap<u64, Sample>, Option<RuntimeError>);
+
 fn slot_failure(idx: usize, identity: &LoaderIdentity) -> RuntimeError {
     RuntimeError::LoaderFailure {
         loader: idx,
@@ -1227,59 +1214,109 @@ impl Fleet {
         Ok(outcome)
     }
 
-    /// Pops every plan directive, one pipelined ask per group that hosts
-    /// a directed loader, addressing loaders by deployment-wide id (the
-    /// topology may have changed since the plan was made). Every asked
-    /// group shares `directives` and pops the members it hosts. Returns
-    /// the popped samples plus, if a group failed its pop RPC, the
-    /// failure of its first directed loader in registry order. Directives
-    /// naming a loader that has since been drained are skipped — the
-    /// drain handed its unconsumed samples to a surviving peer, so they
-    /// stay plannable.
+    /// Pops every directive of plan step `step`, one pipelined ask per
+    /// group that hosts a directed loader, addressing loaders by
+    /// deployment-wide id (the topology may have changed since the plan
+    /// was made). Every asked group shares `directives` and pops the
+    /// members it hosts. If samples are missing — a group failed the
+    /// RPC, or restarted before the pop — the groups are asked once more
+    /// at once: a restarting group keeps its mailbox, so its next
+    /// incarnation answers, and the rest find nothing left to pop.
+    /// Returns the popped samples plus, if a directed loader's samples
+    /// are still missing, the failure of the first such loader in
+    /// registry order, which also lands on the fault log: the step is
+    /// short. Directives naming a loader that has since been retired are
+    /// skipped — the drain handed its unconsumed samples to a surviving
+    /// peer, so they stay plannable.
     fn pop(
         &self,
+        step: u64,
         directives: &Arc<BTreeMap<u32, Window<u64>>>,
     ) -> (HashMap<u64, Sample>, Option<RuntimeError>) {
         let topology = self.snapshot();
-        // Per group: its first directed loader (failure attribution).
-        let mut firsts: Vec<Option<usize>> = vec![None; topology.groups.len()];
-        for (i, slot) in topology.loaders.iter().enumerate() {
-            if !directives.contains_key(&slot.identity.loader_id) {
-                continue;
-            }
-            if let Some(g) = topology.group_index(slot.group) {
-                firsts[g].get_or_insert(i);
-            }
-        }
-        let mut pending = Vec::new();
-        let mut failed: Option<usize> = None;
-        let mut fail = |i: usize| failed = Some(failed.map_or(i, |f| f.min(i)));
-        for (group, first) in topology.groups.iter().zip(firsts) {
-            let Some(first) = first else { continue };
-            let directives = Arc::clone(directives);
-            match group
-                .actor
-                .ask_pipelined(move |reply| LoaderMsg::Pop { directives, reply })
-            {
-                Ok(p) => pending.push((first, p)),
-                Err(_) => fail(first),
-            }
-        }
+        let directed: Vec<&GroupSlot> = topology
+            .groups
+            .iter()
+            .filter(|group| {
+                topology.loaders.iter().any(|slot| {
+                    slot.group == group.id && directives.contains_key(&slot.identity.loader_id)
+                })
+            })
+            .collect();
         let wanted = directives.values().map(|ids| ids.len()).sum();
         let mut popped = HashMap::with_capacity(wanted);
-        for (first, p) in pending {
-            match p.wait(self.rpc_timeout) {
-                Ok(samples) => popped.extend(samples.into_iter().map(|s| (s.meta.sample_id, s))),
-                Err(_) => fail(first),
+        for _ in 0..2 {
+            if popped.len() == wanted {
+                return (popped, None);
+            }
+            let pending: Vec<_> = directed
+                .iter()
+                .filter_map(|group| {
+                    let directives = Arc::clone(directives);
+                    group
+                        .actor
+                        .ask_pipelined(move |reply| LoaderMsg::Pop { directives, reply })
+                        .ok()
+                })
+                .collect();
+            for p in pending {
+                if let Ok(samples) = p.wait(self.rpc_timeout) {
+                    popped.extend(samples.into_iter().map(|s| (s.meta.sample_id, s)));
+                }
             }
         }
-        let failure = failed.map(|i| slot_failure(i, &topology.loaders[i].identity));
-        (popped, failure)
+        let Some(i) = topology.loaders.iter().position(|slot| {
+            directives
+                .get(&slot.identity.loader_id)
+                .is_some_and(|ids| ids.iter().any(|id| !popped.contains_key(id)))
+        }) else {
+            return (popped, None);
+        };
+        let identity = &topology.loaders[i].identity;
+        self.gcs.log_fault(
+            "runtime",
+            format!(
+                "plan step {step} is short: loader {i} (id {}, source {:?}) still misses \
+                 samples after a re-pop",
+                identity.loader_id, identity.source
+            ),
+        );
+        (popped, Some(slot_failure(i, identity)))
     }
 
     fn checkpoint(&self, version: u64) {
         for group in &self.snapshot().groups {
             group.actor.tell(LoaderMsg::Checkpoint { version });
+        }
+    }
+
+    /// The driver's serial chain, shared by [`ThreadedPipeline::step`]
+    /// and the serve driver: gather → plan → pop → checkpoint. The groups
+    /// share the plan's directives during the pop and hand them back to
+    /// the returned plan.
+    fn advance(&self) -> Result<Advanced, RuntimeError> {
+        let info = self.gather()?;
+        let mut outcome = self.plan(info)?;
+        let plan = &mut outcome.plan;
+        let directives = Arc::new(std::mem::take(&mut plan.directives));
+        let (popped, missing) = self.pop(plan.step, &directives);
+        plan.directives = Arc::unwrap_or_clone(directives);
+        self.checkpoint(plan.step);
+        Ok((outcome, popped, missing))
+    }
+
+    /// Whether a failed [`Fleet::advance`] cannot succeed when re-asked:
+    /// a plan error (each is deterministic), or a failed planner or
+    /// loader group that is gone for good (its restart budget spent).
+    fn unrecoverable(&self, e: &RuntimeError) -> bool {
+        match e {
+            RuntimeError::Plan(_) => true,
+            RuntimeError::PlannerFailure => self.planner.is_stopped(),
+            RuntimeError::LoaderFailure { loader_id, .. } => self
+                .snapshot()
+                .host(*loader_id)
+                .is_some_and(|group| group.actor.is_stopped()),
+            RuntimeError::PlanLogGap { .. } => false,
         }
     }
 
@@ -1322,6 +1359,9 @@ struct PlacementView {
 pub struct ThreadedPipeline {
     system: ActorSystem,
     fleet: Fleet,
+    /// The constructor components, one per constructor actor, that
+    /// [`ThreadedPipeline::step`] assembles with on the caller's thread.
+    constructors: Vec<DataConstructor>,
     placement: PlacementView,
     /// Data-server actors opened by [`ThreadedPipeline::serve_distributed`]
     /// (stopped at shutdown).
@@ -1400,7 +1440,8 @@ impl ThreadedPipeline {
 
         let window = SharedWindow::default();
         let constructor_refs: Vec<ActorRef<ConstructorMsg>> = constructors
-            .into_iter()
+            .iter()
+            .cloned()
             .enumerate()
             .map(|(i, c)| {
                 let name = format!("constructor/{i}");
@@ -1451,6 +1492,7 @@ impl ThreadedPipeline {
                 replayed: Arc::new(AtomicU64::new(0)),
                 gcs: gcs.clone(),
             },
+            constructors,
             placement,
             servers: Vec::new(),
             gcs,
@@ -1609,58 +1651,22 @@ impl ThreadedPipeline {
         self.fleet.planner.tell(PlannerMsg::SetTree(tree));
     }
 
-    /// Runs one pull-model step across the actor fleet for a single
-    /// synchronous caller.
+    /// Runs one step for a single synchronous caller: a refill, the serve
+    /// driver's gather → plan → pop → checkpoint, then batch assembly on
+    /// the caller's thread, as the inline deployment assembles. Fails
+    /// when an actor fails its RPC, or when a directed loader's samples
+    /// are still missing after the re-pop.
     pub fn step(
         &mut self,
         refill_target: usize,
     ) -> Result<(LoadingPlan, PhaseBreakdown, Vec<ConstructedBatch>), RuntimeError> {
-        // 1–2. Refill (tell) then gather summaries (pipelined ask with
-        // timeout: the failure detector).
         self.fleet.refill(refill_target);
-        let info = self.fleet.gather()?;
-
-        // 3–4. Plan on the planner actor (replay-store adoption or live
-        // strategy execution, via the shared PipelineCore).
-        let outcome = self.fleet.plan(info)?;
-        let (mut plan, phases) = (outcome.plan, outcome.phases);
-
-        // 5. Pop and checkpoint. The groups share the directives and hand
-        // them back to the returned plan.
-        let directives = Arc::new(std::mem::take(&mut plan.directives));
-        let (popped, failed) = self.fleet.pop(&directives);
-        plan.directives = Arc::unwrap_or_clone(directives);
-        if let Some(failure) = failed {
+        let (outcome, popped, missing) = self.fleet.advance()?;
+        if let Some(failure) = missing {
             return Err(failure);
         }
-        self.fleet.checkpoint(plan.step);
-
-        // 6. Broadcast each bucket's slice to its constructor actor and
-        // collect the constructed batches (pipelined).
-        let mut pending = Vec::new();
-        for (idx, bucket_plan, samples) in self.fleet.partition(&plan, popped) {
-            let bucket = bucket_plan.bucket;
-            let ask = self.fleet.constructors[idx].ask_pipelined(move |reply| {
-                ConstructorMsg::Construct {
-                    step: plan.step,
-                    bucket_plan,
-                    samples,
-                    reply: Some(reply),
-                }
-            });
-            match ask {
-                Ok(p) => pending.push((bucket, p)),
-                Err(_) => return Err(RuntimeError::ConstructorFailure { bucket }),
-            }
-        }
-        let mut batches = Vec::with_capacity(pending.len());
-        for (bucket, p) in pending {
-            batches.push(
-                p.wait(self.fleet.rpc_timeout)
-                    .map_err(|_| RuntimeError::ConstructorFailure { bucket })?,
-            );
-        }
-        Ok((plan, phases, batches))
+        let batches = PipelineCore::assemble(&self.constructors, &outcome.plan, &popped);
+        Ok((outcome.plan, outcome.phases, batches))
     }
 
     /// Starts an in-process serve session: the distributed session of
@@ -1818,28 +1824,20 @@ impl ThreadedPipeline {
         for server in &self.servers {
             server.stop();
         }
-        // The controller must be fully out of the way before the loader
-        // snapshot is taken: a Tick still queued behind its Stop could
-        // spawn a loader *after* the snapshot, and that unstopped actor
-        // would wedge the join below forever. The Status ask is a drain
-        // barrier for already-queued Ticks; the bounded spin then waits
-        // for the Stop to land so no further spawns are possible.
-        let _ = self
-            .fleet
-            .controller
-            .ask(ControllerMsg::Status, self.fleet.rpc_timeout);
-        self.fleet.controller.stop();
-        // Generous: a backlog of Ticks each doing timeout-bounded RPCs can
-        // outlast one rpc_timeout; every tick terminates, so this only
-        // wedges past the deadline if the controller thread itself hung.
-        let deadline = Instant::now() + self.fleet.rpc_timeout.max(Duration::from_secs(30));
-        while self.fleet.controller.is_alive() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // The controller must be out of the way before the loader
+        // snapshot is taken: a Tick run after it could spawn a loader the
+        // join below would wait on forever. The controller answers `Stop`
+        // as its last message, after every Tick queued ahead of it. The
+        // wait is generous: a backlog of Ticks each doing timeout-bounded
+        // RPCs can outlast one rpc_timeout.
+        let _ = self.fleet.controller.ask(
+            ControllerMsg::Stop,
+            self.fleet.rpc_timeout.max(Duration::from_secs(30)),
+        );
         // Stop loader groups until the registry stops changing: even if
-        // the controller outlived the deadline above, a group spawned
-        // behind our back is caught on the next pass instead of wedging
-        // the join.
+        // the controller outlived the wait above, a group spawned behind
+        // our back is caught on the next pass instead of wedging the
+        // join.
         let mut stopped: std::collections::HashSet<u32> = std::collections::HashSet::new();
         loop {
             let mut new_any = false;
@@ -1945,9 +1943,7 @@ impl ServeSession {
     pub fn join(mut self) -> u64 {
         self.driver
             .take()
-            .expect("driver joined once")
-            .join()
-            .unwrap_or(0)
+            .map_or(0, |driver| driver.join().unwrap_or(0))
     }
 }
 
@@ -1964,10 +1960,10 @@ impl Drop for ServeSession {
 /// [`RemoteClient`] over the in-process loopback.
 pub type ServeClient = RemoteClient;
 
-/// How long the driver keeps retrying one serve step through failures
-/// before concluding the fleet is unrecoverable (e.g. a loader exhausted
-/// its restart budget) and ending the session early. Keeps
-/// [`ServeSession::join`] from blocking forever on a dead fleet.
+/// How long the driver keeps re-asking one serve step through failures
+/// before ending the session early. An actor gone for good ends it at
+/// once; this bounds a hung one, so [`ServeSession::join`] cannot block
+/// forever.
 const STEP_RETRY_BUDGET: Duration = Duration::from_secs(60);
 
 /// The serve driver loop: pump `opts.steps` steps through the actor
@@ -2025,24 +2021,27 @@ fn run_serve_driver(
             fleet.refill(opts.refill_target);
         }
 
-        // (2) Gather + (3) plan, riding out restarts.
-        let outcome = loop {
-            if stop.load(Ordering::SeqCst) || Instant::now() > step_deadline {
+        // (2)–(5) Gather, plan, pop and checkpoint. A failed ask is
+        // re-asked at once: a restarting actor keeps its mailbox, and its
+        // next incarnation answers after its restore. A plan error, an
+        // actor gone for good or a spent retry budget ends the session.
+        let (outcome, popped, _) = loop {
+            if stop.load(Ordering::SeqCst) {
                 break 'steps;
             }
-            let info = match fleet.gather() {
-                Ok(info) => info,
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
+            match fleet.advance() {
+                Ok(advanced) => break advanced,
+                Err(e) if fleet.unrecoverable(&e) || Instant::now() > step_deadline => {
+                    fleet.gcs.log_fault(
+                        "serve-driver",
+                        format!("serve step {s}: {e}; session ended"),
+                    );
+                    break 'steps;
                 }
-            };
-            match fleet.plan(info) {
-                Ok(outcome) => break outcome,
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                Err(_) => {}
             }
         };
-        let mut plan = outcome.plan;
+        let plan = outcome.plan;
         let base = *plan_base.get_or_insert(plan.step);
         if plan.buckets.len() > fleet.constructors.len() && !bucket_overflow_reported {
             bucket_overflow_reported = true;
@@ -2060,20 +2059,8 @@ fn run_serve_driver(
             );
         }
 
-        // (4) Pop, retrying loaders that were mid-restart once; a
-        // restarted loader's lost samples are skipped by construction.
-        // Both pops share the step's directives; nothing later reads them.
-        let directives = Arc::new(std::mem::take(&mut plan.directives));
-        let (mut popped, failed) = fleet.pop(&directives);
-        if failed.is_some() {
-            std::thread::sleep(Duration::from_millis(20));
-            let (retried, _) = fleet.pop(&directives);
-            popped.extend(retried);
-        }
-
-        // (5) Checkpoint; (6) prefetch the next step's refill so loaders
-        // work while constructors assemble and clients drain.
-        fleet.checkpoint(plan.step);
+        // (6) Prefetch the next step's refill so loaders work while
+        // constructors assemble and clients drain.
         if opts.prefetch {
             fleet.refill(opts.refill_target);
         }
@@ -2209,7 +2196,6 @@ fn broadcast(fleet: &Fleet, step: u64, items: &[BroadcastItem]) {
             step,
             bucket_plan: Arc::clone(bucket_plan),
             samples: samples.clone(),
-            reply: None,
         });
     }
 }
@@ -2543,13 +2529,50 @@ mod tests {
     }
 
     #[test]
-    fn crashed_constructor_restarts_and_serves_again() {
-        let mut p = pipeline();
-        p.step(32).unwrap();
-        p.constructor_actors()[0].inject_crash("injected");
-        std::thread::sleep(Duration::from_millis(50));
-        let (_, _, batches) = step_until_ok(&mut p, 32, 50);
-        assert_eq!(batches.len(), 2);
+    fn a_group_restarted_between_plan_and_pop_leaves_a_short_step_on_the_fault_log() {
+        let p = pipeline();
+        p.fleet.refill(32);
+        let plan = p
+            .fleet
+            .plan(p.fleet.gather().expect("gather"))
+            .expect("plan")
+            .plan;
+        let topology = p.fleet.snapshot();
+        let (first, slot) = topology
+            .loaders
+            .iter()
+            .enumerate()
+            .find(|(_, slot)| {
+                plan.directives
+                    .get(&slot.identity.loader_id)
+                    .is_some_and(|ids| !ids.is_empty())
+            })
+            .expect("a directed loader");
+        // The crash lands ahead of the pop in the group's mailbox. The
+        // restarted incarnation replays the plan log, this step included,
+        // so neither the pop nor the re-pop finds the directed samples.
+        topology
+            .group_of(slot)
+            .expect("its group")
+            .actor
+            .inject_crash("between plan and pop");
+        let directives = Arc::new(plan.directives.clone());
+        let wanted: usize = directives.values().map(|ids| ids.len()).sum();
+        let (popped, missing) = p.fleet.pop(plan.step, &directives);
+        assert!(popped.len() < wanted, "the pop came back whole");
+        match missing {
+            Some(RuntimeError::LoaderFailure { loader, .. }) => assert_eq!(loader, first),
+            other => panic!("expected the first directed loader, got {other:?}"),
+        }
+        let step = format!("plan step {} is short", plan.step);
+        let loader = format!("id {}", slot.identity.loader_id);
+        let faults = p.gcs.fault_log("runtime");
+        assert!(
+            faults
+                .iter()
+                .any(|f| f.detail.contains(&step) && f.detail.contains(&loader)),
+            "short step not on the fault log: {faults:?}"
+        );
         p.shutdown();
     }
 

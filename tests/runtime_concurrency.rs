@@ -12,6 +12,8 @@
 //! several loaders and checks every member restores exactly. A restarted
 //! constructor rebuilds its ready queue from the serve driver's retained
 //! window in `Actor::started`; the last test pins that path on its own.
+//! A group gone for good, past its restart budget, ends the session at
+//! once with a fault record.
 
 mod harness;
 
@@ -282,6 +284,43 @@ fn constructor_crash_mid_serve_keeps_every_client_whole() {
         p.constructor_actors()[1].inject_crash("mid-serve constructor kill");
     });
     assert_streams_sound(&streams, 4, 10);
+    p.shutdown();
+}
+
+/// A loader group past its restart budget is gone for good. The driver
+/// re-asks a failed group at once, sees it stopped, and ends the session
+/// with a fault record naming the loader, instead of re-asking a closed
+/// mailbox until its retry budget runs out.
+#[test]
+fn a_dead_loader_group_ends_the_session_at_once() {
+    const STEPS: u64 = 8;
+    let mut p = pipeline(16);
+    let group = p.loaders()[0].clone();
+    let identity = p.loader_identities()[0].clone();
+    // One crash per incarnation: the first and its three restarts.
+    for _ in 0..4 {
+        group.inject_crash("dead-fleet kill");
+    }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !group.is_stopped() {
+        assert!(Instant::now() < deadline, "the group never stopped");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let session = p.serve(harness::opts(2, STEPS));
+    let start = Instant::now();
+    let served = session.join();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(5), "join took {took:?}");
+    assert!(served < STEPS, "a dead group served all {STEPS} steps");
+    let ended = p.gcs.fault_log("serve-driver");
+    let loader = format!("id {}", identity.loader_id);
+    assert!(
+        ended
+            .iter()
+            .any(|f| f.detail.contains("session ended") && f.detail.contains(&loader)),
+        "no serve-driver record names loader {}: {ended:?}",
+        identity.loader_id
+    );
     p.shutdown();
 }
 
