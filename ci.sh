@@ -94,6 +94,26 @@ if [ "$pull_bad" -ne 0 ]; then
   exit 1
 fi
 
+# One home for the transform tail on the serve plane: loader groups pop
+# raw (`SourceLoader::take_into`) and the tail runs where the batch is
+# assembled, in a constructor actor or on `ThreadedPipeline::step`'s
+# caller (`TransformTails`). A non-test call of a loader's `pop` or
+# `pop_into` in crates/core/src/system/ (comment lines aside) would run
+# it on the driver's chain again, and fails here.
+echo "==> no loader pop on the serve plane in crates/core/src/system/"
+pop_bad=0
+for f in crates/core/src/system/*.rs; do
+  found=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } /loader\.pop(_into)?\(/ { n++ } END { print n + 0 }' "$f")
+  if [ "$found" -ne 0 ]; then
+    echo "$f: $found non-test loader pop sites" >&2
+    pop_bad=1
+  fi
+done
+if [ "$pop_bad" -ne 0 ]; then
+  echo "pop raw with take_into and leave the tail to the constructors" >&2
+  exit 1
+fi
+
 # No thread reads session receivers: a session's frames reach the data
 # server's mailbox on the thread that delivered them (the sending client's
 # on loopback, the connection's reader on TCP). A non-test

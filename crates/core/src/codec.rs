@@ -506,7 +506,11 @@ tags!(DeliveryKind, "delivery kind tag" {
     1 => DeliveryKind::MetadataOnly,
     2 => DeliveryKind::Elided,
 });
-tags!(RejectReason, "reject reason code" { 0 => RejectReason::SessionLimit });
+// Code 1 named a retired reason; it stays unknown.
+tags!(RejectReason, "reject reason code" {
+    0 => RejectReason::SessionLimit,
+    2 => RejectReason::Ended,
+});
 
 // Every record's layout: its fields, in wire order.
 record! {

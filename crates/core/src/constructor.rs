@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use msd_data::Sample;
+use msd_data::{Modality, Sample, TransformPipeline, TransformScratch};
 use msd_mesh::{cp_range, delivery_kind, Axis, DeliveryKind, DeviceMesh, Rank};
 
 use crate::plan::BucketPlan;
@@ -316,6 +316,22 @@ impl DataConstructor {
         }
     }
 
+    /// [`DataConstructor::construct`] from raw samples, as a loader took
+    /// them (`SourceLoader::take_into`): `tails` settles
+    /// each first, and lets go of the settled samples once the batch
+    /// holds what it needs of them.
+    pub fn construct_raw(
+        &self,
+        bucket_plan: &BucketPlan,
+        raw: &HashMap<u64, Sample>,
+        broadcast_axes: &[Axis],
+        tails: &mut TransformTails,
+    ) -> ConstructedBatch {
+        let batch = self.construct(bucket_plan, tails.settle_all(raw), broadcast_axes);
+        tails.settled.clear();
+        batch
+    }
+
     /// Resident memory of a constructed batch held for delivery: its
     /// payloads plus its segment tables (16 B per segment).
     pub fn batch_memory_bytes(batch: &ConstructedBatch) -> u64 {
@@ -327,6 +343,63 @@ impl DataConstructor {
                 m.payload_bytes + size_of::<Segment>() as u64 * segments as u64
             })
             .sum()
+    }
+}
+
+/// The transform tails a Data Constructor runs on raw samples (Sec 6.2's
+/// transformation reordering): per modality, the canonical pipeline past
+/// its transfer-optimal split ([`TransformPipeline::split_for_transfer`]),
+/// which is what a Source Loader leaves undone in its buffer. Settling a
+/// raw sample here yields the bytes [`crate::loader::SourceLoader::pop`]
+/// would have delivered; text's tail is empty.
+#[derive(Debug)]
+pub struct TransformTails {
+    /// Each modality's tail, in [`Modality::ALL`] order.
+    tails: [TransformPipeline; 4],
+    /// Working buffers of the chain, reused for every sample.
+    scratch: TransformScratch,
+    /// The settled samples of the batch being built, by id: one table
+    /// reused across batches, so settling allocates only the tails'
+    /// outputs.
+    settled: HashMap<u64, Sample>,
+}
+
+impl Default for TransformTails {
+    fn default() -> Self {
+        TransformTails {
+            tails: Modality::ALL.map(|m| TransformPipeline::for_modality(m).split_for_transfer().1),
+            scratch: TransformScratch::default(),
+            settled: HashMap::new(),
+        }
+    }
+}
+
+impl TransformTails {
+    /// Runs `sample`'s tail on it in place.
+    pub fn settle(&mut self, sample: &mut Sample) {
+        self.tails[sample.meta.modality as usize].apply_with(sample, &mut self.scratch);
+    }
+
+    /// Settles a copy of every sample of `raw` (a refcount bump on its
+    /// payload) into the reused table, which it returns; `raw` is left
+    /// as it is, so a rebuild settles the same samples again. When no
+    /// sample has a tail to run (text), `raw` is already settled and is
+    /// returned as it is.
+    pub fn settle_all<'a>(&'a mut self, raw: &'a HashMap<u64, Sample>) -> &'a HashMap<u64, Sample> {
+        let tails = &self.tails;
+        if raw
+            .values()
+            .all(|sample| tails[sample.meta.modality as usize].is_empty())
+        {
+            return raw;
+        }
+        self.settled.clear();
+        for (id, sample) in raw {
+            let mut sample = sample.clone();
+            self.settle(&mut sample);
+            self.settled.insert(*id, sample);
+        }
+        &self.settled
     }
 }
 

@@ -17,7 +17,10 @@
 //! prefix is the whole pipeline). [`SourceLoader::pop`] runs the rest on
 //! exactly the samples a plan takes, and [`SourceLoader::summary`]
 //! reports each buffered sample's metadata as it will be once popped, so
-//! plans and delivered bytes do not depend on where the cut lies.
+//! plans and delivered bytes do not depend on where the cut lies. The
+//! threaded runtime takes samples raw (`SourceLoader::take_into`) and
+//! runs the rest where the batch is assembled (Sec 6.2's transformation
+//! reordering, [`crate::constructor::TransformTails`]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -481,18 +484,11 @@ impl SourceLoader {
     /// idempotence matters for failover).
     pub fn pop(&mut self, ids: &[u64]) -> Vec<Sample> {
         let mut out = Vec::with_capacity(ids.len());
-        self.pop_into(ids, &mut out);
-        out
-    }
-
-    /// [`SourceLoader::pop`], appending to `out`: a host popping several
-    /// loaders for one reply collects them in one vector.
-    pub fn pop_into(&mut self, ids: &[u64], out: &mut Vec<Sample>) {
-        let popped = out.len();
-        self.take_into(ids, out);
-        for sample in &mut out[popped..] {
+        self.take_into(ids, &mut out);
+        for sample in &mut out {
             self.tail.apply_with(sample, &mut self.scratch);
         }
+        out
     }
 
     /// Removes the samples a directive names exactly as
@@ -505,8 +501,13 @@ impl SourceLoader {
         taken.len()
     }
 
-    /// Moves the named samples, as buffered, from the buffer to `out`.
-    fn take_into(&mut self, ids: &[u64], out: &mut Vec<Sample>) {
+    /// Moves the named samples, as buffered, from the buffer to `out`:
+    /// [`SourceLoader::pop`] without the pop-time tail. The threaded
+    /// runtime's loader groups pop this way and leave the tail to the
+    /// Data Constructor ([`crate::constructor::TransformTails`]), a
+    /// host popping several loaders for one reply collecting them in one
+    /// vector.
+    pub(crate) fn take_into(&mut self, ids: &[u64], out: &mut Vec<Sample>) {
         // A plan usually names the front of the buffer in buffer order:
         // that run pops straight off.
         let mut rest = ids;
@@ -801,6 +802,38 @@ mod tests {
                 assert_eq!(Some(&sample.meta), want, "{modality:?}");
                 assert_eq!(sample.meta.raw_bytes, sample.payload.len() as u64);
             }
+        }
+    }
+
+    #[test]
+    fn taken_samples_settle_at_the_constructor_to_the_popped_ones() {
+        let catalog = navit_like(&mut SimRng::seed(3));
+        let mut tails = crate::constructor::TransformTails::default();
+        for modality in Modality::ALL {
+            let spec = catalog
+                .sources()
+                .iter()
+                .find(|s| s.modality == modality)
+                .expect("navit_like has every modality");
+            let mut popping = SourceLoader::synthetic(spec.clone(), LoaderConfig::solo(0), 4);
+            let mut taking = SourceLoader::synthetic(spec.clone(), LoaderConfig::solo(0), 4);
+            popping.refill(6).unwrap();
+            taking.refill(6).unwrap();
+            let ids: Vec<u64> = popping
+                .summary()
+                .samples
+                .iter()
+                .map(|m| m.sample_id)
+                .collect();
+            let mut taken = Vec::new();
+            taking.take_into(&ids, &mut taken);
+            let popped = popping.pop(&ids);
+            assert_eq!(taken.len(), popped.len());
+            for (mut sample, want) in taken.into_iter().zip(popped) {
+                tails.settle(&mut sample);
+                assert_eq!(sample, want, "{modality:?}");
+            }
+            assert_eq!(taking.summary(), popping.summary());
         }
     }
 

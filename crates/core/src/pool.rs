@@ -47,6 +47,13 @@
 //! in that interval needed go back to the allocator. A burst — the serve
 //! driver running `queue_depth` steps ahead of a stalled client, say —
 //! would otherwise pin its peak in multi-megabyte frame buffers forever.
+//! Some demand cycles slower than that: a serve window hands its raw
+//! samples back a retired step at a time, out of step with the loaders
+//! leasing new ones, so an interval can miss the cycle's peak and shed
+//! what a later lease needs. A lease that misses after a trim shed
+//! buffers shows it, and its class trims only every
+//! `SLOW_TRIM_INTERVAL` leases from then on, long enough to see the
+//! whole cycle.
 //!
 //! Buffers larger than the biggest size class fall through to plain
 //! allocation (counted as misses) and are never pooled, so exhaustion
@@ -93,6 +100,10 @@ impl Default for PoolConfig {
 /// Leases of one size class between two trims of its free list.
 const TRIM_INTERVAL: u32 = 256;
 
+/// The trim interval of a class whose trim shed buffers a later lease
+/// needed: about three seconds of a loader fleet's raw-sample leases.
+const SLOW_TRIM_INTERVAL: u32 = TRIM_INTERVAL << 8;
+
 /// Parked buffers one lease sweeps, oldest first.
 const SWEEP_STEP: usize = 8;
 
@@ -137,6 +148,12 @@ struct FreeList {
     /// one): all but one of them sat unused through the whole interval.
     /// Starts at 0, so the first interval — warm-up — never trims.
     low_water: usize,
+    /// Whether the last trim shed buffers: a miss since then means it
+    /// shed what demand came back for.
+    shed: bool,
+    /// Whether that happened: the class trims every
+    /// [`SLOW_TRIM_INTERVAL`] leases instead of [`TRIM_INTERVAL`].
+    slow: bool,
 }
 
 /// Traffic counters for one pool (all monotone; snapshot via
@@ -293,12 +310,20 @@ impl BufferPool {
             );
             free.low_water = free.low_water.min(free.bufs.len());
             free.leases += 1;
-            if free.leases == TRIM_INTERVAL {
+            let interval = if free.slow {
+                SLOW_TRIM_INTERVAL
+            } else {
+                TRIM_INTERVAL
+            };
+            if free.leases >= interval {
                 free.leases = 0;
                 let on_hand = std::mem::replace(&mut free.low_water, usize::MAX);
                 shed.extend(free.bufs.drain(..on_hand.saturating_sub(1)));
+                free.shed = !shed.is_empty();
             }
-            (free.bufs.pop(), stolen)
+            let buf = free.bufs.pop();
+            free.slow |= buf.is_none() && free.shed;
+            (buf, stolen)
         };
         self.counters.resizes.add(shed.len() as u64);
         if buf.is_some() {

@@ -21,14 +21,22 @@
 //!   `max(requested, frontier)`, because steps below the frontier have
 //!   already been retired and can never be replayed from retained state.
 //!
+//! The fold's highest cursor is the serve plane's demand: the driver
+//! broadcasts a step only once some client has consumed the one before,
+//! so it runs one step ahead of the fastest consumer, and the lowest
+//! cursor caps it at `queue_depth` steps ahead of the slowest.
+//!
 //! Retirement policy everywhere downstream is then a single rule:
 //! `step < frontier ⇒ retire eagerly; step ≥ frontier ⇒ must retain`.
 //! Constructor ready queues, the driver's retained broadcast window and
-//! the GCS plan log all follow it.
+//! the GCS plan log all follow it; a constructor whose clients all hold
+//! live capabilities retires below the lowest of their own cursors,
+//! which is never below the frontier.
 //!
 //! [`DataServer`]: crate::system::server::DataServer
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeInclusive;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -81,6 +89,13 @@ impl HubState {
                 self.counts.remove(&cursor);
             }
         }
+    }
+
+    /// The live cursors, lowest to highest.
+    fn cursors(&self) -> Option<RangeInclusive<u64>> {
+        let (&min, _) = self.counts.first_key_value()?;
+        let (&max, _) = self.counts.last_key_value()?;
+        Some(min..=max)
     }
 
     /// Ratchets the frontier up to the current min over live holders.
@@ -167,16 +182,18 @@ impl FrontierHub {
         }
     }
 
-    /// Blocks until `ready(min_client_cursor)` holds or `deadline`
-    /// passes, re-checking after every acquire, advance, release and
-    /// [`FrontierHub::wake`]. Returns whether `ready` held.
+    /// Blocks until `ready(cursors)` holds or `deadline` passes, where
+    /// `cursors` runs from the lowest live client cursor to the highest
+    /// (`None` with no live holder), re-checking after every acquire,
+    /// advance, release and [`FrontierHub::wake`]. Returns whether
+    /// `ready` held.
     pub fn wait_until(
         &self,
         deadline: Instant,
-        mut ready: impl FnMut(Option<u64>) -> bool,
+        mut ready: impl FnMut(Option<RangeInclusive<u64>>) -> bool,
     ) -> bool {
         let mut s = self.state();
-        while !ready(s.counts.keys().next().copied()) {
+        while !ready(s.cursors()) {
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 return false;
             };
@@ -251,8 +268,9 @@ impl FrontierHub {
     }
 
     /// The lowest cursor over live client holders, if any — the first
-    /// key of the cursor multiset. The serve driver's backpressure and
-    /// drain read it: `None` means no client still consuming.
+    /// key of the cursor multiset, and the start of the range a
+    /// [`FrontierHub::wait_until`] condition sees: `None` means no client
+    /// still consuming.
     pub fn min_client_cursor(&self) -> Option<u64> {
         self.state().counts.keys().next().copied()
     }
@@ -398,7 +416,9 @@ mod tests {
             change(&other);
         });
         let start = Instant::now();
-        let woke = hub.wait_until(start + Duration::from_secs(5), |min| min != Some(0));
+        let woke = hub.wait_until(start + Duration::from_secs(5), |live| {
+            live.is_none_or(|c| *c.start() != 0)
+        });
         changer.join().unwrap();
         (woke, start.elapsed())
     }
@@ -429,17 +449,16 @@ mod tests {
         hub.acquire(Holder::Client(0), 0);
         let start = Instant::now();
         let deadline = start + Duration::from_millis(30);
-        assert!(!hub.wait_until(deadline, |min| min != Some(0)));
+        let above_0 = |live: Option<RangeInclusive<u64>>| live.is_none_or(|c| *c.start() != 0);
+        assert!(!hub.wait_until(deadline, above_0));
         assert!(Instant::now() >= deadline);
         // An advance that leaves the lowest cursor in place wakes the
         // waiter but does not satisfy it.
         hub.acquire(Holder::Client(1), 0);
         hub.advance(Holder::Client(1), 5);
-        assert!(
-            !hub.wait_until(Instant::now() + Duration::from_millis(10), |min| {
-                min != Some(0)
-            })
-        );
+        assert!(!hub.wait_until(Instant::now() + Duration::from_millis(10), above_0));
+        // The highest cursor is there too: the serve driver's demand.
+        assert!(hub.wait_until(Instant::now(), |live| live == Some(0..=5)));
     }
 
     #[test]

@@ -88,6 +88,16 @@ impl SharedBatch {
         Arc::clone(&self.batch)
     }
 
+    /// A handle that does not keep the batch alive: a constructor caches
+    /// one per built step, so bucket-mates share the batch for exactly as
+    /// long as a client or an in-flight frame holds it.
+    pub(crate) fn downgrade(&self) -> WeakBatch {
+        WeakBatch {
+            batch: Arc::downgrade(&self.batch),
+            wire: Arc::downgrade(&self.wire),
+        }
+    }
+
     /// Forces the memoized wire form now, off the send path. Constructor
     /// actors call this (when the session's transport serializes) so a
     /// multi-megabyte batch is sealed on the construct thread —
@@ -115,6 +125,26 @@ impl SharedBatch {
             || codec::encoded_batch_len(&self.batch),
             BatchFrame::encoded_len,
         )
+    }
+}
+
+/// A [`SharedBatch`] that does not keep it alive
+/// ([`SharedBatch::downgrade`]).
+#[derive(Debug, Clone)]
+pub(crate) struct WeakBatch {
+    batch: std::sync::Weak<ConstructedBatch>,
+    wire: std::sync::Weak<std::sync::OnceLock<BatchFrame>>,
+}
+
+impl WeakBatch {
+    /// The batch, if something still holds it. Its memoized wire form
+    /// comes with it while a frame holds that too; a client that kept
+    /// only the batch leaves the wire form to be encoded again.
+    pub(crate) fn upgrade(&self) -> Option<SharedBatch> {
+        Some(SharedBatch {
+            batch: self.batch.upgrade()?,
+            wire: self.wire.upgrade().unwrap_or_default(),
+        })
     }
 }
 
@@ -279,12 +309,17 @@ pub enum WireFrame {
 pub enum RejectReason {
     /// The server is at `ServerConfig::max_sessions` live sessions.
     SessionLimit,
+    /// The serve session ended before its last step (say, a loader group
+    /// past its restart budget): the stream is over, so the client stops
+    /// instead of redialing.
+    Ended,
 }
 
 impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RejectReason::SessionLimit => write!(f, "session limit reached"),
+            RejectReason::Ended => write!(f, "serve session ended early"),
         }
     }
 }

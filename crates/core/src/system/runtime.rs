@@ -13,7 +13,9 @@
 //!   [`PipelineCore`] (plan synthesis
 //!   plus Replay Mode adoption),
 //! - one [`ConstructorActor`] per consumer bucket, receiving broadcast
-//!   plans and answering the data server's pulls with built batches,
+//!   plans with their raw samples and answering the data server's pulls
+//!   with batches it builds on demand, running each sample's transform
+//!   tail (Sec 6.2's transformation reordering),
 //! - one [`ControllerActor`] (see [`crate::system::controller`]) watching
 //!   mixing-weight telemetry and loader health, scaling and rebalancing
 //!   the loader fleet live through the shared registry.
@@ -25,11 +27,13 @@
 //! a crash is never delivered twice.
 //!
 //! One serial chain drives the fleet: gather → plan → pop → checkpoint.
+//! Loader groups pop raw, so the chain carries no transform work.
 //! [`ThreadedPipeline::step`] runs it once for a single synchronous
-//! caller and assembles the batches on the caller's thread, as the
-//! inline deployment does. Every concurrent session is one contract:
-//! [`ThreadedPipeline::serve_distributed`] starts a driver thread that
-//! pumps plans/pops/broadcasts with pipelined refill-ahead, and a
+//! caller and runs the tails and assembles the batches on the caller's
+//! thread, as the inline deployment does. Every concurrent session is
+//! one contract: [`ThreadedPipeline::serve_distributed`] starts a driver
+//! thread that pumps plans/pops/broadcasts with pipelined refill-ahead,
+//! one step ahead of the fastest client, and a
 //! [`DataServer`] actor that streams each placed trainer client its
 //! constructor's batches over a [`Transport`], throttled by a
 //! bounded-queue backpressure knob. [`ThreadedPipeline::serve`] is the
@@ -49,7 +53,7 @@ use msd_mesh::{Axis, ClientPlaceTree, DistributeAxis};
 use parking_lot::{Mutex, RwLock};
 
 use crate::buffer::{BufferInfo, BufferSummary};
-use crate::constructor::{ConstructedBatch, DataConstructor};
+use crate::constructor::{ConstructedBatch, DataConstructor, TransformTails};
 use crate::dgraph::DGraphError;
 use crate::loader::{LoaderCheckpoint, LoaderConfig, LoaderHealth, SourceLoader};
 use crate::plan::{BucketPlan, LoadingPlan};
@@ -59,7 +63,7 @@ use crate::system::controller::{
 };
 use crate::system::core::{PipelineCore, PlanOutcome};
 use crate::system::frontier::{FrontierCheckpoint, FrontierHub, Holder};
-use crate::system::net::{LoopbackTransport, SharedBatch, Transport};
+use crate::system::net::{LoopbackTransport, SharedBatch, Transport, WeakBatch};
 use crate::system::server::{
     DataServer, DataServerHandle, RemoteClient, RemotePlacement, ServerConfig, ServerMsg,
 };
@@ -83,9 +87,9 @@ fn plan_log_key(step: u64) -> String {
 }
 
 /// One bucket's broadcast payload: (constructor index, bucket plan,
-/// the samples the bucket consumes). Samples are `Arc`-shared between the
-/// in-flight message and the driver's retained window, so a broadcast is
-/// a refcount bump, not a payload copy.
+/// the samples the bucket consumes, raw). Samples are `Arc`-shared
+/// between the in-flight message and the driver's retained window, so a
+/// broadcast is a refcount bump, not a payload copy.
 type BroadcastItem = (usize, Arc<BucketPlan>, Arc<HashMap<u64, Sample>>);
 
 /// Messages understood by a loader group. The per-step operations
@@ -103,7 +107,8 @@ pub enum LoaderMsg {
     /// ([`SourceLoader::summaries`]).
     Summary(ReplyTo<Vec<BufferSummary>>),
     /// Pop every hosted loader's directed sample ids and reply with all
-    /// the samples.
+    /// the samples raw, as buffered (`SourceLoader::take_into`): the
+    /// transform tail runs where the batch is assembled.
     Pop {
         /// The step's pop directives (loader id → sample ids), shared by
         /// every group: each looks up its own members.
@@ -372,7 +377,7 @@ impl Actor for LoaderGroupActor {
                 let mut samples = Vec::with_capacity(wanted);
                 for member in &mut self.members {
                     if let Some(ids) = directives.get(&member.loader.id()) {
-                        member.loader.pop_into(ids, &mut samples);
+                        member.loader.take_into(ids, &mut samples);
                     }
                 }
                 // Let go of the shared directives before replying, so the
@@ -553,24 +558,25 @@ impl Actor for PlannerActor {
 
 /// Messages understood by a constructor actor.
 pub enum ConstructorMsg {
-    /// A broadcast plan slice: construct this bucket's batch.
+    /// A broadcast plan slice: stage this bucket's raw samples; a pull
+    /// builds the batch.
     Construct {
         /// Serve-step ordinal (contiguous; not necessarily `plan.step`).
         step: u64,
         /// This bucket's slice of the loading plan (shared with the
         /// driver's retained window).
         bucket_plan: Arc<BucketPlan>,
-        /// Popped samples the bucket consumes (shared, not copied).
+        /// Popped raw samples the bucket consumes (shared, not copied).
         samples: Arc<HashMap<u64, Sample>>,
     },
     /// The data server requests the batch of exactly `step` for
-    /// `client`. The reply is parked until that step is constructed. The
-    /// server carries the client's cursor, so a restarted constructor
-    /// cannot double-serve it. The reply shares the queued batch
-    /// ([`SharedBatch`]): every bucket-mate and every rebuilt replay read
-    /// the *same* constructed buffers — and, on serializing transports,
-    /// the same memoized wire encoding — a pull is a refcount bump, never
-    /// a payload copy.
+    /// `client`. The reply is parked until that step is staged, and the
+    /// batch is built when first pulled. The server carries the client's
+    /// cursor, so a restarted constructor cannot double-serve it. While
+    /// a client or an in-flight frame holds a built batch, a bucket-mate's
+    /// pull shares it ([`SharedBatch`]): the *same* constructed buffers
+    /// and, on serializing transports, the same memoized wire encoding —
+    /// a refcount bump, never a payload copy.
     Pull {
         /// The client the pull is for.
         client: u32,
@@ -580,23 +586,23 @@ pub enum ConstructorMsg {
         /// ([`ServerMsg::Ready`]).
         reply: ReplyTo<(u64, SharedBatch)>,
     },
-    /// Report the serve steps currently queued for pulling clients.
+    /// Report the serve steps this actor can answer: every staged step.
     ReadySteps(ReplyTo<Vec<u64>>),
-    /// The serve driver's folded global frontier: every step below `at`
-    /// is proven consumed by all live capability holders, so queued
-    /// batches below it retire.
+    /// The frontier the serve driver announces to this constructor: no
+    /// client that may pull from it can still ask for a step below `at`
+    /// (see `retire_frontier`), so staged steps below it retire.
     Frontier {
-        /// The global step frontier (exclusive retirement bound).
+        /// This constructor's step frontier (exclusive retirement bound),
+        /// never below the global one.
         at: u64,
     },
-    /// Start a fresh serve session: drop queued batches and parked pulls
+    /// Start a fresh serve session: drop staged steps and parked pulls
     /// left over from a previous session (serve step numbering restarts
     /// at 0 each session).
     Reset {
         /// When true (serializing transports), each constructed batch is
-        /// wire-encoded eagerly on the construct thread — overlapping the
-        /// serialization with loader fetches — instead of lazily on the
-        /// serve loop's first send of that batch.
+        /// wire-encoded on the construct thread as it is built, instead of
+        /// on the serve loop's first send of that batch.
         pre_encode: bool,
     },
 }
@@ -604,33 +610,48 @@ pub enum ConstructorMsg {
 /// The shared-batch reply a [`ConstructorMsg::Pull`] resolves to.
 type PullReply = ReplyTo<(u64, SharedBatch)>;
 
-/// The serve driver's retained broadcast window: every step at or above
-/// the announced frontier, kept so a restarted constructor can rebuild
-/// its ready queue. Only the driver writes it; the constructor factories
-/// share it read-only.
+/// The serve driver's retained broadcast window: each constructor's share
+/// of every step at or above the frontier the driver last announced to
+/// it, raw, kept so a restarted constructor can re-stage it. Only the
+/// driver writes it; the constructor factories share it read-only.
 #[derive(Default)]
 pub(crate) struct RetainedWindow {
     /// The session's [`ConstructorMsg::Reset`] flag, so a restarted
     /// incarnation encodes like its peers.
     pre_encode: bool,
-    /// Broadcast steps, oldest first.
+    /// Broadcast steps, oldest first, each with its items still retained.
     steps: VecDeque<(u64, Vec<BroadcastItem>)>,
 }
 
 /// [`RetainedWindow`] as the driver and constructor factories share it.
 type SharedWindow = Arc<Mutex<RetainedWindow>>;
 
+/// One step a constructor can answer: the bucket's slice of the plan and
+/// its raw samples (shared with the driver's retained window), plus the
+/// batch last built from them, for as long as something else holds it.
+struct Staged {
+    bucket_plan: Arc<BucketPlan>,
+    samples: Arc<HashMap<u64, Sample>>,
+    built: Option<WeakBatch>,
+}
+
 /// A Data Constructor hosted in a supervised actor, serving one bucket's
 /// batches to the data server's pulls.
 ///
+/// A broadcast step is staged raw, and the actor builds its batch when
+/// the server first pulls it: it runs each sample's transform tail
+/// ([`TransformTails`], Sec 6.2's transformation reordering) and packs.
+/// The built batch is cached behind a `WeakBatch`, so bucket-mates
+/// share it while a client or an in-flight frame holds it, and a later
+/// pull (a resend, a late mate) builds the same bytes again.
+///
 /// The actor tracks no consumer progress: the server carries each
 /// client's cursor in `Pull`, the [`FrontierHub`] holds every client's
-/// capability, and the ready queue is retired by the frontier the driver
-/// announces (`step < frontier`). Recovery keeps no durable state either: a
-/// restarted incarnation rebuilds its ready queue from the driver's
-/// retained window in [`Actor::started`], the way loaders restore
-/// themselves from the GCS, so a crash mid-serve costs latency, never
-/// correctness.
+/// capability, and staged steps are retired by the frontier the driver
+/// announces (`step < frontier`). Recovery keeps no durable state either:
+/// a restarted incarnation re-stages the driver's retained window in
+/// [`Actor::started`], the way loaders restore themselves from the GCS,
+/// so a crash mid-serve costs latency, never correctness.
 pub struct ConstructorActor {
     inner: DataConstructor,
     /// This constructor's index in the fleet (its share of each
@@ -639,22 +660,21 @@ pub struct ConstructorActor {
     /// Trainer-side broadcast axes (fetch elision).
     broadcast_axes: Vec<Axis>,
     window: SharedWindow,
-    /// Constructed batches queued for pulling clients, each wrapped with
-    /// its memoized wire form. Every client of a step is handed the same
-    /// wrapper — fan-out is refcounting, and on serializing transports
-    /// bucket-mates share one encoding.
-    ready: BTreeMap<u64, SharedBatch>,
+    /// Every step this actor can answer, by serve step.
+    staged: BTreeMap<u64, Staged>,
     waiting: HashMap<u32, (u64, PullReply)>,
-    /// Eagerly wire-encode each batch at construct time (set per session
-    /// by [`ConstructorMsg::Reset`] when the transport serializes).
+    /// The transform tails, their scratch and settled table.
+    tails: TransformTails,
+    /// Wire-encode each batch as it is built (set per session by
+    /// [`ConstructorMsg::Reset`] when the transport serializes).
     pre_encode: bool,
     /// The serve driver's last announced frontier (monotone within a
-    /// session): ready steps below it are retired and never rebuilt.
+    /// session): staged steps below it are retired and never re-staged.
     frontier: u64,
 }
 
 impl ConstructorActor {
-    /// Wraps a constructor component as fleet member `index`, rebuilding
+    /// Wraps a constructor component as fleet member `index`, re-staging
     /// from `window` on every (re)start.
     pub(crate) fn new(
         inner: DataConstructor,
@@ -667,30 +687,49 @@ impl ConstructorActor {
             index,
             broadcast_axes,
             window,
-            ready: BTreeMap::new(),
+            staged: BTreeMap::new(),
             waiting: HashMap::new(),
+            tails: TransformTails::default(),
             pre_encode: false,
             frontier: 0,
         }
     }
 
-    /// Constructs `step` into the ready queue unless it is already there
-    /// or retired (a repeated broadcast is idempotent). Returns the
-    /// queued batch when it was built.
-    fn build(
+    /// Stages `step` unless it is already staged or retired (a repeated
+    /// broadcast is idempotent). Returns whether it was staged now.
+    fn stage(
         &mut self,
         step: u64,
-        bucket_plan: &BucketPlan,
-        samples: &HashMap<u64, Sample>,
-    ) -> Option<SharedBatch> {
-        if self.ready.contains_key(&step) || step < self.frontier {
-            return None;
+        bucket_plan: Arc<BucketPlan>,
+        samples: Arc<HashMap<u64, Sample>>,
+    ) -> bool {
+        if step < self.frontier || self.staged.contains_key(&step) {
+            return false;
+        }
+        self.staged.insert(
+            step,
+            Staged {
+                bucket_plan,
+                samples,
+                built: None,
+            },
+        );
+        true
+    }
+
+    /// The batch of staged `step`: the one last built, if something
+    /// still holds it, else built now.
+    fn batch(&mut self, step: u64) -> Option<SharedBatch> {
+        let staged = self.staged.get_mut(&step)?;
+        if let Some(shared) = staged.built.as_ref().and_then(WeakBatch::upgrade) {
+            return Some(shared);
         }
         let construct_start = std::time::Instant::now();
-        let shared = SharedBatch::new(Arc::new(self.inner.construct(
-            bucket_plan,
-            samples,
+        let shared = SharedBatch::new(Arc::new(self.inner.construct_raw(
+            &staged.bucket_plan,
+            &staged.samples,
             &self.broadcast_axes,
+            &mut self.tails,
         )));
         crate::metrics::record_stage(crate::metrics::Stage::Construct, construct_start.elapsed());
         if self.pre_encode {
@@ -699,7 +738,7 @@ impl ConstructorActor {
             // inline.
             shared.warm();
         }
-        self.ready.insert(step, shared.clone());
+        staged.built = Some(shared.downgrade());
         Some(shared)
     }
 }
@@ -707,12 +746,13 @@ impl ConstructorActor {
 impl Actor for ConstructorActor {
     type Msg = ConstructorMsg;
 
-    /// Rebuilds this bucket's share of every retained step: after a
-    /// crash the ready queue is exactly what clients may still pull.
-    /// Only the snapshot is taken under the window lock, so the driver's
-    /// broadcasts never wait on a rebuild. A step the driver retains
-    /// after the snapshot was also sent to this mailbox, which survives
-    /// the restart, and reaches `build` as a queued `Construct`.
+    /// Re-stages this bucket's share of every retained step: after a
+    /// crash the actor answers exactly the steps clients may still pull,
+    /// and builds none of them until pulled. Only the snapshot is taken
+    /// under the window lock, so the driver's broadcasts never wait on a
+    /// restart. A step the driver retains after the snapshot was also
+    /// sent to this mailbox, which survives the restart, and is staged
+    /// from its queued `Construct`.
     fn started(&mut self, _ctx: &mut Ctx) {
         let snapshot: Vec<(u64, BroadcastItem)> = {
             let window = self.window.lock();
@@ -728,8 +768,8 @@ impl Actor for ConstructorActor {
                 })
                 .collect()
         };
-        for (step, (_, bucket_plan, samples)) in &snapshot {
-            self.build(*step, bucket_plan, samples);
+        for (step, (_, bucket_plan, samples)) in snapshot {
+            self.stage(step, bucket_plan, samples);
         }
     }
 
@@ -740,12 +780,17 @@ impl Actor for ConstructorActor {
                 bucket_plan,
                 samples,
             } => {
-                let Some(shared) = self.build(step, &bucket_plan, &samples) else {
+                if !self.stage(step, bucket_plan, samples)
+                    || !self.waiting.values().any(|(want, _)| *want == step)
+                {
+                    return;
+                }
+                let Some(shared) = self.batch(step) else {
                     return;
                 };
                 // Wake the clients parked on this step — the only step
-                // that just became ready — in one pass over the parked
-                // map, keeping the rest parked.
+                // that just became answerable — in one pass over the
+                // parked map, keeping the rest parked.
                 for (client, (want, reply)) in std::mem::take(&mut self.waiting) {
                     if want == step {
                         reply.send((want, shared.clone()));
@@ -758,9 +803,9 @@ impl Actor for ConstructorActor {
                 client,
                 step,
                 reply,
-            } => match self.ready.get(&step) {
+            } => match self.batch(step) {
                 Some(shared) => {
-                    reply.send((step, shared.clone()));
+                    reply.send((step, shared));
                 }
                 None => {
                     // Park; a retry from the same client replaces the
@@ -769,16 +814,16 @@ impl Actor for ConstructorActor {
                 }
             },
             ConstructorMsg::ReadySteps(reply) => {
-                reply.send(self.ready.keys().copied().collect());
+                reply.send(self.staged.keys().copied().collect());
             }
             ConstructorMsg::Frontier { at } => {
                 if at > self.frontier {
                     self.frontier = at;
-                    self.ready.retain(|step, _| *step >= at);
+                    self.staged.retain(|step, _| *step >= at);
                 }
             }
             ConstructorMsg::Reset { pre_encode } => {
-                self.ready.clear();
+                self.staged.clear();
                 self.waiting.clear();
                 self.pre_encode = pre_encode;
                 self.frontier = 0; // Serve steps renumber each session.
@@ -1084,7 +1129,7 @@ pub struct ConstructorStat {
     pub index: usize,
     /// Envelopes waiting in the actor's mailbox.
     pub mailbox_depth: usize,
-    /// Serve steps currently queued for pulling clients.
+    /// Serve steps the constructor can answer (staged, raw).
     pub ready_steps: Vec<u64>,
 }
 
@@ -1362,6 +1407,9 @@ pub struct ThreadedPipeline {
     /// The constructor components, one per constructor actor, that
     /// [`ThreadedPipeline::step`] assembles with on the caller's thread.
     constructors: Vec<DataConstructor>,
+    /// The transform tails [`ThreadedPipeline::step`] runs on the
+    /// popped raw samples, on the caller's thread.
+    tails: TransformTails,
     placement: PlacementView,
     /// Data-server actors opened by [`ThreadedPipeline::serve_distributed`]
     /// (stopped at shutdown).
@@ -1493,6 +1541,7 @@ impl ThreadedPipeline {
                 gcs: gcs.clone(),
             },
             constructors,
+            tails: TransformTails::default(),
             placement,
             servers: Vec::new(),
             gcs,
@@ -1652,18 +1701,22 @@ impl ThreadedPipeline {
     }
 
     /// Runs one step for a single synchronous caller: a refill, the serve
-    /// driver's gather → plan → pop → checkpoint, then batch assembly on
-    /// the caller's thread, as the inline deployment assembles. Fails
-    /// when an actor fails its RPC, or when a directed loader's samples
-    /// are still missing after the re-pop.
+    /// driver's gather → plan → pop → checkpoint, then, on the caller's
+    /// thread, the popped samples' transform tails and batch assembly, as
+    /// the inline deployment assembles. Fails when an actor fails its
+    /// RPC, or when a directed loader's samples are still missing after
+    /// the re-pop.
     pub fn step(
         &mut self,
         refill_target: usize,
     ) -> Result<(LoadingPlan, PhaseBreakdown, Vec<ConstructedBatch>), RuntimeError> {
         self.fleet.refill(refill_target);
-        let (outcome, popped, missing) = self.fleet.advance()?;
+        let (outcome, mut popped, missing) = self.fleet.advance()?;
         if let Some(failure) = missing {
             return Err(failure);
+        }
+        for sample in popped.values_mut() {
+            self.tails.settle(sample);
         }
         let batches = PipelineCore::assemble(&self.constructors, &outcome.plan, &popped);
         Ok((outcome.plan, outcome.phases, batches))
@@ -1789,6 +1842,7 @@ impl ThreadedPipeline {
         self.servers.push(actor.clone());
 
         let pre_encode = transport.serializes();
+        let server = actor.clone();
         let handle = DataServerHandle::new(
             actor,
             transport,
@@ -1805,7 +1859,14 @@ impl ThreadedPipeline {
         let driver = std::thread::Builder::new()
             .name("msd/serve-driver".to_string())
             .spawn(move || {
-                run_serve_driver(fleet, opts, driver_stop, roster, pre_encode, driver_hub)
+                let served =
+                    run_serve_driver(fleet, opts, driver_stop, roster, pre_encode, driver_hub);
+                if served < opts.steps {
+                    // Tell the clients, or each would wait out its own
+                    // redial budget for steps that never come.
+                    server.tell(ServerMsg::End);
+                }
+                served
             })
             .expect("failed to spawn serve driver");
         let session = ServeSession {
@@ -1872,9 +1933,12 @@ pub struct ServeOptions {
     pub steps: u64,
     /// Per-loader refill target per step.
     pub refill_target: usize,
-    /// Bounded-queue backpressure knob: the driver stalls once it is this
+    /// Bounded-queue backpressure cap: the driver stalls once it is this
     /// many steps ahead of the slowest client, so prefetch cannot blow the
-    /// memory budget.
+    /// memory budget, and a client's window `W` is this many steps. It is
+    /// a cap, not the lookahead: the driver broadcasts a step only once
+    /// some client has pulled the one before, so it runs at most one step
+    /// ahead of demand.
     pub queue_depth: u64,
     /// Pipelined refill-ahead: loaders prefetch toward the next plan
     /// while the current step is constructed and delivered.
@@ -1967,12 +2031,12 @@ pub type ServeClient = RemoteClient;
 const STEP_RETRY_BUDGET: Duration = Duration::from_secs(60);
 
 /// The serve driver loop: pump `opts.steps` steps through the actor
-/// fleet, riding out supervised restarts, then drain until every
-/// rostered client has consumed its stream. `roster` maps each client
-/// to its constructor by its mesh placement. The driver asks no
-/// constructor anything: client
-/// progress is read from `hub`, and a restarted constructor rebuilds its
-/// ready queue from the retained window on its own.
+/// fleet, riding out supervised restarts, one step ahead of the fastest
+/// client, then drain until every rostered client has consumed its
+/// stream. `roster` maps each client to its constructor by its mesh
+/// placement. The driver asks no constructor anything: client progress
+/// is read from `hub`, and a restarted constructor re-stages its ready
+/// queue from the retained window on its own.
 fn run_serve_driver(
     fleet: Fleet,
     opts: ServeOptions,
@@ -1981,10 +2045,11 @@ fn run_serve_driver(
     pre_encode: bool,
     hub: Arc<FrontierHub>,
 ) -> u64 {
-    // Only constructors with a rostered client are sent steps.
-    let mut rostered = vec![false; fleet.constructors.len()];
-    for (_, idx) in &roster {
-        rostered[*idx] = true;
+    // Each constructor's rostered clients; only constructors with one
+    // are sent steps.
+    let mut clients_of: Vec<Vec<u32>> = vec![Vec::new(); fleet.constructors.len()];
+    for (client, idx) in &roster {
+        clients_of[*idx].push(*client);
     }
     // Empty the window *before* the resets go out: a constructor that
     // restarts after its `Reset` must rebuild from this session's steps,
@@ -2006,7 +2071,7 @@ fn run_serve_driver(
     // retirement stays monotone across sessions.
     let mut plan_base: Option<u64> = None;
     let mut pruned_below = persisted_retirement_floor(&fleet.gcs);
-    let mut last_frontier = 0u64;
+    let mut announced = vec![0u64; fleet.constructors.len()];
 
     let mut served = 0u64;
     let mut bucket_overflow_reported = false;
@@ -2065,12 +2130,24 @@ fn run_serve_driver(
             fleet.refill(opts.refill_target);
         }
 
+        // (6a) Demand: broadcast step `s` only once some client has
+        // pulled step `s - 1` (its cursor passed it), one step of
+        // lookahead over the fastest consumer, so constructors build only
+        // what a client is about to ask for. With no client left there is
+        // nothing to wait for.
+        let demanded = hub.wait_until(step_deadline, |live| {
+            stop.load(Ordering::SeqCst) || live.is_none_or(|c| *c.end() >= s)
+        });
+        if !demanded || stop.load(Ordering::SeqCst) {
+            break 'steps;
+        }
+
         // (7) Broadcast this serve step to the rostered constructors and
         // retain it under the same lock: a constructor that consumes the
         // broadcast and then crashes finds the step in the window when
         // its restart rebuilds.
         let mut items = fleet.partition(&plan, popped);
-        items.retain(|(idx, _, _)| rostered[*idx]);
+        items.retain(|(idx, _, _)| !clients_of[*idx].is_empty());
         {
             let mut window = fleet.window.lock();
             broadcast(&fleet, s, &items);
@@ -2087,7 +2164,8 @@ fn run_serve_driver(
             base,
             served,
             &mut pruned_below,
-            &mut last_frontier,
+            &clients_of,
+            &mut announced,
         );
 
         // (7b) Elastic control plane: tick the controller on its cadence.
@@ -2101,8 +2179,9 @@ fn run_serve_driver(
         // cursor is more than `queue_depth` steps behind; every cursor
         // change and `stop` wake the wait. Deadline-bounded so a vanished
         // client cannot wedge the driver forever.
-        let caught_up = hub.wait_until(step_deadline, |min| {
-            stop.load(Ordering::SeqCst) || min.is_none_or(|c| served <= c + opts.queue_depth)
+        let caught_up = hub.wait_until(step_deadline, |live| {
+            stop.load(Ordering::SeqCst)
+                || live.is_none_or(|c| served <= c.start() + opts.queue_depth)
         });
         if !caught_up || stop.load(Ordering::SeqCst) {
             break 'steps;
@@ -2113,8 +2192,8 @@ fn run_serve_driver(
     // (completion and drop both *release*, so a departed client cannot
     // wedge it) or a generous deadline passes. The window stays intact
     // meanwhile, so a constructor restarting now still rebuilds.
-    hub.wait_until(Instant::now() + Duration::from_secs(60), |min| {
-        stop.load(Ordering::SeqCst) || min.is_none_or(|c| c >= served)
+    hub.wait_until(Instant::now() + Duration::from_secs(60), |live| {
+        stop.load(Ordering::SeqCst) || live.is_none_or(|c| *c.start() >= served)
     });
     // The session is over: free the retained samples.
     fleet.window.lock().steps.clear();
@@ -2124,10 +2203,14 @@ fn run_serve_driver(
 /// Folds the hub's global frontier into durable retirement, once per
 /// served step:
 ///
-/// 1. on a frontier advance, trim the retained window below it and
-///    announce it to every constructor (ready-queue retirement below
-///    it): no client can ask for a step below its own capability, and a
-///    rebuild below the frontier is refused anyway,
+/// 1. retire each constructor's share of the retained window below its
+///    own frontier, and announce that frontier to it (staged-step
+///    retirement below it). A constructor whose rostered clients
+///    (`clients_of`) all hold live capabilities retires below the lowest
+///    of their cursors, since none of them can ask for an earlier step;
+///    any other keeps to the global frontier, below which no client can
+///    ask for anything. `announced` holds each constructor's last
+///    announcement,
 /// 2. compute the plan-log retirement floor — the min of what every
 ///    live consumer capability permits (`plan_base + frontier`) and
 ///    what every loader's durable checkpoint permits (its replay
@@ -2137,31 +2220,49 @@ fn run_serve_driver(
 ///    checkpoint (the proof readers like [`replay_plan_log`] consult).
 ///
 /// Retained plan-log size is therefore bounded by actual lag (slowest
-/// capability behind the head), never by run length.
+/// capability behind the head), never by run length, and a client that
+/// runs ahead of its peers frees its own bucket's raw samples as it goes.
 fn retire_frontier(
     fleet: &Fleet,
     hub: &FrontierHub,
     plan_base: u64,
     served: u64,
     pruned_below: &mut u64,
-    last_frontier: &mut u64,
+    clients_of: &[Vec<u32>],
+    announced: &mut [u64],
 ) {
     let snap = hub.snapshot();
-    if snap.frontier > *last_frontier {
-        *last_frontier = snap.frontier;
-        let mut window = fleet.window.lock();
-        while window
-            .steps
-            .front()
-            .is_some_and(|(step, _)| *step < snap.frontier)
-        {
-            window.steps.pop_front();
+    // Each share leaves the window before its constructor hears the new
+    // frontier, so a restart after the announcement cannot re-stage it.
+    let mut window = fleet.window.lock();
+    for (idx, clients) in clients_of.iter().enumerate() {
+        if clients.is_empty() {
+            continue; // Sent no steps.
         }
-        drop(window);
-        for ctor in &fleet.constructors {
-            ctor.tell(ConstructorMsg::Frontier { at: snap.frontier });
+        let lowest = clients.iter().try_fold(u64::MAX, |lowest, client| {
+            let at = snap
+                .holders
+                .binary_search_by_key(&Holder::Client(*client), |(holder, _)| *holder)
+                .ok()?;
+            Some(lowest.min(snap.holders[at].1))
+        });
+        let at = lowest.unwrap_or(0).max(snap.frontier);
+        if at > announced[idx] {
+            announced[idx] = at;
+            for (_, items) in window.steps.iter_mut().take_while(|(step, _)| *step < at) {
+                items.retain(|(i, _, _)| *i != idx);
+            }
+            fleet.constructors[idx].tell(ConstructorMsg::Frontier { at });
         }
     }
+    while window
+        .steps
+        .front()
+        .is_some_and(|(_, items)| items.is_empty())
+    {
+        window.steps.pop_front();
+    }
+    drop(window);
     let topology = fleet.snapshot();
     let loaders = topology.loaders.iter().map(|slot| slot.key.as_str());
     let floor = fleet
@@ -2577,6 +2678,83 @@ mod tests {
     }
 
     #[test]
+    fn an_image_group_pops_its_samples_raw() {
+        let p = pipeline(); // coyo700m_like: every source is an image source.
+        p.fleet.refill(32);
+        let info = p.fleet.gather().expect("gather");
+        let promised: HashMap<u64, msd_data::SampleMeta> = info
+            .summaries
+            .iter()
+            .flat_map(|s| s.samples.iter().map(|m| (m.sample_id, *m)))
+            .collect();
+        let plan = p.fleet.plan(info).expect("plan").plan;
+        let directives = Arc::new(plan.directives.clone());
+        let topology = p.fleet.snapshot();
+        let mut tails = TransformTails::default();
+        let mut popped = 0;
+        for group in &topology.groups {
+            let directives = Arc::clone(&directives);
+            let samples = group
+                .actor
+                .ask(
+                    |reply| LoaderMsg::Pop { directives, reply },
+                    Duration::from_secs(10),
+                )
+                .expect("pop");
+            for sample in samples {
+                // As buffered: the raw payload, at most 8 KB, not the
+                // settled length the summary promised the planner.
+                let promised = promised[&sample.meta.sample_id];
+                let raw = sample.payload.len() as u64;
+                assert_eq!(sample.meta.raw_bytes, raw);
+                assert!(raw <= 8192, "{raw} bytes popped");
+                assert!(promised.raw_bytes > raw, "the tail ran at the pop");
+                // The constructor's tail settles it to the promise.
+                let mut settled = sample;
+                tails.settle(&mut settled);
+                assert_eq!(settled.meta, promised);
+                assert_eq!(settled.payload.len() as u64, promised.raw_bytes);
+                popped += 1;
+            }
+        }
+        assert_eq!(popped, plan.all_samples().len());
+        p.shutdown();
+    }
+
+    #[test]
+    fn the_driver_broadcasts_at_most_one_step_past_the_highest_pulled_step() {
+        let mut p = pipeline();
+        let queue_depth = 8;
+        let mut session = p.serve(ServeOptions {
+            clients: 2,
+            steps: 12,
+            refill_target: 32,
+            queue_depth,
+            ..ServeOptions::default()
+        });
+        // Client 1 holds its capability at 0 and never pulls, so
+        // backpressure alone would let the driver run `queue_depth`
+        // steps ahead; client 0 pulls one step at a time.
+        let mut clients = session.take_clients();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        for pulled in 0..queue_depth {
+            // Once the loaders hold step `pulled + 1`'s checkpoint, the
+            // driver has popped that step and is waiting to broadcast it:
+            // it has broadcast every step it will until the next pull.
+            while p.gcs.state_version("loader/0") <= pulled {
+                assert!(Instant::now() < deadline, "driver stuck at {pulled}");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let last = p.fleet.window.lock().steps.back().map(|(step, _)| *step);
+            assert_eq!(last, Some(pulled), "with {pulled} steps pulled");
+            assert_eq!(clients[0].next().map(|(step, _)| step), Some(pulled));
+        }
+        session.stop();
+        assert!(session.join() <= queue_depth + 1);
+        p.shutdown();
+    }
+
+    #[test]
     fn corrupt_loader_checkpoint_falls_back_and_logs() {
         // Neither blob carries the magic; the second is long and nested
         // enough to overflow the stack of a reader that recursed on it.
@@ -2746,17 +2924,23 @@ mod tests {
         let mut p = pipeline();
         let queue_depth = 2;
         let mut session = p.serve(ServeOptions {
-            clients: 1,
+            clients: 2,
             steps: 50,
             refill_target: 32,
             queue_depth,
             ..ServeOptions::default()
         });
-        // The client holds its capability at step 0 and never pulls, so
-        // the driver builds `queue_depth + 1` steps and blocks.
-        let _idle = session.take_clients();
+        // Client 1 holds its capability at step 0 and never pulls, so once
+        // client 0 has pulled steps 0..=queue_depth (demand lets the
+        // driver broadcast one step past each pull) the driver has
+        // broadcast `queue_depth + 1` steps, all staged at client 1's
+        // constructor, and blocks.
+        let mut clients = session.take_clients();
+        for _ in 0..=queue_depth {
+            assert!(clients[0].next().is_some());
+        }
         let deadline = Instant::now() + Duration::from_secs(20);
-        while p.stats().constructors[0].ready_steps.len() as u64 <= queue_depth {
+        while p.stats().constructors[1].ready_steps.len() as u64 <= queue_depth {
             assert!(
                 Instant::now() < deadline,
                 "driver never reached backpressure"

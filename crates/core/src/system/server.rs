@@ -162,6 +162,10 @@ pub enum ServerMsg {
     },
     /// Report per-client serving state.
     Status(ReplyTo<ServerStatus>),
+    /// The serve driver ended the session before its last step: every
+    /// unfinished client is told ([`RejectReason::Ended`]) now, and every
+    /// later dial on its `Hello` or `Subscribe`.
+    End,
 }
 
 /// One client's row in a [`ServerStatus`] snapshot.
@@ -316,6 +320,8 @@ pub struct DataServer {
     wheel_granularity: Duration,
     /// Cumulative sessions visited by sweeps (regression-tested).
     sweep_visited: u64,
+    /// Set by [`ServerMsg::End`]: the stream will not grow any further.
+    ended: bool,
 }
 
 impl DataServer {
@@ -376,6 +382,7 @@ impl DataServer {
                 (lease / 4).max(Duration::from_millis(1))
             }),
             sweep_visited: 0,
+            ended: false,
         };
         // Every placed client pins a capability from step 0 (the serve
         // driver acquires the whole roster before it starts), so even one
@@ -518,6 +525,18 @@ impl DataServer {
         self.hub.release(Holder::Client(client));
     }
 
+    /// Tells `client` on `session` that the stream ended early, and
+    /// finishes it.
+    fn end(&mut self, client: u32, session: u64) {
+        if let Some(tx) = self.sessions.get(&session) {
+            let _ = tx.send(WireFrame::Reject {
+                client,
+                reason: RejectReason::Ended,
+            });
+        }
+        self.finish(client);
+    }
+
     /// Evicts a client's session: unbinds the session and releases its
     /// frontier capability so retirement
     /// (and with it every healthy client) stops waiting on a client that
@@ -630,6 +649,10 @@ impl DataServer {
                     // client times out, tears down, and redials fresh.
                     return;
                 }
+                if self.ended {
+                    self.end(client, session);
+                    return;
+                }
                 if self.over_session_limit(client) {
                     self.reject(client, session);
                     return;
@@ -645,6 +668,10 @@ impl DataServer {
                 }
                 if !self.sessions.contains_key(&session) {
                     return; // Evicted mid-flight; see the Hello guard.
+                }
+                if self.ended {
+                    self.end(client, session);
+                    return;
                 }
                 // A Subscribe binds too: on a lossy transport the Hello
                 // may simply never have arrived, and ignoring the
@@ -855,6 +882,18 @@ impl Actor for DataServer {
             } => self.ready(client, step, batch),
             ServerMsg::Status(reply) => {
                 reply.send(self.status());
+            }
+            ServerMsg::End => {
+                self.ended = true;
+                let bound: Vec<(u32, u64)> = self
+                    .clients
+                    .iter()
+                    .filter(|(_, state)| !state.done)
+                    .filter_map(|(client, state)| Some((*client, state.session?)))
+                    .collect();
+                for (client, session) in bound {
+                    self.end(client, session);
+                }
             }
         }
     }
@@ -1381,11 +1420,12 @@ impl RemoteClient {
 
     /// Pulls the next batch, blocking (with reconnects and window
     /// re-subscriptions while the network or the pipeline recovers)
-    /// until it arrives. Returns `None` once the stream is exhausted or
-    /// the server stays unreachable past the retry budget. The batch is
+    /// until it arrives. Returns `None` once the stream is exhausted, the
+    /// server says the session ended early, or the server stays
+    /// unreachable past the retry budget. The batch is
     /// shared on loopback and decoded-once on network transports.
     pub fn next(&mut self) -> Option<(u64, Arc<ConstructedBatch>)> {
-        if self.next_step >= self.steps {
+        if self.closed || self.next_step >= self.steps {
             self.close_handshake();
             return None;
         }
@@ -1454,6 +1494,15 @@ impl RemoteClient {
                 }
                 Ok(WireFrame::Close { .. }) => {
                     self.conn = None; // Server shed us; re-dial.
+                }
+                Ok(WireFrame::Reject {
+                    reason: RejectReason::Ended,
+                    ..
+                }) => {
+                    // The session ended early: the stream is over, and
+                    // the server has already finished this client.
+                    self.closed = true;
+                    return None;
                 }
                 Ok(WireFrame::Reject { .. }) => {
                     // Admission refusal: the server is at its session

@@ -213,6 +213,45 @@ fn long_held_frozen_leases_come_back_oldest_first_without_misses() {
 }
 
 #[test]
+fn buffers_back_a_burst_at_a_time_stop_missing_once_warm() {
+    // A serve window's raw samples: loaders lease them one at a time, 100
+    // a round, and a retiring window step hands them back all at once,
+    // here every third round, 300 at a time. The cycle is longer than the
+    // pool's first trim interval, so an interval can miss its peak; the
+    // pool must learn the cycle instead of shedding what the next rounds
+    // lease again.
+    const LIVE: usize = 600;
+    const ROUND: usize = 100;
+    const BURST: usize = 300;
+    const LEN: usize = 8192;
+    let pool = Arc::new(BufferPool::new(PoolConfig::default()));
+    let mut live = std::collections::VecDeque::new();
+    let mut retiring = Vec::new();
+    let mut warm = None;
+    let mut most_idle = 0;
+    for round in 0..300 {
+        for _ in 0..ROUND {
+            let mut lease = pool.lease(LEN);
+            lease.resize(LEN, round as u8);
+            live.push_back(lease.freeze());
+        }
+        retiring.extend(live.drain(..live.len().saturating_sub(LIVE)));
+        if retiring.len() == BURST {
+            retiring.clear();
+        }
+        if round == 100 {
+            warm = Some(pool.counters());
+        }
+        if warm.is_some() {
+            most_idle = most_idle.max(pool.idle_buffers());
+        }
+    }
+    let since = pool.counters().since(&warm.expect("warmed"));
+    assert_eq!((since.misses, since.resizes), (0, 0), "{since:?}");
+    assert!(most_idle <= BURST, "{most_idle} buffers idle");
+}
+
+#[test]
 fn pooled_serving_stays_byte_identical_to_local_reference() {
     // The end-to-end safety proof: with every hot path drawing from the
     // global pool (synthetic payloads, batch encode, TCP frame recv),

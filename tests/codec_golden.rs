@@ -70,6 +70,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("9 credit", "4d534442050905000000030000009b100ce1"),
     ("10 close", "4d534442050affffffff901bba00"),
     ("12 reject", "4d534442050c06000000009851ef56"),
+    ("12 reject ended", "4d534442050c0600000002be54ef58"),
     (
         "14 frontier",
         "4d534442050e070000004d00000000000000527b1e6f",
@@ -309,6 +310,13 @@ fn wire_frames() -> Vec<(&'static str, WireFrame)> {
             WireFrame::Reject {
                 client: 6,
                 reason: RejectReason::SessionLimit,
+            },
+        ),
+        (
+            "12 reject ended",
+            WireFrame::Reject {
+                client: 6,
+                reason: RejectReason::Ended,
             },
         ),
         (

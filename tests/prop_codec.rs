@@ -175,10 +175,11 @@ fn wire_frame() -> impl Strategy<Value = WireFrame> {
         any::<u32>().prop_map(|client| WireFrame::Close { client }),
         (any::<u32>(), any::<u64>())
             .prop_map(|(client, consumed)| WireFrame::Frontier { client, consumed }),
-        any::<u32>().prop_map(|client| WireFrame::Reject {
-            client,
-            reason: RejectReason::SessionLimit,
-        }),
+        (
+            any::<u32>(),
+            prop_oneof![Just(RejectReason::SessionLimit), Just(RejectReason::Ended)]
+        )
+            .prop_map(|(client, reason)| WireFrame::Reject { client, reason }),
     ]
 }
 

@@ -10,10 +10,11 @@
 //! stream it is meant to disturb. Loaders run in groups behind one mailbox
 //! each, so a loader kill is a group kill: one test crashes a group of
 //! several loaders and checks every member restores exactly. A restarted
-//! constructor rebuilds its ready queue from the serve driver's retained
-//! window in `Actor::started`; the last test pins that path on its own.
-//! A group gone for good, past its restart budget, ends the session at
-//! once with a fault record.
+//! constructor re-stages its ready queue, raw, from the serve driver's
+//! retained window in `Actor::started`, and re-runs the transform tails
+//! when pulled; the last test pins that path on its own. A group gone for
+//! good, past its restart budget, ends the session at once with a fault
+//! record, and its clients' streams end with it.
 
 mod harness;
 
@@ -277,20 +278,28 @@ fn planner_crash_mid_serve_keeps_every_client_whole() {
     p.shutdown();
 }
 
+/// The pipeline's `coyo700m_like` sources are images, which constructors
+/// stage raw: the restarted constructor re-runs every transform tail
+/// from the driver's retained window, and the streams stay
+/// byte-identical to an undisturbed run.
 #[test]
 fn constructor_crash_mid_serve_keeps_every_client_whole() {
+    let reference = harness::local_streams(14, 4, 10);
     let mut p = pipeline(14);
     let streams = serve_with_fault(&mut p, 4, 10, |p| {
         p.constructor_actors()[1].inject_crash("mid-serve constructor kill");
     });
     assert_streams_sound(&streams, 4, 10);
+    harness::assert_byte_identical(&reference, &streams, "constructor restart");
     p.shutdown();
 }
 
 /// A loader group past its restart budget is gone for good. The driver
 /// re-asks a failed group at once, sees it stopped, and ends the session
 /// with a fault record naming the loader, instead of re-asking a closed
-/// mailbox until its retry budget runs out.
+/// mailbox until its retry budget runs out; the data server then tells
+/// both clients the stream is over, instead of each waiting out its own
+/// redial budget.
 #[test]
 fn a_dead_loader_group_ends_the_session_at_once() {
     const STEPS: u64 = 8;
@@ -306,12 +315,29 @@ fn a_dead_loader_group_ends_the_session_at_once() {
         assert!(Instant::now() < deadline, "the group never stopped");
         std::thread::sleep(Duration::from_millis(5));
     }
-    let session = p.serve(harness::opts(2, STEPS));
+    let mut session = p.serve(harness::opts(2, STEPS));
     let start = Instant::now();
+    let clients: Vec<_> = session
+        .take_clients()
+        .into_iter()
+        .map(|mut c| std::thread::spawn(move || std::iter::from_fn(|| c.next()).count() as u64))
+        .collect();
     let served = session.join();
     let took = start.elapsed();
     assert!(took < Duration::from_secs(5), "join took {took:?}");
     assert!(served < STEPS, "a dead group served all {STEPS} steps");
+    for client in clients {
+        let pulled = client.join().expect("client thread");
+        assert!(
+            pulled <= served,
+            "a client pulled {pulled} of {served} steps"
+        );
+    }
+    let ended = start.elapsed();
+    assert!(
+        ended < Duration::from_secs(5),
+        "the clients' next() loops took {ended:?}"
+    );
     let ended = p.gcs.fault_log("serve-driver");
     let loader = format!("id {}", identity.loader_id);
     assert!(
