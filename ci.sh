@@ -114,6 +114,30 @@ if [ "$pop_bad" -ne 0 ]; then
   exit 1
 fi
 
+# One materializer: a loader admits samples as metadata and synthesizes a
+# payload and runs its pipeline's head in exactly one place,
+# `SourceLoader::materialize_one`, which pops and the loader groups'
+# idle turns both call. A second non-test call of
+# `synthesize_payload_into` or of a loader's `head.apply_with` anywhere in
+# crates/core/src (comment lines aside) would materialize outside it —
+# eagerly at refill again, or on the serve plane — and fails here.
+#   loader.rs  2  the materializer's synthesis and its head transform
+echo "==> payloads are materialized in one place in crates/core/src/"
+declare -A synth_sites=([crates/core/src/loader.rs]=2)
+synth_bad=0
+for f in $(find crates/core/src -name '*.rs' | sort); do
+  found=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } /synthesize_payload_into\(|head\.apply_with\(/ { n++ } END { print n + 0 }' "$f")
+  allowed=${synth_sites[$f]:-0}
+  if [ "$found" -ne "$allowed" ]; then
+    echo "$f: $found non-test payload synthesis sites, allowlist says $allowed" >&2
+    synth_bad=1
+  fi
+done
+if [ "$synth_bad" -ne 0 ]; then
+  echo "admit samples as metadata and materialize them in SourceLoader::materialize_one" >&2
+  exit 1
+fi
+
 # No thread reads session receivers: a session's frames reach the data
 # server's mailbox on the thread that delivered them (the sending client's
 # on loopback, the connection's reader on TCP). A non-test

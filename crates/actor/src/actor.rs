@@ -34,6 +34,15 @@ pub trait Actor: Send + 'static {
     /// once.
     fn deadline_passed(&mut self, _ctx: &mut Ctx) {}
 
+    /// Runs one quantum of background work, and returns whether more
+    /// remains. The run loop calls it only when the mailbox is empty (and
+    /// no deadline is due), once per quantum, so a message arriving
+    /// meanwhile waits for at most one quantum; after any message it
+    /// calls it again. The default has none.
+    fn idle(&mut self, _ctx: &mut Ctx) -> bool {
+        false
+    }
+
     /// Called when the actor stops cleanly.
     fn stopped(&mut self) {}
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::RecvTimeoutError;
+use crossbeam::channel::{RecvTimeoutError, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::actor::{mailbox, Actor, ActorRef, Ctx, Envelope, Mailbox};
@@ -188,25 +188,38 @@ fn run_actor_loop<A: Actor>(actor: &mut A, mbox: &Mailbox<A::Msg>, name: &str, r
     };
     mbox.alive.store(true, Ordering::SeqCst);
     actor.started(&mut ctx);
+    // Whether the actor may have idle work: true until its `idle` says
+    // otherwise, and again after every message.
+    let mut idle = true;
     while !ctx.stop_requested {
-        let envelope = match actor.deadline() {
-            None => match mbox.rx.recv() {
-                Ok(envelope) => envelope,
-                Err(_) => break, // All senders dropped.
-            },
-            Some(at) => {
-                let now = Instant::now();
-                if at <= now {
-                    actor.deadline_passed(&mut ctx);
-                    continue;
-                }
-                match mbox.rx.recv_timeout(at - now) {
+        let deadline = actor.deadline();
+        if deadline.is_some_and(|at| at <= Instant::now()) {
+            actor.deadline_passed(&mut ctx);
+            continue;
+        }
+        let envelope = match mbox.rx.try_recv() {
+            Ok(envelope) => envelope,
+            Err(TryRecvError::Disconnected) => break, // All senders dropped.
+            Err(TryRecvError::Empty) if idle => {
+                idle = actor.idle(&mut ctx);
+                continue;
+            }
+            Err(TryRecvError::Empty) => match deadline {
+                None => match mbox.rx.recv() {
+                    Ok(envelope) => envelope,
+                    Err(_) => break,
+                },
+                Some(at) => match mbox
+                    .rx
+                    .recv_timeout(at.saturating_duration_since(Instant::now()))
+                {
                     Ok(envelope) => envelope,
                     Err(RecvTimeoutError::Timeout) => continue,
                     Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
+                },
+            },
         };
+        idle = true;
         mbox.queued.fetch_sub(1, Ordering::SeqCst);
         match envelope {
             Envelope::Msg(m) => {
@@ -628,6 +641,87 @@ mod tests {
         let v = a.ask(CounterMsg::Get, ask_timeout()).unwrap();
         assert_eq!(v, 1);
         assert!(t0.elapsed() >= Duration::from_millis(80));
+        a.stop();
+        sys.shutdown();
+    }
+
+    /// An actor with `left` quanta of idle work, 1 ms each, that notes
+    /// how many quanta had run whenever a `Note` is handled.
+    struct Idler {
+        left: u32,
+        ran: u32,
+        seen: Vec<u32>,
+    }
+
+    enum IdlerMsg {
+        /// Blocks the actor until the sender side is dropped.
+        Gate(std::sync::mpsc::Receiver<()>),
+        Note,
+        Seen(ReplyTo<Vec<u32>>),
+        /// `(quanta run, quanta left)`.
+        Progress(ReplyTo<(u32, u32)>),
+    }
+
+    impl Actor for Idler {
+        type Msg = IdlerMsg;
+        fn handle(&mut self, msg: IdlerMsg, _ctx: &mut Ctx) {
+            match msg {
+                IdlerMsg::Gate(gate) => drop(gate.recv()),
+                IdlerMsg::Note => self.seen.push(self.ran),
+                IdlerMsg::Seen(reply) => {
+                    reply.send(self.seen.clone());
+                }
+                IdlerMsg::Progress(reply) => {
+                    reply.send((self.ran, self.left));
+                }
+            }
+        }
+
+        fn idle(&mut self, _ctx: &mut Ctx) -> bool {
+            if self.left == 0 {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+            self.left -= 1;
+            self.ran += 1;
+            self.left > 0
+        }
+    }
+
+    #[test]
+    fn idle_work_runs_only_on_an_empty_mailbox_and_asks_cut_in() {
+        const QUANTA: u32 = 5_000;
+        let sys = ActorSystem::new("t");
+        let a = sys.spawn(
+            "idler",
+            Idler {
+                left: QUANTA,
+                ran: 0,
+                seen: Vec::new(),
+            },
+        );
+        // Hold the actor in a handler while ten notes queue up behind it:
+        // once released it finds its mailbox non-empty until the last
+        // note, so no quantum runs between them.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        a.tell(IdlerMsg::Gate(gate));
+        for _ in 0..10 {
+            a.tell(IdlerMsg::Note);
+        }
+        drop(release);
+        let seen = a.ask(IdlerMsg::Seen, ask_timeout()).unwrap();
+        assert_eq!(seen.len(), 10);
+        assert!(seen.iter().all(|&ran| ran == seen[0]), "{seen:?}");
+        // Idle work resumes on the empty mailbox, and an ask is answered
+        // between two quanta, long before the work is done.
+        let mut progress = a.ask(IdlerMsg::Progress, ask_timeout()).unwrap();
+        while progress.0 == seen[0] {
+            std::thread::sleep(Duration::from_millis(5));
+            progress = a.ask(IdlerMsg::Progress, ask_timeout()).unwrap();
+        }
+        let (ran, left) = progress;
+        assert!(ran > seen[0] && left > 0, "{progress:?}");
+        assert_eq!(ran + left, QUANTA);
         a.stop();
         sys.shutdown();
     }

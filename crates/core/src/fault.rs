@@ -124,9 +124,9 @@ impl ShadowedLoader {
             SourceLoader::restore(self.spec.clone(), self.config.clone(), &self.snapshot);
         let mut replayed_samples = 0;
         for ids in &self.since_snapshot {
-            // Re-materialize everything this plan consumed, then drop it
-            // again (it was already delivered downstream) without running
-            // the pop-time transforms.
+            // Re-admit everything this plan consumed, then drop it again
+            // (it was already delivered downstream) without ever
+            // materializing it.
             restored
                 .refill(restored.buffered() + ids.len())
                 .expect("synthetic refill cannot fail");

@@ -9,22 +9,42 @@
 //!
 //! # What the buffer holds
 //!
-//! Loader memory grows with every buffered sample (Fig 4), so the buffer
-//! keeps each sample at its smallest point: after only the
-//! transfer-optimal prefix of its pipeline
-//! ([`TransformPipeline::min_transfer_index`]). Image and audio samples
-//! wait as raw bytes, video as keyframes, text as tokens (for text the
-//! prefix is the whole pipeline). [`SourceLoader::pop`] runs the rest on
-//! exactly the samples a plan takes, and [`SourceLoader::summary`]
-//! reports each buffered sample's metadata as it will be once popped, so
-//! plans and delivered bytes do not depend on where the cut lies. The
-//! threaded runtime takes samples raw (`SourceLoader::take_into`) and
+//! Loader memory grows with every buffered sample (Fig 4), and the
+//! Planner needs only their metadata, so a refill *admits* samples as
+//! metadata: [`SourceLoader::refill`] makes each sample's RNG draws,
+//! advances the cursor and charges its modeled transform cost, but
+//! allocates and synthesizes nothing. A stored source admits its row's
+//! zero-copy slice. The buffer keeps one order, admission order, and
+//! each entry in it is either *pending* (metadata only) or
+//! *materialized*: its payload synthesized into a pool lease and run
+//! through the transfer-optimal prefix of its pipeline
+//! ([`TransformPipeline::min_transfer_index`]) — image and audio samples
+//! as raw bytes, video as keyframes, text as tokens (for text the prefix
+//! is the whole pipeline).
+//!
+//! One materializer turns a pending entry into a sample, in two places:
+//! a pop materializes any named sample still pending, and
+//! [`SourceLoader::materialize`] works ahead of the pops. The threaded
+//! runtime's loader groups call it in their idle time, one sample per
+//! turn, for the member furthest behind its *lead* (how many samples its
+//! last pop took), so a sample is materialized about one step ahead of
+//! the pop that takes it, and a sample a restore replays away is never
+//! materialized at all.
+//!
+//! [`SourceLoader::pop`] runs the rest of the pipeline on exactly the
+//! samples a plan takes, and [`SourceLoader::summary`] reports each
+//! buffered sample's metadata as it will be once popped — a pending
+//! entry's from lengths alone
+//! ([`TransformPipeline::settled_meta`]) — so plans and delivered bytes
+//! depend neither on where the cut lies nor on what is materialized yet.
+//! The threaded runtime takes samples raw (`SourceLoader::take_into`) and
 //! runs the rest where the batch is assembled (Sec 6.2's transformation
 //! reordering, [`crate::constructor::TransformTails`]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use msd_data::{
     Modality, Sample, SampleMeta, SourceId, SourceSpec, TransformPipeline, TransformScratch,
 };
@@ -94,6 +114,10 @@ pub struct LoaderHealth {
     pub samples_produced: u64,
     /// Cumulative virtual transform time, ns.
     pub transform_ns: u64,
+    /// Samples materialized over the loader's lifetime (see the module
+    /// docs); the rest of `samples_produced` is still pending, or was
+    /// replayed away or discarded without ever being materialized.
+    pub samples_materialized: u64,
 }
 
 /// Where the loader reads raw rows from.
@@ -110,6 +134,32 @@ enum Ingest {
     },
 }
 
+/// One buffered sample, in admission order (see the module docs).
+#[derive(Clone)]
+enum Buffered {
+    /// Admitted, not yet materialized: the sample's metadata as drawn
+    /// and, for a stored source, its row's raw bytes.
+    Pending {
+        meta: SampleMeta,
+        row: Option<Bytes>,
+    },
+    /// Materialized: the payload after the pipeline's head.
+    Ready(Sample),
+}
+
+impl Buffered {
+    fn sample_id(&self) -> u64 {
+        match self {
+            Buffered::Pending { meta, .. } => meta.sample_id,
+            Buffered::Ready(sample) => sample.meta.sample_id,
+        }
+    }
+
+    fn is_pending(&self) -> bool {
+        matches!(self, Buffered::Pending { .. })
+    }
+}
+
 /// The Source Loader component.
 ///
 /// This struct is deliberately synchronous — it is driven either directly
@@ -119,7 +169,12 @@ pub struct SourceLoader {
     spec: SourceSpec,
     config: LoaderConfig,
     ingest: Ingest,
-    buffer: VecDeque<Sample>,
+    buffer: VecDeque<Buffered>,
+    /// How many of `buffer`'s entries are pending.
+    pending: usize,
+    /// How many samples the last pop took: how far ahead of the next pop
+    /// [`SourceLoader::behind`] wants samples materialized.
+    lead: usize,
     cursor: u64,
     rng: SimRng,
     /// Cumulative virtual transform time, in ns.
@@ -127,13 +182,14 @@ pub struct SourceLoader {
     /// Cumulative virtual I/O time, in ns.
     pub io_ns_total: u64,
     samples_produced: u64,
+    samples_materialized: u64,
     /// The transforms that run loader-side, built once rather than per
     /// sample: all of `spec.pipeline()`, or — under a transformation-
     /// reordering split (Sec 6.2) — only its first `idx` transforms. Its
     /// whole cost is charged when a sample is produced.
     pipeline: TransformPipeline,
-    /// The part of `pipeline` that runs at refill: its transfer-optimal
-    /// prefix, or all of it under a reordering split.
+    /// The part of `pipeline` that runs when a sample is materialized:
+    /// its transfer-optimal prefix, or all of it under a reordering split.
     head: TransformPipeline,
     /// The rest of `pipeline`, run at pop on the samples a plan takes.
     tail: TransformPipeline,
@@ -159,21 +215,25 @@ impl SourceLoader {
             config,
             ingest: Ingest::Synthetic,
             buffer: VecDeque::new(),
+            pending: 0,
+            lead: 0,
             cursor: 0,
             rng,
             transform_ns_total: 0,
             io_ns_total: 0,
             samples_produced: 0,
+            samples_materialized: 0,
         }
     }
 
     /// Enables transformation reordering: only pipeline transforms before
-    /// `idx` run in this loader, all of them at refill, and the tail is
-    /// the constructor's job (fetch it via
+    /// `idx` run in this loader, all of them when a sample is
+    /// materialized, and the tail is the constructor's job (fetch it via
     /// [`SourceLoader::deferred_pipeline`]). `None` restores the default
-    /// (whole pipeline loader-side, its transfer-optimal prefix at refill
-    /// and the rest at pop). Set it before the first refill: samples
-    /// already buffered pop with the new split's pop-time tail.
+    /// (whole pipeline loader-side, its transfer-optimal prefix at
+    /// materialization and the rest at pop). Set it before the first
+    /// refill: samples already materialized pop with the new split's
+    /// pop-time tail.
     pub fn set_transform_split(&mut self, idx: Option<usize>) {
         let (pipeline, deferred) = self.spec.pipeline().split_at(idx.unwrap_or(usize::MAX));
         (self.head, self.tail) = match idx {
@@ -247,6 +307,8 @@ impl SourceLoader {
 
     /// Refills the buffer to `target` samples; returns virtual time spent
     /// (transform cost amortized over workers, plus I/O for stored mode).
+    /// Samples are admitted as metadata (see the module docs): a warmed
+    /// synthetic refill makes no allocator call.
     ///
     /// In data-parallel sharding, shard `s` of `k` produces ordinals
     /// `s, s+k, s+2k, ...` of the logical source stream.
@@ -254,25 +316,26 @@ impl SourceLoader {
         let target = target.min(self.config.buffer_capacity);
         let mut spent_ns = 0u64;
         while self.buffer.len() < target {
-            let Some((sample, cost_ns)) = self.produce_one()? else {
+            let Some((entry, cost_ns)) = self.admit_one()? else {
                 break; // Source exhausted.
             };
             spent_ns += cost_ns;
-            self.buffer.push_back(sample);
+            self.buffer.push_back(entry);
+            self.pending += 1;
         }
         Ok(spent_ns)
     }
 
-    /// Produces the next sample of this shard's deterministic stream,
-    /// advancing the cursor and accounting transform cost. Returns the
-    /// sample plus the amortized virtual time spent, or `None` when a
-    /// stored source is exhausted. The caller decides whether the sample
-    /// enters the buffer (refill) or is discarded (directive replay).
-    fn produce_one(&mut self) -> Result<Option<(Sample, u64)>, StorageError> {
+    /// Admits the next sample of this shard's deterministic stream as a
+    /// pending entry, advancing the cursor and accounting transform cost.
+    /// Returns the entry plus the amortized virtual time spent, or `None`
+    /// when a stored source is exhausted. The caller decides whether the
+    /// entry enters the buffer (refill) or is discarded (directive
+    /// replay).
+    fn admit_one(&mut self) -> Result<Option<(Buffered, u64)>, StorageError> {
         let ordinal = self.cursor * u64::from(self.config.shards) + u64::from(self.config.shard);
-        let decode_start = std::time::Instant::now();
         let sample_id = self.make_id(self.cursor);
-        let mut sample = match &mut self.ingest {
+        let (meta, row) = match &mut self.ingest {
             Ingest::Synthetic => {
                 let meta = self.spec.sample_meta(&mut self.rng, ordinal);
                 let meta = SampleMeta {
@@ -280,16 +343,7 @@ impl SourceLoader {
                     raw_bytes: meta.raw_bytes.min(8192),
                     ..meta
                 };
-                // Synthesize into a pooled lease instead of a fresh vec:
-                // the lease is the raw payload the buffer holds until a
-                // pop (or the refill-time head) transforms it, and the
-                // pool reclaims it once that last view of it dropped.
-                let mut lease = crate::pool::global().lease(Sample::synthesized_len(&meta));
-                Sample::synthesize_payload_into(&meta, &mut lease);
-                Sample {
-                    meta,
-                    payload: lease.freeze(),
-                }
+                (meta, None)
             }
             Ingest::Stored {
                 store,
@@ -307,42 +361,96 @@ impl SourceLoader {
                 let Some((text_tokens, image_patches, payload)) = row else {
                     return Ok(None); // Source exhausted.
                 };
-                Sample {
-                    meta: SampleMeta {
-                        sample_id,
-                        source: self.spec.id,
-                        modality: self.spec.modality,
-                        text_tokens,
-                        image_patches,
-                        raw_bytes: payload.len() as u64,
-                    },
-                    payload,
-                }
+                let meta = SampleMeta {
+                    sample_id,
+                    source: self.spec.id,
+                    modality: self.spec.modality,
+                    text_tokens,
+                    image_patches,
+                    raw_bytes: payload.len() as u64,
+                };
+                (meta, Some(payload))
             }
         };
-        crate::metrics::record_stage(crate::metrics::Stage::Decode, decode_start.elapsed());
         // Sample-level transformations happen inside the loader, charged
-        // in full here: the transfer-optimal head now, the rest at pop
-        // (or, under transformation reordering, the pre-split head now
-        // and the rest at the constructor, Sec 6.2).
-        let cost = self.pipeline.cost_ns(&sample.meta);
-        self.head.apply_with(&mut sample, &mut self.scratch);
+        // in full here: the transfer-optimal head when the sample is
+        // materialized, the rest at pop (or, under transformation
+        // reordering, the pre-split head at materialization and the rest
+        // at the constructor, Sec 6.2).
+        let cost = self.pipeline.cost_ns(&meta);
         // Worker parallelism amortizes transform latency (Sec 5.1's
         // "Worker Parallel" scheme).
         let spent_ns = cost / u64::from(self.config.workers.max(1));
         self.transform_ns_total += cost;
         self.cursor += 1;
         self.samples_produced += 1;
-        Ok(Some((sample, spent_ns)))
+        Ok(Some((Buffered::Pending { meta, row }, spent_ns)))
     }
 
-    /// Differential-checkpoint replay: after a restore, re-produces the
+    /// The sample `entry` holds, materialized if it was pending.
+    fn sample_of(&mut self, entry: Buffered) -> Sample {
+        match entry {
+            Buffered::Ready(sample) => sample,
+            Buffered::Pending { meta, row } => self.materialize_one(meta, row),
+        }
+    }
+
+    /// The loader's one materializer: a pending sample's payload —
+    /// synthesized into a pool lease, or its stored row — run through
+    /// the pipeline's head. The pool reclaims a raw lease once the head
+    /// has replaced its last view.
+    fn materialize_one(&mut self, meta: SampleMeta, row: Option<Bytes>) -> Sample {
+        self.samples_materialized += 1;
+        let payload = row.unwrap_or_else(|| {
+            let decode_start = std::time::Instant::now();
+            let mut lease = crate::pool::global().lease(Sample::synthesized_len(&meta));
+            Sample::synthesize_payload_into(&meta, &mut lease);
+            crate::metrics::record_stage(crate::metrics::Stage::Decode, decode_start.elapsed());
+            lease.freeze()
+        });
+        let mut sample = Sample { meta, payload };
+        self.head.apply_with(&mut sample, &mut self.scratch);
+        sample
+    }
+
+    /// Materializes up to `n` pending samples in place, oldest first, and
+    /// returns how many it materialized: work done ahead of the pops
+    /// that take them (see the module docs).
+    pub fn materialize(&mut self, n: usize) -> usize {
+        let mut done = 0;
+        let mut at = 0;
+        while done < n && self.pending > 0 {
+            let Some(offset) = self.buffer.range(at..).position(Buffered::is_pending) else {
+                break;
+            };
+            at += offset;
+            let Buffered::Pending { meta, row } = &mut self.buffer[at] else {
+                break; // `position` found a pending entry here.
+            };
+            let (meta, row) = (*meta, row.take());
+            self.buffer[at] = Buffered::Ready(self.materialize_one(meta, row));
+            self.pending -= 1;
+            done += 1;
+        }
+        done
+    }
+
+    /// How many pending samples [`SourceLoader::materialize`] should
+    /// still turn before the next pop: the last pop's count (the lead)
+    /// less what is materialized already, at most what is pending.
+    pub(crate) fn behind(&self) -> usize {
+        let materialized = self.buffer.len() - self.pending;
+        self.lead.saturating_sub(materialized).min(self.pending)
+    }
+
+    /// Differential-checkpoint replay: after a restore, re-admits the
     /// deterministic stream up to the highest cursor any directive names
     /// and *discards* the named samples — they were already popped and
     /// delivered before the crash, so producing them again would duplicate
     /// data in future plans. Undirected samples encountered on the way are
-    /// kept in the buffer while there is room. Returns how many directed
-    /// samples were dropped.
+    /// kept in the buffer while there is room. Everything is admitted as
+    /// metadata, so a discarded sample is never materialized. Returns how
+    /// many directed samples were dropped.
     ///
     /// `ids` may mix directives for several loaders; only ids carrying
     /// this loader's source/shard prefix are considered.
@@ -358,12 +466,13 @@ impl SourceLoader {
         };
         let mut dropped = 0usize;
         while self.cursor < target_cursor {
-            match self.produce_one() {
-                Ok(Some((sample, _))) => {
-                    if mine.contains(&sample.meta.sample_id) {
+            match self.admit_one() {
+                Ok(Some((entry, _))) => {
+                    if mine.contains(&entry.sample_id()) {
                         dropped += 1; // Already consumed pre-crash.
                     } else if self.buffer.len() < self.config.buffer_capacity {
-                        self.buffer.push_back(sample);
+                        self.buffer.push_back(entry);
+                        self.pending += 1;
                     }
                     // Else: no room — the sample was part of the lost
                     // buffer anyway; dropping matches restore semantics.
@@ -407,7 +516,9 @@ impl SourceLoader {
     }
 
     /// Every buffered sample's settled metadata, loader after loader, in
-    /// one exactly-sized table written in place.
+    /// one exactly-sized table written in place. A pending entry settles
+    /// through the whole loader-side pipeline from its admitted length, a
+    /// materialized one through the tail from its payload's.
     fn settled_table<'a>(
         loaders: impl Iterator<Item = &'a SourceLoader> + Clone,
     ) -> Arc<[SampleMeta]> {
@@ -424,8 +535,15 @@ impl SourceLoader {
             let mut rows = rows.iter_mut();
             for l in loaders {
                 // The buffer leads the zip, so its end consumes no row.
-                for (s, row) in l.buffer.iter().zip(rows.by_ref()) {
-                    *row = l.tail.settled_meta(s.meta, s.payload.len());
+                for (entry, row) in l.buffer.iter().zip(rows.by_ref()) {
+                    *row = match entry {
+                        Buffered::Pending { meta, row } => l.pipeline.settled_meta(
+                            *meta,
+                            row.as_ref()
+                                .map_or_else(|| Sample::synthesized_len(meta), Bytes::len),
+                        ),
+                        Buffered::Ready(s) => l.tail.settled_meta(s.meta, s.payload.len()),
+                    };
                 }
             }
         })
@@ -454,34 +572,41 @@ impl SourceLoader {
             buffered: self.buffer.len(),
             samples_produced: self.samples_produced,
             transform_ns: self.transform_ns_total,
+            samples_materialized: self.samples_materialized,
         }
     }
 
     /// Drains the whole read buffer for a retirement hand-off: returns
-    /// every buffered sample (in buffer order, as buffered: before the
+    /// every buffered sample (in buffer order, materialized: before the
     /// pop-time tail, which the adopting peer runs) and leaves the buffer
     /// empty. Because the actor wrapper processes messages sequentially,
     /// a drain can never race a pop — a sample is either popped (and
     /// delivered) *or* drained (and handed off), never both.
     pub fn drain(&mut self) -> Vec<Sample> {
-        self.buffer.drain(..).collect()
+        let entries = std::mem::take(&mut self.buffer);
+        self.pending = 0;
+        entries
+            .into_iter()
+            .map(|entry| self.sample_of(entry))
+            .collect()
     }
 
     /// Adopts samples handed off by a draining peer of the same source.
     /// Adopted samples surface in future [`SourceLoader::summary`] calls
     /// under *this* loader's id, so the Planner can still schedule them —
     /// the hand-off keeps already-produced data plannable with no gap and
-    /// no duplicate. The buffer may temporarily exceed `buffer_capacity`:
-    /// dropping hand-off samples would silently lose data, which is worse
-    /// than briefly overshooting the budget.
+    /// no duplicate. They join the buffer's one order behind every entry
+    /// already admitted, pending ones included. The buffer may temporarily
+    /// exceed `buffer_capacity`: dropping hand-off samples would silently
+    /// lose data, which is worse than briefly overshooting the budget.
     pub fn adopt(&mut self, samples: Vec<Sample>) {
-        self.buffer.extend(samples);
+        self.buffer.extend(samples.into_iter().map(Buffered::Ready));
     }
 
-    /// Pops the samples a plan directive names, in directive order, and
-    /// runs the pop-time tail of the pipeline on them. Unknown ids are
-    /// skipped (they may have been popped by a prior plan replay —
-    /// idempotence matters for failover).
+    /// Pops the samples a plan directive names, in directive order,
+    /// materializing any still pending, and runs the pop-time tail of the
+    /// pipeline on them. Unknown ids are skipped (they may have been
+    /// popped by a prior plan replay — idempotence matters for failover).
     pub fn pop(&mut self, ids: &[u64]) -> Vec<Sample> {
         let mut out = Vec::with_capacity(ids.len());
         self.take_into(ids, &mut out);
@@ -492,30 +617,45 @@ impl SourceLoader {
     }
 
     /// Removes the samples a directive names exactly as
-    /// [`SourceLoader::pop`] does, but drops them untransformed: replay
-    /// of samples already delivered before a failure. Returns how many
-    /// were removed.
+    /// [`SourceLoader::pop`] does, but drops them unmaterialized and
+    /// untransformed: replay of samples already delivered before a
+    /// failure. Returns how many were removed.
     pub fn discard(&mut self, ids: &[u64]) -> usize {
-        let mut taken = Vec::new();
-        self.take_into(ids, &mut taken);
-        taken.len()
+        let mut removed = 0;
+        self.remove_named(ids, |_, _| removed += 1);
+        removed
     }
 
-    /// Moves the named samples, as buffered, from the buffer to `out`:
-    /// [`SourceLoader::pop`] without the pop-time tail. The threaded
-    /// runtime's loader groups pop this way and leave the tail to the
-    /// Data Constructor ([`crate::constructor::TransformTails`]), a
-    /// host popping several loaders for one reply collecting them in one
-    /// vector.
+    /// Moves the named samples, materialized but before the pop-time
+    /// tail, from the buffer to `out`: [`SourceLoader::pop`] without the
+    /// tail. The threaded runtime's loader groups pop this way and leave
+    /// the tail to the Data Constructor
+    /// ([`crate::constructor::TransformTails`]), a host popping several
+    /// loaders for one reply collecting them in one vector. How many it
+    /// took becomes the loader's lead.
     pub(crate) fn take_into(&mut self, ids: &[u64], out: &mut Vec<Sample>) {
+        let before = out.len();
+        self.remove_named(ids, |loader, entry| {
+            out.push(loader.sample_of(entry));
+        });
+        self.lead = out.len() - before;
+    }
+
+    /// Removes the named entries from the buffer and hands each, as
+    /// buffered, to `each`, in directive order: the one removal behind
+    /// [`SourceLoader::take_into`] and [`SourceLoader::discard`].
+    fn remove_named(&mut self, ids: &[u64], mut each: impl FnMut(&mut Self, Buffered)) {
         // A plan usually names the front of the buffer in buffer order:
         // that run pops straight off.
         let mut rest = ids;
         while let [id, tail @ ..] = rest {
-            if self.buffer.front().map(|s| s.meta.sample_id) != Some(*id) {
+            if self.buffer.front().map(Buffered::sample_id) != Some(*id) {
                 break;
             }
-            out.extend(self.buffer.pop_front());
+            if let Some(entry) = self.buffer.pop_front() {
+                self.pending -= usize::from(entry.is_pending());
+                each(self, entry);
+            }
             rest = tail;
         }
         if rest.is_empty() {
@@ -527,25 +667,36 @@ impl SourceLoader {
         let mut wanted: Vec<(u64, usize)> = rest.iter().copied().zip(0..).collect();
         wanted.sort_unstable();
         wanted.dedup_by_key(|(id, _)| *id);
-        // A named sample leaves as a refcount-sharing clone whose original
+        // A named entry leaves as a refcount-sharing clone whose original
         // `retain` then drops; the survivors keep their order.
-        let mut slots: Vec<Option<Sample>> = rest.iter().map(|_| None).collect();
-        self.buffer.retain(|sample| {
-            match wanted.binary_search_by_key(&sample.meta.sample_id, |(id, _)| *id) {
+        let mut slots: Vec<Option<Buffered>> = rest.iter().map(|_| None).collect();
+        self.buffer.retain(|entry| {
+            match wanted.binary_search_by_key(&entry.sample_id(), |(id, _)| *id) {
                 Ok(hit) if slots[wanted[hit].1].is_none() => {
-                    slots[wanted[hit].1] = Some(sample.clone());
+                    slots[wanted[hit].1] = Some(entry.clone());
                     false
                 }
                 _ => true,
             }
         });
-        out.extend(slots.into_iter().flatten());
+        for entry in slots.into_iter().flatten() {
+            self.pending -= usize::from(entry.is_pending());
+            each(self, entry);
+        }
     }
 
-    /// Resident memory: one per-source access state + buffered payloads
-    /// (as buffered, before the pop-time tail) + per-worker contexts.
+    /// Resident memory: one per-source access state + materialized
+    /// payloads (before the pop-time tail; a pending entry holds none) +
+    /// per-worker contexts.
     pub fn memory_bytes(&self) -> u64 {
-        let buffer: u64 = self.buffer.iter().map(|s| s.payload.len() as u64).sum();
+        let buffer: u64 = self
+            .buffer
+            .iter()
+            .map(|entry| match entry {
+                Buffered::Ready(s) => s.payload.len() as u64,
+                Buffered::Pending { .. } => 0,
+            })
+            .sum();
         self.spec.access_state.total() + buffer + u64::from(self.config.workers) * WORKER_CTX_BYTES
     }
 
@@ -752,6 +903,53 @@ mod tests {
         }
     }
 
+    /// Bytes of the materialized payloads a loader buffers.
+    fn materialized_bytes(l: &SourceLoader) -> u64 {
+        l.buffer
+            .iter()
+            .map(|entry| match entry {
+                Buffered::Ready(s) => s.payload.len() as u64,
+                Buffered::Pending { .. } => 0,
+            })
+            .sum()
+    }
+
+    /// The ids of a summary, in order.
+    fn ids(summary: &BufferSummary) -> Vec<u64> {
+        summary.samples.iter().map(|m| m.sample_id).collect()
+    }
+
+    #[test]
+    fn a_buffered_entry_is_no_larger_than_a_sample_and_its_tag() {
+        assert!(std::mem::size_of::<Buffered>() <= 64);
+    }
+
+    #[test]
+    fn pending_summary_rows_equal_their_materialized_metadata() {
+        let catalog = navit_like(&mut SimRng::seed(3));
+        for modality in Modality::ALL {
+            let spec = catalog
+                .sources()
+                .iter()
+                .find(|s| s.modality == modality)
+                .expect("navit_like has every modality");
+            let reordered = Some(spec.pipeline().min_transfer_index());
+            for split in [None, reordered] {
+                let mut l = SourceLoader::synthetic(spec.clone(), LoaderConfig::solo(0), 6);
+                l.set_transform_split(split);
+                l.refill(8).unwrap();
+                assert_eq!(l.pending, 8);
+                let pending = l.summary();
+                assert_eq!(l.materialize(usize::MAX), 8);
+                assert_eq!(l.pending, 0);
+                assert_eq!(l.summary(), pending, "{modality:?} split {split:?}");
+                let popped = l.pop(&ids(&pending));
+                let metas: Vec<SampleMeta> = popped.iter().map(|s| s.meta).collect();
+                assert_eq!(metas, *pending.samples, "{modality:?} split {split:?}");
+            }
+        }
+    }
+
     #[test]
     fn summary_metas_are_the_popped_metas() {
         let catalog = navit_like(&mut SimRng::seed(3));
@@ -773,17 +971,26 @@ mod tests {
                 loader_id: shard,
                 ..LoaderConfig::solo(shard)
             };
-            let mut l = SourceLoader::synthetic(spec.clone(), mk(0), 5);
-            let mut retiring = SourceLoader::synthetic(spec, mk(1), 5);
-            l.refill(12).unwrap();
-            retiring.refill(6).unwrap();
-            l.adopt(retiring.drain());
+            // The same buffer twice: materialized at refill (eager), and
+            // left pending but for two samples ahead of the pops (lazy),
+            // each with a retiring peer's samples adopted behind it.
+            let buffered = |eager: bool| {
+                let mut l = SourceLoader::synthetic(spec.clone(), mk(0), 5);
+                let mut retiring = SourceLoader::synthetic(spec.clone(), mk(1), 5);
+                l.refill(12).unwrap();
+                retiring.refill(6).unwrap();
+                l.materialize(if eager { usize::MAX } else { 2 });
+                l.adopt(retiring.drain());
+                l
+            };
+            let (mut eager, mut l) = (buffered(true), buffered(false));
+            assert_eq!(l.pending, 10);
             let promised: Window<SampleMeta> = l.summary().samples;
+            assert_eq!(eager.summary().samples, promised, "{modality:?}");
             // Only text buffers its samples as they will be delivered.
-            let buffered: u64 = l.buffer.iter().map(|s| s.payload.len() as u64).sum();
             let settled: u64 = promised.iter().map(|m| m.raw_bytes).sum();
             assert_eq!(
-                settled == buffered,
+                settled == materialized_bytes(&eager),
                 modality == Modality::Text,
                 "{modality:?}"
             );
@@ -791,9 +998,15 @@ mod tests {
             // A front run, then out of order (adopted samples too), then
             // whatever is left.
             let ids: Vec<u64> = promised.iter().map(|m| m.sample_id).collect();
-            let mut popped = l.pop(&ids[..3]);
-            popped.extend(l.pop(&[ids[14], ids[7], ids[4], ids[16]]));
-            popped.extend(l.pop(&ids));
+            let scrambled = [ids[14], ids[7], ids[4], ids[16]];
+            let mut popped = Vec::new();
+            for directive in [&ids[..3], &scrambled, &ids] {
+                let want = eager.pop(directive);
+                let got = l.pop(directive);
+                assert_eq!(got, want, "{modality:?}");
+                assert_eq!(l.summary(), eager.summary(), "{modality:?}");
+                popped.extend(got);
+            }
             assert_eq!(popped.len(), promised.len());
             for sample in &popped {
                 let want = promised
@@ -918,11 +1131,18 @@ mod tests {
         let mut r = SourceLoader::restore(spec(), LoaderConfig::solo(0), &ckpt);
         let dropped = r.replay_directives(&consumed);
         assert_eq!(dropped, consumed.len());
+        // Replay admits metadata: no discarded sample was materialized.
+        let h = r.health();
+        assert_eq!(h.samples_produced, 8);
+        assert_eq!((h.buffered, h.samples_materialized), (5, 0));
         r.refill(64).unwrap();
         let visible: Vec<u64> = r.summary().samples.iter().map(|m| m.sample_id).collect();
         for id in &consumed {
             assert!(!visible.contains(id), "consumed sample {id} resurfaced");
         }
+        assert_eq!(r.health().samples_materialized, 0);
+        assert_eq!(r.pop(&visible[..4]).len(), 4);
+        assert_eq!(r.health().samples_materialized, 4);
         // Directives for other loaders are ignored.
         let mut other = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), 77);
         assert_eq!(other.replay_directives(&[u64::MAX]), 0);
@@ -937,8 +1157,36 @@ mod tests {
         let mut l = SourceLoader::synthetic(spec(), cfg, 1);
         let empty = l.memory_bytes();
         assert!(empty >= spec().access_state.total() + 3 * WORKER_CTX_BYTES);
+        // Admitted samples hold no payload; materialized ones count theirs.
         l.refill(32).unwrap();
-        assert!(l.memory_bytes() > empty);
+        assert_eq!(l.memory_bytes(), empty);
+        assert_eq!(l.materialize(5), 5);
+        let five = materialized_bytes(&l);
+        assert!(five > 0);
+        assert_eq!(l.memory_bytes(), empty + five);
+    }
+
+    #[test]
+    fn the_lead_is_what_the_last_pop_took() {
+        let mut l = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), 2);
+        l.refill(16).unwrap();
+        assert_eq!(l.behind(), 0, "no pop yet, no lead");
+        let summary = l.summary();
+        let first = ids(&summary);
+        assert_eq!(l.pop(&first[..5]).len(), 5);
+        assert_eq!(l.behind(), 5);
+        assert_eq!(l.materialize(2), 2);
+        assert_eq!(l.behind(), 3);
+        // Materialized oldest first: the front of the buffer.
+        assert!(l.buffer.iter().take(2).all(|e| !e.is_pending()));
+        assert!(l.buffer.iter().skip(2).all(Buffered::is_pending));
+        assert_eq!(l.materialize(3), 3);
+        assert_eq!(l.behind(), 0);
+        // A larger pop raises the lead, but never past what is pending.
+        let rest = ids(&l.summary());
+        assert_eq!(l.pop(&rest[..8]).len(), 8);
+        assert_eq!(l.behind(), 3);
+        assert_eq!(l.pending, 3);
     }
 
     #[test]
@@ -949,36 +1197,40 @@ mod tests {
             loader_id,
             ..LoaderConfig::solo(loader_id)
         };
-        let mut retiring = SourceLoader::synthetic(spec(), mk(1, 1), 7);
-        let mut survivor = SourceLoader::synthetic(spec(), mk(0, 0), 7);
-        retiring.refill(12).unwrap();
-        survivor.refill(4).unwrap();
-        let handed: Vec<u64> = retiring
-            .summary()
-            .samples
-            .iter()
-            .map(|m| m.sample_id)
-            .collect();
-        let drained = retiring.drain();
-        assert_eq!(drained.len(), 12);
-        assert_eq!(retiring.buffered(), 0);
-        assert!(retiring.drain().is_empty(), "drain is idempotent");
-        survivor.adopt(drained);
-        assert_eq!(survivor.buffered(), 16);
-        // Adopted samples are now plannable under the survivor's id.
-        let visible: Vec<u64> = survivor
-            .summary()
-            .samples
-            .iter()
-            .map(|m| m.sample_id)
-            .collect();
-        for id in &handed {
-            assert!(visible.contains(id), "handed-off sample {id} vanished");
-        }
-        // And poppable exactly like native samples.
+        // The survivor's own samples pending (lazy) or materialized at
+        // refill (eager); the retiring loader's partly materialized.
+        let hand_off = |eager: bool| {
+            let mut retiring = SourceLoader::synthetic(spec(), mk(1, 1), 7);
+            let mut survivor = SourceLoader::synthetic(spec(), mk(0, 0), 7);
+            retiring.refill(12).unwrap();
+            retiring.materialize(5);
+            survivor.refill(4).unwrap();
+            if eager {
+                survivor.materialize(usize::MAX);
+            }
+            let handed = ids(&retiring.summary());
+            let drained = retiring.drain();
+            assert_eq!(drained.len(), 12);
+            assert_eq!((retiring.buffered(), retiring.pending), (0, 0));
+            assert!(retiring.drain().is_empty(), "drain is idempotent");
+            survivor.adopt(drained);
+            assert_eq!(survivor.buffered(), 16);
+            (survivor, handed)
+        };
+        let (mut eager, _) = hand_off(true);
+        let (mut survivor, handed) = hand_off(false);
+        assert_eq!(survivor.pending, 4);
+        // Adopted samples are now plannable under the survivor's id, in
+        // the one admission order: behind the survivor's pending samples.
+        let visible = ids(&survivor.summary());
+        assert_eq!(visible[4..], handed[..]);
+        assert_eq!(survivor.summary(), eager.summary());
+        // And poppable exactly like native samples, with the same bytes.
         let popped = survivor.pop(&handed);
         assert_eq!(popped.len(), handed.len());
+        assert_eq!(popped, eager.pop(&handed));
         assert!(survivor.pop(&handed).is_empty());
+        assert_eq!(survivor.pop(&visible[..4]), eager.pop(&visible[..4]));
     }
 
     #[test]
@@ -992,6 +1244,7 @@ mod tests {
         assert_eq!(h.source, spec().id);
         assert_eq!(h.buffered, 8);
         assert_eq!(h.samples_produced, 8);
+        assert_eq!(h.samples_materialized, 0);
         assert!(h.transform_ns > 0);
     }
 

@@ -97,7 +97,10 @@ type BroadcastItem = (usize, Arc<BucketPlan>, Arc<HashMap<u64, Sample>>);
 /// hosted loader in one message; the control plane's hand-off addresses
 /// one loader by id.
 pub enum LoaderMsg {
-    /// Refill every hosted loader's buffer toward `target` samples.
+    /// Refill every hosted loader's buffer toward `target` samples:
+    /// admission, metadata only ([`SourceLoader::refill`]). The group
+    /// materializes samples in its idle time, ahead of the pops that take
+    /// them.
     Refill {
         /// Target buffered sample count, per loader.
         target: usize,
@@ -107,8 +110,9 @@ pub enum LoaderMsg {
     /// ([`SourceLoader::summaries`]).
     Summary(ReplyTo<Vec<BufferSummary>>),
     /// Pop every hosted loader's directed sample ids and reply with all
-    /// the samples raw, as buffered (`SourceLoader::take_into`): the
-    /// transform tail runs where the batch is assembled.
+    /// the samples raw, materialized but before the tail
+    /// (`SourceLoader::take_into`): the transform tail runs where the
+    /// batch is assembled.
     Pop {
         /// The step's pop directives (loader id → sample ids), shared by
         /// every group: each looks up its own members.
@@ -156,6 +160,12 @@ struct Hosted {
 }
 
 /// Several Source Loaders hosted behind one supervised mailbox.
+///
+/// A refill admits metadata only; the group materializes its members'
+/// samples in its idle time ([`Actor::idle`]), one per turn, for the
+/// member furthest behind its lead, and a pop materializes whatever is
+/// still pending. So a `Summary`, `Pop` or `Health` ask waits behind at
+/// most one sample's work.
 ///
 /// The registry is the group's membership record: every (re)start
 /// rebuilds exactly the loaders the registry assigns to this group, each
@@ -412,6 +422,23 @@ impl Actor for LoaderGroupActor {
                 ),
             },
         }
+    }
+
+    /// Materializes one sample ahead of the pops, for the member furthest
+    /// behind its lead (see [`crate::loader`]'s module docs): with the
+    /// mailbox empty, so an ask waits for at most one sample's work.
+    fn idle(&mut self, _ctx: &mut Ctx) -> bool {
+        let furthest = self
+            .members
+            .iter_mut()
+            .map(|m| (m.loader.behind(), m))
+            .filter(|(behind, _)| *behind > 0)
+            .max_by_key(|(behind, _)| *behind);
+        let Some((_, member)) = furthest else {
+            return false;
+        };
+        member.loader.materialize(1);
+        self.members.iter().any(|m| m.loader.behind() > 0)
     }
 }
 

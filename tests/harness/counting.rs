@@ -30,6 +30,7 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Process-wide mode: every thread's calls, once switched on.
@@ -43,6 +44,12 @@ fn grew(bytes: usize) {
     if COUNTING.with(Cell::get) {
         CALLS.with(|c| c.set(c.get() + 1));
         BYTES.with(|b| b.set(b.get() + bytes as u64));
+    }
+}
+
+fn shrank(bytes: usize) {
+    if COUNTING.with(Cell::get) {
+        FREED.with(|f| f.set(f.get() + bytes as u64));
     }
 }
 
@@ -62,12 +69,14 @@ unsafe impl GlobalAlloc for ThreadCounting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         // SAFETY: `ptr` was returned by `System` for this same layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         grew(new_size);
+        shrank(layout.size());
         // SAFETY: `ptr`/`layout` describe a live `System` block and
         // `new_size` is the caller's, passed through as received.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -87,6 +96,16 @@ pub fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let calls = CALLS.with(Cell::get) - before.0;
     let bytes = BYTES.with(Cell::get) - before.1;
     (out, calls, bytes)
+}
+
+/// `(f's result, growth of this thread's live heap)` over `f`: the bytes
+/// its allocations requested less the bytes of the blocks it freed (a
+/// `realloc` counts as both).
+pub fn counted_live<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let freed = FREED.with(Cell::get);
+    let (out, _, bytes) = counted(f);
+    let freed = FREED.with(Cell::get) - freed;
+    (out, bytes as i64 - freed as i64)
 }
 
 /// Switches on process-wide counting: from now on [`process_calls`]

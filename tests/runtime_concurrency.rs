@@ -26,6 +26,7 @@ use harness::{pipeline, sample_ids, Stream};
 use megascale_data::actor::ActorRef;
 use megascale_data::core::system::net::LoopbackTransport;
 use megascale_data::core::system::runtime::{ConstructorMsg, ServeOptions, ThreadedPipeline};
+use megascale_data::core::system::server::DataServerHandle;
 use megascale_data::data::catalog::text_only;
 use megascale_data::sim::SimRng;
 
@@ -356,12 +357,39 @@ fn ready_steps(ctor: &ActorRef<ConstructorMsg>) -> Vec<u64> {
         .expect("constructor answers")
 }
 
-/// Waits until `ctor` holds exactly `want` with nothing left in its
-/// mailbox — the driver is done sending it anything — then crashes it
-/// and checks that the restarted incarnation rebuilt the same queue in
+/// Waits until nothing can reach `ctor` any more, then crashes it and
+/// checks that the restarted incarnation rebuilt the same queue in
 /// `started` with no message but the checking ask reaching it.
-fn crash_idle_constructor(ctor: &ActorRef<ConstructorMsg>, want: &[u64], deadline: Instant) {
-    while !(ready_steps(ctor) == want && ctor.mailbox_depth() == 0) {
+///
+/// Nothing can reach it once two things hold, observed in this order:
+/// - the server has sent every pull `client`'s window allows, its next
+///   pull being `window_end`: a pull is told to the constructor before
+///   the server's status can show it, so the pull is queued ahead of the
+///   check below;
+/// - `ctor` then holds exactly `want` with nothing left in its mailbox:
+///   the driver is done sending it steps and frontiers, and every pull
+///   has been dequeued.
+///
+/// The constructor's own state alone is not enough: a client's consumed
+/// report wakes the driver (which stages and announces) before the
+/// server, on the same report, pulls the next step of the client's
+/// window, so that pull can arrive after the constructor looks settled.
+fn crash_idle_constructor(
+    ctor: &ActorRef<ConstructorMsg>,
+    server: &DataServerHandle,
+    (client, window_end): (u32, u64),
+    want: &[u64],
+    deadline: Instant,
+) {
+    let pulled_to = || {
+        let status = server.status()?;
+        let stat = status.clients.iter().find(|c| c.client == client)?;
+        Some(stat.next_pull)
+    };
+    while !(pulled_to() == Some(window_end)
+        && ready_steps(ctor) == want
+        && ctor.mailbox_depth() == 0)
+    {
         assert!(
             Instant::now() < deadline,
             "constructor never settled at {want:?}"
@@ -386,21 +414,26 @@ fn restarted_constructor_rebuilds_its_ready_queue_from_the_retained_window() {
     let deadline = Instant::now() + Duration::from_secs(120);
     let reference = harness::local_streams(SEED, 2, STEPS);
 
-    // (a) Local: client 1 parks at cursor 2, so with `queue_depth` 2 the
-    // driver stalls on backpressure after broadcasting step 4 and the
-    // frontier (2) has retired constructor 1's queue down to [2, 4].
-    // The constructor dies there; when client 1 resumes, its pulls are
-    // the first thing the restarted incarnation hears.
+    // (a) Loopback, as local `serve` runs it: client 1 parks at cursor
+    // 2, so with `queue_depth` 2 the driver stalls on backpressure after
+    // broadcasting step 4 and the frontier (2) has retired constructor
+    // 1's queue down to [2, 4], while the server has pulled client 1's
+    // window up to step 4. The constructor dies there; when client 1
+    // resumes, its pulls are the first thing the restarted incarnation
+    // hears.
     const PARK_AT: u64 = 2;
     const QUEUE_DEPTH: u64 = 2;
     let mut p = harness::pipeline(SEED);
-    let mut session = p.serve(ServeOptions {
-        queue_depth: QUEUE_DEPTH,
-        ..harness::opts(2, STEPS)
-    });
-    let mut clients = session.take_clients();
-    let mut parked = clients.pop().expect("client 1");
-    let mut runner = clients.pop().expect("client 0");
+    let (session, handle) = p.serve_distributed(
+        ServeOptions {
+            queue_depth: QUEUE_DEPTH,
+            ..harness::opts(2, STEPS)
+        },
+        Arc::new(LoopbackTransport),
+        &harness::placements(2),
+    );
+    let mut parked = handle.connect(1);
+    let mut runner = handle.connect(0);
     let runner = std::thread::spawn(move || {
         let mut stream = harness::Stream::new();
         while let Some(item) = runner.next() {
@@ -413,15 +446,21 @@ fn restarted_constructor_rebuilds_its_ready_queue_from_the_retained_window() {
         stream.push(parked.next().expect("pull before parking"));
     }
     let want: Vec<u64> = (PARK_AT..=PARK_AT + QUEUE_DEPTH).collect();
-    crash_idle_constructor(&p.constructor_actors()[1], &want, deadline);
+    crash_idle_constructor(
+        &p.constructor_actors()[1],
+        &handle,
+        (parked.id, PARK_AT + QUEUE_DEPTH),
+        &want,
+        deadline,
+    );
     while let Some(item) = parked.next() {
         stream.push(item);
     }
     let streams = vec![runner.join().expect("client 0 thread"), (parked.id, stream)];
-    assert_eq!(session.join(), STEPS, "local driver fell short");
+    assert_eq!(session.join(), STEPS, "parked-client driver fell short");
     p.shutdown();
     harness::assert_ordered_full(&streams, STEPS);
-    harness::assert_byte_identical(&reference, &streams, "local rehydration");
+    harness::assert_byte_identical(&reference, &streams, "parked-client rehydration");
 
     // (b) Loopback `serve_distributed`: client 0 streams everything while
     // client 1 has not dialed yet, holding its capability (and the
@@ -447,7 +486,7 @@ fn restarted_constructor_rebuilds_its_ready_queue_from_the_retained_window() {
         (runner.id, stream)
     });
     let want: Vec<u64> = (0..STEPS).collect();
-    crash_idle_constructor(&p.constructor_actors()[1], &want, deadline);
+    crash_idle_constructor(&p.constructor_actors()[1], &handle, (1, 0), &want, deadline);
     let mut late = handle.connect(1);
     let mut stream = harness::Stream::new();
     while let Some(item) = late.next() {
