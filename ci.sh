@@ -94,15 +94,16 @@ if [ "$pull_bad" -ne 0 ]; then
   exit 1
 fi
 
-# One home for the transform tail on the serve plane: loader groups pop
-# raw (`SourceLoader::take_into`) and the tail runs where the batch is
-# assembled, in a constructor actor or on `ThreadedPipeline::step`'s
-# caller (`TransformTails`). A non-test call of a loader's `pop` or
-# `pop_into` in crates/core/src/system/ (comment lines aside) would run
-# it on the driver's chain again, and fails here.
-echo "==> no loader pop on the serve plane in crates/core/src/system/"
+# One home for the transform tail: loaders pop raw
+# (`SourceLoader::take_into`) and the tail runs where the batch is
+# assembled, in a constructor actor, on `ThreadedPipeline::step`'s
+# caller or in the inline `MegaScaleData::step` (`TransformTails`). A
+# non-test call of a loader's `pop` or `pop_into` in
+# crates/core/src/system.rs or crates/core/src/system/ (comment lines
+# aside) would run it loader-side again, and fails here.
+echo "==> no loader pop in crates/core/src/system.rs and crates/core/src/system/"
 pop_bad=0
-for f in crates/core/src/system/*.rs; do
+for f in crates/core/src/system.rs crates/core/src/system/*.rs; do
   found=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } /loader\.pop(_into)?\(/ { n++ } END { print n + 0 }' "$f")
   if [ "$found" -ne 0 ]; then
     echo "$f: $found non-test loader pop sites" >&2
@@ -311,6 +312,12 @@ cargo run --example replay_mode
 # hides behind its iteration, so the cost model runs, not just compiles.
 echo "==> cargo bench --bench fig15_time_breakdown"
 cargo bench --offline --bench fig15_time_breakdown
+
+# Sec 6.2 through msd_bench::model: asserts that deferring each
+# pipeline's tail to the constructors shrinks the bytes shipped from
+# loader to constructor on both catalogs.
+echo "==> cargo bench --bench sec6_deploy_tricks"
+cargo bench --offline --bench sec6_deploy_tricks
 
 # Concurrent local serving through a mid-serve loader-group crash; exits
 # non-zero unless the crash lands mid-serve and every client pulls every

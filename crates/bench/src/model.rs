@@ -3,10 +3,13 @@
 //! projected virtual time.
 //!
 //! [`MegaScaleData::step`] reports counts, bytes, the planner's measured
-//! compute and the transform-cost estimates of loader refills and deferred
-//! tails. What the inline step does not do — move summaries and plans over
-//! a datacenter fabric, copy tokens into batches, deliver them to ranks —
-//! is charged here, over `msd_sim`'s alpha-beta [`NetModel`].
+//! compute and the transform-cost estimates of loader refills and
+//! transform tails. What the inline step does not do — move summaries and
+//! plans over a datacenter fabric, copy tokens into batches, deliver them
+//! to ranks — is charged here, over `msd_sim`'s alpha-beta [`NetModel`].
+//! One step projects both of Sec 6.2's transform placements: every
+//! transform loader-side ([`step`], the default), or only each pipeline's
+//! head there and its tail at the constructors ([`reordering_pair`]).
 
 use msd_core::system::{MegaScaleData, StepOutput};
 use msd_mesh::ClientPlaceTree;
@@ -23,8 +26,8 @@ pub struct StepTimes {
     pub broadcast_ns: u64,
     /// Slowest loader's refill (the step's transform-cost estimate).
     pub loader_ns: u64,
-    /// Slowest constructor: its deferred transform tail or its assembly
-    /// (~1 ns per 16 padded tokens) plus delivery, whichever is larger.
+    /// Slowest constructor: its transform tail or its assembly (~1 ns
+    /// per 16 padded tokens) plus delivery, whichever is larger.
     pub constructor_ns: u64,
     /// Unoverlapped data fetch: loader + gather + measured plan compute +
     /// broadcast + constructor.
@@ -32,8 +35,21 @@ pub struct StepTimes {
 }
 
 impl StepTimes {
-    /// Projects the times of step `out`, planned over `tree`.
+    /// Projects the times of step `out`, planned over `tree`, with every
+    /// transform loader-side.
     fn of(out: &StepOutput, tree: &ClientPlaceTree) -> Self {
+        Self::project(out, tree, out.loader_ns, 0)
+    }
+
+    /// Projects the times of step `out` with each pipeline's tail deferred
+    /// to the constructors (Sec 6.2's transformation reordering).
+    fn deferred(out: &StepOutput, tree: &ClientPlaceTree) -> Self {
+        Self::project(out, tree, out.head_ns, out.tail_ns)
+    }
+
+    /// Projects step `out` with loaders charged `loader_ns` and the
+    /// slowest constructor at least `tail_ns`.
+    fn project(out: &StepOutput, tree: &ClientPlaceTree, loader_ns: u64, tail_ns: u64) -> Self {
         let net = NetModel::default();
         let loaders = out.info.summaries.len().max(1) as u32;
         let gather_ns = net
@@ -52,26 +68,32 @@ impl StepTimes {
                 let delivery: u64 = batch.deliveries.iter().map(|d| d.bytes).sum();
                 tokens / 16 + net.transfer(delivery).as_nanos()
             })
-            .fold(out.tail_ns, u64::max);
+            .fold(tail_ns, u64::max);
         StepTimes {
             gather_ns,
             broadcast_ns,
-            loader_ns: out.loader_ns,
+            loader_ns,
             constructor_ns,
-            fetch_ns: out.loader_ns
-                + gather_ns
-                + out.phases.compute_ns
-                + broadcast_ns
-                + constructor_ns,
+            fetch_ns: loader_ns + gather_ns + out.phases.compute_ns + broadcast_ns + constructor_ns,
         }
     }
 }
 
-/// Runs one step of `msd` and projects its times.
+/// Runs one step of `msd` and projects its times with every transform
+/// loader-side.
 pub fn step(msd: &mut MegaScaleData) -> (StepOutput, StepTimes) {
     let out = msd.step().expect("pipeline step");
     let times = StepTimes::of(&out, msd.planner().tree());
     (out, times)
+}
+
+/// Runs one step of `msd` and projects it under both of Sec 6.2's
+/// transform placements: loader-side, then deferred.
+pub fn reordering_pair(msd: &mut MegaScaleData) -> (StepOutput, [StepTimes; 2]) {
+    let out = msd.step().expect("pipeline step");
+    let tree = msd.planner().tree();
+    let pair = [StepTimes::of(&out, tree), StepTimes::deferred(&out, tree)];
+    (out, pair)
 }
 
 #[cfg(test)]
@@ -128,7 +150,8 @@ mod tests {
     }
 
     /// Sec 6.2's transformation-reordering pair on the coyo700m catalog,
-    /// seed 62; the step after one warm-up, loader-side then deferred.
+    /// seed 62: the step after one warm-up, projected loader-side then
+    /// deferred.
     #[test]
     fn sec6_reordering_pair_matches_the_recorded_projection() {
         let scenario = Scenario {
@@ -143,17 +166,16 @@ mod tests {
             method: BalanceMethod::Greedy,
             backbone: scenario.model.backbone,
         };
-        let mut projected = Vec::new();
-        for reorder in [false, true] {
-            let mut msd = scenario.pipeline(strategy.clone(), 62);
-            if reorder {
-                msd.enable_transform_reordering();
-            }
-            step(&mut msd);
-            let (out, times) = step(&mut msd);
-            assert!(times.fetch_ns > 0);
-            projected.push(golden(&times, &out));
-        }
+        let mut msd = scenario.pipeline(strategy, 62);
+        step(&mut msd);
+        let (out, pair) = reordering_pair(&mut msd);
+        let projected: Vec<[u64; 5]> = pair
+            .iter()
+            .map(|times| {
+                assert!(times.fetch_ns > 0);
+                golden(times, &out)
+            })
+            .collect();
         assert_eq!(
             projected,
             [

@@ -1,146 +1,27 @@
-//! Fault tolerance: shadow loaders, differential checkpointing, replay.
+//! Fault tolerance: differential checkpointing and replay.
 //!
-//! Sec 6.1: Source Loader failures are detected via RPC timeouts or payload
-//! integrity checks; a hot-standby *shadow loader* is promoted instantly.
-//! To keep snapshot costs low, loaders checkpoint *less frequently* than
-//! the Planner — on failover the shadow restores the last loader snapshot
-//! and *replays* the plans executed since then to catch up (differential
-//! checkpointing). The shadow keeps that delta itself, so it never holds
-//! more than one snapshot interval of plans.
+//! Sec 6.1: loaders checkpoint *less frequently* than the Planner. A
+//! restarted Source Loader restores its last checkpoint
+//! ([`crate::loader::SourceLoader::restore`]) and *replays* the plans
+//! issued since ([`crate::loader::SourceLoader::replay_directives`]): it
+//! re-admits its deterministic stream up to the last sample those plans
+//! took and drops every sample they delivered. Both deployments recover
+//! this way: the threaded runtime from the GCS's loader checkpoints and
+//! plan log, the inline [`crate::system::MegaScaleData`] from the
+//! checkpoints and directives it keeps itself
+//! ([`crate::system::MegaScaleData::restart_loader`]).
 
-use msd_data::SourceSpec;
-
-use crate::loader::{LoaderCheckpoint, LoaderConfig, SourceLoader};
-use crate::plan::LoadingPlan;
-use crate::window::Window;
-
-/// How a failure was detected (both paper mechanisms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureSignal {
-    /// The loader stopped answering RPCs within the timeout.
-    RpcTimeout,
-    /// A payload failed integrity checks (e.g. partial yield without
-    /// end-of-stream).
-    IntegrityViolation,
-}
-
-/// Outcome of a failover.
+/// Outcome of a loader restart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailoverReport {
-    /// The failed loader.
+    /// The restarted loader.
     pub loader_id: u32,
-    /// Detection mechanism.
-    pub signal: FailureSignal,
-    /// Snapshot version the shadow restored.
+    /// Checkpoint version (plan step) the loader restored.
     pub restored_version: u64,
     /// Number of plans replayed to catch up.
     pub replayed_plans: usize,
-    /// Samples re-materialized during replay.
+    /// Delivered samples the replay dropped again.
     pub replayed_samples: usize,
-}
-
-/// A primary loader paired with a hot-standby shadow.
-///
-/// The shadow holds the source spec, the latest (low-frequency) loader
-/// checkpoint and this loader's directives since it; promotion costs one
-/// restore plus a deterministic replay of those directives.
-pub struct ShadowedLoader {
-    spec: SourceSpec,
-    config: LoaderConfig,
-    /// The live primary (None after an unrecovered failure).
-    primary: Option<SourceLoader>,
-    /// Latest loader snapshot (taken every `snapshot_interval` plans).
-    snapshot: LoaderCheckpoint,
-    /// Loader snapshot cadence in plans (> planner cadence, per the paper).
-    pub snapshot_interval: u64,
-    /// The ids this loader popped in each plan since `snapshot`, in plan
-    /// order: the replay delta, cleared at every snapshot.
-    since_snapshot: Vec<Window<u64>>,
-}
-
-impl ShadowedLoader {
-    /// Wraps a fresh primary with shadow protection.
-    pub fn new(spec: SourceSpec, config: LoaderConfig, seed: u64, snapshot_interval: u64) -> Self {
-        let primary = SourceLoader::synthetic(spec.clone(), config.clone(), seed);
-        let snapshot = primary.checkpoint(0);
-        ShadowedLoader {
-            spec,
-            config,
-            primary: Some(primary),
-            snapshot,
-            snapshot_interval: snapshot_interval.max(1),
-            since_snapshot: Vec::new(),
-        }
-    }
-
-    /// Access to the live primary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the loader has failed and was not recovered — callers
-    /// must `promote_shadow` first.
-    pub fn primary(&mut self) -> &mut SourceLoader {
-        self.primary
-            .as_mut()
-            .expect("loader failed; promote shadow first")
-    }
-
-    /// Whether the primary is alive.
-    pub fn is_alive(&self) -> bool {
-        self.primary.is_some()
-    }
-
-    /// Records that `plan` was executed — keeping this loader's directive
-    /// for replay — and snapshots on the configured cadence. Returns `true`
-    /// if a snapshot was taken.
-    pub fn after_plan(&mut self, plan: &LoadingPlan) -> bool {
-        let ids = plan
-            .directives
-            .get(&self.config.loader_id)
-            .cloned()
-            .unwrap_or_default();
-        self.since_snapshot.push(ids);
-        if self.since_snapshot.len() as u64 >= self.snapshot_interval {
-            if let Some(p) = &self.primary {
-                self.snapshot = p.checkpoint(plan.step);
-                self.since_snapshot.clear();
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Simulates a primary failure (test/fault-injection hook).
-    pub fn kill_primary(&mut self) {
-        self.primary = None;
-    }
-
-    /// Promotes the shadow: restore the last snapshot, then replay the
-    /// directives executed since it to reconstruct exactly the
-    /// buffered/popped state the primary had. The delta is kept, so a
-    /// second failure before the next snapshot replays it again.
-    pub fn promote_shadow(&mut self, signal: FailureSignal) -> FailoverReport {
-        let mut restored =
-            SourceLoader::restore(self.spec.clone(), self.config.clone(), &self.snapshot);
-        let mut replayed_samples = 0;
-        for ids in &self.since_snapshot {
-            // Re-admit everything this plan consumed, then drop it again
-            // (it was already delivered downstream) without ever
-            // materializing it.
-            restored
-                .refill(restored.buffered() + ids.len())
-                .expect("synthetic refill cannot fail");
-            replayed_samples += restored.discard(ids);
-        }
-        self.primary = Some(restored);
-        FailoverReport {
-            loader_id: self.config.loader_id,
-            signal,
-            restored_version: self.snapshot.version,
-            replayed_plans: self.since_snapshot.len(),
-            replayed_samples,
-        }
-    }
 }
 
 /// Effective-training-time-ratio (ETTR) model: the fraction of wall-clock
@@ -157,116 +38,163 @@ pub fn ettr(horizon_secs: f64, failures: u32, recovery_secs: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loader::{LoaderCheckpoint, LoaderConfig, SourceLoader};
+    use crate::system::{MegaScaleData, MsdConfig};
     use msd_data::catalog::coyo700m_like;
+    use msd_data::SourceSpec;
     use msd_sim::SimRng;
-    use std::collections::BTreeMap;
 
     fn spec() -> SourceSpec {
         let mut rng = SimRng::seed(1);
         coyo700m_like(&mut rng).sources()[0].clone()
     }
 
-    /// One plan against the live primary: refill to `fill`, pop the `take`
-    /// front samples, then record the plan. Returns whether it snapshotted.
-    fn run_plan(shadowed: &mut ShadowedLoader, step: u64, fill: usize, take: usize) -> bool {
-        shadowed.primary().refill(fill).unwrap();
-        let ids: Vec<u64> = shadowed
-            .primary()
-            .summary()
-            .samples
-            .iter()
-            .take(take)
-            .map(|m| m.sample_id)
-            .collect();
-        shadowed.primary().pop(&ids);
-        shadowed.after_plan(&LoadingPlan {
-            step,
-            axis: msd_mesh::DistributeAxis::DP,
-            buckets: vec![],
-            broadcast_axes: vec![],
-            directives: BTreeMap::from([(0, ids.into())]),
-            subplans: BTreeMap::new(),
-        })
+    /// A loader driven plan by plan with the recovery state a deployment
+    /// keeps for it: a checkpoint every `interval` plans and the
+    /// directives issued since.
+    struct Tracked {
+        loader: SourceLoader,
+        interval: usize,
+        checkpoint: LoaderCheckpoint,
+        since: Vec<Vec<u64>>,
     }
 
-    /// The ids the primary buffers after refilling to `fill`.
-    fn next_summary(shadowed: &mut ShadowedLoader, fill: usize) -> Vec<u64> {
-        shadowed.primary().refill(fill).unwrap();
-        shadowed
-            .primary()
-            .summary()
-            .samples
-            .iter()
-            .map(|m| m.sample_id)
-            .collect()
+    impl Tracked {
+        fn new(seed: u64, interval: usize) -> Self {
+            let loader = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), seed);
+            let checkpoint = loader.checkpoint(0);
+            Tracked {
+                loader,
+                interval,
+                checkpoint,
+                since: Vec::new(),
+            }
+        }
+
+        /// One plan: refill to `fill`, pop the `take` front samples, log
+        /// the directive and checkpoint on the cadence.
+        fn run_plan(&mut self, step: u64, fill: usize, take: usize) {
+            let ids = self.next_summary(fill)[..take].to_vec();
+            self.loader.pop(&ids);
+            self.since.push(ids);
+            if self.since.len() >= self.interval {
+                self.checkpoint = self.loader.checkpoint(step);
+                self.since.clear();
+            }
+        }
+
+        /// The ids the loader buffers after refilling to `fill`.
+        fn next_summary(&mut self, fill: usize) -> Vec<u64> {
+            self.loader.refill(fill).unwrap();
+            let summary = self.loader.summary();
+            summary.samples.iter().map(|m| m.sample_id).collect()
+        }
+
+        /// Replaces the loader with one restored from the checkpoint and
+        /// replayed through the directives since: `(restored version,
+        /// replayed plans)`.
+        fn restart(&mut self) -> (u64, usize) {
+            self.loader = SourceLoader::restore(spec(), LoaderConfig::solo(0), &self.checkpoint);
+            for ids in &self.since {
+                self.loader.replay_directives(ids);
+            }
+            (self.checkpoint.version, self.since.len())
+        }
     }
 
     #[test]
     fn failover_restores_identical_stream_position() {
-        let mut shadowed = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 42, 2);
-        // Produce and consume some samples across several "plans".
+        let mut twin = Tracked::new(42, 2);
+        let mut restarted = Tracked::new(42, 2);
         for step in 0..5u64 {
-            run_plan(&mut shadowed, step, 8, 4);
+            twin.run_plan(step, 8, 4);
+            restarted.run_plan(step, 8, 4);
         }
-        // Note what the primary would produce next.
-        let expected_next = next_summary(&mut shadowed, 8);
-
-        // Kill and promote.
-        let mut shadowed2 = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 42, 2);
-        for step in 0..5u64 {
-            run_plan(&mut shadowed2, step, 8, 4);
-        }
-        shadowed2.kill_primary();
-        assert!(!shadowed2.is_alive());
-        let report = shadowed2.promote_shadow(FailureSignal::RpcTimeout);
-        assert!(shadowed2.is_alive());
-        assert!(report.replayed_plans > 0);
+        let (_, replayed_plans) = restarted.restart();
+        assert!(replayed_plans > 0);
         // After recovery the loader yields the same future stream.
-        assert_eq!(expected_next, next_summary(&mut shadowed2, 8));
-    }
-
-    #[test]
-    fn snapshot_cadence_is_differential() {
-        let mut shadowed = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 1, 3);
-        let mut snapshots = 0;
-        for step in 0..9u64 {
-            if run_plan(&mut shadowed, step, 2, 0) {
-                snapshots += 1;
-            }
-        }
-        // Every 3 plans → 3 snapshots over 9 plans.
-        assert_eq!(snapshots, 3);
-    }
-
-    #[test]
-    fn replay_skips_pre_snapshot_plans() {
-        let mut shadowed = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 5, 1);
-        for step in 0..4u64 {
-            run_plan(&mut shadowed, step, 4, 2); // Snapshot every plan.
-        }
-        shadowed.kill_primary();
-        let report = shadowed.promote_shadow(FailureSignal::IntegrityViolation);
-        // Snapshot taken at step 3 → at most the final plan replays.
-        assert!(report.replayed_plans <= 1, "{report:?}");
+        assert_eq!(twin.next_summary(8), restarted.next_summary(8));
     }
 
     #[test]
     fn shadow_delta_is_bounded_by_the_snapshot_interval() {
-        // 66 plans: 64 fill sixteen snapshot intervals, the last two land
-        // mid-interval so the failover has a delta to replay.
-        let mut twin = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 9, 4);
-        let mut shadowed = ShadowedLoader::new(spec(), LoaderConfig::solo(0), 9, 4);
+        // 66 plans: 64 fill sixteen checkpoint intervals, the last two
+        // land mid-interval so the restart has a delta to replay.
+        let mut twin = Tracked::new(9, 4);
+        let mut restarted = Tracked::new(9, 4);
         for step in 0..66u64 {
-            run_plan(&mut twin, step, 8, 4);
-            run_plan(&mut shadowed, step, 8, 4);
-            assert!(shadowed.since_snapshot.len() <= 4, "step {step}");
+            twin.run_plan(step, 8, 4);
+            restarted.run_plan(step, 8, 4);
+            assert!(restarted.since.len() <= 4, "step {step}");
         }
-        shadowed.kill_primary();
-        let report = shadowed.promote_shadow(FailureSignal::RpcTimeout);
-        assert!(report.replayed_plans <= 4, "{report:?}");
-        assert_eq!(report.replayed_plans, 2);
-        assert_eq!(report.restored_version, 63);
-        assert_eq!(next_summary(&mut twin, 8), next_summary(&mut shadowed, 8));
+        let (restored_version, replayed_plans) = restarted.restart();
+        assert!(replayed_plans <= 4);
+        assert_eq!(replayed_plans, 2);
+        assert_eq!(restored_version, 63);
+        assert_eq!(twin.next_summary(8), restarted.next_summary(8));
+    }
+
+    /// A small image-heavy inline deployment.
+    fn msd() -> MegaScaleData {
+        use crate::autoscale::{ClusterResources, PartitionOpts};
+        use crate::planner::{PlannerConfig, Strategy};
+        use crate::schedule::MixSchedule;
+        use msd_mesh::{DeviceMesh, DistributeAxis};
+
+        let catalog = coyo700m_like(&mut SimRng::seed(1));
+        let schedule = MixSchedule::uniform(catalog.len());
+        MegaScaleData::new(MsdConfig {
+            catalog,
+            mesh: DeviceMesh::pp_dp_cp_tp(1, 2, 1, 1).unwrap(),
+            strategy: Strategy::Vanilla,
+            planner: PlannerConfig {
+                axis: DistributeAxis::DP,
+                group_size: None,
+                microbatches: 1,
+                broadcast_axes: vec![],
+                samples_per_step: 16,
+                schedule,
+            },
+            max_seq_len: 4096,
+            resources: ClusterResources {
+                total_cores: 16,
+                total_mem_bytes: 1 << 40,
+            },
+            partition: PartitionOpts::default(),
+            buffer_capacity: 64,
+            seed: 5,
+        })
+    }
+
+    #[test]
+    fn snapshot_cadence_is_differential() {
+        // A restart after plan `s` restores the checkpoint of the last
+        // completed four-plan interval and replays the rest of it: the
+        // log never holds more than four plans.
+        let mut msd = msd();
+        for step in 0..9u64 {
+            msd.step().unwrap();
+            let report = msd.restart_loader(0);
+            let replayed = (step + 1) % 4;
+            assert_eq!(report.replayed_plans as u64, replayed, "step {step}");
+            let checkpointed = step + 1 - replayed;
+            let version = checkpointed.saturating_sub(1);
+            assert_eq!(report.restored_version, version, "step {step}");
+        }
+    }
+
+    #[test]
+    fn replay_skips_pre_snapshot_plans() {
+        let mut msd = msd();
+        for _ in 0..8 {
+            msd.step().unwrap();
+        }
+        // Checkpointed at step 7 → nothing before it replays.
+        let report = msd.restart_loader(1);
+        assert_eq!(report.restored_version, 7);
+        assert_eq!(report.replayed_plans, 0, "{report:?}");
+        assert_eq!(report.replayed_samples, 0, "{report:?}");
+        assert_eq!(msd.step().unwrap().plan.all_samples().len(), 16);
     }
 
     #[test]

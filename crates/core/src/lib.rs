@@ -33,7 +33,8 @@
 //! - [`metrics`]: the lock-light observability plane — pool counters,
 //!   per-stage latency histograms, and queue-depth gauges snapshotted
 //!   through `RuntimeStats`.
-//! - [`fault`]: shadow loaders, differential checkpointing, replay.
+//! - [`fault`]: differential checkpointing and replay: how a restarted
+//!   loader recovers, its report, and the ETTR model.
 //! - [`replay`]: Replay Mode (paper §9) — a step-indexed store of
 //!   pre-computed plans that either deployment adopts through
 //!   [`system::core::PipelineCore`] when they validate against live

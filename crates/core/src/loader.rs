@@ -31,15 +31,15 @@
 //! the pop that takes it, and a sample a restore replays away is never
 //! materialized at all.
 //!
-//! [`SourceLoader::pop`] runs the rest of the pipeline on exactly the
-//! samples a plan takes, and [`SourceLoader::summary`] reports each
-//! buffered sample's metadata as it will be once popped — a pending
-//! entry's from lengths alone
-//! ([`TransformPipeline::settled_meta`]) — so plans and delivered bytes
-//! depend neither on where the cut lies nor on what is materialized yet.
-//! The threaded runtime takes samples raw (`SourceLoader::take_into`) and
-//! runs the rest where the batch is assembled (Sec 6.2's transformation
-//! reordering, [`crate::constructor::TransformTails`]).
+//! [`SourceLoader::summary`] reports each buffered sample's metadata as
+//! it will be once its whole pipeline has run — a pending entry's from
+//! lengths alone ([`TransformPipeline::settled_meta`]) — so plans and
+//! delivered bytes depend neither on where the cut lies nor on what is
+//! materialized yet. Both deployments take samples raw
+//! (`SourceLoader::take_into`) and run the rest where the batch is
+//! assembled (Sec 6.2's transformation reordering,
+//! [`crate::constructor::TransformTails`]); [`SourceLoader::pop`] runs
+//! it in the loader instead, on exactly the samples a plan takes.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -116,7 +116,7 @@ pub struct LoaderHealth {
     pub transform_ns: u64,
     /// Samples materialized over the loader's lifetime (see the module
     /// docs); the rest of `samples_produced` is still pending, or was
-    /// replayed away or discarded without ever being materialized.
+    /// replayed away without ever being materialized.
     pub samples_materialized: u64,
 }
 
@@ -183,18 +183,15 @@ pub struct SourceLoader {
     pub io_ns_total: u64,
     samples_produced: u64,
     samples_materialized: u64,
-    /// The transforms that run loader-side, built once rather than per
-    /// sample: all of `spec.pipeline()`, or — under a transformation-
-    /// reordering split (Sec 6.2) — only its first `idx` transforms. Its
-    /// whole cost is charged when a sample is produced.
+    /// `spec.pipeline()`, built once rather than per sample. Its whole
+    /// cost is charged when a sample is admitted.
     pipeline: TransformPipeline,
     /// The part of `pipeline` that runs when a sample is materialized:
-    /// its transfer-optimal prefix, or all of it under a reordering split.
+    /// its transfer-optimal prefix.
     head: TransformPipeline,
-    /// The rest of `pipeline`, run at pop on the samples a plan takes.
+    /// The rest of `pipeline`: what [`SourceLoader::pop`] runs, and what
+    /// a raw take leaves to the Data Constructor.
     tail: TransformPipeline,
-    /// The rest of a split pipeline, deferred to the Data Constructor.
-    deferred: Option<TransformPipeline>,
     /// Working buffers of the transform chain, reused for every sample.
     scratch: TransformScratch,
 }
@@ -209,7 +206,6 @@ impl SourceLoader {
             pipeline,
             head,
             tail,
-            deferred: None,
             scratch: TransformScratch::default(),
             spec,
             config,
@@ -224,30 +220,6 @@ impl SourceLoader {
             samples_produced: 0,
             samples_materialized: 0,
         }
-    }
-
-    /// Enables transformation reordering: only pipeline transforms before
-    /// `idx` run in this loader, all of them when a sample is
-    /// materialized, and the tail is the constructor's job (fetch it via
-    /// [`SourceLoader::deferred_pipeline`]). `None` restores the default
-    /// (whole pipeline loader-side, its transfer-optimal prefix at
-    /// materialization and the rest at pop). Set it before the first
-    /// refill: samples already materialized pop with the new split's
-    /// pop-time tail.
-    pub fn set_transform_split(&mut self, idx: Option<usize>) {
-        let (pipeline, deferred) = self.spec.pipeline().split_at(idx.unwrap_or(usize::MAX));
-        (self.head, self.tail) = match idx {
-            Some(_) => pipeline.split_at(usize::MAX),
-            None => pipeline.split_for_transfer(),
-        };
-        self.pipeline = pipeline;
-        self.deferred = (!deferred.is_empty()).then_some(deferred);
-    }
-
-    /// The transforms this loader defers to the constructor, if any
-    /// (empty-tail splits return `None`).
-    pub fn deferred_pipeline(&self) -> Option<&TransformPipeline> {
-        self.deferred.as_ref()
     }
 
     /// Creates a loader reading materialized rows from an object store.
@@ -282,6 +254,11 @@ impl SourceLoader {
         &self.config
     }
 
+    /// The source spec this loader serves.
+    pub(crate) fn spec(&self) -> &SourceSpec {
+        &self.spec
+    }
+
     /// Buffered sample count.
     pub fn buffered(&self) -> usize {
         self.buffer.len()
@@ -313,26 +290,35 @@ impl SourceLoader {
     /// In data-parallel sharding, shard `s` of `k` produces ordinals
     /// `s, s+k, s+2k, ...` of the logical source stream.
     pub fn refill(&mut self, target: usize) -> Result<u64, StorageError> {
+        self.refill_charged(target).map(|(spent_ns, _)| spent_ns)
+    }
+
+    /// [`SourceLoader::refill`], returning the virtual time spent and
+    /// the share of it that the pipeline's head accounts for: what the
+    /// refill would cost if the tail ran at the Data Constructor instead
+    /// (Sec 6.2).
+    pub(crate) fn refill_charged(&mut self, target: usize) -> Result<(u64, u64), StorageError> {
         let target = target.min(self.config.buffer_capacity);
-        let mut spent_ns = 0u64;
+        let (mut spent_ns, mut head_ns) = (0u64, 0u64);
         while self.buffer.len() < target {
-            let Some((entry, cost_ns)) = self.admit_one()? else {
+            let Some((entry, spent, head)) = self.admit_one()? else {
                 break; // Source exhausted.
             };
-            spent_ns += cost_ns;
+            spent_ns += spent;
+            head_ns += head;
             self.buffer.push_back(entry);
             self.pending += 1;
         }
-        Ok(spent_ns)
+        Ok((spent_ns, head_ns))
     }
 
     /// Admits the next sample of this shard's deterministic stream as a
     /// pending entry, advancing the cursor and accounting transform cost.
-    /// Returns the entry plus the amortized virtual time spent, or `None`
-    /// when a stored source is exhausted. The caller decides whether the
-    /// entry enters the buffer (refill) or is discarded (directive
-    /// replay).
-    fn admit_one(&mut self) -> Result<Option<(Buffered, u64)>, StorageError> {
+    /// Returns the entry plus the amortized virtual time spent on the
+    /// whole pipeline and on its head alone, or `None` when a stored
+    /// source is exhausted. The caller decides whether the entry enters
+    /// the buffer (refill) or is dropped (directive replay).
+    fn admit_one(&mut self) -> Result<Option<(Buffered, u64, u64)>, StorageError> {
         let ordinal = self.cursor * u64::from(self.config.shards) + u64::from(self.config.shard);
         let sample_id = self.make_id(self.cursor);
         let (meta, row) = match &mut self.ingest {
@@ -373,18 +359,17 @@ impl SourceLoader {
             }
         };
         // Sample-level transformations happen inside the loader, charged
-        // in full here: the transfer-optimal head when the sample is
-        // materialized, the rest at pop (or, under transformation
-        // reordering, the pre-split head at materialization and the rest
-        // at the constructor, Sec 6.2).
+        // in full here: the transfer-optimal head runs when the sample is
+        // materialized, the rest at pop or at the constructor.
         let cost = self.pipeline.cost_ns(&meta);
         // Worker parallelism amortizes transform latency (Sec 5.1's
         // "Worker Parallel" scheme).
-        let spent_ns = cost / u64::from(self.config.workers.max(1));
+        let workers = u64::from(self.config.workers.max(1));
+        let (spent_ns, head_ns) = (cost / workers, self.head.cost_ns(&meta) / workers);
         self.transform_ns_total += cost;
         self.cursor += 1;
         self.samples_produced += 1;
-        Ok(Some((Buffered::Pending { meta, row }, spent_ns)))
+        Ok(Some((Buffered::Pending { meta, row }, spent_ns, head_ns)))
     }
 
     /// The sample `entry` holds, materialized if it was pending.
@@ -467,7 +452,7 @@ impl SourceLoader {
         let mut dropped = 0usize;
         while self.cursor < target_cursor {
             match self.admit_one() {
-                Ok(Some((entry, _))) => {
+                Ok(Some((entry, ..))) => {
                     if mine.contains(&entry.sample_id()) {
                         dropped += 1; // Already consumed pre-crash.
                     } else if self.buffer.len() < self.config.buffer_capacity {
@@ -616,35 +601,15 @@ impl SourceLoader {
         out
     }
 
-    /// Removes the samples a directive names exactly as
-    /// [`SourceLoader::pop`] does, but drops them unmaterialized and
-    /// untransformed: replay of samples already delivered before a
-    /// failure. Returns how many were removed.
-    pub fn discard(&mut self, ids: &[u64]) -> usize {
-        let mut removed = 0;
-        self.remove_named(ids, |_, _| removed += 1);
-        removed
-    }
-
     /// Moves the named samples, materialized but before the pop-time
-    /// tail, from the buffer to `out`: [`SourceLoader::pop`] without the
-    /// tail. The threaded runtime's loader groups pop this way and leave
-    /// the tail to the Data Constructor
-    /// ([`crate::constructor::TransformTails`]), a host popping several
-    /// loaders for one reply collecting them in one vector. How many it
-    /// took becomes the loader's lead.
+    /// tail, from the buffer to `out`, in directive order:
+    /// [`SourceLoader::pop`] without the tail. Both deployments take
+    /// samples this way and leave the tail to the Data Constructor
+    /// ([`crate::constructor::TransformTails`]), a loader group taking
+    /// from several loaders for one reply collecting them in one vector.
+    /// How many it took becomes the loader's lead.
     pub(crate) fn take_into(&mut self, ids: &[u64], out: &mut Vec<Sample>) {
         let before = out.len();
-        self.remove_named(ids, |loader, entry| {
-            out.push(loader.sample_of(entry));
-        });
-        self.lead = out.len() - before;
-    }
-
-    /// Removes the named entries from the buffer and hands each, as
-    /// buffered, to `each`, in directive order: the one removal behind
-    /// [`SourceLoader::take_into`] and [`SourceLoader::discard`].
-    fn remove_named(&mut self, ids: &[u64], mut each: impl FnMut(&mut Self, Buffered)) {
         // A plan usually names the front of the buffer in buffer order:
         // that run pops straight off.
         let mut rest = ids;
@@ -654,35 +619,42 @@ impl SourceLoader {
             }
             if let Some(entry) = self.buffer.pop_front() {
                 self.pending -= usize::from(entry.is_pending());
-                each(self, entry);
+                out.push(self.sample_of(entry));
             }
             rest = tail;
         }
-        if rest.is_empty() {
-            return;
-        }
-        // Anything else (out of order, unknown, repeated) takes one pass
-        // over the buffer against an index of the remaining directive:
-        // each id's first position in it, searchable by id.
-        let mut wanted: Vec<(u64, usize)> = rest.iter().copied().zip(0..).collect();
-        wanted.sort_unstable();
-        wanted.dedup_by_key(|(id, _)| *id);
-        // A named entry leaves as a refcount-sharing clone whose original
-        // `retain` then drops; the survivors keep their order.
-        let mut slots: Vec<Option<Buffered>> = rest.iter().map(|_| None).collect();
-        self.buffer.retain(|entry| {
-            match wanted.binary_search_by_key(&entry.sample_id(), |(id, _)| *id) {
-                Ok(hit) if slots[wanted[hit].1].is_none() => {
-                    slots[wanted[hit].1] = Some(entry.clone());
-                    false
+        if !rest.is_empty() {
+            // Anything else (out of order, unknown, repeated) takes one
+            // pass over the buffer against an index of the remaining
+            // directive: each id's first position in it, searchable by id.
+            let mut wanted: Vec<(u64, usize)> = rest.iter().copied().zip(0..).collect();
+            wanted.sort_unstable();
+            wanted.dedup_by_key(|(id, _)| *id);
+            // A named entry leaves as a refcount-sharing clone whose
+            // original `retain` then drops; the survivors keep their order.
+            let mut slots: Vec<Option<Buffered>> = rest.iter().map(|_| None).collect();
+            self.buffer.retain(|entry| {
+                match wanted.binary_search_by_key(&entry.sample_id(), |(id, _)| *id) {
+                    Ok(hit) if slots[wanted[hit].1].is_none() => {
+                        slots[wanted[hit].1] = Some(entry.clone());
+                        false
+                    }
+                    _ => true,
                 }
-                _ => true,
+            });
+            for entry in slots.into_iter().flatten() {
+                self.pending -= usize::from(entry.is_pending());
+                out.push(self.sample_of(entry));
             }
-        });
-        for entry in slots.into_iter().flatten() {
-            self.pending -= usize::from(entry.is_pending());
-            each(self, entry);
         }
+        self.lead = out.len() - before;
+    }
+
+    /// The modeled cost of running the pop-time tail on `meta`, a sample
+    /// as [`SourceLoader::take_into`] leaves it, with this source's own
+    /// cost scale.
+    pub(crate) fn tail_cost_ns(&self, meta: &SampleMeta) -> u64 {
+        self.tail.cost_ns(meta)
     }
 
     /// Resident memory: one per-source access state + materialized
@@ -933,20 +905,16 @@ mod tests {
                 .iter()
                 .find(|s| s.modality == modality)
                 .expect("navit_like has every modality");
-            let reordered = Some(spec.pipeline().min_transfer_index());
-            for split in [None, reordered] {
-                let mut l = SourceLoader::synthetic(spec.clone(), LoaderConfig::solo(0), 6);
-                l.set_transform_split(split);
-                l.refill(8).unwrap();
-                assert_eq!(l.pending, 8);
-                let pending = l.summary();
-                assert_eq!(l.materialize(usize::MAX), 8);
-                assert_eq!(l.pending, 0);
-                assert_eq!(l.summary(), pending, "{modality:?} split {split:?}");
-                let popped = l.pop(&ids(&pending));
-                let metas: Vec<SampleMeta> = popped.iter().map(|s| s.meta).collect();
-                assert_eq!(metas, *pending.samples, "{modality:?} split {split:?}");
-            }
+            let mut l = SourceLoader::synthetic(spec.clone(), LoaderConfig::solo(0), 6);
+            l.refill(8).unwrap();
+            assert_eq!(l.pending, 8);
+            let pending = l.summary();
+            assert_eq!(l.materialize(usize::MAX), 8);
+            assert_eq!(l.pending, 0);
+            assert_eq!(l.summary(), pending, "{modality:?}");
+            let popped = l.pop(&ids(&pending));
+            let metas: Vec<SampleMeta> = popped.iter().map(|s| s.meta).collect();
+            assert_eq!(metas, *pending.samples, "{modality:?}");
         }
     }
 
@@ -1048,23 +1016,6 @@ mod tests {
             }
             assert_eq!(taking.summary(), popping.summary());
         }
-    }
-
-    #[test]
-    fn discard_leaves_the_buffer_as_pop_does_without_transforming() {
-        let mut popping = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), 8);
-        let mut discarding = SourceLoader::synthetic(spec(), LoaderConfig::solo(0), 8);
-        popping.refill(16).unwrap();
-        discarding.refill(16).unwrap();
-        let ids: Vec<u64> = popping.summary().samples[3..9]
-            .iter()
-            .map(|m| m.sample_id)
-            .collect();
-        assert_eq!(popping.pop(&ids).len(), discarding.discard(&ids));
-        assert_eq!(popping.summary(), discarding.summary());
-        // The image source's decode ran for the pop only.
-        assert!(popping.scratch.capacity() > 0);
-        assert_eq!(discarding.scratch.capacity(), 0);
     }
 
     #[test]
@@ -1287,10 +1238,10 @@ mod tests {
         let one_open_one_read = reference.io_ns();
 
         let mut l = SourceLoader::stored(spec, LoaderConfig::solo(0), store, manifest.path, 1);
-        l.set_transform_split(Some(0)); // Keep the stored bytes as they are.
         l.refill(group_rows).unwrap();
         assert_eq!(l.io_ns_total, one_open_one_read);
-        // Every payload is still a slice of the one decoded block.
+        // The image head is empty, so a drained sample keeps its stored
+        // bytes: every payload is still a slice of the one decoded block.
         let rows = l.drain();
         assert_eq!(rows.len(), group_rows);
         for row in &rows {

@@ -11,14 +11,18 @@
 //! 4. the Planner gathers buffer metadata and synthesizes a plan,
 //! 5. loaders pop planned samples, constructors assemble and deliver.
 //!
+//! It follows the threaded runtime's two rules: loaders pop raw and the
+//! transform tails run at the constructors (Sec 6.2), and a restarted
+//! loader replays the plans since its last checkpoint (Sec 6.1).
+//!
 //! Each step reports what it did — the plan, the buffer metadata it was
 //! planned from, the planner's measured compute, shipped bytes and the
-//! transform-cost estimates of loader refills and deferred tails. The
+//! transform-cost estimates of loader refills and transform tails. The
 //! evaluation benches turn those into projected times with the cost model
 //! in `msd_bench::model`. A threaded actor deployment of the same
 //! components lives in [`crate::system::runtime`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use msd_data::Catalog;
 use msd_mesh::{ClientPlaceTree, DeviceMesh};
@@ -26,12 +30,14 @@ use msd_sim::SimRng;
 
 use crate::autoscale::{expand_configs, partition_sources, ClusterResources, PartitionOpts};
 use crate::buffer::BufferInfo;
-use crate::constructor::{ConstructedBatch, DataConstructor};
+use crate::constructor::{ConstructedBatch, DataConstructor, TransformTails};
 use crate::dgraph::DGraphError;
-use crate::fault::ShadowedLoader;
+use crate::fault::FailoverReport;
+use crate::loader::{LoaderCheckpoint, SourceLoader};
 use crate::plan::LoadingPlan;
 use crate::planner::{PhaseBreakdown, Planner, PlannerConfig, Strategy};
 use crate::system::core::PipelineCore;
+use crate::window::Window;
 
 pub mod chaos;
 pub mod controller;
@@ -65,6 +71,11 @@ pub struct MsdConfig {
     pub seed: u64,
 }
 
+/// Plans between two loader checkpoints of a [`MegaScaleData`]: loaders
+/// checkpoint less often than the planner plans, and a restart replays
+/// the plans since (Sec 6.1's differential checkpointing).
+const CHECKPOINT_INTERVAL: usize = 4;
+
 /// Output of one pipeline step.
 #[derive(Debug, Clone)]
 pub struct StepOutput {
@@ -74,19 +85,23 @@ pub struct StepOutput {
     pub phases: PhaseBreakdown,
     /// Constructed batches, one per bucket.
     pub batches: Vec<ConstructedBatch>,
-    /// Metadata of every sample the plan consumed (keyed by sample id).
+    /// Settled metadata of every sample the plan consumed (keyed by
+    /// sample id): what the constructors assembled.
     pub metas: HashMap<u64, msd_data::SampleMeta>,
     /// The buffer metadata the plan was synthesized from.
     pub info: BufferInfo,
     /// Slowest loader's refill time this step (virtual ns, from the
-    /// transform-cost estimate).
+    /// transform-cost estimate of each sample's whole pipeline).
     pub loader_ns: u64,
-    /// Slowest bucket's deferred transform tail this step (virtual ns,
-    /// from the transform-cost estimate; 0 without transformation
-    /// reordering).
+    /// Slowest loader's refill time this step charged for its
+    /// pipelines' heads alone (virtual ns): its refill if the tails ran
+    /// at the constructors instead.
+    pub head_ns: u64,
+    /// Slowest bucket's transform tails this step (virtual ns, from the
+    /// transform-cost estimate).
     pub tail_ns: u64,
-    /// Payload bytes shipped loader → constructor this step (what
-    /// transformation reordering shrinks).
+    /// Payload bytes shipped loader → constructor this step: every
+    /// sample as its pipeline's head left it, before the tail.
     pub ship_bytes: u64,
 }
 
@@ -94,17 +109,20 @@ pub struct StepOutput {
 pub struct MegaScaleData {
     /// Static configuration.
     pub config: MsdConfig,
-    loaders: Vec<ShadowedLoader>,
+    loaders: Vec<SourceLoader>,
     core: PipelineCore,
     constructors: Vec<DataConstructor>,
-    transform_reorder: bool,
-    /// Working buffers for the constructor-side deferred transform tails.
-    tail_scratch: msd_data::TransformScratch,
+    tails: TransformTails,
+    /// Each loader's checkpoint, taken every [`CHECKPOINT_INTERVAL`]
+    /// plans.
+    checkpoints: Vec<LoaderCheckpoint>,
+    /// The directives of every plan issued since `checkpoints`.
+    plan_log: Vec<BTreeMap<u32, Window<u64>>>,
 }
 
 impl MegaScaleData {
-    /// Builds the deployment: runs auto-partitioning, instantiates loaders
-    /// (with shadows), the planner, and one constructor per bucket.
+    /// Builds the deployment: runs auto-partitioning, instantiates loaders,
+    /// the planner, and one constructor per bucket.
     pub fn new(config: MsdConfig) -> Self {
         let mut rng = SimRng::seed(config.seed);
         let setups = partition_sources(
@@ -114,7 +132,7 @@ impl MegaScaleData {
             &mut rng,
         );
         let configs = expand_configs(&setups, config.buffer_capacity);
-        let loaders: Vec<ShadowedLoader> = configs
+        let loaders = configs
             .into_iter()
             .map(|(src, cfg)| {
                 let spec = config
@@ -123,7 +141,7 @@ impl MegaScaleData {
                     .expect("setup sources come from the catalog")
                     .clone();
                 let seed = config.seed ^ (u64::from(cfg.loader_id) << 16);
-                ShadowedLoader::new(spec, cfg, seed, 4)
+                SourceLoader::synthetic(spec, cfg, seed)
             })
             .collect();
         let tree = ClientPlaceTree::from_device_mesh(&config.mesh);
@@ -131,22 +149,11 @@ impl MegaScaleData {
         let planner = Planner::new(
             config.planner.clone(),
             config.strategy.clone(),
-            tree.clone(),
+            tree,
             sources,
             config.seed ^ 0xBEEF,
         );
-        let buckets = tree.bucket_count(config.planner.axis, config.planner.group_size);
-        let constructors = (0..buckets)
-            .map(|_| DataConstructor::new(config.mesh.clone(), config.max_seq_len))
-            .collect();
-        MegaScaleData {
-            config,
-            loaders,
-            core: PipelineCore::new(planner),
-            constructors,
-            transform_reorder: false,
-            tail_scratch: msd_data::TransformScratch::default(),
-        }
+        Self::assembled(config, planner, loaders)
     }
 
     /// Builds a deployment from explicit loader sources and a pre-built
@@ -164,8 +171,14 @@ impl MegaScaleData {
     ) -> Self {
         let loaders = sources
             .into_iter()
-            .map(|(spec, cfg)| ShadowedLoader::new(spec, cfg, config.seed, 4))
+            .map(|(spec, cfg)| SourceLoader::synthetic(spec, cfg, config.seed))
             .collect();
+        Self::assembled(config, planner, loaders)
+    }
+
+    /// The deployment around `planner` and `loaders`, one constructor per
+    /// bucket, every loader checkpointed at version 0.
+    fn assembled(config: MsdConfig, planner: Planner, loaders: Vec<SourceLoader>) -> Self {
         let buckets = planner
             .tree()
             .bucket_count(planner.config.axis, planner.config.group_size);
@@ -174,11 +187,12 @@ impl MegaScaleData {
             .collect();
         MegaScaleData {
             config,
+            checkpoints: loaders.iter().map(|l| l.checkpoint(0)).collect(),
             loaders,
             core: PipelineCore::new(planner),
             constructors,
-            transform_reorder: false,
-            tail_scratch: msd_data::TransformScratch::default(),
+            tails: TransformTails::default(),
+            plan_log: Vec::new(),
         }
     }
 
@@ -193,32 +207,6 @@ impl MegaScaleData {
         self.core.replayed_steps
     }
 
-    /// Enables Sec 6.2's transformation reordering: each loader applies
-    /// only the transfer-optimal prefix of its pipeline (raw JPEG stays
-    /// encoded, video keeps only keyframes) and the Data Constructor runs
-    /// the deferred tail after the pop — shrinking loader → constructor
-    /// traffic at the cost of constructor-side CPU.
-    pub fn enable_transform_reordering(&mut self) {
-        self.transform_reorder = true;
-        for l in &mut self.loaders {
-            let idx = {
-                let loader = l.primary();
-                let spec = self
-                    .config
-                    .catalog
-                    .get(loader.source())
-                    .expect("loader sources come from the catalog");
-                spec.pipeline().min_transfer_index()
-            };
-            l.primary().set_transform_split(Some(idx));
-        }
-    }
-
-    /// Whether transformation reordering is active.
-    pub fn transform_reordering(&self) -> bool {
-        self.transform_reorder
-    }
-
     /// Number of loader actors.
     pub fn loader_count(&self) -> usize {
         self.loaders.len()
@@ -229,9 +217,28 @@ impl MegaScaleData {
         self.core.planner()
     }
 
-    /// Access to a loader (fault-injection hooks in tests).
-    pub fn loader(&mut self, idx: usize) -> &mut ShadowedLoader {
-        &mut self.loaders[idx]
+    /// Restarts loader `idx` as after a crash: restores its last
+    /// checkpoint and replays the directives of every plan issued since,
+    /// so the samples they delivered never resurface (Sec 6.1). The
+    /// threaded runtime restores a loader the same way from the GCS.
+    pub fn restart_loader(&mut self, idx: usize) -> FailoverReport {
+        let checkpoint = &self.checkpoints[idx];
+        let failed = &self.loaders[idx];
+        let mut loader =
+            SourceLoader::restore(failed.spec().clone(), failed.config().clone(), checkpoint);
+        let replayed_samples = self
+            .plan_log
+            .iter()
+            .filter_map(|directives| directives.get(&checkpoint.loader_id))
+            .map(|ids| loader.replay_directives(ids))
+            .sum();
+        self.loaders[idx] = loader;
+        FailoverReport {
+            loader_id: checkpoint.loader_id,
+            restored_version: checkpoint.version,
+            replayed_plans: self.plan_log.len(),
+            replayed_samples,
+        }
     }
 
     /// Executes one full pipeline step.
@@ -239,65 +246,64 @@ impl MegaScaleData {
         // Loaders refill their buffers (prefetch).
         let per_loader_target =
             (self.config.planner.samples_per_step / self.loaders.len().max(1)).max(4) * 2;
-        let mut loader_ns = 0u64;
-        for l in &mut self.loaders {
-            let spent = l
-                .primary()
-                .refill(per_loader_target)
+        let (mut loader_ns, mut head_ns) = (0u64, 0u64);
+        for loader in &mut self.loaders {
+            let (spent, head) = loader
+                .refill_charged(per_loader_target)
                 .expect("synthetic/stored refill");
             loader_ns = loader_ns.max(spent);
+            head_ns = head_ns.max(head);
         }
 
         // Planner gathers summaries and synthesizes the plan (via the
         // shared core, so replay adoption works identically to the
         // threaded deployment).
-        let info = BufferInfo::new(
-            self.loaders
-                .iter_mut()
-                .map(|l| l.primary().summary())
-                .collect(),
-        );
+        let info = BufferInfo::new(self.loaders.iter().map(SourceLoader::summary).collect());
         let outcome = self.core.synthesize(&info)?;
         let (plan, phases) = (outcome.plan, outcome.phases);
 
-        // Loaders pop planned samples. Shipped bytes are measured here —
-        // post-pop, pre-deferred-tail — because this is the payload that
-        // actually crosses the loader → constructor link.
+        // Loaders pop raw, as the runtime's loader groups do: shipped
+        // bytes are what crosses the loader → constructor link, each
+        // sample before its pipeline's tail.
         let mut popped = HashMap::new();
-        let mut ship_bytes = 0u64;
-        let mut tails: HashMap<msd_data::SourceId, msd_data::TransformPipeline> = HashMap::new();
-        for l in &mut self.loaders {
-            let loader = l.primary();
+        let mut tail_costs = HashMap::new();
+        let mut taken = Vec::new();
+        for loader in &mut self.loaders {
             if let Some(ids) = plan.directives.get(&loader.id()) {
-                for s in loader.pop(ids) {
-                    ship_bytes += s.payload.len() as u64;
+                loader.take_into(ids, &mut taken);
+                for s in taken.drain(..) {
+                    tail_costs.insert(s.meta.sample_id, loader.tail_cost_ns(&s.meta));
                     popped.insert(s.meta.sample_id, s);
                 }
             }
-            if let Some(tail) = loader.deferred_pipeline() {
-                tails.entry(loader.source()).or_insert_with(|| tail.clone());
-            }
-            l.after_plan(&plan);
+        }
+        let ship_bytes = popped.values().map(|s| s.payload.len() as u64).sum();
+
+        // Differential checkpointing (Sec 6.1): log the plan for replay,
+        // and checkpoint every loader once the log is a full interval.
+        self.plan_log.push(plan.directives.clone());
+        if self.plan_log.len() >= CHECKPOINT_INTERVAL {
+            self.checkpoints = self
+                .loaders
+                .iter()
+                .map(|l| l.checkpoint(plan.step))
+                .collect();
+            self.plan_log.clear();
         }
 
-        // Deferred transforms run at the constructor (transformation
-        // reordering, Sec 6.2): report the slowest bucket's tail cost.
-        let mut tail_ns = 0u64;
-        if self.transform_reorder && !tails.is_empty() {
-            let mut per_bucket_tail = vec![0u64; plan.buckets.len()];
-            for (b, bp) in plan.buckets.iter().enumerate() {
-                for bin in &bp.bins {
-                    for id in &bin.samples {
-                        if let Some(s) = popped.get_mut(id) {
-                            if let Some(tail) = tails.get(&s.meta.source) {
-                                per_bucket_tail[b] += tail.cost_ns(&s.meta);
-                                tail.apply_with(s, &mut self.tail_scratch);
-                            }
-                        }
-                    }
-                }
-            }
-            tail_ns = per_bucket_tail.into_iter().max().unwrap_or(0);
+        // The tails run at the constructors (transformation reordering,
+        // Sec 6.2): report the slowest bucket's, then settle and assemble.
+        let tail_ns = plan
+            .buckets
+            .iter()
+            .map(|bp| {
+                let ids = bp.bins.iter().flat_map(|bin| bin.samples.iter());
+                ids.filter_map(|id| tail_costs.get(id)).sum::<u64>()
+            })
+            .max()
+            .unwrap_or(0);
+        for sample in popped.values_mut() {
+            self.tails.settle(sample);
         }
         let batches = PipelineCore::assemble(&self.constructors, &plan, &popped);
         let metas = popped.iter().map(|(id, s)| (*id, s.meta)).collect();
@@ -308,6 +314,7 @@ impl MegaScaleData {
             metas,
             info,
             loader_ns,
+            head_ns,
             tail_ns,
             ship_bytes,
         })
@@ -401,36 +408,31 @@ mod tests {
 
     #[test]
     fn transform_reordering_shrinks_shipped_bytes() {
-        // Image-heavy catalog: deferring decode past the pop keeps payloads
-        // JPEG-sized on the loader → constructor link.
-        let mut baseline = MegaScaleData::new(config());
-        let mut reordered = MegaScaleData::new(config());
-        reordered.enable_transform_reordering();
-        assert!(reordered.transform_reordering());
-
-        let b = baseline.step().unwrap();
-        let r = reordered.step().unwrap();
-        assert_eq!(b.plan.all_samples().len(), r.plan.all_samples().len());
+        // Image-heavy catalog: loaders ship samples before their tails,
+        // so decoded payloads never cross the loader → constructor link.
+        let mut msd = MegaScaleData::new(config());
+        let out = msd.step().unwrap();
+        let settled: u64 = out.metas.values().map(|m| m.raw_bytes).sum();
         assert!(
-            r.ship_bytes * 2 < b.ship_bytes,
-            "reordered {} vs baseline {}",
-            r.ship_bytes,
-            b.ship_bytes
+            out.ship_bytes * 2 < settled,
+            "shipped {} vs settled {settled}",
+            out.ship_bytes
         );
-        // The deferred tail shows up as constructor-side work.
-        assert!(r.tail_ns > b.tail_ns);
-        // Deliveries still carry decoded payloads: the constructed batches'
-        // payload bytes match between the two pipelines.
-        let payload = |out: &StepOutput| -> u64 {
-            out.batches
-                .iter()
-                .flat_map(|b| &b.microbatches)
-                .map(|m| m.payload_bytes)
-                .sum()
-        };
-        // Same plan → same samples; decoded sizes are deterministic.
-        assert_eq!(b.plan.all_samples(), r.plan.all_samples());
-        assert_eq!(payload(&b), payload(&r));
+        // The tails show up as constructor-side work.
+        assert!(out.tail_ns > 0);
+        // Deliveries still carry decoded payloads, byte for byte what a
+        // loader-side tail delivers.
+        let payload: u64 = out
+            .batches
+            .iter()
+            .flat_map(|b| &b.microbatches)
+            .map(|m| m.payload_bytes)
+            .sum();
+        assert_eq!(payload, settled);
+        assert_eq!(
+            payload, 3_145_728,
+            "the loader-side pipeline delivered this"
+        );
     }
 
     #[test]
@@ -439,11 +441,8 @@ mod tests {
         for _ in 0..3 {
             msd.step().unwrap();
         }
-        // Kill loader 0 and promote its shadow from its replay delta.
-        msd.loader(0).kill_primary();
-        let report = msd
-            .loader(0)
-            .promote_shadow(crate::fault::FailureSignal::RpcTimeout);
+        // Restart loader 0 from its checkpoint and the plans since.
+        let report = msd.restart_loader(0);
         assert!(report.replayed_plans > 0);
         // Pipeline continues.
         let out = msd.step().unwrap();

@@ -230,44 +230,35 @@ impl LoaderGroupActor {
 /// are replayed so already-delivered samples never resurface.
 fn restore_loader(slot: &LoaderSlot, seed: u64, gcs: &Gcs) -> SourceLoader {
     let (spec, config) = (slot.spec.clone(), slot.config.clone());
-    match gcs.get_state(&slot.key) {
-        Some(cp) => match crate::codec::decode_loader_checkpoint(&cp.data) {
-            Ok(parsed) => {
-                let mut loader = SourceLoader::restore(spec, config, &parsed);
-                surface_replay_gap(
-                    replay_plan_log(&mut loader, gcs, parsed.version, &slot.key),
-                    gcs,
-                );
-                loader
-            }
-            Err(e) => {
+    let checkpoint = gcs.get_state(&slot.key).and_then(|cp| {
+        crate::codec::decode_loader_checkpoint(&cp.data)
+            .map_err(|e| {
                 gcs.log_fault(
                     &slot.key,
                     format!(
                         "corrupt GCS checkpoint (v{}): {e}; \
-                             falling back to a fresh synthetic loader",
+                         falling back to a fresh synthetic loader",
                         cp.version
                     ),
                 );
-                // The fresh loader restarts the same deterministic
-                // stream from ordinal 0, so the plan log must be
-                // replayed from the beginning to drop every sample
-                // already delivered before the crash.
-                let mut loader = SourceLoader::synthetic(spec, config, seed);
-                surface_replay_gap(replay_plan_log(&mut loader, gcs, 0, &slot.key), gcs);
-                loader
-            }
-        },
-        None => {
-            // No checkpoint can also mean "crashed before the first
-            // checkpoint landed": the fresh loader restarts the same
-            // deterministic stream from ordinal 0, so any logged
-            // deliveries must still be replayed away.
-            let mut loader = SourceLoader::synthetic(spec, config, seed);
-            surface_replay_gap(replay_plan_log(&mut loader, gcs, 0, &slot.key), gcs);
-            loader
-        }
+            })
+            .ok()
+    });
+    let (mut loader, from_version) = match checkpoint {
+        Some(parsed) => (SourceLoader::restore(spec, config, &parsed), parsed.version),
+        // No readable checkpoint (or a crash before the first landed):
+        // the fresh loader restarts the same deterministic stream from
+        // ordinal 0, so the whole plan log is replayed.
+        None => (SourceLoader::synthetic(spec, config, seed), 0),
+    };
+    // An actor factory cannot itself fail: a replay gap lands on the GCS
+    // fault log under the runtime component, where supervisors and
+    // operators read it. The loader still starts — it serves fresh data —
+    // but the gap is loud instead of silent sample loss.
+    if let Err(e) = replay_plan_log(&mut loader, gcs, from_version, &slot.key) {
+        gcs.log_fault("runtime", format!("{e}"));
     }
+    loader
 }
 
 /// The retirement floor proven by the persisted frontier checkpoint:
@@ -347,17 +338,6 @@ fn replay_plan_log(
         }
     }
     Ok(())
-}
-
-/// Surfaces a replay gap from an actor factory (which cannot itself
-/// fail): the [`RuntimeError`] lands on the GCS fault log under the
-/// runtime component, where supervisors and operators read it. The
-/// loader still starts — it serves fresh data — but the gap is now loud
-/// instead of silent sample loss.
-fn surface_replay_gap(result: Result<(), RuntimeError>, gcs: &Gcs) {
-    if let Err(e) = result {
-        gcs.log_fault("runtime", format!("{e}"));
-    }
 }
 
 impl Actor for LoaderGroupActor {
@@ -1841,6 +1821,24 @@ impl ThreadedPipeline {
         let factory_config = opts.server;
         let factory_gcs = self.gcs.clone();
         let factory_hub = hub.clone();
+        // Reset the constructors before this session's server exists, so
+        // every pull it issues queues behind the resets: a reset sent
+        // later (from the driver thread) could clear the first parked
+        // pulls and leave the clients to wait out `pull_timeout`. The
+        // window empties first: a constructor that restarts after its
+        // `Reset` must rebuild from this session's steps, never from the
+        // previous session's.
+        let pre_encode = transport.serializes();
+        {
+            let mut window = self.fleet.window.lock();
+            window.pre_encode = pre_encode;
+            window.steps.clear();
+        }
+        for ctor in &self.fleet.constructors {
+            // A previous serve session may have left queued batches and
+            // parked pulls behind; serve-step numbering restarts at 0.
+            ctor.tell(ConstructorMsg::Reset { pre_encode });
+        }
         let name = format!("data-server/{}", self.servers.len());
         self.gcs.register(&name, "serving plane");
         // Supervised: a crashed (or chaos-killed) server actor restarts
@@ -1868,7 +1866,6 @@ impl ThreadedPipeline {
 
         self.servers.push(actor.clone());
 
-        let pre_encode = transport.serializes();
         let server = actor.clone();
         let handle = DataServerHandle::new(
             actor,
@@ -1886,8 +1883,7 @@ impl ThreadedPipeline {
         let driver = std::thread::Builder::new()
             .name("msd/serve-driver".to_string())
             .spawn(move || {
-                let served =
-                    run_serve_driver(fleet, opts, driver_stop, roster, pre_encode, driver_hub);
+                let served = run_serve_driver(fleet, opts, driver_stop, roster, driver_hub);
                 if served < opts.steps {
                     // Tell the clients, or each would wait out its own
                     // redial budget for steps that never come.
@@ -2069,7 +2065,6 @@ fn run_serve_driver(
     opts: ServeOptions,
     stop: Arc<AtomicBool>,
     roster: Vec<(u32, usize)>,
-    pre_encode: bool,
     hub: Arc<FrontierHub>,
 ) -> u64 {
     // Each constructor's rostered clients; only constructors with one
@@ -2077,19 +2072,6 @@ fn run_serve_driver(
     let mut clients_of: Vec<Vec<u32>> = vec![Vec::new(); fleet.constructors.len()];
     for (client, idx) in &roster {
         clients_of[*idx].push(*client);
-    }
-    // Empty the window *before* the resets go out: a constructor that
-    // restarts after its `Reset` must rebuild from this session's steps,
-    // never from the previous session's.
-    {
-        let mut window = fleet.window.lock();
-        window.pre_encode = pre_encode;
-        window.steps.clear();
-    }
-    for ctor in &fleet.constructors {
-        // A previous serve session may have left queued batches and
-        // parked pulls behind; serve-step numbering restarts at 0.
-        ctor.tell(ConstructorMsg::Reset { pre_encode });
     }
 
     // Plan-log retirement state: the planner's global step of this

@@ -1,4 +1,4 @@
-//! Fault tolerance: shadow-loader failover with differential checkpoints.
+//! Fault tolerance: loader restarts with differential checkpoints.
 //!
 //! ```text
 //! cargo run --example fault_tolerance
@@ -6,8 +6,8 @@
 //!
 //! Two demonstrations:
 //!
-//! 1. **Deterministic failover** — a Source Loader is killed mid-run; its
-//!    shadow restores the last (low-frequency) snapshot and replays the
+//! 1. **Deterministic failover** — a Source Loader is restarted mid-run:
+//!    it restores its last (low-frequency) checkpoint and replays the
 //!    plans executed since it to reach exactly the pre-failure stream
 //!    position.
 //! 2. **Threaded supervision** — the actor-deployed pipeline detects a
@@ -19,7 +19,7 @@ use std::time::Duration;
 use megascale_data::actor::RestartPolicy;
 use megascale_data::balance::BalanceMethod;
 use megascale_data::core::autoscale::{ClusterResources, PartitionOpts};
-use megascale_data::core::fault::{ettr, FailureSignal};
+use megascale_data::core::fault::ettr;
 use megascale_data::core::planner::{PlannerConfig, Strategy};
 use megascale_data::core::schedule::MixSchedule;
 use megascale_data::core::system::{MegaScaleData, MsdConfig};
@@ -62,7 +62,7 @@ fn main() {
         seed: 9,
     });
 
-    println!("== 1. shadow-loader failover ==");
+    println!("== 1. loader restart from a checkpoint ==");
     for step in 0..4 {
         let out = msd.step().expect("step");
         println!(
@@ -70,13 +70,12 @@ fn main() {
             out.plan.all_samples().len()
         );
     }
-    // Kill loader 0 (simulating an RPC timeout detection) and promote its
-    // shadow, which replays the plans since its last snapshot.
-    msd.loader(0).kill_primary();
-    println!("loader 0 killed; promoting shadow ...");
-    let report = msd.loader(0).promote_shadow(FailureSignal::RpcTimeout);
+    // Restart loader 0 as after a crash: it restores its last checkpoint
+    // and replays the plans issued since.
+    println!("loader 0 failed; restarting it ...");
+    let report = msd.restart_loader(0);
     println!(
-        "  restored snapshot v{} and replayed {} plans ({} samples re-materialized)",
+        "  restored checkpoint v{} and replayed {} plans ({} delivered samples dropped)",
         report.restored_version, report.replayed_plans, report.replayed_samples
     );
     let out = msd.step().expect("post-failover step");

@@ -72,7 +72,7 @@ fn main() {
             / costs.iter().cloned().fold(f64::MAX, f64::min);
         println!(
             "step {step}: {} samples -> {} buckets x {} microbatches, \
-             bucket imbalance {imbalance:.2}x, {} KiB shipped, planned in {} us",
+             bucket imbalance {imbalance:.2}x, {} KiB shipped raw, planned in {} us",
             out.plan.all_samples().len(),
             out.plan.buckets.len(),
             out.plan.microbatches(),

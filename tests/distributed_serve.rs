@@ -426,3 +426,39 @@ fn constructor_crash_under_a_parked_remote_pull_recovers_by_resubscribe() {
     );
     p.shutdown();
 }
+
+/// A session's constructor resets go out before its server exists, so
+/// no pull the server issues can queue ahead of them and be cleared. A
+/// cleared first pull shows as a client that waits out its whole
+/// `pull_timeout` for step 0; with the timeout far above a session's
+/// length, any such wait fails the bound. Each session races its
+/// clients' first pulls against the driver thread's start, so a few
+/// sessions run back to back.
+#[test]
+fn a_session_never_loses_its_first_pulls_to_its_own_reset() {
+    const SESSIONS: usize = 16;
+    let pull_timeout = Duration::from_secs(30);
+    let mut p = pipeline(61);
+    for s in 0..SESSIONS {
+        let start = Instant::now();
+        let mut session = p.serve(ServeOptions {
+            pull_timeout,
+            ..opts(2, 2)
+        });
+        let handles: Vec<_> = session
+            .take_clients()
+            .into_iter()
+            .map(|mut c| std::thread::spawn(move || while c.next().is_some() {}))
+            .collect();
+        for h in handles {
+            h.join().expect("client thread");
+        }
+        assert_eq!(session.join(), 2, "session {s} fell short");
+        let took = start.elapsed();
+        assert!(
+            took < pull_timeout / 3,
+            "session {s} took {took:?}: a first pull was lost and waited out the timeout"
+        );
+    }
+    p.shutdown();
+}

@@ -6,7 +6,6 @@ use std::time::Duration;
 use megascale_data::balance::BalanceMethod;
 use megascale_data::core::autoscale::{ClusterResources, PartitionOpts};
 use megascale_data::core::constructor::DataConstructor;
-use megascale_data::core::fault::FailureSignal;
 use megascale_data::core::loader::LoaderConfig;
 use megascale_data::core::planner::{Planner, PlannerConfig, Strategy};
 use megascale_data::core::schedule::MixSchedule;
@@ -68,15 +67,12 @@ fn failover_is_transparent_to_the_stream() {
     }
     let expected: Vec<u64> = reference.step().unwrap().plan.all_samples();
 
-    // Faulty run: loader 0 dies after step 3 and is recovered.
+    // Faulty run: loader 0 dies after step 3 and is restarted.
     let mut faulty = msd(42);
     for _ in 0..3 {
         faulty.step().unwrap();
     }
-    faulty.loader(0).kill_primary();
-    let report = faulty
-        .loader(0)
-        .promote_shadow(FailureSignal::IntegrityViolation);
+    let report = faulty.restart_loader(0);
     assert!(report.replayed_plans > 0);
     let recovered: Vec<u64> = faulty.step().unwrap().plan.all_samples();
     assert_eq!(expected, recovered, "failover must not perturb the stream");

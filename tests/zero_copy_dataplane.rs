@@ -260,10 +260,9 @@ fn clients_of_one_constructor_share_the_same_batch_allocation() {
 #[test]
 fn stored_payloads_reach_the_batch_without_a_single_copy() {
     // End to end: MSDCOL01 file bytes → range-read block → decoded row →
-    // loader buffer → pop → constructed batch, all one allocation. The
-    // loader's sample transforms are deferred past the pop
-    // (transformation reordering with an empty head) so nothing mutates
-    // the payload on the way.
+    // loader buffer → drain → constructed batch, all one allocation. The
+    // image pipeline's head is empty and a drained sample has not run its
+    // tail, so nothing mutates the payload on the way.
     let store = Arc::new(MemStore::new());
     let mut rng = SimRng::seed(9);
     let spec = catalog().sources()[0].clone();
@@ -277,7 +276,6 @@ fn stored_payloads_reach_the_batch_without_a_single_copy() {
         manifest.path.clone(),
         1,
     );
-    loader.set_transform_split(Some(0)); // Defer the whole pipeline.
     loader.refill(8).unwrap();
     let ids: Vec<u64> = loader
         .summary()
@@ -285,9 +283,9 @@ fn stored_payloads_reach_the_batch_without_a_single_copy() {
         .iter()
         .map(|m| m.sample_id)
         .collect();
-    let popped = loader.pop(&ids);
-    assert_eq!(popped.len(), 8);
-    for s in &popped {
+    let drained = loader.drain();
+    assert_eq!(drained.len(), 8);
+    for s in &drained {
         assert!(
             Bytes::ptr_eq(&s.payload, &file),
             "sample {} was copied out of the stored file buffer",
@@ -297,7 +295,7 @@ fn stored_payloads_reach_the_batch_without_a_single_copy() {
 
     // Constructing a batch still shares the file allocation.
     let constructor = DataConstructor::new(mesh(), 4096);
-    let samples: HashMap<u64, _> = popped.into_iter().map(|s| (s.meta.sample_id, s)).collect();
+    let samples: HashMap<u64, _> = drained.into_iter().map(|s| (s.meta.sample_id, s)).collect();
     let plan = megascale_data::core::plan::BucketPlan {
         bucket: 0,
         clients: vec![0],
