@@ -171,10 +171,13 @@ fi
 # codec stays at none and the serve plane's count only goes down; lower
 # a count when its sites become errors.
 #   codec.rs       0  every decoder returns a CodecError
-#   controller.rs  4, frontier.rs 2, runtime.rs 3, server.rs 3, tcp.rs 6
+#   tcp.rs         4  `TcpTransport::pair`'s self-connect, accept and two
+#                     endpoint wraps (the trait returns no Result); a
+#                     failed thread spawn is an `io::Error` from `wire_conn`
+#   controller.rs  4, frontier.rs 2, runtime.rs 3, server.rs 3
 #                     not yet audited
 echo "==> no new panic sites in crates/core/src/codec.rs and crates/core/src/system/"
-declare -A panic_sites=([codec.rs]=0 [controller.rs]=4 [frontier.rs]=2 [runtime.rs]=3 [server.rs]=3 [tcp.rs]=6)
+declare -A panic_sites=([codec.rs]=0 [controller.rs]=4 [frontier.rs]=2 [runtime.rs]=3 [server.rs]=3 [tcp.rs]=4)
 panic_bad=0
 for f in crates/core/src/codec.rs crates/core/src/system/*.rs; do
   name=$(basename "$f")

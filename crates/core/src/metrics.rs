@@ -333,6 +333,9 @@ impl StageSnapshot {
 pub struct MetricsSnapshot {
     /// Global buffer-pool counters (see [`crate::pool::PoolCounters`]).
     pub pool: crate::pool::PoolCounters,
+    /// Bytes the global buffer pool holds idle: pool slack, not payload
+    /// (see [`crate::pool::BufferPool::idle_bytes`]).
+    pub pool_idle_bytes: u64,
     /// Per-stage latency summaries, indexed like [`Stage::ALL`].
     pub stages: Vec<(&'static str, StageSnapshot)>,
     /// Planner actor mailbox depth at the last `stats()` sample.
@@ -365,6 +368,7 @@ pub fn snapshot() -> MetricsSnapshot {
     let r = registry();
     MetricsSnapshot {
         pool: crate::pool::global().counters(),
+        pool_idle_bytes: crate::pool::global().idle_bytes(),
         stages: Stage::ALL
             .iter()
             .map(|&s| {

@@ -38,15 +38,15 @@
 //! Three ways storage comes back:
 //! - **steal** — the lease's own sweep reclaimed a parked `Bytes` that
 //!   went unique;
-//! - **hit** — a buffer was waiting on the class free list (recycled,
-//!   or reclaimed by an earlier lease's sweep);
+//! - **hit** — a buffer was waiting on the free list (recycled, or
+//!   reclaimed by an earlier lease's sweep);
 //! - **miss** — nothing available; a fresh buffer is allocated.
 //!
 //! What the pool holds idle follows demand, not its peak: every
 //! `TRIM_INTERVAL` leases of a class, the free-listed buffers that no lease
 //! in that interval needed go back to the allocator. A burst — the serve
 //! driver running `queue_depth` steps ahead of a stalled client, say —
-//! would otherwise pin its peak in multi-megabyte frame buffers forever.
+//! would otherwise pin its peak forever.
 //! Some demand cycles slower than that: a serve window hands its raw
 //! samples back a retired step at a time, out of step with the loaders
 //! leasing new ones, so an interval can miss the cycle's peak and shed
@@ -55,11 +55,24 @@
 //! `SLOW_TRIM_INTERVAL` leases from then on, long enough to see the
 //! whole cycle.
 //!
-//! Buffers larger than the biggest size class fall through to plain
-//! allocation (counted as misses) and are never pooled, so exhaustion
-//! or odd sizes degrade to exactly the pre-pool behavior — no blocking,
-//! no deadlock. All internal locks are short push/pop critical
-//! sections on per-class free lists.
+//! Leases above 1 MiB (`LARGE_LEASE_BYTES`) — TCP frame bodies, stored
+//! row groups — skip the size classes. Their shapes repeat only
+//! roughly (an `image_tcp` frame is about 3.0 MiB, a few percent either
+//! way), so a power-of-two class would hand each a 4 MiB buffer, and a
+//! class keeps what its trim interval saw at once: the burst's peak, in
+//! frame buffers. One list serves them instead, best fit: a lease takes
+//! the smallest idle buffer that fits, and a miss allocates the request
+//! plus a sixteenth. Every lease reclaims whatever of the list went
+//! unique, and the list then keeps at most one idle buffer, the largest,
+//! which fits any frame seen so far; a dropped lease that finds one
+//! keeps the larger of the two. So the list holds the frames in flight
+//! plus one, not its peak.
+//!
+//! Requests above `max_class_bytes` fall through to plain allocation
+//! (counted as misses) and are never pooled, so exhaustion or odd sizes
+//! degrade to exactly the pre-pool behavior — no blocking, no deadlock.
+//! All internal locks are short push/pop critical sections on per-class
+//! free lists and the large list.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -73,13 +86,17 @@ use crate::metrics::Counter;
 pub struct PoolConfig {
     /// Smallest size class in bytes (requests below it round up).
     pub min_class_bytes: usize,
-    /// Largest size class in bytes (requests above it bypass the pool).
+    /// Largest lease the pool serves, in bytes (requests above it bypass
+    /// the pool). Leases above 1 MiB come from the large list, the rest
+    /// from the power-of-two classes.
     pub max_class_bytes: usize,
     /// Cap on idle buffers a dropped, never-frozen [`PooledBuf`] may
     /// join per class; overflow is dropped (counted as a resize) so the
-    /// pool cannot hoard memory.
+    /// pool cannot hoard memory. The large list keeps at most one idle
+    /// buffer, none when this is 0.
     pub max_free_per_class: usize,
-    /// Cap on parked frozen handles per class awaiting reclaim. It must
+    /// Cap on parked frozen handles per class (and on the large list)
+    /// awaiting reclaim. It must
     /// cover the frozen buffers that are alive at once (a loader fleet's
     /// buffered raw samples): a buffer frozen past the cap is never
     /// reclaimed, so its class pays a fresh allocation for it later.
@@ -106,6 +123,18 @@ const SLOW_TRIM_INTERVAL: u32 = TRIM_INTERVAL << 8;
 
 /// Parked buffers one lease sweeps, oldest first.
 const SWEEP_STEP: usize = 8;
+
+/// Leases above this many bytes come from the large list, not a class.
+const LARGE_LEASE_BYTES: usize = 1 << 20;
+
+/// Where a lease is served from, or a returned buffer kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Home {
+    /// The power-of-two size class of this index.
+    Class(usize),
+    /// The large list.
+    Large,
+}
 
 /// One power-of-two size class: recycled buffers ready to hand out, plus
 /// frozen handles parked until their consumers drop.
@@ -154,6 +183,66 @@ struct FreeList {
     /// Whether that happened: the class trims every
     /// [`SLOW_TRIM_INTERVAL`] leases instead of [`TRIM_INTERVAL`].
     slow: bool,
+}
+
+/// Leases above [`LARGE_LEASE_BYTES`], served best fit from one list.
+#[derive(Debug, Default)]
+struct LargeList {
+    /// Idle buffers: at most one once a lease or a return has sorted
+    /// them.
+    free: Vec<BytesMut>,
+    /// Frozen handles with their buffers' capacities, in freeze order.
+    parked: VecDeque<(Bytes, usize)>,
+}
+
+impl LargeList {
+    /// Serves a lease of `capacity` bytes: reclaims every parked buffer
+    /// whose views have all dropped (a few frames are in flight, not
+    /// thousands) and takes the smallest idle buffer that fits. Returns
+    /// it, if one fits, and whether the reclaim found any.
+    fn take(&mut self, capacity: usize) -> (Option<BytesMut>, bool) {
+        let before = self.free.len();
+        for _ in 0..self.parked.len() {
+            let Some((oldest, cap)) = self.parked.pop_front() else {
+                break;
+            };
+            match oldest.try_into_mut() {
+                Ok(mut buf) => {
+                    buf.clear();
+                    self.free.push(buf);
+                }
+                Err(viewed) => self.parked.push_back((viewed, cap)),
+            }
+        }
+        let stolen = self.free.len() > before;
+        let fit = (0..self.free.len())
+            .filter(|&i| self.free[i].capacity() >= capacity)
+            .min_by_key(|&i| self.free[i].capacity());
+        (fit.map(|i| self.free.swap_remove(i)), stolen)
+    }
+
+    /// Frees every idle buffer but the largest (all of them when `keep`
+    /// is 0) and returns how many it freed. Freeing a few frame buffers
+    /// under the lock is cheap next to the frames' own transfer.
+    fn shed_surplus(&mut self, keep: usize) -> usize {
+        let surplus = self.free.len().saturating_sub(keep);
+        if surplus > 0 {
+            if let Some(largest) = (0..self.free.len()).max_by_key(|&i| self.free[i].capacity()) {
+                self.free.swap(0, largest);
+            }
+            self.free.truncate(keep);
+        }
+        surplus
+    }
+
+    /// Idle buffers and their bytes: free-listed ones plus parked ones
+    /// no view holds any more.
+    fn idle(&self) -> (usize, u64) {
+        let free = self.free.iter().map(BytesMut::capacity);
+        let parked = self.parked.iter().filter(|(b, _)| b.is_unique());
+        free.chain(parked.map(|&(_, cap)| cap))
+            .fold((0, 0), |(n, bytes), cap| (n + 1, bytes + cap as u64))
+    }
 }
 
 /// Traffic counters for one pool (all monotone; snapshot via
@@ -220,12 +309,14 @@ impl PoolCounters {
 pub struct BufferPool {
     config: PoolConfig,
     classes: Vec<SizeClass>,
+    large: Mutex<LargeList>,
     counters: CounterSet,
 }
 
 impl BufferPool {
     /// Creates a pool with the given knobs (class sizes are the powers
-    /// of two from `min_class_bytes` to `max_class_bytes` inclusive).
+    /// of two from `min_class_bytes` to 1 MiB inclusive; the large list
+    /// serves the rest up to `max_class_bytes`).
     pub fn new(config: PoolConfig) -> Self {
         let min = config.min_class_bytes.next_power_of_two().max(1);
         let max = config.max_class_bytes.next_power_of_two().max(min);
@@ -234,11 +325,13 @@ impl BufferPool {
             max_class_bytes: max,
             ..config
         };
-        let count = (max.trailing_zeros() - min.trailing_zeros()) as usize + 1;
+        let top = max.min(LARGE_LEASE_BYTES).max(min);
+        let count = (top.trailing_zeros() - min.trailing_zeros()) as usize + 1;
         let classes = (0..count).map(|_| SizeClass::default()).collect();
         BufferPool {
             config,
             classes,
+            large: Mutex::default(),
             counters: CounterSet::default(),
         }
     }
@@ -249,33 +342,47 @@ impl BufferPool {
         self.config
     }
 
-    /// Size class that serves a lease of `capacity` bytes (the smallest
-    /// class at least that large), or `None` when the request is bigger
-    /// than every class and must bypass the pool.
-    fn request_class(&self, capacity: usize) -> Option<usize> {
+    /// Where a lease of `capacity` bytes is served: the smallest class at
+    /// least that large, or the large list above the biggest class;
+    /// `None` when the request is bigger than `max_class_bytes` and must
+    /// bypass the pool.
+    fn request_home(&self, capacity: usize) -> Option<Home> {
         let rounded = capacity
             .max(self.config.min_class_bytes)
             .next_power_of_two();
         if rounded > self.config.max_class_bytes {
             None
+        } else if rounded > self.class_size(self.classes.len() - 1) {
+            Some(Home::Large)
         } else {
-            Some((rounded.trailing_zeros() - self.config.min_class_bytes.trailing_zeros()) as usize)
+            Some(Home::Class(
+                (rounded.trailing_zeros() - self.config.min_class_bytes.trailing_zeros()) as usize,
+            ))
         }
     }
 
-    /// Size class a buffer of `capacity` bytes can be stored under (the
-    /// largest class no bigger than the buffer, so a lease from that
-    /// class always has enough room), or `None` when the buffer is too
-    /// small to be worth keeping.
-    fn return_class(&self, capacity: usize) -> Option<usize> {
+    /// Where a buffer of `capacity` bytes is kept: the largest class no
+    /// bigger than the buffer (so a lease from that class always has
+    /// enough room), or the large list above the biggest class; `None`
+    /// when the buffer is too small to be worth keeping.
+    fn return_home(&self, capacity: usize) -> Option<Home> {
         if capacity < self.config.min_class_bytes {
             return None;
         }
-        let floor = self
-            .config
-            .max_class_bytes
-            .min(1 << (usize::BITS - 1 - capacity.leading_zeros()));
-        Some((floor.trailing_zeros() - self.config.min_class_bytes.trailing_zeros()) as usize)
+        let top = self.classes.len() - 1;
+        if capacity > self.class_size(top) {
+            // A pool whose classes reach `max_class_bytes` has no large
+            // list: its largest class keeps the buffer.
+            return Some(if self.config.max_class_bytes > self.class_size(top) {
+                Home::Large
+            } else {
+                Home::Class(top)
+            });
+        }
+        let log2 = usize::BITS - 1 - capacity.leading_zeros();
+        Some(Home::Class(
+            (log2 - self.config.min_class_bytes.trailing_zeros()) as usize,
+        ))
     }
 
     /// Bytes a lease from class `idx` guarantees.
@@ -283,68 +390,87 @@ impl BufferPool {
         self.config.min_class_bytes << idx
     }
 
+    /// Idle buffers the large list keeps: one, none if the pool keeps no
+    /// free buffers at all.
+    fn large_keep(&self) -> usize {
+        self.config.max_free_per_class.min(1)
+    }
+
+    /// Lease `idx` of a class: sweeps its parked buffers, trims its free
+    /// list (shed buffers go into `shed`) and pops one. Returns it, if
+    /// any, and whether the sweep reclaimed any.
+    fn take_class(&self, idx: usize, shed: &mut Vec<BytesMut>) -> (Option<BytesMut>, bool) {
+        let class = &self.classes[idx];
+        // Lock order: free, then parked (as `idle_buffers`).
+        let mut free = class.free.lock().expect("pool free lock");
+        // Reclaimed buffers join the free list uncapped: the parked
+        // cap bounds them, and the trim below sheds what demand
+        // leaves unused.
+        let stolen = sweep_oldest(
+            &mut class.parked.lock().expect("pool parked lock"),
+            &mut free.bufs,
+        );
+        free.low_water = free.low_water.min(free.bufs.len());
+        free.leases += 1;
+        let interval = if free.slow {
+            SLOW_TRIM_INTERVAL
+        } else {
+            TRIM_INTERVAL
+        };
+        if free.leases >= interval {
+            free.leases = 0;
+            let on_hand = std::mem::replace(&mut free.low_water, usize::MAX);
+            shed.extend(free.bufs.drain(..on_hand.saturating_sub(1)));
+            free.shed = !shed.is_empty();
+        }
+        let buf = free.bufs.pop();
+        free.slow |= buf.is_none() && free.shed;
+        (buf, stolen)
+    }
+
+    /// A fresh allocation of `size` bytes: a miss.
+    fn allocate(&self, size: usize) -> BytesMut {
+        self.counters.misses.inc();
+        self.counters.bytes_allocated.add(size as u64);
+        BytesMut::with_capacity(size)
+    }
+
     /// The core acquisition path: steal from parked, else pop free,
-    /// else allocate. Returns the buffer plus whether it belongs to a
-    /// class (and should return to the pool when done).
+    /// else allocate. Returns the buffer plus whether it has a home in
+    /// the pool (and should return to it when done).
     fn acquire(&self, capacity: usize) -> (BytesMut, bool) {
         self.counters.leases.inc();
-        let Some(idx) = self.request_class(capacity) else {
-            self.counters.misses.inc();
-            self.counters.bytes_allocated.add(capacity as u64);
-            return (BytesMut::with_capacity(capacity), false);
+        let Some(home) = self.request_home(capacity) else {
+            return (self.allocate(capacity), false);
         };
-        let class = &self.classes[idx];
-
-        // Shed buffers are freed once the lock is released; the list only
-        // allocates on a lease that sheds.
+        // Shed buffers are freed once the lock is released; the list
+        // only allocates on a lease that sheds.
         let mut shed: Vec<BytesMut> = Vec::new();
-        let (buf, stolen) = {
-            // Lock order: free, then parked (as `idle_buffers`).
-            let mut free = class.free.lock().expect("pool free lock");
-            // Reclaimed buffers join the free list uncapped: the parked
-            // cap bounds them, and the trim below sheds what demand
-            // leaves unused.
-            let stolen = sweep_oldest(
-                &mut class.parked.lock().expect("pool parked lock"),
-                &mut free.bufs,
-            );
-            free.low_water = free.low_water.min(free.bufs.len());
-            free.leases += 1;
-            let interval = if free.slow {
-                SLOW_TRIM_INTERVAL
-            } else {
-                TRIM_INTERVAL
-            };
-            if free.leases >= interval {
-                free.leases = 0;
-                let on_hand = std::mem::replace(&mut free.low_water, usize::MAX);
-                shed.extend(free.bufs.drain(..on_hand.saturating_sub(1)));
-                free.shed = !shed.is_empty();
+        let (buf, stolen) = match home {
+            Home::Class(idx) => self.take_class(idx, &mut shed),
+            Home::Large => {
+                let mut large = self.large.lock().expect("pool large lock");
+                let taken = large.take(capacity);
+                let freed = large.shed_surplus(self.large_keep());
+                self.counters.resizes.add(freed as u64);
+                taken
             }
-            let buf = free.bufs.pop();
-            free.slow |= buf.is_none() && free.shed;
-            (buf, stolen)
         };
         self.counters.resizes.add(shed.len() as u64);
-        if buf.is_some() {
-            if stolen {
-                self.counters.steals.inc();
-            } else {
-                self.counters.hits.inc();
-            }
+        let Some(buf) = buf else {
+            let size = match home {
+                Home::Class(idx) => self.class_size(idx).max(capacity),
+                Home::Large => capacity + capacity / 16,
+            };
+            return (self.allocate(size), true);
+        };
+        if stolen {
+            self.counters.steals.inc();
+        } else {
+            self.counters.hits.inc();
         }
-        match buf {
-            Some(buf) => {
-                self.counters.bytes_recycled.add(buf.capacity() as u64);
-                (buf, true)
-            }
-            None => {
-                let size = self.class_size(idx).max(capacity);
-                self.counters.misses.inc();
-                self.counters.bytes_allocated.add(size as u64);
-                (BytesMut::with_capacity(size), true)
-            }
-        }
+        self.counters.bytes_recycled.add(buf.capacity() as u64);
+        (buf, true)
     }
 
     /// Leases a buffer with room for at least `capacity` bytes. Returns
@@ -359,31 +485,54 @@ impl BufferPool {
     }
 
     /// Returns a never-frozen buffer to its class's free list, header
-    /// and all. Contents are discarded; too-small buffers are simply
-    /// dropped.
+    /// and all, or to the large list, which keeps the larger of it and
+    /// the buffer already idle there. Contents are discarded; too-small
+    /// buffers are simply dropped.
     fn recycle(&self, mut buf: BytesMut) {
         buf.clear();
-        let Some(idx) = self.return_class(buf.capacity()) else {
-            return;
-        };
-        let mut free = self.classes[idx].free.lock().expect("pool free lock");
-        if free.bufs.len() < self.config.max_free_per_class {
-            free.bufs.push(buf);
-        } else {
-            self.counters.resizes.inc();
+        match self.return_home(buf.capacity()) {
+            None => {}
+            Some(Home::Large) => {
+                let mut large = self.large.lock().expect("pool large lock");
+                large.free.push(buf);
+                let freed = large.shed_surplus(self.large_keep());
+                self.counters.resizes.add(freed as u64);
+            }
+            Some(Home::Class(idx)) => {
+                let mut free = self.classes[idx].free.lock().expect("pool free lock");
+                if free.bufs.len() < self.config.max_free_per_class {
+                    free.bufs.push(buf);
+                } else {
+                    self.counters.resizes.inc();
+                }
+            }
         }
     }
 
     /// Parks a clone of a frozen buffer so its backing storage can be
     /// stolen back once every other view drops.
     fn park(&self, capacity: usize, bytes: Bytes) {
-        let Some(idx) = self.return_class(capacity) else {
-            return;
+        let cap = self.config.max_parked_per_class;
+        let room = match self.return_home(capacity) {
+            None => return,
+            Some(Home::Large) => {
+                let mut large = self.large.lock().expect("pool large lock");
+                let room = large.parked.len() < cap;
+                if room {
+                    large.parked.push_back((bytes, capacity));
+                }
+                room
+            }
+            Some(Home::Class(idx)) => {
+                let mut parked = self.classes[idx].parked.lock().expect("pool parked lock");
+                let room = parked.len() < cap;
+                if room {
+                    parked.push_back(bytes);
+                }
+                room
+            }
         };
-        let mut parked = self.classes[idx].parked.lock().expect("pool parked lock");
-        if parked.len() < self.config.max_parked_per_class {
-            parked.push_back(bytes);
-        } else {
+        if !room {
             self.counters.resizes.inc();
         }
     }
@@ -410,18 +559,38 @@ impl BufferPool {
         }
     }
 
-    /// Idle buffers currently held, summed across classes: free-listed
-    /// ones plus parked ones no view holds any more (a parked buffer a
-    /// consumer still views is in use, not idle). Test/diagnostic aid.
+    /// Idle buffers held and their bytes, summed across classes and
+    /// the large list: free-listed ones plus parked ones no view holds
+    /// any more (a parked buffer a consumer still views is in use, not
+    /// idle). A class's parked buffers count at its class size.
+    fn idle(&self) -> (usize, u64) {
+        let (mut count, mut bytes) = self.large.lock().expect("pool large lock").idle();
+        for (idx, class) in self.classes.iter().enumerate() {
+            let free = class.free.lock().expect("pool free lock");
+            let parked = class.parked.lock().expect("pool parked lock");
+            let unique = parked.iter().filter(|b| b.is_unique()).count();
+            count += free.bufs.len() + unique;
+            bytes += free.bufs.iter().map(|b| b.capacity() as u64).sum::<u64>()
+                + (unique * self.class_size(idx)) as u64;
+        }
+        (count, bytes)
+    }
+
+    /// Idle buffers currently held: free-listed ones plus parked ones no
+    /// view holds any more. Test/diagnostic aid.
     pub fn idle_buffers(&self) -> usize {
-        self.classes
-            .iter()
-            .map(|c| {
-                let free = c.free.lock().expect("pool free lock");
-                let parked = c.parked.lock().expect("pool parked lock");
-                free.bufs.len() + parked.iter().filter(|b| b.is_unique()).count()
-            })
-            .sum()
+        self.idle().0
+    }
+
+    /// Bytes of the idle buffers [`BufferPool::idle_buffers`] counts:
+    /// the heap the pool holds that no lease or view is using.
+    pub fn idle_bytes(&self) -> u64 {
+        self.idle().1
+    }
+
+    /// Idle buffers of the large list alone. Test/diagnostic aid.
+    pub fn idle_large_buffers(&self) -> usize {
+        self.large.lock().expect("pool large lock").idle().0
     }
 }
 
@@ -587,14 +756,32 @@ mod tests {
     #[test]
     fn class_mapping_round_trips() {
         let p = pool();
-        assert_eq!(p.request_class(1), Some(0));
-        assert_eq!(p.request_class(1024), Some(0));
-        assert_eq!(p.request_class(1025), Some(1));
-        assert_eq!(p.request_class(16 << 20), p.return_class(16 << 20));
-        assert_eq!(p.request_class((16 << 20) + 1), None);
-        assert_eq!(p.return_class(1023), None);
-        assert_eq!(p.return_class(3000), Some(1));
-        assert_eq!(p.return_class(usize::MAX / 2 + 1), p.return_class(16 << 20));
+        assert_eq!(p.request_home(1), Some(Home::Class(0)));
+        assert_eq!(p.request_home(1024), Some(Home::Class(0)));
+        assert_eq!(p.request_home(1025), Some(Home::Class(1)));
+        assert_eq!(p.request_home(1 << 20), p.return_home(1 << 20));
+        assert_eq!(p.request_home((1 << 20) + 1), Some(Home::Large));
+        assert_eq!(p.request_home(16 << 20), p.return_home(16 << 20));
+        assert_eq!(p.request_home((16 << 20) + 1), None);
+        assert_eq!(p.return_home(1023), None);
+        assert_eq!(p.return_home(3000), Some(Home::Class(1)));
+        assert_eq!(p.return_home(usize::MAX / 2 + 1), p.return_home(16 << 20));
+    }
+
+    #[test]
+    fn large_leases_fit_the_request_and_keep_one_idle_buffer() {
+        let p = pool();
+        let frame = 3 << 20;
+        let burst: Vec<PooledBuf> = (0..3).map(|_| p.lease(frame)).collect();
+        assert!(burst.iter().all(|b| b.capacity() < 4 << 20));
+        drop(burst);
+        assert_eq!(p.idle_buffers(), 1, "the largest stays, the rest go");
+        let again = p.lease(frame - 4096);
+        let c = p.counters();
+        assert_eq!((c.misses, c.hits, c.resizes), (3, 1, 2));
+        assert_eq!(p.idle_buffers(), 0);
+        drop(again);
+        assert_eq!(p.idle_bytes(), (frame + frame / 16) as u64);
     }
 
     use bytes::BufMut;

@@ -1150,8 +1150,8 @@ pub struct RuntimeStats {
     pub planner_mailbox_depth: usize,
     /// Per-constructor stats (unreachable constructors skipped).
     pub constructors: Vec<ConstructorStat>,
-    /// The metrics plane at snapshot time: buffer-pool counters,
-    /// per-stage latency percentiles, queue-depth gauges.
+    /// The metrics plane at snapshot time: buffer-pool counters and
+    /// idle bytes, per-stage latency percentiles, queue-depth gauges.
     pub metrics: crate::metrics::MetricsSnapshot,
 }
 
@@ -1638,8 +1638,9 @@ impl ThreadedPipeline {
 
     /// Snapshots runtime health across the whole deployment: per-loader
     /// buffer occupancy / mailbox depth, the planner's
-    /// backlog, and per-constructor queue state (client progress lives in
-    /// the session's frontier, [`ServeSession::frontier`]). This is
+    /// backlog, per-constructor queue state (client progress lives in
+    /// the session's frontier, [`ServeSession::frontier`]), and in its
+    /// metrics how many bytes the buffer pool holds idle. This is
     /// the elastic controller's raw input, exposed for operators and
     /// tests; unreachable actors (mid-restart) are skipped.
     pub fn stats(&self) -> RuntimeStats {

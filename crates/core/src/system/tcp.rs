@@ -42,6 +42,16 @@
 //! plane above sees the exact same non-blocking surface as the other
 //! transports.
 //!
+//! ## Buffers
+//!
+//! An endpoint's `BufWriter` and `BufReader` hold 16 KiB each, sized
+//! for control frames (tens of bytes). A batch frame bypasses both: it
+//! is written straight to the socket, and its body is read straight
+//! into a pooled lease once the reader's buffer has drained. Bodies of
+//! batch frames (about 3 MiB on `image_tcp`) come from the pool's large
+//! list, sized to the frame, and go back to it when the batch is
+//! consumed, so an endpoint holds the frames in flight, not their peak.
+//!
 //! [`LoopbackTransport`]: crate::system::net::LoopbackTransport
 //! [`ChaosTransport`]: crate::system::chaos::ChaosTransport
 
@@ -102,6 +112,10 @@ impl FrameRx for TcpRx {
         self.wake.set(waker);
     }
 }
+
+/// Capacity of each endpoint's `BufReader` and `BufWriter`, sized for
+/// control frames: batch frames bypass both (see the module docs).
+const CONTROL_BUF_BYTES: usize = 16 << 10;
 
 /// Most slices one vectored write is handed. A batch frame has two parts
 /// per sample payload, so a large batch goes out in several writes, each
@@ -169,11 +183,11 @@ impl<'a, 'w> Gather<'a, 'w> {
 /// parts: a shared batch's parts are its memoized frame metadata and the
 /// samples' own payload bytes, so no payload is copied into a send
 /// buffer, and it was hashed once, when the memo was built.
-fn spawn_writer(stream: TcpStream, rx: Receiver<WireFrame>) {
+fn spawn_writer(stream: TcpStream, rx: Receiver<WireFrame>) -> io::Result<()> {
     std::thread::Builder::new()
         .name("msd/tcp-tx".into())
         .spawn(move || {
-            let mut out = BufWriter::with_capacity(256 << 10, stream);
+            let mut out = BufWriter::with_capacity(CONTROL_BUF_BYTES, stream);
             // One head scratch for the whole connection: every frame of
             // the session encodes into it allocation-free once it has
             // grown to the largest head.
@@ -216,18 +230,22 @@ fn spawn_writer(stream: TcpStream, rx: Receiver<WireFrame>) {
             if let Ok(stream) = out.into_inner() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
-        })
-        .expect("failed to spawn tcp writer thread");
+        })?;
+    Ok(())
 }
 
 /// Recv thread: blocking frame reassembly. Both reads loop over partial
 /// reads, so frames split at arbitrary byte boundaries (one byte at a
 /// time, in the adversarial tests) still reassemble intact.
-fn spawn_reader(stream: TcpStream, tx: Sender<Result<WireFrame, NetError>>, wake: Arc<WakeSlot>) {
+fn spawn_reader(
+    stream: TcpStream,
+    tx: Sender<Result<WireFrame, NetError>>,
+    wake: Arc<WakeSlot>,
+) -> io::Result<()> {
     std::thread::Builder::new()
         .name("msd/tcp-rx".into())
         .spawn(move || {
-            let mut input = io::BufReader::with_capacity(256 << 10, stream);
+            let mut input = io::BufReader::with_capacity(CONTROL_BUF_BYTES, stream);
             loop {
                 let mut prefix = [0u8; 4];
                 if input.read_exact(&mut prefix).is_err() {
@@ -246,8 +264,9 @@ fn spawn_reader(stream: TcpStream, tx: Sender<Result<WireFrame, NetError>>, wake
                 // sliced zero-copy out of it by the decoder, so the
                 // buffer's views live exactly as long as the batch does —
                 // and freezing through the pool parks a reclaim handle,
-                // so the next frame of this connection steals the same
-                // backing storage once the previous batch is consumed.
+                // so a later frame steals the same backing storage once
+                // the batch is consumed (a batch frame's body comes from
+                // the pool's large list, best fit).
                 // This is the per-connection decode scratch: steady-state
                 // receive runs without touching the allocator. The body
                 // is read into the lease's spare capacity, so no byte is
@@ -274,8 +293,8 @@ fn spawn_reader(stream: TcpStream, tx: Sender<Result<WireFrame, NetError>>, wake
             // hang-up is lost (no further wake will ever come).
             drop(tx);
             wake.wake();
-        })
-        .expect("failed to spawn tcp reader thread");
+        })?;
+    Ok(())
 }
 
 /// Wraps an established TCP stream as a frame-level [`WireConn`]
@@ -285,8 +304,8 @@ pub fn wire_conn(stream: TcpStream) -> io::Result<WireConn> {
     let (out_tx, out_rx) = unbounded();
     let (in_tx, in_rx) = unbounded();
     let wake = Arc::new(WakeSlot::default());
-    spawn_writer(stream.try_clone()?, out_rx);
-    spawn_reader(stream, in_tx, Arc::clone(&wake));
+    spawn_writer(stream.try_clone()?, out_rx)?;
+    spawn_reader(stream, in_tx, Arc::clone(&wake))?;
     Ok(WireConn {
         tx: Box::new(TcpTx(out_tx)),
         rx: Box::new(TcpRx { rx: in_rx, wake }),

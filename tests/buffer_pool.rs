@@ -252,6 +252,47 @@ fn buffers_back_a_burst_at_a_time_stop_missing_once_warm() {
 }
 
 #[test]
+fn large_frames_hold_what_is_in_flight_plus_one() {
+    // TCP frame bodies like `image_tcp`'s: 64 samples of ~49 KB, about
+    // 3.0 MiB, a few percent either way. A burst of four is in flight at
+    // once, then frames come one at a time, each frozen for its views
+    // and consumed before the next.
+    const MIB: usize = 1 << 20;
+    let pool = Arc::new(BufferPool::new(PoolConfig::default()));
+    let frame = |len: usize, tag: u8| {
+        let mut lease = pool.lease(len);
+        assert!(lease.capacity() >= len, "lease shorter than requested");
+        assert!(lease.capacity() < 4 * MIB, "a {len}-byte frame took 4 MiB");
+        lease.resize(len, tag);
+        lease.freeze()
+    };
+    let burst: Vec<_> = (0..4).map(|i| frame(3 * MIB + i * 4096, i as u8)).collect();
+    let mut largest = 3 * MIB + 3 * 4096;
+    drop(burst);
+
+    for i in 0..50usize {
+        let len = 29 * MIB / 10 + (i * 7919) % (MIB / 5);
+        let before = pool.counters();
+        let body = frame(len, i as u8);
+        let served = pool.counters().since(&before);
+        if len <= largest {
+            assert_eq!(served.misses, 0, "frame {i} of {len} bytes missed");
+        }
+        largest = largest.max(len);
+        assert!(
+            pool.idle_large_buffers() <= 1,
+            "{} idle large buffers beside the frame in flight",
+            pool.idle_large_buffers()
+        );
+        let view = body.slice(len - 16..);
+        drop(body);
+        assert!(view.iter().all(|&b| b == i as u8), "frame scribbled");
+    }
+    let c = pool.counters();
+    assert_eq!(c.hits + c.misses + c.steals, c.leases);
+}
+
+#[test]
 fn pooled_serving_stays_byte_identical_to_local_reference() {
     // The end-to-end safety proof: with every hot path drawing from the
     // global pool (synthetic payloads, batch encode, TCP frame recv),
