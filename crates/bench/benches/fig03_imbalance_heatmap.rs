@@ -8,12 +8,12 @@
 
 use std::collections::HashMap;
 
+use msd_bench::train::models::{vit_1b, vlm_preset};
 use msd_bench::{banner, table_header, table_row};
 use msd_core::planner::Strategy;
 use msd_data::catalog::navit_like;
 use msd_mesh::DeviceMesh;
 use msd_sim::SimRng;
-use msd_train::models::{vit_1b, vlm_preset};
 
 fn main() {
     banner(

@@ -9,14 +9,14 @@
 //! memory reduction.
 
 use msd_balance::BalanceMethod;
-use msd_baselines::{fig12_systems, ClusterShape, WorkloadShape};
+use msd_bench::baselines::{fig12_systems, ClusterShape, WorkloadShape};
+use msd_bench::train::models::vlm_preset;
+use msd_bench::train::{GpuSpec, TrainSetup};
 use msd_bench::{banner, f, gib, plan_to_loads, table_header, table_row, Scenario};
 use msd_core::planner::Strategy;
 use msd_data::catalog::navit_like;
 use msd_mesh::DeviceMesh;
 use msd_sim::SimRng;
-use msd_train::models::vlm_preset;
-use msd_train::{GpuSpec, TrainSetup};
 
 fn iteration_time(scenario: &Scenario, strategy: Strategy) -> f64 {
     let mut msd = scenario.pipeline(strategy, 7);

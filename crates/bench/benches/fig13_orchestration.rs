@@ -7,12 +7,12 @@
 //! up to 4.54× (avg 1.77×); gains grow with context length (4k: 1.71×,
 //! 8k: 2.63×, 16k: 3.09× average hybrid speedups).
 
+use msd_bench::train::models::vlm_preset;
 use msd_bench::{banner, run_scenario, table_header, table_row, Scenario};
 use msd_data::catalog::{coyo700m_like, navit_like};
 use msd_data::Catalog;
 use msd_mesh::DeviceMesh;
 use msd_sim::SimRng;
-use msd_train::models::vlm_preset;
 
 struct Panel {
     backbone: &'static str,
@@ -37,8 +37,8 @@ fn main() {
     println!("\nTable 1 model configurations:");
     table_header(&["model", "layers", "heads", "hidden", "topk"]);
     for (name, enc) in [
-        ("ViT-1B", msd_train::models::vit_1b()),
-        ("ViT-2B", msd_train::models::vit_2b()),
+        ("ViT-1B", msd_bench::train::models::vit_1b()),
+        ("ViT-2B", msd_bench::train::models::vit_2b()),
     ] {
         table_row(&[
             name.to_string(),
@@ -49,9 +49,9 @@ fn main() {
         ]);
     }
     for (name, b) in [
-        ("Llama-12B", msd_train::models::llama_12b()),
-        ("tMoE-25B", msd_train::models::tmoe_25b()),
-        ("Mixtral-8x7B", msd_train::models::mixtral_8x7b()),
+        ("Llama-12B", msd_bench::train::models::llama_12b()),
+        ("tMoE-25B", msd_bench::train::models::tmoe_25b()),
+        ("Mixtral-8x7B", msd_bench::train::models::mixtral_8x7b()),
     ] {
         table_row(&[
             name.to_string(),

@@ -7,13 +7,13 @@
 //! 37.24 s → 15.91 s (2.34×).
 
 use msd_balance::BalanceMethod;
+use msd_bench::train::models::vlm_preset;
+use msd_bench::train::{GpuSpec, IterationBreakdown, TrainSetup};
 use msd_bench::{banner, f, plan_to_loads, table_header, table_row, Scenario};
 use msd_core::planner::Strategy;
 use msd_data::catalog::navit_like;
 use msd_mesh::DeviceMesh;
 use msd_sim::SimRng;
-use msd_train::models::vlm_preset;
-use msd_train::{GpuSpec, IterationBreakdown, TrainSetup};
 
 fn run(scenario: &Scenario, strategy: Strategy) -> (IterationBreakdown, f64) {
     let mut msd = scenario.pipeline(strategy, 14);

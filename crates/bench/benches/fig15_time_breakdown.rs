@@ -8,13 +8,13 @@
 //! wall time; every other column is a projection of `msd_bench::model`.
 
 use msd_balance::BalanceMethod;
+use msd_bench::train::models::vlm_preset;
+use msd_bench::train::{GpuSpec, TrainSetup};
 use msd_bench::{banner, f, model, plan_to_loads, table_header, table_row, Scenario};
 use msd_core::planner::Strategy;
 use msd_data::catalog::navit_sized;
 use msd_mesh::DeviceMesh;
 use msd_sim::SimRng;
-use msd_train::models::vlm_preset;
-use msd_train::{GpuSpec, TrainSetup};
 
 struct Config {
     label: &'static str,

@@ -8,15 +8,17 @@
 //! (e) + Fault Tolerance (two shadow loaders; memory rises, ETTR 1.08×)
 
 use msd_balance::BalanceMethod;
-use msd_baselines::{ClusterShape, LoaderSystem, MsdArchitecture, TorchDataLoader, WorkloadShape};
+use msd_bench::baselines::{
+    ClusterShape, LoaderSystem, MsdArchitecture, TorchDataLoader, WorkloadShape,
+};
+use msd_bench::fault::ettr;
+use msd_bench::train::models::vlm_preset;
+use msd_bench::train::{GpuSpec, TrainSetup};
 use msd_bench::{banner, gib, plan_to_loads, table_header, table_row, Scenario};
-use msd_core::fault::ettr;
 use msd_core::planner::Strategy;
 use msd_data::catalog::navit_like;
 use msd_mesh::DeviceMesh;
 use msd_sim::SimRng;
-use msd_train::models::vlm_preset;
-use msd_train::{GpuSpec, TrainSetup};
 
 fn main() {
     banner("Figure 16", "Component contributions (576-GPU ablation)");

@@ -7,13 +7,13 @@
 //! intact; CP adds minor numerical fluctuation.
 
 use msd_balance::BalanceMethod;
+use msd_bench::train::models::vlm_preset;
+use msd_bench::train::LossSim;
 use msd_bench::{banner, table_header, table_row, Scenario};
 use msd_core::planner::Strategy;
 use msd_data::catalog::navit_like;
 use msd_mesh::DeviceMesh;
 use msd_sim::SimRng;
-use msd_train::models::vlm_preset;
-use msd_train::LossSim;
 
 fn curve(scenario: &Scenario, strategy: Strategy, cp: bool, reordered: bool) -> Vec<f64> {
     let mut msd = scenario.pipeline(strategy, 18);

@@ -6,12 +6,12 @@
 //! between provisioned CPU and AutoScaler rescale frequency under a
 //! drifting mixture — the paper picks G = 4.
 
+use msd_bench::train::models::{vit_2b, vlm_preset};
+use msd_bench::train::GpuSpec;
 use msd_bench::{banner, table_header, table_row};
 use msd_core::autoscale::{partition_sources, AutoScaler, ClusterResources, PartitionOpts};
 use msd_data::catalog::navit_sized;
 use msd_sim::SimRng;
-use msd_train::models::{vit_2b, vlm_preset};
-use msd_train::GpuSpec;
 
 fn main() {
     banner(

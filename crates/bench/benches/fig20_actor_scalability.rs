@@ -6,7 +6,9 @@
 //! at 1k GPUs; 10× fetch blowup for the baseline at 2k; complete collapse
 //! at 4k, where MegaScale-Data sustains throughput via redistribution.
 
-use msd_baselines::{ClusterShape, DirectTransfer, LoaderSystem, MsdArchitecture, WorkloadShape};
+use msd_bench::baselines::{
+    ClusterShape, DirectTransfer, LoaderSystem, MsdArchitecture, WorkloadShape,
+};
 use msd_bench::{banner, f, table_header, table_row};
 use msd_mesh::DeviceMesh;
 
@@ -43,8 +45,8 @@ fn main() {
             direct_1k = direct.fetch_latency_s;
         }
         let blowup = direct.fetch_latency_s / direct_1k;
-        let conn_mem =
-            msd_sim::NetModel::default().conn_memory(direct.loader_instances * u64::from(gpus / 4));
+        let conn_mem = msd_bench::net::NetModel::default()
+            .conn_memory(direct.loader_instances * u64::from(gpus / 4));
         let verdict = if direct.fetch_latency_s > iter_compute_s {
             "COLLAPSED (input-bound)"
         } else if blowup > 5.0 {

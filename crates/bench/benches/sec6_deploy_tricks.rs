@@ -14,15 +14,15 @@
 //!    for fewer synchronized clients.
 
 use msd_balance::BalanceMethod;
+use msd_bench::autoscale::{place_actors, HybridDeployment, PodSpec};
+use msd_bench::net::NetModel;
 use msd_bench::{banner, f, model, table_header, table_row, Scenario};
-use msd_core::autoscale::{
-    partition_sources, place_actors, ClusterResources, HybridDeployment, PartitionOpts, PodSpec,
-};
+use msd_core::autoscale::{partition_sources, ClusterResources, PartitionOpts};
 use msd_core::planner::Strategy;
 use msd_data::catalog::{coyo700m_like, navit_sized};
 use msd_data::Catalog;
 use msd_mesh::{Axis, ClientPlaceTree, DeviceMesh};
-use msd_sim::{NetModel, SimRng};
+use msd_sim::SimRng;
 
 fn hybrid_deployment_section() {
     banner(
@@ -110,7 +110,7 @@ fn reordering_section() {
     for (name, catalog) in catalogs {
         let scenario = Scenario {
             mesh: DeviceMesh::pp_dp_cp_tp(1, 4, 1, 2).unwrap(),
-            model: msd_train::models::vlm_preset("ViT-1B", "Llama-12B"),
+            model: msd_bench::train::models::vlm_preset("ViT-1B", "Llama-12B"),
             ctx: 8192,
             microbatches: 4,
             samples_per_step: 96,

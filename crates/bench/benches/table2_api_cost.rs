@@ -10,6 +10,8 @@
 use std::collections::HashMap;
 
 use msd_balance::BalanceMethod;
+use msd_bench::train::models::vlm_preset;
+use msd_bench::train::{GpuSpec, TrainSetup};
 use msd_bench::{banner, plan_to_loads, table_header, table_row};
 use msd_core::buffer::{BufferInfo, BufferSummary};
 use msd_core::dgraph::{BalanceOpts, DGraph, MetaView};
@@ -17,8 +19,6 @@ use msd_data::catalog::navit_like;
 use msd_data::SampleMeta;
 use msd_mesh::{ClientPlaceTree, DeviceMesh, DistributeAxis};
 use msd_sim::SimRng;
-use msd_train::models::vlm_preset;
-use msd_train::{GpuSpec, TrainSetup};
 
 struct Case {
     label: &'static str,

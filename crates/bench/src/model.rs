@@ -1,21 +1,28 @@
-//! The cost model behind the time columns of Fig 14, Fig 15 and Sec 6.2:
-//! the one place that turns what an inline pipeline step did into
-//! projected virtual time.
+//! The cost models behind the evaluation's projected columns.
 //!
+//! **The pipeline step** (Fig 14, Fig 15, Sec 6.2): the one place that
+//! turns what an inline pipeline step did into projected time.
 //! [`MegaScaleData::step`] reports counts, bytes, the planner's measured
 //! compute and the transform-cost estimates of loader refills and
 //! transform tails. What the inline step does not do — move summaries and
 //! plans over a datacenter fabric, copy tokens into batches, deliver them
-//! to ranks — is charged here, over `msd_sim`'s alpha-beta [`NetModel`].
+//! to ranks — is charged here, over the alpha-beta [`NetModel`].
 //! One step projects both of Sec 6.2's transform placements: every
 //! transform loader-side ([`step`], the default), or only each pipeline's
 //! head there and its tail at the constructors ([`reordering_pair`]).
+//!
+//! **The loader architectures** (Fig 12, Fig 16, Fig 20): the vocabulary
+//! ([`ClusterShape`], [`WorkloadShape`], [`LoaderSystem`]) in which
+//! [`crate::systems`] describes each baseline and MegaScale-Data itself.
+
+use std::time::Duration;
 
 use msd_core::system::{MegaScaleData, StepOutput};
-use msd_mesh::ClientPlaceTree;
-use msd_sim::NetModel;
+use msd_mesh::{Axis, ClientPlaceTree, DeviceMesh};
 
-/// Projected times of one live-planned pipeline step, in virtual ns.
+use crate::net::NetModel;
+
+/// Projected times of one live-planned pipeline step, in ns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepTimes {
     /// Buffer gather: every loader's summary incast into the planner, plus
@@ -51,22 +58,20 @@ impl StepTimes {
     /// slowest constructor at least `tail_ns`.
     fn project(out: &StepOutput, tree: &ClientPlaceTree, loader_ns: u64, tail_ns: u64) -> Self {
         let net = NetModel::default();
+        let ns = |d: Duration| d.as_nanos() as u64;
         let loaders = out.info.summaries.len().max(1) as u32;
-        let gather_ns = net
-            .fanin_transfer(out.info.wire_bytes(), loaders)
-            .as_nanos()
-            + net.barrier(loaders).as_nanos();
-        let fanout = (out.plan.buckets.len().max(1) as f64 + 1.0).log2().ceil() as u64;
+        let gather_ns =
+            ns(net.fanin_transfer(out.info.wire_bytes(), loaders) + net.barrier(loaders));
+        let fanout = (out.plan.buckets.len().max(1) as f64 + 1.0).log2().ceil() as u32;
         let clients = tree.fetching_clients(&out.plan.broadcast_axes).len() as u32;
-        let broadcast_ns = net.transfer(out.plan.wire_bytes()).as_nanos() * fanout
-            + net.barrier(clients).as_nanos();
+        let broadcast_ns = ns(net.transfer(out.plan.wire_bytes()) * fanout + net.barrier(clients));
         let constructor_ns = out
             .batches
             .iter()
             .map(|batch| {
                 let tokens: u64 = batch.microbatches.iter().map(|m| m.padded_tokens()).sum();
                 let delivery: u64 = batch.deliveries.iter().map(|d| d.bytes).sum();
-                tokens / 16 + net.transfer(delivery).as_nanos()
+                tokens / 16 + ns(net.transfer(delivery))
             })
             .fold(tail_ns, u64::max);
         StepTimes {
@@ -96,16 +101,113 @@ pub fn reordering_pair(msd: &mut MegaScaleData) -> (StepOutput, [StepTimes; 2]) 
     (out, pair)
 }
 
+/// Shape of the training cluster.
+#[derive(Debug, Clone)]
+pub struct ClusterShape {
+    /// The trainer device mesh.
+    pub mesh: DeviceMesh,
+    /// GPUs per physical node (16 × L20 in the paper's testbed).
+    pub gpus_per_node: u32,
+    /// Host DRAM per node available to loaders (half of 1.8 TB under the
+    /// paper's sidecar split).
+    pub host_mem_per_node: u64,
+    /// Host CPU cores per node available to loaders.
+    pub cores_per_node: u64,
+}
+
+impl ClusterShape {
+    /// The paper's testbed node: 16 GPUs, 1.8 TB DRAM (half for loaders),
+    /// 128 cores (half for loaders).
+    pub fn l20_node(mesh: DeviceMesh) -> Self {
+        ClusterShape {
+            mesh,
+            gpus_per_node: 16,
+            host_mem_per_node: (18 << 40) / 20, // 0.9 TB for loaders
+            cores_per_node: 64,
+        }
+    }
+
+    /// Number of nodes.
+    pub fn nodes(&self) -> u32 {
+        self.mesh.world_size().div_ceil(self.gpus_per_node)
+    }
+
+    /// Loader client instances after TP-broadcast elision (enabled for all
+    /// systems in the evaluation): one per TP group.
+    pub fn tp_elided_clients(&self) -> u64 {
+        u64::from(self.mesh.world_size() / self.mesh.size(Axis::TP).max(1))
+    }
+}
+
+/// Shape of the preprocessing workload.
+#[derive(Debug, Clone, Copy)]
+pub struct WorkloadShape {
+    /// Number of data sources in the mixture.
+    pub sources: u32,
+    /// Mean per-source access-state bytes (socket + footer + row-group
+    /// buffer).
+    pub access_state_bytes: u64,
+    /// Mean transformation cost per sample, ns.
+    pub mean_transform_ns: f64,
+    /// Worst-source transformation cost per sample, ns (worker sizing must
+    /// cover this to avoid stalls).
+    pub max_transform_ns: f64,
+    /// Samples consumed per iteration, cluster-wide.
+    pub samples_per_iter: u64,
+    /// Mean transformed-sample payload bytes.
+    pub sample_bytes: u64,
+    /// Training compute time per iteration, seconds (the overlap budget).
+    pub iter_compute_s: f64,
+}
+
+/// Architectural report of one system on one workload.
+#[derive(Debug, Clone)]
+pub struct SystemReport {
+    /// System name.
+    pub name: String,
+    /// Loader instances (clients with full pipelines).
+    pub loader_instances: u64,
+    /// Total worker processes across the cluster.
+    pub workers_total: u64,
+    /// Total loader-side memory, bytes (cluster-wide).
+    pub memory_total: u64,
+    /// Average loader memory per node, bytes.
+    pub memory_per_node: u64,
+    /// Average per-iteration data fetch latency, seconds (unoverlapped).
+    pub fetch_latency_s: f64,
+}
+
+/// A dataloader architecture.
+pub trait LoaderSystem {
+    /// Display name (matches the Fig 12 legend).
+    fn name(&self) -> &'static str;
+
+    /// Whether the system performs load-time cost balancing (only
+    /// MegaScale-Data does).
+    fn balances(&self) -> bool {
+        false
+    }
+
+    /// Computes the architectural report.
+    fn report(&self, cluster: &ClusterShape, workload: &WorkloadShape) -> SystemReport;
+}
+
+/// Workers needed to hide `total_transform_ns` of per-iteration transform
+/// work behind `iter_compute_s` of training compute.
+pub fn workers_to_hide(total_transform_ns: f64, iter_compute_s: f64) -> u64 {
+    let budget_ns = (iter_compute_s * 1e9).max(1.0);
+    (total_transform_ns / budget_ns).ceil().max(1.0) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use msd_balance::BalanceMethod;
     use msd_core::planner::Strategy;
     use msd_data::catalog::{coyo700m_like, navit_sized};
-    use msd_mesh::DeviceMesh;
     use msd_sim::SimRng;
-    use msd_train::models::vlm_preset;
 
+    use crate::models::vlm_preset;
     use crate::Scenario;
 
     /// `[gather, broadcast, constructor, loader, fetch - compute]` of one
@@ -185,5 +287,21 @@ mod tests {
         );
         // The deferred tail shows up as constructor-side work.
         assert!(projected[1][2] > projected[0][2]);
+    }
+
+    #[test]
+    fn cluster_shape_arithmetic() {
+        let mesh = DeviceMesh::pp_dp_cp_tp(8, 9, 1, 4).unwrap(); // 288 GPUs
+        let c = ClusterShape::l20_node(mesh);
+        assert_eq!(c.nodes(), 18);
+        assert_eq!(c.tp_elided_clients(), 72);
+    }
+
+    #[test]
+    fn worker_sizing_covers_demand() {
+        // 100 s of transform work per iteration, 10 s compute → 10 workers.
+        assert_eq!(workers_to_hide(100e9, 10.0), 10);
+        assert_eq!(workers_to_hide(1.0, 10.0), 1);
+        assert_eq!(workers_to_hide(0.0, 0.0), 1);
     }
 }

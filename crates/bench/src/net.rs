@@ -10,17 +10,17 @@
 //! - **Incast congestion**: when `n` senders converge on one receiver, the
 //!   effective bandwidth degrades superlinearly past a saturation knee.
 
-use crate::time::SimDuration;
+use std::time::Duration;
 
 /// Parameters of the network model.
 #[derive(Debug, Clone)]
 pub struct NetModel {
     /// One-way base latency per message.
-    pub base_latency: SimDuration,
+    pub base_latency: Duration,
     /// Link bandwidth in bytes per second.
     pub bandwidth_bps: f64,
     /// Cost to establish one connection.
-    pub conn_setup: SimDuration,
+    pub conn_setup: Duration,
     /// Resident memory per open connection (socket buffers, TLS state).
     pub conn_memory_bytes: u64,
     /// Number of concurrent flows a receiver absorbs before congestion.
@@ -33,9 +33,9 @@ impl Default for NetModel {
     fn default() -> Self {
         // Roughly an InfiniBand-class datacenter fabric seen from user space.
         NetModel {
-            base_latency: SimDuration::from_micros(25),
+            base_latency: Duration::from_micros(25),
             bandwidth_bps: 12.5e9, // 100 Gb/s
-            conn_setup: SimDuration::from_micros(500),
+            conn_setup: Duration::from_micros(500),
             conn_memory_bytes: 256 << 10,
             incast_knee: 256,
             incast_exponent: 2.0,
@@ -45,8 +45,8 @@ impl Default for NetModel {
 
 impl NetModel {
     /// Time to move `bytes` over one uncontended flow.
-    pub fn transfer(&self, bytes: u64) -> SimDuration {
-        self.base_latency + SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
+    pub fn transfer(&self, bytes: u64) -> Duration {
+        self.base_latency + Duration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
     }
 
     /// Congestion multiplier for `flows` concurrent senders into one
@@ -62,15 +62,15 @@ impl NetModel {
 
     /// Time for one of `flows` concurrent senders to deliver `bytes` to a
     /// shared receiver, including incast degradation.
-    pub fn fanin_transfer(&self, bytes: u64, flows: u32) -> SimDuration {
+    pub fn fanin_transfer(&self, bytes: u64, flows: u32) -> Duration {
         let factor = self.incast_factor(flows);
-        self.base_latency + SimDuration::from_secs_f64(bytes as f64 * factor / self.bandwidth_bps)
+        self.base_latency + Duration::from_secs_f64(bytes as f64 * factor / self.bandwidth_bps)
     }
 
     /// Total setup time for `conns` connections established serially on one
     /// endpoint (accept-queue processing is serial per node).
-    pub fn setup_time(&self, conns: u32) -> SimDuration {
-        self.conn_setup * u64::from(conns)
+    pub fn setup_time(&self, conns: u32) -> Duration {
+        self.conn_setup * conns
     }
 
     /// Resident memory for `conns` open connections on one endpoint.
@@ -82,13 +82,13 @@ impl NetModel {
     /// clients: logarithmic fan-in plus a linear straggler term that starts
     /// dominating in very large groups (the motivation for selective
     /// broadcasting over sub-groups in Sec 6.2).
-    pub fn barrier(&self, participants: u32) -> SimDuration {
+    pub fn barrier(&self, participants: u32) -> Duration {
         if participants <= 1 {
-            return SimDuration::ZERO;
+            return Duration::ZERO;
         }
         let log_term = (participants as f64).log2().ceil();
         let straggler = participants as f64 / 512.0;
-        self.base_latency * (log_term + straggler)
+        self.base_latency.mul_f64(log_term + straggler)
     }
 }
 
@@ -137,9 +137,23 @@ mod tests {
     #[test]
     fn barrier_grows_with_participants() {
         let net = NetModel::default();
-        assert_eq!(net.barrier(1), SimDuration::ZERO);
+        assert_eq!(net.barrier(1), Duration::ZERO);
         let small = net.barrier(8);
         let big = net.barrier(4096);
         assert!(big > small);
+    }
+
+    #[test]
+    fn pinned_nanosecond_values() {
+        // The exact projections the fig benches print from, including the
+        // f64-scaled barrier, whose rounding is the one place a change of
+        // duration type could drift.
+        let net = NetModel::default();
+        assert_eq!(net.transfer(1 << 10).as_nanos(), 25_082);
+        assert_eq!(net.transfer(1 << 30).as_nanos(), 85_924_346);
+        assert_eq!(net.fanin_transfer(1 << 20, 2048).as_nanos(), 5_393_709);
+        assert_eq!(net.setup_time(10).as_nanos(), 5_000_000);
+        assert_eq!(net.barrier(8).as_nanos(), 75_391);
+        assert_eq!(net.barrier(4096).as_nanos(), 500_000);
     }
 }

@@ -1,11 +1,10 @@
 //! The baseline architectures (and the MegaScale-Data architecture in the
 //! same vocabulary, for apples-to-apples reports).
 
-use msd_sim::NetModel;
+use msd_core::loader::WORKER_CTX_BYTES;
 
-use crate::model::{
-    workers_to_hide, ClusterShape, LoaderSystem, SystemReport, WorkloadShape, WORKER_CTX_BYTES,
-};
+use crate::model::{workers_to_hide, ClusterShape, LoaderSystem, SystemReport, WorkloadShape};
+use crate::net::NetModel;
 
 fn per_node(total: u64, cluster: &ClusterShape) -> u64 {
     total / u64::from(cluster.nodes().max(1))

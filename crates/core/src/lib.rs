@@ -34,7 +34,7 @@
 //!   per-stage latency histograms, and queue-depth gauges snapshotted
 //!   through `RuntimeStats`.
 //! - [`fault`]: differential checkpointing and replay: how a restarted
-//!   loader recovers, its report, and the ETTR model.
+//!   loader recovers, and its report.
 //! - [`replay`]: Replay Mode (paper §9) — a step-indexed store of
 //!   pre-computed plans that either deployment adopts through
 //!   [`system::core::PipelineCore`] when they validate against live

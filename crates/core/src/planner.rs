@@ -89,8 +89,8 @@ pub struct PhaseBreakdown {
 /// Serializable snapshot of the Planner's restart-critical state: the step
 /// counter and the sampling RNG are all the planner needs to keep planning
 /// deterministically. Loader replay reads the GCS plan log (threaded
-/// runtime) or a shadow's own bounded delta (inline failover), never the
-/// planner.
+/// runtime) or, inline, the directives `MegaScaleData::restart_loader`
+/// logged since the loader's checkpoint, never the planner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannerCheckpoint {
     /// Step counter at snapshot time.

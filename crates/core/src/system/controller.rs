@@ -365,13 +365,22 @@ impl ControllerActor {
             .flatten()
     }
 
-    /// (Re)builds the scaler when the planner's source order changes or
+    /// The scaler, (re)built when the planner's source order changes or
     /// on the first tick. Actor counts seed from the live registry, so a
     /// restarted controller scores shares against reality, not history.
-    fn ensure_scaler(&mut self, sources: &[SourceId]) {
-        if self.scaler.is_some() && self.scaler_sources == sources {
-            return;
-        }
+    fn ensure_scaler(&mut self, sources: &[SourceId]) -> &mut AutoScaler {
+        let scaler = match self.scaler.take() {
+            Some(scaler) if self.scaler_sources == sources => scaler,
+            _ => {
+                self.scaler_sources = sources.to_vec();
+                self.build_scaler(sources)
+            }
+        };
+        self.scaler.insert(scaler)
+    }
+
+    /// A scaler over `sources`, seeded from the live registry.
+    fn build_scaler(&self, sources: &[SourceId]) -> AutoScaler {
         let setups: Vec<LoaderSetup> = sources
             .iter()
             .map(|src| {
@@ -387,17 +396,14 @@ impl ControllerActor {
                 }
             })
             .collect();
-        self.scaler = Some(
-            AutoScaler::new(setups)
-                .with_knobs(
-                    self.config.alpha,
-                    self.config.up_factor,
-                    self.config.down_factor,
-                    self.config.patience,
-                )
-                .with_actor_cap(self.config.max_loaders_per_source),
-        );
-        self.scaler_sources = sources.to_vec();
+        AutoScaler::new(setups)
+            .with_knobs(
+                self.config.alpha,
+                self.config.up_factor,
+                self.config.down_factor,
+                self.config.patience,
+            )
+            .with_actor_cap(self.config.max_loaders_per_source)
     }
 
     /// One control interval: telemetry → decisions → live execution.
@@ -410,11 +416,8 @@ impl ControllerActor {
             return; // Planner mid-restart; try again next interval.
         };
         let healths = self.gather_health();
-        self.ensure_scaler(&telemetry.sources);
         let actions = self
-            .scaler
-            .as_mut()
-            .expect("ensure_scaler ran")
+            .ensure_scaler(&telemetry.sources)
             .observe(&telemetry.weights);
         let mut acted = false;
         for action in actions {
@@ -435,10 +438,7 @@ impl ControllerActor {
                 // shard exhaustion) must resync the scaler to the live
                 // registry or its shares drift from reality for good.
                 let live = self.slots_of(src).len().max(1) as u32;
-                self.scaler
-                    .as_mut()
-                    .expect("ensure_scaler ran")
-                    .set_actors(src, live);
+                self.ensure_scaler(&telemetry.sources).set_actors(src, live);
             }
         }
         // Rebalance only on quiet ticks: a scale event already reshuffles
@@ -553,11 +553,13 @@ impl ControllerActor {
                 .map(|h| h.buffered)
                 .unwrap_or(usize::MAX)
         };
-        let victim = slots
+        let Some(victim) = slots
             .iter()
             .min_by_key(|slot| (buffered(slot), std::cmp::Reverse(slot.identity.loader_id)))
-            .expect("slots non-empty")
-            .clone();
+            .cloned()
+        else {
+            return false;
+        };
         let victim_id = victim.identity.loader_id;
         // One write retires the victim and, if it was its group's last
         // loader, the group: every registered group hosts a loader.
@@ -663,10 +665,9 @@ impl ControllerActor {
             if peers.len() < 2 {
                 continue;
             }
-            let heaviest = peers
-                .iter()
-                .max_by_key(|h| h.buffered)
-                .expect("peers non-empty");
+            let Some(heaviest) = peers.iter().max_by_key(|h| h.buffered) else {
+                continue;
+            };
             let max = heaviest.buffered;
             let min = peers.iter().map(|h| h.buffered).min().unwrap_or(0);
             let skewed = max >= min.saturating_add(self.config.min_rebalance_delta)

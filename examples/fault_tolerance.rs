@@ -18,8 +18,8 @@ use std::time::Duration;
 
 use megascale_data::actor::RestartPolicy;
 use megascale_data::balance::BalanceMethod;
+use megascale_data::bench::fault::ettr;
 use megascale_data::core::autoscale::{ClusterResources, PartitionOpts};
-use megascale_data::core::fault::ettr;
 use megascale_data::core::planner::{PlannerConfig, Strategy};
 use megascale_data::core::schedule::MixSchedule;
 use megascale_data::core::system::{MegaScaleData, MsdConfig};

@@ -4,9 +4,8 @@
 
 use proptest::prelude::*;
 
-use megascale_data::core::autoscale::{
-    place_actors, HybridDeployment, LoaderSetup, Placement, PodSpec,
-};
+use megascale_data::bench::autoscale::{place_actors, HybridDeployment, Placement, PodSpec};
+use megascale_data::core::autoscale::LoaderSetup;
 use megascale_data::data::{
     Modality, Sample, SampleMeta, SourceId, Transform, TransformPipeline, TransformScratch,
 };
