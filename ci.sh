@@ -95,6 +95,30 @@ if [ "$pull_bad" -ne 0 ]; then
   exit 1
 fi
 
+# A served step carries its samples in plan order: the driver finds the
+# popped samples through one sorted index and hands each constructor
+# its bucket's `Vec<Sample>`, bin by bin, so no per-step map is built.
+# A non-test line naming `HashMap<u64, Sample>` (comment lines aside)
+# beyond the one listed here is a per-step map coming back, and fails.
+#   core.rs  1  `PipelineCore::assemble`, the inline deployment's entry
+#               point (the inline `MegaScaleData` and its replica call it)
+echo "==> no per-step sample map in crates/core/src/system/"
+declare -A map_sites=([core.rs]=1)
+map_bad=0
+for f in crates/core/src/system/*.rs; do
+  name=$(basename "$f")
+  found=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } /HashMap<u64, Sample>/ { n++ } END { print n + 0 }' "$f")
+  allowed=${map_sites[$name]:-0}
+  if [ "$found" -ne "$allowed" ]; then
+    echo "$f: $found non-test HashMap<u64, Sample> sites, allowlist says $allowed" >&2
+    map_bad=1
+  fi
+done
+if [ "$map_bad" -ne 0 ]; then
+  echo "carry a bucket's samples in plan order (Vec<Sample>), found by the pop's sorted index" >&2
+  exit 1
+fi
+
 # One home for the transform tail: loaders pop raw
 # (`SourceLoader::take_into`) and the tail runs where the batch is
 # assembled, in a constructor actor, on `ThreadedPipeline::step`'s

@@ -68,6 +68,18 @@ impl BufferInfo {
             .flat_map(|s| s.samples.iter().map(move |m| (s.loader_id, m)))
     }
 
+    /// Iterates `(summary index, row, &SampleMeta)` across all summaries,
+    /// in order: the slots a [`DNode`](crate::dgraph::DNode) names.
+    pub fn rows(&self) -> impl Iterator<Item = (u32, u32, &SampleMeta)> {
+        self.summaries.iter().zip(0..).flat_map(|(summary, s)| {
+            summary
+                .samples
+                .iter()
+                .zip(0..)
+                .map(move |(meta, row)| (s, row, meta))
+        })
+    }
+
     /// Total wire size of the gather (Fig 15 planner-gather model).
     pub fn wire_bytes(&self) -> u64 {
         self.summaries.iter().map(BufferSummary::wire_bytes).sum()

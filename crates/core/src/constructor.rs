@@ -242,13 +242,24 @@ impl DataConstructor {
         samples: &HashMap<u64, Sample>,
         broadcast_axes: &[Axis],
     ) -> ConstructedBatch {
+        self.build(bucket_plan, broadcast_axes, |id| samples.get(&id))
+    }
+
+    /// The batch of `bucket_plan`, each planned id's transformed sample
+    /// read through `sample` in plan order (`None`: missing, skipped).
+    fn build<'a>(
+        &self,
+        bucket_plan: &BucketPlan,
+        broadcast_axes: &[Axis],
+        mut sample: impl FnMut(u64) -> Option<&'a Sample>,
+    ) -> ConstructedBatch {
         let microbatches: Vec<Microbatch> = bucket_plan
             .bins
             .iter()
             .map(|bin| {
                 let mut toks = Vec::with_capacity(bin.samples.len());
                 let mut payloads: Vec<(u64, Bytes)> = Vec::with_capacity(bin.samples.len());
-                for s in bin.samples.iter().filter_map(|id| samples.get(id)) {
+                for s in bin.samples.iter().filter_map(|id| sample(*id)) {
                     toks.push((s.meta.sample_id, s.meta.total_tokens().max(1)));
                     // A refcount bump, not a copy: the batch shares the
                     // popped samples' allocations.
@@ -265,43 +276,33 @@ impl DataConstructor {
             .collect();
 
         let cp = self.mesh.size(Axis::CP);
+        let payload: u64 = microbatches.iter().map(|m| m.payload_bytes).sum();
+        let sequences: u64 = microbatches.iter().map(|m| m.sequences.len() as u64).sum();
         let deliveries = bucket_plan
             .clients
             .iter()
-            .map(|rank| {
-                let kind = delivery_kind(&self.mesh, *rank, broadcast_axes);
-                let cp_coord = self.mesh.coord(*rank, Axis::CP).unwrap_or(0);
-                let cp_slices: Vec<Vec<(u64, u64)>> = match kind {
-                    DeliveryKind::Payload => microbatches
+            .map(|&rank| {
+                let kind = delivery_kind(&self.mesh, rank, broadcast_axes);
+                let cp_coord = self.mesh.coord(rank, Axis::CP).unwrap_or(0);
+                let slices = |mb: &Microbatch| {
+                    mb.sequences
                         .iter()
-                        .map(|mb| {
-                            mb.sequences
-                                .iter()
-                                .map(|seq| {
-                                    let r = cp_range(seq.padded_len(), cp, cp_coord);
-                                    (r.start, r.end)
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                    _ => Vec::new(),
+                        .map(|seq| cp_range(seq.padded_len(), cp, cp_coord))
+                        .map(|r| (r.start, r.end))
+                        .collect()
                 };
-                let bytes = match kind {
-                    DeliveryKind::Payload => {
-                        let total_payload: u64 = microbatches.iter().map(|m| m.payload_bytes).sum();
-                        // CP ranks receive ~1/cp of the tokens.
-                        total_payload / u64::from(cp.max(1))
-                    }
-                    DeliveryKind::MetadataOnly => {
-                        64 * microbatches
-                            .iter()
-                            .map(|m| m.sequences.len() as u64)
-                            .sum::<u64>()
-                    }
-                    DeliveryKind::Elided => 0,
+                // CP ranks receive ~1/cp of the tokens; a metadata-only
+                // rank, 64 B per sequence.
+                let (cp_slices, bytes) = match kind {
+                    DeliveryKind::Payload => (
+                        microbatches.iter().map(slices).collect(),
+                        payload / u64::from(cp.max(1)),
+                    ),
+                    DeliveryKind::MetadataOnly => (Vec::new(), 64 * sequences),
+                    DeliveryKind::Elided => (Vec::new(), 0),
                 };
                 ClientDelivery {
-                    rank: *rank,
+                    rank,
                     kind,
                     cp_slices,
                     bytes,
@@ -316,18 +317,20 @@ impl DataConstructor {
         }
     }
 
-    /// [`DataConstructor::construct`] from raw samples, as a loader took
-    /// them (`SourceLoader::take_into`): `tails` settles
-    /// each first, and lets go of the settled samples once the batch
-    /// holds what it needs of them.
+    /// [`DataConstructor::construct`] from the bucket's raw samples in plan
+    /// order (less any missing), as a loader took them (`take_into`): `tails`
+    /// settles each first, and lets go of them once the batch is built.
     pub fn construct_raw(
         &self,
         bucket_plan: &BucketPlan,
-        raw: &HashMap<u64, Sample>,
+        raw: &[Sample],
         broadcast_axes: &[Axis],
         tails: &mut TransformTails,
     ) -> ConstructedBatch {
-        let batch = self.construct(bucket_plan, tails.settle_all(raw), broadcast_axes);
+        let mut settled = tails.settle_all(raw).iter().peekable();
+        let batch = self.build(bucket_plan, broadcast_axes, |id| {
+            settled.next_if(|s| s.meta.sample_id == id)
+        });
         tails.settled.clear();
         batch
     }
@@ -358,10 +361,10 @@ pub struct TransformTails {
     tails: [TransformPipeline; 4],
     /// Working buffers of the chain, reused for every sample.
     scratch: TransformScratch,
-    /// The settled samples of the batch being built, by id: one table
+    /// The settled samples of the batch being built, in order: one table
     /// reused across batches, so settling allocates only the tails'
     /// outputs.
-    settled: HashMap<u64, Sample>,
+    settled: Vec<Sample>,
 }
 
 impl Default for TransformTails {
@@ -369,7 +372,7 @@ impl Default for TransformTails {
         TransformTails {
             tails: Modality::ALL.map(|m| TransformPipeline::for_modality(m).split_for_transfer().1),
             scratch: TransformScratch::default(),
-            settled: HashMap::new(),
+            settled: Vec::new(),
         }
     }
 }
@@ -381,23 +384,23 @@ impl TransformTails {
     }
 
     /// Settles a copy of every sample of `raw` (a refcount bump on its
-    /// payload) into the reused table, which it returns; `raw` is left
-    /// as it is, so a rebuild settles the same samples again. When no
-    /// sample has a tail to run (text), `raw` is already settled and is
-    /// returned as it is.
-    pub fn settle_all<'a>(&'a mut self, raw: &'a HashMap<u64, Sample>) -> &'a HashMap<u64, Sample> {
+    /// payload) into the reused table, in order, and returns it; `raw` is
+    /// left as it is, so a rebuild settles the same samples again. When
+    /// no sample has a tail to run (text), `raw` is already settled and
+    /// is returned as it is.
+    pub fn settle_all<'a>(&'a mut self, raw: &'a [Sample]) -> &'a [Sample] {
         let tails = &self.tails;
         if raw
-            .values()
+            .iter()
             .all(|sample| tails[sample.meta.modality as usize].is_empty())
         {
             return raw;
         }
         self.settled.clear();
-        for (id, sample) in raw {
+        for sample in raw {
             let mut sample = sample.clone();
             self.settle(&mut sample);
-            self.settled.insert(*id, sample);
+            self.settled.push(sample);
         }
         &self.settled
     }

@@ -85,15 +85,14 @@ pub enum NodeState {
     },
 }
 
-/// One sample node.
+/// One sample node: the gathered row holding its metadata (read through
+/// [`DGraph::meta`] and [`DGraph::loader`]) and where the step sent it.
 #[derive(Debug, Clone)]
 pub struct DNode {
-    /// Sample id.
-    pub id: u64,
-    /// Owning loader.
-    pub loader: u32,
-    /// Planner-visible metadata.
-    pub meta: SampleMeta,
+    /// Index of the gathered summary holding the sample.
+    pub summary: u32,
+    /// The sample's row in that summary's metadata.
+    pub row: u32,
     /// Current lifecycle state.
     pub state: NodeState,
     /// Cost under the registered cost function (or the view default).
@@ -168,12 +167,14 @@ impl std::error::Error for DGraphError {}
 /// The stateful dataflow graph. See the module docs for the primitive map.
 ///
 /// A step's planning cost follows what the step draws, not what the
-/// loaders buffer: `from_buffer_infos` copies the gathered metadata into
-/// one exactly-sized node array, `mix` draws each source's FIFO run in
-/// place, and every later primitive walks only the drawn samples.
+/// loaders buffer: the graph holds the gathered summaries (their tables
+/// clone by refcount) and one exactly-sized array of 32-B nodes naming
+/// their rows, `mix` draws each source's FIFO run in place, and every
+/// later primitive walks only the drawn samples.
 #[derive(Debug, Clone)]
 pub struct DGraph {
     view: MetaView,
+    info: BufferInfo,
     nodes: Vec<DNode>,
     /// Source ids present, sorted (index = weight-vector position).
     source_order: Vec<msd_data::SourceId>,
@@ -192,60 +193,45 @@ pub struct DGraph {
     pub balance_api_ns: u64,
 }
 
+/// The metadata `node` names in `info`.
+fn meta_in<'a>(info: &'a BufferInfo, node: &DNode) -> &'a SampleMeta {
+    &info.summaries[node.summary as usize].samples[node.row as usize]
+}
+
 /// The participant list, materialised as every node on first use.
 fn participants(participants: &mut Option<Vec<usize>>, nodes: usize) -> &[usize] {
     participants.get_or_insert_with(|| (0..nodes).collect())
 }
 
-/// The total [`SimRng::weighted_index`] draws against: the positive
+/// The total [`SimRng::weighted_index_of`] draws against: the positive
 /// weights, summed in index order.
 fn positive_total(weights: &[f64]) -> f64 {
     weights.iter().filter(|w| **w > 0.0).sum()
 }
 
-/// [`SimRng::weighted_index`] with its total precomputed by
-/// [`positive_total`]: the same arithmetic, hence the same draws.
-fn weighted_index(rng: &mut SimRng, weights: &[f64], total: f64) -> Option<usize> {
-    if !(total > 0.0) {
-        return None;
-    }
-    let mut x = rng.f64() * total;
-    for (i, w) in weights.iter().enumerate() {
-        if *w <= 0.0 {
-            continue;
-        }
-        if x < *w {
-            return Some(i);
-        }
-        x -= *w;
-    }
-    weights.iter().rposition(|w| *w > 0.0)
-}
-
 impl DGraph {
     /// Builds a graph over the gathered buffer metadata, filtered by `view`.
     pub fn from_buffer_infos(info: &BufferInfo, view: MetaView) -> Self {
-        Self::over(view, || info.iter_samples())
+        Self::over(view, info.clone(), || info.rows())
     }
 
-    /// A graph over the `(loader, meta)` pairs `samples` yields that `view`
-    /// includes, in order, as one exactly-sized node array.
-    fn over<'a, I>(view: MetaView, samples: impl Fn() -> I) -> Self
+    /// A graph over `info`'s `(summary, row, meta)` slots that `slots` yields
+    /// and `view` includes, in order, as one exactly-sized node array.
+    fn over<'a, I>(view: MetaView, info: BufferInfo, slots: impl Fn() -> I) -> Self
     where
-        I: Iterator<Item = (u32, &'a SampleMeta)>,
+        I: Iterator<Item = (u32, u32, &'a SampleMeta)>,
     {
-        let included = || samples().filter(|(_, meta)| view.includes(meta));
+        let included = || slots().filter(|(_, _, meta)| view.includes(meta));
         let mut nodes = Vec::with_capacity(included().count());
         let mut sources = Vec::new();
-        for (loader, meta) in included() {
+        for (summary, row, meta) in included() {
             // One loader's samples mostly share a source.
             if sources.last() != Some(&meta.source) {
                 sources.push(meta.source);
             }
             nodes.push(DNode {
-                id: meta.sample_id,
-                loader,
-                meta: *meta,
+                summary,
+                row,
                 state: NodeState::Buffered,
                 cost: view.default_cost(meta),
             });
@@ -254,6 +240,7 @@ impl DGraph {
         sources.dedup();
         DGraph {
             view,
+            info,
             nodes,
             source_order: sources,
             participants: None,
@@ -276,7 +263,7 @@ impl DGraph {
     /// order, seen through `view` — e.g. the encoder image graph over the
     /// samples the backbone graph's `mix` drew (paper Fig 9).
     pub fn subgraph(&self, view: MetaView) -> Self {
-        Self::over(view, || {
+        Self::over(view, self.info.clone(), || {
             self.participants
                 .iter()
                 .flatten()
@@ -287,7 +274,7 @@ impl DGraph {
                         NodeState::Distributed { .. } | NodeState::Balanced { .. }
                     )
                 })
-                .map(|n| (n.loader, &n.meta))
+                .map(|n| (n.summary, n.row, self.meta(n)))
         })
     }
 
@@ -304,7 +291,17 @@ impl DGraph {
     /// Node lookup by sample id: a linear scan, for tests and cold
     /// callers.
     pub fn node(&self, sample: u64) -> Option<&DNode> {
-        self.nodes.iter().find(|n| n.id == sample)
+        self.nodes.iter().find(|n| self.meta(n).sample_id == sample)
+    }
+
+    /// The metadata of `node`'s sample.
+    pub fn meta(&self, node: &DNode) -> &SampleMeta {
+        meta_in(&self.info, node)
+    }
+
+    /// The loader buffering `node`'s sample.
+    pub fn loader(&self, node: &DNode) -> u32 {
+        self.info.summaries[node.summary as usize].loader_id
     }
 
     /// Sources visible to this graph, sorted (defines weight order).
@@ -347,16 +344,16 @@ impl DGraph {
         };
         let mut start = vec![0usize; sources + 1];
         for n in &self.nodes {
-            start[source_index(n.meta.source) + 1] += 1;
+            start[source_index(meta_in(&self.info, n).source) + 1] += 1;
         }
         for s in 0..sources {
             start[s + 1] += start[s];
         }
         let mut next = start[..sources].to_vec();
-        let mut order = vec![0usize; self.nodes.len()];
+        let mut order = vec![0u32; self.nodes.len()];
         for (idx, n) in self.nodes.iter_mut().enumerate() {
-            let s = source_index(n.meta.source);
-            order[next[s]] = idx;
+            let s = source_index(meta_in(&self.info, n).source);
+            order[next[s]] = idx as u32;
             next[s] += 1;
             n.state = NodeState::Excluded;
         }
@@ -368,11 +365,11 @@ impl DGraph {
         let mut total = positive_total(&live);
         let mut drawn = Vec::with_capacity(take.min(self.nodes.len()));
         while drawn.len() < take {
-            let Some(s) = weighted_index(rng, &live, total) else {
+            let Some(s) = rng.weighted_index_of(total, live.len(), |i| live[i]) else {
                 break; // All weighted sources exhausted.
             };
             debug_assert!(next[s] < start[s + 1], "drew an exhausted source");
-            drawn.push(order[next[s]]);
+            drawn.push(order[next[s]] as usize);
             next[s] += 1;
             if next[s] == start[s + 1] {
                 live[s] = 0.0;
@@ -413,7 +410,7 @@ impl DGraph {
         let t0 = std::time::Instant::now();
         for idx in participants(&mut self.participants, self.nodes.len()) {
             let node = &mut self.nodes[*idx];
-            node.cost = costfn(&node.meta).max(0.0);
+            node.cost = costfn(meta_in(&self.info, node)).max(0.0);
         }
         self.cost_api_ns += t0.elapsed().as_nanos() as u64;
     }
@@ -428,27 +425,18 @@ impl DGraph {
         let t0 = std::time::Instant::now();
 
         let participants = participants(&mut self.participants, self.nodes.len());
-        // Level 1: bucket assignment.
-        let bucket_of: Vec<(usize, u32)> = if opts.inter_bucket {
+        // Level 1: each participant's bucket.
+        let bucket_of: Vec<usize> = if opts.inter_bucket {
             let costs: Vec<f64> = participants.iter().map(|i| self.nodes[*i].cost).collect();
-            let assignment = run_balance(&costs, n, method);
-            let item_bins = assignment.item_bins(costs.len());
-            participants
-                .iter()
-                .zip(item_bins)
-                .map(|(idx, b)| (*idx, b as u32))
-                .collect()
+            run_balance(&costs, n, method).item_bins(costs.len())
         } else {
             participants
                 .iter()
-                .map(|idx| {
-                    let b = match self.nodes[*idx].state {
-                        NodeState::Distributed { bucket } | NodeState::Balanced { bucket, .. } => {
-                            bucket
-                        }
-                        _ => 0,
-                    };
-                    (*idx, b)
+                .map(|idx| match self.nodes[*idx].state {
+                    NodeState::Distributed { bucket } | NodeState::Balanced { bucket, .. } => {
+                        bucket as usize
+                    }
+                    _ => 0,
                 })
                 .collect()
         };
@@ -456,12 +444,12 @@ impl DGraph {
         // Level 2: bins within each bucket.
         let m = self.microbatches as usize;
         let mut sizes = vec![0usize; n];
-        for (_, b) in &bucket_of {
-            sizes[*b as usize] += 1;
+        for b in &bucket_of {
+            sizes[*b] += 1;
         }
         let mut per_bucket: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
-        for (idx, b) in &bucket_of {
-            per_bucket[*b as usize].push(*idx);
+        for (idx, b) in participants.iter().zip(&bucket_of) {
+            per_bucket[*b].push(*idx);
         }
         for (b, members) in per_bucket.into_iter().enumerate() {
             let bins: Vec<Vec<usize>> = if opts.intra_bucket {
@@ -544,18 +532,15 @@ impl DGraph {
         for (node, slot) in scheduled() {
             bin_sizes[slot] += 1;
             match loader_sizes.last_mut() {
-                Some((loader, size)) if *loader == node.loader => *size += 1,
-                _ => loader_sizes.push((node.loader, 1)),
+                Some((loader, size)) if *loader == self.loader(node) => *size += 1,
+                _ => loader_sizes.push((self.loader(node), 1)),
             }
         }
         // A loader appears in one run per summary that carried it.
         loader_sizes.sort_unstable_by_key(|(loader, _)| *loader);
         loader_sizes.dedup_by(|run, kept| {
-            let same = run.0 == kept.0;
-            if same {
-                kept.1 += run.1;
-            }
-            same
+            kept.1 += if run.0 == kept.0 { run.1 } else { 0 };
+            run.0 == kept.0
         });
         let mut bins: Vec<BinPlan> = bin_sizes
             .into_iter()
@@ -581,10 +566,11 @@ impl DGraph {
         let scheduled_ids = loader_sizes.iter().map(|(_, size)| size).sum();
         let table = window::table(scheduled_ids, 0, |rows| {
             for (node, slot) in scheduled() {
-                bins[slot].samples.push(node.id);
+                let id = self.meta(node).sample_id;
+                bins[slot].samples.push(id);
                 bins[slot].total_cost += node.cost;
-                let run = loader_sizes.partition_point(|(loader, _)| *loader < node.loader);
-                rows[cursor[run] as usize] = node.id;
+                let run = loader_sizes.partition_point(|(loader, _)| *loader < self.loader(node));
+                rows[cursor[run] as usize] = id;
                 cursor[run] += 1;
             }
         });
@@ -679,10 +665,24 @@ mod tests {
         let images = DGraph::from_buffer_infos(&info, MetaView::Images);
         assert_eq!(tokens.nodes().len(), 16);
         assert_eq!(images.nodes().len(), 8);
-        assert!(images.nodes().iter().all(|n| n.meta.image_patches > 0));
+        assert!(images
+            .nodes()
+            .iter()
+            .all(|n| images.meta(n).image_patches > 0));
         // Default cost bases differ.
         assert_eq!(tokens.node(8).unwrap().cost, (50 + 1000 + 8 * 300) as f64);
         assert_eq!(images.node(8).unwrap().cost, (1000 + 8 * 300) as f64);
+    }
+
+    #[test]
+    fn a_node_names_its_row_in_at_most_32_bytes() {
+        assert!(size_of::<DNode>() <= 32, "{} B", size_of::<DNode>());
+        let info = buffer_info();
+        let g = DGraph::from_buffer_infos(&info, MetaView::Images);
+        let node = g.node(9).unwrap();
+        assert_eq!((node.summary, node.row), (1, 1));
+        assert_eq!(*g.meta(node), info.summaries[1].samples[1]);
+        assert_eq!(g.loader(node), 1);
     }
 
     #[test]
@@ -788,7 +788,7 @@ mod tests {
                     bk.bins
                         .iter()
                         .flat_map(|bin| &bin.samples)
-                        .map(|id| (g.node(*id).unwrap().meta.total_tokens() as f64).powi(2))
+                        .map(|id| (g.meta(g.node(*id).unwrap()).total_tokens() as f64).powi(2))
                         .sum()
                 })
                 .collect()
@@ -815,7 +815,7 @@ mod tests {
             .nodes()
             .iter()
             .filter_map(|n| match n.state {
-                NodeState::Distributed { bucket } => Some((n.id, bucket)),
+                NodeState::Distributed { bucket } => Some((g.meta(n).sample_id, bucket)),
                 _ => None,
             })
             .collect();
@@ -823,7 +823,8 @@ mod tests {
             .unwrap();
         for n in g.nodes() {
             if let NodeState::Balanced { bucket, .. } = n.state {
-                assert_eq!(before[&n.id], bucket, "sample {} moved buckets", n.id);
+                let id = g.meta(n).sample_id;
+                assert_eq!(before[&id], bucket, "sample {id} moved buckets");
             }
         }
     }
@@ -1010,7 +1011,7 @@ mod tests {
             let (want, want_plan, want_rng) = run(true);
             prop_assert_eq!(got.sources(), want.sources());
             let nodes = |g: &DGraph| -> Vec<(u64, u32, NodeState, u64)> {
-                g.nodes().iter().map(|n| (n.id, n.loader, n.state, n.cost.to_bits())).collect()
+                g.nodes().iter().map(|n| (g.meta(n).sample_id, g.loader(n), n.state, n.cost.to_bits())).collect()
             };
             prop_assert_eq!(nodes(&got), nodes(&want));
             assert_same_plan(&got_plan, &want_plan);

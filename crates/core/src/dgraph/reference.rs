@@ -13,7 +13,7 @@ use msd_balance::BalanceMethod;
 use msd_mesh::DistributeAxis;
 use msd_sim::SimRng;
 
-use super::{BalanceOpts, DGraph, DGraphError, DNode, MetaView, NodeState};
+use super::{meta_in, BalanceOpts, DGraph, DGraphError, DNode, MetaView, NodeState};
 use crate::buffer::BufferInfo;
 use crate::plan::LoadingPlan;
 use crate::planner::{Planner, Strategy};
@@ -22,15 +22,14 @@ use crate::planner::{Planner, Strategy};
 pub fn from_buffer_infos(info: &BufferInfo, view: MetaView) -> DGraph {
     let mut nodes = Vec::new();
     let mut sources = Vec::new();
-    for (loader, meta) in info.iter_samples() {
+    for (summary, row, meta) in info.rows() {
         if !view.includes(meta) {
             continue;
         }
         sources.push(meta.source);
         nodes.push(DNode {
-            id: meta.sample_id,
-            loader,
-            meta: *meta,
+            summary,
+            row,
             state: NodeState::Buffered,
             cost: view.default_cost(meta),
         });
@@ -40,14 +39,16 @@ pub fn from_buffer_infos(info: &BufferInfo, view: MetaView) -> DGraph {
     DGraph {
         nodes,
         source_order: sources,
-        ..DGraph::over(view, std::iter::empty)
+        ..DGraph::over(view, info.clone(), std::iter::empty)
     }
 }
 
 /// Restricts the graph to the given sample ids.
 pub fn retain_ids(g: &mut DGraph, ids: &HashSet<u64>) {
-    g.nodes.retain(|n| ids.contains(&n.id));
-    let mut sources: Vec<msd_data::SourceId> = g.nodes.iter().map(|n| n.meta.source).collect();
+    let info = &g.info;
+    g.nodes
+        .retain(|n| ids.contains(&meta_in(info, n).sample_id));
+    let mut sources: Vec<msd_data::SourceId> = g.nodes.iter().map(|n| g.meta(n).source).collect();
     sources.sort_unstable();
     sources.dedup();
     g.source_order = sources;
@@ -71,7 +72,7 @@ pub fn mix(
     for (i, n) in g.nodes.iter().enumerate() {
         let s = g
             .source_order
-            .binary_search(&n.meta.source)
+            .binary_search(&g.meta(n).source)
             .expect("source indexed at construction");
         queues[s].push(i);
     }

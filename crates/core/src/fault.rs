@@ -105,7 +105,7 @@ mod tests {
     }
 
     #[test]
-    fn shadow_delta_is_bounded_by_the_snapshot_interval() {
+    fn replayed_delta_is_bounded_by_the_checkpoint_interval() {
         // 66 plans: 64 fill sixteen checkpoint intervals, the last two
         // land mid-interval so the restart has a delta to replay.
         let mut twin = Tracked::new(9, 4);

@@ -87,10 +87,10 @@ fn plan_log_key(step: u64) -> String {
 }
 
 /// One bucket's broadcast payload: (constructor index, bucket plan,
-/// the samples the bucket consumes, raw). Samples are `Arc`-shared
-/// between the in-flight message and the driver's retained window, so a
-/// broadcast is a refcount bump, not a payload copy.
-type BroadcastItem = (usize, Arc<BucketPlan>, Arc<HashMap<u64, Sample>>);
+/// the samples the bucket consumes, raw, in plan order). Samples are
+/// `Arc`-shared between the in-flight message and the driver's retained
+/// window, so a broadcast is a refcount bump, not a payload copy.
+type BroadcastItem = (usize, Arc<BucketPlan>, Arc<Vec<Sample>>);
 
 /// Messages understood by a loader group. The per-step operations
 /// (refill, summary, pop, checkpoint) and the health probe cover every
@@ -573,8 +573,9 @@ pub enum ConstructorMsg {
         /// This bucket's slice of the loading plan (shared with the
         /// driver's retained window).
         bucket_plan: Arc<BucketPlan>,
-        /// Popped raw samples the bucket consumes (shared, not copied).
-        samples: Arc<HashMap<u64, Sample>>,
+        /// Popped raw samples the bucket consumes, in plan order, less
+        /// any that are missing (shared, not copied).
+        samples: Arc<Vec<Sample>>,
     },
     /// The data server requests the batch of exactly `step` for
     /// `client`. The reply is parked until that step is staged, and the
@@ -638,7 +639,7 @@ type SharedWindow = Arc<Mutex<RetainedWindow>>;
 /// batch last built from them, for as long as something else holds it.
 struct Staged {
     bucket_plan: Arc<BucketPlan>,
-    samples: Arc<HashMap<u64, Sample>>,
+    samples: Arc<Vec<Sample>>,
     built: Option<WeakBatch>,
 }
 
@@ -708,7 +709,7 @@ impl ConstructorActor {
         &mut self,
         step: u64,
         bucket_plan: Arc<BucketPlan>,
-        samples: Arc<HashMap<u64, Sample>>,
+        samples: Arc<Vec<Sample>>,
     ) -> bool {
         if step < self.frontier || self.staged.contains_key(&step) {
             return false;
@@ -1212,7 +1213,32 @@ struct Fleet {
 /// One turn of the driver's chain ([`Fleet::advance`]): the plan
 /// outcome, the popped samples, and the first directed loader whose
 /// samples are still missing after the re-pop.
-type Advanced = (PlanOutcome, HashMap<u64, Sample>, Option<RuntimeError>);
+type Advanced = (PlanOutcome, Popped, Option<RuntimeError>);
+
+/// A step's popped samples as the loader groups replied them, found by
+/// one `(id, reply, row)` index sorted by id: 16 B per sample, no map.
+struct Popped {
+    replies: Vec<Vec<Sample>>,
+    index: Vec<(u64, u32, u32)>,
+}
+
+impl Popped {
+    fn new(replies: Vec<Vec<Sample>>) -> Self {
+        let mut index = Vec::with_capacity(replies.iter().map(Vec::len).sum());
+        for (reply, r) in replies.iter().zip(0..) {
+            for (sample, row) in reply.iter().zip(0..) {
+                index.push((sample.meta.sample_id, r, row));
+            }
+        }
+        index.sort_unstable();
+        Popped { replies, index }
+    }
+
+    fn get(&self, id: u64) -> Option<&Sample> {
+        let (_, reply, row) = self.index[self.index.binary_search_by_key(&id, |e| e.0).ok()?];
+        Some(&self.replies[reply as usize][row as usize])
+    }
+}
 
 fn slot_failure(idx: usize, identity: &LoaderIdentity) -> RuntimeError {
     RuntimeError::LoaderFailure {
@@ -1284,22 +1310,23 @@ impl Fleet {
         &self,
         step: u64,
         directives: &Arc<BTreeMap<u32, Window<u64>>>,
-    ) -> (HashMap<u64, Sample>, Option<RuntimeError>) {
+    ) -> (Popped, Option<RuntimeError>) {
         let topology = self.snapshot();
-        let directed: Vec<&GroupSlot> = topology
-            .groups
-            .iter()
-            .filter(|group| {
-                topology.loaders.iter().any(|slot| {
-                    slot.group == group.id && directives.contains_key(&slot.identity.loader_id)
-                })
-            })
-            .collect();
+        // One pass over the registry: `Topology::host` per directive key
+        // would scan it once per key.
+        let mut directed: Vec<&GroupSlot> = Vec::with_capacity(directives.len());
+        for slot in &topology.loaders {
+            if directives.contains_key(&slot.identity.loader_id) {
+                directed.extend(topology.group_of(slot));
+            }
+        }
+        directed.sort_unstable_by_key(|group| group.id);
+        directed.dedup_by_key(|group| group.id);
         let wanted = directives.values().map(|ids| ids.len()).sum();
-        let mut popped = HashMap::with_capacity(wanted);
+        let mut replies: Vec<Vec<Sample>> = Vec::with_capacity(directed.len());
         for _ in 0..2 {
-            if popped.len() == wanted {
-                return (popped, None);
+            if replies.iter().map(Vec::len).sum::<usize>() == wanted {
+                break;
             }
             let pending: Vec<_> = directed
                 .iter()
@@ -1312,15 +1339,15 @@ impl Fleet {
                 })
                 .collect();
             for p in pending {
-                if let Ok(samples) = p.wait(self.rpc_timeout) {
-                    popped.extend(samples.into_iter().map(|s| (s.meta.sample_id, s)));
-                }
+                replies.extend(p.wait(self.rpc_timeout).ok());
             }
         }
+        let popped = Popped::new(replies);
         let Some(i) = topology.loaders.iter().position(|slot| {
-            directives
-                .get(&slot.identity.loader_id)
-                .is_some_and(|ids| ids.iter().any(|id| !popped.contains_key(id)))
+            popped.index.len() < wanted
+                && directives
+                    .get(&slot.identity.loader_id)
+                    .is_some_and(|ids| ids.iter().any(|id| popped.get(*id).is_none()))
         }) else {
             return (popped, None);
         };
@@ -1374,22 +1401,14 @@ impl Fleet {
 
     /// Splits the popped samples into per-bucket broadcast payloads, in
     /// plan bucket order: `(constructor index, bucket plan, samples)`.
-    fn partition(
-        &self,
-        plan: &LoadingPlan,
-        mut popped: HashMap<u64, Sample>,
-    ) -> Vec<BroadcastItem> {
+    fn partition(&self, plan: &LoadingPlan, popped: Popped) -> Vec<BroadcastItem> {
         plan.buckets
             .iter()
             .map(|bp| {
                 let idx = PipelineCore::constructor_index(bp.bucket, self.constructors.len());
-                let mut samples = HashMap::with_capacity(bp.sample_count());
-                samples.extend(
-                    bp.bins
-                        .iter()
-                        .flat_map(|bin| bin.samples.iter())
-                        .filter_map(|id| popped.remove(id).map(|s| (*id, s))),
-                );
+                let mut samples = Vec::with_capacity(bp.sample_count());
+                let ids = bp.bins.iter().flat_map(|bin| &bin.samples);
+                samples.extend(ids.filter_map(|id| popped.get(*id).cloned()));
                 (idx, Arc::new(bp.clone()), Arc::new(samples))
             })
             .collect()
@@ -1470,9 +1489,7 @@ impl ThreadedPipeline {
             .bucket_count(planner.config.axis, planner.config.group_size)
             as usize;
         if let Some(template) = constructors.first().cloned() {
-            while constructors.len() < buckets {
-                constructors.push(template.clone());
-            }
+            constructors.resize(constructors.len().max(buckets), template);
         }
         let placement = PlacementView {
             tree: planner.tree().clone(),
@@ -1719,14 +1736,15 @@ impl ThreadedPipeline {
         refill_target: usize,
     ) -> Result<(LoadingPlan, PhaseBreakdown, Vec<ConstructedBatch>), RuntimeError> {
         self.fleet.refill(refill_target);
-        let (outcome, mut popped, missing) = self.fleet.advance()?;
+        let (outcome, popped, missing) = self.fleet.advance()?;
         if let Some(failure) = missing {
             return Err(failure);
         }
-        for sample in popped.values_mut() {
-            self.tails.settle(sample);
+        let axes = &outcome.plan.broadcast_axes;
+        let mut batches = Vec::new();
+        for (c, bp, raw) in self.fleet.partition(&outcome.plan, popped) {
+            batches.push(self.constructors[c].construct_raw(&bp, &raw, axes, &mut self.tails));
         }
-        let batches = PipelineCore::assemble(&self.constructors, &outcome.plan, &popped);
         Ok((outcome.plan, outcome.phases, batches))
     }
 
@@ -1923,18 +1941,14 @@ impl ThreadedPipeline {
         // the controller outlived the wait above, a group spawned behind
         // our back is caught on the next pass instead of wedging the
         // join.
-        let mut stopped: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        let mut stopped = std::collections::HashSet::new();
         loop {
-            let mut new_any = false;
-            for group in &self.fleet.snapshot().groups {
-                if stopped.insert(group.id) {
-                    group.actor.stop();
-                    new_any = true;
-                }
-            }
-            if !new_any {
+            let topology = self.fleet.snapshot();
+            let Some(group) = topology.groups.iter().find(|g| !stopped.contains(&g.id)) else {
                 break;
-            }
+            };
+            stopped.insert(group.id);
+            group.actor.stop();
         }
         self.fleet.planner.stop();
         for c in &self.fleet.constructors {
@@ -2160,7 +2174,13 @@ fn run_serve_driver(
         items.retain(|(idx, _, _)| !clients_of[*idx].is_empty());
         {
             let mut window = fleet.window.lock();
-            broadcast(&fleet, s, &items);
+            for (idx, bucket_plan, samples) in &items {
+                fleet.constructors[*idx].tell(ConstructorMsg::Construct {
+                    step: s,
+                    bucket_plan: Arc::clone(bucket_plan),
+                    samples: Arc::clone(samples),
+                });
+            }
             window.steps.push_back((s, items));
         }
         served = s + 1;
@@ -2299,16 +2319,6 @@ fn retire_frontier(
         version,
         crate::codec::encode_frontier_checkpoint(&cp),
     );
-}
-
-fn broadcast(fleet: &Fleet, step: u64, items: &[BroadcastItem]) {
-    for (idx, bucket_plan, samples) in items {
-        fleet.constructors[*idx].tell(ConstructorMsg::Construct {
-            step,
-            bucket_plan: Arc::clone(bucket_plan),
-            samples: samples.clone(),
-        });
-    }
 }
 
 #[cfg(test)]
@@ -2670,7 +2680,7 @@ mod tests {
         let directives = Arc::new(plan.directives.clone());
         let wanted: usize = directives.values().map(|ids| ids.len()).sum();
         let (popped, missing) = p.fleet.pop(plan.step, &directives);
-        assert!(popped.len() < wanted, "the pop came back whole");
+        assert!(popped.index.len() < wanted, "the pop came back whole");
         match missing {
             Some(RuntimeError::LoaderFailure { loader, .. }) => assert_eq!(loader, first),
             other => panic!("expected the first directed loader, got {other:?}"),

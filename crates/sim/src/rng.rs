@@ -164,6 +164,18 @@ impl SimRng {
         weight: impl Fn(usize) -> f64,
     ) -> Option<usize> {
         let total: f64 = (0..len).map(&weight).filter(|w| *w > 0.0).sum();
+        self.weighted_index_of(total, len, weight)
+    }
+
+    /// [`SimRng::weighted_index_by`] with `total`, the positive weights
+    /// summed in index order, already known (a caller drawing many times
+    /// keeps it between draws): the same draw and the same index.
+    pub fn weighted_index_of(
+        &mut self,
+        total: f64,
+        len: usize,
+        weight: impl Fn(usize) -> f64,
+    ) -> Option<usize> {
         if !(total > 0.0) {
             return None;
         }

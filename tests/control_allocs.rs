@@ -100,14 +100,14 @@ fn a_warmed_constructor_build_allocates_only_the_image_tails_outputs() {
             .map(|s| (s.meta.sample_id, s.clone()))
             .collect()
     };
-    let mixed: HashMap<u64, Sample> = by_id(&images).into_iter().chain(by_id(&texts)).collect();
+    // A bucket's raw samples in plan order.
+    let mixed: Vec<Sample> = images.iter().chain(&texts).cloned().collect();
 
     let mut tails = TransformTails::default();
     tails.settle_all(&mixed); // Warm-up: the table and the scratch grow.
     let (settled, calls, _) = counted(|| tails.settle_all(&mixed).len());
     assert_eq!(settled, IMAGES + TEXTS);
     assert_eq!(calls, 2 * IMAGES as u64, "allocator calls to settle");
-    let texts = by_id(&texts);
     let (_, calls, _) = counted(|| tails.settle_all(&texts).len());
     assert_eq!(calls, 0, "allocator calls to settle text");
 
@@ -118,11 +118,11 @@ fn a_warmed_constructor_build_allocates_only_the_image_tails_outputs() {
         clients: vec![0],
         bins: vec![BinPlan {
             bin: 0,
-            samples: mixed.keys().copied().collect(),
+            samples: mixed.iter().map(|s| s.meta.sample_id).collect(),
             total_cost: 0.0,
         }],
     };
-    let settled = tails.settle_all(&mixed).clone();
+    let settled = by_id(tails.settle_all(&mixed));
     let (_, packing, _) = counted(|| constructor.construct(&plan, &settled, &[]));
     let (batch, building, _) =
         counted(|| constructor.construct_raw(&plan, &mixed, &[], &mut tails));

@@ -8,8 +8,9 @@
 //! other tests running concurrently cannot disturb them.
 //!
 //! A binary that holds a single test may instead count every thread with
-//! [`count_every_thread`] and read the total with [`process_calls`], to
-//! see what a multi-threaded runtime allocates as a whole.
+//! [`count_every_thread`] and read the totals with [`process_calls`] and
+//! [`process_bytes`], to see what a multi-threaded runtime allocates as a
+//! whole.
 
 // A `GlobalAlloc` is an `unsafe impl`; this module is the only place the
 // test suite needs one.
@@ -36,10 +37,12 @@ thread_local! {
 /// Process-wide mode: every thread's calls, once switched on.
 static EVERY_THREAD: AtomicBool = AtomicBool::new(false);
 static PROCESS_CALLS: AtomicU64 = AtomicU64::new(0);
+static PROCESS_BYTES: AtomicU64 = AtomicU64::new(0);
 
 fn grew(bytes: usize) {
     if EVERY_THREAD.load(Ordering::Relaxed) {
         PROCESS_CALLS.fetch_add(1, Ordering::Relaxed);
+        PROCESS_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     }
     if COUNTING.with(Cell::get) {
         CALLS.with(|c| c.set(c.get() + 1));
@@ -108,8 +111,9 @@ pub fn counted_live<T>(f: impl FnOnce() -> T) -> (T, i64) {
     (out, bytes as i64 - freed as i64)
 }
 
-/// Switches on process-wide counting: from now on [`process_calls`]
-/// counts the allocator calls of every thread.
+/// Switches on process-wide counting: from now on [`process_calls`] and
+/// [`process_bytes`] count the allocator calls and requested bytes of
+/// every thread.
 pub fn count_every_thread() {
     EVERY_THREAD.store(true, Ordering::Relaxed);
 }
@@ -117,4 +121,10 @@ pub fn count_every_thread() {
 /// Allocator calls of every thread since [`count_every_thread`].
 pub fn process_calls() -> u64 {
     PROCESS_CALLS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested by every thread since [`count_every_thread`] (a
+/// `realloc` counts its new size).
+pub fn process_bytes() -> u64 {
+    PROCESS_BYTES.load(Ordering::Relaxed)
 }

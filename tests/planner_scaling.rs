@@ -8,6 +8,9 @@
 //! 1. **Depth-independence** — allocator calls per `generate` are the
 //!    same whether each loader buffers 32 or 256 samples: planning cost
 //!    follows the samples a step draws, not the ones it leaves buffered.
+//!    What a deeper buffer does cost is a few bytes per extra buffered
+//!    sample — its node (which names the gathered row, without copying
+//!    the metadata) and its place in `mix`'s order index — gated at 40 B.
 //! 2. **The source curve** — calls and bytes per `generate` at 8 / 32 /
 //!    128 / 512 sources with the same 4,096 buffered samples, printed
 //!    (`cargo test --test planner_scaling -- --nocapture`).
@@ -97,12 +100,19 @@ fn generate_allocator_calls_do_not_grow_with_buffer_depth() {
     let (calls_32, bytes_32) = generate_cost(128, &shallow);
     let (calls_256, bytes_256) = generate_cost(128, &deep);
     // The same samples are drawn at both depths (no source runs dry), so
-    // everything after the gather copy is the same work.
+    // everything but the per-node arrays is the same work.
     assert_eq!(
         calls_32, calls_256,
         "allocator calls per generate: {calls_32} at depth 32, {calls_256} at depth 256"
     );
-    assert!(bytes_256 > bytes_32, "the node copy follows the gather");
+    assert!(bytes_256 > bytes_32, "the node array follows the gather");
+    let per_buffered = (bytes_256 - bytes_32) as f64 / (128.0 * 224.0);
+    println!("planner.generate bytes per extra buffered sample: {per_buffered:.1}");
+    assert!(
+        per_buffered <= 40.0,
+        "{per_buffered:.1} B per extra buffered sample ({bytes_32} B at depth 32, \
+         {bytes_256} B at depth 256)"
+    );
 }
 
 #[test]

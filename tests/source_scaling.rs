@@ -4,15 +4,19 @@
 //! Each run serves a `text_only` catalog of 128, 512 or 2,048 sources (one
 //! loader each) through `serve_distributed` over in-process loopback to
 //! two clients, at a fixed 1,024 samples per step and a refill target of
-//! 32 per loader. Every thread's allocator calls are counted between two
-//! deliveries of client 0, after a warm-up; the run prints calls per
-//! step and per sample, and the process's threads
-//! (`cargo test --test source_scaling -- --nocapture`).
+//! 32 per loader. Every thread's allocator calls and requested bytes are
+//! counted between two deliveries of client 0, after a warm-up; the run
+//! prints calls and bytes per step and per drawn sample, and the
+//! process's threads (`cargo test --test source_scaling -- --nocapture`).
 //!
-//! The gate: from 512 to 2,048 sources, calls per step grow at most
+//! The gates: from 512 to 2,048 sources, calls per step grow at most
 //! 1.25×. A step's payload is the same 1,024 samples at every width, so
 //! what grows with the sources is the control path: the gather, the
-//! plan's directives, the checkpoints.
+//! plan's directives, the checkpoints. And at 128 sources (the
+//! benchmark's `manysrc` shape) a step requests at most 3,000 B per
+//! drawn sample: the driver carries each bucket's samples in plan order
+//! without a per-step map, and the planner's nodes name the gathered
+//! metadata rows instead of copying them.
 //!
 //! This binary holds this one test, so no other test allocates while it
 //! counts every thread.
@@ -41,15 +45,18 @@ fn os_threads() -> usize {
         .count()
 }
 
-/// `(allocator calls per step, threads)` of a live session over
-/// `sources` text sources.
-fn calls_per_step(sources: u32) -> (f64, usize) {
+/// Bytes a 128-source step may request per drawn sample.
+const MANYSRC_BYTES_PER_SAMPLE: f64 = 3000.0;
+
+/// `(allocator calls per step, bytes per step, threads)` of a live
+/// session over `sources` text sources.
+fn cost_per_step(sources: u32) -> (f64, f64, usize) {
     let catalog = text_only(&mut SimRng::seed(17), sources);
     let mut pipeline = harness::pipeline_over(&catalog, DRAWN, 5);
     let opts = harness::opts(2, WARMUP + MEASURED + 2);
     let transport: Arc<dyn Transport> = Arc::new(LoopbackTransport);
     let (session, handle) = pipeline.serve_distributed(opts, transport, &harness::placements(2));
-    let (calls, threads) = std::thread::scope(|s| {
+    let ((calls, bytes), threads) = std::thread::scope(|s| {
         let counter = s.spawn(|| {
             let mut client = handle.connect(0);
             let mut marks = Vec::with_capacity(2);
@@ -58,13 +65,13 @@ fn calls_per_step(sources: u32) -> (f64, usize) {
                 client.next().expect("client 0 stream ended early");
                 if delivery == WARMUP {
                     threads = os_threads();
-                    marks.push(counting::process_calls());
-                } else if delivery == WARMUP + MEASURED {
-                    marks.push(counting::process_calls());
+                }
+                if delivery == WARMUP || delivery == WARMUP + MEASURED {
+                    marks.push((counting::process_calls(), counting::process_bytes()));
                 }
             }
             while client.next().is_some() {}
-            (marks[1] - marks[0], threads)
+            ((marks[1].0 - marks[0].0, marks[1].1 - marks[0].1), threads)
         });
         s.spawn(|| {
             let mut client = handle.connect(1);
@@ -75,29 +82,37 @@ fn calls_per_step(sources: u32) -> (f64, usize) {
     session.join();
     drop(handle);
     pipeline.shutdown();
-    (calls as f64 / MEASURED as f64, threads)
+    let per_step = |count: u64| count as f64 / MEASURED as f64;
+    (per_step(calls), per_step(bytes), threads)
 }
 
 #[test]
 fn per_step_allocator_calls_barely_grow_with_sources() {
     counting::count_every_thread();
     println!("live serve, {DRAWN} samples per step, refill target 32, 2 loopback clients:");
-    println!("sources  calls/step  calls/sample  threads");
+    println!("sources  calls/step  calls/sample  bytes/step  bytes/sample  threads");
     let mut per_step = Vec::new();
     for sources in [128u32, 512, 2048] {
-        let (calls, threads) = calls_per_step(sources);
+        let (calls, bytes, threads) = cost_per_step(sources);
         println!(
-            "{sources:>7}  {calls:>10.0}  {:>12.3}  {threads:>7}",
-            calls / DRAWN as f64
+            "{sources:>7}  {calls:>10.0}  {:>12.3}  {bytes:>10.0}  {:>12.0}  {threads:>7}",
+            calls / DRAWN as f64,
+            bytes / DRAWN as f64
         );
-        per_step.push(calls);
+        per_step.push((calls, bytes));
     }
-    let growth = per_step[2] / per_step[1];
+    let manysrc = per_step[0].1 / DRAWN as f64;
+    assert!(
+        manysrc <= MANYSRC_BYTES_PER_SAMPLE,
+        "a 128-source step requested {manysrc:.0} B per drawn sample \
+         (gate {MANYSRC_BYTES_PER_SAMPLE:.0})"
+    );
+    let growth = per_step[2].0 / per_step[1].0;
     assert!(
         growth <= 1.25,
         "allocator calls per step grew {growth:.2}x from 512 to 2,048 sources \
          ({:.0} -> {:.0})",
-        per_step[1],
-        per_step[2]
+        per_step[1].0,
+        per_step[2].0
     );
 }
