@@ -119,6 +119,27 @@ if [ "$map_bad" -ne 0 ]; then
   exit 1
 fi
 
+# A loader group's pop reply is its checkpoint: a group writes its
+# loaders' checkpoints before it answers the step's pop, and the serve
+# driver takes the plan-log floor from whether every group answered. A
+# non-test line under crates/ (comment lines aside) naming
+# `LoaderMsg::Checkpoint` is a second checkpoint message coming back, and
+# one naming `min_state_version` a per-loader GCS read for the floor:
+# either fails.
+echo "==> no separate loader checkpoint message or per-loader floor read in crates/"
+ckpt_bad=0
+for f in $(find crates -name '*.rs' | sort); do
+  found=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } /min_state_version|LoaderMsg::Checkpoint/ { n++ } END { print n + 0 }' "$f")
+  if [ "$found" -ne 0 ]; then
+    echo "$f: $found non-test min_state_version / LoaderMsg::Checkpoint sites" >&2
+    ckpt_bad=1
+  fi
+done
+if [ "$ckpt_bad" -ne 0 ]; then
+  echo "checkpoint a group's loaders in its pop and take the plan-log floor from the pop replies" >&2
+  exit 1
+fi
+
 # One home for the transform tail: loaders pop raw
 # (`SourceLoader::take_into`) and the tail runs where the batch is
 # assembled, in a constructor actor, on `ThreadedPipeline::step`'s

@@ -135,15 +135,6 @@ impl Gcs {
             .unwrap_or(0)
     }
 
-    /// The least [`Gcs::state_version`] among `keys`, read under one lock
-    /// (`None` when `keys` is empty).
-    pub fn min_state_version<'a>(&self, keys: impl IntoIterator<Item = &'a str>) -> Option<u64> {
-        let inner = self.inner.read();
-        keys.into_iter()
-            .map(|key| inner.state.get(key).map_or(0, |c| c.version))
-            .min()
-    }
-
     /// Drops the checkpoint stored under `key` (log pruning). Returns
     /// `true` if something was removed.
     pub fn remove_state(&self, key: &str) -> bool {
@@ -248,17 +239,6 @@ mod tests {
         assert!(gcs.put_state("loader/0", 5, vec![5]));
         assert!(!gcs.put_state_with("loader/0", 5, refused));
         assert_eq!(gcs.state_version("loader/0"), 5);
-    }
-
-    #[test]
-    fn min_state_version_reads_missing_keys_as_zero() {
-        let gcs = Gcs::new();
-        assert_eq!(gcs.min_state_version([]), None);
-        gcs.put_state("loader/0", 4, vec![]);
-        gcs.put_state("loader/1", 9, vec![]);
-        assert_eq!(gcs.min_state_version(["loader/0", "loader/1"]), Some(4));
-        assert_eq!(gcs.min_state_version(["loader/1"]), Some(9));
-        assert_eq!(gcs.min_state_version(["loader/1", "loader/2"]), Some(0));
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! GCS plan log (differential checkpointing) so a sample consumed before
 //! a crash is never delivered twice.
 //!
-//! One serial chain drives the fleet: gather → plan → pop → checkpoint.
-//! Loader groups pop raw, so the chain carries no transform work.
+//! One serial chain drives the fleet: gather → plan → pop, and a group
+//! checkpoints its loaders before it answers the pop. Loader groups pop
+//! raw, so the chain carries no transform work.
 //! [`ThreadedPipeline::step`] runs it once for a single synchronous
 //! caller and runs the tails and assembles the batches on the caller's
 //! thread, as the inline deployment does. Every concurrent session is
@@ -93,9 +94,9 @@ fn plan_log_key(step: u64) -> String {
 type BroadcastItem = (usize, Arc<BucketPlan>, Arc<Vec<Sample>>);
 
 /// Messages understood by a loader group. The per-step operations
-/// (refill, summary, pop, checkpoint) and the health probe cover every
-/// hosted loader in one message; the control plane's hand-off addresses
-/// one loader by id.
+/// (refill, summary, pop) and the health probe cover every hosted loader
+/// in one message; the control plane's hand-off addresses one loader by
+/// id.
 pub enum LoaderMsg {
     /// Refill every hosted loader's buffer toward `target` samples:
     /// admission, metadata only ([`SourceLoader::refill`]). The group
@@ -109,22 +110,19 @@ pub enum LoaderMsg {
     /// their metadata windows onto one table
     /// ([`SourceLoader::summaries`]).
     Summary(ReplyTo<Vec<BufferSummary>>),
-    /// Pop every hosted loader's directed sample ids and reply with all
-    /// the samples raw, materialized but before the tail
-    /// (`SourceLoader::take_into`): the transform tail runs where the
-    /// batch is assembled.
+    /// Pop every hosted loader's directed sample ids, checkpoint every
+    /// hosted loader at `version` under its `loader/{id}` key, and only
+    /// then reply with the samples raw (`SourceLoader::take_into`): the
+    /// transform tail runs where the batch is assembled, and a reply
+    /// proves the group's checkpoints are stored.
     Pop {
         /// The step's pop directives (loader id → sample ids), shared by
         /// every group: each looks up its own members.
         directives: Arc<BTreeMap<u32, Window<u64>>>,
+        /// The plan step: the version of the checkpoints the pop writes.
+        version: u64,
         /// Reply channel.
         reply: ReplyTo<Vec<Sample>>,
-    },
-    /// Snapshot every hosted loader into the GCS at `version`, each under
-    /// its own `loader/{id}` key.
-    Checkpoint {
-        /// Snapshot version.
-        version: u64,
     },
     /// Report every hosted loader's control-plane health snapshot (buffer
     /// occupancy, lifetime production), in registry order.
@@ -355,7 +353,11 @@ impl Actor for LoaderGroupActor {
                     self.members.iter().map(|m| &m.loader),
                 ));
             }
-            LoaderMsg::Pop { directives, reply } => {
+            LoaderMsg::Pop {
+                directives,
+                version,
+                reply,
+            } => {
                 // A loader this group no longer hosts misses its pop, as a
                 // crashed loader's does.
                 let wanted = self
@@ -373,9 +375,6 @@ impl Actor for LoaderGroupActor {
                 // Let go of the shared directives before replying, so the
                 // driver gets them back without a copy.
                 drop(directives);
-                reply.send(samples);
-            }
-            LoaderMsg::Checkpoint { version } => {
                 // Each frame is encoded into its key's stored buffer: a
                 // step's checkpoints make no allocator call.
                 for member in &self.members {
@@ -384,6 +383,7 @@ impl Actor for LoaderGroupActor {
                         crate::codec::encode_loader_checkpoint_into(&cp, buf)
                     });
                 }
+                reply.send(samples);
             }
             LoaderMsg::Health(reply) => {
                 reply.send(self.members.iter().map(|m| m.loader.health()).collect());
@@ -521,7 +521,7 @@ impl Actor for PlannerActor {
                         .put_state(&plan_log_key(step), step + 1, directives);
                     // No pruning here: plan-log retirement belongs to the
                     // serve driver, which prunes only below the proven
-                    // step frontier (see `retire_plan_log`). A fixed
+                    // step frontier (see `retire_frontier`). A fixed
                     // window at the producer cannot know how far behind
                     // the slowest consumer or loader checkpoint is.
                     let cp = crate::codec::encode_planner_checkpoint(&self.core.checkpoint());
@@ -1220,10 +1220,13 @@ type Advanced = (PlanOutcome, Popped, Option<RuntimeError>);
 struct Popped {
     replies: Vec<Vec<Sample>>,
     index: Vec<(u64, u32, u32)>,
+    /// Whether every group asked answered a pop of the step: each reply
+    /// proves its group's checkpoints at the step are stored.
+    all_answered: bool,
 }
 
 impl Popped {
-    fn new(replies: Vec<Vec<Sample>>) -> Self {
+    fn new(replies: Vec<Vec<Sample>>, all_answered: bool) -> Self {
         let mut index = Vec::with_capacity(replies.iter().map(Vec::len).sum());
         for (reply, r) in replies.iter().zip(0..) {
             for (sample, row) in reply.iter().zip(0..) {
@@ -1231,7 +1234,11 @@ impl Popped {
             }
         }
         index.sort_unstable();
-        Popped { replies, index }
+        Popped {
+            replies,
+            index,
+            all_answered,
+        }
     }
 
     fn get(&self, id: u64) -> Option<&Sample> {
@@ -1293,56 +1300,48 @@ impl Fleet {
     }
 
     /// Pops every directive of plan step `step`, one pipelined ask per
-    /// group that hosts a directed loader, addressing loaders by
-    /// deployment-wide id (the topology may have changed since the plan
-    /// was made). Every asked group shares `directives` and pops the
-    /// members it hosts. If samples are missing — a group failed the
-    /// RPC, or restarted before the pop — the groups are asked once more
-    /// at once: a restarting group keeps its mailbox, so its next
-    /// incarnation answers, and the rest find nothing left to pop.
-    /// Returns the popped samples plus, if a directed loader's samples
-    /// are still missing, the failure of the first such loader in
-    /// registry order, which also lands on the fault log: the step is
-    /// short. Directives naming a loader that has since been retired are
-    /// skipped — the drain handed its unconsumed samples to a surviving
-    /// peer, so they stay plannable.
+    /// group in the topology, addressing loaders by deployment-wide id
+    /// (the topology may have changed since the plan was made). Every
+    /// group shares `directives`, pops the members it hosts and
+    /// checkpoints them at `step` before it replies, directed or not, so
+    /// [`Popped::all_answered`] tells whether every loader's checkpoint
+    /// at `step` is stored. If samples are missing — a group failed the RPC, or restarted before the pop —
+    /// the groups are asked once more at once: a restarting group keeps
+    /// its mailbox, so its next incarnation answers, and the rest find
+    /// nothing left to pop. Returns the popped samples plus, if a
+    /// directed loader's samples are still missing, the failure of the
+    /// first such loader in registry order, which also lands on the
+    /// fault log: the step is short. Directives naming a loader that has
+    /// since been retired are skipped — the drain handed its unconsumed
+    /// samples to a surviving peer, so they stay plannable.
     fn pop(
         &self,
         step: u64,
         directives: &Arc<BTreeMap<u32, Window<u64>>>,
     ) -> (Popped, Option<RuntimeError>) {
         let topology = self.snapshot();
-        // One pass over the registry: `Topology::host` per directive key
-        // would scan it once per key.
-        let mut directed: Vec<&GroupSlot> = Vec::with_capacity(directives.len());
-        for slot in &topology.loaders {
-            if directives.contains_key(&slot.identity.loader_id) {
-                directed.extend(topology.group_of(slot));
-            }
-        }
-        directed.sort_unstable_by_key(|group| group.id);
-        directed.dedup_by_key(|group| group.id);
         let wanted = directives.values().map(|ids| ids.len()).sum();
-        let mut replies: Vec<Vec<Sample>> = Vec::with_capacity(directed.len());
+        let mut answered = vec![false; topology.groups.len()];
+        let mut replies: Vec<Vec<Sample>> = Vec::with_capacity(topology.groups.len());
         for _ in 0..2 {
+            let pop = |reply| LoaderMsg::Pop {
+                directives: Arc::clone(directives),
+                version: step,
+                reply,
+            };
+            for (reply, answered) in topology
+                .ask_groups(pop, self.rpc_timeout)
+                .into_iter()
+                .zip(&mut answered)
+            {
+                *answered |= reply.is_some();
+                replies.extend(reply);
+            }
             if replies.iter().map(Vec::len).sum::<usize>() == wanted {
                 break;
             }
-            let pending: Vec<_> = directed
-                .iter()
-                .filter_map(|group| {
-                    let directives = Arc::clone(directives);
-                    group
-                        .actor
-                        .ask_pipelined(move |reply| LoaderMsg::Pop { directives, reply })
-                        .ok()
-                })
-                .collect();
-            for p in pending {
-                replies.extend(p.wait(self.rpc_timeout).ok());
-            }
         }
-        let popped = Popped::new(replies);
+        let popped = Popped::new(replies, answered.iter().all(|a| *a));
         let Some(i) = topology.loaders.iter().position(|slot| {
             popped.index.len() < wanted
                 && directives
@@ -1363,16 +1362,10 @@ impl Fleet {
         (popped, Some(slot_failure(i, identity)))
     }
 
-    fn checkpoint(&self, version: u64) {
-        for group in &self.snapshot().groups {
-            group.actor.tell(LoaderMsg::Checkpoint { version });
-        }
-    }
-
     /// The driver's serial chain, shared by [`ThreadedPipeline::step`]
-    /// and the serve driver: gather → plan → pop → checkpoint. The groups
-    /// share the plan's directives during the pop and hand them back to
-    /// the returned plan.
+    /// and the serve driver: gather → plan → pop, the pop checkpointing
+    /// every group. The groups share the plan's directives during the pop
+    /// and hand them back to the returned plan.
     fn advance(&self) -> Result<Advanced, RuntimeError> {
         let info = self.gather()?;
         let mut outcome = self.plan(info)?;
@@ -1380,7 +1373,6 @@ impl Fleet {
         let directives = Arc::new(std::mem::take(&mut plan.directives));
         let (popped, missing) = self.pop(plan.step, &directives);
         plan.directives = Arc::unwrap_or_clone(directives);
-        self.checkpoint(plan.step);
         Ok((outcome, popped, missing))
     }
 
@@ -1401,15 +1393,15 @@ impl Fleet {
 
     /// Splits the popped samples into per-bucket broadcast payloads, in
     /// plan bucket order: `(constructor index, bucket plan, samples)`.
-    fn partition(&self, plan: &LoadingPlan, popped: Popped) -> Vec<BroadcastItem> {
-        plan.buckets
-            .iter()
+    fn partition(&self, buckets: Vec<BucketPlan>, popped: Popped) -> Vec<BroadcastItem> {
+        buckets
+            .into_iter()
             .map(|bp| {
                 let idx = PipelineCore::constructor_index(bp.bucket, self.constructors.len());
                 let mut samples = Vec::with_capacity(bp.sample_count());
                 let ids = bp.bins.iter().flat_map(|bin| &bin.samples);
                 samples.extend(ids.filter_map(|id| popped.get(*id).cloned()));
-                (idx, Arc::new(bp.clone()), Arc::new(samples))
+                (idx, Arc::new(bp), Arc::new(samples))
             })
             .collect()
     }
@@ -1726,11 +1718,10 @@ impl ThreadedPipeline {
     }
 
     /// Runs one step for a single synchronous caller: a refill, the serve
-    /// driver's gather → plan → pop → checkpoint, then, on the caller's
-    /// thread, the popped samples' transform tails and batch assembly, as
-    /// the inline deployment assembles. Fails when an actor fails its
-    /// RPC, or when a directed loader's samples are still missing after
-    /// the re-pop.
+    /// driver's gather → plan → pop, then, on the caller's thread, the
+    /// popped samples' transform tails and batch assembly, as the inline
+    /// deployment assembles. Fails when an actor fails its RPC, or when a
+    /// directed loader's samples are still missing after the re-pop.
     pub fn step(
         &mut self,
         refill_target: usize,
@@ -1742,7 +1733,7 @@ impl ThreadedPipeline {
         }
         let axes = &outcome.plan.broadcast_axes;
         let mut batches = Vec::new();
-        for (c, bp, raw) in self.fleet.partition(&outcome.plan, popped) {
+        for (c, bp, raw) in self.fleet.partition(outcome.plan.buckets.clone(), popped) {
             batches.push(self.constructors[c].construct_raw(&bp, &raw, axes, &mut self.tails));
         }
         Ok((outcome.plan, outcome.phases, batches))
@@ -2090,11 +2081,13 @@ fn run_serve_driver(
     }
 
     // Plan-log retirement state: the planner's global step of this
-    // session's serve step 0 (captured at the first plan) and the
-    // pruning cursor, resumed from the persisted frontier checkpoint so
-    // retirement stays monotone across sessions.
+    // session's serve step 0 (captured at the first plan), the pruning
+    // cursor, resumed from the persisted frontier checkpoint so
+    // retirement stays monotone across sessions, and the last step whose
+    // pop every group answered, at or below every loader's checkpoint.
     let mut plan_base: Option<u64> = None;
     let mut pruned_below = persisted_retirement_floor(&fleet.gcs);
+    let mut loader_floor = pruned_below;
     let mut announced = vec![0u64; fleet.constructors.len()];
 
     let mut served = 0u64;
@@ -2130,8 +2123,11 @@ fn run_serve_driver(
                 Err(_) => {}
             }
         };
-        let plan = outcome.plan;
+        let mut plan = outcome.plan;
         let base = *plan_base.get_or_insert(plan.step);
+        if popped.all_answered {
+            loader_floor = plan.step;
+        }
         if plan.buckets.len() > fleet.constructors.len() && !bucket_overflow_reported {
             bucket_overflow_reported = true;
             // Reshard grew the bucket count past the spawned constructor
@@ -2170,7 +2166,7 @@ fn run_serve_driver(
         // retain it under the same lock: a constructor that consumes the
         // broadcast and then crashes finds the step in the window when
         // its restart rebuilds.
-        let mut items = fleet.partition(&plan, popped);
+        let mut items = fleet.partition(std::mem::take(&mut plan.buckets), popped);
         items.retain(|(idx, _, _)| !clients_of[*idx].is_empty());
         {
             let mut window = fleet.window.lock();
@@ -2193,6 +2189,7 @@ fn run_serve_driver(
             &hub,
             base,
             served,
+            loader_floor,
             &mut pruned_below,
             &clients_of,
             &mut announced,
@@ -2243,20 +2240,25 @@ fn run_serve_driver(
 ///    announcement,
 /// 2. compute the plan-log retirement floor — the min of what every
 ///    live consumer capability permits (`plan_base + frontier`) and
-///    what every loader's durable checkpoint permits (its replay
-///    cursor, `state_version("loader/{id}")`) — so neither a lagging
-///    client nor a restarting loader can ever need a pruned entry,
+///    what every loader's durable checkpoint permits (`loader_floor`,
+///    the last step whose pop every loader group answered: a group
+///    replies only once its checkpoints at the step are stored, and a
+///    loader replays the plan log from its checkpoint's step) — so
+///    neither a lagging client nor a restarting loader can ever need a
+///    pruned entry,
 /// 3. prune plan-log entries below the floor and persist the frontier
 ///    checkpoint (the proof readers like [`replay_plan_log`] consult).
 ///
 /// Retained plan-log size is therefore bounded by actual lag (slowest
 /// capability behind the head), never by run length, and a client that
 /// runs ahead of its peers frees its own bucket's raw samples as it goes.
+#[allow(clippy::too_many_arguments)]
 fn retire_frontier(
     fleet: &Fleet,
     hub: &FrontierHub,
     plan_base: u64,
     served: u64,
+    loader_floor: u64,
     pruned_below: &mut u64,
     clients_of: &[Vec<u32>],
     announced: &mut [u64],
@@ -2293,13 +2295,7 @@ fn retire_frontier(
         window.steps.pop_front();
     }
     drop(window);
-    let topology = fleet.snapshot();
-    let loaders = topology.loaders.iter().map(|slot| slot.key.as_str());
-    let floor = fleet
-        .gcs
-        .min_state_version(loaders)
-        .unwrap_or(u64::MAX)
-        .min(plan_base.saturating_add(snap.frontier));
+    let floor = loader_floor.min(plan_base.saturating_add(snap.frontier));
     if floor > *pruned_below {
         for step in *pruned_below..floor {
             fleet.gcs.remove_state(&plan_log_key(step));
@@ -2698,6 +2694,65 @@ mod tests {
     }
 
     #[test]
+    fn a_pop_checkpoints_every_group_and_reports_a_group_that_did_not_answer() {
+        let mut p = pipeline_over(&text_only(&mut SimRng::seed(3), 9));
+        p.step(4).expect("step 0");
+        p.fleet.refill(4);
+        let plan = p
+            .fleet
+            .plan(p.fleet.gather().expect("gather"))
+            .expect("plan")
+            .plan;
+        assert!(plan.step > 0, "a version-0 checkpoint reads as none");
+        let topology = p.fleet.snapshot();
+        let gcs = p.gcs.clone();
+        let version = |slot: &LoaderSlot| gcs.get_state(&slot.key).map(|cp| cp.version);
+        let members = |group: &GroupSlot| {
+            let id = group.id;
+            topology.loaders.iter().filter(move |slot| slot.group == id)
+        };
+
+        // The plan directs none of group 0's loaders: the group is still
+        // asked, and its pop is its checkpoint.
+        let mut directives = plan.directives.clone();
+        for slot in members(&topology.groups[0]) {
+            directives.remove(&slot.identity.loader_id);
+        }
+        let (popped, missing) = p.fleet.pop(plan.step, &Arc::new(directives));
+        assert!(missing.is_none(), "{missing:?}");
+        assert!(popped.all_answered);
+        for slot in &topology.loaders {
+            assert_eq!(version(slot), Some(plan.step), "{}", slot.key);
+        }
+
+        // A group stalled past the RPC timeout misses the pop, and the
+        // pop says so; its loaders checkpoint only when it catches up.
+        p.set_rpc_timeout(Duration::from_millis(500));
+        let stalled = &topology.groups[1];
+        stalled.actor.inject_delay(Duration::from_secs(2));
+        let (popped, _) = p.fleet.pop(plan.step + 1, &Arc::new(BTreeMap::new()));
+        assert!(!popped.all_answered, "a stalled group counted as answered");
+        for slot in members(stalled) {
+            assert_eq!(version(slot), Some(plan.step), "{}", slot.key);
+        }
+
+        // A stopped group never answers.
+        stalled.actor.stop();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !stalled.actor.is_stopped() {
+            assert!(Instant::now() < deadline, "the stalled group never stopped");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let (popped, _) = p.fleet.pop(plan.step + 2, &Arc::new(BTreeMap::new()));
+        assert!(!popped.all_answered, "a stopped group counted as answered");
+        for slot in &topology.loaders {
+            let expected = if slot.group == stalled.id { 1 } else { 2 };
+            assert_eq!(version(slot), Some(plan.step + expected), "{}", slot.key);
+        }
+        p.shutdown();
+    }
+
+    #[test]
     fn an_image_group_pops_its_samples_raw() {
         let p = pipeline(); // coyo700m_like: every source is an image source.
         p.fleet.refill(32);
@@ -2717,7 +2772,11 @@ mod tests {
             let samples = group
                 .actor
                 .ask(
-                    |reply| LoaderMsg::Pop { directives, reply },
+                    |reply| LoaderMsg::Pop {
+                        directives,
+                        version: plan.step,
+                        reply,
+                    },
                     Duration::from_secs(10),
                 )
                 .expect("pop");
@@ -2758,9 +2817,10 @@ mod tests {
         let mut clients = session.take_clients();
         let deadline = Instant::now() + Duration::from_secs(20);
         for pulled in 0..queue_depth {
-            // Once the loaders hold step `pulled + 1`'s checkpoint, the
-            // driver has popped that step and is waiting to broadcast it:
-            // it has broadcast every step it will until the next pull.
+            // Loader 0's group writes step `pulled + 1`'s checkpoint in
+            // that step's pop, and the driver pops a step only after it
+            // broadcast the one before: once the checkpoint is there, the
+            // driver has broadcast every step it will until the next pull.
             while p.gcs.state_version("loader/0") <= pulled {
                 assert!(Instant::now() < deadline, "driver stuck at {pulled}");
                 std::thread::sleep(Duration::from_millis(2));

@@ -17,7 +17,10 @@
 //!   checkpoint replays the *complete* log, and the resumed session is
 //!   byte-identical to an undisturbed reference run;
 //! - an actual hole at or above the persisted retirement floor is a
-//!   *surfaced* fault (GCS fault log), never a silent `continue`.
+//!   *surfaced* fault (GCS fault log), never a silent `continue`;
+//! - a loader group that misses a pop (which is also its checkpoint)
+//!   holds the floor at the last step it answered until it answers
+//!   again, so its restart replays without a gap.
 
 mod harness;
 
@@ -27,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use megascale_data::core::codec::decode_frontier_checkpoint;
 use megascale_data::core::constructor::ConstructedBatch;
+use megascale_data::core::system::frontier::FrontierCheckpoint;
 use megascale_data::core::system::runtime::{LoaderMsg, ServeOptions, ThreadedPipeline};
 
 type Stream = Vec<(u64, Arc<ConstructedBatch>)>;
@@ -233,7 +237,8 @@ fn replay_gap_at_or_above_the_frontier_is_a_surfaced_fault() {
 /// laggard *paced* a fixed `LAG` steps behind the leader for a run ten
 /// times that long, retirement keeps up with it. After every laggard
 /// step the live plan log holds at most `LAG + queue_depth + 8` entries
-/// (lag, serve window, slack for the loaders' asynchronous checkpoints)
+/// (lag, serve window, slack for the step the driver pops ahead and the
+/// clients' frontier reports in flight)
 /// and no entry below the persisted `pruned_below` survives.
 #[test]
 fn paced_laggard_bounds_plan_log_retention_by_lag_not_run_length() {
@@ -304,4 +309,157 @@ fn paced_laggard_bounds_plan_log_retention_by_lag_not_run_length() {
         pruned_below >= STEPS - BUDGET,
         "retirement stalled at pruned_below = {pruned_below} of {STEPS} steps"
     );
+}
+
+/// The persisted frontier checkpoint, once the driver has written one.
+fn frontier_checkpoint(p: &ThreadedPipeline) -> Option<FrontierCheckpoint> {
+    p.gcs
+        .get_state("frontier")
+        .map(|cp| decode_frontier_checkpoint(&cp.data).expect("frontier checkpoint"))
+}
+
+/// The loaders' half of the retirement floor comes from the pop replies:
+/// a group checkpoints its loaders before it answers a pop, so the floor
+/// moves to a step only once every group answered its pop. Here one
+/// group stalls through a step's pop and crashes before it catches up.
+/// While it stalls, the clients' frontier passes its checkpoint, yet no
+/// plan-log entry at or above that checkpoint is pruned; its restart
+/// replays from there without a gap, and pruning catches up once it
+/// answers again.
+#[test]
+fn a_group_that_misses_a_pop_holds_the_plan_log_floor_until_it_answers() {
+    const STEPS: u64 = 12;
+    /// Steps both clients pull before the stall.
+    const K: u64 = 3;
+    /// The plan ask of the stalled step must succeed: the planner's
+    /// stall stays well inside the RPC timeout, and the group's outlasts
+    /// the planner's plus both pop rounds.
+    const RPC: Duration = Duration::from_secs(1);
+    const PLANNER_STALL: Duration = Duration::from_millis(500);
+    const GROUP_STALL: Duration = Duration::from_secs(6);
+
+    let mut p = harness::pipeline(48);
+    p.set_rpc_timeout(RPC);
+    let mut session = p.serve(harness::opts(2, STEPS));
+    let mut clients = session.take_clients();
+    let mut pull = |step: u64| {
+        for client in clients.iter_mut() {
+            assert_eq!(
+                client.next().map(|(s, _)| s),
+                Some(step),
+                "client {}",
+                client.id
+            );
+        }
+    };
+    let group = p.loaders()[0].clone();
+    let keys: Vec<String> = p
+        .loader_identities()
+        .iter()
+        .zip(p.loaders())
+        .filter(|(_, host)| host.name() == group.name())
+        .map(|(id, _)| format!("loader/{}", id.loader_id))
+        .collect();
+    let every_key: Vec<String> = p
+        .loader_identities()
+        .iter()
+        .map(|id| format!("loader/{}", id.loader_id))
+        .collect();
+    let version = |key: &String| p.gcs.state_version(key);
+
+    // Steps 0..K are consumed, step K is broadcast, and the driver has
+    // popped step K + 1 (every loader holds its checkpoint) and waits
+    // for a client to pull step K.
+    for step in 0..K {
+        pull(step);
+    }
+    wait_for("step K + 1's pop", || {
+        every_key.iter().all(|key| version(key) == K + 1)
+    });
+
+    // Stall the planner, then pull step K: the driver gathers step K + 2
+    // and its plan ask waits behind the stall. Meanwhile the group
+    // stalls too, and crashes once it wakes, both ahead of the pop.
+    let planner = p.planner_actor().clone();
+    planner.inject_delay(PLANNER_STALL);
+    wait_for("the planner to start its stall", || {
+        planner.mailbox_depth() == 0
+    });
+    pull(K);
+    wait_for("step K + 2's plan ask", || planner.mailbox_depth() == 1);
+    group.inject_delay(GROUP_STALL);
+    group.inject_crash("missed a pop");
+    assert_eq!(
+        planner.mailbox_depth(),
+        1,
+        "the plan left before the group stalled: its pop is not missed"
+    );
+
+    // Step K + 2's pop misses the group; the driver serves the step
+    // short and retires it with both clients past step K + 1.
+    pull(K + 1);
+    wait_for("step K + 2's retirement", || {
+        frontier_checkpoint(&p).is_some_and(|cp| cp.served == K + 3)
+    });
+    let cp = frontier_checkpoint(&p).expect("frontier checkpoint");
+    let held = keys
+        .iter()
+        .map(version)
+        .min()
+        .expect("the group hosts a loader");
+    assert_eq!(held, K + 1, "the stalled group checkpointed");
+    assert!(
+        cp.plan_base + cp.frontier > held,
+        "the clients' frontier {} does not pass the group's checkpoint {held}: \
+         the test proves nothing",
+        cp.plan_base + cp.frontier
+    );
+    assert!(
+        cp.pruned_below <= held,
+        "pruned below {} while the stalled group's checkpoint is at {held}",
+        cp.pruned_below
+    );
+    for step in held..=K + 2 {
+        assert!(
+            p.gcs.get_state(&format!("plan/{step}")).is_some(),
+            "plan/{step} was pruned while the stalled group still replays from {held}"
+        );
+    }
+
+    // The group wakes and restarts from its step K + 1 checkpoint: an
+    // answered ask means its replay has run.
+    wait_for("an answer from the restarted group", || {
+        group.ask(LoaderMsg::Health, RPC).is_ok()
+    });
+    let gaps: Vec<String> = p
+        .gcs
+        .fault_log("")
+        .into_iter()
+        .filter(|r| r.detail.contains("plan log replay gap"))
+        .map(|r| r.detail)
+        .collect();
+    assert!(
+        gaps.is_empty(),
+        "the restart replayed across a gap: {gaps:?}"
+    );
+
+    // Answering again, the group lets pruning catch up.
+    for step in K + 2..STEPS {
+        pull(step);
+    }
+    for client in clients.iter_mut() {
+        assert!(
+            client.next().is_none(),
+            "client {} read past the run",
+            client.id
+        );
+    }
+    assert_eq!(session.join(), STEPS, "driver fell short");
+    let cp = frontier_checkpoint(&p).expect("frontier checkpoint");
+    assert!(
+        cp.pruned_below > K + 2,
+        "retirement stalled at pruned_below = {} after the group answered",
+        cp.pruned_below
+    );
+    p.shutdown();
 }

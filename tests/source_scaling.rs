@@ -6,17 +6,22 @@
 //! two clients, at a fixed 1,024 samples per step and a refill target of
 //! 32 per loader. Every thread's allocator calls and requested bytes are
 //! counted between two deliveries of client 0, after a warm-up; the run
-//! prints calls and bytes per step and per drawn sample, and the
-//! process's threads (`cargo test --test source_scaling -- --nocapture`).
+//! prints calls and bytes per step and per drawn sample, the messages
+//! each loader group handled per served step over the whole session, and
+//! the process's threads
+//! (`cargo test --test source_scaling -- --nocapture`).
 //!
 //! The gates: from 512 to 2,048 sources, calls per step grow at most
 //! 1.25×. A step's payload is the same 1,024 samples at every width, so
 //! what grows with the sources is the control path: the gather, the
-//! plan's directives, the checkpoints. And at 128 sources (the
-//! benchmark's `manysrc` shape) a step requests at most 3,000 B per
-//! drawn sample: the driver carries each bucket's samples in plan order
-//! without a per-step map, and the planner's nodes name the gathered
-//! metadata rows instead of copying them.
+//! plan's directives, the checkpoints. At 128 sources (the benchmark's
+//! `manysrc` shape) a step requests at most 3,000 B per drawn sample:
+//! the driver carries each bucket's samples in plan order without a
+//! per-step map, and the planner's nodes name the gathered metadata rows
+//! instead of copying them. And at every width a loader group handles at
+//! most 3.05 messages per served step: a refill, a summary and a pop,
+//! which also checkpoints the group's loaders, plus the session's one
+//! extra refill.
 //!
 //! This binary holds this one test, so no other test allocates while it
 //! counts every thread.
@@ -47,10 +52,13 @@ fn os_threads() -> usize {
 
 /// Bytes a 128-source step may request per drawn sample.
 const MANYSRC_BYTES_PER_SAMPLE: f64 = 3000.0;
+/// Messages a loader group may handle per served step.
+const GROUP_MESSAGES_PER_STEP: f64 = 3.05;
 
-/// `(allocator calls per step, bytes per step, threads)` of a live
-/// session over `sources` text sources.
-fn cost_per_step(sources: u32) -> (f64, f64, usize) {
+/// `(allocator calls per step, bytes per step, threads, messages each
+/// loader group handled per served step)` of a live session over
+/// `sources` text sources.
+fn cost_per_step(sources: u32) -> (f64, f64, usize, f64) {
     let catalog = text_only(&mut SimRng::seed(17), sources);
     let mut pipeline = harness::pipeline_over(&catalog, DRAWN, 5);
     let opts = harness::opts(2, WARMUP + MEASURED + 2);
@@ -79,25 +87,38 @@ fn cost_per_step(sources: u32) -> (f64, f64, usize) {
         });
         counter.join().expect("client 0 thread")
     });
-    session.join();
+    let served = session.join();
     drop(handle);
+    let mut groups = pipeline.loaders();
+    groups.sort_by(|a, b| a.name().cmp(b.name()));
+    groups.dedup_by(|a, b| a.name() == b.name());
+    let messages: u64 = groups.iter().map(|group| group.processed()).sum();
     pipeline.shutdown();
     let per_step = |count: u64| count as f64 / MEASURED as f64;
-    (per_step(calls), per_step(bytes), threads)
+    let group_messages = messages as f64 / (groups.len() as u64 * served) as f64;
+    (per_step(calls), per_step(bytes), threads, group_messages)
 }
 
 #[test]
 fn per_step_allocator_calls_barely_grow_with_sources() {
     counting::count_every_thread();
     println!("live serve, {DRAWN} samples per step, refill target 32, 2 loopback clients:");
-    println!("sources  calls/step  calls/sample  bytes/step  bytes/sample  threads");
+    println!(
+        "sources  calls/step  calls/sample  bytes/step  bytes/sample  threads  group msgs/step"
+    );
     let mut per_step = Vec::new();
     for sources in [128u32, 512, 2048] {
-        let (calls, bytes, threads) = cost_per_step(sources);
+        let (calls, bytes, threads, group_messages) = cost_per_step(sources);
         println!(
-            "{sources:>7}  {calls:>10.0}  {:>12.3}  {bytes:>10.0}  {:>12.0}  {threads:>7}",
+            "{sources:>7}  {calls:>10.0}  {:>12.3}  {bytes:>10.0}  {:>12.0}  {threads:>7}  \
+             {group_messages:>15.3}",
             calls / DRAWN as f64,
             bytes / DRAWN as f64
+        );
+        assert!(
+            group_messages <= GROUP_MESSAGES_PER_STEP,
+            "at {sources} sources a loader group handled {group_messages:.3} messages \
+             per served step (gate {GROUP_MESSAGES_PER_STEP})"
         );
         per_step.push((calls, bytes));
     }
