@@ -140,6 +140,26 @@ if [ "$ckpt_bad" -ne 0 ]; then
   exit 1
 fi
 
+# One ready queue: the serve driver's retained window is the only copy of
+# a served step, and a constructor finds its share there when pulled. A
+# non-test line under crates/core/src/system/ (comment lines aside)
+# naming `ConstructorMsg::Frontier`, `struct Staged` or `fn stage(` is a
+# constructor keeping its own copy of a step, or being told when to drop
+# it, and fails here.
+echo "==> constructors stage no steps in crates/core/src/system/"
+stage_bad=0
+for f in crates/core/src/system/*.rs; do
+  found=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } /ConstructorMsg::Frontier|struct Staged|fn stage\(/ { n++ } END { print n + 0 }' "$f")
+  if [ "$found" -ne 0 ]; then
+    echo "$f: $found non-test ConstructorMsg::Frontier / struct Staged / fn stage( sites" >&2
+    stage_bad=1
+  fi
+done
+if [ "$stage_bad" -ne 0 ]; then
+  echo "read a step's share from the retained window when it is pulled; trim the window, tell no one" >&2
+  exit 1
+fi
+
 # One home for the transform tail: loaders pop raw
 # (`SourceLoader::take_into`) and the tail runs where the batch is
 # assembled, in a constructor actor, on `ThreadedPipeline::step`'s
@@ -277,8 +297,8 @@ cargo test --test distributed_serve -q
 echo "==> cargo test --test zero_copy_dataplane -q"
 cargo test --test zero_copy_dataplane -q
 
-# Actor kills mid-serve; its constructor kills are the gate on
-# `started()` rehydration from the driver's retained window.
+# Actor kills mid-serve; its constructor kills are the gate on a
+# restarted constructor answering from the driver's retained window.
 echo "==> cargo test --test runtime_concurrency -q"
 cargo test --test runtime_concurrency -q
 

@@ -6,12 +6,13 @@
 //!
 //! - [`actor`]: the [`actor::Actor`] trait and typed [`actor::ActorRef`]
 //!   handles with `tell`/`ask` semantics (ask carries an RPC timeout, which
-//!   is also the failure-detection mechanism the paper describes).
+//!   is also the failure-detection mechanism the paper describes). The
+//!   handle also injects failures for the fault-tolerance tests:
+//!   [`actor::ActorRef::inject_crash`] crashes an actor remotely and
+//!   [`actor::ActorRef::inject_delay`] stalls its mailbox.
 //! - [`system`]: [`system::ActorSystem`] spawning plain or *supervised*
 //!   actors; supervised actors are restarted from a factory after a panic,
 //!   like Ray's restartable actors backed by the GCS.
-//! - [`fault`]: failure injection — crash an actor remotely, inject
-//!   processing delays — used by the fault-tolerance experiments.
 //! - [`gcs`]: a Global Control Store analogue: named registry plus a state
 //!   blackboard actors checkpoint into and recover from.
 
@@ -20,7 +21,6 @@
 #![warn(clippy::redundant_clone)]
 
 pub mod actor;
-pub mod fault;
 pub mod gcs;
 pub mod system;
 

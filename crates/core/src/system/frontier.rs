@@ -28,10 +28,10 @@
 //!
 //! Retirement policy everywhere downstream is then a single rule:
 //! `step < frontier ⇒ retire eagerly; step ≥ frontier ⇒ must retain`.
-//! Constructor ready queues, the driver's retained broadcast window and
-//! the GCS plan log all follow it; a constructor whose clients all hold
-//! live capabilities retires below the lowest of their own cursors,
-//! which is never below the frontier.
+//! The driver's retained window (the constructors' one ready queue) and
+//! the GCS plan log both follow it; a constructor whose clients all hold
+//! live capabilities has its share of the window trimmed below the
+//! lowest of their own cursors, which is never below the frontier.
 //!
 //! [`DataServer`]: crate::system::server::DataServer
 
@@ -41,8 +41,9 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// A capability holder in the frontier fold. Consumers are the only
-/// holders: constructors keep no cursors of their own and retire their
-/// ready queues by the announced frontier.
+/// holders: constructors keep no cursors and no steps of their own; the
+/// serve driver trims each one's share of its retained window by the
+/// frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Holder {
     /// A serve-stream consumer — a data-server client session, local or

@@ -12,9 +12,9 @@
 //! - one [`PlannerActor`] hosting the shared
 //!   [`PipelineCore`] (plan synthesis
 //!   plus Replay Mode adoption),
-//! - one [`ConstructorActor`] per consumer bucket, receiving broadcast
-//!   plans with their raw samples and answering the data server's pulls
-//!   with batches it builds on demand, running each sample's transform
+//! - one [`ConstructorActor`] per consumer bucket, answering the data
+//!   server's pulls with batches it builds on demand from its share of
+//!   the serve driver's retained window, running each sample's transform
 //!   tail (Sec 6.2's transformation reordering),
 //! - one [`ControllerActor`] (see [`crate::system::controller`]) watching
 //!   mixing-weight telemetry and loader health, scaling and rebalancing
@@ -33,13 +33,13 @@
 //! caller and runs the tails and assembles the batches on the caller's
 //! thread, as the inline deployment does. Every concurrent session is
 //! one contract: [`ThreadedPipeline::serve_distributed`] starts a driver
-//! thread that pumps plans/pops/broadcasts with pipelined refill-ahead,
-//! one step ahead of the fastest client, and a
-//! [`DataServer`] actor that streams each placed trainer client its
-//! constructor's batches over a [`Transport`], throttled by a
-//! bounded-queue backpressure knob. [`ThreadedPipeline::serve`] is the
-//! same session over the in-process [`LoopbackTransport`], its clients
-//! connected for the caller.
+//! thread that pumps plans and pops with pipelined refill-ahead, one
+//! step ahead of the fastest client, into a retained window that is the
+//! constructors' one ready queue, and a [`DataServer`] actor that
+//! streams each placed trainer client its constructor's batches over a
+//! [`Transport`], throttled by a bounded-queue backpressure knob.
+//! [`ThreadedPipeline::serve`] is the same session over the in-process
+//! [`LoopbackTransport`], its clients connected for the caller.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use msd_actor::actor::ReplyTo;
-use msd_actor::{Actor, ActorRef, ActorSystem, Ctx, Gcs, RestartPolicy};
+use msd_actor::{Actor, ActorRef, ActorSystem, AskError, Ctx, Gcs, PendingReply, RestartPolicy};
 use msd_data::{Sample, SourceId, SourceSpec};
 use msd_mesh::{Axis, ClientPlaceTree, DistributeAxis};
 use parking_lot::{Mutex, RwLock};
@@ -87,10 +87,10 @@ fn plan_log_key(step: u64) -> String {
     format!("plan/{step}")
 }
 
-/// One bucket's broadcast payload: (constructor index, bucket plan,
-/// the samples the bucket consumes, raw, in plan order). Samples are
-/// `Arc`-shared between the in-flight message and the driver's retained
-/// window, so a broadcast is a refcount bump, not a payload copy.
+/// One bucket's share of a served step: (constructor index, bucket plan,
+/// the samples the bucket consumes, raw, in plan order), as the driver's
+/// retained window holds it. A constructor builds from clones of the two
+/// `Arc`s, never a payload copy.
 type BroadcastItem = (usize, Arc<BucketPlan>, Arc<Vec<Sample>>);
 
 /// Messages understood by a loader group. The per-step operations
@@ -565,26 +565,20 @@ impl Actor for PlannerActor {
 
 /// Messages understood by a constructor actor.
 pub enum ConstructorMsg {
-    /// A broadcast plan slice: stage this bucket's raw samples; a pull
-    /// builds the batch.
+    /// The serve driver has put `step` in the retained window: wake the
+    /// pulls parked on it.
     Construct {
         /// Serve-step ordinal (contiguous; not necessarily `plan.step`).
         step: u64,
-        /// This bucket's slice of the loading plan (shared with the
-        /// driver's retained window).
-        bucket_plan: Arc<BucketPlan>,
-        /// Popped raw samples the bucket consumes, in plan order, less
-        /// any that are missing (shared, not copied).
-        samples: Arc<Vec<Sample>>,
     },
     /// The data server requests the batch of exactly `step` for
-    /// `client`. The reply is parked until that step is staged, and the
-    /// batch is built when first pulled. The server carries the client's
-    /// cursor, so a restarted constructor cannot double-serve it. While
-    /// a client or an in-flight frame holds a built batch, a bucket-mate's
-    /// pull shares it ([`SharedBatch`]): the *same* constructed buffers
-    /// and, on serializing transports, the same memoized wire encoding —
-    /// a refcount bump, never a payload copy.
+    /// `client`. The reply is parked until the driver retains that step,
+    /// and the batch is built when first pulled. The server carries the
+    /// client's cursor, so a restarted constructor cannot double-serve
+    /// it. While a client or an in-flight frame holds a built batch, a
+    /// bucket-mate's pull shares it ([`SharedBatch`]): the *same*
+    /// constructed buffers and, on serializing transports, the same
+    /// memoized wire encoding — a refcount bump, never a payload copy.
     Pull {
         /// The client the pull is for.
         client: u32,
@@ -594,96 +588,71 @@ pub enum ConstructorMsg {
         /// ([`ServerMsg::Ready`]).
         reply: ReplyTo<(u64, SharedBatch)>,
     },
-    /// Report the serve steps this actor can answer: every staged step.
+    /// Report the serve steps this actor can answer: every step the
+    /// retained window holds its share of.
     ReadySteps(ReplyTo<Vec<u64>>),
-    /// The frontier the serve driver announces to this constructor: no
-    /// client that may pull from it can still ask for a step below `at`
-    /// (see `retire_frontier`), so staged steps below it retire.
-    Frontier {
-        /// This constructor's step frontier (exclusive retirement bound),
-        /// never below the global one.
-        at: u64,
-    },
-    /// Start a fresh serve session: drop staged steps and parked pulls
+    /// Start a fresh serve session: drop parked pulls and built batches
     /// left over from a previous session (serve step numbering restarts
     /// at 0 each session).
-    Reset {
-        /// When true (serializing transports), each constructed batch is
-        /// wire-encoded on the construct thread as it is built, instead of
-        /// on the serve loop's first send of that batch.
-        pre_encode: bool,
-    },
+    Reset,
 }
 
 /// The shared-batch reply a [`ConstructorMsg::Pull`] resolves to.
 type PullReply = ReplyTo<(u64, SharedBatch)>;
 
-/// The serve driver's retained broadcast window: each constructor's share
-/// of every step at or above the frontier the driver last announced to
-/// it, raw, kept so a restarted constructor can re-stage it. Only the
-/// driver writes it; the constructor factories share it read-only.
+/// The serve driver's retained window, the constructors' one
+/// ready queue: each constructor's share of every served step at or
+/// above that constructor's frontier (see `retire_frontier`), raw. Only
+/// the driver writes it; the constructors read their shares from it.
 #[derive(Default)]
 pub(crate) struct RetainedWindow {
-    /// The session's [`ConstructorMsg::Reset`] flag, so a restarted
-    /// incarnation encodes like its peers.
+    /// Wire-encode each batch as it is built (set per session when the
+    /// transport serializes).
     pre_encode: bool,
-    /// Broadcast steps, oldest first, each with its items still retained.
+    /// Served steps, oldest first and contiguous, each with the items
+    /// still retained.
     steps: VecDeque<(u64, Vec<BroadcastItem>)>,
 }
 
-/// [`RetainedWindow`] as the driver and constructor factories share it.
+/// [`RetainedWindow`] as the driver and the constructors share it.
 type SharedWindow = Arc<Mutex<RetainedWindow>>;
-
-/// One step a constructor can answer: the bucket's slice of the plan and
-/// its raw samples (shared with the driver's retained window), plus the
-/// batch last built from them, for as long as something else holds it.
-struct Staged {
-    bucket_plan: Arc<BucketPlan>,
-    samples: Arc<Vec<Sample>>,
-    built: Option<WeakBatch>,
-}
 
 /// A Data Constructor hosted in a supervised actor, serving one bucket's
 /// batches to the data server's pulls.
 ///
-/// A broadcast step is staged raw, and the actor builds its batch when
-/// the server first pulls it: it runs each sample's transform tail
-/// ([`TransformTails`], Sec 6.2's transformation reordering) and packs.
-/// The built batch is cached behind a `WeakBatch`, so bucket-mates
-/// share it while a client or an in-flight frame holds it, and a later
-/// pull (a resend, a late mate) builds the same bytes again.
+/// The actor holds no step: it finds its share of a pulled step in the
+/// serve driver's retained window and builds the batch then, running
+/// each sample's transform tail ([`TransformTails`], Sec 6.2's
+/// transformation reordering) and packing. The built batch is cached
+/// behind a `WeakBatch`, so bucket-mates share it while a client or an
+/// in-flight frame holds it, and a later pull (a resend, a late mate)
+/// builds the same bytes again.
 ///
-/// The actor tracks no consumer progress: the server carries each
+/// The actor tracks no consumer progress either: the server carries each
 /// client's cursor in `Pull`, the [`FrontierHub`] holds every client's
-/// capability, and staged steps are retired by the frontier the driver
-/// announces (`step < frontier`). Recovery keeps no durable state either:
-/// a restarted incarnation re-stages the driver's retained window in
-/// [`Actor::started`], the way loaders restore themselves from the GCS,
-/// so a crash mid-serve costs latency, never correctness.
+/// capability, and the driver trims each constructor's share of the
+/// window below its frontier. So a restarted incarnation answers the
+/// same steps as the one that crashed, and a crash mid-serve costs
+/// latency, never correctness.
 pub struct ConstructorActor {
     inner: DataConstructor,
     /// This constructor's index in the fleet (its share of each
-    /// retained broadcast).
+    /// retained step).
     index: usize,
     /// Trainer-side broadcast axes (fetch elision).
     broadcast_axes: Vec<Axis>,
     window: SharedWindow,
-    /// Every step this actor can answer, by serve step.
-    staged: BTreeMap<u64, Staged>,
+    /// The batch last built for each step, for as long as something
+    /// else holds it; pruned to the window's oldest step.
+    built: BTreeMap<u64, WeakBatch>,
     waiting: HashMap<u32, (u64, PullReply)>,
     /// The transform tails, their scratch and settled table.
     tails: TransformTails,
-    /// Wire-encode each batch as it is built (set per session by
-    /// [`ConstructorMsg::Reset`] when the transport serializes).
-    pre_encode: bool,
-    /// The serve driver's last announced frontier (monotone within a
-    /// session): staged steps below it are retired and never re-staged.
-    frontier: u64,
 }
 
 impl ConstructorActor {
-    /// Wraps a constructor component as fleet member `index`, re-staging
-    /// from `window` on every (re)start.
+    /// Wraps a constructor component as fleet member `index`, serving
+    /// its share of `window`.
     pub(crate) fn new(
         inner: DataConstructor,
         index: usize,
@@ -695,58 +664,49 @@ impl ConstructorActor {
             index,
             broadcast_axes,
             window,
-            staged: BTreeMap::new(),
+            built: BTreeMap::new(),
             waiting: HashMap::new(),
             tails: TransformTails::default(),
-            pre_encode: false,
-            frontier: 0,
         }
     }
 
-    /// Stages `step` unless it is already staged or retired (a repeated
-    /// broadcast is idempotent). Returns whether it was staged now.
-    fn stage(
-        &mut self,
-        step: u64,
-        bucket_plan: Arc<BucketPlan>,
-        samples: Arc<Vec<Sample>>,
-    ) -> bool {
-        if step < self.frontier || self.staged.contains_key(&step) {
-            return false;
-        }
-        self.staged.insert(
-            step,
-            Staged {
-                bucket_plan,
-                samples,
-                built: None,
-            },
-        );
-        true
-    }
-
-    /// The batch of staged `step`: the one last built, if something
-    /// still holds it, else built now.
+    /// The batch of `step`, if the window holds this constructor's share
+    /// of it: the one last built, if something still holds it, else
+    /// built now, outside the window lock.
     fn batch(&mut self, step: u64) -> Option<SharedBatch> {
-        let staged = self.staged.get_mut(&step)?;
-        if let Some(shared) = staged.built.as_ref().and_then(WeakBatch::upgrade) {
+        let (bucket_plan, samples, pre_encode) = {
+            let window = self.window.lock();
+            // Steps are contiguous from the front: `step` is at its
+            // offset from the oldest.
+            let oldest = window.steps.front()?.0;
+            self.built.retain(|built, _| *built >= oldest);
+            let offset = usize::try_from(step.checked_sub(oldest)?).ok()?;
+            let (_, items) = window.steps.get(offset)?;
+            let (_, bucket_plan, samples) = items.iter().find(|(i, _, _)| *i == self.index)?;
+            (
+                Arc::clone(bucket_plan),
+                Arc::clone(samples),
+                window.pre_encode,
+            )
+        };
+        if let Some(shared) = self.built.get(&step).and_then(WeakBatch::upgrade) {
             return Some(shared);
         }
         let construct_start = std::time::Instant::now();
         let shared = SharedBatch::new(Arc::new(self.inner.construct_raw(
-            &staged.bucket_plan,
-            &staged.samples,
+            &bucket_plan,
+            &samples,
             &self.broadcast_axes,
             &mut self.tails,
         )));
         crate::metrics::record_stage(crate::metrics::Stage::Construct, construct_start.elapsed());
-        if self.pre_encode {
+        if pre_encode {
             // Seal the wire form here, on the construct thread, so the
             // serve loop sends the memoized frame instead of encoding
             // inline.
             shared.warm();
         }
-        staged.built = Some(shared.downgrade());
+        self.built.insert(step, shared.downgrade());
         Some(shared)
     }
 }
@@ -754,43 +714,10 @@ impl ConstructorActor {
 impl Actor for ConstructorActor {
     type Msg = ConstructorMsg;
 
-    /// Re-stages this bucket's share of every retained step: after a
-    /// crash the actor answers exactly the steps clients may still pull,
-    /// and builds none of them until pulled. Only the snapshot is taken
-    /// under the window lock, so the driver's broadcasts never wait on a
-    /// restart. A step the driver retains after the snapshot was also
-    /// sent to this mailbox, which survives the restart, and is staged
-    /// from its queued `Construct`.
-    fn started(&mut self, _ctx: &mut Ctx) {
-        let snapshot: Vec<(u64, BroadcastItem)> = {
-            let window = self.window.lock();
-            self.pre_encode = window.pre_encode;
-            window
-                .steps
-                .iter()
-                .flat_map(|(step, items)| {
-                    items
-                        .iter()
-                        .filter(|(idx, _, _)| *idx == self.index)
-                        .map(|item| (*step, item.clone()))
-                })
-                .collect()
-        };
-        for (step, (_, bucket_plan, samples)) in snapshot {
-            self.stage(step, bucket_plan, samples);
-        }
-    }
-
     fn handle(&mut self, msg: ConstructorMsg, _ctx: &mut Ctx) {
         match msg {
-            ConstructorMsg::Construct {
-                step,
-                bucket_plan,
-                samples,
-            } => {
-                if !self.stage(step, bucket_plan, samples)
-                    || !self.waiting.values().any(|(want, _)| *want == step)
-                {
+            ConstructorMsg::Construct { step } => {
+                if !self.waiting.values().any(|(want, _)| *want == step) {
                     return;
                 }
                 let Some(shared) = self.batch(step) else {
@@ -822,19 +749,16 @@ impl Actor for ConstructorActor {
                 }
             },
             ConstructorMsg::ReadySteps(reply) => {
-                reply.send(self.staged.keys().copied().collect());
+                let window = self.window.lock();
+                let ready = window
+                    .steps
+                    .iter()
+                    .filter(|(_, items)| items.iter().any(|(i, _, _)| *i == self.index));
+                reply.send(ready.map(|(step, _)| *step).collect());
             }
-            ConstructorMsg::Frontier { at } => {
-                if at > self.frontier {
-                    self.frontier = at;
-                    self.staged.retain(|step, _| *step >= at);
-                }
-            }
-            ConstructorMsg::Reset { pre_encode } => {
-                self.staged.clear();
+            ConstructorMsg::Reset => {
+                self.built.clear();
                 self.waiting.clear();
-                self.pre_encode = pre_encode;
-                self.frontier = 0; // Serve steps renumber each session.
             }
         }
     }
@@ -978,15 +902,8 @@ impl Topology {
         msg: impl Fn(ReplyTo<R>) -> LoaderMsg,
         timeout: Duration,
     ) -> Vec<Option<R>> {
-        let pending: Vec<_> = self
-            .groups
-            .iter()
-            .map(|g| g.actor.ask_pipelined(&msg).ok())
-            .collect();
-        pending
-            .into_iter()
-            .map(|p| p.and_then(|p| p.wait(timeout).ok()))
-            .collect()
+        let pending = self.groups.iter().map(|g| g.actor.ask_pipelined(&msg));
+        wait_all(pending.collect(), timeout)
     }
 
     /// Reassembles per-group replies (from [`Topology::ask_groups`]) into
@@ -1020,6 +937,24 @@ impl Topology {
             })
             .collect()
     }
+}
+
+/// Waits on every pending reply of one fan-out round against a single
+/// deadline, `timeout` from now, so a round with several stalled actors
+/// fails after one `timeout`, not one per actor. `None` for an ask that
+/// could not be sent or was not answered in time.
+fn wait_all<R>(
+    pending: Vec<Result<PendingReply<R>, AskError>>,
+    timeout: Duration,
+) -> Vec<Option<R>> {
+    let deadline = Instant::now() + timeout;
+    pending
+        .into_iter()
+        .map(|p| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            p.ok()?.wait(left).ok()
+        })
+        .collect()
 }
 
 /// The live loader topology, shared between the pipeline handle, the
@@ -1137,7 +1072,8 @@ pub struct ConstructorStat {
     pub index: usize,
     /// Envelopes waiting in the actor's mailbox.
     pub mailbox_depth: usize,
-    /// Serve steps the constructor can answer (staged, raw).
+    /// Serve steps the constructor can answer: those whose share the
+    /// serve driver's retained window holds for it, raw.
     pub ready_steps: Vec<u64>,
 }
 
@@ -1198,8 +1134,8 @@ struct Fleet {
     loaders: LoaderRegistry,
     planner: ActorRef<PlannerMsg>,
     constructors: Vec<ActorRef<ConstructorMsg>>,
-    /// The serve driver's retained broadcast window, shared with the
-    /// constructor factories (see [`RetainedWindow`]).
+    /// The serve driver's retained window, shared with every
+    /// constructor (see [`RetainedWindow`]).
     window: SharedWindow,
     controller: ActorRef<ControllerMsg>,
     rpc_timeout: Duration,
@@ -1391,8 +1327,8 @@ impl Fleet {
         }
     }
 
-    /// Splits the popped samples into per-bucket broadcast payloads, in
-    /// plan bucket order: `(constructor index, bucket plan, samples)`.
+    /// Splits the popped samples into per-bucket shares, in plan bucket
+    /// order: `(constructor index, bucket plan, samples)`.
     fn partition(&self, buckets: Vec<BucketPlan>, popped: Popped) -> Vec<BroadcastItem> {
         buckets
             .into_iter()
@@ -1667,19 +1603,20 @@ impl ThreadedPipeline {
                 }
             })
             .collect();
-        let constructors = self
-            .fleet
-            .constructors
+        let ctors = &self.fleet.constructors;
+        let pending = ctors
             .iter()
+            .map(|c| c.ask_pipelined(ConstructorMsg::ReadySteps));
+        let constructors = wait_all(pending.collect(), self.fleet.rpc_timeout)
+            .into_iter()
+            .zip(ctors)
             .enumerate()
-            .filter_map(|(index, c)| {
-                c.ask(ConstructorMsg::ReadySteps, self.fleet.rpc_timeout)
-                    .ok()
-                    .map(|ready_steps| ConstructorStat {
-                        index,
-                        mailbox_depth: c.mailbox_depth(),
-                        ready_steps,
-                    })
+            .filter_map(|(index, (ready_steps, c))| {
+                Some(ConstructorStat {
+                    index,
+                    mailbox_depth: c.mailbox_depth(),
+                    ready_steps: ready_steps?,
+                })
             })
             .collect();
         let stats = RuntimeStats {
@@ -1834,20 +1771,16 @@ impl ThreadedPipeline {
         // Reset the constructors before this session's server exists, so
         // every pull it issues queues behind the resets: a reset sent
         // later (from the driver thread) could clear the first parked
-        // pulls and leave the clients to wait out `pull_timeout`. The
-        // window empties first: a constructor that restarts after its
-        // `Reset` must rebuild from this session's steps, never from the
-        // previous session's.
-        let pre_encode = transport.serializes();
+        // pulls and leave the clients to wait out `pull_timeout`.
         {
             let mut window = self.fleet.window.lock();
-            window.pre_encode = pre_encode;
+            window.pre_encode = transport.serializes();
             window.steps.clear();
         }
         for ctor in &self.fleet.constructors {
-            // A previous serve session may have left queued batches and
+            // A previous serve session may have left built batches and
             // parked pulls behind; serve-step numbering restarts at 0.
-            ctor.tell(ConstructorMsg::Reset { pre_encode });
+            ctor.tell(ConstructorMsg::Reset);
         }
         let name = format!("data-server/{}", self.servers.len());
         self.gcs.register(&name, "serving plane");
@@ -2064,8 +1997,9 @@ const STEP_RETRY_BUDGET: Duration = Duration::from_secs(60);
 /// client, then drain until every rostered client has consumed its
 /// stream. `roster` maps each client to its constructor by its mesh
 /// placement. The driver asks no constructor anything: client progress
-/// is read from `hub`, and a restarted constructor re-stages its ready
-/// queue from the retained window on its own.
+/// is read from `hub`, and the retained window it writes is every
+/// constructor's ready queue, so a restarted constructor has nothing to
+/// rebuild.
 fn run_serve_driver(
     fleet: Fleet,
     opts: ServeOptions,
@@ -2088,7 +2022,7 @@ fn run_serve_driver(
     let mut plan_base: Option<u64> = None;
     let mut pruned_below = persisted_retirement_floor(&fleet.gcs);
     let mut loader_floor = pruned_below;
-    let mut announced = vec![0u64; fleet.constructors.len()];
+    let mut trimmed = vec![0u64; fleet.constructors.len()];
 
     let mut served = 0u64;
     let mut bucket_overflow_reported = false;
@@ -2162,22 +2096,16 @@ fn run_serve_driver(
             break 'steps;
         }
 
-        // (7) Broadcast this serve step to the rostered constructors and
-        // retain it under the same lock: a constructor that consumes the
-        // broadcast and then crashes finds the step in the window when
-        // its restart rebuilds.
+        // (7) Retain this serve step for the rostered constructors, then
+        // wake each one's pulls parked on it. A pull that finds the step
+        // missing parked before the push, so its wake queues behind it.
         let mut items = fleet.partition(std::mem::take(&mut plan.buckets), popped);
         items.retain(|(idx, _, _)| !clients_of[*idx].is_empty());
-        {
-            let mut window = fleet.window.lock();
-            for (idx, bucket_plan, samples) in &items {
-                fleet.constructors[*idx].tell(ConstructorMsg::Construct {
-                    step: s,
-                    bucket_plan: Arc::clone(bucket_plan),
-                    samples: Arc::clone(samples),
-                });
+        fleet.window.lock().steps.push_back((s, items));
+        for (ctor, clients) in fleet.constructors.iter().zip(&clients_of) {
+            if !clients.is_empty() {
+                ctor.tell(ConstructorMsg::Construct { step: s });
             }
-            window.steps.push_back((s, items));
         }
         served = s + 1;
 
@@ -2192,7 +2120,7 @@ fn run_serve_driver(
             loader_floor,
             &mut pruned_below,
             &clients_of,
-            &mut announced,
+            &mut trimmed,
         );
 
         // (7b) Elastic control plane: tick the controller on its cadence.
@@ -2230,14 +2158,13 @@ fn run_serve_driver(
 /// Folds the hub's global frontier into durable retirement, once per
 /// served step:
 ///
-/// 1. retire each constructor's share of the retained window below its
-///    own frontier, and announce that frontier to it (staged-step
-///    retirement below it). A constructor whose rostered clients
-///    (`clients_of`) all hold live capabilities retires below the lowest
-///    of their cursors, since none of them can ask for an earlier step;
-///    any other keeps to the global frontier, below which no client can
-///    ask for anything. `announced` holds each constructor's last
-///    announcement,
+/// 1. trim each constructor's share of the retained window below its
+///    own frontier. A constructor whose rostered clients (`clients_of`)
+///    all hold live capabilities retires below the lowest of their
+///    cursors, since none of them can ask for an earlier step; any other
+///    keeps to the global frontier, below which no client can ask for
+///    anything. `trimmed` holds each constructor's last trim; the
+///    constructors read the window, so no one is told,
 /// 2. compute the plan-log retirement floor — the min of what every
 ///    live consumer capability permits (`plan_base + frontier`) and
 ///    what every loader's durable checkpoint permits (`loader_floor`,
@@ -2261,11 +2188,9 @@ fn retire_frontier(
     loader_floor: u64,
     pruned_below: &mut u64,
     clients_of: &[Vec<u32>],
-    announced: &mut [u64],
+    trimmed: &mut [u64],
 ) {
     let snap = hub.snapshot();
-    // Each share leaves the window before its constructor hears the new
-    // frontier, so a restart after the announcement cannot re-stage it.
     let mut window = fleet.window.lock();
     for (idx, clients) in clients_of.iter().enumerate() {
         if clients.is_empty() {
@@ -2279,12 +2204,11 @@ fn retire_frontier(
             Some(lowest.min(snap.holders[at].1))
         });
         let at = lowest.unwrap_or(0).max(snap.frontier);
-        if at > announced[idx] {
-            announced[idx] = at;
+        if at > trimmed[idx] {
+            trimmed[idx] = at;
             for (_, items) in window.steps.iter_mut().take_while(|(step, _)| *step < at) {
                 items.retain(|(i, _, _)| *i != idx);
             }
-            fleet.constructors[idx].tell(ConstructorMsg::Frontier { at });
         }
     }
     while window
@@ -2620,6 +2544,35 @@ mod tests {
     }
 
     #[test]
+    fn a_round_with_every_group_stalled_fails_within_one_rpc_timeout() {
+        let mut p = pipeline();
+        p.step(32).unwrap();
+        let timeout = Duration::from_millis(300);
+        p.set_rpc_timeout(timeout);
+        let groups = p.fleet.snapshot().groups.clone();
+        assert!(groups.len() >= 3, "only {} groups", groups.len());
+        for group in &groups {
+            group.actor.inject_delay(Duration::from_secs(2));
+        }
+        let start = Instant::now();
+        let r = p.step(32);
+        let took = start.elapsed();
+        assert!(
+            matches!(r, Err(RuntimeError::LoaderFailure { .. })),
+            "expected a loader failure, got {:?}",
+            r.map(|(plan, _, _)| plan.step)
+        );
+        // The gather waits on every group against one deadline; one full
+        // timeout per stalled group would take `groups.len()` of them.
+        assert!(
+            took < timeout * 2,
+            "{} stalled groups failed the step after {took:?}",
+            groups.len()
+        );
+        p.shutdown();
+    }
+
+    #[test]
     fn crashed_planner_resumes_the_plan_sequence() {
         // Reference: an unfailed pipeline's plan stream.
         let mut reference = pipeline();
@@ -2898,6 +2851,33 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_session_leaves_no_step_in_any_constructor() {
+        let mut p = pipeline();
+        let mut session = p.serve(ServeOptions {
+            clients: 2,
+            steps: 8,
+            refill_target: 32,
+            ..ServeOptions::default()
+        });
+        let handles: Vec<_> = session
+            .take_clients()
+            .into_iter()
+            .map(|mut c| std::thread::spawn(move || while c.next().is_some() {}))
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(session.join(), 8);
+        for ctor in p.constructor_actors() {
+            let ready = ctor
+                .ask(ConstructorMsg::ReadySteps, Duration::from_secs(5))
+                .unwrap();
+            assert!(ready.is_empty(), "{} still holds {ready:?}", ctor.name());
+        }
+        p.shutdown();
+    }
+
+    #[test]
     fn serve_delivers_ordered_streams_to_concurrent_clients() {
         let mut p = pipeline();
         let mut session = p.serve(ServeOptions {
@@ -3013,7 +2993,7 @@ mod tests {
         // Client 1 holds its capability at step 0 and never pulls, so once
         // client 0 has pulled steps 0..=queue_depth (demand lets the
         // driver broadcast one step past each pull) the driver has
-        // broadcast `queue_depth + 1` steps, all staged at client 1's
+        // broadcast `queue_depth + 1` steps, all retained for client 1's
         // constructor, and blocks.
         let mut clients = session.take_clients();
         for _ in 0..=queue_depth {

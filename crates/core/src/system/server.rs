@@ -34,10 +34,11 @@
 //!
 //! ## Reconnect and resume
 //!
-//! The constructor's ready queue keeps every step at or above the
-//! frontier, so it is the one copy a resend needs. A client that loses
-//! its connection (or just a frame, under the chaos transport) re-dials
-//! and re-`Subscribe`s from its consumed cursor; the server rebinds the
+//! The serve driver's retained window, every constructor's ready queue,
+//! keeps every step at or above the frontier, so it is the one copy a
+//! resend needs. A client that loses its connection (or just a frame,
+//! under the chaos transport) re-dials and re-`Subscribe`s from its
+//! consumed cursor; the server rebinds the
 //! session, rewinds its pull cursor there and re-pulls from the ready
 //! queue, and the client discards anything below its cursor — the
 //! resumed stream is gap-free and duplicate-free by construction.
@@ -53,8 +54,8 @@
 //!   evicts the session (capability released, GCS fault logged,
 //!   eviction metric bumped). A late-returning client still resumes
 //!   gap-free: its re-`Subscribe` re-acquires its capability at its
-//!   cursor, and its constructor still queues every step at or above
-//!   the frontier.
+//!   cursor, and the retained window still holds every step at or
+//!   above the frontier.
 //! - **Admission control** — dials beyond
 //!   [`ServerConfig::max_sessions`] are refused with a wire
 //!   [`WireFrame::Reject`] instead of being stranded; rejected clients

@@ -349,8 +349,8 @@ fn server_restart_keeps_released_capabilities_released() {
 }
 
 /// A pull parked on a step that is not built yet dies with its
-/// constructor: the restarted incarnation rebuilds its ready queue from
-/// the retained window but knows nothing of the pull. The client's
+/// constructor: the restarted incarnation answers from the retained
+/// window, the one ready queue, but knows nothing of the pull. The client's
 /// quiet-timeout re-`Subscribe` re-issues it, so the stream stays
 /// byte-identical and finishes within a few pull timeouts of the crash.
 #[test]

@@ -10,9 +10,9 @@
 //! stream it is meant to disturb. Loaders run in groups behind one mailbox
 //! each, so a loader kill is a group kill: one test crashes a group of
 //! several loaders and checks every member restores exactly. A restarted
-//! constructor re-stages its ready queue, raw, from the serve driver's
-//! retained window in `Actor::started`, and re-runs the transform tails
-//! when pulled; the last test pins that path on its own. A group gone for
+//! constructor answers from the serve driver's retained window, its one
+//! ready queue, and re-runs the transform tails when pulled; the last
+//! test pins that path on its own. A group gone for
 //! good, past its restart budget, ends the session at once with a fault
 //! record, and its clients' streams end with it.
 
@@ -351,27 +351,28 @@ fn a_dead_loader_group_ends_the_session_at_once() {
     p.shutdown();
 }
 
-/// The ready steps a constructor holds, asked of the actor itself.
+/// The ready steps a constructor reports (its share of the driver's
+/// retained window), asked of the actor itself.
 fn ready_steps(ctor: &ActorRef<ConstructorMsg>) -> Vec<u64> {
     ctor.ask(ConstructorMsg::ReadySteps, Duration::from_secs(5))
         .expect("constructor answers")
 }
 
 /// Waits until nothing can reach `ctor` any more, then crashes it and
-/// checks that the restarted incarnation rebuilt the same queue in
-/// `started` with no message but the checking ask reaching it.
+/// checks that the restarted incarnation answers the same queue with no
+/// message but the checking ask reaching it.
 ///
 /// Nothing can reach it once two things hold, observed in this order:
 /// - the server has sent every pull `client`'s window allows, its next
 ///   pull being `window_end`: a pull is told to the constructor before
 ///   the server's status can show it, so the pull is queued ahead of the
 ///   check below;
-/// - `ctor` then holds exactly `want` with nothing left in its mailbox:
-///   the driver is done sending it steps and frontiers, and every pull
-///   has been dequeued.
+/// - `ctor` then reports exactly `want` with nothing left in its
+///   mailbox: the driver is done retaining steps for it and waking it,
+///   and every pull has been dequeued.
 ///
 /// The constructor's own state alone is not enough: a client's consumed
-/// report wakes the driver (which stages and announces) before the
+/// report wakes the driver (which retains a step and trims) before the
 /// server, on the same report, pulls the next step of the client's
 /// window, so that pull can arrive after the constructor looks settled.
 fn crash_idle_constructor(
